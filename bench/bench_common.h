@@ -168,10 +168,7 @@ measureNtt(Tier tier, const ntt::NttPrime& prime, size_t n)
     }
 #endif
 
-    // Figure reproduction: pin a direct (unblocked) plan — the paper's
-    // curves are per-butterfly over the direct Pease transform, and the
-    // four-step driver's transposes/fixups are not butterflies.
-    ntt::NttPlan plan(prime, n, /*l2_budget=*/0);
+    ntt::NttPlan plan(prime, n);
     ResidueVector in = ResidueVector::fromU128(input_u);
     ResidueVector out(n), scratch(n);
     Backend be = tierBackend(tier);

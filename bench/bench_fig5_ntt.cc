@@ -11,10 +11,8 @@
  */
 #include "bench_common.h"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <memory>
 
 #include "core/batch_layout.h"
 #include "engine/thread_pool.h"
@@ -134,7 +132,7 @@ pinnedIters(size_t n, int& total, int& kept)
 }
 
 /**
- * --json mode: Radix2 vs Radix4 vs four-step-blocked ns/op per backend
+ * --json mode: Radix2 vs Radix4 ns/op per backend
  * x n (Shoup-lazy steady state), plus the Barrett ablation at the small
  * sizes, written as BENCH_ntt.json (or the path given after --json).
  * CI uploads this as an artifact AND the repo root carries a pinned
@@ -187,7 +185,7 @@ runJsonMode(const char* path)
     os << "  \"results\": [\n";
 
     Backend best = bestBackend();
-    // Headline: the strongest radix2 -> min(radix4, blocked) speedup at
+    // Headline: the strongest radix2 -> radix4 speedup at
     // n = 65536 across backends, and which backend achieved it. On
     // hosts whose LLC swallows the 65536 working set the emulated-SIMD
     // tiers stay compute-bound and show little; the scalar tier (cheap
@@ -198,18 +196,8 @@ runJsonMode(const char* path)
     double fastest_fused_65536 = 0.0; // on bestBackend()
     bool first = true;
     for (size_t n : sizes) {
-        // Plans are backend-independent; build each size's pair once
-        // (blocked-plan construction precomputes 2n fixup Shoup
-        // quotients — one BigUInt division each — so rebuilding per
-        // backend would dominate the smoke runtime). Force-direct plan
-        // for the Radix2/Radix4 A/B; blocked plan at the sizes where
-        // the four-step decomposition pays (forced below the default
-        // threshold at 16384 so the crossover is visible).
-        ntt::NttPlan direct(prime, n, /*l2_budget=*/0);
-        std::unique_ptr<ntt::NttPlan> blocked;
-        if (n >= 16384)
-            blocked =
-                std::make_unique<ntt::NttPlan>(prime, n, /*l2_budget=*/1024);
+        // Plans are backend-independent; build each size's once.
+        ntt::NttPlan direct(prime, n);
         int total = 0, kept = 0;
         pinnedIters(n, total, kept);
         for (Backend be : backends) {
@@ -217,15 +205,6 @@ runJsonMode(const char* path)
                                         StageFusion::Radix2, total, kept);
             double r4 = measureFwdInvNs(be, direct, n, Reduction::ShoupLazy,
                                         StageFusion::Radix4, total, kept);
-            double blocked_ns = 0.0;
-            size_t blocked_swept = 0;
-            if (blocked) {
-                blocked_ns =
-                    measureFwdInvNs(be, *blocked, n, Reduction::ShoupLazy,
-                                    StageFusion::Radix4, total, kept);
-                blocked_swept =
-                    blocked->bytesSweptPerTransform(StageFusion::Radix4);
-            }
             double barrett = 0.0;
             if (n <= 4096) {
                 barrett =
@@ -233,10 +212,7 @@ runJsonMode(const char* path)
                                     StageFusion::Radix2, total / 2 + 1,
                                     kept / 2 + 1);
             }
-            double fused_speedup =
-                r4 > 0.0 ? r2 / (blocked_ns > 0.0 ? std::min(r4, blocked_ns)
-                                                  : r4)
-                         : 0.0;
+            double fused_speedup = r4 > 0.0 ? r2 / r4 : 0.0;
             if (n == 65536) {
                 if (be == best)
                     fastest_fused_65536 = fused_speedup;
@@ -252,7 +228,6 @@ runJsonMode(const char* path)
                << "\", \"n\": " << n
                << ", \"radix2_ns\": " << formatFixed(r2, 1)
                << ", \"radix4_ns\": " << formatFixed(r4, 1)
-               << ", \"blocked_ns\": " << formatFixed(blocked_ns, 1)
                << ", \"barrett_ns\": " << formatFixed(barrett, 1)
                << ", \"fused_speedup\": " << formatFixed(fused_speedup, 3)
                // Per single transform (the ns fields are per fwd+inv
@@ -261,13 +236,11 @@ runJsonMode(const char* path)
                << direct.bytesSweptPerTransform(StageFusion::Radix2)
                << ", \"radix4\": "
                << direct.bytesSweptPerTransform(StageFusion::Radix4)
-               << ", \"blocked\": " << blocked_swept
                << "}, \"twiddle_bytes\": " << direct.twiddleBytes() << "}";
             std::fprintf(stderr,
                          "  %-10s n=%6zu radix2=%.0fns radix4=%.0fns "
-                         "blocked=%.0fns (%.2fx)\n",
-                         backendName(be).c_str(), n, r2, r4, blocked_ns,
-                         fused_speedup);
+                         "(%.2fx)\n",
+                         backendName(be).c_str(), n, r2, r4, fused_speedup);
         }
     }
     os << "\n  ],\n";
@@ -280,7 +253,7 @@ runJsonMode(const char* path)
     // bytes-swept accounting.
     os << "  \"batch\": [\n";
     const size_t batch_n = 4096;
-    ntt::NttPlan batch_plan(prime, batch_n, /*l2_budget=*/0);
+    ntt::NttPlan batch_plan(prime, batch_n);
     const size_t batch_swept =
         batch_plan.bytesSweptPerTransform(StageFusion::Radix2);
     double batch_speedup_k8 = 0.0;
@@ -342,7 +315,7 @@ runJsonMode(const char* path)
        << "\",\n";
     os << "  \"best_fwdinv_speedup_n65536\": "
        << formatFixed(best_fused_65536, 3) << "\n}\n";
-    std::printf("wrote %s (best fused/blocked speedup at n=65536: %.2fx on "
+    std::printf("wrote %s (best fused speedup at n=65536: %.2fx on "
                 "%s; fastest backend %s at %.2fx)\n",
                 path, best_fused_65536,
                 backendName(best_fused_backend).c_str(),

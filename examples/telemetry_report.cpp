@@ -1,11 +1,11 @@
 /**
  * @file
- * Wall-time attribution report for a blocked large-n polymul.
+ * Wall-time attribution report for a large-n polymul.
  *
- * Runs a warmed negacyclic polymul at n = 2^16 (the four-step blocked
- * NTT path) on a serial engine, then breaks the measured wall time down
- * by telemetry span SELF time — duration minus same-thread child span
- * durations — so the table's percentages sum to (at most) 100% instead
+ * Runs a warmed negacyclic polymul at n = 2^16 (direct NTT plans) on a
+ * serial engine, then breaks the measured wall time down by telemetry
+ * span SELF time — duration minus same-thread child span durations —
+ * so the table's percentages sum to (at most) 100% instead
  * of double-counting nested phases. Because self times partition each
  * root span exactly, the sum over every instrumented site is the
  * telemetry subsystem's coverage of the workload: the report fails
@@ -66,7 +66,7 @@ main(int argc, char** argv)
     auto b = rns::randomPolynomial(basis, n, 0xB0B);
     rns::RnsPolynomial c(basis, n);
 
-    std::printf("blocked negacyclic polymul: n = %zu, %zu channels, "
+    std::printf("negacyclic polymul: n = %zu, %zu channels, "
                 "backend %s, serial engine\n",
                 n, basis.size(), backendName(engine.backend()).c_str());
 
@@ -92,8 +92,6 @@ main(int argc, char** argv)
         "negacyclic.twist",      "negacyclic.inverse",
         "negacyclic.untwist",    "negacyclic.pointwise",
         "ntt.forward",           "ntt.inverse",
-        "ntt.blocked.transpose", "ntt.blocked.cols",
-        "ntt.blocked.rows",      "ntt.blocked.fixup",
         "plancache.build",
     };
 

@@ -79,11 +79,9 @@ bestBackend()
         return Backend::Avx512;
     if (backendAvailable(Backend::Avx2))
         return Backend::Avx2;
-    // No SIMD: prefer Portable — it models the 8-lane SIMD kernels in
-    // plain C++, so dispatch exercises the same algorithms (and data
-    // layout) as the vector tiers — before the last-resort Scalar path.
-    if (backendAvailable(Backend::Portable))
-        return Backend::Portable;
+    // No AVX tier: Scalar. BENCH_ntt.json measures Portable (the 8-lane
+    // kernels modelled in plain C++) roughly 3-6x slower than Scalar at
+    // every n, so Portable is never the default.
     return Backend::Scalar;
 }
 

@@ -70,11 +70,11 @@ enum class Reduction
  *
  * Auto (the public-API default) resolves to the measured-fastest shape
  * for the (backend, n) pair via ntt::resolveStageFusion():
- * BENCH_ntt.json shows fusion is a pure win on Scalar (~1.1-1.2x at
- * every n) but slightly regresses the vector backends below the largest
- * sizes (fused_speedup 0.93-0.99 at n <= 16384), where the extra
- * shuffle work outweighs the saved sweeps. Backends never see Auto —
- * the dispatcher resolves it first.
+ * BENCH_ntt.json (Xeon @ 2.10GHz) shows fusion is a pure win on Scalar
+ * (~1.1-1.2x at every n) but mostly regresses the vector backends below
+ * n = 65536, where the extra shuffle work outweighs the saved sweeps; at
+ * 65536 it is mixed (AVX-512 0.91x, AVX2 1.04x, Portable 1.01x).
+ * Backends never see Auto — the dispatcher resolves it first.
  */
 enum class StageFusion
 {

@@ -432,7 +432,7 @@ Engine::fmaBatchInto(
                            "Engine::fmaBatchInto");
     // Interleaved-batch eligibility: enough all-Coeff products to fill
     // at least one channel-major tile, on a batch-capable plan shape
-    // (direct, n >= 16 — shared by every channel since n is uniform).
+    // (n >= 16 — shared by every channel since n is uniform).
     const size_t il = ntt::batchInterleave(backend_);
     bool all_coeff = true;
     bool aliased = false;

@@ -22,31 +22,6 @@ requireAvailable(Backend backend)
     }
 }
 
-/** Route descriptor for the four-step blocked driver (blocked.cc). */
-detail::BlockedRoute
-makeRoute(Backend backend)
-{
-    detail::BlockedRoute route;
-    route.backend = backend;
-    if (backend == Backend::MqxEmulate || backend == Backend::MqxPisa) {
-        route.use_mqx = true;
-        route.pisa = backend == Backend::MqxPisa;
-    }
-    return route;
-}
-
-// Referenced only when the MQX TUs are compiled in.
-[[maybe_unused]] detail::BlockedRoute
-makeRoute(MqxVariant variant, bool pisa)
-{
-    detail::BlockedRoute route;
-    route.backend = pisa ? Backend::MqxPisa : Backend::MqxEmulate;
-    route.use_mqx = true;
-    route.variant = variant;
-    route.pisa = pisa;
-    return route;
-}
-
 } // namespace
 
 StageFusion
@@ -54,12 +29,14 @@ resolveStageFusion(Backend backend, size_t n, StageFusion fusion)
 {
     if (fusion != StageFusion::Auto)
         return fusion;
-    // BENCH_ntt.json (committed): Scalar fused_speedup is 1.11-1.21x at
-    // every measured n, so it always fuses. Every vector/MQX tier
-    // measures 0.93-0.999 below n = 65536 (the shuffle-heavy fused
-    // bodies lose to the plain radix-2 sweeps while the working set is
-    // cache-resident) and is neutral at 65536, where fewer sweeps start
-    // to matter — so they keep radix-2 below that threshold.
+    // BENCH_ntt.json on a Xeon @ 2.10GHz: Scalar fused_speedup is
+    // 1.11-1.24x at every measured n, so it always fuses. The vector/MQX
+    // tiers mostly lose below n = 65536 (the shuffle-heavy fused bodies
+    // against the plain radix-2 sweeps while the working set is
+    // cache-resident), so they keep radix-2 there. At 65536 the same run
+    // is mixed — AVX-512 0.91x, AVX2 1.04x, Portable 1.01x — and the
+    // threshold stays put: no benchmark workload runs at n >= 65536 to
+    // show a move.
     if (backend == Backend::Scalar)
         return StageFusion::Radix4;
     constexpr size_t kVectorRadix4MinN = 65536;
@@ -74,11 +51,6 @@ forward(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
     MQX_SCOPED_SPAN(ntt_span, "ntt.forward");
     requireAvailable(backend);
     fusion = resolveStageFusion(backend, plan.n(), fusion);
-    if (plan.blocked()) {
-        detail::blockedForward(plan, makeRoute(backend), in, out, scratch,
-                               algo, red, fusion);
-        return;
-    }
     switch (backend) {
       case Backend::Scalar:
         backends::forwardScalar(plan, in, out, scratch, algo, red, fusion);
@@ -128,11 +100,6 @@ inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
     MQX_SCOPED_SPAN(ntt_span, "ntt.inverse");
     requireAvailable(backend);
     fusion = resolveStageFusion(backend, plan.n(), fusion);
-    if (plan.blocked()) {
-        detail::blockedInverse(plan, makeRoute(backend), in, out, scratch,
-                               algo, red, fusion);
-        return;
-    }
     switch (backend) {
       case Backend::Scalar:
         backends::inverseScalar(plan, in, out, scratch, algo, red, fusion);
@@ -229,11 +196,6 @@ forwardMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
     fusion = resolveStageFusion(pisa ? Backend::MqxPisa : Backend::MqxEmulate,
                                 plan.n(), fusion);
 #if MQX_BUILD_AVX512
-    if (plan.blocked()) {
-        detail::blockedForward(plan, makeRoute(variant, pisa), in, out,
-                               scratch, algo, red, fusion);
-        return;
-    }
     backends::forwardMqxImpl(plan, variant, pisa, in, out, scratch, algo,
                              red, fusion);
 #else
@@ -259,11 +221,6 @@ inverseMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
     fusion = resolveStageFusion(pisa ? Backend::MqxPisa : Backend::MqxEmulate,
                                 plan.n(), fusion);
 #if MQX_BUILD_AVX512
-    if (plan.blocked()) {
-        detail::blockedInverse(plan, makeRoute(variant, pisa), in, out,
-                               scratch, algo, red, fusion);
-        return;
-    }
     backends::inverseMqxImpl(plan, variant, pisa, in, out, scratch, algo,
                              red, fusion);
 #else
@@ -299,7 +256,7 @@ batchInterleave(Backend backend)
 bool
 batchSupported(const NttPlan& plan)
 {
-    return plan.blocked() == nullptr && plan.n() >= 16;
+    return plan.n() >= 16;
 }
 
 namespace {
@@ -323,7 +280,7 @@ forwardBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
     MQX_SCOPED_SPAN(ntt_span, "ntt.forward_batch");
     requireAvailable(backend);
     checkArg(batchSupported(plan),
-             "forwardBatch: plan not batch-eligible (blocked or too small)");
+             "forwardBatch: plan too small (n < 16)");
     noteBatchSweep(plan, il);
     switch (backend) {
       case Backend::Scalar:
@@ -372,7 +329,7 @@ inverseBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
     MQX_SCOPED_SPAN(ntt_span, "ntt.inverse_batch");
     requireAvailable(backend);
     checkArg(batchSupported(plan),
-             "inverseBatch: plan not batch-eligible (blocked or too small)");
+             "inverseBatch: plan too small (n < 16)");
     noteBatchSweep(plan, il);
     switch (backend) {
       case Backend::Scalar:

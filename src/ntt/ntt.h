@@ -35,11 +35,6 @@ namespace ntt {
  *                Outputs are bit-identical; Barrett reduction always
  *                runs the radix-2 stage loop.
  *
- * Plans whose working set exceeds their L2 budget (plan.blocked())
- * dispatch through the four-step blocked driver: cache-resident
- * column/row sub-transforms plus a twiddle fixup, word-identical to the
- * direct path (see plan.h).
- *
  * @throws BackendUnavailable if @p backend cannot run on this host.
  */
 void forward(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
@@ -55,11 +50,12 @@ void inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
 
 /**
  * Resolve StageFusion::Auto to a concrete shape for (backend, n), from
- * the committed BENCH_ntt.json measurements: Scalar fuses everywhere
- * (fused_speedup 1.11-1.21x), while the vector/MQX tiers keep radix-2
- * below n = 65536 (fused_speedup 0.93-0.999 there) and fuse at and
- * above it. Radix4/Radix2 requests pass through unchanged; the backend
- * entry points never see Auto.
+ * BENCH_ntt.json measurements (Xeon @ 2.10GHz): Scalar fuses everywhere
+ * (fused_speedup 1.11-1.24x), while the vector/MQX tiers keep radix-2
+ * below n = 65536 and fuse at and above it. Fusion at 65536 is not a
+ * uniform win (AVX-512 0.91x, AVX2 1.04x, Portable 1.01x). Radix4/Radix2
+ * requests pass through unchanged; the backend entry points never see
+ * Auto.
  */
 StageFusion resolveStageFusion(Backend backend, size_t n, StageFusion fusion);
 
@@ -79,13 +75,6 @@ void vmulShoup(Backend backend, const Modulus& m, DConstSpan a, DConstSpan t,
  * Forward NTT with an explicit MQX feature variant (Fig. 6 ablation).
  * @param pisa true = PISA proxy timing mode (results are wrong by
  *             design), false = bit-exact Table-2 emulation.
- *
- * Ablation caveat for blocked plans: the four-step driver applies
- * @p variant to every sub-transform, but its twiddle-fixup sweep runs
- * the Full-MQX vmulShoup kernel (no variant-ablated pointwise kernels
- * exist). Results stay bit-identical; for a variant-faithful
- * instruction mix, measure on a direct plan (l2_budget = 0), as
- * bench_fig6_sensitivity does.
  */
 void forwardMqx(const NttPlan& plan, MqxVariant variant, bool pisa,
                 DConstSpan in, DSpan out, DSpan scratch,
@@ -111,9 +100,7 @@ size_t batchInterleave(Backend backend);
 
 /**
  * True when @p plan is eligible for the interleaved batch kernels:
- * a direct (non-blocked) plan of at least 16 points. Blocked plans keep
- * the per-channel four-step driver — their sub-transforms are already
- * cache-resident, which is the very win batching trades away.
+ * n >= 16.
  */
 bool batchSupported(const NttPlan& plan);
 

@@ -88,29 +88,5 @@ void vmulShoupBatchMqx(bool pisa, const Modulus&, size_t il, DConstSpan,
                        DConstSpan, DConstSpan, DSpan, MulAlgo);
 
 } // namespace backends
-
-namespace detail {
-
-/**
- * Four-step blocked drivers (blocked.cc): used by the public dispatch
- * when plan.blocked() is set. @p variant/@p pisa select the MQX entry
- * points for the sub-transforms when @p use_mqx is true.
- */
-struct BlockedRoute
-{
-    Backend backend = Backend::Scalar;
-    bool use_mqx = false;
-    MqxVariant variant = MqxVariant::Full;
-    bool pisa = false;
-};
-
-void blockedForward(const NttPlan& plan, const BlockedRoute& route,
-                    DConstSpan in, DSpan out, DSpan scratch, MulAlgo algo,
-                    Reduction red, StageFusion fusion);
-void blockedInverse(const NttPlan& plan, const BlockedRoute& route,
-                    DConstSpan in, DSpan out, DSpan scratch, MulAlgo algo,
-                    Reduction red, StageFusion fusion);
-
-} // namespace detail
 } // namespace ntt
 } // namespace mqx

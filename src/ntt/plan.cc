@@ -1,12 +1,8 @@
 /**
  * @file
- * NttPlan construction: root finding, twiddle table precomputation, and
- * the four-step blocked decomposition for transforms whose working set
- * exceeds the L2 budget.
+ * NttPlan construction: root finding and twiddle table precomputation.
  */
 #include "ntt/plan.h"
-
-#include <cstdlib>
 
 namespace mqx {
 namespace ntt {
@@ -23,45 +19,15 @@ bitrev(size_t i, int bits)
     return r;
 }
 
-size_t
-readL2BudgetEnv()
-{
-    if (const char* env = std::getenv("MQX_NTT_L2_BUDGET")) {
-        char* end = nullptr;
-        unsigned long long v = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0')
-            return static_cast<size_t>(v);
-    }
-    return size_t{1} << 20; // 1 MiB: conservative per-core L2
-}
-
 } // namespace
 
-size_t
-defaultL2Budget()
+NttPlan::NttPlan(const NttPrime& prime, size_t n, size_t l2_budget)
+    : NttPlan(prime, n)
 {
-    static const size_t budget = readL2BudgetEnv();
-    return budget;
+    checkArg(l2_budget == 0, "NttPlan: the L2 budget must be 0");
 }
 
 NttPlan::NttPlan(const Modulus& modulus, size_t n)
-    : NttPlan(modulus, n, nullptr, defaultL2Budget())
-{
-}
-
-NttPlan::NttPlan(const Modulus& modulus, size_t n, size_t l2_budget)
-    : NttPlan(modulus, n, nullptr, l2_budget)
-{
-}
-
-NttPlan::NttPlan(const Modulus& modulus, size_t n, const U128& omega,
-                 size_t l2_budget)
-    : NttPlan(modulus, n, &omega, l2_budget)
-{
-}
-
-NttPlan::NttPlan(const Modulus& modulus, size_t n, const U128* omega,
-                 size_t l2_budget)
     : mod_(modulus), n_(n)
 {
     checkArg(n >= 2 && (n & (n - 1)) == 0,
@@ -71,18 +37,7 @@ NttPlan::NttPlan(const Modulus& modulus, size_t n, const U128* omega,
         ++logn_;
     checkArg(isPrime(mod_.value()), "NttPlan: modulus must be prime");
 
-    if (omega) {
-        // Caller-chosen root: order must be exactly n. For power-of-two
-        // n it suffices that omega^(n/2) == -1 (then omega^n == 1 and
-        // no smaller power-of-two order works).
-        U128 minus_one = mod_.value() - U128{1};
-        checkArg(mod_.pow(*omega, U128{static_cast<uint64_t>(n / 2)}) ==
-                     minus_one,
-                 "NttPlan: omega does not have order n");
-        omega_ = mod_.reduce(*omega);
-    } else {
-        omega_ = rootOfUnity(mod_, U128{static_cast<uint64_t>(n)});
-    }
+    omega_ = rootOfUnity(mod_, U128{static_cast<uint64_t>(n)});
     omega_inv_ = mod_.inverse(omega_);
     n_inv_ = mod_.inverse(mod_.reduce(U128{static_cast<uint64_t>(n)}));
 
@@ -117,93 +72,12 @@ NttPlan::NttPlan(const Modulus& modulus, size_t n, const U128* omega,
     }
     n_inv_shoup_ =
         mod::fromDw(mod::shoupPrecompute(mod::toDw(n_inv_), qd));
-
-    buildBlocked(l2_budget);
-}
-
-void
-NttPlan::buildBlocked(size_t l2_budget)
-{
-    // Working set of one direct transform: three split hi/lo buffers
-    // (in/out/scratch) of n residues at 16 bytes each.
-    const size_t working_set = 48 * n_;
-    if (l2_budget == 0 || n_ < 16 || working_set <= l2_budget)
-        return;
-
-    auto blocked = std::make_shared<Blocked>();
-    const int m1 = (logn_ + 1) / 2;
-    const int m2 = logn_ - m1;
-    blocked->n1 = size_t{1} << m1;
-    blocked->n2 = size_t{1} << m2;
-    const size_t n1 = blocked->n1;
-    const size_t n2 = blocked->n2;
-
-    // Sub-plans take the composing roots omega^n2 / omega^n1 so the
-    // factorization reproduces the direct transform word for word; a
-    // zero budget stops them from blocking recursively (they are
-    // cache-resident by construction anyway).
-    U128 w1 = mod_.pow(omega_, U128{static_cast<uint64_t>(n2)});
-    U128 w2 = mod_.pow(omega_, U128{static_cast<uint64_t>(n1)});
-    blocked->col = std::make_unique<NttPlan>(mod_, n1, w1, size_t{0});
-    blocked->row = std::make_unique<NttPlan>(mod_, n2, w2, size_t{0});
-
-    // Fixup tables in streaming layout (see the class comment), with
-    // Shoup companions so the fixup pass is a single vmulShoup sweep.
-    const mod::DW<uint64_t> qd = mod::toDw(mod_.value());
-    blocked->fix_hi.reset(n_);
-    blocked->fix_lo.reset(n_);
-    blocked->fix_sh_hi.reset(n_);
-    blocked->fix_sh_lo.reset(n_);
-    blocked->ifix_hi.reset(n_);
-    blocked->ifix_lo.reset(n_);
-    blocked->ifix_sh_hi.reset(n_);
-    blocked->ifix_sh_lo.reset(n_);
-    for (size_t r1 = 0; r1 < n1; ++r1) {
-        const size_t k1 = bitrev(r1, m1);
-        // omega^(j2*k1) as a geometric row: one multiply per entry.
-        const U128 step = mod_.pow(omega_, U128{static_cast<uint64_t>(k1)});
-        const U128 istep =
-            mod_.pow(omega_inv_, U128{static_cast<uint64_t>(k1)});
-        U128 acc{1}, iacc{1};
-        for (size_t j2 = 0; j2 < n2; ++j2) {
-            const size_t fi = j2 * n1 + r1;  // forward: n2 x n1
-            const size_t ii = r1 * n2 + j2;  // inverse: n1 x n2
-            blocked->fix_hi[fi] = acc.hi;
-            blocked->fix_lo[fi] = acc.lo;
-            mod::DW<uint64_t> sf =
-                mod::shoupPrecompute(mod::toDw(acc), qd);
-            blocked->fix_sh_hi[fi] = sf.hi;
-            blocked->fix_sh_lo[fi] = sf.lo;
-            blocked->ifix_hi[ii] = iacc.hi;
-            blocked->ifix_lo[ii] = iacc.lo;
-            mod::DW<uint64_t> si =
-                mod::shoupPrecompute(mod::toDw(iacc), qd);
-            blocked->ifix_sh_hi[ii] = si.hi;
-            blocked->ifix_sh_lo[ii] = si.lo;
-            acc = mod_.mul(acc, step);
-            iacc = mod_.mul(iacc, istep);
-        }
-    }
-    blocked_ = std::move(blocked);
-}
-
-size_t
-NttPlan::Blocked::bytes() const
-{
-    const size_t n = n1 * n2;
-    // 8 arrays of n words: value + Shoup companion, hi/lo, per
-    // direction (4 forward-fixup arrays + 4 inverse-fixup arrays).
-    size_t fixup = 8 * n * sizeof(uint64_t);
-    return fixup + col->twiddleBytes() + row->twiddleBytes();
 }
 
 size_t
 NttPlan::twiddleBytes() const
 {
-    size_t bytes = 8 * half() * sizeof(uint64_t);
-    if (blocked_)
-        bytes += blocked_->bytes();
-    return bytes;
+    return 8 * half() * sizeof(uint64_t);
 }
 
 size_t
@@ -217,12 +91,6 @@ NttPlan::bytesSweptPerTransform(StageFusion fusion) const
 {
     // One ping-pong pass reads and writes n split residues: 32n bytes.
     const size_t sweep = 32 * n_;
-    if (blocked_) {
-        // Two transposes + two cache-resident row-transform passes,
-        // plus one streamed fixup direction (value + companion, hi/lo:
-        // 32 bytes per element).
-        return 4 * sweep + 32 * n_;
-    }
     const size_t logn = static_cast<size_t>(logn_);
     const size_t passes =
         fusion == StageFusion::Radix4 ? (logn + 1) / 2 : logn;

@@ -40,7 +40,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/aligned.h"
@@ -58,17 +57,6 @@ using mqx::DSpan;
 using mqx::ResidueVector;
 
 /**
- * The L2 working-set budget (bytes) that decides when a plan carries a
- * four-step blocked decomposition: a transform whose ping-pong working
- * set (3 split hi/lo buffers of n elements = 48n bytes) exceeds the
- * budget is decomposed into cache-resident sub-transforms. Reads the
- * MQX_NTT_L2_BUDGET environment variable (bytes) once; defaults to
- * 1 MiB. Pass NttPlan's l2_budget parameter explicitly to override per
- * plan (0 = never block).
- */
-size_t defaultL2Budget();
-
-/**
  * Immutable per-(q, n) precomputation shared by all backends.
  */
 class NttPlan
@@ -77,31 +65,21 @@ class NttPlan
     /**
      * @param modulus prime modulus (primality is verified)
      * @param n       transform size, power of two, 2 <= n, n | q - 1
-     * @param l2_budget working-set budget in bytes for the four-step
-     *                  blocked decomposition (see defaultL2Budget());
-     *                  0 disables blocking for this plan.
      * @throws InvalidArgument when the parameters cannot support an NTT.
      */
     NttPlan(const Modulus& modulus, size_t n);
-    NttPlan(const Modulus& modulus, size_t n, size_t l2_budget);
-
-    /**
-     * Plan with a caller-chosen primitive n-th root of unity (the
-     * four-step driver builds its n1/n2 sub-plans with omega^n2 and
-     * omega^n1 so the blocked factorization reproduces the direct
-     * transform word for word).
-     *
-     * @throws InvalidArgument unless omega has order exactly n.
-     */
-    NttPlan(const Modulus& modulus, size_t n, const U128& omega,
-            size_t l2_budget);
 
     /** Convenience: plan from an NttPrime. */
     NttPlan(const NttPrime& prime, size_t n) : NttPlan(Modulus(prime.q), n) {}
-    NttPlan(const NttPrime& prime, size_t n, size_t l2_budget)
-        : NttPlan(Modulus(prime.q), n, l2_budget)
-    {
-    }
+
+    /**
+     * Compatibility shim for perfbench/src/ladder.cc, which still passes
+     * the removed L2 budget as 0. Only 0 is accepted, so this is not a
+     * knob; drop it in the next benchmark change.
+     *
+     * @throws InvalidArgument when @p l2_budget is not 0.
+     */
+    NttPlan(const NttPrime& prime, size_t n, size_t l2_budget);
 
     const Modulus& modulus() const { return mod_; }
     size_t n() const { return n_; }
@@ -170,41 +148,8 @@ class NttPlan
     size_t half() const { return n_ / 2; }
 
     /**
-     * Four-step decomposition tables, present when the transform's
-     * working set (48n bytes) exceeded the plan's L2 budget. The
-     * transform is factored as n = n1 * n2 (n1 >= n2, both
-     * cache-resident): n2 column transforms of size n1 with
-     * omega_n1 = omega^n2, a twiddle fixup by omega^(j2 * k1), and n1
-     * row transforms of size n2 with omega_n2 = omega^n1. The fixup
-     * tables are stored in the exact layout the driver streams them in
-     * (see blocked.cc) with Shoup companions so the fixup pass is one
-     * vmulShoup sweep. Immutable and shared across plan copies.
-     */
-    struct Blocked
-    {
-        size_t n1 = 0; ///< column-transform size (2^ceil(logn/2))
-        size_t n2 = 0; ///< row-transform size (n / n1)
-        std::unique_ptr<NttPlan> col; ///< size-n1 plan, omega^n2
-        std::unique_ptr<NttPlan> row; ///< size-n2 plan, omega^n1
-        /// Forward fixup, n2 x n1 layout: entry j2*n1 + r1 holds
-        /// omega^(j2 * bitrev(r1)) and its Shoup companion.
-        AlignedVec<uint64_t> fix_hi, fix_lo, fix_sh_hi, fix_sh_lo;
-        /// Inverse fixup, n1 x n2 layout: entry r1*n2 + j2 holds
-        /// omega^-(bitrev(r1) * j2) and its Shoup companion.
-        AlignedVec<uint64_t> ifix_hi, ifix_lo, ifix_sh_hi, ifix_sh_lo;
-
-        /// Table bytes owned by the decomposition: both fixup direction
-        /// sets (8 arrays of n words) plus the sub-plans' twiddles.
-        size_t bytes() const;
-    };
-
-    /** Non-null when this plan dispatches through the blocked driver. */
-    const Blocked* blocked() const { return blocked_.get(); }
-
-    /**
      * Bytes of twiddle storage (for the paper's L2 discussion, §5.4):
-     * 8 arrays (fwd/inv x value/Shoup x hi/lo) of n/2 words, plus — for
-     * blocked plans — the four-step fixup tables and sub-plan twiddles.
+     * 8 arrays (fwd/inv x value/Shoup x hi/lo) of n/2 words.
      */
     size_t twiddleBytes() const;
 
@@ -219,19 +164,12 @@ class NttPlan
      * DRAM bytes one forward (or inverse) transform sweeps over the
      * ping-pong data, by construction of the kernels: every pass reads
      * and writes n split residues (32 bytes each). Radix2 makes logn
-     * passes, Radix4 ceil(logn/2); a blocked plan makes two transpose
-     * sweeps plus two cache-resident row-transform sweeps plus the
-     * streamed fixup tables. Twiddle traffic for direct plans is
-     * excluded (the compact tables are cache-resident).
+     * passes, Radix4 ceil(logn/2). Twiddle traffic is excluded (the
+     * compact tables are cache-resident).
      */
     size_t bytesSweptPerTransform(StageFusion fusion) const;
 
   private:
-    NttPlan(const Modulus& modulus, size_t n, const U128* omega,
-            size_t l2_budget);
-
-    void buildBlocked(size_t l2_budget);
-
     Modulus mod_;
     size_t n_ = 0;
     int logn_ = 0;
@@ -243,7 +181,6 @@ class NttPlan
     AlignedVec<uint64_t> fwd_sh_hi_, fwd_sh_lo_;
     AlignedVec<uint64_t> inv_hi_, inv_lo_;
     AlignedVec<uint64_t> inv_sh_hi_, inv_sh_lo_;
-    std::shared_ptr<const Blocked> blocked_;
 };
 
 /** In-place bit-reversal permutation of a split-layout vector. */

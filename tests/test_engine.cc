@@ -96,6 +96,10 @@ TEST(Integration, BackendAvailabilityIsConsistent)
     // bestBackend is correct and available.
     EXPECT_TRUE(backendAvailable(bestBackend()));
     EXPECT_NE(bestBackend(), Backend::MqxPisa);
+    // Order: AVX-512, then AVX2, then Scalar — never Portable.
+    EXPECT_EQ(bestBackend(), backendAvailable(Backend::Avx512) ? Backend::Avx512
+                             : backendAvailable(Backend::Avx2) ? Backend::Avx2
+                                                               : Backend::Scalar);
 }
 
 TEST(Integration, BackendNamesAreUnique)

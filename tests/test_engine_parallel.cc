@@ -304,10 +304,9 @@ TEST(EngineParallel, ThreadedMatchesSerialOnAllBackends)
 TEST(EngineParallelLargeN, ThreadedPolymulRoundTripAt65536)
 {
     // The raised size ceiling end to end: negacyclic polymul at
-    // n = 2^16 routes every channel through the four-step blocked NTT
-    // (48n bytes > the default L2 budget), under the thread pool, and
-    // must stay bit-identical to the serial path. Primes need
-    // 2-adicity >= 17 for the 2n-th root.
+    // n = 2^16 on direct plans, under the thread pool, must stay
+    // bit-identical to the serial path. Primes need 2-adicity >= 17 for
+    // the 2n-th root.
     static rns::RnsBasis basis(40, 17, 2);
     const size_t n = size_t{1} << 16;
     auto a = rns::randomPolynomial(basis, n, 161);
@@ -319,15 +318,17 @@ TEST(EngineParallelLargeN, ThreadedPolymulRoundTripAt65536)
 
     engine::Engine eng(be, 4);
     expectIdentical(eng.polymulNegacyclic(a, b), poly_ref);
-    // The blocked plans are registered in the cache with their fixup
-    // and sub-plan tables accounted.
-    EXPECT_EQ(eng.planCache().negacyclicCount(), basis.size());
-    auto plan = eng.planCache().get(basis.prime(0), n);
-    ASSERT_NE(plan->blocked(), nullptr);
-    // Per channel at least the 8 fixup arrays (8n words) plus the
-    // direct power tables (8 arrays of n/2 words).
-    EXPECT_GT(eng.planCache().twiddleBytes(),
-              2 * (8 * n + 4 * n) * sizeof(uint64_t));
+    // Every cached plan is direct: its tables are exactly the 8 power
+    // arrays of n/2 words, and the cache holds nothing beyond those
+    // plus each channel's negacyclic twist tables.
+    const size_t k = basis.size();
+    EXPECT_EQ(eng.planCache().negacyclicCount(), k);
+    EXPECT_EQ(eng.planCache().planCount(), k);
+    auto tables = eng.planCache().getNegacyclic(basis.prime(0), n);
+    EXPECT_TRUE(ntt::batchSupported(tables->plan()));
+    EXPECT_EQ(tables->plan().twiddleBytes(), 8 * (n / 2) * sizeof(uint64_t));
+    EXPECT_EQ(eng.planCache().twiddleBytes(),
+              k * (8 * (n / 2) * sizeof(uint64_t) + tables->tableBytes()));
 
     // Round trip through the evaluation form at the same size.
     auto back = eng.toCoeff(eng.toEval(a));

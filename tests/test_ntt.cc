@@ -72,6 +72,10 @@ TEST(NttPlan, Validation)
     size_t too_big = size_t{1} << (testPrime().two_adicity + 1);
     EXPECT_THROW(ntt::NttPlan(m, too_big), InvalidArgument);
     EXPECT_NO_THROW(ntt::NttPlan(m, 2));
+    // The legacy L2-budget overload accepts only 0.
+    EXPECT_NO_THROW(ntt::NttPlan(testPrime(), 16, size_t{0}));
+    EXPECT_THROW(ntt::NttPlan(testPrime(), 16, size_t{1} << 20),
+                 InvalidArgument);
 }
 
 TEST(NttPlan, TwiddleStructure)
@@ -100,6 +104,9 @@ TEST(NttPlan, TwiddleStructure)
     EXPECT_EQ(plan.twiddleBytes(), 8u * plan.half() * 8);
     EXPECT_EQ(plan.twiddleBytesStretched(),
               4u * static_cast<size_t>(plan.logn()) * plan.half() * 8);
+    // Swept-bytes model: 32n bytes per pass; radix-4 halves the passes.
+    EXPECT_EQ(plan.bytesSweptPerTransform(StageFusion::Radix2), 32u * 16 * 4);
+    EXPECT_EQ(plan.bytesSweptPerTransform(StageFusion::Radix4), 32u * 16 * 2);
 }
 
 TEST(NttPlan, ShoupCompanionsMatchPrecompute)
@@ -325,7 +332,7 @@ TEST_P(NttBackend, Radix4BitIdenticalToRadix2)
     Backend be = GetParam();
     for (size_t n : {4u, 8u, 16u, 32u, 64u, 128u, 256u, 512u, 1024u, 2048u,
                      4096u}) {
-        ntt::NttPlan plan(testPrime(), n, /*l2_budget=*/0);
+        ntt::NttPlan plan(testPrime(), n);
         auto input = randomResidues(n, testPrime().q, 7777 + n);
         for (Reduction red : {Reduction::ShoupLazy, Reduction::Barrett}) {
             auto fwd4 = runForward(plan, be, input, MulAlgo::Schoolbook, red,
@@ -351,7 +358,7 @@ TEST_P(NttBackend, Radix4BitIdenticalOnWideModulus)
     Backend be = GetParam();
     const auto& prime = ntt::defaultBenchPrime();
     for (size_t n : {128u, 256u}) { // odd and even logn
-        ntt::NttPlan plan(prime, n, /*l2_budget=*/0);
+        ntt::NttPlan plan(prime, n);
         auto input = randomResidues(n, prime.q, 4242 + n);
         auto fwd4 = runForward(plan, be, input, MulAlgo::Schoolbook,
                                Reduction::ShoupLazy, StageFusion::Radix4);
@@ -362,61 +369,6 @@ TEST_P(NttBackend, Radix4BitIdenticalOnWideModulus)
                              Reduction::ShoupLazy, StageFusion::Radix4),
                   input);
     }
-}
-
-TEST(NttBlockedPlan, DecompositionAndAccounting)
-{
-    // A budget smaller than the working set forces the four-step
-    // decomposition; budget 0 disables it; the default budget keeps
-    // small transforms direct.
-    ntt::NttPlan direct(testPrime(), 256, /*l2_budget=*/0);
-    EXPECT_EQ(direct.blocked(), nullptr);
-    ntt::NttPlan small_default(testPrime(), 256);
-    EXPECT_EQ(small_default.blocked(), nullptr);
-
-    ntt::NttPlan blocked(testPrime(), 256, /*l2_budget=*/1024);
-    ASSERT_NE(blocked.blocked(), nullptr);
-    const auto* blk = blocked.blocked();
-    EXPECT_EQ(blk->n1 * blk->n2, 256u);
-    EXPECT_GE(blk->n1, blk->n2);
-    EXPECT_EQ(blk->col->n(), blk->n1);
-    EXPECT_EQ(blk->row->n(), blk->n2);
-    // Sub-plans carry the composing roots omega^n2 / omega^n1.
-    const Modulus& m = blocked.modulus();
-    EXPECT_EQ(blk->col->omega(),
-              m.pow(blocked.omega(), U128{blk->n2}));
-    EXPECT_EQ(blk->row->omega(),
-              m.pow(blocked.omega(), U128{blk->n1}));
-    // Sub-transforms never block recursively.
-    EXPECT_EQ(blk->col->blocked(), nullptr);
-    EXPECT_EQ(blk->row->blocked(), nullptr);
-    // twiddleBytes accounts the fixup tables (8 arrays of n words:
-    // value + companion, hi/lo, both directions) and both sub-plans on
-    // top of the direct plan's own tables.
-    EXPECT_EQ(blocked.twiddleBytes(),
-              direct.twiddleBytes() + 8u * 256 * sizeof(uint64_t) +
-                  blk->col->twiddleBytes() + blk->row->twiddleBytes());
-
-    // Swept-bytes model: radix-4 halves the sweeps, blocking caps them.
-    EXPECT_EQ(direct.bytesSweptPerTransform(StageFusion::Radix2),
-              32u * 256 * 8);
-    EXPECT_EQ(direct.bytesSweptPerTransform(StageFusion::Radix4),
-              32u * 256 * 4);
-    EXPECT_EQ(blocked.bytesSweptPerTransform(StageFusion::Radix4),
-              5u * 32 * 256);
-}
-
-TEST(NttBlockedPlan, ExplicitOmegaValidation)
-{
-    // The explicit-omega constructor rejects roots of the wrong order.
-    Modulus m(testPrime().q);
-    ntt::NttPlan base(testPrime(), 16);
-    EXPECT_NO_THROW(ntt::NttPlan(m, 16, base.omega(), size_t{0}));
-    // omega^2 has order 8, not 16.
-    EXPECT_THROW(ntt::NttPlan(m, 16, m.mul(base.omega(), base.omega()),
-                              size_t{0}),
-                 InvalidArgument);
-    EXPECT_THROW(ntt::NttPlan(m, 16, U128{1}, size_t{0}), InvalidArgument);
 }
 
 TEST(NttPlan, StageTwiddlePairIndexing)
@@ -437,45 +389,13 @@ TEST(NttPlan, StageTwiddlePairIndexing)
     }
 }
 
-TEST_P(NttBackend, BlockedBitIdenticalToDirect)
-{
-    // Word-identical four-step decomposition on every compiled backend,
-    // odd and even logn, both reduction modes — at sizes small enough
-    // to keep the full matrix fast (the LargeN suite covers 2^16/2^17).
-    Backend be = GetParam();
-    for (size_t n : {64u, 128u, 256u, 1024u}) {
-        ntt::NttPlan direct(testPrime(), n, /*l2_budget=*/0);
-        ntt::NttPlan blocked(testPrime(), n, /*l2_budget=*/1024);
-        ASSERT_NE(blocked.blocked(), nullptr);
-        auto input = randomResidues(n, testPrime().q, 31 + n);
-        for (Reduction red : {Reduction::ShoupLazy, Reduction::Barrett}) {
-            auto fwd_d = runForward(direct, be, input, MulAlgo::Schoolbook,
-                                    red);
-            auto fwd_b = runForward(blocked, be, input, MulAlgo::Schoolbook,
-                                    red);
-            EXPECT_EQ(fwd_b, fwd_d) << "forward n=" << n
-                                    << " backend=" << backendName(be);
-            auto inv_d = runInverse(direct, be, fwd_d, MulAlgo::Schoolbook,
-                                    red);
-            auto inv_b = runInverse(blocked, be, fwd_d, MulAlgo::Schoolbook,
-                                    red);
-            EXPECT_EQ(inv_b, inv_d) << "inverse n=" << n
-                                    << " backend=" << backendName(be);
-            EXPECT_EQ(inv_b, input) << "roundtrip n=" << n;
-        }
-    }
-}
-
-TEST(NttLargeN, BlockedAndRadix4IdenticalAtRealFheSizes)
+TEST(NttLargeN, Radix2AndRadix4IdenticalAtRealFheSizes)
 {
     // The raised size ceiling: n = 2^16 (even logn) and 2^17 (odd logn)
-    // — the realistic FHE sizes — on every compiled backend. Default
-    // plans at these sizes are blocked (48n > 1 MiB); compare against
-    // the forced-direct radix-2 path.
+    // — the realistic FHE sizes — on every compiled backend, with the
+    // default (Auto) fusion checked against both explicit shapes.
     for (size_t n : {size_t{1} << 16, size_t{1} << 17}) {
-        ntt::NttPlan direct(testPrime(), n, /*l2_budget=*/0);
-        ntt::NttPlan blocked(testPrime(), n);
-        ASSERT_NE(blocked.blocked(), nullptr) << "n=" << n;
+        ntt::NttPlan direct(testPrime(), n);
         auto input = randomResidues(n, testPrime().q, 90000 + n);
         for (Backend be : availableCorrectBackends()) {
             SCOPED_TRACE(backendName(be));
@@ -485,18 +405,18 @@ TEST(NttLargeN, BlockedAndRadix4IdenticalAtRealFheSizes)
             auto fwd4 = runForward(direct, be, input, MulAlgo::Schoolbook,
                                    Reduction::ShoupLazy,
                                    StageFusion::Radix4);
-            auto fwdb = runForward(blocked, be, input);
             EXPECT_EQ(fwd4, fwd2) << "radix4 fwd n=" << n;
-            EXPECT_EQ(fwdb, fwd2) << "blocked fwd n=" << n;
+            EXPECT_EQ(runForward(direct, be, input), fwd2)
+                << "auto fwd n=" << n;
             auto inv2 = runInverse(direct, be, fwd2, MulAlgo::Schoolbook,
                                    Reduction::ShoupLazy,
                                    StageFusion::Radix2);
             auto inv4 = runInverse(direct, be, fwd2, MulAlgo::Schoolbook,
                                    Reduction::ShoupLazy,
                                    StageFusion::Radix4);
-            auto invb = runInverse(blocked, be, fwd2);
             EXPECT_EQ(inv4, inv2) << "radix4 inv n=" << n;
-            EXPECT_EQ(invb, inv2) << "blocked inv n=" << n;
+            EXPECT_EQ(runInverse(direct, be, fwd2), inv2)
+                << "auto inv n=" << n;
             EXPECT_EQ(inv2, input) << "roundtrip n=" << n;
         }
     }
@@ -505,37 +425,34 @@ TEST(NttLargeN, BlockedAndRadix4IdenticalAtRealFheSizes)
 TEST(NttLargeN, BarrettAgreesAtN65536)
 {
     // One Barrett pass at 2^16 keeps the (slow) ablation baseline
-    // honest at the blocked sizes without exploding the matrix.
+    // honest at the large sizes without exploding the matrix.
     const size_t n = size_t{1} << 16;
-    ntt::NttPlan direct(testPrime(), n, /*l2_budget=*/0);
-    ntt::NttPlan blocked(testPrime(), n);
+    ntt::NttPlan direct(testPrime(), n);
     auto input = randomResidues(n, testPrime().q, 1234);
     Backend be = bestBackend();
     auto fwd_barrett = runForward(direct, be, input, MulAlgo::Schoolbook,
                                   Reduction::Barrett);
-    EXPECT_EQ(runForward(blocked, be, input, MulAlgo::Schoolbook,
-                         Reduction::Barrett),
-              fwd_barrett);
     EXPECT_EQ(runForward(direct, be, input), fwd_barrett);
-    EXPECT_EQ(runInverse(blocked, be, fwd_barrett, MulAlgo::Schoolbook,
+    EXPECT_EQ(runInverse(direct, be, fwd_barrett, MulAlgo::Schoolbook,
                          Reduction::Barrett),
               input);
 }
 
 TEST(NttLargeN, WideModulusCeilingAtN65536)
 {
-    // The 124-bit modulus at a blocked size: lazy headroom, Shoup
-    // companions, and the fixup tables all at the Barrett ceiling.
+    // The 124-bit modulus at 2^16: lazy headroom and Shoup companions
+    // at the Barrett ceiling, fused and unfused.
     const size_t n = size_t{1} << 16;
     const auto& prime = ntt::defaultBenchPrime();
-    ntt::NttPlan direct(prime, n, /*l2_budget=*/0);
-    ntt::NttPlan blocked(prime, n);
-    ASSERT_NE(blocked.blocked(), nullptr);
+    ntt::NttPlan direct(prime, n);
     auto input = randomResidues(n, prime.q, 5678);
     Backend be = bestBackend();
-    auto fwd_d = runForward(direct, be, input);
-    EXPECT_EQ(runForward(blocked, be, input), fwd_d);
-    EXPECT_EQ(runInverse(blocked, be, fwd_d), input);
+    auto fwd2 = runForward(direct, be, input, MulAlgo::Schoolbook,
+                           Reduction::ShoupLazy, StageFusion::Radix2);
+    EXPECT_EQ(runForward(direct, be, input, MulAlgo::Schoolbook,
+                         Reduction::ShoupLazy, StageFusion::Radix4),
+              fwd2);
+    EXPECT_EQ(runInverse(direct, be, fwd2), input);
 }
 
 TEST(NttMqxVariants, AllEmulatedVariantsMatchScalar)

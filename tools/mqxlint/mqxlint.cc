@@ -14,8 +14,7 @@
  *   dspan-validate    every backend entry point taking a DSpan/
  *                     DConstSpan validates its arguments: calls
  *                     validateNttArgs or checkArg directly, or routes
- *                     through a pease/blocked impl (which validate on
- *                     entry).
+ *                     through a pease impl (which validates on entry).
  *   atomic-order      every std::atomic load/store/RMW in
  *                     src/telemetry/ and src/engine/ names an explicit
  *                     memory_order — no silent seq_cst in the
@@ -443,12 +442,9 @@ class Linter
     {
         // Satisfying calls: direct validation, or routing through an
         // impl that validates on entry — the ISA-templated pease/blas
-        // impls (`...Impl<Isa>(`), the MQX variant routers, and the
-        // blocked four-step drivers.
-        const char* kValidators[] = {"validateNttArgs(", "checkArg(",
-                                     "Impl(",           "Impl<",
-                                     "WithVariant<",    "blockedForward(",
-                                     "blockedInverse("};
+        // impls (`...Impl<Isa>(`) and the MQX variant routers.
+        const char* kValidators[] = {"validateNttArgs(", "checkArg(", "Impl(",
+                                     "Impl<", "WithVariant<"};
         for (const auto& f : files_) {
             bool in_scope = (f.rel.rfind("src/ntt/", 0) == 0 ||
                              f.rel.rfind("src/blas/", 0) == 0) &&
