@@ -16,6 +16,7 @@
 
 #include "core/batch_layout.h"
 #include "engine/thread_pool.h"
+#include "ntt/ntt_backends.h"
 
 using namespace mqx;
 using namespace mqx::bench;
@@ -28,25 +29,42 @@ namespace {
  * PINNED iteration counts so BENCH_ntt.json is diffable across PRs
  * (the interactive figure mode keeps the paper's 100/50 protocol).
  */
+template <class Fwd, class Inv>
 double
-measureFwdInvNs(Backend be, const ntt::NttPlan& plan, size_t n,
-                Reduction red, StageFusion fusion, int total, int kept)
+measureFwdInvNsWith(Fwd fwd, Inv inv, const ntt::NttPlan& plan, size_t n,
+                    Reduction red, StageFusion fusion, int total, int kept)
 {
     auto input_u = randomResidues(n, plan.modulus().value(), 0x15a9 + n);
     ResidueVector in = ResidueVector::fromU128(input_u);
     ResidueVector mid(n), out(n), scratch(n);
     Measurement m = runProtocol(
         [&] {
-            ntt::forward(plan, be, in.span(), mid.span(), scratch.span(),
-                         MulAlgo::Schoolbook, red, fusion);
-            ntt::inverse(plan, be, mid.span(), out.span(), scratch.span(),
-                         MulAlgo::Schoolbook, red, fusion);
+            fwd(plan, in.span(), mid.span(), scratch.span(),
+                MulAlgo::Schoolbook, red, fusion);
+            inv(plan, mid.span(), out.span(), scratch.span(),
+                MulAlgo::Schoolbook, red, fusion);
         },
         total, kept);
     // Min of the kept window: the mean is hostage to scheduler noise on
     // shared hosts, and the trajectory file must be comparable across
     // PRs run on different machines.
     return m.min_ns;
+}
+
+double
+measureFwdInvNs(Backend be, const ntt::NttPlan& plan, size_t n,
+                Reduction red, StageFusion fusion, int total, int kept)
+{
+    return measureFwdInvNsWith(
+        [be](const ntt::NttPlan& p, DConstSpan in, DSpan out, DSpan scr,
+             MulAlgo algo, Reduction r, StageFusion f) {
+            ntt::forward(p, be, in, out, scr, algo, r, f);
+        },
+        [be](const ntt::NttPlan& p, DConstSpan in, DSpan out, DSpan scr,
+             MulAlgo algo, Reduction r, StageFusion f) {
+            ntt::inverse(p, be, in, out, scr, algo, r, f);
+        },
+        plan, n, red, fusion, total, kept);
 }
 
 /**
@@ -174,6 +192,10 @@ runJsonMode(const char* path)
     }
     os << "  \"cpu\": \"" << cpu_escaped << "\",\n";
     os << "  \"threads\": " << engine::defaultThreadCount() << ",\n";
+    // Which Shoup multiply the AVX-512 rows ran: "ifma" (52-bit limbs,
+    // picked by CPUID), "emulated", or "unavailable".
+    os << "  \"avx512_shoup_kernel\": \"" << ntt::avx512ShoupKernel()
+       << "\",\n";
     os << "  \"compiled_backends\": [\"Scalar\", \"Portable\"";
 #if MQX_BUILD_AVX2
     os << ", \"AVX2\"";
@@ -243,6 +265,43 @@ runJsonMode(const char* path)
                          backendName(be).c_str(), n, r2, r4, fused_speedup);
         }
     }
+    os << "\n  ],\n";
+
+    // The AVX-512 tier's two Shoup multiplies head to head (ROADMAP
+    // item 6): the same Shoup-lazy fwd+inv, both fusion shapes, on the
+    // emulated 64x64 multiply and on IFMA 52-bit limbs. Empty unless
+    // the host runs the IFMA build.
+    os << "  \"avx512_ifma_vs_emulated\": [\n";
+#if MQX_BUILD_AVX512_IFMA
+    first = true;
+    for (size_t n : ntt::avx512Ifma() ? sizes : std::vector<size_t>{}) {
+        ntt::NttPlan direct(prime, n);
+        int total = 0, kept = 0;
+        pinnedIters(n, total, kept);
+        for (StageFusion fusion : {StageFusion::Radix2, StageFusion::Radix4}) {
+            const double emu = measureFwdInvNsWith(
+                ntt::backends::forwardAvx512, ntt::backends::inverseAvx512,
+                direct, n, Reduction::ShoupLazy, fusion, total, kept);
+            const double ifma = measureFwdInvNsWith(
+                ntt::backends::forwardAvx512Ifma,
+                ntt::backends::inverseAvx512Ifma, direct, n,
+                Reduction::ShoupLazy, fusion, total, kept);
+            const char* shape =
+                fusion == StageFusion::Radix2 ? "radix2" : "radix4";
+            if (!first)
+                os << ",\n";
+            first = false;
+            os << "    {\"n\": " << n << ", \"fusion\": \"" << shape
+               << "\", \"emulated_ns\": " << formatFixed(emu, 1)
+               << ", \"ifma_ns\": " << formatFixed(ifma, 1)
+               << ", \"ifma_speedup\": "
+               << formatFixed(ifma > 0.0 ? emu / ifma : 0.0, 3) << "}";
+            std::fprintf(stderr,
+                         "  AVX-512 %s n=%6zu emulated=%.0fns ifma=%.0fns\n",
+                         shape, n, emu, ifma);
+        }
+    }
+#endif
     os << "\n  ],\n";
 
     // Batch scenario (ROADMAP item 2): k channels swept by the

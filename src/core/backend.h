@@ -73,7 +73,9 @@ enum class Reduction
  * BENCH_ntt.json (Xeon @ 2.10GHz) shows fusion is a pure win on Scalar
  * (~1.1-1.2x at every n) but mostly regresses the vector backends below
  * n = 65536, where the extra shuffle work outweighs the saved sweeps; at
- * 65536 it is mixed (AVX-512 0.91x, AVX2 1.04x, Portable 1.01x).
+ * 65536 AVX2 (1.04x) and Portable (1.01x) fuse. AVX-512 never fuses:
+ * 0.91x at 65536 there, and 0.91-0.97x at every measured n on an AMD
+ * EPYC with the IFMA Shoup multiply.
  * Backends never see Auto — the dispatcher resolves it first.
  */
 enum class StageFusion

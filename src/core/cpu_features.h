@@ -1,10 +1,12 @@
 /**
  * @file
- * Host CPU feature detection (CPUID). Runtime dispatch uses this so that
- * binaries containing AVX-512 code paths stay safe on older CPUs.
+ * Host CPU feature detection (CPUID + XGETBV). Runtime dispatch uses
+ * this so that binaries containing AVX-512 code paths stay safe on
+ * older CPUs and on OSes/VMs that do not save the vector state.
  */
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 namespace mqx {
@@ -17,6 +19,7 @@ struct CpuFeatures
     bool avx512dq = false;
     bool avx512bw = false;
     bool avx512vl = false;
+    bool avx512ifma = false;
     std::string vendor;
     std::string brand;
 
@@ -26,7 +29,27 @@ struct CpuFeatures
     {
         return avx512f && avx512dq && avx512bw && avx512vl;
     }
+
+    /** hasAvx512() plus the 52-bit multiply-add (vpmadd52lo/hi). */
+    bool hasAvx512Ifma() const { return hasAvx512() && avx512ifma; }
 };
+
+/** The CPUID words the SIMD feature decode reads. */
+struct CpuidWords
+{
+    unsigned max_leaf = 0;  ///< leaf 0 EAX
+    unsigned leaf1_ecx = 0; ///< leaf 1 ECX (bit 27: OSXSAVE)
+    unsigned leaf7_ebx = 0; ///< leaf 7 subleaf 0 EBX
+};
+
+/**
+ * Decode the SIMD bits of CpuFeatures from raw CPUID words and XCR0
+ * (xgetbv(0), read only when OSXSAVE is set). A leaf-7 bit counts only
+ * when the OS saves the state it needs: AVX2 requires OSXSAVE and
+ * XCR0 & 0x6 (XMM, YMM); the AVX-512 bits require XCR0 & 0xE6 (plus
+ * opmask, ZMM_Hi256, Hi16_ZMM). Pure, so it is testable on any host.
+ */
+CpuFeatures decodeCpuFeatures(const CpuidWords& words, uint64_t xcr0);
 
 /** Detected once per process. */
 const CpuFeatures& hostCpuFeatures();

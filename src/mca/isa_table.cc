@@ -41,6 +41,11 @@ instrTable()
         {"knotb",          kPort0,            1,   1,  false},
         {"vmovdqu64.load", kPort2 | kPort3,   1,   5,  false},
         {"vmovdqu64.store", kPort4,           1,   1,  false},
+        {"vpternlogq",     kPort0 | kPort5,   1,   1,  false},
+        // IFMA 52-bit multiply-add (Ice Lake server: 512-bit form on
+        // port 0 only, the same FMA unit as vpmuludq).
+        {"vpmadd52luq",    kPort0,            1,   4,  false},
+        {"vpmadd52huq",    kPort0,            1,   4,  false},
         // MQX (proposed): same ports as the Table-3 proxies.
         {"vpmulq",         kPort0,            3,   15, true}, // ~ vpmullq
         {"vpmulhq",        kPort0,            3,   15, true}, // ~ vpmullq

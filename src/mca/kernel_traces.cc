@@ -28,6 +28,8 @@ kernelName(Kernel k)
         return "mulmod128";
       case Kernel::Butterfly:
         return "ntt-butterfly";
+      case Kernel::ShoupMul:
+        return "shoupmul128";
     }
     return "unknown";
 }
@@ -48,6 +50,8 @@ flavorName(TraceFlavor f)
         return "+Mh,C";
       case TraceFlavor::MqxPredicated:
         return "+M,C,P";
+      case TraceFlavor::Avx512Ifma:
+        return "AVX-512 IFMA";
     }
     return "unknown";
 }
@@ -61,6 +65,9 @@ traceWith(Kernel kernel, const Modulus& m)
     using Isa = TraceIsa<F>;
     simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(m);
     simd::DV<Isa> a{}, b{}, w{};
+    // Per-call constants: a fixed Shoup multiplicand is prepared once
+    // per twiddle run / table row, like the ModCtx broadcasts.
+    const simd::ShoupW<Isa> ws = simd::makeShoupW<Isa>(w, w);
     TraceSink::instance().clear(); // ctx setup is not part of the body
     switch (kernel) {
       case Kernel::AddMod:
@@ -79,6 +86,9 @@ traceWith(Kernel kernel, const Modulus& m)
         simd::mulModV<Isa>(ctx, d, w);
         break;
       }
+      case Kernel::ShoupMul:
+        simd::mulModShoupV<Isa>(ctx, a, ws);
+        break;
     }
     return TraceSink::instance().take();
 }
@@ -101,6 +111,8 @@ traceKernel(Kernel kernel, TraceFlavor flavor, const Modulus& m)
         return traceWith<kTraceMqxMulhi>(kernel, m);
       case TraceFlavor::MqxPredicated:
         return traceWith<kTraceMqxPred>(kernel, m);
+      case TraceFlavor::Avx512Ifma:
+        return traceWith<kTraceAvx512Ifma>(kernel, m);
     }
     throw InvalidArgument("traceKernel: unknown flavor");
 }

@@ -22,6 +22,8 @@ enum class Kernel
     SubMod,
     MulMod,    ///< schoolbook product + Barrett
     Butterfly, ///< one NTT butterfly: add + sub + mul
+    ShoupMul,  ///< Shoup multiply by a fixed (w, wq): the lazy NTT twiddle
+               ///< multiply, multiplicand split hoisted out (mulModShoupV)
 };
 
 /** Which instruction-set flavor to trace. */
@@ -33,6 +35,7 @@ enum class TraceFlavor
     MqxFull,       ///< +M,C
     MqxMulhiCarry, ///< +Mh,C
     MqxPredicated, ///< +M,C,P
+    Avx512Ifma,    ///< AVX-512 with the IFMA limb Shoup multiply (shipping)
 };
 
 std::string kernelName(Kernel k);

@@ -10,7 +10,8 @@
  * headers emit: e.g. Avx512Isa::mulWide expands to one vpmullq plus four
  * vpmuludq partial products with shift/add/and fixups; Avx512Isa::adc
  * expands to the Table-1 six-instruction sequence. The MQX trace
- * variants emit the single proposed instructions instead.
+ * variants emit the single proposed instructions instead, and the IFMA
+ * variant runs the 52-bit-limb Shoup multiply (vpmadd52luq/huq).
  */
 #pragma once
 
@@ -51,6 +52,7 @@ struct TraceFeatures
     bool mqx_wide_mul = false;  ///< emit single vpmulq
     bool mqx_mulhi = false;     ///< emit vpmullq + vpmulhq pair
     bool predicated = false;    ///< expose pAdc/pSbb
+    bool ifma = false;          ///< Shoup multiply on vpmadd52{l,h}uq limbs
 
     constexpr bool operator==(const TraceFeatures&) const = default;
 };
@@ -61,6 +63,8 @@ inline constexpr TraceFeatures kTraceMqxMulOnly{false, true, false, false};
 inline constexpr TraceFeatures kTraceMqxCarryOnly{true, false, false, false};
 inline constexpr TraceFeatures kTraceMqxMulhi{true, false, true, false};
 inline constexpr TraceFeatures kTraceMqxPred{true, true, false, true};
+inline constexpr TraceFeatures kTraceAvx512Ifma{false, false, false, false,
+                                                true};
 
 /**
  * The recording policy. V and M are value-free tokens; every operation
@@ -72,6 +76,7 @@ struct TraceIsa
     static constexpr size_t kLanes = 8;
     static constexpr bool kIsMqx = F.mqx_carry || F.mqx_wide_mul || F.mqx_mulhi;
     static constexpr bool kHasPredicated = F.predicated;
+    static constexpr bool kHasIfma = F.ifma;
 
     struct V
     {
@@ -201,6 +206,15 @@ struct TraceIsa
             lo = {};
         }
     }
+
+    // Avx512IfmaIsa primitives (only instantiated when F.ifma).
+    static V madd52lo(V, V, V) { emit("vpmadd52luq"); return {}; }
+    static V madd52hi(V, V, V) { emit("vpmadd52huq"); return {}; }
+    template <unsigned k>
+    static V srli(V) { emit("vpsrlq"); return {}; }
+    template <unsigned k>
+    static V slli(V) { emit("vpsllq"); return {}; }
+    static V select(V, V, V) { emit("vpternlogq"); return {}; }
 
     static V
     pAdc(V, V, M, M)

@@ -96,6 +96,7 @@ struct MqxIsa : simd::Avx512Isa
 
     static constexpr bool kIsMqx = true;
     static constexpr bool kHasPredicated = F.predicated;
+    static constexpr bool kHasIfma = false;
     static constexpr MqxMode kMode = Mode;
     static constexpr MqxFeatures kFeatures = F;
 

@@ -5,6 +5,7 @@
 #include "ntt/ntt.h"
 
 #include "core/config.h"
+#include "core/cpu_features.h"
 #include "ntt/ntt_backends.h"
 #include "telemetry/telemetry.h"
 
@@ -22,7 +23,59 @@ requireAvailable(Backend backend)
     }
 }
 
+#if MQX_BUILD_AVX512
+/** The Backend::Avx512 entry points: one tier body, two multiplies. */
+struct Avx512Tier
+{
+    decltype(&backends::forwardAvx512) forward;
+    decltype(&backends::inverseAvx512) inverse;
+    decltype(&backends::vmulShoupAvx512) vmulShoup;
+    decltype(&backends::forwardBatchAvx512) forwardBatch;
+    decltype(&backends::inverseBatchAvx512) inverseBatch;
+    decltype(&backends::vmulShoupBatchAvx512) vmulShoupBatch;
+};
+
+const Avx512Tier&
+avx512Tier()
+{
+    static const Avx512Tier tier = [] {
+#if MQX_BUILD_AVX512_IFMA
+        if (avx512Ifma())
+            return Avx512Tier{
+                &backends::forwardAvx512Ifma,
+                &backends::inverseAvx512Ifma,
+                &backends::vmulShoupAvx512Ifma,
+                &backends::forwardBatchAvx512Ifma,
+                &backends::inverseBatchAvx512Ifma,
+                &backends::vmulShoupBatchAvx512Ifma};
+#endif
+        return Avx512Tier{&backends::forwardAvx512,
+                          &backends::inverseAvx512,
+                          &backends::vmulShoupAvx512,
+                          &backends::forwardBatchAvx512,
+                          &backends::inverseBatchAvx512,
+                          &backends::vmulShoupBatchAvx512};
+    }();
+    return tier;
+}
+#endif
+
 } // namespace
+
+bool
+avx512Ifma()
+{
+    return MQX_BUILD_AVX512_IFMA && backendAvailable(Backend::Avx512) &&
+           hostCpuFeatures().hasAvx512Ifma();
+}
+
+const char*
+avx512ShoupKernel()
+{
+    if (!backendAvailable(Backend::Avx512))
+        return "unavailable";
+    return avx512Ifma() ? "ifma" : "emulated";
+}
 
 StageFusion
 resolveStageFusion(Backend backend, size_t n, StageFusion fusion)
@@ -33,12 +86,15 @@ resolveStageFusion(Backend backend, size_t n, StageFusion fusion)
     // 1.11-1.24x at every measured n, so it always fuses. The vector/MQX
     // tiers mostly lose below n = 65536 (the shuffle-heavy fused bodies
     // against the plain radix-2 sweeps while the working set is
-    // cache-resident), so they keep radix-2 there. At 65536 the same run
-    // is mixed — AVX-512 0.91x, AVX2 1.04x, Portable 1.01x — and the
-    // threshold stays put: no benchmark workload runs at n >= 65536 to
-    // show a move.
+    // cache-resident), so they keep radix-2 there; at 65536 AVX2 (1.04x)
+    // and Portable (1.01x) fuse. AVX-512 never fuses: radix-4 measured
+    // 0.91x at 65536 on that Xeon (emulated multiply), and 0.91-0.97x at
+    // every n in 256..65536 on an AMD EPYC running the IFMA multiply
+    // (avx512_ifma_vs_emulated: 0.80x there on the emulated one).
     if (backend == Backend::Scalar)
         return StageFusion::Radix4;
+    if (backend == Backend::Avx512)
+        return StageFusion::Radix2;
     constexpr size_t kVectorRadix4MinN = 65536;
     return n >= kVectorRadix4MinN ? StageFusion::Radix4
                                   : StageFusion::Radix2;
@@ -67,7 +123,7 @@ forward(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        backends::forwardAvx512(plan, in, out, scratch, algo, red, fusion);
+        avx512Tier().forward(plan, in, out, scratch, algo, red, fusion);
         return;
 #else
         break;
@@ -116,7 +172,7 @@ inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        backends::inverseAvx512(plan, in, out, scratch, algo, red, fusion);
+        avx512Tier().inverse(plan, in, out, scratch, algo, red, fusion);
         return;
 #else
         break;
@@ -163,7 +219,7 @@ vmulShoup(Backend backend, const Modulus& m, DConstSpan a, DConstSpan t,
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        backends::vmulShoupAvx512(m, a, t, tq, c, algo);
+        avx512Tier().vmulShoup(m, a, t, tq, c, algo);
         return;
 #else
         break;
@@ -298,7 +354,7 @@ forwardBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        backends::forwardBatchAvx512(plan, il, in, out, scratch, algo);
+        avx512Tier().forwardBatch(plan, il, in, out, scratch, algo);
         return;
 #else
         break;
@@ -347,7 +403,7 @@ inverseBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        backends::inverseBatchAvx512(plan, il, in, out, scratch, algo);
+        avx512Tier().inverseBatch(plan, il, in, out, scratch, algo);
         return;
 #else
         break;
@@ -392,7 +448,7 @@ vmulShoupBatch(Backend backend, const Modulus& m, size_t il, DConstSpan a,
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        backends::vmulShoupBatchAvx512(m, il, a, t, tq, c, algo);
+        avx512Tier().vmulShoupBatch(m, il, a, t, tq, c, algo);
         return;
 #else
         break;

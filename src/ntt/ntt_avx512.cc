@@ -1,76 +1,12 @@
 /**
  * @file
- * AVX-512 instantiation of the Pease NTT (compiled with AVX-512 flags).
+ * AVX-512 instantiation of the Pease NTT (compiled with AVX-512 flags):
+ * the tier body on the emulated 64x64 multiply. Runs on every AVX-512
+ * host; ntt.cc prefers the IFMA build (ntt_avx512_ifma.cc) where the
+ * CPU has it.
  */
-#include "ntt/ntt_backends.h"
-
-#include "ntt/pease_impl.h"
 #include "simd/isa_avx512.h"
 
-namespace mqx {
-namespace ntt {
-namespace backends {
-
-void
-forwardAvx512(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch,
-              MulAlgo algo, Reduction red, StageFusion fusion)
-{
-    if (red == Reduction::ShoupLazy) {
-        if (fusion == StageFusion::Radix4)
-            peaseForward4LazyImpl<simd::Avx512Isa>(plan, in, out, scratch,
-                                                   algo);
-        else
-            peaseForwardLazyImpl<simd::Avx512Isa>(plan, in, out, scratch,
-                                                  algo);
-    } else {
-        peaseForwardImpl<simd::Avx512Isa>(plan, in, out, scratch, algo);
-    }
-}
-
-void
-inverseAvx512(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch,
-              MulAlgo algo, Reduction red, StageFusion fusion)
-{
-    if (red == Reduction::ShoupLazy) {
-        if (fusion == StageFusion::Radix4)
-            peaseInverse4LazyImpl<simd::Avx512Isa>(plan, in, out, scratch,
-                                                   algo);
-        else
-            peaseInverseLazyImpl<simd::Avx512Isa>(plan, in, out, scratch,
-                                                  algo);
-    } else {
-        peaseInverseImpl<simd::Avx512Isa>(plan, in, out, scratch, algo);
-    }
-}
-
-void
-vmulShoupAvx512(const Modulus& m, DConstSpan a, DConstSpan t, DConstSpan tq,
-                DSpan c, MulAlgo algo)
-{
-    vmulShoupImpl<simd::Avx512Isa>(m, a, t, tq, c, algo);
-}
-
-void
-forwardBatchAvx512(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
-                   DSpan scratch, MulAlgo algo)
-{
-    peaseForwardBatchImpl<simd::Avx512Isa>(plan, il, in, out, scratch, algo);
-}
-
-void
-inverseBatchAvx512(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
-                   DSpan scratch, MulAlgo algo)
-{
-    peaseInverseBatchImpl<simd::Avx512Isa>(plan, il, in, out, scratch, algo);
-}
-
-void
-vmulShoupBatchAvx512(const Modulus& m, size_t il, DConstSpan a, DConstSpan t,
-                     DConstSpan tq, DSpan c, MulAlgo algo)
-{
-    vmulShoupBatchImpl<simd::Avx512Isa>(m, il, a, t, tq, c, algo);
-}
-
-} // namespace backends
-} // namespace ntt
-} // namespace mqx
+#define MQX_AVX512_TIER_ISA simd::Avx512Isa
+#define MQX_AVX512_TIER(name) name##Avx512
+#include "ntt/ntt_avx512_tier.inc"

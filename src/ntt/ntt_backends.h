@@ -41,6 +41,23 @@ void inverseAvx512(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
 void vmulShoupAvx512(const Modulus&, DConstSpan, DConstSpan, DConstSpan,
                      DSpan, MulAlgo);
 
+// The same AVX-512 tier body built on IFMA 52-bit limbs
+// (ntt_avx512_ifma.cc, MQX_BUILD_AVX512_IFMA): word-identical to the
+// Avx512 entry points; ntt.cc picks it when ntt::avx512Ifma().
+void forwardAvx512Ifma(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
+                       Reduction, StageFusion);
+void inverseAvx512Ifma(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
+                       Reduction, StageFusion);
+void vmulShoupAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DConstSpan,
+                         DSpan, MulAlgo);
+
+// Raw Shoup products left in [0, 2q) (no canonicalization), for the
+// word-level tests of each AVX-512 multiply against mod::mulModShoup.
+void vmulShoupLazyAvx512(const Modulus&, DConstSpan, DConstSpan, DConstSpan,
+                         DSpan);
+void vmulShoupLazyAvx512Ifma(const Modulus&, DConstSpan, DConstSpan,
+                             DConstSpan, DSpan);
+
 void forwardMqxImpl(const NttPlan&, MqxVariant, bool pisa, DConstSpan, DSpan,
                     DSpan, MulAlgo, Reduction, StageFusion);
 void inverseMqxImpl(const NttPlan&, MqxVariant, bool pisa, DConstSpan, DSpan,
@@ -79,6 +96,13 @@ void inverseBatchAvx512(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
                         MulAlgo);
 void vmulShoupBatchAvx512(const Modulus&, size_t il, DConstSpan, DConstSpan,
                           DConstSpan, DSpan, MulAlgo);
+
+void forwardBatchAvx512Ifma(const NttPlan&, size_t il, DConstSpan, DSpan,
+                            DSpan, MulAlgo);
+void inverseBatchAvx512Ifma(const NttPlan&, size_t il, DConstSpan, DSpan,
+                            DSpan, MulAlgo);
+void vmulShoupBatchAvx512Ifma(const Modulus&, size_t il, DConstSpan,
+                              DConstSpan, DConstSpan, DSpan, MulAlgo);
 
 void forwardBatchMqx(bool pisa, const NttPlan&, size_t il, DConstSpan, DSpan,
                      DSpan, MulAlgo);

@@ -109,6 +109,60 @@ loadStageTwiddlesPair(const uint64_t* hi, const uint64_t* lo, size_t p, int s)
 }
 
 /**
+ * Stage-s Shoup twiddles (w, wq) of butterfly j as one simd::ShoupW:
+ * loadStageTwiddles (loadStageTwiddlesPair when kPair) over the power
+ * table and its Shoup companion. On IFMA ISAs a broadcast run
+ * (2^s >= kLanes) is split into 52-bit limbs once per run rather than
+ * once per vector; other ISAs load exactly as before.
+ */
+template <class Isa, bool kPair = false>
+class StageShoup
+{
+  public:
+    StageShoup(const uint64_t* hi, const uint64_t* lo, const uint64_t* qhi,
+               const uint64_t* qlo, int s)
+        : hi_(hi), lo_(lo), qhi_(qhi), qlo_(qlo), s_(s),
+          broadcast_((size_t{1} << s) >= Isa::kLanes)
+    {
+    }
+
+    simd::ShoupW<Isa>
+    at(size_t j)
+    {
+        if constexpr (Isa::kHasIfma) {
+            if (broadcast_) {
+                const size_t e = kPair ? NttPlan::stageTwiddlePair(s_, j)
+                                       : NttPlan::stageTwiddleIndex(s_, j);
+                if (e != run_) {
+                    run_ = e;
+                    cur_ = simd::broadcastShoupW<Isa>(hi_[e], lo_[e],
+                                                      qhi_[e], qlo_[e]);
+                }
+                return cur_;
+            }
+        }
+        if constexpr (kPair)
+            return simd::makeShoupW<Isa>(
+                loadStageTwiddlesPair<Isa>(hi_, lo_, j, s_),
+                loadStageTwiddlesPair<Isa>(qhi_, qlo_, j, s_));
+        else
+            return simd::makeShoupW<Isa>(
+                loadStageTwiddles<Isa>(hi_, lo_, j, s_),
+                loadStageTwiddles<Isa>(qhi_, qlo_, j, s_));
+    }
+
+  private:
+    const uint64_t* hi_;
+    const uint64_t* lo_;
+    const uint64_t* qhi_;
+    const uint64_t* qlo_;
+    int s_;
+    bool broadcast_;
+    size_t run_ = ~size_t{0};
+    simd::ShoupW<Isa> cur_{};
+};
+
+/**
  * 4-way interleave built from two rounds of the ISA's interleave2:
  * lane p of (z0, z1, z2, z3) lands at memory positions 4p .. 4p+3 of
  * the concatenated outputs (o0, o1, o2, o3) — the fused radix-4 store
@@ -621,15 +675,14 @@ peaseForwardLazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
     for (int s = 0; s < m; ++s) {
         const bool last = s == m - 1;
         DSpan dst = bufs[target];
+        detail::StageShoup<Isa> tw(tw_hi, tw_lo, twq_hi, twq_lo, s);
         size_t j = 0;
         for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
             auto a = simd::loadDv<Isa>(src_hi, src_lo, j);
             auto b = simd::loadDv<Isa>(src_hi, src_lo, j + h);
-            auto w = detail::loadStageTwiddles<Isa>(tw_hi, tw_lo, j, s);
-            auto wq = detail::loadStageTwiddles<Isa>(twq_hi, twq_lo, j, s);
             auto u = simd::addModLazyV<Isa>(ctx, a, b);
             auto d = simd::subModLazyRawV<Isa>(ctx, a, b); // (0, 4q)
-            auto v = simd::mulModShoupV<Isa>(ctx, d, w, wq, algo);
+            auto v = simd::mulModShoupV<Isa>(ctx, d, tw.at(j), algo);
             if (last) {
                 u = simd::condSubDwV<Isa>(ctx, u, ctx.qh, ctx.ql);
                 v = simd::condSubDwV<Isa>(ctx, v, ctx.qh, ctx.ql);
@@ -683,6 +736,7 @@ peaseInverseLazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
 
     for (int s = m - 1; s >= 0; --s) {
         DSpan dst = bufs[target];
+        detail::StageShoup<Isa> tw(tw_hi, tw_lo, twq_hi, twq_lo, s);
         size_t j = 0;
         for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
             auto blk0h = Isa::loadu(src_hi + 2 * j);
@@ -692,9 +746,7 @@ peaseInverseLazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
             simd::DV<Isa> u, v;
             Isa::deinterleave2(blk0h, blk1h, u.hi, v.hi);
             Isa::deinterleave2(blk0l, blk1l, u.lo, v.lo);
-            auto w = detail::loadStageTwiddles<Isa>(tw_hi, tw_lo, j, s);
-            auto wq = detail::loadStageTwiddles<Isa>(twq_hi, twq_lo, j, s);
-            auto t = simd::mulModShoupV<Isa>(ctx, v, w, wq, algo); // [0,2q)
+            auto t = simd::mulModShoupV<Isa>(ctx, v, tw.at(j), algo); // [0,2q)
             auto x0 = simd::addModLazyV<Isa>(ctx, u, t);
             auto x1 = simd::subModLazyV<Isa>(ctx, u, t);
             simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
@@ -714,12 +766,12 @@ peaseInverseLazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
     // [0, 2q) and one conditional subtract of q per element.
     const U128 n_inv = plan.nInv();
     const U128 n_inv_sh = plan.nInvShoup();
-    simd::DV<Isa> vninv{Isa::set1(n_inv.hi), Isa::set1(n_inv.lo)};
-    simd::DV<Isa> vninvq{Isa::set1(n_inv_sh.hi), Isa::set1(n_inv_sh.lo)};
+    const auto vninv = simd::broadcastShoupW<Isa>(n_inv.hi, n_inv.lo,
+                                                  n_inv_sh.hi, n_inv_sh.lo);
     size_t i = 0;
     for (; i + Isa::kLanes <= plan.n(); i += Isa::kLanes) {
         auto x = simd::loadDv<Isa>(out.hi, out.lo, i);
-        auto r = simd::mulModShoupV<Isa>(ctx, x, vninv, vninvq, algo);
+        auto r = simd::mulModShoupV<Isa>(ctx, x, vninv, algo);
         r = simd::condSubDwV<Isa>(ctx, r, ctx.qh, ctx.ql);
         simd::storeDv<Isa>(out.hi, out.lo, i, r);
     }
@@ -769,15 +821,14 @@ peaseForward4LazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
         // Odd logn: one radix-2 stage first (stage 0), fused pairs after.
         const bool last = m == 1;
         DSpan dst = bufs[target];
+        detail::StageShoup<Isa> tw(tw_hi, tw_lo, twq_hi, twq_lo, 0);
         size_t j = 0;
         for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
             auto a = simd::loadDv<Isa>(src_hi, src_lo, j);
             auto b = simd::loadDv<Isa>(src_hi, src_lo, j + h);
-            auto w = detail::loadStageTwiddles<Isa>(tw_hi, tw_lo, j, 0);
-            auto wq = detail::loadStageTwiddles<Isa>(twq_hi, twq_lo, j, 0);
             auto u = simd::addModLazyV<Isa>(ctx, a, b);
             auto dd = simd::subModLazyRawV<Isa>(ctx, a, b);
-            auto v = simd::mulModShoupV<Isa>(ctx, dd, w, wq, algo);
+            auto v = simd::mulModShoupV<Isa>(ctx, dd, tw.at(j), algo);
             if (last) {
                 u = simd::condSubDwV<Isa>(ctx, u, ctx.qh, ctx.ql);
                 v = simd::condSubDwV<Isa>(ctx, v, ctx.qh, ctx.ql);
@@ -803,6 +854,10 @@ peaseForward4LazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
     for (; s + 1 < m; s += 2) {
         const bool last = s + 2 == m;
         DSpan dst = bufs[target];
+        detail::StageShoup<Isa> tw0(tw_hi, tw_lo, twq_hi, twq_lo, s);
+        detail::StageShoup<Isa> tw1(tw_hi + h2, tw_lo + h2, twq_hi + h2,
+                                    twq_lo + h2, s);
+        detail::StageShoup<Isa, true> twb(tw_hi, tw_lo, twq_hi, twq_lo, s);
         size_t p = 0;
         for (; p + Isa::kLanes <= h2; p += Isa::kLanes) {
             // Live-range discipline: finish each first-layer butterfly
@@ -810,29 +865,21 @@ peaseForward4LazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
             // otherwise overflows the vector register file.
             auto a = simd::loadDv<Isa>(src_hi, src_lo, p);
             auto c = simd::loadDv<Isa>(src_hi, src_lo, p + h);
-            auto w0 = detail::loadStageTwiddles<Isa>(tw_hi, tw_lo, p, s);
-            auto w0q = detail::loadStageTwiddles<Isa>(twq_hi, twq_lo, p, s);
             auto u0 = simd::addModLazyV<Isa>(ctx, a, c);
             auto v0 = simd::mulModShoupV<Isa>(
-                ctx, simd::subModLazyRawV<Isa>(ctx, a, c), w0, w0q, algo);
+                ctx, simd::subModLazyRawV<Isa>(ctx, a, c), tw0.at(p), algo);
             auto b = simd::loadDv<Isa>(src_hi, src_lo, p + h2);
             auto d = simd::loadDv<Isa>(src_hi, src_lo, p + h + h2);
-            auto w1 =
-                detail::loadStageTwiddles<Isa>(tw_hi + h2, tw_lo + h2, p, s);
-            auto w1q = detail::loadStageTwiddles<Isa>(twq_hi + h2,
-                                                      twq_lo + h2, p, s);
             auto u1 = simd::addModLazyV<Isa>(ctx, b, d);
             auto v1 = simd::mulModShoupV<Isa>(
-                ctx, simd::subModLazyRawV<Isa>(ctx, b, d), w1, w1q, algo);
-            auto wb = detail::loadStageTwiddlesPair<Isa>(tw_hi, tw_lo, p, s);
-            auto wbq =
-                detail::loadStageTwiddlesPair<Isa>(twq_hi, twq_lo, p, s);
+                ctx, simd::subModLazyRawV<Isa>(ctx, b, d), tw1.at(p), algo);
+            const auto wb = twb.at(p);
             auto z0 = simd::addModLazyV<Isa>(ctx, u0, u1);
             auto z1 = simd::mulModShoupV<Isa>(
-                ctx, simd::subModLazyRawV<Isa>(ctx, u0, u1), wb, wbq, algo);
+                ctx, simd::subModLazyRawV<Isa>(ctx, u0, u1), wb, algo);
             auto z2 = simd::addModLazyV<Isa>(ctx, v0, v1);
             auto z3 = simd::mulModShoupV<Isa>(
-                ctx, simd::subModLazyRawV<Isa>(ctx, v0, v1), wb, wbq, algo);
+                ctx, simd::subModLazyRawV<Isa>(ctx, v0, v1), wb, algo);
             if (last) {
                 z0 = simd::condSubDwV<Isa>(ctx, z0, ctx.qh, ctx.ql);
                 z1 = simd::condSubDwV<Isa>(ctx, z1, ctx.qh, ctx.ql);
@@ -899,6 +946,10 @@ peaseInverse4LazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
     for (; s >= 1; s -= 2) {
         const int sl = s - 1; // pair (s, s-1), indexed by the low stage
         DSpan dst = bufs[target];
+        detail::StageShoup<Isa> tw0(tw_hi, tw_lo, twq_hi, twq_lo, sl);
+        detail::StageShoup<Isa> tw1(tw_hi + h2, tw_lo + h2, twq_hi + h2,
+                                    twq_lo + h2, sl);
+        detail::StageShoup<Isa, true> twb(tw_hi, tw_lo, twq_hi, twq_lo, sl);
         size_t p = 0;
         for (; p + Isa::kLanes <= h2; p += Isa::kLanes) {
             auto i0h = Isa::loadu(src_hi + 4 * p);
@@ -914,30 +965,21 @@ peaseInverse4LazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
                                        z2.hi, z3.hi);
             detail::deinterleave4<Isa>(i0l, i1l, i2l, i3l, z0.lo, z1.lo,
                                        z2.lo, z3.lo);
-            auto wb =
-                detail::loadStageTwiddlesPair<Isa>(tw_hi, tw_lo, p, sl);
-            auto wbq =
-                detail::loadStageTwiddlesPair<Isa>(twq_hi, twq_lo, p, sl);
+            const auto wb = twb.at(p);
             // First layer (inverse stage s): butterflies 2p and 2p+1.
-            auto ta = simd::mulModShoupV<Isa>(ctx, z1, wb, wbq, algo);
+            auto ta = simd::mulModShoupV<Isa>(ctx, z1, wb, algo);
             auto y0 = simd::addModLazyV<Isa>(ctx, z0, ta);
             auto yh0 = simd::subModLazyV<Isa>(ctx, z0, ta);
-            auto tb = simd::mulModShoupV<Isa>(ctx, z3, wb, wbq, algo);
+            auto tb = simd::mulModShoupV<Isa>(ctx, z3, wb, algo);
             auto y1 = simd::addModLazyV<Isa>(ctx, z2, tb);
             auto yh1 = simd::subModLazyV<Isa>(ctx, z2, tb);
             // Second layer (inverse stage s-1): butterflies p, p + h/2.
-            auto w0 = detail::loadStageTwiddles<Isa>(tw_hi, tw_lo, p, sl);
-            auto w0q = detail::loadStageTwiddles<Isa>(twq_hi, twq_lo, p, sl);
-            auto w1 = detail::loadStageTwiddles<Isa>(tw_hi + h2, tw_lo + h2,
-                                                     p, sl);
-            auto w1q = detail::loadStageTwiddles<Isa>(twq_hi + h2,
-                                                      twq_lo + h2, p, sl);
-            auto t0 = simd::mulModShoupV<Isa>(ctx, y1, w0, w0q, algo);
+            auto t0 = simd::mulModShoupV<Isa>(ctx, y1, tw0.at(p), algo);
             simd::storeDv<Isa>(dst.hi, dst.lo, p,
                                simd::addModLazyV<Isa>(ctx, y0, t0));
             simd::storeDv<Isa>(dst.hi, dst.lo, p + h,
                                simd::subModLazyV<Isa>(ctx, y0, t0));
-            auto t1 = simd::mulModShoupV<Isa>(ctx, yh1, w1, w1q, algo);
+            auto t1 = simd::mulModShoupV<Isa>(ctx, yh1, tw1.at(p), algo);
             simd::storeDv<Isa>(dst.hi, dst.lo, p + h2,
                                simd::addModLazyV<Isa>(ctx, yh0, t1));
             simd::storeDv<Isa>(dst.hi, dst.lo, p + h + h2,
@@ -956,6 +998,7 @@ peaseInverse4LazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
     if (s == 0) {
         // Odd logn: the leftover radix-2 inverse stage (stage 0).
         DSpan dst = bufs[target];
+        detail::StageShoup<Isa> tw(tw_hi, tw_lo, twq_hi, twq_lo, 0);
         size_t j = 0;
         for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
             auto blk0h = Isa::loadu(src_hi + 2 * j);
@@ -965,9 +1008,7 @@ peaseInverse4LazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
             simd::DV<Isa> u, v;
             Isa::deinterleave2(blk0h, blk1h, u.hi, v.hi);
             Isa::deinterleave2(blk0l, blk1l, u.lo, v.lo);
-            auto w = detail::loadStageTwiddles<Isa>(tw_hi, tw_lo, j, 0);
-            auto wq = detail::loadStageTwiddles<Isa>(twq_hi, twq_lo, j, 0);
-            auto t = simd::mulModShoupV<Isa>(ctx, v, w, wq, algo);
+            auto t = simd::mulModShoupV<Isa>(ctx, v, tw.at(j), algo);
             auto x0 = simd::addModLazyV<Isa>(ctx, u, t);
             auto x1 = simd::subModLazyV<Isa>(ctx, u, t);
             simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
@@ -983,12 +1024,12 @@ peaseInverse4LazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
     // Fused n^-1 scaling + canonicalization (same as the radix-2 path).
     const U128 n_inv = plan.nInv();
     const U128 n_inv_sh = plan.nInvShoup();
-    simd::DV<Isa> vninv{Isa::set1(n_inv.hi), Isa::set1(n_inv.lo)};
-    simd::DV<Isa> vninvq{Isa::set1(n_inv_sh.hi), Isa::set1(n_inv_sh.lo)};
+    const auto vninv = simd::broadcastShoupW<Isa>(n_inv.hi, n_inv.lo,
+                                                  n_inv_sh.hi, n_inv_sh.lo);
     size_t i = 0;
     for (; i + Isa::kLanes <= plan.n(); i += Isa::kLanes) {
         auto x = simd::loadDv<Isa>(out.hi, out.lo, i);
-        auto r = simd::mulModShoupV<Isa>(ctx, x, vninv, vninvq, algo);
+        auto r = simd::mulModShoupV<Isa>(ctx, x, vninv, algo);
         r = simd::condSubDwV<Isa>(ctx, r, ctx.qh, ctx.ql);
         simd::storeDv<Isa>(out.hi, out.lo, i, r);
     }
@@ -1006,8 +1047,10 @@ peaseInverse4LazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
  * negacyclic twist/untwist pass — the table is immutable, so the
  * quotient precomputation amortizes exactly like the twiddles'.
  * In-place (c == a) is legal, matching the blas::vmul contract.
+ * kCanon = false leaves the raw Shoup products in [0, 2q) (any a[i]
+ * below 2^128): the word-level probe of the vector multiply.
  */
-template <class Isa>
+template <class Isa, bool kCanon = true>
 void
 vmulShoupImpl(const Modulus& m, DConstSpan a, DConstSpan t, DConstSpan tq,
               DSpan c, MulAlgo algo = MulAlgo::Schoolbook)
@@ -1021,14 +1064,23 @@ vmulShoupImpl(const Modulus& m, DConstSpan a, DConstSpan t, DConstSpan tq,
         auto w = simd::loadDv<Isa>(t.hi, t.lo, i);
         auto wq = simd::loadDv<Isa>(tq.hi, tq.lo, i);
         auto r = simd::mulModShoupV<Isa>(ctx, x, w, wq, algo);
-        r = simd::condSubDwV<Isa>(ctx, r, ctx.qh, ctx.ql);
+        if constexpr (kCanon)
+            r = simd::condSubDwV<Isa>(ctx, r, ctx.qh, ctx.ql);
         simd::storeDv<Isa>(c.hi, c.lo, i, r);
     }
     const mod::DW<uint64_t> q = mod::toDw(m.value());
     for (; i < a.n; ++i) {
-        detail::mulShoupCanonElementScalar(
-            q, a.hi, a.lo, c.hi, c.lo, mod::DW<uint64_t>{t.hi[i], t.lo[i]},
-            mod::DW<uint64_t>{tq.hi[i], tq.lo[i]}, i, algo);
+        const mod::DW<uint64_t> w{t.hi[i], t.lo[i]};
+        const mod::DW<uint64_t> wq{tq.hi[i], tq.lo[i]};
+        if constexpr (kCanon) {
+            detail::mulShoupCanonElementScalar(q, a.hi, a.lo, c.hi, c.lo, w,
+                                               wq, i, algo);
+        } else {
+            auto r = mod::mulModShoup(mod::DW<uint64_t>{a.hi[i], a.lo[i]},
+                                      w, wq, q, algo);
+            c.hi[i] = r.hi;
+            c.lo[i] = r.lo;
+        }
     }
 }
 
@@ -1111,10 +1163,10 @@ peaseForwardBatchLazyCore(const NttPlan& plan, size_t il_rt, DConstSpan in,
     for (int s = 0; s < m; ++s) {
         const bool last = s == m - 1;
         DSpan dst = bufs[target];
+        detail::StageShoup<Isa> tw(tw_hi, tw_lo, twq_hi, twq_lo, s);
         // h >= 8 and kLanes divides 8, so the lane loop has no tail.
         for (size_t j = 0; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto w = detail::loadStageTwiddles<Isa>(tw_hi, tw_lo, j, s);
-            auto wq = detail::loadStageTwiddles<Isa>(twq_hi, twq_lo, j, s);
+            const auto w = tw.at(j);
             const size_t ja = batchIndex(j, 0, il);
             const size_t jb = batchIndex(j + h, 0, il);
             const size_t jo0 = batchIndex(2 * j, 0, il);
@@ -1134,7 +1186,7 @@ peaseForwardBatchLazyCore(const NttPlan& plan, size_t il_rt, DConstSpan in,
                 auto b = simd::loadDv<Isa>(src_hi, src_lo, ib);
                 auto u = simd::addModLazyV<Isa>(ctx, a, b);
                 auto d = simd::subModLazyRawV<Isa>(ctx, a, b); // (0, 4q)
-                auto v = simd::mulModShoupV<Isa>(ctx, d, w, wq, algo);
+                auto v = simd::mulModShoupV<Isa>(ctx, d, w, algo);
                 if (last) {
                     u = simd::condSubDwV<Isa>(ctx, u, ctx.qh, ctx.ql);
                     v = simd::condSubDwV<Isa>(ctx, v, ctx.qh, ctx.ql);
@@ -1180,9 +1232,8 @@ peaseInverseBatchLazyCore(const NttPlan& plan, size_t il_rt, DConstSpan in,
     const size_t pf = core::prefetchDistance() * il * w8;
     const U128 n_inv = plan.nInv();
     const U128 n_inv_sh = plan.nInvShoup();
-    const simd::DV<Isa> vninv{Isa::set1(n_inv.hi), Isa::set1(n_inv.lo)};
-    const simd::DV<Isa> vninvq{Isa::set1(n_inv_sh.hi),
-                               Isa::set1(n_inv_sh.lo)};
+    const auto vninv = simd::broadcastShoupW<Isa>(n_inv.hi, n_inv.lo,
+                                                  n_inv_sh.hi, n_inv_sh.lo);
 
     DSpan bufs[2] = {out, scratch};
     int target = (m % 2 == 1) ? 0 : 1;
@@ -1192,9 +1243,9 @@ peaseInverseBatchLazyCore(const NttPlan& plan, size_t il_rt, DConstSpan in,
     for (int s = m - 1; s >= 0; --s) {
         const bool last = s == 0;
         DSpan dst = bufs[target];
+        detail::StageShoup<Isa> tw(tw_hi, tw_lo, twq_hi, twq_lo, s);
         for (size_t j = 0; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto w = detail::loadStageTwiddles<Isa>(tw_hi, tw_lo, j, s);
-            auto wq = detail::loadStageTwiddles<Isa>(twq_hi, twq_lo, j, s);
+            const auto w = tw.at(j);
             const size_t ji0 = batchIndex(2 * j, 0, il);
             const size_t ji1 = batchIndex(2 * j + Isa::kLanes, 0, il);
             const size_t jx0 = batchIndex(j, 0, il);
@@ -1216,15 +1267,13 @@ peaseInverseBatchLazyCore(const NttPlan& plan, size_t il_rt, DConstSpan in,
                 simd::DV<Isa> u, v;
                 Isa::deinterleave2(blk0h, blk1h, u.hi, v.hi);
                 Isa::deinterleave2(blk0l, blk1l, u.lo, v.lo);
-                auto t = simd::mulModShoupV<Isa>(ctx, v, w, wq, algo);
+                auto t = simd::mulModShoupV<Isa>(ctx, v, w, algo);
                 auto x0 = simd::addModLazyV<Isa>(ctx, u, t);
                 auto x1 = simd::subModLazyV<Isa>(ctx, u, t);
                 if (last) {
-                    x0 = simd::mulModShoupV<Isa>(ctx, x0, vninv, vninvq,
-                                                 algo);
+                    x0 = simd::mulModShoupV<Isa>(ctx, x0, vninv, algo);
                     x0 = simd::condSubDwV<Isa>(ctx, x0, ctx.qh, ctx.ql);
-                    x1 = simd::mulModShoupV<Isa>(ctx, x1, vninv, vninvq,
-                                                 algo);
+                    x1 = simd::mulModShoupV<Isa>(ctx, x1, vninv, algo);
                     x1 = simd::condSubDwV<Isa>(ctx, x1, ctx.qh, ctx.ql);
                 }
                 simd::storeDv<Isa>(dst.hi, dst.lo, jx0 + c * w8, x0);
@@ -1315,8 +1364,8 @@ vmulShoupBatchImpl(const Modulus& m, size_t il, DConstSpan a, DConstSpan t,
     simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(m);
     const size_t pf = core::prefetchDistance() * il * w8;
     for (size_t i = 0; i + Isa::kLanes <= t.n; i += Isa::kLanes) {
-        auto w = simd::loadDv<Isa>(t.hi, t.lo, i);
-        auto wq = simd::loadDv<Isa>(tq.hi, tq.lo, i);
+        const auto w = simd::makeShoupW<Isa>(simd::loadDv<Isa>(t.hi, t.lo, i),
+                                             simd::loadDv<Isa>(tq.hi, tq.lo, i));
         const size_t base = detail::batchIndex(i, 0, il);
         const bool row0 = (i & (w8 - 1)) == 0;
         for (size_t lane = 0; lane < il; ++lane) {
@@ -1324,7 +1373,7 @@ vmulShoupBatchImpl(const Modulus& m, size_t il, DConstSpan a, DConstSpan t,
             if (pf && row0)
                 core::prefetchNext(a.hi, a.lo, idx, pf);
             auto x = simd::loadDv<Isa>(a.hi, a.lo, idx);
-            auto r = simd::mulModShoupV<Isa>(ctx, x, w, wq, algo);
+            auto r = simd::mulModShoupV<Isa>(ctx, x, w, algo);
             r = simd::condSubDwV<Isa>(ctx, r, ctx.qh, ctx.ql);
             simd::storeDv<Isa>(c.hi, c.lo, idx, r);
         }

@@ -53,6 +53,27 @@ struct QV
     typename Isa::V t3;
 };
 
+/** Three 52-bit limbs of a 128-bit value: l0 + l1*2^52 + l2*2^104. */
+template <class Isa>
+struct Limbs52
+{
+    typename Isa::V l0, l1, l2;
+};
+
+/** Limb constants of the IFMA Shoup kernel; empty for other ISAs. */
+template <class Isa, bool = Isa::kHasIfma>
+struct IfmaCtx
+{
+};
+
+template <class Isa>
+struct IfmaCtx<Isa, true>
+{
+    Limbs52<Isa> nq;               ///< limbs of 2^128 - q (additive -q)
+    typename Isa::V m28, m40, m52; ///< low-bit masks for limb reassembly
+    typename Isa::V zero;          ///< the madd52 chains' start value
+};
+
 /** Per-call broadcast constants derived from the modulus. */
 template <class Isa>
 struct ModCtx
@@ -64,7 +85,32 @@ struct ModCtx
     typename Isa::M z;        ///< initial carry mask (opaque under PISA)
     unsigned s1 = 0;          ///< Barrett shift b - 1
     unsigned s2 = 0;          ///< Barrett shift b + 1
+    IfmaCtx<Isa> ifma;        ///< hoisted q limbs (IFMA ISAs only)
 };
+
+/** Broadcast the 52-bit limbs of (hi, lo), split on the scalar side. */
+template <class Isa>
+inline Limbs52<Isa>
+broadcastLimbs52(uint64_t hi, uint64_t lo)
+{
+    constexpr uint64_t kM52 = (uint64_t{1} << 52) - 1;
+    return {Isa::set1(lo & kM52), Isa::set1(((lo >> 52) | (hi << 12)) & kM52),
+            Isa::set1(hi >> 40)};
+}
+
+/**
+ * In-register limb split of a DV. Limbs 0 and 1 keep junk above bit
+ * 51: vpmadd52 reads only the low 52 bits of each source.
+ */
+template <class Isa>
+inline Limbs52<Isa>
+toLimbs52(const DV<Isa>& x)
+{
+    return {x.lo,
+            Isa::or_(Isa::template srli<52>(x.lo),
+                     Isa::template slli<12>(x.hi)),
+            Isa::template srli<40>(x.hi)};
+}
 
 /** Build the broadcast context from a prepared modulus. */
 template <class Isa>
@@ -72,6 +118,14 @@ inline ModCtx<Isa>
 makeModCtx(const Modulus& m)
 {
     ModCtx<Isa> ctx;
+    if constexpr (Isa::kHasIfma) {
+        const U128 nq = U128::fromParts(0, 0) - m.value();
+        ctx.ifma.nq = broadcastLimbs52<Isa>(nq.hi, nq.lo);
+        ctx.ifma.m28 = Isa::set1((uint64_t{1} << 28) - 1);
+        ctx.ifma.m40 = Isa::set1((uint64_t{1} << 40) - 1);
+        ctx.ifma.m52 = Isa::set1((uint64_t{1} << 52) - 1);
+        ctx.ifma.zero = Isa::set1(0);
+    }
     ctx.qh = Isa::set1(m.value().hi);
     ctx.ql = Isa::set1(m.value().lo);
     // 2q fits a double word: bits(q) <= 2w - 4.
@@ -435,10 +489,130 @@ condSubDwV(const ModCtx<Isa>& ctx, const DV<Isa>& x, typename Isa::V bh,
 }
 
 /**
+ * Shoup multiply on IFMA 52-bit limbs (Avx512IfmaIsa). The value is
+ * exactly mulModShoupV's: h = floor(a*wq / 2^128) is taken from the
+ * full limb product, then r = a*w + h*(2^128 - q) mod 2^128, which is
+ * a*w - h*q with every column sum non-negative. Any a < 2^128, and
+ * w, wq < 2^128.
+ *
+ * Column k of a product collects the limb products of weight 2^(52k):
+ * madd52lo adds the low 52 bits of x_i*y_j to column i+j, madd52hi the
+ * high 52 bits to column i+j+1. 16 ops give the columns of a*wq that
+ * reach bit 128 (column 0 is one low half, < 2^52, so it never
+ * carries; hi(x2*b2) is zero because both top limbs are < 2^24), and
+ * 18 more give columns 0..2 of a*w + h*(2^128 - q).
+ */
+template <class Isa>
+inline DV<Isa>
+mulModShoupIfmaV(const ModCtx<Isa>& ctx, const DV<Isa>& a,
+                 const Limbs52<Isa>& w, const Limbs52<Isa>& b)
+{
+    using V = typename Isa::V;
+    const auto& k = ctx.ifma;
+    const Limbs52<Isa> x = toLimbs52<Isa>(a);
+
+    V c1 = Isa::madd52hi(k.zero, x.l0, b.l0);
+    c1 = Isa::madd52lo(c1, x.l0, b.l1);
+    c1 = Isa::madd52lo(c1, x.l1, b.l0);
+    V c2 = Isa::madd52hi(k.zero, x.l0, b.l1);
+    c2 = Isa::madd52hi(c2, x.l1, b.l0);
+    c2 = Isa::madd52lo(c2, x.l0, b.l2);
+    c2 = Isa::madd52lo(c2, x.l1, b.l1);
+    c2 = Isa::madd52lo(c2, x.l2, b.l0);
+    V c3 = Isa::madd52hi(k.zero, x.l0, b.l2);
+    c3 = Isa::madd52hi(c3, x.l1, b.l1);
+    c3 = Isa::madd52hi(c3, x.l2, b.l0);
+    c3 = Isa::madd52lo(c3, x.l1, b.l2);
+    c3 = Isa::madd52lo(c3, x.l2, b.l1);
+    V c4 = Isa::madd52hi(k.zero, x.l1, b.l2);
+    c4 = Isa::madd52hi(c4, x.l2, b.l1);
+    c4 = Isa::madd52lo(c4, x.l2, b.l2);
+    c2 = Isa::add(c2, Isa::template srli<52>(c1));
+    c3 = Isa::add(c3, Isa::template srli<52>(c2));
+    c4 = Isa::add(c4, Isa::template srli<52>(c3)); // < 2^48: a*wq < 2^256
+    // h = product bits 128.., and 128 = 2*52 + 24.
+    const Limbs52<Isa> h{
+        Isa::select(k.m28, Isa::template srli<24>(c2),
+                    Isa::template slli<28>(c3)),
+        Isa::select(k.m28, Isa::template srli<24>(c3),
+                    Isa::template slli<28>(c4)),
+        Isa::template srli<24>(c4)};
+
+    V r0 = Isa::madd52lo(k.zero, x.l0, w.l0);
+    r0 = Isa::madd52lo(r0, h.l0, k.nq.l0);
+    V r1 = Isa::madd52hi(k.zero, x.l0, w.l0);
+    r1 = Isa::madd52lo(r1, x.l0, w.l1);
+    r1 = Isa::madd52lo(r1, x.l1, w.l0);
+    r1 = Isa::madd52hi(r1, h.l0, k.nq.l0);
+    r1 = Isa::madd52lo(r1, h.l0, k.nq.l1);
+    r1 = Isa::madd52lo(r1, h.l1, k.nq.l0);
+    V r2 = Isa::madd52hi(k.zero, x.l0, w.l1);
+    r2 = Isa::madd52hi(r2, x.l1, w.l0);
+    r2 = Isa::madd52lo(r2, x.l0, w.l2);
+    r2 = Isa::madd52lo(r2, x.l1, w.l1);
+    r2 = Isa::madd52lo(r2, x.l2, w.l0);
+    r2 = Isa::madd52hi(r2, h.l0, k.nq.l1);
+    r2 = Isa::madd52hi(r2, h.l1, k.nq.l0);
+    r2 = Isa::madd52lo(r2, h.l0, k.nq.l2);
+    r2 = Isa::madd52lo(r2, h.l1, k.nq.l1);
+    r2 = Isa::madd52lo(r2, h.l2, k.nq.l0);
+    r1 = Isa::add(r1, Isa::template srli<52>(r0));
+    r2 = Isa::add(r2, Isa::template srli<52>(r1));
+    DV<Isa> r;
+    r.lo = Isa::select(k.m52, r0, Isa::template slli<52>(r1));
+    r.hi = Isa::select(k.m40, Isa::template srli<12>(r1),
+                       Isa::template slli<40>(r2));
+    return r;
+}
+
+/**
+ * A fixed Shoup multiplicand (w, wq) in the form the ISA's multiply
+ * consumes: split hi/lo words, or 52-bit limbs on IFMA ISAs. Kernels
+ * that reuse one multiplicand (a broadcast twiddle run, n^-1, a batch
+ * row) build it once, so the IFMA limb split is paid once too.
+ */
+template <class Isa, bool = Isa::kHasIfma>
+struct ShoupW
+{
+    DV<Isa> w, wq;
+};
+
+template <class Isa>
+struct ShoupW<Isa, true>
+{
+    Limbs52<Isa> w, wq;
+};
+
+/** ShoupW from vectors of w and wq. */
+template <class Isa>
+inline ShoupW<Isa>
+makeShoupW(const DV<Isa>& w, const DV<Isa>& wq)
+{
+    if constexpr (Isa::kHasIfma)
+        return {toLimbs52<Isa>(w), toLimbs52<Isa>(wq)};
+    else
+        return {w, wq};
+}
+
+/** ShoupW broadcast from one scalar (w, wq) pair. */
+template <class Isa>
+inline ShoupW<Isa>
+broadcastShoupW(uint64_t w_hi, uint64_t w_lo, uint64_t wq_hi, uint64_t wq_lo)
+{
+    if constexpr (Isa::kHasIfma)
+        return {broadcastLimbs52<Isa>(w_hi, w_lo),
+                broadcastLimbs52<Isa>(wq_hi, wq_lo)};
+    else
+        return {DV<Isa>{Isa::set1(w_hi), Isa::set1(w_lo)},
+                DV<Isa>{Isa::set1(wq_hi), Isa::set1(wq_lo)}};
+}
+
+/**
  * Shoup/Harvey multiply by a fixed w with precomputed quotient wq
  * (see mod::mulModShoup): h = floor(a*wq / 2^128), r = a*w - h*q mod
  * 2^128, with r in [0, 2q) for ANY a. One full product plus two low
- * products — no Barrett shifts, no correction rounds.
+ * products — no Barrett shifts, no correction rounds. IFMA ISAs run
+ * mulModShoupIfmaV instead (same value; @p algo has no effect there).
  */
 template <class Isa>
 inline DV<Isa>
@@ -446,6 +620,11 @@ mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& w,
              const DV<Isa>& wq, MulAlgo algo = MulAlgo::Schoolbook)
 {
     using M = typename Isa::M;
+    if constexpr (Isa::kHasIfma) {
+        (void)algo;
+        return mulModShoupIfmaV<Isa>(ctx, a, toLimbs52<Isa>(w),
+                                     toLimbs52<Isa>(wq));
+    }
     QV<Isa> p = algo == MulAlgo::Schoolbook
                     ? mulFullSchoolV<Isa>(ctx, a, wq)
                     : mulFullKaratsubaV<Isa>(ctx, a, wq);
@@ -457,6 +636,20 @@ mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& w,
     r.lo = Isa::sbb(aw.lo, hq.lo, ctx.z, br);
     r.hi = Isa::sbb(aw.hi, hq.hi, br, br);
     return r;
+}
+
+/** mulModShoupV with a prepared multiplicand. */
+template <class Isa>
+inline DV<Isa>
+mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const ShoupW<Isa>& w,
+             MulAlgo algo = MulAlgo::Schoolbook)
+{
+    if constexpr (Isa::kHasIfma) {
+        (void)algo;
+        return mulModShoupIfmaV<Isa>(ctx, a, w.w, w.wq);
+    } else {
+        return mulModShoupV<Isa>(ctx, a, w.w, w.wq, algo);
+    }
 }
 
 /**

@@ -33,6 +33,7 @@ struct Avx2Isa
     static constexpr size_t kLanes = 4;
     static constexpr bool kIsMqx = false;
     static constexpr bool kHasPredicated = false;
+    static constexpr bool kHasIfma = false; ///< see isa_avx512_ifma.h
 
     using V = __m256i;
     using M = __m256i; // all-ones lane = true

@@ -37,6 +37,7 @@ struct Avx512Isa
     static constexpr size_t kLanes = 8;
     static constexpr bool kIsMqx = false;
     static constexpr bool kHasPredicated = false;
+    static constexpr bool kHasIfma = false; ///< see isa_avx512_ifma.h
 
     using V = __m512i;
     using M = __mmask8;

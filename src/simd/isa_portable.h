@@ -36,6 +36,7 @@ struct PortableIsa
     static constexpr size_t kLanes = 8;
     static constexpr bool kIsMqx = false;
     static constexpr bool kHasPredicated = false;
+    static constexpr bool kHasIfma = false; ///< see isa_avx512_ifma.h
 
     struct V
     {

@@ -376,10 +376,16 @@ TEST(StageFusionAuto, ResolvesMeasuredThresholds)
         EXPECT_EQ(resolveStageFusion(Backend::Scalar, n, StageFusion::Auto),
                   StageFusion::Radix4);
     }
-    // Vector/MQX tiers keep radix-2 below n = 65536 and fuse at and
-    // above it (fused_speedup 0.93-0.999 below the threshold).
-    for (Backend be : {Backend::Portable, Backend::Avx2, Backend::Avx512,
-                       Backend::MqxEmulate, Backend::MqxPisa}) {
+    // AVX-512 never fuses (radix-4 0.91-0.97x at every measured n).
+    for (size_t n : {size_t{16}, size_t{4096}, size_t{65536}, size_t{1}
+                     << 17}) {
+        EXPECT_EQ(resolveStageFusion(Backend::Avx512, n, StageFusion::Auto),
+                  StageFusion::Radix2);
+    }
+    // The other vector/MQX tiers keep radix-2 below n = 65536 and fuse
+    // at and above it (fused_speedup 0.93-0.999 below the threshold).
+    for (Backend be : {Backend::Portable, Backend::Avx2, Backend::MqxEmulate,
+                       Backend::MqxPisa}) {
         EXPECT_EQ(resolveStageFusion(be, 16384, StageFusion::Auto),
                   StageFusion::Radix2)
             << backendName(be);

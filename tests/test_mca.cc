@@ -165,6 +165,34 @@ TEST(McaPressure, MqxReducesBottleneck)
     EXPECT_LT(mqx.total_uops, base.total_uops);
 }
 
+TEST(McaPressure, IfmaShoupMulReplacesEmulatedMultiplies)
+{
+    // The IFMA flavour traces the shipped limb kernel: 34 vpmadd52 ops
+    // (16 for h = a*wq >> 128, 18 for a*w + h*(2^128 - q)) and no
+    // emulated 64x64 multiply, at about half the port-0 pressure.
+    Modulus m(ntt::defaultBenchPrime().q);
+    auto emu_trace =
+        mca::traceKernel(mca::Kernel::ShoupMul, mca::TraceFlavor::Avx512, m);
+    auto ifma_trace = mca::traceKernel(mca::Kernel::ShoupMul,
+                                       mca::TraceFlavor::Avx512Ifma, m);
+    auto h = histogram(ifma_trace);
+    EXPECT_EQ(h["vpmadd52luq"] + h["vpmadd52huq"], 34);
+    EXPECT_EQ(h["vpmullq"], 0);
+    EXPECT_EQ(h["vpmuludq"], 0);
+    EXPECT_GT(histogram(emu_trace)["vpmuludq"], 0);
+    EXPECT_EQ(mca::instrDesc("vpmadd52luq").ports, unsigned{mca::kPort0});
+    EXPECT_EQ(mca::instrDesc("vpmadd52huq").latency, 4);
+    auto emu = mca::analyzeTrace(emu_trace);
+    auto ifma = mca::analyzeTrace(ifma_trace);
+    EXPECT_LT(ifma.totals[0], 0.6 * emu.totals[0]);
+    EXPECT_LT(ifma.rthroughput, emu.rthroughput);
+    // Every other kernel is the plain AVX-512 sequence under IFMA.
+    EXPECT_EQ(histogram(mca::traceKernel(mca::Kernel::Butterfly,
+                                         mca::TraceFlavor::Avx512Ifma, m)),
+              histogram(mca::traceKernel(mca::Kernel::Butterfly,
+                                         mca::TraceFlavor::Avx512, m)));
+}
+
 TEST(McaPressure, RenderingContainsInstructionsAndPorts)
 {
     Modulus m = testModulus();

@@ -8,7 +8,9 @@
 
 #include <cstdio>
 
+#include "core/cpu_features.h"
 #include "ntt/ntt.h"
+#include "ntt/ntt_backends.h"
 #include "ntt/reference_ntt.h"
 #include "test_util.h"
 
@@ -587,6 +589,108 @@ TEST(NttOrdering, ForwardIsBitReversedReference)
     auto natural = ntt::referenceNtt(plan, input);
     auto ours = runForward(plan, Backend::Scalar, input);
     EXPECT_EQ(ours, bitReverse(natural));
+}
+
+TEST(NttBackendIfma, WordIdenticalToEmulatedAvx512)
+{
+    // Backend::Avx512 is one tier body built twice: on the emulated
+    // 64x64 multiply and on IFMA 52-bit limbs. Every output word must
+    // agree, and so must the lazy [0, 2q) words a transform leaves in
+    // its scratch buffer (the last ping-pong stage before the output).
+#if MQX_BUILD_AVX512_IFMA
+    if (!ntt::avx512Ifma())
+        GTEST_SKIP() << "host lacks AVX-512 IFMA (or XCR0 ZMM state): "
+                        "Backend::Avx512 runs the emulated multiply only";
+    namespace be = ntt::backends;
+    const auto& prime = ntt::defaultBenchPrime(); // 124 bits: all 3 limbs
+    auto same = [](const ResidueVector& x, const ResidueVector& y) {
+        return x.toU128() == y.toU128();
+    };
+    for (size_t n : {size_t{16}, size_t{4096}, size_t{1} << 16}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        ntt::NttPlan plan(prime, n);
+        ResidueVector in =
+            ResidueVector::fromU128(randomResidues(n, prime.q, 0x1f3a + n));
+        for (StageFusion fusion : {StageFusion::Radix2, StageFusion::Radix4}) {
+            SCOPED_TRACE(fusion == StageFusion::Radix2 ? "radix2" : "radix4");
+            ResidueVector fe(n), fse(n), fi(n), fsi(n);
+            be::forwardAvx512(plan, in.span(), fe.span(), fse.span(),
+                              MulAlgo::Schoolbook, Reduction::ShoupLazy,
+                              fusion);
+            be::forwardAvx512Ifma(plan, in.span(), fi.span(), fsi.span(),
+                                  MulAlgo::Schoolbook, Reduction::ShoupLazy,
+                                  fusion);
+            EXPECT_TRUE(same(fe, fi)) << "forward output";
+            EXPECT_TRUE(same(fse, fsi)) << "forward lazy intermediates";
+            ResidueVector ie(n), ise(n), ii(n), isi(n);
+            be::inverseAvx512(plan, fe.span(), ie.span(), ise.span(),
+                              MulAlgo::Schoolbook, Reduction::ShoupLazy,
+                              fusion);
+            be::inverseAvx512Ifma(plan, fe.span(), ii.span(), isi.span(),
+                                  MulAlgo::Schoolbook, Reduction::ShoupLazy,
+                                  fusion);
+            EXPECT_TRUE(same(ie, ii)) << "inverse output";
+            EXPECT_TRUE(same(ise, isi)) << "inverse lazy intermediates";
+            EXPECT_TRUE(same(ii, in)) << "roundtrip";
+        }
+        // Interleaved batch kernels: il = 8 lanes of canonical words (the
+        // kernels are layout-agnostic per word, so any packing will do).
+        const size_t il = ntt::batchInterleave(Backend::Avx512);
+        ResidueVector bin = ResidueVector::fromU128(
+            randomResidues(il * n, prime.q, 0x2b4c + n));
+        ResidueVector be_out(il * n), be_s(il * n), bi_out(il * n),
+            bi_s(il * n);
+        be::forwardBatchAvx512(plan, il, bin.span(), be_out.span(),
+                               be_s.span(), MulAlgo::Schoolbook);
+        be::forwardBatchAvx512Ifma(plan, il, bin.span(), bi_out.span(),
+                                   bi_s.span(), MulAlgo::Schoolbook);
+        EXPECT_TRUE(same(be_out, bi_out)) << "batch forward output";
+        EXPECT_TRUE(same(be_s, bi_s)) << "batch forward lazy intermediates";
+        ResidueVector ber(il * n), bir(il * n);
+        be::inverseBatchAvx512(plan, il, be_out.span(), ber.span(),
+                               be_s.span(), MulAlgo::Schoolbook);
+        be::inverseBatchAvx512Ifma(plan, il, be_out.span(), bir.span(),
+                                   bi_s.span(), MulAlgo::Schoolbook);
+        EXPECT_TRUE(same(ber, bir)) << "batch inverse output";
+        EXPECT_TRUE(same(be_s, bi_s)) << "batch inverse lazy intermediates";
+        EXPECT_TRUE(same(bir, bin)) << "batch roundtrip";
+        // The twist-pass multiplies: vmulShoup and its batch form.
+        const Modulus& m = plan.modulus();
+        std::vector<U128> tw = randomResidues(n, prime.q, 0x3c5d + n);
+        std::vector<U128> twq(n);
+        for (size_t i = 0; i < n; ++i)
+            twq[i] = mod::fromDw(
+                mod::shoupPrecompute(mod::toDw(tw[i]), mod::toDw(prime.q)));
+        ResidueVector t = ResidueVector::fromU128(tw);
+        ResidueVector tq = ResidueVector::fromU128(twq);
+        ResidueVector ve(n), vi(n);
+        be::vmulShoupAvx512(m, in.span(), t.span(), tq.span(), ve.span(),
+                            MulAlgo::Schoolbook);
+        be::vmulShoupAvx512Ifma(m, in.span(), t.span(), tq.span(),
+                                vi.span(), MulAlgo::Karatsuba);
+        EXPECT_TRUE(same(ve, vi)) << "vmulShoup";
+        ResidueVector vbe(il * n), vbi(il * n);
+        be::vmulShoupBatchAvx512(m, il, bin.span(), t.span(), tq.span(),
+                                 vbe.span(), MulAlgo::Schoolbook);
+        be::vmulShoupBatchAvx512Ifma(m, il, bin.span(), t.span(), tq.span(),
+                                     vbi.span(), MulAlgo::Schoolbook);
+        EXPECT_TRUE(same(vbe, vbi)) << "vmulShoupBatch";
+    }
+#else
+    GTEST_SKIP() << "IFMA build of the AVX-512 tier not compiled in";
+#endif
+}
+
+TEST(NttBackendIfma, DispatchFollowsCpuid)
+{
+    const bool expect = MQX_BUILD_AVX512_IFMA &&
+                        backendAvailable(Backend::Avx512) &&
+                        hostCpuFeatures().hasAvx512Ifma();
+    EXPECT_EQ(ntt::avx512Ifma(), expect);
+    const std::string kernel = ntt::avx512ShoupKernel();
+    EXPECT_EQ(kernel, !backendAvailable(Backend::Avx512)
+                          ? "unavailable"
+                          : (expect ? "ifma" : "emulated"));
 }
 
 } // namespace

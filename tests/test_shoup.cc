@@ -13,11 +13,21 @@
  * lazy-range invariants are asserted directly: mulModShoup stays below
  * 2q for any operand below 4q, and the butterfly transients stay below
  * 4q (never exceeded) for inputs below 2q.
+ *
+ * The vector multiplies of the AVX-512 tier (emulated 64x64 and IFMA
+ * 52-bit limbs) are checked word for word against mod::mulModShoup at
+ * every limb boundary, through the ntt_backends.h entry points.
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
+
 #include "bigint/biguint.h"
+#include "core/residue_span.h"
 #include "mod/modulus.h"
+#include "ntt/ntt.h"
+#include "ntt/ntt_backends.h"
 #include "ntt/prime.h"
 #include "test_util.h"
 
@@ -298,6 +308,99 @@ TEST(Shoup64, PrecomputeRejectsWNotBelowQ)
     mod::addDw(q, q, big);
     EXPECT_THROW(mod::shoupPrecompute(big, q), InvalidArgument);
     EXPECT_NO_THROW(mod::shoupPrecompute(DW<uint64_t>{}, q));
+}
+
+// ---------------------------------------------------------------------
+// AVX-512 vector Shoup multiplies: emulated and IFMA, word for word
+// ---------------------------------------------------------------------
+
+using LazyShoupFn =
+    std::function<void(const Modulus&, DConstSpan, DConstSpan, DConstSpan,
+                       DSpan)>;
+
+/** Every vector Shoup multiply this host can run, by name. */
+std::vector<std::pair<const char*, LazyShoupFn>>
+availableVectorShoups()
+{
+    std::vector<std::pair<const char*, LazyShoupFn>> out;
+#if MQX_BUILD_AVX512
+    if (backendAvailable(Backend::Avx512))
+        out.emplace_back("avx512-emulated", ntt::backends::vmulShoupLazyAvx512);
+#endif
+#if MQX_BUILD_AVX512_IFMA
+    if (ntt::avx512Ifma())
+        out.emplace_back("avx512-ifma", ntt::backends::vmulShoupLazyAvx512Ifma);
+#endif
+    return out;
+}
+
+TEST(Shoup64Simd, ReportsAvx512Kernel)
+{
+    // The line CI greps to log which AVX-512 multiply ran.
+    std::printf("AVX-512 Shoup kernel: %s\n", ntt::avx512ShoupKernel());
+    EXPECT_EQ(std::string(ntt::avx512ShoupKernel()),
+              !backendAvailable(Backend::Avx512)
+                  ? "unavailable"
+                  : (ntt::avx512Ifma() ? "ifma" : "emulated"));
+}
+
+TEST(Shoup64Simd, LimbBoundariesMatchScalarShoup)
+{
+    // a straddles every 52-bit limb edge (2^52, 2^104) and the word
+    // edges, up to 2^128 - 1 (the Shoup bound r < 2q holds for any a);
+    // w covers {0, 1, q-1}; q is the 124-bit ceiling and a small prime.
+    // The raw [0, 2q) products must match mod::mulModShoup exactly.
+    const auto shoups = availableVectorShoups();
+    if (shoups.empty())
+        GTEST_SKIP() << "no AVX-512 tier in this build or on this host";
+    for (const ntt::NttPrime* prime :
+         {&ntt::defaultBenchPrime(), &ntt::smallTestPrime()}) {
+        const Modulus m(prime->q);
+        const DW<uint64_t> q = mod::toDw(prime->q);
+        const BigUInt qb = toBig(q);
+        const BigUInt one{1};
+        const std::vector<U128> as = {
+            U128{},
+            U128::fromParts(0, 1),
+            ((BigUInt{1} << 52) - one).toU128(),
+            (BigUInt{1} << 52).toU128(),
+            ((BigUInt{1} << 104) - one).toU128(),
+            (BigUInt{1} << 104).toU128(),
+            (qb + qb + qb + qb - one).toU128(),
+            U128::fromParts(~uint64_t{0}, ~uint64_t{0})};
+        const std::vector<U128> ws = {U128{}, U128::fromParts(0, 1),
+                                      mod::fromDw(fromBig<uint64_t>(qb - one))};
+        // Boundary grid, then random full-width operands against random
+        // canonical multiplicands; 8 | length keeps all of it vector.
+        std::vector<U128> a, w, wq;
+        for (const U128& wv : ws)
+            for (const U128& av : as) {
+                a.push_back(av);
+                w.push_back(wv);
+            }
+        SplitMix64 rng(0x1F3A);
+        for (int i = 0; i < 1024; ++i) {
+            a.push_back(U128::fromParts(rng.next(), rng.next()));
+            w.push_back(rng.nextBelow(prime->q));
+        }
+        for (const U128& wv : w)
+            wq.push_back(mod::fromDw(mod::shoupPrecompute(mod::toDw(wv), q)));
+        ResidueVector va = ResidueVector::fromU128(a);
+        ResidueVector vw = ResidueVector::fromU128(w);
+        ResidueVector vwq = ResidueVector::fromU128(wq);
+        for (const auto& [name, fn] : shoups) {
+            SCOPED_TRACE(std::string(name) + " q bits " +
+                         std::to_string(prime->bits));
+            ResidueVector vc(a.size());
+            fn(m, va.span(), vw.span(), vwq.span(), vc.span());
+            for (size_t i = 0; i < a.size(); ++i) {
+                const DW<uint64_t> want = mod::mulModShoup(
+                    mod::toDw(a[i]), mod::toDw(w[i]), mod::toDw(wq[i]), q);
+                ASSERT_EQ(vc.at(i), mod::fromDw(want))
+                    << "a=" << test::str(a[i]) << " w=" << test::str(w[i]);
+            }
+        }
+    }
 }
 
 } // namespace

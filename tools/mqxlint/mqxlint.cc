@@ -7,9 +7,11 @@
  *
  *   backend-coverage  every entry point declared in ntt_backends.h /
  *                     blas_backends.h is defined in its backend TU
- *                     (suffix Scalar/Portable/Avx2/Avx512/Mqx selects
- *                     the file). A dispatcher routing to a missing
- *                     symbol is a link error only in configurations
+ *                     (suffix Scalar/Portable/Avx2/Avx512/Avx512Ifma/
+ *                     Mqx selects the file), directly or through a
+ *                     tier body the TU includes with a name macro
+ *                     (expandTierBodies). A dispatcher routing to a
+ *                     missing symbol is a link error only in configurations
  *                     that compile that tier — this catches it always.
  *   dspan-validate    every backend entry point taking a DSpan/
  *                     DConstSpan validates its arguments: calls
@@ -60,6 +62,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -172,6 +175,7 @@ struct SourceFile
     std::string rel;  // repo-relative path with forward slashes
     std::string raw;  // file contents
     std::string code; // stripCode(raw)
+    std::string tu;   // expanded tier body: the TU that instantiates it
 };
 
 int
@@ -286,17 +290,56 @@ class Linter
             f.code = stripCode(f.raw);
             files_.push_back(std::move(f));
         }
+        expandTierBodies();
         std::sort(files_.begin(), files_.end(),
                   [](const SourceFile& a, const SourceFile& b) {
-                      return a.rel < b.rel;
+                      return std::tie(a.rel, a.tu) < std::tie(b.rel, b.tu);
                   });
+    }
+
+    /**
+     * ParPar-style tier bodies (src/ntt/ntt_avx512_tier.inc): a TU that
+     * does `#define M(name) name##Suffix` and then includes "x.inc"
+     * defines every `M(fn)` of x.inc as fnSuffix. Each instantiation is
+     * linted as its own file — the body's path and line numbers with
+     * the names expanded — and backend-coverage credits it to the TU.
+     */
+    void
+    expandTierBodies()
+    {
+        static const std::regex kDefine(
+            R"(#define\s+(\w+)\((\w+)\)\s+\2\s*##\s*(\w+))");
+        static const std::regex kInclude(R"re(#include\s+"([^"]+\.inc)")re");
+        std::vector<SourceFile> bodies;
+        for (const auto& f : files_) {
+            std::smatch def;
+            if (!std::regex_search(f.raw, def, kDefine))
+                continue;
+            const std::regex use("\\b" + def[1].str() + "\\((\\w+)\\)");
+            const std::string suffix = "$1" + def[3].str();
+            const std::sregex_iterator end;
+            for (std::sregex_iterator it(f.raw.begin(), f.raw.end(), kInclude);
+                 it != end; ++it) {
+                const std::string inc = (*it)[1].str();
+                SourceFile body;
+                if (!readFile(root_ / "src" / inc, body.raw))
+                    continue;
+                body.raw = std::regex_replace(body.raw, use, suffix);
+                body.rel = "src/" + inc;
+                body.code = stripCode(body.raw);
+                body.tu = f.rel;
+                bodies.push_back(std::move(body));
+            }
+        }
+        for (auto& b : bodies)
+            files_.push_back(std::move(b));
     }
 
     const SourceFile*
     find(const std::string& rel) const
     {
         for (const auto& f : files_)
-            if (f.rel == rel)
+            if (f.rel == rel && f.tu.empty())
                 return &f;
         return nullptr;
     }
@@ -379,7 +422,9 @@ class Linter
                        0;
         };
         std::string tier;
-        if (ends("Scalar"))
+        if (ends("Avx512Ifma"))
+            tier = "avx512_ifma";
+        else if (ends("Scalar"))
             tier = "scalar";
         else if (ends("Portable"))
             tier = "portable";
@@ -428,7 +473,11 @@ class Linter
                 const SourceFile* tu = find(tu_rel);
                 if (!tu)
                     continue; // tier not present in this tree
-                if (!definesFunction(*tu, name))
+                bool defined = definesFunction(*tu, name);
+                for (const auto& f : files_)
+                    if (f.tu == tu_rel && definesFunction(f, name))
+                        defined = true;
+                if (!defined)
                     report(*header, line, "backend-coverage",
                            "entry point '" + name +
                                "' is declared here but not defined in " +
@@ -448,8 +497,7 @@ class Linter
         for (const auto& f : files_) {
             bool in_scope = (f.rel.rfind("src/ntt/", 0) == 0 ||
                              f.rel.rfind("src/blas/", 0) == 0) &&
-                            f.rel.size() > 3 &&
-                            f.rel.compare(f.rel.size() - 3, 3, ".cc") == 0;
+                            (f.rel.ends_with(".cc") || !f.tu.empty());
             if (!in_scope)
                 continue;
             size_t pos = 0;
