@@ -14,6 +14,8 @@
 #include <cstring>
 #include <fstream>
 
+#include "blas/blas.h"
+#include "blas/blas_backends.h"
 #include "core/batch_layout.h"
 #include "engine/thread_pool.h"
 #include "ntt/ntt_backends.h"
@@ -133,6 +135,13 @@ measureBatchFwdInvNs(Backend be, const ntt::NttPlan& plan, size_t n, size_t k,
     return {per.min_ns, bat.min_ns};
 }
 
+/** JSON label of a concrete stage-fusion shape. */
+const char*
+fusionLabel(StageFusion fusion)
+{
+    return fusion == StageFusion::Radix4 ? "radix4" : "radix2";
+}
+
 /** Pinned per-size iteration counts (total/kept) for the JSON mode. */
 void
 pinnedIters(size_t n, int& total, int& kept)
@@ -192,9 +201,11 @@ runJsonMode(const char* path)
     }
     os << "  \"cpu\": \"" << cpu_escaped << "\",\n";
     os << "  \"threads\": " << engine::defaultThreadCount() << ",\n";
-    // Which Shoup multiply the AVX-512 rows ran: "ifma" (52-bit limbs,
-    // picked by CPUID), "emulated", or "unavailable".
-    os << "  \"avx512_shoup_kernel\": \"" << ntt::avx512ShoupKernel()
+    // Which Shoup and Barrett multiplies the AVX-512 rows ran: "ifma"
+    // (52-bit limbs, picked by CPUID), "emulated", or "unavailable".
+    os << "  \"avx512_shoup_kernel\": \"" << avx512Kernel()
+       << "\",\n";
+    os << "  \"avx512_blas_kernel\": \"" << blas::avx512MulKernel()
        << "\",\n";
     os << "  \"compiled_backends\": [\"Scalar\", \"Portable\"";
 #if MQX_BUILD_AVX2
@@ -246,10 +257,15 @@ runJsonMode(const char* path)
             if (!first)
                 os << ",\n";
             first = false;
+            // The shape StageFusion::Auto picks here: CI checks it is
+            // within 3% of the faster of radix2_ns / radix4_ns.
+            const StageFusion dflt =
+                ntt::resolveStageFusion(be, n, StageFusion::Auto);
             os << "    {\"backend\": \"" << backendName(be)
                << "\", \"n\": " << n
                << ", \"radix2_ns\": " << formatFixed(r2, 1)
                << ", \"radix4_ns\": " << formatFixed(r4, 1)
+               << ", \"default_fusion\": \"" << fusionLabel(dflt) << "\""
                << ", \"barrett_ns\": " << formatFixed(barrett, 1)
                << ", \"fused_speedup\": " << formatFixed(fused_speedup, 3)
                // Per single transform (the ns fields are per fwd+inv
@@ -274,7 +290,7 @@ runJsonMode(const char* path)
     os << "  \"avx512_ifma_vs_emulated\": [\n";
 #if MQX_BUILD_AVX512_IFMA
     first = true;
-    for (size_t n : ntt::avx512Ifma() ? sizes : std::vector<size_t>{}) {
+    for (size_t n : avx512Ifma() ? sizes : std::vector<size_t>{}) {
         ntt::NttPlan direct(prime, n);
         int total = 0, kept = 0;
         pinnedIters(n, total, kept);
@@ -286,8 +302,7 @@ runJsonMode(const char* path)
                 ntt::backends::forwardAvx512Ifma,
                 ntt::backends::inverseAvx512Ifma, direct, n,
                 Reduction::ShoupLazy, fusion, total, kept);
-            const char* shape =
-                fusion == StageFusion::Radix2 ? "radix2" : "radix4";
+            const char* shape = fusionLabel(fusion);
             if (!first)
                 os << ",\n";
             first = false;
@@ -300,6 +315,47 @@ runJsonMode(const char* path)
                          "  AVX-512 %s n=%6zu emulated=%.0fns ifma=%.0fns\n",
                          shape, n, emu, ifma);
         }
+    }
+#endif
+    os << "\n  ],\n";
+
+    // The AVX-512 tier's two Barrett multiplies head to head: blas::vmul
+    // (the pointwise product of every polymul channel) on the emulated
+    // 64x64 multiply and on IFMA 52-bit limbs. Empty unless the host
+    // runs the IFMA build.
+    os << "  \"pointwise_ifma_vs_emulated\": [\n";
+#if MQX_BUILD_AVX512_IFMA
+    first = true;
+    for (size_t n : avx512Ifma() ? std::vector<size_t>{4096, 32768}
+                                 : std::vector<size_t>{}) {
+        const Modulus m(prime.q);
+        ResidueVector a = ResidueVector::fromU128(
+            randomResidues(n, m.value(), 0x9a11 + n));
+        ResidueVector b = ResidueVector::fromU128(
+            randomResidues(n, m.value(), 0x9b22 + n));
+        ResidueVector c(n);
+        auto time = [&](auto vmul) {
+            return runProtocol(
+                       [&] {
+                           vmul(m, a.span(), b.span(), c.span(),
+                                MulAlgo::Schoolbook);
+                       },
+                       200, 100)
+                .min_ns;
+        };
+        const double emu = time(blas::backends::vmulAvx512);
+        const double ifma = time(blas::backends::vmulAvx512Ifma);
+        if (!first)
+            os << ",\n";
+        first = false;
+        os << "    {\"op\": \"blas::vmul\", \"n\": " << n
+           << ", \"emulated_ns\": " << formatFixed(emu, 1)
+           << ", \"ifma_ns\": " << formatFixed(ifma, 1)
+           << ", \"ifma_speedup\": "
+           << formatFixed(ifma > 0.0 ? emu / ifma : 0.0, 3) << "}";
+        std::fprintf(stderr,
+                     "  AVX-512 vmul n=%6zu emulated=%.0fns ifma=%.0fns\n",
+                     n, emu, ifma);
     }
 #endif
     os << "\n  ],\n";

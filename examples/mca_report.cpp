@@ -6,70 +6,133 @@
  * the at-a-glance explanation of *why* MQX helps: 21 instructions
  * collapse to about a third, and the port-5 compare pressure vanishes.
  *
- * The last table sets the Shoup multiply (the lazy NTT twiddle
- * multiply) on the emulated AVX-512 widening multiply against IFMA
- * 52-bit limbs: modeled port-0 pressure next to measured ns per
- * 8-lane vector on this host.
+ * The last table sets the AVX-512 tier's kernels against the forms they
+ * replaced — the Shoup and Barrett multiplies on the emulated widening
+ * multiply vs IFMA 52-bit limbs, and the lazy forward butterfly on the
+ * adc/sbb carry chain vs the headroom add/sub: modeled port-0 pressure
+ * next to measured ns per 8-lane vector on this host.
  */
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 
 #include "bench_util/rng.h"
+#include "blas/blas.h"
+#include "blas/blas_backends.h"
 #include "core/residue_span.h"
 #include "mca/kernel_traces.h"
 #include "mca/pressure.h"
 #include "ntt/ntt.h"
 #include "ntt/ntt_backends.h"
 #include "ntt/prime.h"
+#include "simd/lazy_probe.h"
 
 namespace {
 
 using namespace mqx;
 
-using ShoupFn = void (*)(const Modulus&, DConstSpan, DConstSpan, DConstSpan,
-                         DSpan);
+constexpr size_t kLanes = 4096; ///< operands per timed pass
 
-/** The host's raw vector Shoup multiply for @p flavor, or nullptr. */
-ShoupFn
-shoupKernel(mca::TraceFlavor flavor)
-{
-#if MQX_BUILD_AVX512
-    if (flavor == mca::TraceFlavor::Avx512 &&
-        backendAvailable(Backend::Avx512))
-        return &ntt::backends::vmulShoupLazyAvx512;
-#endif
-#if MQX_BUILD_AVX512_IFMA
-    if (flavor == mca::TraceFlavor::Avx512Ifma && ntt::avx512Ifma())
-        return &ntt::backends::vmulShoupLazyAvx512Ifma;
-#endif
-    (void)flavor;
-    return nullptr;
-}
-
-/** Best-of-5 ns per 8-lane vector over 4096 lazy-range operands. */
+/** Best-of-5 ns per 8-lane vector of @p pass over kLanes operands. */
+template <class Pass>
 double
-measureShoupNs(ShoupFn fn, const Modulus& m)
+perVectorNs(Pass pass)
 {
-    constexpr size_t n = 4096;
     constexpr int kReps = 200;
-    const U128 q = m.value();
-    ResidueVector a = ResidueVector::fromU128(randomResidues(n, q + q, 1));
-    ResidueVector w = ResidueVector::fromU128(randomResidues(n, q, 2));
-    ResidueVector wq(n), c(n);
-    for (size_t i = 0; i < n; ++i)
-        wq.set(i, mod::fromDw(mod::shoupPrecompute(mod::toDw(w.at(i)),
-                                                   mod::toDw(q))));
     double best = 1e300;
     for (int trial = 0; trial < 5; ++trial) {
         auto t0 = std::chrono::steady_clock::now();
         for (int r = 0; r < kReps; ++r)
-            fn(m, a.span(), w.span(), wq.span(), c.span());
+            pass();
         std::chrono::duration<double, std::nano> dt =
             std::chrono::steady_clock::now() - t0;
-        best = std::min(best, dt.count() / (kReps * (n / 8)));
+        best = std::min(best, dt.count() / (kReps * (kLanes / 8)));
     }
     return best;
+}
+
+/** Operands and outputs of the timed passes (lazy range [0, 2q)). */
+struct Operands
+{
+    explicit Operands(const Modulus& m)
+        : a(ResidueVector::fromU128(
+              randomResidues(kLanes, m.value() + m.value(), 1))),
+          b(ResidueVector::fromU128(randomResidues(kLanes, m.value(), 2))),
+          w(ResidueVector::fromU128(randomResidues(kLanes, m.value(), 3))),
+          wq(kLanes), c(kLanes), d(kLanes)
+    {
+        for (size_t i = 0; i < kLanes; ++i)
+            wq.set(i, mod::fromDw(mod::shoupPrecompute(
+                          mod::toDw(w.at(i)), mod::toDw(m.value()))));
+    }
+    ResidueVector a, b, w, wq, c, d;
+};
+
+/**
+ * ns per 8 lanes of @p kernel under @p flavor on this host (the
+ * AVX-512 entry point that runs exactly that trace), or a negative
+ * value when the host cannot run it.
+ */
+double
+measuredNs(mca::Kernel kernel, mca::TraceFlavor flavor, const Modulus& m,
+           Operands& o)
+{
+    namespace nb = ntt::backends;
+    namespace bb = blas::backends;
+    const bool carry = kernel == mca::Kernel::LazyButterflyCarry;
+#if MQX_BUILD_AVX512
+    if (flavor == mca::TraceFlavor::Avx512 &&
+        backendAvailable(Backend::Avx512)) {
+        switch (kernel) {
+          case mca::Kernel::ShoupMul:
+            return perVectorNs([&] {
+                nb::vmulShoupLazyAvx512(m, o.a.span(), o.w.span(),
+                                        o.wq.span(), o.c.span());
+            });
+          case mca::Kernel::MulMod:
+            return perVectorNs([&] {
+                bb::vmulAvx512(m, o.b.span(), o.w.span(), o.c.span(),
+                               MulAlgo::Schoolbook);
+            });
+          case mca::Kernel::LazyButterfly:
+          case mca::Kernel::LazyButterflyCarry:
+            return perVectorNs([&] {
+                simd::lazyProbeAvx512(simd::LazyOp::Butterfly, carry, m,
+                                    o.a.span(), o.b.span(), o.c.span(),
+                                    o.d.span());
+            });
+          default:
+            break;
+        }
+    }
+#endif
+#if MQX_BUILD_AVX512_IFMA
+    if (flavor == mca::TraceFlavor::Avx512Ifma && avx512Ifma()) {
+        switch (kernel) {
+          case mca::Kernel::ShoupMul:
+            return perVectorNs([&] {
+                nb::vmulShoupLazyAvx512Ifma(m, o.a.span(), o.w.span(),
+                                            o.wq.span(), o.c.span());
+            });
+          case mca::Kernel::MulMod:
+            return perVectorNs([&] {
+                bb::vmulAvx512Ifma(m, o.b.span(), o.w.span(), o.c.span(),
+                                   MulAlgo::Schoolbook);
+            });
+          case mca::Kernel::LazyButterfly:
+          case mca::Kernel::LazyButterflyCarry:
+            return perVectorNs([&] {
+                simd::lazyProbeAvx512Ifma(simd::LazyOp::Butterfly, carry, m,
+                                        o.a.span(), o.b.span(), o.c.span(),
+                                        o.d.span());
+            });
+          default:
+            break;
+        }
+    }
+#endif
+    (void)kernel, (void)flavor, (void)m, (void)o, (void)carry;
+    return -1.0;
 }
 
 } // namespace
@@ -98,23 +161,46 @@ main()
         std::printf("%s\n\n", mca::summarizeAnalysis(analysis).c_str());
     }
 
-    std::printf("-- shoupmul128: emulated AVX-512 vs IFMA (per 8 lanes) --\n");
-    std::printf("%-14s %6s %11s %13s %9s\n", "flavor", "instrs",
-                "port0 uops", "model cycles", "ns here");
-    for (auto flavor :
-         {mca::TraceFlavor::Avx512, mca::TraceFlavor::Avx512Ifma}) {
-        auto analysis = mca::analyzeTrace(
-            mca::traceKernel(mca::Kernel::ShoupMul, flavor, m));
-        ShoupFn fn = shoupKernel(flavor);
+    // The AVX-512 kernels this tier ships, each against the form it
+    // replaced: the Shoup and Barrett multiplies on the emulated 64x64
+    // multiply vs IFMA 52-bit limbs, and the lazy forward butterfly
+    // (add + sub + Shoup multiply) on the adc/sbb carry chain vs the
+    // headroom add/sub. Modeled port-0 uops and cycles next to ns
+    // measured on this host.
+    std::printf("-- AVX-512 kernels: modeled vs measured (per 8 lanes) --\n");
+    std::printf("%-20s %-14s %6s %11s %13s %9s\n", "kernel", "flavor",
+                "instrs", "port0 uops", "model cycles", "ns here");
+    Operands ops(m);
+    const struct
+    {
+        mca::Kernel kernel;
+        mca::TraceFlavor flavor;
+    } rows[] = {
+        {mca::Kernel::ShoupMul, mca::TraceFlavor::Avx512},
+        {mca::Kernel::ShoupMul, mca::TraceFlavor::Avx512Ifma},
+        {mca::Kernel::MulMod, mca::TraceFlavor::Avx512},
+        {mca::Kernel::MulMod, mca::TraceFlavor::Avx512Ifma},
+        {mca::Kernel::LazyButterflyCarry, mca::TraceFlavor::Avx512},
+        {mca::Kernel::LazyButterfly, mca::TraceFlavor::Avx512},
+        {mca::Kernel::LazyButterflyCarry, mca::TraceFlavor::Avx512Ifma},
+        {mca::Kernel::LazyButterfly, mca::TraceFlavor::Avx512Ifma},
+    };
+    for (const auto& row : rows) {
+        auto analysis =
+            mca::analyzeTrace(mca::traceKernel(row.kernel, row.flavor, m));
+        const double t = measuredNs(row.kernel, row.flavor, m, ops);
         char ns[32] = "n/a";
-        if (fn)
-            std::snprintf(ns, sizeof ns, "%.2f", measureShoupNs(fn, m));
-        std::printf("%-14s %6zu %11.1f %13.1f %9s\n",
-                    mca::flavorName(flavor).c_str(), analysis.rows.size(),
-                    analysis.totals[0], analysis.rthroughput, ns);
+        if (t >= 0.0)
+            std::snprintf(ns, sizeof ns, "%.2f", t);
+        std::printf("%-20s %-14s %6zu %11.1f %13.1f %9s\n",
+                    mca::kernelName(row.kernel).c_str(),
+                    mca::flavorName(row.flavor).c_str(),
+                    analysis.rows.size(), analysis.totals[0],
+                    analysis.rthroughput, ns);
     }
-    std::printf("(Backend::Avx512 Shoup multiply on this host: %s)\n\n",
-                ntt::avx512ShoupKernel());
+    std::printf("(Backend::Avx512 multiplies on this host: NTT %s, BLAS "
+                "%s)\n\n",
+                avx512Kernel(), blas::avx512MulKernel());
 
     // The proposed-instruction inventory.
     std::printf("proposed MQX instructions in the model:\n");

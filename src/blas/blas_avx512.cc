@@ -1,50 +1,12 @@
 /**
  * @file
- * AVX-512 BLAS kernels (compiled with AVX-512 flags).
+ * AVX-512 BLAS kernels (compiled with AVX-512 flags): the tier body on
+ * the emulated 64x64 multiply. Runs on every AVX-512 host;
+ * blas_dispatch.cc prefers the IFMA build (blas_avx512_ifma.cc) where
+ * the CPU has it.
  */
-#include "blas/blas_backends.h"
-
-#include "simd/batch_impl.h"
 #include "simd/isa_avx512.h"
 
-namespace mqx {
-namespace blas {
-namespace backends {
-
-void
-vaddAvx512(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
-{
-    simd::vaddImpl<simd::Avx512Isa>(m, a, b, c);
-}
-
-void
-vsubAvx512(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
-{
-    simd::vsubImpl<simd::Avx512Isa>(m, a, b, c);
-}
-
-void
-vmulAvx512(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
-           MulAlgo algo)
-{
-    simd::vmulImpl<simd::Avx512Isa>(m, a, b, c, algo);
-}
-
-void
-axpyAvx512(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y,
-           MulAlgo algo)
-{
-    simd::axpyImpl<simd::Avx512Isa>(m, alpha, x, y, algo);
-}
-
-
-void
-gemvAvx512(const Modulus& m, DConstSpan matrix, DConstSpan x, DSpan y,
-         size_t rows, size_t cols, MulAlgo algo)
-{
-    simd::gemvImpl<simd::Avx512Isa>(m, matrix, x, y, rows, cols, algo);
-}
-
-} // namespace backends
-} // namespace blas
-} // namespace mqx
+#define MQX_AVX512_TIER_ISA simd::Avx512Isa
+#define MQX_AVX512_TIER(name) name##Avx512
+#include "blas/blas_avx512_tier.inc"

@@ -44,6 +44,18 @@ void axpyAvx512(const Modulus&, const U128&, DConstSpan, DSpan, MulAlgo);
 void gemvAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
                 size_t, MulAlgo);
 
+// The same AVX-512 tier body with every Barrett multiply on IFMA 52-bit
+// limbs (blas_avx512_ifma.cc, MQX_BUILD_AVX512_IFMA): word-identical to
+// the Avx512 entry points; blas_dispatch.cc picks it when
+// mqx::avx512Ifma().
+void vaddAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan);
+void vsubAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan);
+void vmulAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan, MulAlgo);
+void axpyAvx512Ifma(const Modulus&, const U128&, DConstSpan, DSpan,
+                    MulAlgo);
+void gemvAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
+                    size_t, MulAlgo);
+
 // MQX (full feature set); pisa selects the proxy timing mode.
 void vaddMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan);

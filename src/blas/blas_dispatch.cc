@@ -28,7 +28,53 @@ notCompiled(Backend backend)
                              backendName(backend));
 }
 
+#if MQX_BUILD_AVX512
+/** The Backend::Avx512 entry points: one tier body, two multiplies. */
+struct Avx512Tier
+{
+    const char* kernel;
+    decltype(&backends::vaddAvx512) vadd;
+    decltype(&backends::vsubAvx512) vsub;
+    decltype(&backends::vmulAvx512) vmul;
+    decltype(&backends::axpyAvx512) axpy;
+    decltype(&backends::gemvAvx512) gemv;
+};
+
+const Avx512Tier&
+avx512Tier()
+{
+    static const Avx512Tier tier = [] {
+#if MQX_BUILD_AVX512_IFMA
+        if (avx512Ifma())
+            return Avx512Tier{"ifma",
+                              &backends::vaddAvx512Ifma,
+                              &backends::vsubAvx512Ifma,
+                              &backends::vmulAvx512Ifma,
+                              &backends::axpyAvx512Ifma,
+                              &backends::gemvAvx512Ifma};
+#endif
+        return Avx512Tier{"emulated",
+                          &backends::vaddAvx512,
+                          &backends::vsubAvx512,
+                          &backends::vmulAvx512,
+                          &backends::axpyAvx512,
+                          &backends::gemvAvx512};
+    }();
+    return tier;
+}
+#endif
+
 } // namespace
+
+const char*
+avx512MulKernel()
+{
+#if MQX_BUILD_AVX512
+    if (backendAvailable(Backend::Avx512))
+        return avx512Tier().kernel;
+#endif
+    return "unavailable";
+}
 
 std::string
 opName(Op op)
@@ -63,7 +109,7 @@ vadd(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        return backends::vaddAvx512(m, a, b, c);
+        return avx512Tier().vadd(m, a, b, c);
 #else
         notCompiled(backend);
 #endif
@@ -100,7 +146,7 @@ vsub(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        return backends::vsubAvx512(m, a, b, c);
+        return avx512Tier().vsub(m, a, b, c);
 #else
         notCompiled(backend);
 #endif
@@ -138,7 +184,7 @@ vmul(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        return backends::vmulAvx512(m, a, b, c, algo);
+        return avx512Tier().vmul(m, a, b, c, algo);
 #else
         notCompiled(backend);
 #endif
@@ -176,7 +222,7 @@ axpy(Backend backend, const Modulus& m, const U128& alpha, DConstSpan x,
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        return backends::axpyAvx512(m, alpha, x, y, algo);
+        return avx512Tier().axpy(m, alpha, x, y, algo);
 #else
         notCompiled(backend);
 #endif
@@ -215,7 +261,7 @@ gemv(Backend backend, const Modulus& m, DConstSpan matrix, DConstSpan x,
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        return backends::gemvAvx512(m, matrix, x, y, rows, cols, algo);
+        return avx512Tier().gemv(m, matrix, x, y, rows, cols, algo);
 #else
         notCompiled(backend);
 #endif

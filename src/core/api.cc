@@ -72,6 +72,21 @@ backendAvailable(Backend b)
     return false;
 }
 
+bool
+avx512Ifma()
+{
+    return MQX_BUILD_AVX512_IFMA && backendAvailable(Backend::Avx512) &&
+           hostCpuFeatures().hasAvx512Ifma();
+}
+
+const char*
+avx512Kernel()
+{
+    if (!backendAvailable(Backend::Avx512))
+        return "unavailable";
+    return avx512Ifma() ? "ifma" : "emulated";
+}
+
 Backend
 bestBackend()
 {

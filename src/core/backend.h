@@ -70,12 +70,11 @@ enum class Reduction
  *
  * Auto (the public-API default) resolves to the measured-fastest shape
  * for the (backend, n) pair via ntt::resolveStageFusion():
- * BENCH_ntt.json (Xeon @ 2.10GHz) shows fusion is a pure win on Scalar
- * (~1.1-1.2x at every n) but mostly regresses the vector backends below
- * n = 65536, where the extra shuffle work outweighs the saved sweeps; at
- * 65536 AVX2 (1.04x) and Portable (1.01x) fuse. AVX-512 never fuses:
- * 0.91x at 65536 there, and 0.91-0.97x at every measured n on an AMD
- * EPYC with the IFMA Shoup multiply.
+ * BENCH_ntt.json (AMD EPYC) shows fusion is a pure win on Scalar
+ * (1.04-1.16x at every n) and a loss on Portable, AVX2 and AVX-512 at
+ * every n in 256..65536 (0.83-0.98x): the extra shuffle work of the
+ * fused bodies outweighs the saved sweeps. MQX keeps its earlier rule
+ * (radix-4 from n = 65536, measured on a Xeon).
  * Backends never see Auto — the dispatcher resolves it first.
  */
 enum class StageFusion
@@ -115,5 +114,21 @@ bool backendAvailable(Backend b);
 
 /** Best available correct backend for production dispatch. */
 Backend bestBackend();
+
+/**
+ * True when Backend::Avx512 runs its multiplies on IFMA 52-bit limbs:
+ * the IFMA builds of the AVX-512 NTT and BLAS tiers are compiled in
+ * (MQX_BUILD_AVX512_IFMA) and CPUID/XCR0 report AVX-512 with
+ * AVX512_IFMA. Otherwise Backend::Avx512 runs the emulated 64x64
+ * multiply. Outputs are word-identical either way, and no knob
+ * overrides the choice.
+ */
+bool avx512Ifma();
+
+/**
+ * The multiply Backend::Avx512 runs on this host, for logs and BENCH
+ * rows: "ifma", "emulated", or "unavailable" (no AVX-512 tier).
+ */
+const char* avx512Kernel();
 
 } // namespace mqx

@@ -30,6 +30,10 @@ kernelName(Kernel k)
         return "ntt-butterfly";
       case Kernel::ShoupMul:
         return "shoupmul128";
+      case Kernel::LazyButterfly:
+        return "lazy-butterfly";
+      case Kernel::LazyButterflyCarry:
+        return "lazy-butterfly-carry";
     }
     return "unknown";
 }
@@ -57,6 +61,17 @@ flavorName(TraceFlavor f)
 }
 
 namespace {
+
+/** The lazy forward butterfly (u, v) of pease_impl.h in one form. */
+template <class Isa, bool kCarry>
+void
+lazyButterfly(const simd::ModCtx<Isa>& ctx, const simd::DV<Isa>& a,
+              const simd::DV<Isa>& b, const simd::ShoupW<Isa>& w)
+{
+    simd::addModLazyV<Isa, kCarry>(ctx, a, b);
+    simd::mulModShoupV<Isa, kCarry>(
+        ctx, simd::subModLazyRawV<Isa, kCarry>(ctx, a, b), w);
+}
 
 template <TraceFeatures F>
 std::vector<TracedInstr>
@@ -88,6 +103,12 @@ traceWith(Kernel kernel, const Modulus& m)
       }
       case Kernel::ShoupMul:
         simd::mulModShoupV<Isa>(ctx, a, ws);
+        break;
+      case Kernel::LazyButterfly:
+        lazyButterfly<Isa, Isa::kCarryChain>(ctx, a, b, ws);
+        break;
+      case Kernel::LazyButterflyCarry:
+        lazyButterfly<Isa, true>(ctx, a, b, ws);
         break;
     }
     return TraceSink::instance().take();

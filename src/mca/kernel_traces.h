@@ -24,6 +24,11 @@ enum class Kernel
     Butterfly, ///< one NTT butterfly: add + sub + mul
     ShoupMul,  ///< Shoup multiply by a fixed (w, wq): the lazy NTT twiddle
                ///< multiply, multiplicand split hoisted out (mulModShoupV)
+    LazyButterfly,      ///< the shipped lazy forward butterfly: addModLazyV
+                        ///< + subModLazyRawV + mulModShoupV, in the
+                        ///< flavor's own form (headroom unless MQX)
+    LazyButterflyCarry, ///< the same butterfly on the adc/sbb carry chain
+                        ///< (the form MQX keeps), for comparison
 };
 
 /** Which instruction-set flavor to trace. */

@@ -75,6 +75,7 @@ struct TraceIsa
 {
     static constexpr size_t kLanes = 8;
     static constexpr bool kIsMqx = F.mqx_carry || F.mqx_wide_mul || F.mqx_mulhi;
+    static constexpr bool kCarryChain = kIsMqx; ///< as Avx512Isa / MqxIsa
     static constexpr bool kHasPredicated = F.predicated;
     static constexpr bool kHasIfma = F.ifma;
 

@@ -95,6 +95,8 @@ struct MqxIsa : simd::Avx512Isa
     using M = Base::M;
 
     static constexpr bool kIsMqx = true;
+    /// The paper's counts (PISA, Table 6, Fig. 6) assume adc/sbb chains.
+    static constexpr bool kCarryChain = true;
     static constexpr bool kHasPredicated = F.predicated;
     static constexpr bool kHasIfma = false;
     static constexpr MqxMode kMode = Mode;

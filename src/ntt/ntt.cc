@@ -5,7 +5,6 @@
 #include "ntt/ntt.h"
 
 #include "core/config.h"
-#include "core/cpu_features.h"
 #include "ntt/ntt_backends.h"
 #include "telemetry/telemetry.h"
 
@@ -62,42 +61,24 @@ avx512Tier()
 
 } // namespace
 
-bool
-avx512Ifma()
-{
-    return MQX_BUILD_AVX512_IFMA && backendAvailable(Backend::Avx512) &&
-           hostCpuFeatures().hasAvx512Ifma();
-}
-
-const char*
-avx512ShoupKernel()
-{
-    if (!backendAvailable(Backend::Avx512))
-        return "unavailable";
-    return avx512Ifma() ? "ifma" : "emulated";
-}
-
 StageFusion
 resolveStageFusion(Backend backend, size_t n, StageFusion fusion)
 {
     if (fusion != StageFusion::Auto)
         return fusion;
-    // BENCH_ntt.json on a Xeon @ 2.10GHz: Scalar fused_speedup is
-    // 1.11-1.24x at every measured n, so it always fuses. The vector/MQX
-    // tiers mostly lose below n = 65536 (the shuffle-heavy fused bodies
-    // against the plain radix-2 sweeps while the working set is
-    // cache-resident), so they keep radix-2 there; at 65536 AVX2 (1.04x)
-    // and Portable (1.01x) fuse. AVX-512 never fuses: radix-4 measured
-    // 0.91x at 65536 on that Xeon (emulated multiply), and 0.91-0.97x at
-    // every n in 256..65536 on an AMD EPYC running the IFMA multiply
-    // (avx512_ifma_vs_emulated: 0.80x there on the emulated one).
+    // BENCH_ntt.json on an AMD EPYC: Scalar fused_speedup is 1.04-1.16x
+    // at every measured n, so it always fuses. Portable (0.88-0.91x),
+    // AVX2 (0.83-0.86x) and AVX-512 (0.86-0.98x) lose at every n in
+    // 256..65536: the fused bodies' shuffles cost more than the sweeps
+    // they save. The MQX tiers keep the earlier rule (radix-2 below
+    // n = 65536, radix-4 from there; Xeon @ 2.10GHz), which the EPYC
+    // data does not cover.
     if (backend == Backend::Scalar)
         return StageFusion::Radix4;
-    if (backend == Backend::Avx512)
+    if (backend != Backend::MqxEmulate && backend != Backend::MqxPisa)
         return StageFusion::Radix2;
-    constexpr size_t kVectorRadix4MinN = 65536;
-    return n >= kVectorRadix4MinN ? StageFusion::Radix4
-                                  : StageFusion::Radix2;
+    constexpr size_t kMqxRadix4MinN = 65536;
+    return n >= kMqxRadix4MinN ? StageFusion::Radix4 : StageFusion::Radix2;
 }
 
 void

@@ -50,31 +50,13 @@ void inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
 
 /**
  * Resolve StageFusion::Auto to a concrete shape for (backend, n), from
- * BENCH_ntt.json measurements: Scalar fuses everywhere (fused_speedup
- * 1.11-1.24x, Xeon @ 2.10GHz); AVX-512 never fuses (radix-4 0.91x at
- * 65536 on that Xeon, 0.91-0.97x at every n in 256..65536 on an AMD
- * EPYC with the IFMA multiply); the other vector/MQX tiers keep radix-2
- * below n = 65536 and fuse at and above it (AVX2 1.04x, Portable 1.01x
- * at 65536). Radix4/Radix2 requests pass through unchanged; the backend
- * entry points never see Auto.
+ * BENCH_ntt.json measurements (AMD EPYC): Scalar fuses everywhere
+ * (fused_speedup 1.04-1.16x); Portable, AVX2 and AVX-512 never fuse
+ * (0.83-0.98x at every n in 256..65536); the MQX tiers keep radix-2
+ * below n = 65536 and fuse at and above it. Radix4/Radix2 requests pass
+ * through unchanged; the backend entry points never see Auto.
  */
 StageFusion resolveStageFusion(Backend backend, size_t n, StageFusion fusion);
-
-/**
- * True when Backend::Avx512 runs its Shoup multiplies (every lazy
- * butterfly, twist/untwist and n^-1 pass) on IFMA 52-bit limbs: the
- * IFMA build is compiled in (MQX_BUILD_AVX512_IFMA) and CPUID/XCR0
- * report AVX-512 with AVX512_IFMA. Otherwise Backend::Avx512 runs the
- * emulated 64x64 multiply. Outputs are word-identical either way, and
- * no knob overrides the choice.
- */
-bool avx512Ifma();
-
-/**
- * The Shoup multiply Backend::Avx512 runs on this host, for logs and
- * BENCH rows: "ifma", "emulated", or "unavailable" (no AVX-512 tier).
- */
-const char* avx512ShoupKernel();
 
 /**
  * Point-wise multiply by a fixed table with precomputed Shoup

@@ -2,8 +2,9 @@
  * @file
  * AVX-512 instantiation of the Pease NTT on IFMA (compiled with the
  * AVX-512 flags plus -mavx512ifma): the same tier body as
- * ntt_avx512.cc with every Shoup multiply on 52-bit limbs. ntt.cc
- * dispatches Backend::Avx512 here when CPUID reports AVX512_IFMA.
+ * ntt_avx512.cc with every Shoup and Barrett multiply on 52-bit limbs.
+ * ntt.cc dispatches Backend::Avx512 here when CPUID reports
+ * AVX512_IFMA.
  */
 #include "simd/isa_avx512_ifma.h"
 

@@ -43,7 +43,7 @@ void vmulShoupAvx512(const Modulus&, DConstSpan, DConstSpan, DConstSpan,
 
 // The same AVX-512 tier body built on IFMA 52-bit limbs
 // (ntt_avx512_ifma.cc, MQX_BUILD_AVX512_IFMA): word-identical to the
-// Avx512 entry points; ntt.cc picks it when ntt::avx512Ifma().
+// Avx512 entry points; ntt.cc picks it when mqx::avx512Ifma().
 void forwardAvx512Ifma(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
                        Reduction, StageFusion);
 void inverseAvx512Ifma(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,

@@ -553,7 +553,6 @@ fmaChannelBatched(Backend backend, const RnsBasis& basis, size_t channel,
     ResidueVector& acc = eng.auxBuffer(0);
     acc.zero();
     s->packed_acc.ensure(il * n);
-    s->packed_acc.zero();
     for (size_t t = 0; t < tiles; ++t) {
         const size_t p0 = t * il;
         packTwistForward(backend, m, *tables, layout, channel, products, p0,
@@ -562,6 +561,14 @@ fmaChannelBatched(Backend backend, const RnsBasis& basis, size_t channel,
         packTwistForward(backend, m, *tables, layout, channel, products, p0,
                          /*second=*/true, s->lane_src, s->packed_a,
                          s->packed_c, s->packed_d);
+        // The first tile's products are the partial sums themselves
+        // (0 + x = x for canonical x): they go straight into the
+        // accumulator, with no zero fill and no add pass.
+        if (t == 0) {
+            blas::vmul(backend, m, s->packed_b.span(), s->packed_c.span(),
+                       s->packed_acc.span());
+            continue;
+        }
         blas::vmul(backend, m, s->packed_b.span(), s->packed_c.span(),
                    s->packed_b.span());
         blas::vadd(backend, m, s->packed_acc.span(), s->packed_b.span(),

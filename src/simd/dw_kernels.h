@@ -60,7 +60,24 @@ struct Limbs52
     typename Isa::V l0, l1, l2;
 };
 
-/** Limb constants of the IFMA Shoup kernel; empty for other ISAs. */
+/** Five 52-bit limbs of a full product: l[0] + l[1]*2^52 + ... */
+template <class Isa>
+struct Limbs52x5
+{
+    typename Isa::V l[5];
+};
+
+/**
+ * A Barrett shift s = 52*limb + bit: the IFMA kernel reads the window
+ * of a limb product starting at bit s.
+ */
+struct LimbShift
+{
+    unsigned limb = 0; ///< s / 52: the first limb of the window
+    unsigned bit = 0;  ///< s % 52: the offset inside it
+};
+
+/** Limb constants of the IFMA kernels; empty for other ISAs. */
 template <class Isa, bool = Isa::kHasIfma>
 struct IfmaCtx
 {
@@ -69,9 +86,11 @@ struct IfmaCtx
 template <class Isa>
 struct IfmaCtx<Isa, true>
 {
-    Limbs52<Isa> nq;               ///< limbs of 2^128 - q (additive -q)
-    typename Isa::V m28, m40, m52; ///< low-bit masks for limb reassembly
-    typename Isa::V zero;          ///< the madd52 chains' start value
+    Limbs52<Isa> nq;                    ///< limbs of 2^128 - q (additive -q)
+    Limbs52<Isa> mu;                    ///< limbs of the Barrett mu
+    typename Isa::V m24, m28, m40, m52; ///< low-bit masks
+    typename Isa::V zero;               ///< the madd52 chains' start value
+    LimbShift s1, s2;                   ///< the Barrett shifts b - 1, b + 1
 };
 
 /** Per-call broadcast constants derived from the modulus. */
@@ -82,6 +101,7 @@ struct ModCtx
     typename Isa::V q2h, q2l; ///< 2q high/low words (lazy-reduction bound)
     typename Isa::V muh, mul; ///< Barrett mu high/low words
     typename Isa::V one;      ///< broadcast 1
+    typename Isa::V smax;     ///< 2^63 - 1: the headroom sign test
     typename Isa::M z;        ///< initial carry mask (opaque under PISA)
     unsigned s1 = 0;          ///< Barrett shift b - 1
     unsigned s2 = 0;          ///< Barrett shift b + 1
@@ -121,10 +141,16 @@ makeModCtx(const Modulus& m)
     if constexpr (Isa::kHasIfma) {
         const U128 nq = U128::fromParts(0, 0) - m.value();
         ctx.ifma.nq = broadcastLimbs52<Isa>(nq.hi, nq.lo);
+        ctx.ifma.mu = broadcastLimbs52<Isa>(m.mu().hi, m.mu().lo);
+        ctx.ifma.m24 = Isa::set1((uint64_t{1} << 24) - 1);
         ctx.ifma.m28 = Isa::set1((uint64_t{1} << 28) - 1);
         ctx.ifma.m40 = Isa::set1((uint64_t{1} << 40) - 1);
         ctx.ifma.m52 = Isa::set1((uint64_t{1} << 52) - 1);
         ctx.ifma.zero = Isa::set1(0);
+        const auto s1 = static_cast<unsigned>(m.bits() - 1);
+        const auto s2 = static_cast<unsigned>(m.bits() + 1);
+        ctx.ifma.s1 = {s1 / 52, s1 % 52};
+        ctx.ifma.s2 = {s2 / 52, s2 % 52};
     }
     ctx.qh = Isa::set1(m.value().hi);
     ctx.ql = Isa::set1(m.value().lo);
@@ -135,6 +161,7 @@ makeModCtx(const Modulus& m)
     ctx.muh = Isa::set1(m.mu().hi);
     ctx.mul = Isa::set1(m.mu().lo);
     ctx.one = Isa::set1(1);
+    ctx.smax = Isa::set1(~uint64_t{0} >> 1);
     ctx.z = Isa::initialCarryMask();
     ctx.s1 = static_cast<unsigned>(m.bits() - 1);
     ctx.s2 = static_cast<unsigned>(m.bits() + 1);
@@ -406,6 +433,28 @@ cmpGeDwV(const DV<Isa>& a, const DV<Isa>& b)
 }
 
 /**
+ * The two Barrett correction rounds: c >= q ? c - q : c, twice, with
+ * the exact double-word compare (any c < 2^128).
+ */
+template <class Isa>
+inline DV<Isa>
+barrettCorrectV(const ModCtx<Isa>& ctx, DV<Isa> c)
+{
+    using M = typename Isa::M;
+    const DV<Isa> q{ctx.qh, ctx.ql};
+    for (int round = 0; round < 2; ++round) {
+        M ge = cmpGeDwV<Isa>(c, q);
+        M blo = Isa::cmpLtU(c.lo, ctx.ql);
+        auto d_lo = Isa::sub(c.lo, ctx.ql);
+        auto d_hi = Isa::sub(c.hi, ctx.qh);
+        d_hi = Isa::maskSub(d_hi, blo, d_hi, ctx.one);
+        c.lo = Isa::blend(ge, c.lo, d_lo);
+        c.hi = Isa::blend(ge, c.hi, d_hi);
+    }
+    return c;
+}
+
+/**
  * Barrett reduction of a full product to [0, q) (Eq. 4, HAC-14.42
  * estimate, at most two correction subtractions).
  */
@@ -426,65 +475,98 @@ barrettReduceV(const ModCtx<Isa>& ctx, const QV<Isa>& x)
     DV<Isa> c;
     c.lo = Isa::sbb(x.t0, eq.lo, ctx.z, br);
     c.hi = Isa::sbb(x.t1, eq.hi, br, br);
-    // Two correction rounds.
-    for (int round = 0; round < 2; ++round) {
-        M ge = cmpGeDwV<Isa>(c, q);
-        M blo = Isa::cmpLtU(c.lo, ctx.ql);
-        auto d_lo = Isa::sub(c.lo, ctx.ql);
-        auto d_hi = Isa::sub(c.hi, ctx.qh);
-        d_hi = Isa::maskSub(d_hi, blo, d_hi, ctx.one);
-        c.lo = Isa::blend(ge, c.lo, d_lo);
-        c.hi = Isa::blend(ge, c.hi, d_hi);
-    }
-    return c;
+    return barrettCorrectV<Isa>(ctx, c);
 }
 
 // ---------------------------------------------------------------------
 // Shoup multiplication and lazy-reduction helpers
 // ---------------------------------------------------------------------
 
+/*
+ * The lazy helpers come in two forms, picked per ISA by the kCarry
+ * template argument (default: Isa::kCarryChain).
+ *
+ *  - Carry chain: adc/sbb pairs. MQX executes each in one instruction,
+ *    and the PISA, Table-6 and Fig.-6 counts assume this form, so MQX
+ *    ISAs keep it; PortableIsa keeps it too, because its adc/sbb are
+ *    one scalar add-with-carry per lane.
+ *  - Headroom: AVX2 and AVX-512 emulate adc/sbb in six instructions,
+ *    so the carry is rebuilt once from a low-word compare, and the
+ *    lazy canonicalization reads the sign bit of a plain difference.
+ *    That is exact because every operand stays below 2^127: q < 2^124
+ *    (Barrett::make) and lazy values are below 4q.
+ *
+ * Both forms give the same words; tests/test_shoup.cc checks them at
+ * the carry/borrow edges on every non-MQX ISA compiled in.
+ */
+
 /** Plain wrap-around double-word add (no modular reduction). */
-template <class Isa>
+template <class Isa, bool kCarry = Isa::kCarryChain>
 inline DV<Isa>
 addDwV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
     using M = typename Isa::M;
-    M c;
     DV<Isa> r;
-    r.lo = Isa::adc(a.lo, b.lo, ctx.z, c);
-    r.hi = Isa::adc(a.hi, b.hi, c, c);
+    if constexpr (kCarry) {
+        M c;
+        r.lo = Isa::adc(a.lo, b.lo, ctx.z, c);
+        r.hi = Isa::adc(a.hi, b.hi, c, c);
+    } else {
+        r.lo = Isa::add(a.lo, b.lo);
+        M c = Isa::cmpLtU(r.lo, a.lo);
+        r.hi = Isa::add(a.hi, b.hi);
+        r.hi = Isa::maskAdd(r.hi, c, r.hi, ctx.one);
+    }
     return r;
 }
 
 /** Plain wrap-around double-word subtract (no modular correction). */
-template <class Isa>
+template <class Isa, bool kCarry = Isa::kCarryChain>
 inline DV<Isa>
 subDwV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
     using M = typename Isa::M;
-    M br;
     DV<Isa> r;
-    r.lo = Isa::sbb(a.lo, b.lo, ctx.z, br);
-    r.hi = Isa::sbb(a.hi, b.hi, br, br);
+    if constexpr (kCarry) {
+        M br;
+        r.lo = Isa::sbb(a.lo, b.lo, ctx.z, br);
+        r.hi = Isa::sbb(a.hi, b.hi, br, br);
+    } else {
+        M br = Isa::cmpLtU(a.lo, b.lo);
+        r.lo = Isa::sub(a.lo, b.lo);
+        r.hi = Isa::sub(a.hi, b.hi);
+        r.hi = Isa::maskSub(r.hi, br, r.hi, ctx.one);
+    }
     return r;
 }
 
-/** Per-lane x >= b ? x - b : x — the lazy canonicalization step. */
-template <class Isa>
+/**
+ * Per-lane x >= b ? x - b : x — the lazy canonicalization step. The
+ * headroom form needs x, b < 2^127: then x < b exactly when the sign
+ * bit of x - b is set.
+ */
+template <class Isa, bool kCarry = Isa::kCarryChain>
 inline DV<Isa>
 condSubDwV(const ModCtx<Isa>& ctx, const DV<Isa>& x, typename Isa::V bh,
            typename Isa::V bl)
 {
     using M = typename Isa::M;
     DV<Isa> b{bh, bl};
-    M ge = cmpGeDwV<Isa>(x, b);
-    M blo = Isa::cmpLtU(x.lo, bl);
-    auto d_lo = Isa::sub(x.lo, bl);
-    auto d_hi = Isa::sub(x.hi, bh);
-    d_hi = Isa::maskSub(d_hi, blo, d_hi, ctx.one);
     DV<Isa> r;
-    r.lo = Isa::blend(ge, x.lo, d_lo);
-    r.hi = Isa::blend(ge, x.hi, d_hi);
+    if constexpr (kCarry) {
+        M ge = cmpGeDwV<Isa>(x, b);
+        M blo = Isa::cmpLtU(x.lo, bl);
+        auto d_lo = Isa::sub(x.lo, bl);
+        auto d_hi = Isa::sub(x.hi, bh);
+        d_hi = Isa::maskSub(d_hi, blo, d_hi, ctx.one);
+        r.lo = Isa::blend(ge, x.lo, d_lo);
+        r.hi = Isa::blend(ge, x.hi, d_hi);
+    } else {
+        DV<Isa> d = subDwV<Isa, false>(ctx, x, b);
+        M lt = Isa::cmpGtU(d.hi, ctx.smax);
+        r.lo = Isa::blend(lt, d.lo, x.lo);
+        r.hi = Isa::blend(lt, d.hi, x.hi);
+    }
     return r;
 }
 
@@ -566,6 +648,121 @@ mulModShoupIfmaV(const ModCtx<Isa>& ctx, const DV<Isa>& a,
 }
 
 /**
+ * Full product of two limb triples (top limbs < 2^24) as five 52-bit
+ * limbs: 17 vpmadd52 column sums, then one carry pass. Limbs 0..3 are
+ * masked to 52 bits; limb 4 is < 2^48 because the product is < 2^256
+ * (and hi(x2*y2) is zero, so it is skipped).
+ */
+template <class Isa>
+inline Limbs52x5<Isa>
+mulLimbs52(const IfmaCtx<Isa>& k, const Limbs52<Isa>& x,
+           const Limbs52<Isa>& y)
+{
+    using V = typename Isa::V;
+    V c0 = Isa::madd52lo(k.zero, x.l0, y.l0);
+    V c1 = Isa::madd52hi(k.zero, x.l0, y.l0);
+    c1 = Isa::madd52lo(c1, x.l0, y.l1);
+    c1 = Isa::madd52lo(c1, x.l1, y.l0);
+    V c2 = Isa::madd52hi(k.zero, x.l0, y.l1);
+    c2 = Isa::madd52hi(c2, x.l1, y.l0);
+    c2 = Isa::madd52lo(c2, x.l0, y.l2);
+    c2 = Isa::madd52lo(c2, x.l1, y.l1);
+    c2 = Isa::madd52lo(c2, x.l2, y.l0);
+    V c3 = Isa::madd52hi(k.zero, x.l0, y.l2);
+    c3 = Isa::madd52hi(c3, x.l1, y.l1);
+    c3 = Isa::madd52hi(c3, x.l2, y.l0);
+    c3 = Isa::madd52lo(c3, x.l1, y.l2);
+    c3 = Isa::madd52lo(c3, x.l2, y.l1);
+    V c4 = Isa::madd52hi(k.zero, x.l1, y.l2);
+    c4 = Isa::madd52hi(c4, x.l2, y.l1);
+    c4 = Isa::madd52lo(c4, x.l2, y.l2);
+    Limbs52x5<Isa> r;
+    c1 = Isa::add(c1, Isa::template srli<52>(c0));
+    r.l[0] = Isa::and_(c0, k.m52);
+    c2 = Isa::add(c2, Isa::template srli<52>(c1));
+    r.l[1] = Isa::and_(c1, k.m52);
+    c3 = Isa::add(c3, Isa::template srli<52>(c2));
+    r.l[2] = Isa::and_(c2, k.m52);
+    r.l[3] = Isa::and_(c3, k.m52);
+    r.l[4] = Isa::add(c4, Isa::template srli<52>(c3));
+    return r;
+}
+
+/**
+ * Bits [s, s + 128) of a five-limb value, as limbs. The limb index is
+ * uniform, so the window start is a predictable branch. Limbs 0 and 1
+ * keep junk above bit 51 (vpmadd52 ignores it); limb 2 keeps bits
+ * 104..155 of the window, so callers mask it when they need the window
+ * mod 2^128.
+ */
+template <class Isa>
+inline Limbs52<Isa>
+windowLimbs52(const IfmaCtx<Isa>& k, const Limbs52x5<Isa>& x, LimbShift s)
+{
+    using V = typename Isa::V;
+    // Branches, not x.l[s.limb + j]: a runtime index would spill the
+    // limbs to memory.
+    V w0 = x.l[2], w1 = x.l[3], w2 = x.l[4], w3 = k.zero;
+    if (s.limb == 0) {
+        w0 = x.l[0];
+        w1 = x.l[1];
+        w2 = x.l[2];
+        w3 = x.l[3];
+    } else if (s.limb == 1) {
+        w0 = x.l[1];
+        w1 = x.l[2];
+        w2 = x.l[3];
+        w3 = x.l[4];
+    }
+    auto join = [&](V lo, V hi) {
+        return Isa::or_(Isa::srlCount(lo, s.bit),
+                        Isa::sllCount(hi, 52 - s.bit));
+    };
+    return {join(w0, w1), join(w1, w2), join(w2, w3)};
+}
+
+/**
+ * Barrett multiply on IFMA 52-bit limbs (Avx512IfmaIsa): the same
+ * words as mulModV's emulated path for every a, b < 2^128, step for
+ * step. x = a*b and p = x1*mu are exact limb products; x1 and e are
+ * the 128-bit windows at the runtime shifts b - 1 and b + 1 (x1 mod
+ * 2^128 like shrQwV); c = x + e*(2^128 - q) mod 2^128 is x - e*q; then
+ * the same two exact corrections.
+ */
+template <class Isa>
+inline DV<Isa>
+mulModBarrettIfmaV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
+{
+    using V = typename Isa::V;
+    const auto& k = ctx.ifma;
+    const Limbs52x5<Isa> x =
+        mulLimbs52<Isa>(k, toLimbs52<Isa>(a), toLimbs52<Isa>(b));
+    Limbs52<Isa> x1 = windowLimbs52<Isa>(k, x, k.s1);
+    x1.l2 = Isa::and_(x1.l2, k.m24);
+    const Limbs52x5<Isa> p = mulLimbs52<Isa>(k, x1, k.mu);
+    // e's limb 2 may keep bits past 128: they only reach result bits
+    // >= 128, which the reassembly drops.
+    const Limbs52<Isa> e = windowLimbs52<Isa>(k, p, k.s2);
+
+    V r0 = Isa::madd52lo(x.l[0], e.l0, k.nq.l0);
+    V r1 = Isa::madd52hi(x.l[1], e.l0, k.nq.l0);
+    r1 = Isa::madd52lo(r1, e.l0, k.nq.l1);
+    r1 = Isa::madd52lo(r1, e.l1, k.nq.l0);
+    V r2 = Isa::madd52hi(x.l[2], e.l0, k.nq.l1);
+    r2 = Isa::madd52hi(r2, e.l1, k.nq.l0);
+    r2 = Isa::madd52lo(r2, e.l0, k.nq.l2);
+    r2 = Isa::madd52lo(r2, e.l1, k.nq.l1);
+    r2 = Isa::madd52lo(r2, e.l2, k.nq.l0);
+    r1 = Isa::add(r1, Isa::template srli<52>(r0));
+    r2 = Isa::add(r2, Isa::template srli<52>(r1));
+    DV<Isa> c;
+    c.lo = Isa::select(k.m52, r0, Isa::template slli<52>(r1));
+    c.hi = Isa::select(k.m40, Isa::template srli<12>(r1),
+                       Isa::template slli<40>(r2));
+    return barrettCorrectV<Isa>(ctx, c);
+}
+
+/**
  * A fixed Shoup multiplicand (w, wq) in the form the ISA's multiply
  * consumes: split hi/lo words, or 52-bit limbs on IFMA ISAs. Kernels
  * that reuse one multiplicand (a broadcast twiddle run, n^-1, a batch
@@ -613,13 +810,13 @@ broadcastShoupW(uint64_t w_hi, uint64_t w_lo, uint64_t wq_hi, uint64_t wq_lo)
  * 2^128, with r in [0, 2q) for ANY a. One full product plus two low
  * products — no Barrett shifts, no correction rounds. IFMA ISAs run
  * mulModShoupIfmaV instead (same value; @p algo has no effect there).
+ * kCarry picks the form of the final subtract, as for subDwV.
  */
-template <class Isa>
+template <class Isa, bool kCarry = Isa::kCarryChain>
 inline DV<Isa>
 mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& w,
              const DV<Isa>& wq, MulAlgo algo = MulAlgo::Schoolbook)
 {
-    using M = typename Isa::M;
     if constexpr (Isa::kHasIfma) {
         (void)algo;
         return mulModShoupIfmaV<Isa>(ctx, a, toLimbs52<Isa>(w),
@@ -631,15 +828,11 @@ mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& w,
     DV<Isa> h{p.t3, p.t2};
     DV<Isa> aw = mulLowDwV<Isa>(a, w);
     DV<Isa> hq = mulLowDwV<Isa>(h, DV<Isa>{ctx.qh, ctx.ql});
-    M br;
-    DV<Isa> r;
-    r.lo = Isa::sbb(aw.lo, hq.lo, ctx.z, br);
-    r.hi = Isa::sbb(aw.hi, hq.hi, br, br);
-    return r;
+    return subDwV<Isa, kCarry>(ctx, aw, hq);
 }
 
 /** mulModShoupV with a prepared multiplicand. */
-template <class Isa>
+template <class Isa, bool kCarry = Isa::kCarryChain>
 inline DV<Isa>
 mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const ShoupW<Isa>& w,
              MulAlgo algo = MulAlgo::Schoolbook)
@@ -648,7 +841,7 @@ mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const ShoupW<Isa>& w,
         (void)algo;
         return mulModShoupIfmaV<Isa>(ctx, a, w.w, w.wq);
     } else {
-        return mulModShoupV<Isa>(ctx, a, w.w, w.wq, algo);
+        return mulModShoupV<Isa, kCarry>(ctx, a, w.w, w.wq, algo);
     }
 }
 
@@ -657,11 +850,12 @@ mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const ShoupW<Isa>& w,
  * sum reaches 4q — fine, q has >= 4 bits of double-word headroom — and
  * the only correction is one conditional subtract of 2q.
  */
-template <class Isa>
+template <class Isa, bool kCarry = Isa::kCarryChain>
 inline DV<Isa>
 addModLazyV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
-    return condSubDwV<Isa>(ctx, addDwV<Isa>(ctx, a, b), ctx.q2h, ctx.q2l);
+    return condSubDwV<Isa, kCarry>(ctx, addDwV<Isa, kCarry>(ctx, a, b),
+                                   ctx.q2h, ctx.q2l);
 }
 
 /**
@@ -670,29 +864,36 @@ addModLazyV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
  * accepts, so the forward butterfly feeds it straight into the twiddle
  * multiply.
  */
-template <class Isa>
+template <class Isa, bool kCarry = Isa::kCarryChain>
 inline DV<Isa>
 subModLazyRawV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
     DV<Isa> q2{ctx.q2h, ctx.q2l};
-    return subDwV<Isa>(ctx, addDwV<Isa>(ctx, a, q2), b);
+    return subDwV<Isa, kCarry>(ctx, addDwV<Isa, kCarry>(ctx, a, q2), b);
 }
 
 /** Lazy modular subtract: inputs in [0, 2q), output in [0, 2q). */
-template <class Isa>
+template <class Isa, bool kCarry = Isa::kCarryChain>
 inline DV<Isa>
 subModLazyV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
-    return condSubDwV<Isa>(ctx, subModLazyRawV<Isa>(ctx, a, b), ctx.q2h,
-                           ctx.q2l);
+    return condSubDwV<Isa, kCarry>(
+        ctx, subModLazyRawV<Isa, kCarry>(ctx, a, b), ctx.q2h, ctx.q2l);
 }
 
-/** Modular multiplication: full product + Barrett reduction. */
+/**
+ * Modular multiplication: full product + Barrett reduction. IFMA ISAs
+ * run mulModBarrettIfmaV instead (same words; @p algo has no effect).
+ */
 template <class Isa>
 inline DV<Isa>
 mulModV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b,
         MulAlgo algo = MulAlgo::Schoolbook)
 {
+    if constexpr (Isa::kHasIfma) {
+        (void)algo;
+        return mulModBarrettIfmaV<Isa>(ctx, a, b);
+    }
     QV<Isa> t = algo == MulAlgo::Schoolbook
                     ? mulFullSchoolV<Isa>(ctx, a, b)
                     : mulFullKaratsubaV<Isa>(ctx, a, b);

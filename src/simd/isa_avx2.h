@@ -32,6 +32,7 @@ struct Avx2Isa
 {
     static constexpr size_t kLanes = 4;
     static constexpr bool kIsMqx = false;
+    static constexpr bool kCarryChain = false; ///< see simd/dw_kernels.h
     static constexpr bool kHasPredicated = false;
     static constexpr bool kHasIfma = false; ///< see isa_avx512_ifma.h
 

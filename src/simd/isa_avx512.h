@@ -36,6 +36,7 @@ struct Avx512Isa
 {
     static constexpr size_t kLanes = 8;
     static constexpr bool kIsMqx = false;
+    static constexpr bool kCarryChain = false; ///< see simd/dw_kernels.h
     static constexpr bool kHasPredicated = false;
     static constexpr bool kHasIfma = false; ///< see isa_avx512_ifma.h
 

@@ -4,11 +4,12 @@
  * instructions closest to the widening multiply MQX proposes ("+M" in
  * the Fig. 6 ablation).
  *
- * Everything except the Shoup multiply is inherited from Avx512Isa, so
- * the add/sub/compare dataflow, the Barrett path and mulWide are the
- * emulated AVX-512 sequences. kHasIfma routes simd::mulModShoupV to
- * the 52-bit-limb kernel (dw_kernels.h), which needs the three extra
- * primitives below.
+ * Everything else is inherited from Avx512Isa. kHasIfma routes
+ * simd::mulModShoupV and simd::mulModV (Barrett) to the 52-bit-limb
+ * kernels (dw_kernels.h), which need the extra primitives below, so no
+ * kernel of this ISA calls the emulated mulWide. Its add/sub dataflow
+ * is compares and masked adds (Listing 2 and the headroom lazy
+ * helpers), so no kernel calls the emulated adc/sbb either.
  *
  * This header may only be included from translation units compiled
  * with -mavx512ifma on top of the AVX-512 flags.
@@ -28,6 +29,7 @@ namespace simd {
 struct Avx512IfmaIsa : Avx512Isa
 {
     static constexpr bool kHasIfma = true;
+    static constexpr bool kCarryChain = false; ///< see simd/dw_kernels.h
 
     /** acc + low 52 bits of (a mod 2^52) * (b mod 2^52). */
     static V madd52lo(V acc, V a, V b) { return _mm512_madd52lo_epu64(acc, a, b); }

@@ -35,6 +35,9 @@ struct PortableIsa
 {
     static constexpr size_t kLanes = 8;
     static constexpr bool kIsMqx = false;
+    /// adc/sbb are one scalar add-with-carry per lane here, cheaper than
+    /// the compare-and-mask headroom form (simd/dw_kernels.h).
+    static constexpr bool kCarryChain = true;
     static constexpr bool kHasPredicated = false;
     static constexpr bool kHasIfma = false; ///< see isa_avx512_ifma.h
 

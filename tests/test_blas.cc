@@ -3,11 +3,16 @@
  * BLAS kernel tests: every available backend (including MQX emulation)
  * against the scalar oracle, over random and adversarial inputs,
  * multiple lengths (SIMD blocks + scalar tails), and both
- * multiplication algorithms.
+ * multiplication algorithms. The AVX-512 tier's two builds (emulated
+ * 64x64 and IFMA 52-bit-limb Barrett multiply) are compared word for
+ * word through the blas_backends.h entry points.
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "blas/blas.h"
+#include "blas/blas_backends.h"
 #include "ntt/prime.h"
 #include "test_util.h"
 
@@ -224,6 +229,97 @@ TEST(BlasErrors, PisaBackendProducesWrongResultsByDesign)
     for (size_t i = 0; i < a.size(); ++i)
         mismatches += got[i] == expect[i] ? 0 : 1;
     EXPECT_GT(mismatches, 0);
+}
+
+TEST(BlasIfma, ReportsAvx512MulKernel)
+{
+    // The line CI greps to log which AVX-512 BLAS multiply ran.
+    std::printf("AVX-512 BLAS multiply: %s\n", blas::avx512MulKernel());
+    EXPECT_EQ(std::string(blas::avx512MulKernel()), avx512Kernel());
+}
+
+TEST(BlasIfma, WordIdenticalToEmulatedAvx512)
+{
+    // The IFMA Barrett multiply reproduces the emulated one step for
+    // step, so every word must agree for ANY a, b < 2^128 — including
+    // operands above q — and in-range products must match Scalar. The
+    // widths put the Barrett shifts b - 1 and b + 1 on both sides of
+    // the 52- and 104-bit limb edges.
+#if MQX_BUILD_AVX512_IFMA
+    if (!avx512Ifma())
+        GTEST_SKIP() << "host lacks AVX-512 IFMA (or XCR0 ZMM state): "
+                        "Backend::Avx512 runs the emulated multiply only";
+    namespace be = blas::backends;
+    const U128 one = U128::fromParts(0, 1);
+    const U128 p52 = one << 52, p104 = one << 104;
+    SplitMix64 rng(0xb1a5);
+    for (int bits : {30, 52, 53, 64, 65, 104, 105, 124}) {
+        const U128 top = one << (bits - 1);
+        const U128 q = top + (rng.nextBelow(top) | one); // odd, bits wide
+        const Modulus m(q);
+        SCOPED_TRACE("q bits " + std::to_string(m.bits()));
+        ASSERT_EQ(m.bits(), bits);
+        std::vector<U128> ops = {U128{},     one,        q - one,
+                                 p52 - one,  p52 + one,  p104 - one,
+                                 p104 + one, rng.nextBelow(q),
+                                 rng.nextU128()};
+        std::vector<U128> a, b;
+        for (const U128& x : ops)
+            for (const U128& y : ops) {
+                a.push_back(x);
+                b.push_back(y);
+            }
+        for (int i = 0; i < 64; ++i) {
+            a.push_back(rng.nextBelow(q));
+            b.push_back(i % 2 ? rng.nextBelow(q) : rng.nextU128());
+        }
+        a.resize(a.size() + 3, q - one); // a scalar tail
+        b.resize(a.size(), q - one);
+        const size_t n = a.size();
+        ResidueVector va = ResidueVector::fromU128(a);
+        ResidueVector vb = ResidueVector::fromU128(b);
+
+        ResidueVector ci(n), scalar(n);
+        be::vmulAvx512Ifma(m, va.span(), vb.span(), ci.span(),
+                           MulAlgo::Schoolbook);
+        blas::vmul(Backend::Scalar, m, va.span(), vb.span(), scalar.span());
+        for (MulAlgo algo : {MulAlgo::Schoolbook, MulAlgo::Karatsuba}) {
+            ResidueVector ce(n);
+            be::vmulAvx512(m, va.span(), vb.span(), ce.span(), algo);
+            EXPECT_EQ(ce.toU128(), ci.toU128()) << "vmul";
+        }
+        for (size_t i = 0; i < n; ++i) {
+            if (a[i] < q && b[i] < q) {
+                ASSERT_EQ(ci.at(i), scalar.at(i))
+                    << "a=" << test::str(a[i]) << " b=" << test::str(b[i]);
+            }
+        }
+
+        for (const U128& alpha : ops) {
+            ResidueVector ye = vb, yi = vb;
+            be::axpyAvx512(m, alpha, va.span(), ye.span(),
+                           MulAlgo::Schoolbook);
+            be::axpyAvx512Ifma(m, alpha, va.span(), yi.span(),
+                               MulAlgo::Schoolbook);
+            ASSERT_EQ(ye.toU128(), yi.toU128())
+                << "axpy alpha=" << test::str(alpha);
+        }
+
+        const size_t rows = 7, cols = n / rows; // 21: blocks + a tail
+        ResidueVector mat = ResidueVector::fromU128(
+            std::vector<U128>(a.begin(), a.begin() + rows * cols));
+        ResidueVector x = ResidueVector::fromU128(
+            std::vector<U128>(b.begin(), b.begin() + cols));
+        ResidueVector ge(rows), gi(rows);
+        be::gemvAvx512(m, mat.span(), x.span(), ge.span(), rows, cols,
+                       MulAlgo::Schoolbook);
+        be::gemvAvx512Ifma(m, mat.span(), x.span(), gi.span(), rows, cols,
+                           MulAlgo::Schoolbook);
+        EXPECT_EQ(ge.toU128(), gi.toU128()) << "gemv";
+    }
+#else
+    GTEST_SKIP() << "IFMA build of the AVX-512 tier not compiled in";
+#endif
 }
 
 } // namespace

@@ -186,11 +186,92 @@ TEST(McaPressure, IfmaShoupMulReplacesEmulatedMultiplies)
     auto ifma = mca::analyzeTrace(ifma_trace);
     EXPECT_LT(ifma.totals[0], 0.6 * emu.totals[0]);
     EXPECT_LT(ifma.rthroughput, emu.rthroughput);
-    // Every other kernel is the plain AVX-512 sequence under IFMA.
-    EXPECT_EQ(histogram(mca::traceKernel(mca::Kernel::Butterfly,
-                                         mca::TraceFlavor::Avx512Ifma, m)),
-              histogram(mca::traceKernel(mca::Kernel::Butterfly,
-                                         mca::TraceFlavor::Avx512, m)));
+    // The add/sub kernels are the plain AVX-512 sequences under IFMA.
+    for (mca::Kernel k : {mca::Kernel::AddMod, mca::Kernel::SubMod})
+        EXPECT_EQ(histogram(mca::traceKernel(k, mca::TraceFlavor::Avx512Ifma,
+                                             m)),
+                  histogram(mca::traceKernel(k, mca::TraceFlavor::Avx512, m)))
+            << mca::kernelName(k);
+}
+
+TEST(McaPressure, IfmaBarrettMulReplacesEmulatedMultiplies)
+{
+    // The IFMA Barrett multiply: two 17-op limb products (a*b and
+    // x1*mu) and 9 ops for x + e*(2^128 - q) — 43 vpmadd52, no emulated
+    // 64x64 multiply, no adc/sbb — at fewer port-0 uops than the
+    // emulated AVX-512 Barrett.
+    for (const auto* prime :
+         {&ntt::defaultBenchPrime(), &ntt::smallTestPrime()}) {
+        Modulus m(prime->q);
+        auto emu_trace = mca::traceKernel(mca::Kernel::MulMod,
+                                          mca::TraceFlavor::Avx512, m);
+        auto ifma_trace = mca::traceKernel(mca::Kernel::MulMod,
+                                           mca::TraceFlavor::Avx512Ifma, m);
+        auto h = histogram(ifma_trace);
+        EXPECT_EQ(h["vpmadd52luq"] + h["vpmadd52huq"], 43);
+        EXPECT_EQ(h["vpmullq"], 0);
+        EXPECT_EQ(h["vpmuludq"], 0);
+        auto emu = mca::analyzeTrace(emu_trace);
+        auto ifma = mca::analyzeTrace(ifma_trace);
+        EXPECT_LT(ifma.totals[0], emu.totals[0]);
+        EXPECT_LT(ifma.total_uops, emu.total_uops);
+        EXPECT_LT(ifma.rthroughput, emu.rthroughput);
+    }
+}
+
+TEST(McaPressure, HeadroomLazyButterflyDropsTheCarryChain)
+{
+    // Non-MQX flavors run the headroom lazy add/sub: fewer uops and
+    // fewer compares than the same butterfly on the adc/sbb chain. MQX
+    // flavors keep the chain, so both traces are one and the same.
+    Modulus m(ntt::defaultBenchPrime().q);
+    for (auto flavor : {mca::TraceFlavor::Avx512,
+                        mca::TraceFlavor::Avx512Ifma}) {
+        auto head = mca::traceKernel(mca::Kernel::LazyButterfly, flavor, m);
+        auto carry =
+            mca::traceKernel(mca::Kernel::LazyButterflyCarry, flavor, m);
+        EXPECT_LT(head.size(), carry.size()) << mca::flavorName(flavor);
+        EXPECT_LT(histogram(head)["vpcmpuq"], histogram(carry)["vpcmpuq"]);
+        EXPECT_LT(mca::analyzeTrace(head).total_uops,
+                  mca::analyzeTrace(carry).total_uops);
+    }
+    for (auto flavor : {mca::TraceFlavor::MqxFull,
+                        mca::TraceFlavor::MqxCarryOnly,
+                        mca::TraceFlavor::MqxMulOnly}) {
+        EXPECT_EQ(histogram(mca::traceKernel(mca::Kernel::LazyButterfly,
+                                             flavor, m)),
+                  histogram(mca::traceKernel(
+                      mca::Kernel::LazyButterflyCarry, flavor, m)))
+            << mca::flavorName(flavor);
+    }
+}
+
+TEST(McaTrace, Fig6ButterflyTracesArePinned)
+{
+    // The Fig. 6 butterfly (Listing 2/3 add + sub, Barrett multiply)
+    // must not move with the lazy helpers or the IFMA kernels: exact
+    // instruction counts for the AVX-512 base and full MQX flavors.
+    Modulus m = testModulus();
+    auto base = histogram(mca::traceKernel(mca::Kernel::Butterfly,
+                                           mca::TraceFlavor::Avx512, m));
+    const std::map<std::string, int> want_base = {
+        {"kandb", 4},       {"knotb", 1},     {"korb", 17},
+        {"vmovdqa64", 2},   {"vpaddq", 59},   {"vpaddq{k}", 14},
+        {"vpandq", 18},     {"vpblendmq", 8}, {"vpbroadcastq", 10},
+        {"vpcmpeqq", 4},    {"vpcmpuq", 35},  {"vpmullq", 11},
+        {"vpmuludq", 36},   {"vporq", 4},     {"vpsllq", 4},
+        {"vpsrlq", 58},     {"vpsubq", 10},   {"vpsubq{k}", 6}};
+    EXPECT_EQ(base, want_base);
+    auto mqx = histogram(mca::traceKernel(mca::Kernel::Butterfly,
+                                          mca::TraceFlavor::MqxFull, m));
+    const std::map<std::string, int> want_mqx = {
+        {"kandb", 3},     {"korb", 4},      {"vpadcq", 12},
+        {"vpaddq", 2},    {"vpaddq{k}", 4}, {"vpblendmq", 8},
+        {"vpcmpeqq", 3},  {"vpcmpuq", 8},   {"vpmullq", 2},
+        {"vpmulq", 9},    {"vporq", 4},     {"vpsbbq", 6},
+        {"vpsllq", 4},    {"vpsrlq", 4},    {"vpsubq", 4},
+        {"vpsubq{k}", 2}};
+    EXPECT_EQ(mqx, want_mqx);
 }
 
 TEST(McaPressure, RenderingContainsInstructionsAndPorts)

@@ -594,11 +594,11 @@ TEST(NttOrdering, ForwardIsBitReversedReference)
 TEST(NttBackendIfma, WordIdenticalToEmulatedAvx512)
 {
     // Backend::Avx512 is one tier body built twice: on the emulated
-    // 64x64 multiply and on IFMA 52-bit limbs. Every output word must
-    // agree, and so must the lazy [0, 2q) words a transform leaves in
-    // its scratch buffer (the last ping-pong stage before the output).
+    // 64x64 multiply and on IFMA 52-bit limbs (Shoup and Barrett). Every
+    // output word must agree, and so must the words a transform leaves
+    // in its scratch buffer (the last ping-pong stage before the output).
 #if MQX_BUILD_AVX512_IFMA
-    if (!ntt::avx512Ifma())
+    if (!avx512Ifma())
         GTEST_SKIP() << "host lacks AVX-512 IFMA (or XCR0 ZMM state): "
                         "Backend::Avx512 runs the emulated multiply only";
     namespace be = ntt::backends;
@@ -611,24 +611,26 @@ TEST(NttBackendIfma, WordIdenticalToEmulatedAvx512)
         ntt::NttPlan plan(prime, n);
         ResidueVector in =
             ResidueVector::fromU128(randomResidues(n, prime.q, 0x1f3a + n));
-        for (StageFusion fusion : {StageFusion::Radix2, StageFusion::Radix4}) {
-            SCOPED_TRACE(fusion == StageFusion::Radix2 ? "radix2" : "radix4");
+        for (auto [red, fusion] :
+             {std::pair{Reduction::ShoupLazy, StageFusion::Radix2},
+              std::pair{Reduction::ShoupLazy, StageFusion::Radix4},
+              std::pair{Reduction::Barrett, StageFusion::Radix2}}) {
+            SCOPED_TRACE(red == Reduction::Barrett
+                             ? "barrett"
+                             : (fusion == StageFusion::Radix2 ? "radix2"
+                                                              : "radix4"));
             ResidueVector fe(n), fse(n), fi(n), fsi(n);
             be::forwardAvx512(plan, in.span(), fe.span(), fse.span(),
-                              MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                              fusion);
+                              MulAlgo::Schoolbook, red, fusion);
             be::forwardAvx512Ifma(plan, in.span(), fi.span(), fsi.span(),
-                                  MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                                  fusion);
+                                  MulAlgo::Schoolbook, red, fusion);
             EXPECT_TRUE(same(fe, fi)) << "forward output";
             EXPECT_TRUE(same(fse, fsi)) << "forward lazy intermediates";
             ResidueVector ie(n), ise(n), ii(n), isi(n);
             be::inverseAvx512(plan, fe.span(), ie.span(), ise.span(),
-                              MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                              fusion);
+                              MulAlgo::Schoolbook, red, fusion);
             be::inverseAvx512Ifma(plan, fe.span(), ii.span(), isi.span(),
-                                  MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                                  fusion);
+                                  MulAlgo::Schoolbook, red, fusion);
             EXPECT_TRUE(same(ie, ii)) << "inverse output";
             EXPECT_TRUE(same(ise, isi)) << "inverse lazy intermediates";
             EXPECT_TRUE(same(ii, in)) << "roundtrip";
@@ -686,8 +688,8 @@ TEST(NttBackendIfma, DispatchFollowsCpuid)
     const bool expect = MQX_BUILD_AVX512_IFMA &&
                         backendAvailable(Backend::Avx512) &&
                         hostCpuFeatures().hasAvx512Ifma();
-    EXPECT_EQ(ntt::avx512Ifma(), expect);
-    const std::string kernel = ntt::avx512ShoupKernel();
+    EXPECT_EQ(avx512Ifma(), expect);
+    const std::string kernel = avx512Kernel();
     EXPECT_EQ(kernel, !backendAvailable(Backend::Avx512)
                           ? "unavailable"
                           : (expect ? "ifma" : "emulated"));

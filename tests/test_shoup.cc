@@ -16,7 +16,10 @@
  *
  * The vector multiplies of the AVX-512 tier (emulated 64x64 and IFMA
  * 52-bit limbs) are checked word for word against mod::mulModShoup at
- * every limb boundary, through the ntt_backends.h entry points.
+ * every limb boundary, through the ntt_backends.h entry points. The
+ * vector lazy add/sub helpers run in both forms (adc/sbb carry chain
+ * and headroom) on every non-MQX ISA compiled in, at the carry and
+ * borrow edges, against each other and a U128 oracle.
  */
 #include <gtest/gtest.h>
 
@@ -29,6 +32,7 @@
 #include "ntt/ntt.h"
 #include "ntt/ntt_backends.h"
 #include "ntt/prime.h"
+#include "simd/lazy_probe.h"
 #include "test_util.h"
 
 namespace mqx {
@@ -328,7 +332,7 @@ availableVectorShoups()
         out.emplace_back("avx512-emulated", ntt::backends::vmulShoupLazyAvx512);
 #endif
 #if MQX_BUILD_AVX512_IFMA
-    if (ntt::avx512Ifma())
+    if (avx512Ifma())
         out.emplace_back("avx512-ifma", ntt::backends::vmulShoupLazyAvx512Ifma);
 #endif
     return out;
@@ -337,11 +341,11 @@ availableVectorShoups()
 TEST(Shoup64Simd, ReportsAvx512Kernel)
 {
     // The line CI greps to log which AVX-512 multiply ran.
-    std::printf("AVX-512 Shoup kernel: %s\n", ntt::avx512ShoupKernel());
-    EXPECT_EQ(std::string(ntt::avx512ShoupKernel()),
+    std::printf("AVX-512 Shoup kernel: %s\n", avx512Kernel());
+    EXPECT_EQ(std::string(avx512Kernel()),
               !backendAvailable(Backend::Avx512)
                   ? "unavailable"
-                  : (ntt::avx512Ifma() ? "ifma" : "emulated"));
+                  : (avx512Ifma() ? "ifma" : "emulated"));
 }
 
 TEST(Shoup64Simd, LimbBoundariesMatchScalarShoup)
@@ -398,6 +402,151 @@ TEST(Shoup64Simd, LimbBoundariesMatchScalarShoup)
                     mod::toDw(a[i]), mod::toDw(w[i]), mod::toDw(wq[i]), q);
                 ASSERT_EQ(vc.at(i), mod::fromDw(want))
                     << "a=" << test::str(a[i]) << " w=" << test::str(w[i]);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lazy add/sub helpers: headroom form against the carry chain
+// ---------------------------------------------------------------------
+
+using LazyProbeFn = void (*)(simd::LazyOp, bool, const Modulus&, DConstSpan,
+                             DConstSpan, DSpan, DSpan);
+
+/** The lazy-helper probe of every non-MQX vector ISA this host runs. */
+std::vector<std::pair<const char*, LazyProbeFn>>
+availableLazyProbes()
+{
+    std::vector<std::pair<const char*, LazyProbeFn>> out;
+    out.emplace_back("portable", simd::lazyProbePortable);
+#if MQX_BUILD_AVX2
+    if (backendAvailable(Backend::Avx2))
+        out.emplace_back("avx2", simd::lazyProbeAvx2);
+#endif
+#if MQX_BUILD_AVX512
+    if (backendAvailable(Backend::Avx512))
+        out.emplace_back("avx512", simd::lazyProbeAvx512);
+#endif
+#if MQX_BUILD_AVX512_IFMA
+    if (avx512Ifma())
+        out.emplace_back("avx512-ifma", simd::lazyProbeAvx512Ifma);
+#endif
+    return out;
+}
+
+/** U128 oracle of one lazy op on one lane (c, and d for Butterfly). */
+std::pair<U128, U128>
+lazyOracle(simd::LazyOp op, const U128& q, const U128& x, const U128& y)
+{
+    const U128 q2 = q + q;
+    auto condSub = [](const U128& v, const U128& b) {
+        return v >= b ? v - b : v;
+    };
+    switch (op) {
+      case simd::LazyOp::AddLazy:
+        return {condSub(x + y, q2), U128{}};
+      case simd::LazyOp::SubLazyRaw:
+        return {x + q2 - y, U128{}};
+      case simd::LazyOp::SubLazy:
+        return {condSub(x + q2 - y, q2), U128{}};
+      case simd::LazyOp::CondSub:
+        return {condSub(x, y), U128{}};
+      case simd::LazyOp::Butterfly: {
+        const DW<uint64_t> qd = mod::toDw(q);
+        const DW<uint64_t> w = mod::toDw(q - U128::fromParts(0, 1));
+        const DW<uint64_t> v = mod::mulModShoup(
+            mod::toDw(x + q2 - y), w, mod::shoupPrecompute(w, qd), qd);
+        return {condSub(x + y, q2), mod::fromDw(v)};
+      }
+    }
+    return {};
+}
+
+TEST(LazyHeadroom, CarryEdgesMatchCarryChainOnEveryIsa)
+{
+    // Lanes sit on the carry/borrow edges: low word 2^64 - 1, and x in
+    // {b - 1, b, 2b - 1, 4q - 1} around the bounds b = q (the
+    // canonicalization) and b = 2q (the lazy bound). q spans the
+    // 124-bit ceiling, a two-word 66-bit prime and a one-word 61-bit
+    // prime (hi words all zero).
+    using simd::LazyOp;
+    const U128 one = U128::fromParts(0, 1);
+    const U128 lo_ones = U128::fromParts(0, ~uint64_t{0});
+    for (const U128& q :
+         {ntt::defaultBenchPrime().q, ntt::smallTestPrime().q,
+          ntt::findNttPrime(61, 16).q}) {
+        const Modulus m(q);
+        const U128 q2 = q + q, q4 = q2 + q2;
+        // Operands below 2q for the add/sub ops: the edges, values
+        // whose low word is all ones, and random residues.
+        std::vector<U128> ops = {U128{}, one, q - one, q, q2 - one};
+        for (uint64_t hi : {uint64_t{0}, q.hi, q2.hi - (q2.hi != 0)}) {
+            const U128 v = U128::fromParts(hi, 0) + lo_ones;
+            if (v < q2)
+                ops.push_back(v);
+        }
+        SplitMix64 rng(0x4e77 + q.lo);
+        for (int i = 0; i < 8; ++i)
+            ops.push_back(rng.nextBelow(q2));
+        // CondSub lanes: x around b for b in {q, 2q}, plus all-ones
+        // low words up to 4q.
+        std::vector<std::pair<U128, U128>> cond;
+        for (const U128& b : {q, q2}) {
+            for (const U128& x :
+                 {U128{}, b - one, b, b + one, b + b - one, q4 - one})
+                cond.emplace_back(x, b);
+            for (uint64_t hi : {uint64_t{0}, b.hi, q4.hi - (q4.hi != 0)}) {
+                const U128 x = U128::fromParts(hi, 0) + lo_ones;
+                if (x < q4)
+                    cond.emplace_back(x, b);
+            }
+        }
+        for (LazyOp op : {LazyOp::AddLazy, LazyOp::SubLazyRaw,
+                          LazyOp::SubLazy, LazyOp::CondSub,
+                          LazyOp::Butterfly}) {
+            std::vector<U128> xs, ys;
+            if (op == LazyOp::CondSub) {
+                for (const auto& [x, b] : cond) {
+                    xs.push_back(x);
+                    ys.push_back(b);
+                }
+            } else {
+                for (const U128& x : ops)
+                    for (const U128& y : ops) {
+                        xs.push_back(x);
+                        ys.push_back(y);
+                    }
+            }
+            while (xs.size() % 8 != 0) { // whole vectors on every ISA
+                xs.push_back(xs.front());
+                ys.push_back(ys.front());
+            }
+            const size_t n = xs.size();
+            ResidueVector vx = ResidueVector::fromU128(xs);
+            ResidueVector vy = ResidueVector::fromU128(ys);
+            for (const auto& [name, probe] : availableLazyProbes()) {
+                SCOPED_TRACE(std::string(name) + " q bits " +
+                             std::to_string(m.bits()) + " op " +
+                             std::to_string(static_cast<int>(op)));
+                ResidueVector cc(n), dc(n), ch(n), dh(n);
+                probe(op, true, m, vx.span(), vy.span(), cc.span(),
+                      dc.span());
+                probe(op, false, m, vx.span(), vy.span(), ch.span(),
+                      dh.span());
+                for (size_t i = 0; i < n; ++i) {
+                    const auto [c, d] = lazyOracle(op, q, xs[i], ys[i]);
+                    ASSERT_EQ(cc.at(i), c) << "carry chain, x="
+                                           << test::str(xs[i])
+                                           << " y=" << test::str(ys[i]);
+                    ASSERT_EQ(ch.at(i), c) << "headroom, x="
+                                           << test::str(xs[i])
+                                           << " y=" << test::str(ys[i]);
+                    if (op == LazyOp::Butterfly) {
+                        ASSERT_EQ(dc.at(i), d) << "carry chain v";
+                        ASSERT_EQ(dh.at(i), d) << "headroom v";
+                    }
+                }
             }
         }
     }

@@ -1,9 +1,9 @@
 /**
- * Fixture backends header: three declarations in the scanned
+ * Fixture backends header: two declarations in the scanned
  * `namespace backends` region.
  *  - forwardScalar: defined in ntt_scalar.cc with validation (clean).
  *  - rawScalar: defined WITHOUT validation (fires dspan-validate once).
- *  - missingScalar: never defined (fires backend-coverage once).
+ * backend-coverage fires in the BLAS fixture (src/blas/).
  */
 #pragma once
 
@@ -13,7 +13,6 @@ namespace backends {
 
 void forwardScalar(const NttPlan&, DConstSpan, DSpan, DSpan);
 void rawScalar(const NttPlan&, DConstSpan, DSpan);
-void missingScalar(const NttPlan&, DConstSpan, DSpan);
 
 } // namespace backends
 } // namespace ntt

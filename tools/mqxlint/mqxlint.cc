@@ -298,7 +298,9 @@ class Linter
     }
 
     /**
-     * ParPar-style tier bodies (src/ntt/ntt_avx512_tier.inc): a TU that
+     * ParPar-style tier bodies (src/ntt/ntt_avx512_tier.inc and
+     * src/blas/blas_avx512_tier.inc, each compiled as the emulated
+     * *_avx512.cc and the IFMA *_avx512_ifma.cc): a TU that
      * does `#define M(name) name##Suffix` and then includes "x.inc"
      * defines every `M(fn)` of x.inc as fnSuffix. Each instantiation is
      * linted as its own file — the body's path and line numbers with
