@@ -18,6 +18,7 @@
 #include "blas/blas_backends.h"
 #include "core/batch_layout.h"
 #include "engine/thread_pool.h"
+#include "ntt/negacyclic.h"
 #include "ntt/ntt_backends.h"
 
 using namespace mqx;
@@ -133,6 +134,29 @@ measureBatchFwdInvNs(Backend be, const ntt::NttPlan& plan, size_t n, size_t k,
         },
         total, kept);
     return {per.min_ns, bat.min_ns};
+}
+
+/** NegacyclicEngine forward, inverse and polymul ns for one (backend, n). */
+struct NegacyclicNs
+{
+    double forward = 0.0, inverse = 0.0, polymul = 0.0;
+};
+
+NegacyclicNs
+measureNegacyclicNs(Backend be, const ntt::NttPrime& prime, size_t n,
+                    int total, int kept)
+{
+    ntt::NegacyclicEngine eng(prime, n, be);
+    const U128 q = prime.q;
+    ResidueVector f = ResidueVector::fromU128(randomResidues(n, q, 0x2e91));
+    ResidueVector g = ResidueVector::fromU128(randomResidues(n, q, 0x2e92));
+    ResidueVector fe(n), out(n);
+    auto time = [&](auto&& op) { return runProtocol(op, total, kept).min_ns; };
+    NegacyclicNs r;
+    r.forward = time([&] { eng.forward(f.span(), fe.span()); });
+    r.inverse = time([&] { eng.inverse(fe.span(), out.span()); });
+    r.polymul = time([&] { eng.polymul(f.span(), g.span(), out.span()); });
+    return r;
 }
 
 /** JSON label of a concrete stage-fusion shape. */
@@ -414,6 +438,44 @@ runJsonMode(const char* path)
                          "batch=%.0fns (%.2fx, %.1f GB/s)\n",
                          backendName(be).c_str(), batch_n, k, il, per_ns,
                          bat_ns, speedup, gbps);
+        }
+    }
+    os << "\n  ],\n";
+    // The merged negacyclic transform (psi and n^-1 folded into the
+    // Pease stages) through NegacyclicEngine, against the cyclic
+    // fwd+inv in its default shape: polymul_vs_fwdinv is the ROADMAP's
+    // "channel polymul vs ~1.5 kernel transforms" row (a polymul is two
+    // forwards, one point-wise product and one inverse).
+    os << "  \"negacyclic\": [\n";
+    first = true;
+    for (size_t n : {size_t{4096}, size_t{32768}}) {
+        ntt::NttPlan plan(prime, n);
+        int total = 0, kept = 0;
+        pinnedIters(n, total, kept);
+        for (Backend be : backends) {
+            const NegacyclicNs neg =
+                measureNegacyclicNs(be, prime, n, total, kept);
+            const double fwdinv = measureFwdInvNs(
+                be, plan, n, Reduction::ShoupLazy,
+                ntt::resolveStageFusion(be, n, StageFusion::Auto), total,
+                kept);
+            const double ratio = fwdinv > 0.0 ? neg.polymul / fwdinv : 0.0;
+            if (!first)
+                os << ",\n";
+            first = false;
+            os << "    {\"backend\": \"" << backendName(be)
+               << "\", \"n\": " << n
+               << ", \"forward_ns\": " << formatFixed(neg.forward, 1)
+               << ", \"inverse_ns\": " << formatFixed(neg.inverse, 1)
+               << ", \"polymul_ns\": " << formatFixed(neg.polymul, 1)
+               << ", \"cyclic_fwdinv_ns\": " << formatFixed(fwdinv, 1)
+               << ", \"polymul_vs_fwdinv\": " << formatFixed(ratio, 3)
+               << "}";
+            std::fprintf(stderr,
+                         "  negacyclic %-10s n=%6zu fwd=%.0fns inv=%.0fns "
+                         "polymul=%.0fns (%.2fx cyclic fwd+inv)\n",
+                         backendName(be).c_str(), n, neg.forward,
+                         neg.inverse, neg.polymul, ratio);
         }
     }
     os << "\n  ],\n";

@@ -33,7 +33,7 @@ enum class MulAlgo
 
 /**
  * Reduction strategy for kernels whose multiplications have a fixed,
- * precomputable operand (NTT twiddles, twist tables, n^-1).
+ * precomputable operand (NTT twiddles, psi tables, n^-1).
  *
  * ShoupLazy is the steady-state default: every twiddle carries a
  * precomputed quotient wq = floor(w * 2^128 / q) (Shoup/Harvey), the

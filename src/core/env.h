@@ -2,9 +2,9 @@
  * @file
  * Hardened environment-variable parsing (ISSUE 9 satellite).
  *
- * Tuning knobs like MQX_THREADS and MQX_PREFETCH_DIST are read from the
- * environment in process-wide one-shot initializers, so a malformed
- * value must degrade to the built-in default — never throw from a
+ * Tuning knobs like MQX_THREADS, MQX_PREFETCH_DIST and MQX_TELEMETRY are
+ * read from the environment in process-wide one-shot initializers, so a
+ * malformed value must degrade to the built-in default — never throw from a
  * static initializer, never silently clamp garbage to a surprising
  * number. envUint rejects empty strings, trailing garbage ("4x"),
  * negative values (strtoull would silently wrap them to huge unsigned
@@ -70,6 +70,29 @@ envUint(const char* var, uint64_t fallback, uint64_t min_ok = 0,
         return fallback;
     }
     return static_cast<uint64_t>(v);
+}
+
+/**
+ * Parse @p var as an on/off switch: "1", "on" or "ON" is true; "0",
+ * "off" or "OFF" is false. Unset/empty returns @p fallback silently;
+ * any other value returns @p fallback with a one-time telemetry note.
+ */
+inline bool
+envSwitch(const char* var, bool fallback)
+{
+    const char* env = std::getenv(var);
+    if (!env || !*env)
+        return fallback;
+    for (const char* on : {"1", "on", "ON"}) {
+        if (std::strcmp(env, on) == 0)
+            return true;
+    }
+    for (const char* off : {"0", "off", "OFF"}) {
+        if (std::strcmp(env, off) == 0)
+            return false;
+    }
+    detail::noteEnvFallback(var);
+    return fallback;
 }
 
 } // namespace core

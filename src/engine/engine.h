@@ -126,8 +126,8 @@ class Engine
 
     /**
      * a * b mod (x^n + 1, Q) for Coeff-form operands: each channel runs
-     * the full twist + NTT + point-wise + inverse pipeline on a pool
-     * thread, with the cyclic plan taken from the cache and the scratch
+     * the merged negacyclic forward + point-wise + inverse pipeline on a
+     * pool thread, with the cyclic plan taken from the cache and the scratch
      * leased from the workspace pool.
      */
     rns::RnsPolynomial polymulNegacyclic(const rns::RnsPolynomial& a,

@@ -48,10 +48,10 @@ class PlanCache
     }
 
     /**
-     * The negacyclic tables (plan + psi twist tables) for (q, n),
+     * The negacyclic tables (plan + merged psi tables) for (q, n),
      * memoized the same way — so a warm polymul does no modular setup
      * math at all. Reuses the plan map: a tables miss that finds the
-     * cyclic plan already cached builds only the twist tables.
+     * cyclic plan already cached builds only the psi tables.
      *
      * @throws InvalidArgument unless 2n | q - 1.
      */
@@ -82,7 +82,7 @@ class PlanCache
      * Total bytes of precomputed-table storage held by the cache:
      * every ready plan's twiddleBytes() — which counts the compact
      * power tables AND their Shoup companions — plus every ready
-     * negacyclic entry's twist tableBytes() (twist/untwist values and
+     * negacyclic entry's tableBytes() (forward/inverse psi tables and
      * companions). In-flight entries (still building) contribute 0.
      * This is the real L2 footprint the paper's §5.4 discussion cares
      * about, not just the twiddle values.
@@ -103,7 +103,7 @@ class PlanCache
      * and waits on another thread's in-flight build is a miss but not
      * a build, so builds <= misses, and a warm second lookup of the
      * same key is one hit and zero new builds. build_ns is the total
-     * wall time spent inside derivations (twiddle/twist table math);
+     * wall time spent inside derivations (twiddle/psi table math);
      * the per-build latency distribution is the "plancache.build"
      * telemetry span.
      */

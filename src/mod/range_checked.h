@@ -276,6 +276,13 @@ struct LazyOps
         return DW<uint64_t>{hi[i], lo[i]};
     }
 
+    static constexpr V4q
+    load4q(const uint64_t* hi, const uint64_t* lo, size_t i,
+           const DW<uint64_t>& /*q*/)
+    {
+        return DW<uint64_t>{hi[i], lo[i]};
+    }
+
     static constexpr Vq
     twiddle(const DW<uint64_t>& w, const DW<uint64_t>& /*q*/)
     {
@@ -345,6 +352,13 @@ struct CheckedLazyOps
            const DW<uint64_t>& q)
     {
         return V2q::fromRaw(DW<uint64_t>{hi[i], lo[i]}, q, "load2q");
+    }
+
+    static constexpr V4q
+    load4q(const uint64_t* hi, const uint64_t* lo, size_t i,
+           const DW<uint64_t>& q)
+    {
+        return V4q::fromRaw(DW<uint64_t>{hi[i], lo[i]}, q, "load4q");
     }
 
     static constexpr Vq

@@ -4,6 +4,7 @@
  */
 #include "ntt/negacyclic.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -57,11 +58,11 @@ checkSpans(DConstSpan in, DConstSpan out, size_t n, const char* what)
 } // namespace
 
 NegacyclicTables::NegacyclicTables(std::shared_ptr<const NttPlan> plan)
-    : plan_(requirePlan(std::move(plan))), twist_(plan_->n()),
-      untwist_(plan_->n()), twist_shoup_(plan_->n()),
-      untwist_shoup_(plan_->n())
+    : plan_(requirePlan(std::move(plan))), fwd_(plan_->n()),
+      inv_(plan_->n()), fwd_shoup_(plan_->n()), inv_shoup_(plan_->n())
 {
     const size_t n = plan_->n();
+    const int logn = plan_->logn();
     const Modulus& m = plan_->modulus();
     // psi: primitive 2n-th root with psi^2 == omega. rootOfUnity gives a
     // 2n-order element; square it and, since both psi^2 and omega
@@ -97,21 +98,27 @@ NegacyclicTables::NegacyclicTables(std::shared_ptr<const NttPlan> plan)
     checkArg(m.mul(psi_, psi_) == plan_->omega(),
              "NegacyclicTables: psi^2 != omega (internal)");
 
-    U128 psi_inv = m.inverse(psi_);
+    // One pass over p = psi^e fills both directions with n multiplies:
+    // forward entry brev(e) is psi^e, and inverse entry brev(n - e) is
+    // psi^-(n-e) = psi^(n+e) = -psi^e.
+    U128 p{1};
+    for (size_t e = 0; e < n; ++e) {
+        fwd_.set(bitReverseIndex(e, logn), p);
+        if (e != 0)
+            inv_.set(bitReverseIndex(n - e, logn), m.sub(U128{0}, p));
+        p = m.mul(p, psi_);
+    }
+    // The last inverse stage reads entries 0 and 1 only: entry 0 becomes
+    // n^-1 (its sum branch) and n^-1 folds into entry 1.
+    const U128 n_inv = plan_->nInv();
+    inv_.set(0, n_inv);
+    inv_.set(1, m.mul(inv_.at(1), n_inv));
     const mod::DW<uint64_t> qd = mod::toDw(m.value());
-    U128 acc_f{1}, acc_i{1};
-    for (size_t i = 0; i < n; ++i) {
-        twist_.set(i, acc_f);
-        untwist_.set(i, acc_i);
-        // Shoup companions: the twist passes are multiplications by a
-        // fixed table, so they get the same precomputed-quotient
-        // treatment as the twiddles.
-        twist_shoup_.set(
-            i, mod::fromDw(mod::shoupPrecompute(mod::toDw(acc_f), qd)));
-        untwist_shoup_.set(
-            i, mod::fromDw(mod::shoupPrecompute(mod::toDw(acc_i), qd)));
-        acc_f = m.mul(acc_f, psi_);
-        acc_i = m.mul(acc_i, psi_inv);
+    for (size_t k = 0; k < n; ++k) {
+        fwd_shoup_.set(k, mod::fromDw(mod::shoupPrecompute(
+                              mod::toDw(fwd_.at(k)), qd)));
+        inv_shoup_.set(k, mod::fromDw(mod::shoupPrecompute(
+                              mod::toDw(inv_.at(k)), qd)));
     }
 }
 
@@ -157,38 +164,41 @@ NegacyclicEngine::auxBuffer(size_t slot)
     return aux_[slot];
 }
 
+namespace {
+
+/**
+ * The merged kernels ping-pong out of place, so an input that IS the
+ * output is staged into @p stage first; any other input passes through.
+ */
+DConstSpan
+stageAliasedInput(DConstSpan in, DConstSpan out, ResidueVector& stage)
+{
+    if (!sameSpan(in, out))
+        return in;
+    DSpan s = stage.span();
+    std::copy_n(in.hi, in.n, s.hi);
+    std::copy_n(in.lo, in.n, s.lo);
+    return s;
+}
+
+} // namespace
+
 void
 NegacyclicEngine::forward(DConstSpan in, DSpan out)
 {
     MQX_SCOPED_SPAN(op_span, "negacyclic.forward");
-    const NttPlan& plan = tables_->plan();
-    checkSpans(in, out, plan.n(), "NegacyclicEngine::forward");
-    // Twist then cyclic forward. The twist is a fixed-table multiply, so
-    // it runs as a Shoup pass against the precomputed companions. `in`
-    // is fully consumed by the twist pass into buf_a_, so out == in is
-    // safe.
-    {
-        MQX_SCOPED_SPAN(twist_span, "negacyclic.twist");
-        ntt::vmulShoup(backend_, plan.modulus(), in,
-                       tables_->twist().span(),
-                       tables_->twistShoup().span(), buf_a_.span());
-    }
-    ntt::forward(plan, backend_, buf_a_.span(), out, scratch_.span());
+    checkSpans(in, out, tables_->plan().n(), "NegacyclicEngine::forward");
+    negacyclicForward(*tables_, backend_, stageAliasedInput(in, out, buf_a_),
+                      out, scratch_.span());
 }
 
 void
 NegacyclicEngine::inverse(DConstSpan in, DSpan out)
 {
     MQX_SCOPED_SPAN(op_span, "negacyclic.inverse");
-    const NttPlan& plan = tables_->plan();
-    checkSpans(in, out, plan.n(), "NegacyclicEngine::inverse");
-    ntt::inverse(plan, backend_, in, buf_a_.span(), scratch_.span());
-    {
-        MQX_SCOPED_SPAN(untwist_span, "negacyclic.untwist");
-        ntt::vmulShoup(backend_, plan.modulus(), buf_a_.span(),
-                       tables_->untwist().span(),
-                       tables_->untwistShoup().span(), out);
-    }
+    checkSpans(in, out, tables_->plan().n(), "NegacyclicEngine::inverse");
+    negacyclicInverse(*tables_, backend_, stageAliasedInput(in, out, buf_a_),
+                      out, scratch_.span());
 }
 
 void

@@ -4,16 +4,24 @@
  *
  * The paper's kernels compute cyclic transforms; RLWE-based FHE schemes
  * (the workload motivating Section 1) actually multiply in the
- * negacyclic ring. The classic reduction: with psi a primitive 2n-th
- * root of unity (psi^2 = omega_n),
+ * negacyclic ring. With psi a primitive 2n-th root of unity
+ * (psi^2 = omega_n), the negacyclic product is
  *
  *     negacyclic_conv(f, g)[k]
  *         = psi^-k * INTT( NTT(psi^i f_i) .* NTT(psi^j g_j) )[k],
  *
- * so a negacyclic product costs one cyclic pipeline plus two twist
- * passes, which are plain point-wise multiplies — reusing the paper's
- * BLAS kernels. Requires 2n | q - 1 (one extra factor of two of
- * 2-adicity).
+ * but no twist pass runs: psi is merged into the Pease stage twiddles
+ * (Longa-Naehrig 2016; Seiler 2018). The forward transform is a Harvey
+ * Cooley-Tukey butterfly on the cyclic forward's wiring (read j and
+ * j + n/2, write 2j and 2j + 1) and splits x^n + 1 level by level:
+ * stage s, butterfly j reduces modulo x^(n/2^(s+1)) -+ zeta with zeta =
+ * psi^brev(2^s + (j mod 2^s)). The inverse runs the Gentleman-Sande
+ * butterfly on the cyclic inverse's wiring with the inverted twiddles
+ * and folds n^-1 into its last stage. So a product costs two forwards,
+ * one point-wise multiply and one inverse — no separate twist, untwist
+ * or n^-1 pass — and its outputs are word-identical to the twisted
+ * cyclic pipeline (same bit-reversed evaluation order, canonical
+ * words). Requires 2n | q - 1 (one extra factor of two of 2-adicity).
  *
  * Data layout: the staged primitives are span-based and SoA-native —
  * they consume and produce split hi/lo views (core/residue_span.h)
@@ -23,10 +31,13 @@
  * reference comparators (each conversion is counted in
  * layout::metrics()).
  *
- * Aliasing rules (every span primitive): an input may be the EXACT
- * same span as the output (in == out, in-place operation — every
- * backend loads a block before storing it), but a partial overlap is
- * rejected with InvalidArgument.
+ * Aliasing rules (every NegacyclicEngine span primitive): an input may
+ * be the EXACT same span as the output (in == out, in-place operation:
+ * the point-wise ops load each block before storing it, and forward()/
+ * inverse() copy an aliased input into a work buffer first, since the
+ * Pease ping-pong is out of place), but a partial overlap is rejected
+ * with InvalidArgument. The free negacyclicForward/Inverse functions
+ * follow ntt::forward's contract instead: distinct buffers only.
  */
 #pragma once
 
@@ -50,10 +61,19 @@ namespace ntt {
 
 /**
  * The immutable, shareable part of a negacyclic transform over one
- * (q, n): the cyclic plan plus psi and its twist tables. A pure
- * function of (q, n), so engine::PlanCache memoizes whole instances
- * and threads share them freely; per-call scratch lives in
- * NegacyclicEngine.
+ * (q, n): the cyclic plan, psi, and the merged transform's per-level
+ * twiddle tables. A pure function of (q, n), so engine::PlanCache
+ * memoizes whole instances and threads share them freely; per-call
+ * scratch lives in NegacyclicEngine.
+ *
+ * Table layout (one table of n entries per direction, plus Shoup
+ * companions): stage s, butterfly j reads entry 2^s + (j mod 2^s). The
+ * entries walk the factor tree of x^n + 1 = x^n - psi^n: entry 2^s + b
+ * holds the zeta that splits factor b of level s, x^(2m) - zeta^2, into
+ * x^m - zeta and x^m + zeta (children 2b and 2b + 1 of level s + 1).
+ * The root's zeta is psi^(n/2), and a factor x^(2m) - psi^g has
+ * children with g/2 and g/2 + n, which works out to entry k =
+ * psi^brev(k) (brev: log2(n)-bit reversal).
  *
  * @throws InvalidArgument unless n is a power of two and 2n divides
  * q - 1 (i.e. the prime's 2-adicity is at least log2(n) + 1).
@@ -65,14 +85,21 @@ class NegacyclicTables
 
     const NttPlan& plan() const { return *plan_; }
     U128 psi() const { return psi_; }
-    const ResidueVector& twist() const { return twist_; }
-    const ResidueVector& untwist() const { return untwist_; }
-    /** Shoup companions of twist()/untwist() (per-element quotients). */
-    const ResidueVector& twistShoup() const { return twist_shoup_; }
-    const ResidueVector& untwistShoup() const { return untwist_shoup_; }
+
+    /** Forward twiddles: entry k = psi^brev(k) (entry 0 = 1, unread). */
+    const ResidueVector& forwardTwiddles() const { return fwd_; }
+    /**
+     * Inverse twiddles: entry k >= 2 = psi^-brev(k). The last inverse
+     * stage (s = 0) folds in n^-1, so entry 1 = psi^-(n/2) * n^-1 (its
+     * difference branch) and entry 0 = n^-1 (its sum branch).
+     */
+    const ResidueVector& inverseTwiddles() const { return inv_; }
+    /** Shoup companions floor(w * 2^128 / q) of the two tables. */
+    const ResidueVector& forwardTwiddlesShoup() const { return fwd_shoup_; }
+    const ResidueVector& inverseTwiddlesShoup() const { return inv_shoup_; }
 
     /**
-     * Bytes of twist-table storage including the Shoup companions
+     * Bytes of merged-twiddle storage including the Shoup companions
      * (4 split-layout vectors of n elements) — the negacyclic side of
      * the plan-cache footprint accounting.
      */
@@ -85,11 +112,42 @@ class NegacyclicTables
   private:
     std::shared_ptr<const NttPlan> plan_;
     U128 psi_;
-    ResidueVector twist_;          ///< psi^i
-    ResidueVector untwist_;        ///< psi^-i
-    ResidueVector twist_shoup_;    ///< floor(psi^i * 2^128 / q)
-    ResidueVector untwist_shoup_;  ///< floor(psi^-i * 2^128 / q)
+    ResidueVector fwd_;       ///< psi^brev(k)
+    ResidueVector inv_;       ///< psi^-brev(k), n^-1 folded into 0 and 1
+    ResidueVector fwd_shoup_; ///< floor(fwd_[k] * 2^128 / q)
+    ResidueVector inv_shoup_; ///< floor(inv_[k] * 2^128 / q)
 };
+
+/**
+ * Merged negacyclic forward transform of one channel: natural-order
+ * canonical input, bit-reversed canonical output, word-identical to
+ * ntt::forward of the input twisted by psi^i. Same buffer contract as
+ * ntt::forward (in, out and scratch pairwise distinct).
+ *
+ * @throws BackendUnavailable if @p backend cannot run on this host.
+ */
+void negacyclicForward(const NegacyclicTables& tables, Backend backend,
+                       DConstSpan in, DSpan out, DSpan scratch);
+
+/** Merged negacyclic inverse (n^-1 and the psi^-i untwist included). */
+void negacyclicInverse(const NegacyclicTables& tables, Backend backend,
+                       DConstSpan in, DSpan out, DSpan scratch);
+
+/**
+ * negacyclicForward over @p il channels packed in the interleaved batch
+ * layout (batch::packLanes; il * n words per half): each twiddle vector
+ * is loaded once and reused across the lanes. Per lane word-identical
+ * to negacyclicForward. @throws InvalidArgument unless
+ * batchSupported(tables.plan()).
+ */
+void negacyclicForwardBatch(const NegacyclicTables& tables, Backend backend,
+                            size_t il, DConstSpan in, DSpan out,
+                            DSpan scratch);
+
+/** Batch counterpart of negacyclicInverse. */
+void negacyclicInverseBatch(const NegacyclicTables& tables, Backend backend,
+                            size_t il, DConstSpan in, DSpan out,
+                            DSpan scratch);
 
 /**
  * Negacyclic transform engine over one (q, n): shared tables plus the
@@ -101,13 +159,13 @@ class NegacyclicTables
 class NegacyclicEngine
 {
   public:
-    /** Derive plan and twist tables from scratch. */
+    /** Derive plan and merged twiddle tables from scratch. */
     NegacyclicEngine(const NttPrime& prime, size_t n, Backend backend);
     NegacyclicEngine(const NttPrime& prime, size_t n);
 
     /**
      * Build on an existing cyclic plan (skips the O(n log n) twiddle
-     * re-derivation; only the psi twist tables are computed).
+     * re-derivation; only the merged psi tables are computed).
      */
     NegacyclicEngine(std::shared_ptr<const NttPlan> plan, Backend backend);
 
@@ -139,12 +197,13 @@ class NegacyclicEngine
     // ------------------------------------------------------------------
 
     /**
-     * Forward negacyclic transform: twist by psi^i then cyclic forward.
-     * Output in bit-reversed order (same convention as ntt::forward).
+     * Forward negacyclic transform (negacyclicForward): the values of
+     * the cyclic forward of psi^i * in[i], in bit-reversed order (same
+     * convention as ntt::forward).
      */
     void forward(DConstSpan in, DSpan out);
 
-    /** Inverse: cyclic inverse then untwist by psi^-i. */
+    /** Inverse (negacyclicInverse): forward()'s exact inverse. */
     void inverse(DConstSpan in, DSpan out);
 
     /**

@@ -5,6 +5,8 @@
 #include "ntt/ntt.h"
 
 #include "core/config.h"
+#include "ntt/negacyclic.h"
+#include "ntt/negacyclic_backends.h"
 #include "ntt/ntt_backends.h"
 #include "telemetry/telemetry.h"
 
@@ -22,16 +24,24 @@ requireAvailable(Backend backend)
     }
 }
 
+/** One backend's merged negacyclic entry points (ntt/negacyclic.h). */
+struct NegacyclicKernels
+{
+    decltype(&backends::negacyclicForwardScalar) forward;
+    decltype(&backends::negacyclicInverseScalar) inverse;
+    decltype(&backends::negacyclicForwardBatchScalar) forwardBatch;
+    decltype(&backends::negacyclicInverseBatchScalar) inverseBatch;
+};
+
 #if MQX_BUILD_AVX512
 /** The Backend::Avx512 entry points: one tier body, two multiplies. */
 struct Avx512Tier
 {
     decltype(&backends::forwardAvx512) forward;
     decltype(&backends::inverseAvx512) inverse;
-    decltype(&backends::vmulShoupAvx512) vmulShoup;
     decltype(&backends::forwardBatchAvx512) forwardBatch;
     decltype(&backends::inverseBatchAvx512) inverseBatch;
-    decltype(&backends::vmulShoupBatchAvx512) vmulShoupBatch;
+    NegacyclicKernels negacyclic;
 };
 
 const Avx512Tier&
@@ -40,24 +50,108 @@ avx512Tier()
     static const Avx512Tier tier = [] {
 #if MQX_BUILD_AVX512_IFMA
         if (avx512Ifma())
-            return Avx512Tier{
-                &backends::forwardAvx512Ifma,
-                &backends::inverseAvx512Ifma,
-                &backends::vmulShoupAvx512Ifma,
-                &backends::forwardBatchAvx512Ifma,
-                &backends::inverseBatchAvx512Ifma,
-                &backends::vmulShoupBatchAvx512Ifma};
+            return Avx512Tier{&backends::forwardAvx512Ifma,
+                              &backends::inverseAvx512Ifma,
+                              &backends::forwardBatchAvx512Ifma,
+                              &backends::inverseBatchAvx512Ifma,
+                              {&backends::negacyclicForwardAvx512Ifma,
+                               &backends::negacyclicInverseAvx512Ifma,
+                               &backends::negacyclicForwardBatchAvx512Ifma,
+                               &backends::negacyclicInverseBatchAvx512Ifma}};
 #endif
         return Avx512Tier{&backends::forwardAvx512,
                           &backends::inverseAvx512,
-                          &backends::vmulShoupAvx512,
                           &backends::forwardBatchAvx512,
                           &backends::inverseBatchAvx512,
-                          &backends::vmulShoupBatchAvx512};
+                          {&backends::negacyclicForwardAvx512,
+                           &backends::negacyclicInverseAvx512,
+                           &backends::negacyclicForwardBatchAvx512,
+                           &backends::negacyclicInverseBatchAvx512}};
     }();
     return tier;
 }
+
+/** The MQX entry points for one mode, as captureless forwarders. */
+template <bool kPisa>
+const NegacyclicKernels&
+mqxNegacyclic()
+{
+    static const NegacyclicKernels k{
+        [](const NegacyclicTables& t, DConstSpan in, DSpan out,
+           DSpan scratch) {
+            backends::negacyclicForwardMqx(kPisa, t, in, out, scratch);
+        },
+        [](const NegacyclicTables& t, DConstSpan in, DSpan out,
+           DSpan scratch) {
+            backends::negacyclicInverseMqx(kPisa, t, in, out, scratch);
+        },
+        [](const NegacyclicTables& t, size_t il, DConstSpan in, DSpan out,
+           DSpan scratch) {
+            backends::negacyclicForwardBatchMqx(kPisa, t, il, in, out,
+                                                scratch);
+        },
+        [](const NegacyclicTables& t, size_t il, DConstSpan in, DSpan out,
+           DSpan scratch) {
+            backends::negacyclicInverseBatchMqx(kPisa, t, il, in, out,
+                                                scratch);
+        }};
+    return k;
+}
 #endif
+
+const NegacyclicKernels&
+negacyclicKernels(Backend backend)
+{
+    requireAvailable(backend);
+    static const NegacyclicKernels scalar{
+        &backends::negacyclicForwardScalar,
+        &backends::negacyclicInverseScalar,
+        &backends::negacyclicForwardBatchScalar,
+        &backends::negacyclicInverseBatchScalar};
+    static const NegacyclicKernels portable{
+        &backends::negacyclicForwardPortable,
+        &backends::negacyclicInversePortable,
+        &backends::negacyclicForwardBatchPortable,
+        &backends::negacyclicInverseBatchPortable};
+    switch (backend) {
+      case Backend::Scalar:
+        return scalar;
+      case Backend::Portable:
+        return portable;
+      case Backend::Avx2: {
+#if MQX_BUILD_AVX2
+        static const NegacyclicKernels avx2{
+            &backends::negacyclicForwardAvx2,
+            &backends::negacyclicInverseAvx2,
+            &backends::negacyclicForwardBatchAvx2,
+            &backends::negacyclicInverseBatchAvx2};
+        return avx2;
+#else
+        break;
+#endif
+      }
+      case Backend::Avx512:
+#if MQX_BUILD_AVX512
+        return avx512Tier().negacyclic;
+#else
+        break;
+#endif
+      case Backend::MqxEmulate:
+#if MQX_BUILD_AVX512
+        return mqxNegacyclic<false>();
+#else
+        break;
+#endif
+      case Backend::MqxPisa:
+#if MQX_BUILD_AVX512
+        return mqxNegacyclic<true>();
+#else
+        break;
+#endif
+    }
+    throw BackendUnavailable("NTT backend not compiled in: " +
+                             backendName(backend));
+}
 
 } // namespace
 
@@ -170,51 +264,6 @@ inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
 #if MQX_BUILD_AVX512
         backends::inverseMqxImpl(plan, MqxVariant::Full, true, in, out,
                                  scratch, algo, red, fusion);
-        return;
-#else
-        break;
-#endif
-    }
-    throw BackendUnavailable("NTT backend not compiled in: " +
-                             backendName(backend));
-}
-
-void
-vmulShoup(Backend backend, const Modulus& m, DConstSpan a, DConstSpan t,
-          DConstSpan tq, DSpan c, MulAlgo algo)
-{
-    requireAvailable(backend);
-    switch (backend) {
-      case Backend::Scalar:
-        backends::vmulShoupScalar(m, a, t, tq, c, algo);
-        return;
-      case Backend::Portable:
-        backends::vmulShoupPortable(m, a, t, tq, c, algo);
-        return;
-      case Backend::Avx2:
-#if MQX_BUILD_AVX2
-        backends::vmulShoupAvx2(m, a, t, tq, c, algo);
-        return;
-#else
-        break;
-#endif
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        avx512Tier().vmulShoup(m, a, t, tq, c, algo);
-        return;
-#else
-        break;
-#endif
-      case Backend::MqxEmulate:
-#if MQX_BUILD_AVX512
-        backends::vmulShoupMqx(false, m, a, t, tq, c, algo);
-        return;
-#else
-        break;
-#endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        backends::vmulShoupMqx(true, m, a, t, tq, c, algo);
         return;
 #else
         break;
@@ -409,48 +458,41 @@ inverseBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
 }
 
 void
-vmulShoupBatch(Backend backend, const Modulus& m, size_t il, DConstSpan a,
-               DConstSpan t, DConstSpan tq, DSpan c, MulAlgo algo)
+negacyclicForward(const NegacyclicTables& tables, Backend backend,
+                  DConstSpan in, DSpan out, DSpan scratch)
 {
-    requireAvailable(backend);
-    switch (backend) {
-      case Backend::Scalar:
-        backends::vmulShoupBatchScalar(m, il, a, t, tq, c, algo);
-        return;
-      case Backend::Portable:
-        backends::vmulShoupBatchPortable(m, il, a, t, tq, c, algo);
-        return;
-      case Backend::Avx2:
-#if MQX_BUILD_AVX2
-        backends::vmulShoupBatchAvx2(m, il, a, t, tq, c, algo);
-        return;
-#else
-        break;
-#endif
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        avx512Tier().vmulShoupBatch(m, il, a, t, tq, c, algo);
-        return;
-#else
-        break;
-#endif
-      case Backend::MqxEmulate:
-#if MQX_BUILD_AVX512
-        backends::vmulShoupBatchMqx(false, m, il, a, t, tq, c, algo);
-        return;
-#else
-        break;
-#endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        backends::vmulShoupBatchMqx(true, m, il, a, t, tq, c, algo);
-        return;
-#else
-        break;
-#endif
-    }
-    throw BackendUnavailable("NTT backend not compiled in: " +
-                             backendName(backend));
+    negacyclicKernels(backend).forward(tables, in, out, scratch);
+}
+
+void
+negacyclicInverse(const NegacyclicTables& tables, Backend backend,
+                  DConstSpan in, DSpan out, DSpan scratch)
+{
+    negacyclicKernels(backend).inverse(tables, in, out, scratch);
+}
+
+void
+negacyclicForwardBatch(const NegacyclicTables& tables, Backend backend,
+                       size_t il, DConstSpan in, DSpan out, DSpan scratch)
+{
+    MQX_SCOPED_SPAN(ntt_span, "negacyclic.forward_batch");
+    const NegacyclicKernels& k = negacyclicKernels(backend);
+    checkArg(batchSupported(tables.plan()),
+             "negacyclicForwardBatch: plan too small (n < 16)");
+    noteBatchSweep(tables.plan(), il);
+    k.forwardBatch(tables, il, in, out, scratch);
+}
+
+void
+negacyclicInverseBatch(const NegacyclicTables& tables, Backend backend,
+                       size_t il, DConstSpan in, DSpan out, DSpan scratch)
+{
+    MQX_SCOPED_SPAN(ntt_span, "negacyclic.inverse_batch");
+    const NegacyclicKernels& k = negacyclicKernels(backend);
+    checkArg(batchSupported(tables.plan()),
+             "negacyclicInverseBatch: plan too small (n < 16)");
+    noteBatchSweep(tables.plan(), il);
+    k.inverseBatch(tables, il, in, out, scratch);
 }
 
 Engine::Engine(const NttPlan& plan, Backend backend)

@@ -59,18 +59,6 @@ void inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
 StageFusion resolveStageFusion(Backend backend, size_t n, StageFusion fusion);
 
 /**
- * Point-wise multiply by a fixed table with precomputed Shoup
- * companions: c[i] = a[i] * t[i] mod q, canonical in/out. The
- * negacyclic twist/untwist pass — one full product plus two low
- * products per element instead of a Barrett reduction. c == a exact
- * aliasing is legal (same contract as blas::vmul).
- *
- * @param tq per-element Shoup companions of @p t (mod::shoupPrecompute)
- */
-void vmulShoup(Backend backend, const Modulus& m, DConstSpan a, DConstSpan t,
-               DConstSpan tq, DSpan c, MulAlgo algo = MulAlgo::Schoolbook);
-
-/**
  * Forward NTT with an explicit MQX feature variant (Fig. 6 ablation).
  * @param pisa true = PISA proxy timing mode (results are wrong by
  *             design), false = bit-exact Table-2 emulation.
@@ -118,15 +106,6 @@ void forwardBatch(const NttPlan& plan, Backend backend, size_t il,
 void inverseBatch(const NttPlan& plan, Backend backend, size_t il,
                   DConstSpan in, DSpan out, DSpan scratch,
                   MulAlgo algo = MulAlgo::Schoolbook);
-
-/**
- * Batched vmulShoup: the n-entry table t/tq multiplies all @p il packed
- * lanes of @p a (il * t.n words per half); each table vector is loaded
- * once per sweep position. c == a exact aliasing is legal.
- */
-void vmulShoupBatch(Backend backend, const Modulus& m, size_t il,
-                    DConstSpan a, DConstSpan t, DConstSpan tq, DSpan c,
-                    MulAlgo algo = MulAlgo::Schoolbook);
 
 /**
  * Convenience wrapper owning the plan and work buffers. This is the

@@ -44,13 +44,6 @@ inverseAvx2(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch,
 }
 
 void
-vmulShoupAvx2(const Modulus& m, DConstSpan a, DConstSpan t, DConstSpan tq,
-              DSpan c, MulAlgo algo)
-{
-    vmulShoupImpl<simd::Avx2Isa>(m, a, t, tq, c, algo);
-}
-
-void
 forwardBatchAvx2(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
                  DSpan scratch, MulAlgo algo)
 {
@@ -62,13 +55,6 @@ inverseBatchAvx2(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
                  DSpan scratch, MulAlgo algo)
 {
     peaseInverseBatchImpl<simd::Avx2Isa>(plan, il, in, out, scratch, algo);
-}
-
-void
-vmulShoupBatchAvx2(const Modulus& m, size_t il, DConstSpan a, DConstSpan t,
-                   DConstSpan tq, DSpan c, MulAlgo algo)
-{
-    vmulShoupBatchImpl<simd::Avx2Isa>(m, il, a, t, tq, c, algo);
 }
 
 } // namespace backends

@@ -17,29 +17,21 @@ void forwardScalar(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
                    Reduction, StageFusion);
 void inverseScalar(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
                    Reduction, StageFusion);
-void vmulShoupScalar(const Modulus&, DConstSpan, DConstSpan, DConstSpan,
-                     DSpan, MulAlgo);
 
 void forwardPortable(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
                      Reduction, StageFusion);
 void inversePortable(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
                      Reduction, StageFusion);
-void vmulShoupPortable(const Modulus&, DConstSpan, DConstSpan, DConstSpan,
-                       DSpan, MulAlgo);
 
 void forwardAvx2(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
                  Reduction, StageFusion);
 void inverseAvx2(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
                  Reduction, StageFusion);
-void vmulShoupAvx2(const Modulus&, DConstSpan, DConstSpan, DConstSpan, DSpan,
-                   MulAlgo);
 
 void forwardAvx512(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
                    Reduction, StageFusion);
 void inverseAvx512(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
                    Reduction, StageFusion);
-void vmulShoupAvx512(const Modulus&, DConstSpan, DConstSpan, DConstSpan,
-                     DSpan, MulAlgo);
 
 // The same AVX-512 tier body built on IFMA 52-bit limbs
 // (ntt_avx512_ifma.cc, MQX_BUILD_AVX512_IFMA): word-identical to the
@@ -48,8 +40,6 @@ void forwardAvx512Ifma(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
                        Reduction, StageFusion);
 void inverseAvx512Ifma(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
                        Reduction, StageFusion);
-void vmulShoupAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DConstSpan,
-                         DSpan, MulAlgo);
 
 // Raw Shoup products left in [0, 2q) (no canonicalization), for the
 // word-level tests of each AVX-512 multiply against mod::mulModShoup.
@@ -62,8 +52,6 @@ void forwardMqxImpl(const NttPlan&, MqxVariant, bool pisa, DConstSpan, DSpan,
                     DSpan, MulAlgo, Reduction, StageFusion);
 void inverseMqxImpl(const NttPlan&, MqxVariant, bool pisa, DConstSpan, DSpan,
                     DSpan, MulAlgo, Reduction, StageFusion);
-void vmulShoupMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan,
-                  DConstSpan, DSpan, MulAlgo);
 
 // Interleaved batch entry points (ROADMAP item 2): buffers are
 // il * plan.n() words per half, packed by batch::packLanes. Always the
@@ -73,43 +61,31 @@ void forwardBatchScalar(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
                         MulAlgo);
 void inverseBatchScalar(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
                         MulAlgo);
-void vmulShoupBatchScalar(const Modulus&, size_t il, DConstSpan, DConstSpan,
-                          DConstSpan, DSpan, MulAlgo);
 
 void forwardBatchPortable(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
                           MulAlgo);
 void inverseBatchPortable(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
                           MulAlgo);
-void vmulShoupBatchPortable(const Modulus&, size_t il, DConstSpan, DConstSpan,
-                            DConstSpan, DSpan, MulAlgo);
 
 void forwardBatchAvx2(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
                       MulAlgo);
 void inverseBatchAvx2(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
                       MulAlgo);
-void vmulShoupBatchAvx2(const Modulus&, size_t il, DConstSpan, DConstSpan,
-                        DConstSpan, DSpan, MulAlgo);
 
 void forwardBatchAvx512(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
                         MulAlgo);
 void inverseBatchAvx512(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
                         MulAlgo);
-void vmulShoupBatchAvx512(const Modulus&, size_t il, DConstSpan, DConstSpan,
-                          DConstSpan, DSpan, MulAlgo);
 
 void forwardBatchAvx512Ifma(const NttPlan&, size_t il, DConstSpan, DSpan,
                             DSpan, MulAlgo);
 void inverseBatchAvx512Ifma(const NttPlan&, size_t il, DConstSpan, DSpan,
                             DSpan, MulAlgo);
-void vmulShoupBatchAvx512Ifma(const Modulus&, size_t il, DConstSpan,
-                              DConstSpan, DConstSpan, DSpan, MulAlgo);
 
 void forwardBatchMqx(bool pisa, const NttPlan&, size_t il, DConstSpan, DSpan,
                      DSpan, MulAlgo);
 void inverseBatchMqx(bool pisa, const NttPlan&, size_t il, DConstSpan, DSpan,
                      DSpan, MulAlgo);
-void vmulShoupBatchMqx(bool pisa, const Modulus&, size_t il, DConstSpan,
-                       DConstSpan, DConstSpan, DSpan, MulAlgo);
 
 } // namespace backends
 } // namespace ntt

@@ -142,17 +142,6 @@ inverseMqxImpl(const NttPlan& plan, MqxVariant variant, bool pisa,
                                              algo, red, fusion);
 }
 
-void
-vmulShoupMqx(bool pisa, const Modulus& m, DConstSpan a, DConstSpan t,
-             DConstSpan tq, DSpan c, MulAlgo algo)
-{
-    if (pisa)
-        vmulShoupImpl<MqxIsa<MqxMode::Pisa, kMqxFull>>(m, a, t, tq, c, algo);
-    else
-        vmulShoupImpl<MqxIsa<MqxMode::Emulate, kMqxFull>>(m, a, t, tq, c,
-                                                          algo);
-}
-
 // The batch path models only the full MQX feature set (the Fig. 6
 // ablation variants stay per-channel; batching is orthogonal to the
 // instruction-mix study).
@@ -178,18 +167,6 @@ inverseBatchMqx(bool pisa, const NttPlan& plan, size_t il, DConstSpan in,
     else
         peaseInverseBatchImpl<MqxIsa<MqxMode::Emulate, kMqxFull>>(
             plan, il, in, out, scratch, algo);
-}
-
-void
-vmulShoupBatchMqx(bool pisa, const Modulus& m, size_t il, DConstSpan a,
-                  DConstSpan t, DConstSpan tq, DSpan c, MulAlgo algo)
-{
-    if (pisa)
-        vmulShoupBatchImpl<MqxIsa<MqxMode::Pisa, kMqxFull>>(m, il, a, t, tq,
-                                                            c, algo);
-    else
-        vmulShoupBatchImpl<MqxIsa<MqxMode::Emulate, kMqxFull>>(m, il, a, t,
-                                                               tq, c, algo);
 }
 
 } // namespace backends

@@ -45,13 +45,6 @@ inversePortable(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch,
 }
 
 void
-vmulShoupPortable(const Modulus& m, DConstSpan a, DConstSpan t, DConstSpan tq,
-                  DSpan c, MulAlgo algo)
-{
-    vmulShoupImpl<simd::PortableIsa>(m, a, t, tq, c, algo);
-}
-
-void
 forwardBatchPortable(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
                      DSpan scratch, MulAlgo algo)
 {
@@ -65,13 +58,6 @@ inverseBatchPortable(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
 {
     peaseInverseBatchImpl<simd::PortableIsa>(plan, il, in, out, scratch,
                                              algo);
-}
-
-void
-vmulShoupBatchPortable(const Modulus& m, size_t il, DConstSpan a, DConstSpan t,
-                       DConstSpan tq, DSpan c, MulAlgo algo)
-{
-    vmulShoupBatchImpl<simd::PortableIsa>(m, il, a, t, tq, c, algo);
 }
 
 } // namespace backends

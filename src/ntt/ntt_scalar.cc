@@ -340,20 +340,6 @@ inverseScalar(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch,
 }
 
 void
-vmulShoupScalar(const Modulus& m, DConstSpan a, DConstSpan t, DConstSpan tq,
-                DSpan c, MulAlgo algo)
-{
-    checkArg(a.n == t.n && a.n == tq.n && a.n == c.n,
-             "vmulShoup: length mismatch");
-    const mod::DW<uint64_t> q = mod::toDw(m.value());
-    for (size_t i = 0; i < a.n; ++i) {
-        detail::mulShoupCanonElementScalar(
-            q, a.hi, a.lo, c.hi, c.lo, mod::DW<uint64_t>{t.hi[i], t.lo[i]},
-            mod::DW<uint64_t>{tq.hi[i], tq.lo[i]}, i, algo);
-    }
-}
-
-void
 forwardBatchScalar(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
                    DSpan scratch, MulAlgo algo)
 {
@@ -365,13 +351,6 @@ inverseBatchScalar(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
                    DSpan scratch, MulAlgo algo)
 {
     peaseInverseBatchScalarImpl(plan, il, in, out, scratch, algo);
-}
-
-void
-vmulShoupBatchScalar(const Modulus& m, size_t il, DConstSpan a, DConstSpan t,
-                     DConstSpan tq, DSpan c, MulAlgo algo)
-{
-    vmulShoupBatchScalarImpl(m, il, a, t, tq, c, algo);
 }
 
 } // namespace backends

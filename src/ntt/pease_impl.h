@@ -36,6 +36,14 @@
  * 2^s is below the lane count, and a single broadcast afterwards —
  * ~logn/2x less twiddle traffic than the old stretched tables.
  *
+ * The merged negacyclic kernels (end of this file; math and table
+ * layout in ntt/negacyclic.h) share the stage wiring but not the
+ * butterflies: the forward runs a Harvey Cooley-Tukey butterfly with
+ * psi folded into per-level twiddles, values in [0, 4q) between stages;
+ * the inverse runs a Gentleman-Sande butterfly with n^-1 folded into
+ * its last stage. They are instantiated in their own negacyclic_*.cc
+ * TUs, apart from the cyclic ntt_*.cc ones.
+ *
  * Out-of-place ping-pong: the caller provides `out` and `scratch`
  * buffers; the stage parity is arranged so the final stage always lands
  * in `out`. Neither may alias the input (any hi/lo storage overlap,
@@ -48,6 +56,7 @@
 #include "core/batch_layout.h"
 #include "core/prefetch.h"
 #include "mod/range_checked.h"
+#include "ntt/negacyclic.h"
 #include "ntt/plan.h"
 #include "simd/dw_kernels.h"
 
@@ -461,10 +470,8 @@ inverseButterfly4LazyScalar(const mod::DW<uint64_t>& q,
 /**
  * One element of a canonicalizing Shoup multiply by a fixed canonical
  * multiplicand: dst[i] = src[i] * w mod q in [0, q), for src[i] in
- * [0, 2q). Shared by the scalar vmulShoup kernels (negacyclic
- * twist/untwist — src canonical there) and the inverse NTT's fused
- * n^-1 scaling pass (src in [0, 2q)). In-place (dst == src) is legal.
- * Policy-templated like the butterflies.
+ * [0, 2q) — the cyclic inverse NTT's fused n^-1 scaling pass. In-place
+ * (dst == src) is legal. Policy-templated like the butterflies.
  */
 template <class A = mod::DefaultLazyOps>
 inline void
@@ -478,6 +485,101 @@ mulShoupCanonElementScalar(const mod::DW<uint64_t>& q,
     auto x = A::load2q(src_hi, src_lo, i, q);
     auto r = A::canon(A::mulShoup(x, A::twiddle(w, q), wq, q, algo), q);
     A::store(dst_hi, dst_lo, i, r);
+}
+
+/**
+ * Merged negacyclic forward butterfly (Harvey Cooley-Tukey) at explicit
+ * word indices: reads a = src[ia], b = src[ib] in [0, 4q), writes
+ * a' + w*b to dst[io0] and a' - w*b + 2q to dst[io1], both in [0, 4q)
+ * — canonical when @p last — where a' is a reduced to [0, 2q). @p w is
+ * the stage twiddle, @p wq its Shoup companion. Policy-templated like
+ * forwardButterflyLazyScalar; the per-channel (io = 2j, 2j + 1) and
+ * batch (tiled indices) scalar kernels share it.
+ */
+template <class A = mod::DefaultLazyOps>
+inline void
+negacyclicForwardButterflyScalar(const mod::DW<uint64_t>& q,
+                                 const mod::DW<uint64_t>& q2,
+                                 const uint64_t* src_hi,
+                                 const uint64_t* src_lo, uint64_t* dst_hi,
+                                 uint64_t* dst_lo, const mod::DW<uint64_t>& w,
+                                 const mod::DW<uint64_t>& wq, size_t ia,
+                                 size_t ib, size_t io0, size_t io1, bool last,
+                                 MulAlgo algo = MulAlgo::Schoolbook)
+{
+    // The product first: measured ~8% faster on the scalar backend than
+    // reducing a first.
+    auto t = A::mulShoup(A::load4q(src_hi, src_lo, ib, q), A::twiddle(w, q),
+                         wq, q, algo);                          // [0, 2q)
+    auto a = A::condSub2q(A::load4q(src_hi, src_lo, ia, q), q2, q); // [0, 2q)
+    auto u = A::add(a, t, q);        // [0, 4q)
+    auto v = A::subRaw(a, t, q2, q); // (0, 4q)
+    if (last) {
+        A::store(dst_hi, dst_lo, io0, A::canon(A::condSub2q(u, q2, q), q));
+        A::store(dst_hi, dst_lo, io1, A::canon(A::condSub2q(v, q2, q), q));
+    } else {
+        A::store(dst_hi, dst_lo, io0, u);
+        A::store(dst_hi, dst_lo, io1, v);
+    }
+}
+
+/**
+ * Merged negacyclic inverse butterfly (Gentleman-Sande) at explicit word
+ * indices: reads u = src[i0], v = src[i1] in [0, 2q), writes u + v to
+ * dst[io0] and (u - v) * w to dst[io1], both in [0, 2q).
+ */
+template <class A = mod::DefaultLazyOps>
+inline void
+negacyclicInverseButterflyScalar(const mod::DW<uint64_t>& q,
+                                 const mod::DW<uint64_t>& q2,
+                                 const uint64_t* src_hi,
+                                 const uint64_t* src_lo, uint64_t* dst_hi,
+                                 uint64_t* dst_lo, const mod::DW<uint64_t>& w,
+                                 const mod::DW<uint64_t>& wq, size_t i0,
+                                 size_t i1, size_t io0, size_t io1,
+                                 MulAlgo algo = MulAlgo::Schoolbook)
+{
+    auto u = A::load2q(src_hi, src_lo, i0, q);
+    auto v = A::load2q(src_hi, src_lo, i1, q);
+    A::store(dst_hi, dst_lo, io0, A::condSub2q(A::add(u, v, q), q2, q));
+    A::store(dst_hi, dst_lo, io1,
+             A::mulShoup(A::subRaw(u, v, q2, q), A::twiddle(w, q), wq, q,
+                         algo));
+}
+
+/**
+ * The merged inverse's last-stage butterfly with n^-1 folded in: the sum
+ * branch is multiplied by @p ninv (n^-1), the difference branch by @p w
+ * (zeta^-1 * n^-1), and both leave canonical. [0, 2q) in.
+ */
+template <class A = mod::DefaultLazyOps>
+inline void
+negacyclicInverseLastButterflyScalar(
+    const mod::DW<uint64_t>& q, const mod::DW<uint64_t>& q2,
+    const uint64_t* src_hi, const uint64_t* src_lo, uint64_t* dst_hi,
+    uint64_t* dst_lo, const mod::DW<uint64_t>& ninv,
+    const mod::DW<uint64_t>& ninvq, const mod::DW<uint64_t>& w,
+    const mod::DW<uint64_t>& wq, size_t i0, size_t i1, size_t io0,
+    size_t io1, MulAlgo algo = MulAlgo::Schoolbook)
+{
+    auto u = A::load2q(src_hi, src_lo, i0, q);
+    auto v = A::load2q(src_hi, src_lo, i1, q);
+    A::store(dst_hi, dst_lo, io0,
+             A::canon(A::mulShoup(A::add(u, v, q), A::twiddle(ninv, q),
+                                  ninvq, q, algo),
+                      q));
+    A::store(dst_hi, dst_lo, io1,
+             A::canon(A::mulShoup(A::subRaw(u, v, q2, q), A::twiddle(w, q),
+                                  wq, q, algo),
+                      q));
+}
+
+/** Merged-table entry of butterfly j at stage s: 2^s + (j mod 2^s). */
+MQX_FORCE_INLINE size_t
+negacyclicTwiddleIndex(int s, size_t j)
+{
+    const size_t base = size_t{1} << s;
+    return base + (j & (base - 1));
 }
 
 /**
@@ -1042,45 +1144,35 @@ peaseInverse4LazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
 }
 
 /**
- * Point-wise multiply by a fixed table with precomputed Shoup
- * companions: c[i] = a[i] * t[i] mod q, canonical output. This is the
- * negacyclic twist/untwist pass — the table is immutable, so the
- * quotient precomputation amortizes exactly like the twiddles'.
- * In-place (c == a) is legal, matching the blas::vmul contract.
- * kCanon = false leaves the raw Shoup products in [0, 2q) (any a[i]
- * below 2^128): the word-level probe of the vector multiply.
+ * Raw Shoup products c[i] = a[i] * t[i] - h*q in [0, 2q) (no
+ * canonicalization) for any a[i] below 2^128, with tq the per-element
+ * Shoup companions of t: the word-level probe of the ISA's vector
+ * multiply (mca_report, test_shoup). In-place (c == a) is legal.
  */
-template <class Isa, bool kCanon = true>
+template <class Isa>
 void
-vmulShoupImpl(const Modulus& m, DConstSpan a, DConstSpan t, DConstSpan tq,
-              DSpan c, MulAlgo algo = MulAlgo::Schoolbook)
+vmulShoupLazyImpl(const Modulus& m, DConstSpan a, DConstSpan t, DConstSpan tq,
+                  DSpan c)
 {
     checkArg(a.n == t.n && a.n == tq.n && a.n == c.n,
-             "vmulShoup: length mismatch");
+             "vmulShoupLazy: length mismatch");
     simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(m);
     size_t i = 0;
     for (; i + Isa::kLanes <= a.n; i += Isa::kLanes) {
         auto x = simd::loadDv<Isa>(a.hi, a.lo, i);
         auto w = simd::loadDv<Isa>(t.hi, t.lo, i);
         auto wq = simd::loadDv<Isa>(tq.hi, tq.lo, i);
-        auto r = simd::mulModShoupV<Isa>(ctx, x, w, wq, algo);
-        if constexpr (kCanon)
-            r = simd::condSubDwV<Isa>(ctx, r, ctx.qh, ctx.ql);
-        simd::storeDv<Isa>(c.hi, c.lo, i, r);
+        simd::storeDv<Isa>(c.hi, c.lo, i,
+                           simd::mulModShoupV<Isa>(ctx, x, w, wq));
     }
     const mod::DW<uint64_t> q = mod::toDw(m.value());
     for (; i < a.n; ++i) {
-        const mod::DW<uint64_t> w{t.hi[i], t.lo[i]};
-        const mod::DW<uint64_t> wq{tq.hi[i], tq.lo[i]};
-        if constexpr (kCanon) {
-            detail::mulShoupCanonElementScalar(q, a.hi, a.lo, c.hi, c.lo, w,
-                                               wq, i, algo);
-        } else {
-            auto r = mod::mulModShoup(mod::DW<uint64_t>{a.hi[i], a.lo[i]},
-                                      w, wq, q, algo);
-            c.hi[i] = r.hi;
-            c.lo[i] = r.lo;
-        }
+        auto r = mod::mulModShoup(mod::DW<uint64_t>{a.hi[i], a.lo[i]},
+                                  mod::DW<uint64_t>{t.hi[i], t.lo[i]},
+                                  mod::DW<uint64_t>{tq.hi[i], tq.lo[i]}, q,
+                                  MulAlgo::Schoolbook);
+        c.hi[i] = r.hi;
+        c.lo[i] = r.lo;
     }
 }
 
@@ -1345,42 +1437,6 @@ peaseInverseBatchImpl(const NttPlan& plan, size_t il, DConstSpan in,
 }
 
 /**
- * Batched vmulShoup: the n-entry table multiplies all il packed lanes,
- * each table vector loaded once per sweep position. In-place (c == a)
- * is legal, matching vmulShoupImpl.
- */
-template <class Isa>
-void
-vmulShoupBatchImpl(const Modulus& m, size_t il, DConstSpan a, DConstSpan t,
-                   DConstSpan tq, DSpan c, MulAlgo algo = MulAlgo::Schoolbook)
-{
-    constexpr size_t w8 = BatchLayout::kTileWords;
-    checkArg(il >= 1 && il <= 64,
-             "vmulShoupBatch: interleave factor out of range");
-    checkArg(t.n == tq.n && (t.n & (w8 - 1)) == 0 && t.n > 0,
-             "vmulShoupBatch: table length must be a positive multiple of 8");
-    checkArg(a.n == il * t.n && c.n == a.n,
-             "vmulShoupBatch: data length must be il * table length");
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(m);
-    const size_t pf = core::prefetchDistance() * il * w8;
-    for (size_t i = 0; i + Isa::kLanes <= t.n; i += Isa::kLanes) {
-        const auto w = simd::makeShoupW<Isa>(simd::loadDv<Isa>(t.hi, t.lo, i),
-                                             simd::loadDv<Isa>(tq.hi, tq.lo, i));
-        const size_t base = detail::batchIndex(i, 0, il);
-        const bool row0 = (i & (w8 - 1)) == 0;
-        for (size_t lane = 0; lane < il; ++lane) {
-            const size_t idx = base + lane * w8;
-            if (pf && row0)
-                core::prefetchNext(a.hi, a.lo, idx, pf);
-            auto x = simd::loadDv<Isa>(a.hi, a.lo, idx);
-            auto r = simd::mulModShoupV<Isa>(ctx, x, w, algo);
-            r = simd::condSubDwV<Isa>(ctx, r, ctx.qh, ctx.ql);
-            simd::storeDv<Isa>(c.hi, c.lo, idx, r);
-        }
-    }
-}
-
-/**
  * Scalar-backend batch kernels: the same tiled addressing driven by the
  * native-128-bit lazy scalar ops (mod::DefaultLazyOps accepts arbitrary
  * indices, so the packed index stands in for the linear one). Per-lane
@@ -1490,29 +1546,602 @@ peaseInverseBatchScalarImpl(const NttPlan& plan, size_t il, DConstSpan in,
     }
 }
 
-/** Scalar-backend batched vmulShoup (see vmulShoupBatchImpl). */
-inline void
-vmulShoupBatchScalarImpl(const Modulus& m, size_t il, DConstSpan a,
-                         DConstSpan t, DConstSpan tq, DSpan c,
-                         MulAlgo algo = MulAlgo::Schoolbook)
+// ======================================================================
+// Merged negacyclic kernels.
+//
+// The negacyclic transform with psi folded into the stage twiddles (see
+// ntt/negacyclic.h for the math and the table layout): a Harvey
+// Cooley-Tukey forward on the cyclic forward's wiring, values in
+// [0, 4q) between stages and canonical out of the last one; and a
+// Gentleman-Sande inverse on the cyclic inverse's wiring, values in
+// [0, 2q) between stages, whose last stage multiplies the sum branch by
+// n^-1 and the difference branch by zeta^-1 * n^-1 (inverse-table
+// entries 0 and 1). Canonical outputs, so the words match the twisted
+// cyclic pipeline exactly. Each kernel comes per channel and in the
+// IL-lane batch form, which loads every twiddle vector once and reuses
+// it across the lanes.
+// ======================================================================
+
+namespace detail {
+
+/**
+ * Stage-s twiddles of the merged transform as simd::ShoupW: butterfly j
+ * reads entry 2^s + (j mod 2^s). While 2^s < kLanes every vector of
+ * butterflies reads the same pattern, so it is built once per stage;
+ * from 2^s >= kLanes on, a vector's entries are contiguous (j is a
+ * multiple of kLanes) and cost one load.
+ */
+template <class Isa>
+class NegacyclicStageShoup
 {
-    constexpr size_t w8 = BatchLayout::kTileWords;
-    checkArg(il >= 1 && il <= 64,
-             "vmulShoupBatch: interleave factor out of range");
-    checkArg(t.n == tq.n && (t.n & (w8 - 1)) == 0 && t.n > 0,
-             "vmulShoupBatch: table length must be a positive multiple of 8");
-    checkArg(a.n == il * t.n && c.n == a.n,
-             "vmulShoupBatch: data length must be il * table length");
-    const mod::DW<uint64_t> q = mod::toDw(m.value());
-    for (size_t i = 0; i < t.n; ++i) {
-        const mod::DW<uint64_t> w{t.hi[i], t.lo[i]};
-        const mod::DW<uint64_t> wq{tq.hi[i], tq.lo[i]};
-        for (size_t lane = 0; lane < il; ++lane) {
-            const size_t idx = detail::batchIndex(i, lane, il);
-            detail::mulShoupCanonElementScalar(q, a.hi, a.lo, c.hi, c.lo, w,
-                                               wq, idx, algo);
+  public:
+    NegacyclicStageShoup(DConstSpan w, DConstSpan wq, int s)
+        : w_(w), wq_(wq), base_(size_t{1} << s),
+          hoisted_(base_ < Isa::kLanes)
+    {
+        if (!hoisted_)
+            return;
+        alignas(64) uint64_t th[Isa::kLanes], tl[Isa::kLanes];
+        alignas(64) uint64_t qh[Isa::kLanes], ql[Isa::kLanes];
+        for (size_t i = 0; i < Isa::kLanes; ++i) {
+            const size_t e = negacyclicTwiddleIndex(s, i);
+            th[i] = w.hi[e];
+            tl[i] = w.lo[e];
+            qh[i] = wq.hi[e];
+            ql[i] = wq.lo[e];
         }
+        pattern_ = simd::makeShoupW<Isa>(simd::loadDv<Isa>(th, tl, 0),
+                                         simd::loadDv<Isa>(qh, ql, 0));
     }
+
+    simd::ShoupW<Isa>
+    at(size_t j) const
+    {
+        if (hoisted_)
+            return pattern_;
+        const size_t e = base_ + (j & (base_ - 1));
+        return simd::makeShoupW<Isa>(simd::loadDv<Isa>(w_.hi, w_.lo, e),
+                                     simd::loadDv<Isa>(wq_.hi, wq_.lo, e));
+    }
+
+  private:
+    DConstSpan w_, wq_;
+    size_t base_;
+    bool hoisted_;
+    simd::ShoupW<Isa> pattern_{};
+};
+
+/** [0, 4q) -> [0, q): the merged forward's last-stage canonicalization. */
+template <class Isa>
+MQX_FORCE_INLINE simd::DV<Isa>
+canonFrom4qV(const simd::ModCtx<Isa>& ctx, const simd::DV<Isa>& x)
+{
+    return simd::condSubDwV<Isa>(
+        ctx, simd::condSubDwV<Isa>(ctx, x, ctx.q2h, ctx.q2l), ctx.qh,
+        ctx.ql);
+}
+
+/** Vector negacyclicForwardButterflyScalar: a = src[ia], b = src[ib]. */
+template <class Isa>
+MQX_FORCE_INLINE void
+negacyclicForwardButterflyV(const simd::ModCtx<Isa>& ctx,
+                            const uint64_t* src_hi, const uint64_t* src_lo,
+                            size_t ia, size_t ib, const simd::ShoupW<Isa>& w,
+                            bool last, simd::DV<Isa>& u, simd::DV<Isa>& v)
+{
+    // a reduced to [0, 2q); t = w * b in [0, 2q).
+    const auto a = simd::condSubDwV<Isa>(
+        ctx, simd::loadDv<Isa>(src_hi, src_lo, ia), ctx.q2h, ctx.q2l);
+    const auto t = simd::mulModShoupV<Isa>(
+        ctx, simd::loadDv<Isa>(src_hi, src_lo, ib), w);
+    u = simd::addDwV<Isa>(ctx, a, t);         // [0, 4q)
+    v = simd::subModLazyRawV<Isa>(ctx, a, t); // (0, 4q)
+    if (last) {
+        u = canonFrom4qV<Isa>(ctx, u);
+        v = canonFrom4qV<Isa>(ctx, v);
+    }
+}
+
+/** Vector negacyclicInverseButterflyScalar: u, v in [0, 2q). */
+template <class Isa>
+MQX_FORCE_INLINE void
+negacyclicInverseButterflyV(const simd::ModCtx<Isa>& ctx,
+                            const simd::DV<Isa>& u, const simd::DV<Isa>& v,
+                            const simd::ShoupW<Isa>& w, simd::DV<Isa>& x0,
+                            simd::DV<Isa>& x1)
+{
+    x0 = simd::addModLazyV<Isa>(ctx, u, v);
+    x1 = simd::mulModShoupV<Isa>(ctx, simd::subModLazyRawV<Isa>(ctx, u, v),
+                                 w);
+}
+
+/** Vector negacyclicInverseLastButterflyScalar (n^-1 folded in). */
+template <class Isa>
+MQX_FORCE_INLINE void
+negacyclicInverseLastButterflyV(const simd::ModCtx<Isa>& ctx,
+                                const simd::DV<Isa>& u,
+                                const simd::DV<Isa>& v,
+                                const simd::ShoupW<Isa>& ninv,
+                                const simd::ShoupW<Isa>& w, simd::DV<Isa>& x0,
+                                simd::DV<Isa>& x1)
+{
+    x0 = simd::mulModShoupV<Isa>(ctx, simd::addDwV<Isa>(ctx, u, v), ninv);
+    x0 = simd::condSubDwV<Isa>(ctx, x0, ctx.qh, ctx.ql);
+    x1 = simd::mulModShoupV<Isa>(ctx, simd::subModLazyRawV<Isa>(ctx, u, v),
+                                 w);
+    x1 = simd::condSubDwV<Isa>(ctx, x1, ctx.qh, ctx.ql);
+}
+
+/** Interleave (u, v) and store the two blocks at words i0 and i1. */
+template <class Isa>
+MQX_FORCE_INLINE void
+storeInterleaved(DSpan dst, size_t i0, size_t i1, const simd::DV<Isa>& u,
+                 const simd::DV<Isa>& v)
+{
+    typename Isa::V blk0, blk1;
+    Isa::interleave2(u.hi, v.hi, blk0, blk1);
+    Isa::storeu(dst.hi + i0, blk0);
+    Isa::storeu(dst.hi + i1, blk1);
+    Isa::interleave2(u.lo, v.lo, blk0, blk1);
+    Isa::storeu(dst.lo + i0, blk0);
+    Isa::storeu(dst.lo + i1, blk1);
+}
+
+/** Load the blocks at words i0 and i1 and split them into (u, v). */
+template <class Isa>
+MQX_FORCE_INLINE void
+loadDeinterleaved(const uint64_t* hi, const uint64_t* lo, size_t i0,
+                  size_t i1, simd::DV<Isa>& u, simd::DV<Isa>& v)
+{
+    Isa::deinterleave2(Isa::loadu(hi + i0), Isa::loadu(hi + i1), u.hi, v.hi);
+    Isa::deinterleave2(Isa::loadu(lo + i0), Isa::loadu(lo + i1), u.lo, v.lo);
+}
+
+/** Inverse-table entry @p e as a broadcast ShoupW. */
+template <class Isa>
+inline simd::ShoupW<Isa>
+broadcastEntry(DConstSpan w, DConstSpan wq, size_t e)
+{
+    return simd::broadcastShoupW<Isa>(w.hi[e], w.lo[e], wq.hi[e], wq.lo[e]);
+}
+
+/**
+ * Merged forward stage sweeps over il lanes in the batch layout. IL = 0
+ * is the runtime-il loop; IL in {4, 8} unrolls the lane loop around the
+ * hoisted twiddle registers.
+ */
+template <class Isa, size_t IL>
+void
+negacyclicForwardBatchCore(const NegacyclicTables& tables, size_t il_rt,
+                           DConstSpan in, DSpan out, DSpan scratch)
+{
+    const size_t il = IL ? IL : il_rt;
+    constexpr size_t w8 = BatchLayout::kTileWords;
+    const NttPlan& plan = tables.plan();
+    const size_t h = plan.half();
+    const int m = plan.logn();
+    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
+    const DConstSpan w = tables.forwardTwiddles().span();
+    const DConstSpan wq = tables.forwardTwiddlesShoup().span();
+    const size_t pf = core::prefetchDistance() * il * w8;
+
+    DSpan bufs[2] = {out, scratch};
+    int target = (m % 2 == 1) ? 0 : 1;
+    const uint64_t* src_hi = in.hi;
+    const uint64_t* src_lo = in.lo;
+    for (int s = 0; s < m; ++s) {
+        const bool last = s == m - 1;
+        DSpan dst = bufs[target];
+        NegacyclicStageShoup<Isa> tw(w, wq, s);
+        // h >= 8 and kLanes divides 8, so the lane loop has no tail.
+        for (size_t j = 0; j + Isa::kLanes <= h; j += Isa::kLanes) {
+            const auto wj = tw.at(j);
+            const size_t ja = batchIndex(j, 0, il);
+            const size_t jb = batchIndex(j + h, 0, il);
+            const size_t jo0 = batchIndex(2 * j, 0, il);
+            const size_t jo1 = batchIndex(2 * j + Isa::kLanes, 0, il);
+            if (pf && (j & (w8 - 1)) == 0) {
+                core::prefetchNext(src_hi, src_lo, ja, pf);
+                core::prefetchNext(src_hi, src_lo, jb, pf);
+            }
+            for (size_t c = 0; c < il; ++c) {
+                simd::DV<Isa> u, v;
+                negacyclicForwardButterflyV<Isa>(ctx, src_hi, src_lo,
+                                                 ja + c * w8, jb + c * w8,
+                                                 wj, last, u, v);
+                storeInterleaved<Isa>(dst, jo0 + c * w8, jo1 + c * w8, u, v);
+            }
+        }
+        src_hi = dst.hi;
+        src_lo = dst.lo;
+        target ^= 1;
+    }
+}
+
+/** Merged inverse stage sweeps over il lanes (see the forward core). */
+template <class Isa, size_t IL>
+void
+negacyclicInverseBatchCore(const NegacyclicTables& tables, size_t il_rt,
+                           DConstSpan in, DSpan out, DSpan scratch)
+{
+    const size_t il = IL ? IL : il_rt;
+    constexpr size_t w8 = BatchLayout::kTileWords;
+    const NttPlan& plan = tables.plan();
+    const size_t h = plan.half();
+    const int m = plan.logn();
+    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
+    const DConstSpan w = tables.inverseTwiddles().span();
+    const DConstSpan wq = tables.inverseTwiddlesShoup().span();
+    const size_t pf = core::prefetchDistance() * il * w8;
+    const auto ninv = broadcastEntry<Isa>(w, wq, 0);
+    const auto wlast = broadcastEntry<Isa>(w, wq, 1);
+
+    DSpan bufs[2] = {out, scratch};
+    int target = (m % 2 == 1) ? 0 : 1;
+    const uint64_t* src_hi = in.hi;
+    const uint64_t* src_lo = in.lo;
+    for (int s = m - 1; s >= 0; --s) {
+        const bool last = s == 0;
+        DSpan dst = bufs[target];
+        NegacyclicStageShoup<Isa> tw(w, wq, s);
+        for (size_t j = 0; j + Isa::kLanes <= h; j += Isa::kLanes) {
+            const auto wj = tw.at(j);
+            const size_t ji0 = batchIndex(2 * j, 0, il);
+            const size_t ji1 = batchIndex(2 * j + Isa::kLanes, 0, il);
+            const size_t jx0 = batchIndex(j, 0, il);
+            const size_t jx1 = batchIndex(j + h, 0, il);
+            if (pf && (j & (w8 - 1)) == 0) {
+                core::prefetchNext(src_hi, src_lo, ji0, 2 * pf);
+                core::prefetchNext(src_hi, src_lo, ji1, 2 * pf);
+            }
+            for (size_t c = 0; c < il; ++c) {
+                simd::DV<Isa> u, v, x0, x1;
+                loadDeinterleaved<Isa>(src_hi, src_lo, ji0 + c * w8,
+                                       ji1 + c * w8, u, v);
+                if (last)
+                    negacyclicInverseLastButterflyV<Isa>(ctx, u, v, ninv,
+                                                         wlast, x0, x1);
+                else
+                    negacyclicInverseButterflyV<Isa>(ctx, u, v, wj, x0, x1);
+                simd::storeDv<Isa>(dst.hi, dst.lo, jx0 + c * w8, x0);
+                simd::storeDv<Isa>(dst.hi, dst.lo, jx1 + c * w8, x1);
+            }
+        }
+        src_hi = dst.hi;
+        src_lo = dst.lo;
+        target ^= 1;
+    }
+}
+
+/**
+ * Word of element @p e of lane @p c for the scalar merged cores: IL = 1
+ * is the per-channel layout, anything else the batch layout.
+ */
+template <size_t IL>
+MQX_FORCE_INLINE size_t
+scalarCoreIndex(size_t e, size_t c, size_t il)
+{
+    if constexpr (IL == 1)
+        return e;
+    else
+        return batchIndex(e, c, il);
+}
+
+/** The scalar merged cores' default per-stage hook: none. */
+struct NoStageHook
+{
+    void operator()(DConstSpan, int) const {}
+};
+
+/**
+ * Scalar merged forward over il lanes (Backend::Scalar): IL = 1 is the
+ * per-channel transform, IL = 0 the runtime-il batch. Policy-templated
+ * like the butterflies; @p on_stage(dst, s) runs after every stage s,
+ * so the range-contract tests check this very loop.
+ */
+template <size_t IL, class A = mod::DefaultLazyOps,
+          class OnStage = NoStageHook>
+void
+negacyclicForwardScalarCore(const NegacyclicTables& tables, size_t il_rt,
+                            DConstSpan in, DSpan out, DSpan scratch,
+                            OnStage on_stage = {})
+{
+    const size_t il = IL ? IL : il_rt;
+    const NttPlan& plan = tables.plan();
+    const size_t h = plan.half();
+    const int m = plan.logn();
+    const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
+    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
+    const DConstSpan w = tables.forwardTwiddles().span();
+    const DConstSpan wq = tables.forwardTwiddlesShoup().span();
+
+    DSpan bufs[2] = {out, scratch};
+    int target = (m % 2 == 1) ? 0 : 1;
+    const uint64_t* src_hi = in.hi;
+    const uint64_t* src_lo = in.lo;
+    for (int s = 0; s < m; ++s) {
+        const bool last = s == m - 1;
+        DSpan dst = bufs[target];
+        for (size_t j = 0; j < h; ++j) {
+            const size_t e = negacyclicTwiddleIndex(s, j);
+            const mod::DW<uint64_t> wj{w.hi[e], w.lo[e]};
+            const mod::DW<uint64_t> wjq{wq.hi[e], wq.lo[e]};
+            for (size_t c = 0; c < il; ++c) {
+                negacyclicForwardButterflyScalar<A>(
+                    q, q2, src_hi, src_lo, dst.hi, dst.lo, wj, wjq,
+                    scalarCoreIndex<IL>(j, c, il),
+                    scalarCoreIndex<IL>(j + h, c, il),
+                    scalarCoreIndex<IL>(2 * j, c, il),
+                    scalarCoreIndex<IL>(2 * j + 1, c, il), last);
+            }
+        }
+        on_stage(DConstSpan(dst), s);
+        src_hi = dst.hi;
+        src_lo = dst.lo;
+        target ^= 1;
+    }
+}
+
+/** Scalar merged inverse (see negacyclicForwardScalarCore). */
+template <size_t IL, class A = mod::DefaultLazyOps,
+          class OnStage = NoStageHook>
+void
+negacyclicInverseScalarCore(const NegacyclicTables& tables, size_t il_rt,
+                            DConstSpan in, DSpan out, DSpan scratch,
+                            OnStage on_stage = {})
+{
+    const size_t il = IL ? IL : il_rt;
+    const NttPlan& plan = tables.plan();
+    const size_t h = plan.half();
+    const int m = plan.logn();
+    const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
+    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
+    const DConstSpan w = tables.inverseTwiddles().span();
+    const DConstSpan wq = tables.inverseTwiddlesShoup().span();
+    const mod::DW<uint64_t> ninv{w.hi[0], w.lo[0]};
+    const mod::DW<uint64_t> ninvq{wq.hi[0], wq.lo[0]};
+
+    DSpan bufs[2] = {out, scratch};
+    int target = (m % 2 == 1) ? 0 : 1;
+    const uint64_t* src_hi = in.hi;
+    const uint64_t* src_lo = in.lo;
+    for (int s = m - 1; s >= 0; --s) {
+        DSpan dst = bufs[target];
+        for (size_t j = 0; j < h; ++j) {
+            const size_t e = negacyclicTwiddleIndex(s, j);
+            const mod::DW<uint64_t> wj{w.hi[e], w.lo[e]};
+            const mod::DW<uint64_t> wjq{wq.hi[e], wq.lo[e]};
+            for (size_t c = 0; c < il; ++c) {
+                const size_t i0 = scalarCoreIndex<IL>(2 * j, c, il);
+                const size_t i1 = scalarCoreIndex<IL>(2 * j + 1, c, il);
+                const size_t o0 = scalarCoreIndex<IL>(j, c, il);
+                const size_t o1 = scalarCoreIndex<IL>(j + h, c, il);
+                if (s == 0)
+                    negacyclicInverseLastButterflyScalar<A>(
+                        q, q2, src_hi, src_lo, dst.hi, dst.lo, ninv, ninvq,
+                        wj, wjq, i0, i1, o0, o1);
+                else
+                    negacyclicInverseButterflyScalar<A>(
+                        q, q2, src_hi, src_lo, dst.hi, dst.lo, wj, wjq, i0,
+                        i1, o0, o1);
+            }
+        }
+        on_stage(DConstSpan(dst), s);
+        src_hi = dst.hi;
+        src_lo = dst.lo;
+        target ^= 1;
+    }
+}
+
+} // namespace detail
+
+/**
+ * Merged negacyclic forward of one channel (see ntt/negacyclic.h):
+ * canonical natural-order input, canonical bit-reversed output. The
+ * scalar loop only serves transforms with n/2 < kLanes.
+ */
+template <class Isa>
+void
+negacyclicForwardImpl(const NegacyclicTables& tables, DConstSpan in,
+                      DSpan out, DSpan scratch)
+{
+    const NttPlan& plan = tables.plan();
+    detail::validateNttArgs(plan, in, out, scratch);
+    const size_t h = plan.half();
+    const int m = plan.logn();
+    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
+    const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
+    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
+    const DConstSpan w = tables.forwardTwiddles().span();
+    const DConstSpan wq = tables.forwardTwiddlesShoup().span();
+
+    DSpan bufs[2] = {out, scratch};
+    int target = (m % 2 == 1) ? 0 : 1;
+    const uint64_t* src_hi = in.hi;
+    const uint64_t* src_lo = in.lo;
+    for (int s = 0; s < m; ++s) {
+        const bool last = s == m - 1;
+        DSpan dst = bufs[target];
+        detail::NegacyclicStageShoup<Isa> tw(w, wq, s);
+        size_t j = 0;
+        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
+            simd::DV<Isa> u, v;
+            detail::negacyclicForwardButterflyV<Isa>(
+                ctx, src_hi, src_lo, j, j + h, tw.at(j), last, u, v);
+            detail::storeInterleaved<Isa>(dst, 2 * j, 2 * j + Isa::kLanes, u,
+                                          v);
+        }
+        for (; j < h; ++j) {
+            const size_t e = detail::negacyclicTwiddleIndex(s, j);
+            detail::negacyclicForwardButterflyScalar(
+                q, q2, src_hi, src_lo, dst.hi, dst.lo,
+                mod::DW<uint64_t>{w.hi[e], w.lo[e]},
+                mod::DW<uint64_t>{wq.hi[e], wq.lo[e]}, j, j + h, 2 * j,
+                2 * j + 1, last);
+        }
+        src_hi = dst.hi;
+        src_lo = dst.lo;
+        target ^= 1;
+    }
+}
+
+/**
+ * Merged negacyclic inverse of one channel: canonical bit-reversed
+ * input, canonical natural-order output, n^-1 folded into the last
+ * stage.
+ */
+template <class Isa>
+void
+negacyclicInverseImpl(const NegacyclicTables& tables, DConstSpan in,
+                      DSpan out, DSpan scratch)
+{
+    const NttPlan& plan = tables.plan();
+    detail::validateNttArgs(plan, in, out, scratch);
+    const size_t h = plan.half();
+    const int m = plan.logn();
+    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
+    const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
+    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
+    const DConstSpan w = tables.inverseTwiddles().span();
+    const DConstSpan wq = tables.inverseTwiddlesShoup().span();
+
+    DSpan bufs[2] = {out, scratch};
+    int target = (m % 2 == 1) ? 0 : 1;
+    const uint64_t* src_hi = in.hi;
+    const uint64_t* src_lo = in.lo;
+    for (int s = m - 1; s >= 1; --s) {
+        DSpan dst = bufs[target];
+        detail::NegacyclicStageShoup<Isa> tw(w, wq, s);
+        size_t j = 0;
+        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
+            simd::DV<Isa> u, v, x0, x1;
+            detail::loadDeinterleaved<Isa>(src_hi, src_lo, 2 * j,
+                                           2 * j + Isa::kLanes, u, v);
+            detail::negacyclicInverseButterflyV<Isa>(ctx, u, v, tw.at(j), x0,
+                                                     x1);
+            simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
+            simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
+        }
+        for (; j < h; ++j) {
+            const size_t e = detail::negacyclicTwiddleIndex(s, j);
+            detail::negacyclicInverseButterflyScalar(
+                q, q2, src_hi, src_lo, dst.hi, dst.lo,
+                mod::DW<uint64_t>{w.hi[e], w.lo[e]},
+                mod::DW<uint64_t>{wq.hi[e], wq.lo[e]}, 2 * j, 2 * j + 1, j,
+                j + h);
+        }
+        src_hi = dst.hi;
+        src_lo = dst.lo;
+        target ^= 1;
+    }
+
+    // Stage 0 lands in out (the parity above), with n^-1 folded in.
+    const auto ninv = detail::broadcastEntry<Isa>(w, wq, 0);
+    const auto wlast = detail::broadcastEntry<Isa>(w, wq, 1);
+    size_t j = 0;
+    for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
+        simd::DV<Isa> u, v, x0, x1;
+        detail::loadDeinterleaved<Isa>(src_hi, src_lo, 2 * j,
+                                       2 * j + Isa::kLanes, u, v);
+        detail::negacyclicInverseLastButterflyV<Isa>(ctx, u, v, ninv, wlast,
+                                                     x0, x1);
+        simd::storeDv<Isa>(out.hi, out.lo, j, x0);
+        simd::storeDv<Isa>(out.hi, out.lo, j + h, x1);
+    }
+    for (; j < h; ++j) {
+        detail::negacyclicInverseLastButterflyScalar(
+            q, q2, src_hi, src_lo, out.hi, out.lo,
+            mod::DW<uint64_t>{w.hi[0], w.lo[0]},
+            mod::DW<uint64_t>{wq.hi[0], wq.lo[0]},
+            mod::DW<uint64_t>{w.hi[1], w.lo[1]},
+            mod::DW<uint64_t>{wq.hi[1], wq.lo[1]}, 2 * j, 2 * j + 1, j,
+            j + h);
+    }
+}
+
+/**
+ * Merged negacyclic forward over il lanes packed by batch::packLanes;
+ * per lane word-identical to negacyclicForwardImpl.
+ */
+template <class Isa>
+void
+negacyclicForwardBatchImpl(const NegacyclicTables& tables, size_t il,
+                           DConstSpan in, DSpan out, DSpan scratch)
+{
+    detail::validateBatchNttArgs(tables.plan(), il, in, out, scratch);
+    switch (il) {
+    case 4:
+        detail::negacyclicForwardBatchCore<Isa, 4>(tables, il, in, out,
+                                                   scratch);
+        break;
+    case 8:
+        detail::negacyclicForwardBatchCore<Isa, 8>(tables, il, in, out,
+                                                   scratch);
+        break;
+    default:
+        detail::negacyclicForwardBatchCore<Isa, 0>(tables, il, in, out,
+                                                   scratch);
+        break;
+    }
+}
+
+/** Batch counterpart of negacyclicInverseImpl. */
+template <class Isa>
+void
+negacyclicInverseBatchImpl(const NegacyclicTables& tables, size_t il,
+                           DConstSpan in, DSpan out, DSpan scratch)
+{
+    detail::validateBatchNttArgs(tables.plan(), il, in, out, scratch);
+    switch (il) {
+    case 4:
+        detail::negacyclicInverseBatchCore<Isa, 4>(tables, il, in, out,
+                                                   scratch);
+        break;
+    case 8:
+        detail::negacyclicInverseBatchCore<Isa, 8>(tables, il, in, out,
+                                                   scratch);
+        break;
+    default:
+        detail::negacyclicInverseBatchCore<Isa, 0>(tables, il, in, out,
+                                                   scratch);
+        break;
+    }
+}
+
+/** Backend::Scalar merged forward (native 128-bit scalar arithmetic). */
+inline void
+negacyclicForwardScalarImpl(const NegacyclicTables& tables, DConstSpan in,
+                            DSpan out, DSpan scratch)
+{
+    detail::validateNttArgs(tables.plan(), in, out, scratch);
+    detail::negacyclicForwardScalarCore<1>(tables, 1, in, out, scratch);
+}
+
+/** Backend::Scalar merged inverse. */
+inline void
+negacyclicInverseScalarImpl(const NegacyclicTables& tables, DConstSpan in,
+                            DSpan out, DSpan scratch)
+{
+    detail::validateNttArgs(tables.plan(), in, out, scratch);
+    detail::negacyclicInverseScalarCore<1>(tables, 1, in, out, scratch);
+}
+
+/** Backend::Scalar merged forward over il packed lanes. */
+inline void
+negacyclicForwardBatchScalarImpl(const NegacyclicTables& tables, size_t il,
+                                 DConstSpan in, DSpan out, DSpan scratch)
+{
+    detail::validateBatchNttArgs(tables.plan(), il, in, out, scratch);
+    detail::negacyclicForwardScalarCore<0>(tables, il, in, out, scratch);
+}
+
+/** Backend::Scalar merged inverse over il packed lanes. */
+inline void
+negacyclicInverseBatchScalarImpl(const NegacyclicTables& tables, size_t il,
+                                 DConstSpan in, DSpan out, DSpan scratch)
+{
+    detail::validateBatchNttArgs(tables.plan(), il, in, out, scratch);
+    detail::negacyclicInverseScalarCore<0>(tables, il, in, out, scratch);
 }
 
 } // namespace ntt

@@ -7,19 +7,14 @@
 namespace mqx {
 namespace ntt {
 
-namespace {
-
-/** Bit-reversal of @p i within @p bits bits. */
 size_t
-bitrev(size_t i, int bits)
+bitReverseIndex(size_t i, int bits)
 {
     size_t r = 0;
     for (int b = 0; b < bits; ++b)
         r |= ((i >> b) & 1) << (bits - 1 - b);
     return r;
 }
-
-} // namespace
 
 NttPlan::NttPlan(const NttPrime& prime, size_t n, size_t l2_budget)
     : NttPlan(prime, n)
@@ -107,7 +102,7 @@ bitReversePermute(DSpan data)
     for (size_t t = n; t > 1; t >>= 1)
         ++logn;
     for (size_t i = 0; i < n; ++i) {
-        size_t r = bitrev(i, logn);
+        size_t r = bitReverseIndex(i, logn);
         if (r > i) {
             std::swap(data.hi[i], data.hi[r]);
             std::swap(data.lo[i], data.lo[r]);

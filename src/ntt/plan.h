@@ -186,5 +186,8 @@ class NttPlan
 /** In-place bit-reversal permutation of a split-layout vector. */
 void bitReversePermute(DSpan data);
 
+/** Bit-reversal of @p i within @p bits bits. */
+size_t bitReverseIndex(size_t i, int bits);
+
 } // namespace ntt
 } // namespace mqx

@@ -465,19 +465,17 @@ class BatchScratchLease
 
 /**
  * Pack this channel's spans of @p il consecutive operands (starting at
- * product @p p0, side selected by @p second), twist them, and
- * batch-forward the whole tile into @p out, clobbering @p packed and
- * @p scratch.
+ * product @p p0, side selected by @p second) and run the merged
+ * negacyclic forward over the whole tile into @p out, clobbering
+ * @p packed and @p scratch.
  */
 void
-packTwistForward(Backend backend, const Modulus& m,
-                 const ntt::NegacyclicTables& tables,
-                 const BatchLayout& layout, size_t channel,
-                 const std::vector<std::pair<const RnsPolynomial*,
-                                             const RnsPolynomial*>>& products,
-                 size_t p0, bool second, std::vector<DConstSpan>& src,
-                 ResidueVector& packed, ResidueVector& out,
-                 ResidueVector& scratch)
+packForward(Backend backend, const ntt::NegacyclicTables& tables,
+            const BatchLayout& layout, size_t channel,
+            const std::vector<std::pair<const RnsPolynomial*,
+                                        const RnsPolynomial*>>& products,
+            size_t p0, bool second, std::vector<DConstSpan>& src,
+            ResidueVector& packed, ResidueVector& out, ResidueVector& scratch)
 {
     MQX_FAULT_POINT("rns.batch.pack");
     const size_t il = layout.il;
@@ -487,10 +485,8 @@ packTwistForward(Backend backend, const Modulus& m,
         src[lane] = p.channel(channel).span();
     }
     batch::packLanes(layout, src.data(), il, packed.span());
-    ntt::vmulShoupBatch(backend, m, il, packed.span(), tables.twist().span(),
-                        tables.twistShoup().span(), packed.span());
-    ntt::forwardBatch(tables.plan(), backend, il, packed.span(), out.span(),
-                      scratch.span());
+    ntt::negacyclicForwardBatch(tables, backend, il, packed.span(),
+                                out.span(), scratch.span());
 }
 
 } // namespace
@@ -509,22 +505,19 @@ polymulChannelBatch(Backend backend, const RnsBasis& basis, size_t channel,
     const BatchLayout layout(n, il, il);
     BatchScratchLease s(il, n);
 
-    packTwistForward(backend, m, *tables, layout, channel, products, p0,
-                     /*second=*/false, s->lane_src, s->packed_a, s->packed_b,
-                     s->packed_c);
-    packTwistForward(backend, m, *tables, layout, channel, products, p0,
-                     /*second=*/true, s->lane_src, s->packed_a, s->packed_c,
-                     s->packed_d);
+    packForward(backend, *tables, layout, channel, products, p0,
+                /*second=*/false, s->lane_src, s->packed_a, s->packed_b,
+                s->packed_c);
+    packForward(backend, *tables, layout, channel, products, p0,
+                /*second=*/true, s->lane_src, s->packed_a, s->packed_c,
+                s->packed_d);
     // Point-wise product over the whole packed tile: the layout is a
     // per-lane permutation, and vmul is element-wise, so one flat call
     // multiplies every lane at once.
     blas::vmul(backend, m, s->packed_b.span(), s->packed_c.span(),
                s->packed_b.span());
-    ntt::inverseBatch(tables->plan(), backend, il, s->packed_b.span(),
-                      s->packed_a.span(), s->packed_c.span());
-    ntt::vmulShoupBatch(backend, m, il, s->packed_a.span(),
-                        tables->untwist().span(),
-                        tables->untwistShoup().span(), s->packed_a.span());
+    ntt::negacyclicInverseBatch(*tables, backend, il, s->packed_b.span(),
+                                s->packed_a.span(), s->packed_c.span());
     MQX_FAULT_POINT("rns.batch.unpack");
     for (size_t lane = 0; lane < il; ++lane)
         s->lane_dst[lane] = results[p0 + lane].channel(channel).span();
@@ -555,12 +548,12 @@ fmaChannelBatched(Backend backend, const RnsBasis& basis, size_t channel,
     s->packed_acc.ensure(il * n);
     for (size_t t = 0; t < tiles; ++t) {
         const size_t p0 = t * il;
-        packTwistForward(backend, m, *tables, layout, channel, products, p0,
-                         /*second=*/false, s->lane_src, s->packed_a,
-                         s->packed_b, s->packed_c);
-        packTwistForward(backend, m, *tables, layout, channel, products, p0,
-                         /*second=*/true, s->lane_src, s->packed_a,
-                         s->packed_c, s->packed_d);
+        packForward(backend, *tables, layout, channel, products, p0,
+                    /*second=*/false, s->lane_src, s->packed_a, s->packed_b,
+                    s->packed_c);
+        packForward(backend, *tables, layout, channel, products, p0,
+                    /*second=*/true, s->lane_src, s->packed_a, s->packed_c,
+                    s->packed_d);
         // The first tile's products are the partial sums themselves
         // (0 + x = x for canonical x): they go straight into the
         // accumulator, with no zero fill and no add pass.

@@ -102,8 +102,8 @@ class RnsBasis
  *
  * `Coeff` is the natural representation: channel i holds the
  * coefficients of the polynomial mod q_i. `Eval` holds the forward
- * negacyclic NTT of each channel (twist by psi^i then cyclic forward,
- * bit-reversed order — see ntt/negacyclic.h). In Eval form the
+ * negacyclic NTT of each channel (the cyclic forward of the input
+ * twisted by psi^i, bit-reversed order — see ntt/negacyclic.h). In Eval form the
  * negacyclic ring product is a point-wise multiply, and addition is
  * point-wise in either form, so chains of products and sums can stay
  * resident in Eval form and pay a single inverse transform at the end —
@@ -227,7 +227,8 @@ class RnsKernels
 
     /**
      * Negacyclic polynomial product a * b mod (x^n + 1, Q): each channel
-     * runs the full twist + NTT + point-wise + inverse pipeline.
+     * runs the merged negacyclic forward + point-wise + inverse
+     * pipeline.
      * Operands and result are in Coeff form.
      */
     RnsPolynomial polymulNegacyclic(const RnsPolynomial& a,
@@ -281,7 +282,7 @@ class RnsKernels
   private:
     /**
      * Serial-path table cache, keyed by n (the basis is fixed): without
-     * it every serial polymul re-derived the NTT plan and twist tables
+     * it every serial polymul re-derived the NTT plan and psi tables
      * for every channel — O(k n log n) setup per product. Engine-routed
      * kernels use the engine's PlanCache instead and never touch this.
      */
@@ -322,7 +323,7 @@ void mulChannel(Backend backend, const RnsBasis& basis, size_t channel,
 
 /**
  * One channel of the negacyclic product. @p tables holds the cached
- * plan + twist tables for (q_channel, n); pass nullptr to derive them
+ * plan + psi tables for (q_channel, n); pass nullptr to derive them
  * on the spot (a cacheless path). A non-null @p cancel switches the
  * body to the staged pipeline (forward → pointwise → inverse with a
  * cancellation checkpoint at every stage boundary), so a tripped
@@ -390,9 +391,9 @@ void addChannelUnfaulted(Backend backend, const RnsBasis& basis,
 /**
  * One channel-tile of the interleaved-batch negacyclic product: packs
  * this channel's spans of products [p0, p0 + il) into the channel-major
- * batch layout (core/batch_layout.h), runs twist + forward + point-wise
- * + inverse + untwist ONCE across all il lanes with the batched kernels
- * (ntt::forwardBatch et al.), and unpacks into results[p0 .. p0 + il).
+ * batch layout (core/batch_layout.h), runs the merged negacyclic
+ * forward + point-wise + inverse ONCE across all il lanes with the
+ * batched kernels (ntt::negacyclicForwardBatch et al.), and unpacks into results[p0 .. p0 + il).
  * Per-lane word-identical to il polymulChannel calls. @p tables must be
  * non-null and batch-eligible (ntt::batchSupported). Packing staging is
  * thread-local and recycled, so steady-state calls are allocation-free.

@@ -4,8 +4,8 @@
  *
  * Freivalds-style verification of negacyclic polymul: for c = a·b in
  * Z_q[x]/(x^n + 1), evaluate both sides at a point r = psi^(2j+1) — a
- * root of x^n + 1 (psi is the primitive 2n-th root the twist tables are
- * built from), so the ring reduction term vanishes and
+ * root of x^n + 1 (psi is the primitive 2n-th root the negacyclic
+ * tables are built from), so the ring reduction term vanishes and
  * a(r)·b(r) = c(r) holds *exactly* for correct output. The check is
  * O(n) (one pointwise multiply against a cached powers-of-r table plus
  * a horizontal mod-q sum per operand) versus the O(n log n) transform

@@ -7,13 +7,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <vector>
+
+#include "core/env.h"
 
 namespace mqx {
 namespace telemetry {
@@ -29,20 +29,12 @@ nowNs()
 
 namespace {
 
-bool
-envDisabled()
-{
-    const char* env = std::getenv("MQX_TELEMETRY");
-    if (!env)
-        return false;
-    return std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-           std::strcmp(env, "OFF") == 0;
-}
-
 std::atomic<bool>&
 enabledFlag()
 {
-    static std::atomic<bool> flag{compiledIn() && !envDisabled()};
+    // MQX_TELEMETRY=0/off/OFF is the runtime kill switch.
+    static const bool env_on = core::envSwitch("MQX_TELEMETRY", true);
+    static std::atomic<bool> flag{compiledIn() && env_on};
     return flag;
 }
 

@@ -219,43 +219,6 @@ TEST_P(BatchNttBackend, ForwardBatchBitIdenticalPerLane)
     }
 }
 
-TEST_P(BatchNttBackend, VmulShoupBatchMatchesPerChannel)
-{
-    const Backend be = GetParam();
-    const size_t il = ntt::batchInterleave(be);
-    const size_t n = 64;
-    const Modulus m(testPrime().q);
-    const auto q = mod::toDw(testPrime().q);
-    const BatchLayout layout(n, il, il);
-
-    ResidueVector t = randomLanes(n, 400);
-    ResidueVector tq(n);
-    for (size_t i = 0; i < n; ++i)
-        tq.set(i, mod::fromDw(mod::shoupPrecompute(mod::toDw(t.at(i)), q)));
-
-    std::vector<ResidueVector> lanes;
-    std::vector<DConstSpan> spans;
-    for (size_t c = 0; c < il; ++c)
-        lanes.push_back(randomLanes(n, 500 + c));
-    for (auto& v : lanes)
-        spans.push_back(v.span());
-    ResidueVector packed(layout.totalWords());
-    batch::packLanes(layout, spans.data(), il, packed.span());
-    // In-place, as the twist passes use it.
-    ntt::vmulShoupBatch(be, m, il, packed.span(), t.span(), tq.span(),
-                        packed.span());
-
-    ResidueVector ref(n);
-    for (size_t c = 0; c < il; ++c) {
-        ntt::vmulShoup(be, m, lanes[c].span(), t.span(), tq.span(),
-                       ref.span());
-        for (size_t e = 0; e < n; ++e) {
-            ASSERT_EQ(packed.at(layout.index(e, c)), ref.at(e))
-                << "lane " << c << " e " << e;
-        }
-    }
-}
-
 TEST(BatchNtt, ValidatesArguments)
 {
     const Backend be = Backend::Scalar;

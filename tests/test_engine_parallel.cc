@@ -174,8 +174,8 @@ TEST(PlanCache, StatsCountBuildsSeparatelyFromMisses)
     EXPECT_EQ(warm.builds, 1u);
     EXPECT_EQ(warm.build_ns, cold.build_ns);
 
-    // Negacyclic tables on a fresh key: the plan build and the twist
-    // build are timed separately (one get call, two derivations).
+    // Negacyclic tables on a fresh key: the plan build and the psi
+    // table build are timed separately (one get call, two derivations).
     (void)cache.getNegacyclic(prime, 128);
     engine::PlanCache::Stats after = cache.stats();
     EXPECT_EQ(after.misses, 2u);
@@ -244,7 +244,7 @@ TEST(PlanCache, TwiddleBytesAccountShoupAndTwistTables)
     EXPECT_EQ(plan->twiddleBytes(), 8u * 32 * sizeof(uint64_t));
 
     auto tables = cache.getNegacyclic(prime, 64);
-    // Negacyclic entries add their twist tables + companions (4 split
+    // Negacyclic entries add their psi tables + companions (4 split
     // vectors of n elements) on top of the shared cyclic plan.
     EXPECT_EQ(cache.twiddleBytes(),
               plan->twiddleBytes() + tables->tableBytes());
@@ -320,7 +320,7 @@ TEST(EngineParallelLargeN, ThreadedPolymulRoundTripAt65536)
     expectIdentical(eng.polymulNegacyclic(a, b), poly_ref);
     // Every cached plan is direct: its tables are exactly the 8 power
     // arrays of n/2 words, and the cache holds nothing beyond those
-    // plus each channel's negacyclic twist tables.
+    // plus each channel's negacyclic psi tables.
     const size_t k = basis.size();
     EXPECT_EQ(eng.planCache().negacyclicCount(), k);
     EXPECT_EQ(eng.planCache().planCount(), k);

@@ -282,30 +282,6 @@ TEST_P(NttBackend, ShoupLazyBitIdenticalOnWideModulus)
                          Reduction::Barrett));
 }
 
-TEST_P(NttBackend, VmulShoupMatchesBlasVmul)
-{
-    Backend be = GetParam();
-    const size_t n = 128;
-    ntt::NttPlan plan(testPrime(), n);
-    const Modulus& m = plan.modulus();
-    const mod::DW<uint64_t> q = mod::toDw(m.value());
-    auto a = randomResidues(n, testPrime().q, 7);
-    auto t = randomResidues(n, testPrime().q, 8);
-    ResidueVector va = ResidueVector::fromU128(a);
-    ResidueVector vt = ResidueVector::fromU128(t);
-    ResidueVector vtq(n), out(n);
-    for (size_t i = 0; i < n; ++i) {
-        vtq.set(i, mod::fromDw(
-                       mod::shoupPrecompute(mod::toDw(vt.at(i)), q)));
-    }
-    ntt::vmulShoup(be, m, va.span(), vt.span(), vtq.span(), out.span());
-    for (size_t i = 0; i < n; ++i)
-        EXPECT_EQ(out.at(i), m.mul(a[i], t[i])) << "i=" << i;
-    // In-place (c == a) is part of the contract.
-    ntt::vmulShoup(be, m, va.span(), vt.span(), vtq.span(), va.span());
-    EXPECT_EQ(va.toU128(), out.toU128());
-}
-
 TEST_P(NttBackend, WideModulusWorks)
 {
     // Full 124-bit modulus: the Barrett ceiling.
@@ -656,27 +632,6 @@ TEST(NttBackendIfma, WordIdenticalToEmulatedAvx512)
         EXPECT_TRUE(same(ber, bir)) << "batch inverse output";
         EXPECT_TRUE(same(be_s, bi_s)) << "batch inverse lazy intermediates";
         EXPECT_TRUE(same(bir, bin)) << "batch roundtrip";
-        // The twist-pass multiplies: vmulShoup and its batch form.
-        const Modulus& m = plan.modulus();
-        std::vector<U128> tw = randomResidues(n, prime.q, 0x3c5d + n);
-        std::vector<U128> twq(n);
-        for (size_t i = 0; i < n; ++i)
-            twq[i] = mod::fromDw(
-                mod::shoupPrecompute(mod::toDw(tw[i]), mod::toDw(prime.q)));
-        ResidueVector t = ResidueVector::fromU128(tw);
-        ResidueVector tq = ResidueVector::fromU128(twq);
-        ResidueVector ve(n), vi(n);
-        be::vmulShoupAvx512(m, in.span(), t.span(), tq.span(), ve.span(),
-                            MulAlgo::Schoolbook);
-        be::vmulShoupAvx512Ifma(m, in.span(), t.span(), tq.span(),
-                                vi.span(), MulAlgo::Karatsuba);
-        EXPECT_TRUE(same(ve, vi)) << "vmulShoup";
-        ResidueVector vbe(il * n), vbi(il * n);
-        be::vmulShoupBatchAvx512(m, il, bin.span(), t.span(), tq.span(),
-                                 vbe.span(), MulAlgo::Schoolbook);
-        be::vmulShoupBatchAvx512Ifma(m, il, bin.span(), t.span(), tq.span(),
-                                     vbi.span(), MulAlgo::Schoolbook);
-        EXPECT_TRUE(same(vbe, vbi)) << "vmulShoupBatch";
     }
 #else
     GTEST_SKIP() << "IFMA build of the AVX-512 tier not compiled in";

@@ -10,9 +10,10 @@
  *     tests/fixtures/range_violation.cc, proves a violating kernel
  *     snippet actually fails to build (ctest: range_contract_violation).
  *  2. Bit-identity: the scalar Pease radix-2 and radix-4 lazy cores and
- *     the negacyclic twist/untwist instantiated over CheckedLazyOps
- *     produce word-identical results to the production backends (which
- *     compile LazyOps unless MQX_RANGE_AUDIT is on).
+ *     the merged negacyclic forward/inverse instantiated over
+ *     CheckedLazyOps produce word-identical results to the production
+ *     backends (which compile LazyOps unless MQX_RANGE_AUDIT is on);
+ *     the merged drivers also assert each stage's output bound.
  *  3. Audit mode: under MQX_RANGE_AUDIT the dynamic bound assertions
  *     abort on an out-of-contract value (death test) and stay silent on
  *     the whole in-contract suite.
@@ -287,18 +288,81 @@ checkedInverseRadix4(const ntt::NttPlan& plan, DConstSpan in, DSpan out,
     }
 }
 
-/** Per-element checked twist: c[i] = a[i] * t[i] mod q, canonical out. */
+/** Every word of @p v is below @p multiple * q (multiple in {1, 2, 4}). */
+::testing::AssertionResult
+allBelow(DConstSpan v, unsigned multiple, const Dw& q)
+{
+    Dw limit = q;
+    for (unsigned m = 1; m < multiple; m <<= 1)
+        limit = mod::shl1Dw(limit);
+    for (size_t i = 0; i < v.n; ++i) {
+        if (!(Dw{v.hi[i], v.lo[i]} < limit))
+            return ::testing::AssertionFailure() << "word " << i;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+using ntt::detail::negacyclicForwardScalarCore;
+using ntt::detail::negacyclicInverseScalarCore;
+using Tables = ntt::NegacyclicTables;
+
+/**
+ * The scalar backend's merged negacyclic forward loop instantiated with
+ * policy A, checking the range contract after every stage: [0, 4q)
+ * between stages, canonical out of the last one.
+ */
 template <class A>
 void
-checkedVmulShoup(const Modulus& m, DConstSpan a, DConstSpan t, DConstSpan tq,
-                 DSpan c, MulAlgo algo)
+checkedNegacyclicForward(const Tables& t, DConstSpan in, DSpan out)
 {
-    const Dw q = mod::toDw(m.value());
-    for (size_t i = 0; i < a.n; ++i) {
-        ntt::detail::mulShoupCanonElementScalar<A>(
-            q, a.hi, a.lo, c.hi, c.lo, Dw{t.hi[i], t.lo[i]},
-            Dw{tq.hi[i], tq.lo[i]}, i, algo);
-    }
+    const Dw q = mod::toDw(t.plan().modulus().value());
+    const int last = t.plan().logn() - 1;
+    ResidueVector scratch(in.n);
+    auto check = [&](DConstSpan dst, int s) {
+        EXPECT_TRUE(allBelow(dst, s == last ? 1 : 4, q)) << "stage " << s;
+    };
+    negacyclicForwardScalarCore<1, A>(t, 1, in, out, scratch.span(), check);
+}
+
+/**
+ * The merged inverse loop, checked: [0, 2q) between stages, canonical
+ * out of the last (n^-1-folded) stage.
+ */
+template <class A>
+void
+checkedNegacyclicInverse(const Tables& t, DConstSpan in, DSpan out)
+{
+    const Dw q = mod::toDw(t.plan().modulus().value());
+    ResidueVector scratch(in.n);
+    auto check = [&](DConstSpan dst, int s) {
+        EXPECT_TRUE(allBelow(dst, s == 0 ? 1 : 2, q)) << "stage " << s;
+    };
+    negacyclicInverseScalarCore<1, A>(t, 1, in, out, scratch.span(), check);
+}
+
+/** Checked merged forward and inverse vs the Scalar backend's engine. */
+void
+expectCheckedNegacyclic(const ntt::NttPrime& prime, size_t n, uint64_t seed)
+{
+    auto plan = std::make_shared<const ntt::NttPlan>(prime, n);
+    auto t = std::make_shared<const Tables>(plan);
+    ntt::NegacyclicEngine engine(t, Backend::Scalar);
+    auto in = randomResidues(n, plan->modulus().value(), seed);
+    ResidueVector vin = ResidueVector::fromU128(in);
+    ResidueVector want(n), checked(n), unchecked(n);
+
+    engine.forward(vin.span(), want.span());
+    checkedNegacyclicForward<CheckedLazyOps>(*t, vin.span(), checked.span());
+    checkedNegacyclicForward<LazyOps>(*t, vin.span(), unchecked.span());
+    EXPECT_EQ(want.toU128(), checked.toU128());
+    EXPECT_EQ(want.toU128(), unchecked.toU128());
+
+    // Inverse of the forward's output, then the full checked roundtrip.
+    ResidueVector inv_want(n), back(n);
+    engine.inverse(want.span(), inv_want.span());
+    checkedNegacyclicInverse<CheckedLazyOps>(*t, want.span(), back.span());
+    EXPECT_EQ(inv_want.toU128(), back.toU128());
+    EXPECT_EQ(in, back.toU128());
 }
 
 class RangeContract : public ::testing::TestWithParam<size_t>
@@ -362,29 +426,10 @@ TEST_P(RangeContract, CheckedRadix4BitIdenticalToScalarBackend)
     EXPECT_EQ(in, inv_checked.toU128());
 }
 
-TEST_P(RangeContract, CheckedNegacyclicTwistUntwistBitIdentical)
+TEST_P(RangeContract, CheckedMergedNegacyclicBitIdentical)
 {
     const size_t n = GetParam();
-    auto plan = std::make_shared<const ntt::NttPlan>(ntt::smallTestPrime(), n);
-    ntt::NegacyclicTables tables(plan);
-    const Modulus& m = plan->modulus();
-    auto in = randomResidues(n, m.value(), 0x7003 + n);
-    ResidueVector vin = ResidueVector::fromU128(in);
-    ResidueVector want(n), checked(n);
-
-    ntt::vmulShoup(Backend::Scalar, m, vin.span(), tables.twist().span(),
-                   tables.twistShoup().span(), want.span());
-    checkedVmulShoup<CheckedLazyOps>(m, vin.span(), tables.twist().span(),
-                                     tables.twistShoup().span(),
-                                     checked.span(), MulAlgo::Schoolbook);
-    EXPECT_EQ(want.toU128(), checked.toU128());
-
-    ntt::vmulShoup(Backend::Scalar, m, vin.span(), tables.untwist().span(),
-                   tables.untwistShoup().span(), want.span());
-    checkedVmulShoup<CheckedLazyOps>(m, vin.span(), tables.untwist().span(),
-                                     tables.untwistShoup().span(),
-                                     checked.span(), MulAlgo::Schoolbook);
-    EXPECT_EQ(want.toU128(), checked.toU128());
+    expectCheckedNegacyclic(ntt::smallTestPrime(), n, 0x7003 + n);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, RangeContract,
@@ -418,6 +463,9 @@ TEST(RangeContract, CheckedCoresAtBarrettCeiling)
                                              cs.span(), algo);
         EXPECT_EQ(want.toU128(), checked.toU128());
     }
+    // The merged negacyclic forward holds [0, 4q) between stages: at 124
+    // bits that is the whole 4-bit headroom.
+    expectCheckedNegacyclic(prime, n, 0x7005);
 }
 
 // ---------------------------------------------------------------------------

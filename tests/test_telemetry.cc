@@ -12,10 +12,12 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/env.h"
 #include "core/layout_metrics.h"
 #include "telemetry/telemetry.h"
 
@@ -385,6 +387,37 @@ TEST(Span, RuntimeDisableRecordsNothing)
         MQX_SCOPED_SPAN(span, "test.span.disabled");
     }
     EXPECT_EQ(site.hist.snapshot().count, 1u);
+}
+
+TEST(Span, EnvSwitchParsesTheKillSwitchSpellings)
+{
+    // The parse behind MQX_TELEMETRY (read once, at first use, through
+    // core/env.h): 0/off/OFF disable, 1/on/ON and unset keep the
+    // default, anything else falls back to it with a telemetry note.
+    const char* kVar = "MQX_TELEMETRY";
+    const char* saved = std::getenv(kVar);
+    const std::string restore = saved ? saved : "";
+    for (const char* off : {"0", "off", "OFF"}) {
+        ::setenv(kVar, off, 1);
+        EXPECT_FALSE(core::envSwitch(kVar, true)) << off;
+    }
+    for (const char* on : {"1", "on", "ON"}) {
+        ::setenv(kVar, on, 1);
+        EXPECT_TRUE(core::envSwitch(kVar, true)) << on;
+        EXPECT_TRUE(core::envSwitch(kVar, false)) << on;
+    }
+    ::unsetenv(kVar);
+    EXPECT_TRUE(core::envSwitch(kVar, true));
+    ::setenv(kVar, "", 1);
+    EXPECT_TRUE(core::envSwitch(kVar, true));
+    ::setenv(kVar, "banana", 1);
+    EXPECT_TRUE(core::envSwitch(kVar, true));
+    EXPECT_FALSE(core::envSwitch(kVar, false));
+    EXPECT_GE(telemetry::counter("env.fallback.MQX_TELEMETRY").value(), 1u);
+    if (saved)
+        ::setenv(kVar, restore.c_str(), 1);
+    else
+        ::unsetenv(kVar);
 }
 
 TEST(Snapshot, JsonIsWellFormedAndContainsRegisteredNames)

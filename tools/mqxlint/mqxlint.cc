@@ -6,7 +6,8 @@
  * see because they are about THIS codebase's contracts:
  *
  *   backend-coverage  every entry point declared in ntt_backends.h /
- *                     blas_backends.h is defined in its backend TU
+ *                     negacyclic_backends.h / blas_backends.h is
+ *                     defined in its backend TU
  *                     (suffix Scalar/Portable/Avx2/Avx512/Avx512Ifma/
  *                     Mqx selects the file), directly or through a
  *                     tier body the TU includes with a name macro
@@ -461,6 +462,7 @@ class Linter
             const char* stem;
         } kHeaders[] = {
             {"src/ntt/ntt_backends.h", "src/ntt", "ntt"},
+            {"src/ntt/negacyclic_backends.h", "src/ntt", "negacyclic"},
             {"src/blas/blas_backends.h", "src/blas", "blas"},
         };
         for (const auto& h : kHeaders) {
