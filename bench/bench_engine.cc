@@ -6,8 +6,8 @@
  * The paper closes the per-core gap (Figs. 1/5); this measures the
  * other axis — RNS channels fanned out across cores by engine::Engine.
  * Channels are independent, so ideal scaling is min(channels, threads)
- * until memory bandwidth intervenes. The serial row (threads = 1) is
- * the seed's sequential RnsKernels path; speedups are relative to it.
+ * until memory bandwidth intervenes. Speedups are relative to T=1, the
+ * serial run: the pool executes every channel inline on the caller.
  */
 #include <algorithm>
 #include <cstring>
@@ -75,8 +75,8 @@ main(int argc, char** argv)
 
     const int kReps = 3;
 
-    TextTable scaling("polymulNegacyclic ms (speedup vs serial RnsKernels)");
-    std::vector<std::string> header = {"channels", "serial"};
+    TextTable scaling("polymulNegacyclic ms (speedup vs T=1)");
+    std::vector<std::string> header = {"channels"};
     for (size_t t : thread_counts)
         header.push_back("T=" + std::to_string(t));
     scaling.setHeader(header);
@@ -86,18 +86,16 @@ main(int argc, char** argv)
         auto a = rns::randomPolynomial(basis, n, 0xaa + channels);
         auto b = rns::randomPolynomial(basis, n, 0xbb + channels);
 
-        rns::RnsKernels serial(basis, be);
         rns::RnsPolynomial sink(basis, n);
-        uint64_t serial_ns =
-            bestOf(kReps, [&] { sink = serial.polymulNegacyclic(a, b); });
-
-        std::vector<std::string> row = {std::to_string(channels),
-                                        formatFixed(serial_ns / 1e6, 2)};
+        std::vector<std::string> row = {std::to_string(channels)};
+        uint64_t serial_ns = 0; // thread_counts is sorted: T=1 runs first
         for (size_t t : thread_counts) {
             engine::Engine eng(be, t);
             eng.polymulNegacyclic(a, b); // warm the plan cache
             uint64_t ns =
                 bestOf(kReps, [&] { sink = eng.polymulNegacyclic(a, b); });
+            if (t == 1)
+                serial_ns = ns;
             row.push_back(formatFixed(ns / 1e6, 2) + " (" +
                           formatSpeedup(static_cast<double>(serial_ns) /
                                         static_cast<double>(ns)) +
@@ -107,9 +105,7 @@ main(int argc, char** argv)
         std::fprintf(stderr, "  measured %zu channels\n", channels);
     }
     scaling.print();
-    std::printf("note: 'serial' is the seed RnsKernels path, which "
-                "re-derives NTT plans every call;\nthe T=1 column isolates "
-                "the plan-cache gain, higher T adds thread fan-out.\n\n");
+    std::printf("\n");
 
     // Batch dispatch: many independent products as one flat task set.
     {
@@ -126,7 +122,7 @@ main(int argc, char** argv)
         for (size_t i = 0; i < batch; ++i)
             products.push_back({&as[i], &bs[i]});
 
-        rns::RnsKernels serial(basis, be);
+        engine::Engine serial(be, 1);
         uint64_t serial_ns = bestOf(kReps, [&] {
             for (size_t i = 0; i < batch; ++i)
                 (void)serial.polymulNegacyclic(as[i], bs[i]);
@@ -140,7 +136,8 @@ main(int argc, char** argv)
                      " independent polymuls x " + std::to_string(channels) +
                      " channels");
         bt.setHeader({"path", "ms", "speedup"});
-        bt.addRow({"serial loop", formatFixed(serial_ns / 1e6, 2), "1.0x"});
+        bt.addRow({"polymul loop (T=1)", formatFixed(serial_ns / 1e6, 2),
+                   "1.0x"});
         bt.addRow({"engine batch (T=" + std::to_string(hw) + ")",
                    formatFixed(batch_ns / 1e6, 2),
                    formatSpeedup(static_cast<double>(serial_ns) /
@@ -238,7 +235,7 @@ main(int argc, char** argv)
         rns::RnsBasis basis(124, 20, static_cast<int>(channels));
         auto a = rns::randomPolynomial(basis, lay_n, 0x500);
         auto b = rns::randomPolynomial(basis, lay_n, 0x600);
-        rns::RnsKernels kernels(basis, be);
+        engine::Engine serial(be, 1);
         rns::RnsPolynomial sink(basis, lay_n);
 
         // Per-channel transform engines for the adapter replay, built
@@ -259,10 +256,10 @@ main(int argc, char** argv)
         uint64_t adapter_ns = bestOf(kReps, adapterPolymul);
         auto adapter_delta = layout::delta(m0, layout::metrics());
 
-        kernels.polymulNegacyclicInto(a, b, sink); // warm tables + pool
+        serial.polymulNegacyclicInto(a, b, sink); // warm tables + pool
         m0 = layout::metrics();
         uint64_t native_ns =
-            bestOf(kReps, [&] { kernels.polymulNegacyclicInto(a, b, sink); });
+            bestOf(kReps, [&] { serial.polymulNegacyclicInto(a, b, sink); });
         auto native_delta = layout::delta(m0, layout::metrics());
 
         auto perCall = [&](uint64_t total) {
@@ -270,7 +267,7 @@ main(int argc, char** argv)
         };
         TextTable lt("split hi/lo layout: polymul, n = " +
                      std::to_string(lay_n) + ", " + std::to_string(channels) +
-                     " channels (serial kernels)");
+                     " channels (serial engine)");
         lt.setHeader({"path", "ms", "speedup", "conv/call", "allocs/call"});
         lt.addRow({"U128 adapter round trip", formatFixed(adapter_ns / 1e6, 2),
                    "1.0x", perCall(adapter_delta.conversions()),

@@ -27,7 +27,6 @@ main()
     rns::RnsBasis basis(124, 20, 3);
     const size_t n = 2048, k = 8;
     engine::Engine engine;
-    rns::RnsKernels kernels(basis, engine);
     std::printf("dot product of %zu negacyclic products, n = %zu, "
                 "%zu channels, backend %s, %zu thread(s)\n\n",
                 k, n, basis.size(), backendName(engine.backend()).c_str(),
@@ -42,9 +41,9 @@ main()
     // Naive: k independent products, each paying 2 forward + 1 inverse
     // NTT per channel, then k - 1 coefficient-wise adds.
     uint64_t t0 = nowNs();
-    rns::RnsPolynomial naive = kernels.polymulNegacyclic(as[0], bs[0]);
+    rns::RnsPolynomial naive = engine.polymulNegacyclic(as[0], bs[0]);
     for (size_t i = 1; i < k; ++i)
-        naive = kernels.add(naive, kernels.polymulNegacyclic(as[i], bs[i]));
+        naive = engine.add(naive, engine.polymulNegacyclic(as[i], bs[i]));
     uint64_t t1 = nowNs();
 
     // Fused: accumulate in the transform domain, one inverse in total.
@@ -54,21 +53,21 @@ main()
     for (size_t i = 0; i < k; ++i)
         products.push_back({&as[i], &bs[i]});
     uint64_t t2 = nowNs();
-    rns::RnsPolynomial fused = kernels.fmaBatch(products);
+    rns::RnsPolynomial fused = engine.fmaBatch(products);
     uint64_t t3 = nowNs();
 
     // Key-resident: the b_i (the "key") live in Eval form permanently;
     // only the a_i are forwarded inside the batch.
     std::vector<rns::RnsPolynomial> key;
     for (size_t i = 0; i < k; ++i)
-        key.push_back(kernels.toEval(bs[i]));
+        key.push_back(engine.toEval(bs[i]));
     std::vector<std::pair<const rns::RnsPolynomial*,
                           const rns::RnsPolynomial*>>
         key_products;
     for (size_t i = 0; i < k; ++i)
         key_products.push_back({&as[i], &key[i]});
     uint64_t t4 = nowNs();
-    rns::RnsPolynomial resident = kernels.fmaBatch(key_products);
+    rns::RnsPolynomial resident = engine.fmaBatch(key_products);
     uint64_t t5 = nowNs();
 
     bool identical = true;

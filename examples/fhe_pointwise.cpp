@@ -11,7 +11,7 @@
  * 3-prime RNS basis, applies a small homomorphic circuit
  * (ct3 = ct1 .* ct2 + ct1) with every available backend routed through
  * engine::Engine, and verifies all backends agree bit-for-bit with each
- * other and with the serial RnsKernels path.
+ * other and with a one-thread Scalar engine.
  */
 #include <cstdio>
 
@@ -34,8 +34,8 @@ main()
     auto ct1 = rns::randomPolynomial(basis, n, 0xc1);
     auto ct2 = rns::randomPolynomial(basis, n, 0xc2);
 
-    // Serial reference: the seed's sequential channel loop.
-    rns::RnsKernels serial(basis, Backend::Scalar);
+    // Serial reference: one thread runs every channel inline, in order.
+    engine::Engine serial(Backend::Scalar, 1);
     auto golden = serial.add(serial.mul(ct1, ct2), ct1);
 
     bool all_agree = true;
@@ -43,10 +43,9 @@ main()
         if (!backendAvailable(be))
             continue; // skip tiers this host cannot run
         engine::Engine eng(be);
-        rns::RnsKernels kernels(basis, eng);
 
         // ct3 = ct1 .* ct2 + ct1 (all point-wise, mod Q via channels)
-        auto ct3 = kernels.add(kernels.mul(ct1, ct2), ct1);
+        auto ct3 = eng.add(eng.mul(ct1, ct2), ct1);
 
         bool agree = true;
         for (size_t i = 0; i < basis.size(); ++i)

@@ -50,15 +50,14 @@ main()
     // channels fan out across the thread pool (MQX_THREADS overrides
     // the width) and repeated polymuls reuse cached NTT plans.
     engine::Engine engine;
-    rns::RnsKernels kernels(basis, engine);
     std::printf("negacyclic product in Z_Q[x]/(x^%zu + 1), backend %s, "
                 "%zu thread(s)...\n",
                 n, backendName(engine.backend()).c_str(), engine.threads());
 
     uint64_t t0 = nowNs();
-    auto prod = kernels.polymulNegacyclic(pa, pb);
+    auto prod = engine.polymulNegacyclic(pa, pb);
     uint64_t t1 = nowNs();
-    auto warm = kernels.polymulNegacyclic(pa, pb);
+    auto warm = engine.polymulNegacyclic(pa, pb);
     uint64_t t2 = nowNs();
     auto coeffs = prod.toCoefficients();
     uint64_t t3 = nowNs();

@@ -3,9 +3,9 @@
  * Engine facade implementation: batched RNS channel dispatch, with the
  * robustness plumbing (robust/) threaded through every op — optional
  * cancellation checkpoints at task boundaries, policy-driven Freivalds
- * verification with repair-through-the-serial-path, and a fallback from
- * the interleaved batch kernels to the per-channel path on injected
- * batch failures.
+ * verification with repair through the same channel bodies, and a
+ * fallback from the interleaved batch kernels to the per-channel path
+ * on injected batch failures.
  */
 #include "engine/engine.h"
 
@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "core/config.h"
+#include "robust/fault_injection.h"
 #include "robust/status.h"
 #include "telemetry/telemetry.h"
 
@@ -76,8 +77,22 @@ batchFallbacks()
 }
 
 /**
+ * Scratch for verify repairs and batch fallbacks. Unbounded and apart
+ * from every engine's own pool, so a recomputation never waits on a
+ * bounded (service) pool whose leases the failing op may be holding.
+ * Repairs run under robust::ScopedFaultFree, which also silences this
+ * pool's acquire point.
+ */
+ntt::NegacyclicWorkspacePool&
+repairWorkspaces()
+{
+    static ntt::NegacyclicWorkspacePool pool;
+    return pool;
+}
+
+/**
  * Whether a StatusError escaping a batch kernel should propagate
- * instead of falling back to the serial path: cancellation and
+ * instead of falling back to the per-channel path: cancellation and
  * corruption verdicts are about the op, not the kernel, and must reach
  * the caller. An injected kernel fault (FaultInjected) is exactly the
  * failure the fallback exists for.
@@ -126,14 +141,15 @@ Engine::verifyRepairPolymul(
             verify_.seed))
         return;
     verifyFailures().add(1);
-    // The channel failed the evaluation identity: recompute it through
-    // the fault-free serial path (no pools, no fault points) and
+    // The channel failed the evaluation identity: recompute it with
+    // every fault point silenced and scratch from the repair pool, then
     // re-check. The repair is a full recomputation, so re-checking at
     // the same cached point is sound — a correct product always passes.
+    const robust::ScopedFaultFree fault_free;
     for (size_t attempt = 0; attempt < verify_.max_retries; ++attempt) {
         robustRetries().add(1);
-        rns::detail::polymulChannelUnfaulted(backend_, basis, channel,
-                                             tables, a, b, c);
+        rns::detail::polymulChannel(backend_, basis, channel, tables,
+                                    repairWorkspaces(), a, b, c);
         if (robust::checkNegacyclicPolymul(
                 backend_, m, tables->psi(), a.channel(channel).span(),
                 b.channel(channel).span(), c.channel(channel).span(),
@@ -169,10 +185,11 @@ Engine::verifyRepairFma(
                                    c.channel(channel).span(), verify_.seed))
         return;
     verifyFailures().add(1);
+    const robust::ScopedFaultFree fault_free;
     for (size_t attempt = 0; attempt < verify_.max_retries; ++attempt) {
         robustRetries().add(1);
-        rns::detail::fmaChannelUnfaulted(backend_, basis, channel, tables,
-                                         products, c);
+        rns::detail::fmaChannel(backend_, basis, channel, tables,
+                                repairWorkspaces(), products, c);
         if (robust::checkNegacyclicFma(backend_, m, tables->psi(), spans,
                                        c.channel(channel).span(),
                                        verify_.seed)) {
@@ -198,9 +215,10 @@ Engine::verifyRepairAdd(const rns::RnsBasis& basis, size_t channel,
                                c.channel(channel).span()))
         return;
     verifyFailures().add(1);
+    const robust::ScopedFaultFree fault_free;
     for (size_t attempt = 0; attempt < verify_.max_retries; ++attempt) {
         robustRetries().add(1);
-        rns::detail::addChannelUnfaulted(backend_, basis, channel, a, b, c);
+        rns::detail::addChannel(backend_, basis, channel, a, b, c);
         if (robust::checkAddDigest(m, a.channel(channel).span(),
                                    b.channel(channel).span(),
                                    c.channel(channel).span())) {
@@ -221,7 +239,7 @@ Engine::addInto(const rns::RnsPolynomial& a, const rns::RnsPolynomial& b,
     MQX_SCOPED_SPAN(op_span, "engine.add");
     if (cancel)
         cancel->checkpoint("Engine::add");
-    rns::detail::checkCompatible(a.basis(), a, b);
+    rns::detail::checkCompatible(a.basis(), a, b, "Engine::add");
     rns::detail::checkForm(b, a.form(), "Engine::add");
     const rns::RnsBasis& basis = a.basis();
     rns::detail::checkDest(c, basis, a.n(), a.form(), "Engine::addInto");
@@ -258,7 +276,7 @@ Engine::mulInto(const rns::RnsPolynomial& a, const rns::RnsPolynomial& b,
     MQX_SCOPED_SPAN(op_span, "engine.mul");
     if (cancel)
         cancel->checkpoint("Engine::mul");
-    rns::detail::checkCompatible(a.basis(), a, b);
+    rns::detail::checkCompatible(a.basis(), a, b, "Engine::mul");
     rns::detail::checkForm(b, a.form(), "Engine::mul");
     const rns::RnsBasis& basis = a.basis();
     rns::detail::checkDest(c, basis, a.n(), a.form(), "Engine::mulInto");
@@ -287,7 +305,8 @@ Engine::polymulNegacyclicInto(const rns::RnsPolynomial& a,
     MQX_SCOPED_SPAN(op_span, "engine.polymul");
     if (cancel)
         cancel->checkpoint("Engine::polymulNegacyclic");
-    rns::detail::checkCompatible(a.basis(), a, b);
+    rns::detail::checkCompatible(a.basis(), a, b,
+                                 "Engine::polymulNegacyclic");
     rns::detail::checkForm(a, rns::Form::Coeff, "Engine::polymulNegacyclic");
     rns::detail::checkForm(b, rns::Form::Coeff, "Engine::polymulNegacyclic");
     const rns::RnsBasis& basis = a.basis();
@@ -385,7 +404,7 @@ Engine::mulEvalInto(const rns::RnsPolynomial& a, const rns::RnsPolynomial& b,
     MQX_SCOPED_SPAN(op_span, "engine.mul_eval");
     if (cancel)
         cancel->checkpoint("Engine::mulEval");
-    rns::detail::checkCompatible(a.basis(), a, b);
+    rns::detail::checkCompatible(a.basis(), a, b, "Engine::mulEval");
     rns::detail::checkForm(a, rns::Form::Eval, "Engine::mulEval");
     rns::detail::checkForm(b, rns::Form::Eval, "Engine::mulEval");
     const rns::RnsBasis& basis = a.basis();
@@ -423,7 +442,8 @@ Engine::fmaBatchInto(
     }
     const rns::RnsPolynomial& first = *products.front().first;
     for (const auto& [a, b] : products) {
-        rns::detail::checkCompatible(first.basis(), *a, *b);
+        rns::detail::checkCompatible(first.basis(), *a, *b,
+                                     "Engine::fmaBatch");
         checkArg(a->n() == first.n(),
                  "Engine::fmaBatch: length mismatch across batch");
     }
@@ -449,6 +469,14 @@ Engine::fmaBatchInto(
     // The Freivalds dot-product identity evaluates the Coeff operands
     // at the check point, so it needs an all-Coeff, non-aliased batch.
     const bool check = shouldVerify(seq) && all_coeff && !aliased;
+    auto redoChannel =
+        [&](size_t i,
+            const std::shared_ptr<const ntt::NegacyclicTables>& tables) {
+            batchFallbacks().add(1);
+            const robust::ScopedFaultFree fault_free;
+            rns::detail::fmaChannel(backend_, basis, i, tables,
+                                    repairWorkspaces(), products, c);
+        };
     pool_.parallelFor(
         0, basis.size(),
         [&](size_t i) {
@@ -463,15 +491,11 @@ Engine::fmaBatchInto(
                     if (propagateFromBatchKernel(e))
                         throw;
                     // Injected batch-kernel failure: recompute this
-                    // channel through the fault-free serial path so one
-                    // broken tile can't sink the whole op.
-                    batchFallbacks().add(1);
-                    rns::detail::fmaChannelUnfaulted(backend_, basis, i,
-                                                     tables, products, c);
+                    // channel on the per-product path, fault-free, so
+                    // one broken tile can't sink the whole op.
+                    redoChannel(i, tables);
                 } catch (const std::exception&) {
-                    batchFallbacks().add(1);
-                    rns::detail::fmaChannelUnfaulted(backend_, basis, i,
-                                                     tables, products, c);
+                    redoChannel(i, tables);
                 }
             } else {
                 rns::detail::fmaChannel(backend_, basis, i, tables,
@@ -518,7 +542,8 @@ Engine::polymulNegacyclicBatch(
         const auto& [a, b] = products[p];
         checkArg(a != nullptr && b != nullptr,
                  "Engine::polymulNegacyclicBatch: null operand");
-        rns::detail::checkCompatible(a->basis(), *a, *b);
+        rns::detail::checkCompatible(a->basis(), *a, *b,
+                                     "Engine::polymulNegacyclicBatch");
         rns::detail::checkForm(*a, rns::Form::Coeff,
                                "Engine::polymulNegacyclicBatch");
         rns::detail::checkForm(*b, rns::Form::Coeff,
@@ -526,6 +551,8 @@ Engine::polymulNegacyclicBatch(
         results.emplace_back(a->basis(), a->n());
         first_task[p + 1] = first_task[p] + a->basis().size();
     }
+    if (products.empty())
+        return results;
     // One sequence draw covers the whole batch: destinations are
     // freshly constructed above, so aliasing can't occur.
     const uint64_t seq = op_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -564,14 +591,15 @@ Engine::polymulNegacyclicBatch(
                 if (slot < tiles) {
                     const size_t p0 = slot * il;
                     // Injected batch-kernel failure: redo every lane of
-                    // this tile through the serial path.
+                    // this tile on the per-channel path, fault-free.
                     auto redoTile = [&] {
                         batchFallbacks().add(1);
+                        const robust::ScopedFaultFree fault_free;
                         for (size_t p = p0; p < p0 + il; ++p) {
-                            rns::detail::polymulChannelUnfaulted(
+                            rns::detail::polymulChannel(
                                 backend_, basis, channel, tables,
-                                *products[p].first, *products[p].second,
-                                results[p]);
+                                repairWorkspaces(), *products[p].first,
+                                *products[p].second, results[p]);
                         }
                     };
                     try {

@@ -11,10 +11,10 @@
  * task set — the same independent-lane scheduling that accelerators
  * like CRYPTONITE exploit, on commodity cores.
  *
- * Determinism: channel results never depend on execution order, so an
- * Engine with any thread count is bit-identical to the serial
- * RnsKernels path; with threads == 1 it IS the serial path (the pool
- * runs tasks inline on the caller, in channel order).
+ * Engine is the one execution path for channel ops: a serial caller
+ * builds Engine(backend, 1), whose pool runs every task inline on the
+ * caller, in channel order. Channel results never depend on execution
+ * order, so any thread count is bit-identical to that serial run.
  */
 #pragma once
 
@@ -44,9 +44,9 @@ struct EngineOptions
      * Integrity verification (robust/verify.h): with a non-Off policy,
      * checked ops run a Freivalds evaluation identity per channel after
      * the kernels and transparently recompute failing channels through
-     * the serial per-channel path (bounded retries, then
-     * robust::StatusError with DataCorruption). Off by default: zero
-     * overhead.
+     * the per-channel path with fault points silenced (bounded retries,
+     * then robust::StatusError with DataCorruption). Off by default:
+     * zero overhead.
      */
     robust::VerifyOptions verify;
     /**
@@ -213,8 +213,9 @@ class Engine
 
     /**
      * Check-and-repair helpers: run the Freivalds (or digest) identity
-     * on one finished channel; on mismatch recompute it through the
-     * fault-free serial path up to verify_.max_retries times, then
+     * on one finished channel; on mismatch recompute it with the same
+     * channel body under robust::ScopedFaultFree, leasing from a repair
+     * pool apart from workspaces_, up to verify_.max_retries times, then
      * surface DataCorruption. All checks of one (q, n) shape share the
      * cached evaluation point for verify_.seed — the point where any
      * single flipped word is detected deterministically.

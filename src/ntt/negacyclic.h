@@ -262,8 +262,8 @@ class NegacyclicEngine
 
 /**
  * A mutex-guarded free-list of NegacyclicEngine workspaces shared by
- * the channel-dispatch layers (engine::Engine's pool threads, the
- * serial RnsKernels loop). acquire() leases an engine rebound to the
+ * the channel tasks of engine::Engine's pool (and, apart from it, by
+ * the engine's repairs). acquire() leases an engine rebound to the
  * requested tables — popping a recycled instance when one is free, so
  * in steady state a channel op costs a mutex lock and a pointer pop
  * instead of four length-n buffer allocations. The lease returns the

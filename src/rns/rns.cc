@@ -1,13 +1,13 @@
 /**
  * @file
- * RNS implementation: CRT machinery plus channel-wise kernels.
+ * RNS implementation: CRT machinery plus the single-channel bodies
+ * engine::Engine dispatches.
  */
 #include "rns/rns.h"
 
 #include "bench_util/rng.h"
 #include "blas/blas.h"
 #include "core/batch_layout.h"
-#include "engine/engine.h"
 #include "robust/cancel.h"
 #include "robust/fault_injection.h"
 #include "telemetry/telemetry.h"
@@ -169,11 +169,14 @@ namespace detail {
 
 void
 checkCompatible(const RnsBasis& basis, const RnsPolynomial& a,
-                const RnsPolynomial& b)
+                const RnsPolynomial& b, const char* what)
 {
-    checkArg(&a.basis() == &basis && &b.basis() == &basis,
-             "RnsKernels: polynomial from a different basis");
-    checkArg(a.n() == b.n(), "RnsKernels: length mismatch");
+    if (&a.basis() != &basis || &b.basis() != &basis) {
+        throw InvalidArgument(std::string(what) +
+                              ": polynomial from a different basis");
+    }
+    if (a.n() != b.n())
+        throw InvalidArgument(std::string(what) + ": length mismatch");
 }
 
 void
@@ -216,15 +219,6 @@ addChannel(Backend backend, const RnsBasis& basis, size_t channel,
 }
 
 void
-addChannelUnfaulted(Backend backend, const RnsBasis& basis, size_t channel,
-                    const RnsPolynomial& a, const RnsPolynomial& b,
-                    RnsPolynomial& c)
-{
-    blas::vadd(backend, basis.modulus(channel), a.channel(channel).span(),
-               b.channel(channel).span(), c.channel(channel).span());
-}
-
-void
 mulChannel(Backend backend, const RnsBasis& basis, size_t channel,
            const RnsPolynomial& a, const RnsPolynomial& b, RnsPolynomial& c)
 {
@@ -232,32 +226,15 @@ mulChannel(Backend backend, const RnsBasis& basis, size_t channel,
                b.channel(channel).span(), c.channel(channel).span());
 }
 
-namespace {
-
-/** Tables for (basis.prime(channel), n), deriving when @p tables is null. */
-std::shared_ptr<const ntt::NegacyclicTables>
-tablesOrDerive(std::shared_ptr<const ntt::NegacyclicTables> tables,
-               const RnsBasis& basis, size_t channel, size_t n)
-{
-    if (tables)
-        return tables;
-    return std::make_shared<const ntt::NegacyclicTables>(
-        std::make_shared<const ntt::NttPlan>(basis.prime(channel), n));
-}
-
-} // namespace
-
 void
-polymulChannel(Backend backend, const RnsBasis& basis, size_t channel,
+polymulChannel(Backend backend, const RnsBasis& /*basis*/, size_t channel,
                std::shared_ptr<const ntt::NegacyclicTables> tables,
                ntt::NegacyclicWorkspacePool& workspaces,
                const RnsPolynomial& a, const RnsPolynomial& b,
                RnsPolynomial& c, const robust::CancelToken* cancel)
 {
     MQX_SCOPED_SPAN(ch_span, "rns.channel.polymul");
-    auto lease = workspaces.acquire(
-        tablesOrDerive(std::move(tables), basis, channel, a.n()), backend,
-        cancel);
+    auto lease = workspaces.acquire(std::move(tables), backend, cancel);
     ntt::NegacyclicEngine& eng = lease.engine();
     DConstSpan fa_in = a.channel(channel).span();
     DConstSpan fb_in = b.channel(channel).span();
@@ -284,59 +261,42 @@ polymulChannel(Backend backend, const RnsBasis& basis, size_t channel,
 }
 
 void
-polymulChannelUnfaulted(Backend backend, const RnsBasis& basis,
-                        size_t channel,
-                        std::shared_ptr<const ntt::NegacyclicTables> tables,
-                        const RnsPolynomial& a, const RnsPolynomial& b,
-                        RnsPolynomial& c)
-{
-    ntt::NegacyclicEngine eng(
-        tablesOrDerive(std::move(tables), basis, channel, a.n()), backend);
-    eng.polymul(a.channel(channel).span(), b.channel(channel).span(),
-                c.channel(channel).span());
-}
-
-void
-toEvalChannel(Backend backend, const RnsBasis& basis, size_t channel,
+toEvalChannel(Backend backend, const RnsBasis& /*basis*/, size_t channel,
               std::shared_ptr<const ntt::NegacyclicTables> tables,
               ntt::NegacyclicWorkspacePool& workspaces,
               const RnsPolynomial& a, RnsPolynomial& c)
 {
     MQX_SCOPED_SPAN(ch_span, "rns.channel.to_eval");
-    auto lease = workspaces.acquire(
-        tablesOrDerive(std::move(tables), basis, channel, a.n()), backend);
+    auto lease = workspaces.acquire(std::move(tables), backend);
     lease.engine().forward(a.channel(channel).span(),
                            c.channel(channel).span());
 }
 
 void
-toCoeffChannel(Backend backend, const RnsBasis& basis, size_t channel,
+toCoeffChannel(Backend backend, const RnsBasis& /*basis*/, size_t channel,
                std::shared_ptr<const ntt::NegacyclicTables> tables,
                ntt::NegacyclicWorkspacePool& workspaces,
                const RnsPolynomial& a, RnsPolynomial& c)
 {
     MQX_SCOPED_SPAN(ch_span, "rns.channel.to_coeff");
-    auto lease = workspaces.acquire(
-        tablesOrDerive(std::move(tables), basis, channel, a.n()), backend);
+    auto lease = workspaces.acquire(std::move(tables), backend);
     lease.engine().inverse(a.channel(channel).span(),
                            c.channel(channel).span());
 }
 
-namespace {
-
-/**
- * The fmaChannel math on an already-bound engine: accumulator and eval
- * staging live in the workspace (a warmed-up lease hands them back
- * sized, so the whole batch is heap-free). Shared by the pool-leased
- * fast path and the no-pool recovery path; a non-null @p cancel is
- * polled between products and before the final inverse.
- */
 void
-fmaChannelBody(ntt::NegacyclicEngine& eng, size_t channel,
-               const std::vector<std::pair<const RnsPolynomial*,
-                                           const RnsPolynomial*>>& products,
-               RnsPolynomial& c, const robust::CancelToken* cancel)
+fmaChannel(Backend backend, const RnsBasis& /*basis*/, size_t channel,
+           std::shared_ptr<const ntt::NegacyclicTables> tables,
+           ntt::NegacyclicWorkspacePool& workspaces,
+           const std::vector<std::pair<const RnsPolynomial*,
+                                       const RnsPolynomial*>>& products,
+           RnsPolynomial& c, const robust::CancelToken* cancel)
 {
+    MQX_SCOPED_SPAN(ch_span, "rns.channel.fma");
+    auto lease = workspaces.acquire(std::move(tables), backend, cancel);
+    ntt::NegacyclicEngine& eng = lease.engine();
+    // Accumulator and eval staging live in the workspace: a warmed-up
+    // lease hands them back sized, so the whole batch is heap-free.
     ResidueVector& acc = eng.auxBuffer(0);
     ResidueVector& fa = eng.auxBuffer(1);
     ResidueVector& fb = eng.auxBuffer(2);
@@ -361,37 +321,7 @@ fmaChannelBody(ntt::NegacyclicEngine& eng, size_t channel,
     // The whole sum pays this single inverse — the fusion the batch
     // exists for.
     eng.inverse(acc.span(), c.channel(channel).span());
-}
-
-} // namespace
-
-void
-fmaChannel(Backend backend, const RnsBasis& basis, size_t channel,
-           std::shared_ptr<const ntt::NegacyclicTables> tables,
-           ntt::NegacyclicWorkspacePool& workspaces,
-           const std::vector<std::pair<const RnsPolynomial*,
-                                       const RnsPolynomial*>>& products,
-           RnsPolynomial& c, const robust::CancelToken* cancel)
-{
-    MQX_SCOPED_SPAN(ch_span, "rns.channel.fma");
-    auto lease = workspaces.acquire(
-        tablesOrDerive(std::move(tables), basis, channel, c.n()), backend,
-        cancel);
-    fmaChannelBody(lease.engine(), channel, products, c, cancel);
     MQX_FAULT_POINT_DATA("rns.fma.out", c.channel(channel).span());
-}
-
-void
-fmaChannelUnfaulted(Backend backend, const RnsBasis& basis, size_t channel,
-                    std::shared_ptr<const ntt::NegacyclicTables> tables,
-                    const std::vector<std::pair<const RnsPolynomial*,
-                                                const RnsPolynomial*>>&
-                        products,
-                    RnsPolynomial& c)
-{
-    ntt::NegacyclicEngine eng(
-        tablesOrDerive(std::move(tables), basis, channel, c.n()), backend);
-    fmaChannelBody(eng, channel, products, c, nullptr);
 }
 
 namespace {
@@ -596,247 +526,6 @@ fmaChannelBatched(Backend backend, const RnsBasis& basis, size_t channel,
 }
 
 } // namespace detail
-
-RnsKernels::RnsKernels(const RnsBasis& basis, Backend backend)
-    : basis_(&basis), backend_(backend)
-{
-    checkArg(backendAvailable(backend), "RnsKernels: backend unavailable");
-}
-
-RnsKernels::RnsKernels(const RnsBasis& basis, engine::Engine& engine)
-    : basis_(&basis), backend_(engine.backend()), engine_(&engine)
-{
-}
-
-std::shared_ptr<const ntt::NegacyclicTables>
-RnsKernels::tablesFor(size_t channel, size_t n) const
-{
-    std::lock_guard<std::mutex> lock(tables_mutex_);
-    auto& per_channel = tables_by_n_[n];
-    if (per_channel.empty())
-        per_channel.resize(basis_->size());
-    if (!per_channel[channel]) {
-        per_channel[channel] = std::make_shared<const ntt::NegacyclicTables>(
-            std::make_shared<const ntt::NttPlan>(basis_->prime(channel), n));
-    }
-    return per_channel[channel];
-}
-
-size_t
-RnsKernels::cachedTableCount() const
-{
-    std::lock_guard<std::mutex> lock(tables_mutex_);
-    size_t count = 0;
-    for (const auto& [n, per_channel] : tables_by_n_) {
-        for (const auto& tables : per_channel)
-            count += tables != nullptr;
-    }
-    return count;
-}
-
-void
-RnsKernels::addInto(const RnsPolynomial& a, const RnsPolynomial& b,
-                    RnsPolynomial& c) const
-{
-    // Validate against THIS kernels' basis before delegating — the
-    // engine can only check the operands against each other.
-    detail::checkCompatible(*basis_, a, b);
-    if (engine_) {
-        engine_->addInto(a, b, c);
-        return;
-    }
-    detail::checkForm(b, a.form(), "RnsKernels::add");
-    detail::checkDest(c, *basis_, a.n(), a.form(), "RnsKernels::addInto");
-    for (size_t i = 0; i < basis_->size(); ++i)
-        detail::addChannel(backend_, *basis_, i, a, b, c);
-}
-
-RnsPolynomial
-RnsKernels::add(const RnsPolynomial& a, const RnsPolynomial& b) const
-{
-    // Construct-and-delegate: addInto re-validates the operands before
-    // any channel work, so no checks are duplicated here (same pattern
-    // for every value-returning form below).
-    RnsPolynomial c(*basis_, a.n(), a.form());
-    addInto(a, b, c);
-    return c;
-}
-
-void
-RnsKernels::mulInto(const RnsPolynomial& a, const RnsPolynomial& b,
-                    RnsPolynomial& c) const
-{
-    detail::checkCompatible(*basis_, a, b);
-    if (engine_) {
-        engine_->mulInto(a, b, c);
-        return;
-    }
-    detail::checkForm(b, a.form(), "RnsKernels::mul");
-    detail::checkDest(c, *basis_, a.n(), a.form(), "RnsKernels::mulInto");
-    for (size_t i = 0; i < basis_->size(); ++i)
-        detail::mulChannel(backend_, *basis_, i, a, b, c);
-}
-
-RnsPolynomial
-RnsKernels::mul(const RnsPolynomial& a, const RnsPolynomial& b) const
-{
-    RnsPolynomial c(*basis_, a.n(), a.form());
-    mulInto(a, b, c);
-    return c;
-}
-
-void
-RnsKernels::polymulNegacyclicInto(const RnsPolynomial& a,
-                                  const RnsPolynomial& b,
-                                  RnsPolynomial& c) const
-{
-    detail::checkCompatible(*basis_, a, b);
-    if (engine_) {
-        engine_->polymulNegacyclicInto(a, b, c);
-        return;
-    }
-    detail::checkForm(a, Form::Coeff, "RnsKernels::polymulNegacyclic");
-    detail::checkForm(b, Form::Coeff, "RnsKernels::polymulNegacyclic");
-    detail::checkDest(c, *basis_, a.n(), Form::Coeff,
-                      "RnsKernels::polymulNegacyclicInto");
-    for (size_t i = 0; i < basis_->size(); ++i)
-        detail::polymulChannel(backend_, *basis_, i, tablesFor(i, a.n()),
-                               workspaces_, a, b, c);
-}
-
-RnsPolynomial
-RnsKernels::polymulNegacyclic(const RnsPolynomial& a,
-                              const RnsPolynomial& b) const
-{
-    RnsPolynomial c(*basis_, a.n());
-    polymulNegacyclicInto(a, b, c);
-    return c;
-}
-
-void
-RnsKernels::toEvalInto(const RnsPolynomial& a, RnsPolynomial& c) const
-{
-    checkArg(&a.basis() == basis_,
-             "RnsKernels: polynomial from a different basis");
-    if (engine_) {
-        engine_->toEvalInto(a, c);
-        return;
-    }
-    detail::checkForm(a, Form::Coeff, "RnsKernels::toEval");
-    detail::checkDest(c, *basis_, a.n(), Form::Eval,
-                      "RnsKernels::toEvalInto");
-    for (size_t i = 0; i < basis_->size(); ++i)
-        detail::toEvalChannel(backend_, *basis_, i, tablesFor(i, a.n()),
-                              workspaces_, a, c);
-}
-
-RnsPolynomial
-RnsKernels::toEval(const RnsPolynomial& a) const
-{
-    RnsPolynomial c(*basis_, a.n(), Form::Eval);
-    toEvalInto(a, c);
-    return c;
-}
-
-void
-RnsKernels::toCoeffInto(const RnsPolynomial& a, RnsPolynomial& c) const
-{
-    checkArg(&a.basis() == basis_,
-             "RnsKernels: polynomial from a different basis");
-    if (engine_) {
-        engine_->toCoeffInto(a, c);
-        return;
-    }
-    detail::checkForm(a, Form::Eval, "RnsKernels::toCoeff");
-    detail::checkDest(c, *basis_, a.n(), Form::Coeff,
-                      "RnsKernels::toCoeffInto");
-    for (size_t i = 0; i < basis_->size(); ++i)
-        detail::toCoeffChannel(backend_, *basis_, i, tablesFor(i, a.n()),
-                               workspaces_, a, c);
-}
-
-RnsPolynomial
-RnsKernels::toCoeff(const RnsPolynomial& a) const
-{
-    RnsPolynomial c(*basis_, a.n(), Form::Coeff);
-    toCoeffInto(a, c);
-    return c;
-}
-
-void
-RnsKernels::mulEvalInto(const RnsPolynomial& a, const RnsPolynomial& b,
-                        RnsPolynomial& c) const
-{
-    detail::checkCompatible(*basis_, a, b);
-    if (engine_) {
-        engine_->mulEvalInto(a, b, c);
-        return;
-    }
-    detail::checkForm(a, Form::Eval, "RnsKernels::mulEval");
-    detail::checkForm(b, Form::Eval, "RnsKernels::mulEval");
-    detail::checkDest(c, *basis_, a.n(), Form::Eval,
-                      "RnsKernels::mulEvalInto");
-    // In the transform domain the ring product IS the point-wise
-    // product, channel by channel.
-    for (size_t i = 0; i < basis_->size(); ++i)
-        detail::mulChannel(backend_, *basis_, i, a, b, c);
-}
-
-RnsPolynomial
-RnsKernels::mulEval(const RnsPolynomial& a, const RnsPolynomial& b) const
-{
-    RnsPolynomial c(*basis_, a.n(), Form::Eval);
-    mulEvalInto(a, b, c);
-    return c;
-}
-
-void
-RnsKernels::fmaBatchInto(
-    const std::vector<std::pair<const RnsPolynomial*, const RnsPolynomial*>>&
-        products,
-    RnsPolynomial& c) const
-{
-    checkArg(!products.empty(), "RnsKernels::fmaBatch: empty batch");
-    if (engine_) {
-        // Pin the batch to THIS kernels' basis (the engine can only
-        // check operands against each other); the engine re-validates
-        // pair by pair, so don't duplicate the O(k) sweep here.
-        checkArg(products.front().first != nullptr,
-                 "RnsKernels::fmaBatch: null operand");
-        checkArg(&products.front().first->basis() == basis_,
-                 "RnsKernels: polynomial from a different basis");
-        engine_->fmaBatchInto(products, c);
-        return;
-    }
-    for (const auto& [a, b] : products) {
-        checkArg(a != nullptr && b != nullptr,
-                 "RnsKernels::fmaBatch: null operand");
-        detail::checkCompatible(*basis_, *a, *b);
-        checkArg(a->n() == products.front().first->n(),
-                 "RnsKernels::fmaBatch: length mismatch across batch");
-    }
-    const size_t n = products.front().first->n();
-    detail::checkDest(c, *basis_, n, Form::Coeff,
-                      "RnsKernels::fmaBatchInto");
-    for (size_t i = 0; i < basis_->size(); ++i)
-        detail::fmaChannel(backend_, *basis_, i, tablesFor(i, n),
-                           workspaces_, products, c);
-}
-
-RnsPolynomial
-RnsKernels::fmaBatch(
-    const std::vector<std::pair<const RnsPolynomial*, const RnsPolynomial*>>&
-        products) const
-{
-    // Only the checks needed to construct the destination; fmaBatchInto
-    // re-validates the whole batch.
-    checkArg(!products.empty(), "RnsKernels::fmaBatch: empty batch");
-    checkArg(products.front().first != nullptr,
-             "RnsKernels::fmaBatch: null operand");
-    RnsPolynomial c(*basis_, products.front().first->n());
-    fmaBatchInto(products, c);
-    return c;
-}
 
 } // namespace rns
 } // namespace mqx

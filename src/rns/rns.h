@@ -21,8 +21,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,11 +36,6 @@ class CancelToken;
 } // namespace mqx
 
 namespace mqx {
-
-namespace engine {
-class Engine;
-}
-
 namespace rns {
 
 /**
@@ -146,10 +139,9 @@ class RnsPolynomial
 
     /**
      * Domain the channels currently live in — fixed at construction;
-     * the conversion paths (Engine/RnsKernels toEval/toCoeff) write
-     * into a polynomial tagged with the target form rather than
-     * re-tagging in place, so a tag can never drift from the data it
-     * describes.
+     * the conversions (Engine::toEval/toCoeff) write into a polynomial
+     * tagged with the target form rather than re-tagging in place, so a
+     * tag can never drift from the data it describes.
      */
     Form form() const { return form_; }
 
@@ -181,137 +173,20 @@ class RnsPolynomial
 RnsPolynomial randomPolynomial(const RnsBasis& basis, size_t n,
                                uint64_t seed);
 
-/**
- * Coefficient-wise ring operations over Z_Q, executed channel-by-channel
- * with the chosen kernel backend.
- *
- * Every operation has two flavours: a value-returning convenience that
- * constructs the result polynomial, and an `*Into` variant that writes
- * into a caller-preallocated destination. The Into variants are the
- * steady-state path: with warmed caches they perform ZERO layout
- * conversions and ZERO heap allocations per call (layout::metrics()
- * proves it in tests/test_layout.cc) — the channel spans go straight to
- * the backends and all transform scratch is leased from a recycled
- * workspace pool. Destinations must match the operands' basis and
- * length and carry the result's form; a destination may alias an
- * operand (channels are updated with exact-alias-safe kernels).
- */
-class RnsKernels
-{
-  public:
-    /** Serial channel loop on @p backend (the original seed path). */
-    RnsKernels(const RnsBasis& basis, Backend backend);
-
-    /**
-     * Route every op through @p engine: channels fan out across its
-     * thread pool, polymuls reuse its NTT plan cache, and scratch comes
-     * from its workspace pool. Results are bit-identical to the serial
-     * constructor (channels are independent); @p engine must outlive
-     * this object.
-     */
-    RnsKernels(const RnsBasis& basis, engine::Engine& engine);
-
-    /**
-     * c = a + b (point-wise, mod Q via CRT channels). Valid in either
-     * form — the NTT is linear — but both operands must be in the SAME
-     * form; the result carries it.
-     */
-    RnsPolynomial add(const RnsPolynomial& a, const RnsPolynomial& b) const;
-    void addInto(const RnsPolynomial& a, const RnsPolynomial& b,
-                 RnsPolynomial& c) const;
-
-    /** c = a .* b (point-wise product; same-form operands, as add). */
-    RnsPolynomial mul(const RnsPolynomial& a, const RnsPolynomial& b) const;
-    void mulInto(const RnsPolynomial& a, const RnsPolynomial& b,
-                 RnsPolynomial& c) const;
-
-    /**
-     * Negacyclic polynomial product a * b mod (x^n + 1, Q): each channel
-     * runs the merged negacyclic forward + point-wise + inverse
-     * pipeline.
-     * Operands and result are in Coeff form.
-     */
-    RnsPolynomial polymulNegacyclic(const RnsPolynomial& a,
-                                    const RnsPolynomial& b) const;
-    void polymulNegacyclicInto(const RnsPolynomial& a, const RnsPolynomial& b,
-                               RnsPolynomial& c) const;
-
-    /**
-     * Forward every channel into Eval form (cached NegacyclicTables;
-     * channels fan out across the engine's pool when engine-routed).
-     * @throws InvalidArgument unless @p a is in Coeff form.
-     */
-    RnsPolynomial toEval(const RnsPolynomial& a) const;
-    void toEvalInto(const RnsPolynomial& a, RnsPolynomial& c) const;
-
-    /** Inverse of toEval. @throws InvalidArgument unless Eval form. */
-    RnsPolynomial toCoeff(const RnsPolynomial& a) const;
-    void toCoeffInto(const RnsPolynomial& a, RnsPolynomial& c) const;
-
-    /**
-     * Negacyclic ring product of two Eval-form operands: one point-wise
-     * multiply per channel, no transforms. Result stays in Eval form.
-     * @throws InvalidArgument unless both operands are Eval.
-     */
-    RnsPolynomial mulEval(const RnsPolynomial& a,
-                          const RnsPolynomial& b) const;
-    void mulEvalInto(const RnsPolynomial& a, const RnsPolynomial& b,
-                     RnsPolynomial& c) const;
-
-    /**
-     * Fused dot product sum_i a_i * b_i mod (x^n + 1, Q). Operands may
-     * mix forms per pair: Coeff operands are forwarded on the fly, Eval
-     * operands are consumed as-is. Accumulation happens in the
-     * transform domain, so the whole sum pays ONE inverse transform per
-     * channel — versus one per product on the naive path — and the
-     * result (Coeff form) is bit-identical to the naive sum of
-     * polymulNegacyclic calls because every step is exact mod-q
-     * arithmetic. @throws InvalidArgument on an empty batch.
-     */
-    RnsPolynomial fmaBatch(
-        const std::vector<std::pair<const RnsPolynomial*,
-                                    const RnsPolynomial*>>& products) const;
-    void fmaBatchInto(
-        const std::vector<std::pair<const RnsPolynomial*,
-                                    const RnsPolynomial*>>& products,
-        RnsPolynomial& c) const;
-
-    /** Distinct cached NegacyclicTables on the serial path (tests). */
-    size_t cachedTableCount() const;
-
-  private:
-    /**
-     * Serial-path table cache, keyed by n (the basis is fixed): without
-     * it every serial polymul re-derived the NTT plan and psi tables
-     * for every channel — O(k n log n) setup per product. Engine-routed
-     * kernels use the engine's PlanCache instead and never touch this.
-     */
-    std::shared_ptr<const ntt::NegacyclicTables>
-    tablesFor(size_t channel, size_t n) const;
-
-    const RnsBasis* basis_;
-    Backend backend_;
-    engine::Engine* engine_ = nullptr;
-    mutable std::mutex tables_mutex_;
-    mutable std::unordered_map<
-        size_t, std::vector<std::shared_ptr<const ntt::NegacyclicTables>>>
-        tables_by_n_;
-    /**
-     * Serial-path transform workspaces, recycled across calls so the
-     * steady state allocates nothing (engine-routed kernels lease from
-     * the engine's pool instead).
-     */
-    mutable ntt::NegacyclicWorkspacePool workspaces_;
-};
-
 namespace detail {
 
 /**
- * Single-channel bodies shared by the serial RnsKernels loop and the
- * engine's parallel fan-out — both paths run exactly this code, which
- * is what makes threaded results bit-identical to serial ones. All of
- * them consume and produce channel spans in the native split layout;
- * the transform-bearing ones lease their scratch from @p workspaces.
+ * Single-channel bodies of the channel-wise ring operations over Z_Q.
+ * engine::Engine fans them out across its pool (one task per channel;
+ * with one thread the tasks run inline in channel order), and its
+ * verify repairs and batch fallbacks rerun the same bodies, so every
+ * result comes from this one code. All of them consume and produce
+ * channel spans in the native split layout. The transform-bearing ones
+ * lease their scratch from @p workspaces and take q from @p tables;
+ * they keep @p basis so the family shares one signature. Destinations
+ * must match the operands' basis and length and carry the result's
+ * form; a destination may alias an operand (channels are updated with
+ * exact-alias-safe kernels).
  */
 void addChannel(Backend backend, const RnsBasis& basis, size_t channel,
                 const RnsPolynomial& a, const RnsPolynomial& b,
@@ -323,8 +198,7 @@ void mulChannel(Backend backend, const RnsBasis& basis, size_t channel,
 
 /**
  * One channel of the negacyclic product. @p tables holds the cached
- * plan + psi tables for (q_channel, n); pass nullptr to derive them
- * on the spot (a cacheless path). A non-null @p cancel switches the
+ * plan + psi tables for (q_channel, n). A non-null @p cancel switches the
  * body to the staged pipeline (forward → pointwise → inverse with a
  * cancellation checkpoint at every stage boundary), so a tripped
  * deadline aborts within one NTT stage; the null fast path is the
@@ -336,18 +210,6 @@ void polymulChannel(Backend backend, const RnsBasis& basis, size_t channel,
                     const RnsPolynomial& a, const RnsPolynomial& b,
                     RnsPolynomial& c,
                     const robust::CancelToken* cancel = nullptr);
-
-/**
- * Recovery flavour of polymulChannel: identical math, but it passes no
- * fault points and leases nothing from shared pools (a private engine
- * is built on the spot), so an armed FaultPlan can never re-corrupt a
- * repair. Allocation-heavy by design — only the verify-retry path
- * calls it.
- */
-void polymulChannelUnfaulted(
-    Backend backend, const RnsBasis& basis, size_t channel,
-    std::shared_ptr<const ntt::NegacyclicTables> tables,
-    const RnsPolynomial& a, const RnsPolynomial& b, RnsPolynomial& c);
 
 /** One channel of the forward (Coeff -> Eval) conversion. */
 void toEvalChannel(Backend backend, const RnsBasis& basis, size_t channel,
@@ -374,19 +236,6 @@ void fmaChannel(Backend backend, const RnsBasis& basis, size_t channel,
                                             const RnsPolynomial*>>& products,
                 RnsPolynomial& c,
                 const robust::CancelToken* cancel = nullptr);
-
-/** Recovery flavour of fmaChannel (see polymulChannelUnfaulted). */
-void fmaChannelUnfaulted(
-    Backend backend, const RnsBasis& basis, size_t channel,
-    std::shared_ptr<const ntt::NegacyclicTables> tables,
-    const std::vector<std::pair<const RnsPolynomial*,
-                                const RnsPolynomial*>>& products,
-    RnsPolynomial& c);
-
-/** Recovery flavour of addChannel (no fault points; for digest repair). */
-void addChannelUnfaulted(Backend backend, const RnsBasis& basis,
-                         size_t channel, const RnsPolynomial& a,
-                         const RnsPolynomial& b, RnsPolynomial& c);
 
 /**
  * One channel-tile of the interleaved-batch negacyclic product: packs
@@ -422,9 +271,12 @@ void fmaChannelBatched(
                                 const RnsPolynomial*>>& products,
     size_t il, RnsPolynomial& c);
 
-/** Shared operand validation (same basis, same length). */
+/**
+ * Shared operand validation (both over @p basis, same length); @p what
+ * names the op in the error message.
+ */
 void checkCompatible(const RnsBasis& basis, const RnsPolynomial& a,
-                     const RnsPolynomial& b);
+                     const RnsPolynomial& b, const char* what);
 
 /** @throws InvalidArgument unless @p a is in @p expected form. */
 void checkForm(const RnsPolynomial& a, Form expected, const char* what);

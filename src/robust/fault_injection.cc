@@ -92,6 +92,9 @@ std::atomic<ActivePlan*> g_active{nullptr};
  */
 std::atomic<uint64_t> g_readers{0};
 
+/** Open ScopedFaultFree guards on this thread; > 0 silences its points. */
+thread_local unsigned t_fault_free_depth = 0;
+
 /** RAII pin; survives the Throw/BadAlloc exits out of a fault point. */
 struct PlanPin {
     ActivePlan* plan;
@@ -154,6 +157,8 @@ throwFor(FaultAction action, const std::string& point)
 void
 faultHit(const char* point)
 {
+    if (t_fault_free_depth > 0)
+        return;
     PlanPin pin;
     ActivePlan* plan = pin.plan;
     if (!plan)
@@ -181,6 +186,8 @@ faultHit(const char* point)
 void
 faultHitData(const char* point, DSpan data)
 {
+    if (t_fault_free_depth > 0)
+        return;
     PlanPin pin;
     ActivePlan* plan = pin.plan;
     if (!plan)
@@ -223,6 +230,8 @@ faultHitData(const char* point, DSpan data)
 void
 faultHitBytes(const char* point, unsigned char* data, size_t* len)
 {
+    if (t_fault_free_depth > 0)
+        return;
     PlanPin pin;
     ActivePlan* plan = pin.plan;
     if (!plan)
@@ -263,6 +272,18 @@ faultHitBytes(const char* point, unsigned char* data, size_t* len)
 }
 
 } // namespace detail
+
+#if MQX_FAULT_INJECTION_ENABLED
+ScopedFaultFree::ScopedFaultFree()
+{
+    ++detail::t_fault_free_depth;
+}
+
+ScopedFaultFree::~ScopedFaultFree()
+{
+    --detail::t_fault_free_depth;
+}
+#endif
 
 ScopedFaultInjection::ScopedFaultInjection(FaultPlan plan) : state_(nullptr)
 {

@@ -160,6 +160,33 @@ class ScopedFaultInjection
     detail::ActivePlan* state_;
 };
 
+/**
+ * Silences every fault point on the calling thread for this object's
+ * lifetime: a point hit under the guard records no hit and never
+ * fires. Guards nest. The engine opens one around a verify repair or a
+ * batch fallback, so the recomputation runs the same channel bodies as
+ * the op it repairs without an armed plan re-corrupting it. An empty
+ * struct when fault injection is compiled out.
+ */
+#if MQX_FAULT_INJECTION_ENABLED
+class ScopedFaultFree
+{
+  public:
+    ScopedFaultFree();
+    ~ScopedFaultFree();
+
+    ScopedFaultFree(const ScopedFaultFree&) = delete;
+    ScopedFaultFree& operator=(const ScopedFaultFree&) = delete;
+};
+#else
+struct ScopedFaultFree
+{
+    // User-provided, so a guard the build never reads is not an
+    // unused variable.
+    ScopedFaultFree() {}
+};
+#endif
+
 /** True when the tree was built with -DMQX_FAULT_INJECTION=ON. */
 constexpr bool
 faultInjectionCompiledIn()

@@ -2,14 +2,16 @@
  * @file
  * Parallel execution engine tests: the thread pool primitives, plan
  * cache hit behavior, and — the load-bearing property — bit-identical
- * results between the threaded engine and the serial RnsKernels path
- * on every available backend, including under concurrent batch
- * submission from multiple caller threads.
+ * results between a threaded engine and a one-thread engine (whose
+ * pool runs every channel inline, in order) on every available
+ * backend, including under concurrent batch submission from multiple
+ * caller threads.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -264,9 +266,10 @@ TEST(PlanCache, EnginePolymulHitsCacheOnRepeat)
     const auto& basis = testBasis();
     auto a = rns::randomPolynomial(basis, 64, 1);
     auto b = rns::randomPolynomial(basis, 64, 2);
-    eng.polymulNegacyclic(a, b);
+    auto first = eng.polymulNegacyclic(a, b);
     EXPECT_EQ(eng.planCache().misses(), basis.size());
-    eng.polymulNegacyclic(a, b);
+    // Same tables, same bits.
+    expectIdentical(eng.polymulNegacyclic(a, b), first);
     EXPECT_EQ(eng.planCache().misses(), basis.size());
     EXPECT_EQ(eng.planCache().hits(), basis.size());
     // Each channel caches its cyclic plan AND the negacyclic tables
@@ -274,6 +277,11 @@ TEST(PlanCache, EnginePolymulHitsCacheOnRepeat)
     EXPECT_EQ(eng.planCache().planCount(), basis.size());
     EXPECT_EQ(eng.planCache().negacyclicCount(), basis.size());
     EXPECT_EQ(eng.planCache().size(), 2 * basis.size());
+
+    // A different length caches its own tables; conversions share them.
+    auto c = rns::randomPolynomial(basis, 32, 3);
+    expectIdentical(eng.toCoeff(eng.toEval(c)), c);
+    EXPECT_EQ(eng.planCache().negacyclicCount(), 2 * basis.size());
 }
 
 TEST(EngineParallel, ThreadedMatchesSerialOnAllBackends)
@@ -285,7 +293,7 @@ TEST(EngineParallel, ThreadedMatchesSerialOnAllBackends)
 
     for (Backend be : test::availableCorrectBackends()) {
         SCOPED_TRACE(backendName(be));
-        rns::RnsKernels serial(basis, be);
+        engine::Engine serial(be, 1);
         auto add_ref = serial.add(a, b);
         auto mul_ref = serial.mul(a, b);
         auto poly_ref = serial.polymulNegacyclic(a, b);
@@ -313,7 +321,7 @@ TEST(EngineParallelLargeN, ThreadedPolymulRoundTripAt65536)
     auto b = rns::randomPolynomial(basis, n, 162);
 
     Backend be = bestBackend();
-    rns::RnsKernels serial(basis, be);
+    engine::Engine serial(be, 1);
     auto poly_ref = serial.polymulNegacyclic(a, b);
 
     engine::Engine eng(be, 4);
@@ -335,24 +343,6 @@ TEST(EngineParallelLargeN, ThreadedPolymulRoundTripAt65536)
     expectIdentical(back, a);
 }
 
-TEST(EngineParallel, RnsKernelsRoutedThroughEngineMatchesSerial)
-{
-    const auto& basis = testBasis();
-    auto a = rns::randomPolynomial(basis, 128, 7);
-    auto b = rns::randomPolynomial(basis, 128, 8);
-
-    Backend be = bestBackend();
-    rns::RnsKernels serial(basis, be);
-    engine::Engine eng(be, 4);
-    rns::RnsKernels routed(basis, eng);
-
-    expectIdentical(routed.add(a, b), serial.add(a, b));
-    expectIdentical(routed.mul(a, b), serial.mul(a, b));
-    expectIdentical(routed.polymulNegacyclic(a, b),
-                    serial.polymulNegacyclic(a, b));
-    EXPECT_GT(eng.planCache().size(), 0u);
-}
-
 TEST(EngineParallel, OperandValidation)
 {
     const auto& basis = testBasis();
@@ -366,6 +356,17 @@ TEST(EngineParallel, OperandValidation)
     EXPECT_THROW(eng.polymulNegacyclic(a, foreign), InvalidArgument);
     EXPECT_THROW(eng.polymulNegacyclicBatch({{&a, nullptr}}),
                  InvalidArgument);
+    EXPECT_TRUE(eng.polymulNegacyclicBatch({}).empty());
+
+    // Errors name the Engine op that rejected the operands.
+    try {
+        eng.polymulNegacyclic(a, foreign);
+        FAIL() << "basis mismatch accepted";
+    } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find("Engine::polymulNegacyclic"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(EngineParallel, BatchMatchesIndividualOps)
@@ -387,7 +388,7 @@ TEST(EngineParallel, BatchMatchesIndividualOps)
 
     auto results = eng.polymulNegacyclicBatch(products);
     ASSERT_EQ(results.size(), products.size());
-    rns::RnsKernels serial(basis, eng.backend());
+    engine::Engine serial(eng.backend(), 1);
     for (size_t i = 0; i < results.size(); ++i)
         expectIdentical(results[i], serial.polymulNegacyclic(as[i], bs[i]));
 }
@@ -400,7 +401,7 @@ TEST(EngineParallel, ConcurrentBatchSubmission)
 
     auto a = rns::randomPolynomial(basis, n, 11);
     auto b = rns::randomPolynomial(basis, n, 12);
-    rns::RnsKernels serial(basis, eng.backend());
+    engine::Engine serial(eng.backend(), 1);
     auto reference = serial.polymulNegacyclic(a, b);
 
     // Several external threads hammer the same engine: every result

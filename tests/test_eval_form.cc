@@ -3,9 +3,8 @@
  * Evaluation-form RNS polynomial tests: form tracking and validation,
  * toEval/toCoeff round trips, mulEval against the full polymul
  * pipeline, the fused fmaBatch dot product (bit-identical to the naive
- * sum of serial products, on both the serial and engine paths), the
- * serial NegacyclicTables cache, and the allocation-light
- * decomposeInto.
+ * sum of products, on one thread and across a pool), and the
+ * allocation-light decomposeInto.
  */
 #include <gtest/gtest.h>
 
@@ -58,19 +57,17 @@ TEST(Form, ToEvalRoundTripsOnBothPaths)
     const auto& basis = testBasis();
     auto a = rns::randomPolynomial(basis, 64, 21);
 
-    rns::RnsKernels serial(basis, Backend::Scalar);
+    engine::Engine serial(Backend::Scalar, 1);
     auto eval = serial.toEval(a);
     EXPECT_EQ(eval.form(), Form::Eval);
     auto back = serial.toCoeff(eval);
     EXPECT_EQ(back.form(), Form::Coeff);
     expectIdentical(back, a);
 
-    for (size_t threads : {size_t{1}, size_t{3}}) {
-        engine::Engine eng(Backend::Scalar, threads);
-        auto eng_eval = eng.toEval(a);
-        expectIdentical(eng_eval, eval); // engine matches serial bit-for-bit
-        expectIdentical(eng.toCoeff(eng_eval), a);
-    }
+    engine::Engine eng(Backend::Scalar, 3);
+    auto eng_eval = eng.toEval(a);
+    expectIdentical(eng_eval, eval); // threaded matches serial bit-for-bit
+    expectIdentical(eng.toCoeff(eng_eval), a);
 }
 
 TEST(Form, MulEvalMatchesPolymulBitIdentically)
@@ -82,7 +79,7 @@ TEST(Form, MulEvalMatchesPolymulBitIdentically)
 
     for (Backend be : test::availableCorrectBackends()) {
         SCOPED_TRACE(backendName(be));
-        rns::RnsKernels serial(basis, be);
+        engine::Engine serial(be, 1);
         auto reference = serial.polymulNegacyclic(a, b);
 
         // Staged: coeff -> eval, point-wise product, eval -> coeff.
@@ -102,11 +99,11 @@ TEST(Form, AddPreservesFormAndCommutesWithEval)
     const auto& basis = testBasis();
     auto a = rns::randomPolynomial(basis, 32, 41);
     auto b = rns::randomPolynomial(basis, 32, 42);
-    rns::RnsKernels kernels(basis, Backend::Scalar);
+    engine::Engine eng(Backend::Scalar, 1);
 
     // The NTT is linear: toEval(a + b) == toEval(a) + toEval(b).
-    auto sum_then_eval = kernels.toEval(kernels.add(a, b));
-    auto eval_then_sum = kernels.add(kernels.toEval(a), kernels.toEval(b));
+    auto sum_then_eval = eng.toEval(eng.add(a, b));
+    auto eval_then_sum = eng.add(eng.toEval(a), eng.toEval(b));
     EXPECT_EQ(sum_then_eval.form(), Form::Eval);
     expectIdentical(sum_then_eval, eval_then_sum);
 }
@@ -115,22 +112,18 @@ TEST(Form, MismatchesRejected)
 {
     const auto& basis = testBasis();
     auto a = rns::randomPolynomial(basis, 32, 51);
-    rns::RnsKernels kernels(basis, Backend::Scalar);
     engine::Engine eng(Backend::Scalar, 2);
-    auto eval = kernels.toEval(a);
+    auto eval = eng.toEval(a);
 
     // mulEval demands Eval operands; conversions demand the right
-    // source form; mixed-form add/mul are rejected on both paths.
-    EXPECT_THROW(kernels.mulEval(a, a), InvalidArgument);
-    EXPECT_THROW(kernels.mulEval(eval, a), InvalidArgument);
+    // source form; mixed-form add/mul are rejected.
     EXPECT_THROW(eng.mulEval(a, a), InvalidArgument);
-    EXPECT_THROW(kernels.toEval(eval), InvalidArgument);
-    EXPECT_THROW(kernels.toCoeff(a), InvalidArgument);
+    EXPECT_THROW(eng.mulEval(eval, a), InvalidArgument);
     EXPECT_THROW(eng.toEval(eval), InvalidArgument);
     EXPECT_THROW(eng.toCoeff(a), InvalidArgument);
-    EXPECT_THROW(kernels.add(a, eval), InvalidArgument);
+    EXPECT_THROW(eng.add(a, eval), InvalidArgument);
     EXPECT_THROW(eng.mul(a, eval), InvalidArgument);
-    EXPECT_THROW(kernels.polymulNegacyclic(eval, eval), InvalidArgument);
+    EXPECT_THROW(eng.polymulNegacyclic(eval, eval), InvalidArgument);
     EXPECT_THROW(eng.polymulNegacyclic(a, eval), InvalidArgument);
 
     // Eval-form channels are NOT coefficients; reconstruction refuses.
@@ -153,7 +146,7 @@ TEST(FmaBatch, MatchesNaiveSumBitIdentically)
 
     for (Backend be : test::availableCorrectBackends()) {
         SCOPED_TRACE(backendName(be));
-        rns::RnsKernels serial(basis, be);
+        engine::Engine serial(be, 1);
         // Naive: k full polymuls, then k - 1 adds.
         auto naive = serial.polymulNegacyclic(as[0], bs[0]);
         for (size_t i = 1; i < k; ++i)
@@ -172,19 +165,19 @@ TEST(FmaBatch, MixedFormOperandsMatchCoeffOnly)
 {
     const auto& basis = testBasis();
     const size_t n = 64;
-    rns::RnsKernels kernels(basis, Backend::Scalar);
+    engine::Engine serial(Backend::Scalar, 1);
     auto a0 = rns::randomPolynomial(basis, n, 61);
     auto b0 = rns::randomPolynomial(basis, n, 62);
     auto a1 = rns::randomPolynomial(basis, n, 63);
     auto b1 = rns::randomPolynomial(basis, n, 64);
 
-    auto reference = kernels.fmaBatch({{&a0, &b0}, {&a1, &b1}});
+    auto reference = serial.fmaBatch({{&a0, &b0}, {&a1, &b1}});
 
     // Eval-resident operands (e.g. a key that never leaves the
     // transform domain) must fuse to the same bits.
-    auto ea0 = kernels.toEval(a0);
-    auto eb1 = kernels.toEval(b1);
-    expectIdentical(kernels.fmaBatch({{&ea0, &b0}, {&a1, &eb1}}), reference);
+    auto ea0 = serial.toEval(a0);
+    auto eb1 = serial.toEval(b1);
+    expectIdentical(serial.fmaBatch({{&ea0, &b0}, {&a1, &eb1}}), reference);
 
     engine::Engine eng(Backend::Scalar, 3);
     expectIdentical(eng.fmaBatch({{&ea0, &b0}, {&a1, &eb1}}), reference);
@@ -194,39 +187,35 @@ TEST(FmaBatch, EdgeCasesAndValidation)
 {
     const auto& basis = testBasis();
     rns::RnsBasis other(40, 8, 2);
-    rns::RnsKernels kernels(basis, Backend::Scalar);
     engine::Engine eng(Backend::Scalar, 2);
     auto a = rns::randomPolynomial(basis, 32, 71);
     auto shorter = rns::randomPolynomial(basis, 16, 72);
     auto foreign = rns::randomPolynomial(other, 32, 73);
 
-    EXPECT_THROW(kernels.fmaBatch({}), InvalidArgument);
     EXPECT_THROW(eng.fmaBatch({}), InvalidArgument);
-    EXPECT_THROW(kernels.fmaBatch({{&a, nullptr}}), InvalidArgument);
+    EXPECT_THROW(eng.fmaBatch({{&a, nullptr}}), InvalidArgument);
     EXPECT_THROW(eng.fmaBatch({{nullptr, &a}}), InvalidArgument);
-    EXPECT_THROW(kernels.fmaBatch({{&a, &shorter}}), InvalidArgument);
-    EXPECT_THROW(kernels.fmaBatch({{&a, &a}, {&shorter, &shorter}}),
-                 InvalidArgument);
+    EXPECT_THROW(eng.fmaBatch({{&a, &shorter}}), InvalidArgument);
     EXPECT_THROW(eng.fmaBatch({{&a, &a}, {&shorter, &shorter}}),
                  InvalidArgument);
-    EXPECT_THROW(kernels.fmaBatch({{&a, &foreign}}), InvalidArgument);
+    EXPECT_THROW(eng.fmaBatch({{&a, &foreign}}), InvalidArgument);
     EXPECT_THROW(eng.fmaBatch({{&foreign, &foreign}, {&a, &a}}),
                  InvalidArgument);
 
     // A single-pair batch degenerates to one polymul, bit-identically.
-    expectIdentical(kernels.fmaBatch({{&a, &a}}),
-                    kernels.polymulNegacyclic(a, a));
+    expectIdentical(eng.fmaBatch({{&a, &a}}), eng.polymulNegacyclic(a, a));
 }
 
 TEST(Form, ExceptionPropagationThroughPoolTasks)
 {
     const auto& basis = testBasis();
     engine::Engine eng(Backend::Scalar, 4);
-    rns::RnsKernels serial(basis, Backend::Scalar);
+    engine::Engine serial(Backend::Scalar, 1);
 
     // n = 0 / non-power-of-two lengths cannot support an NTT; the plan
-    // build throws inside a pool task and the exception must surface to
-    // the caller on both paths (zero-length edge).
+    // build throws inside a pool task (or inline on the caller with one
+    // thread) and the exception must surface to the caller either way
+    // (zero-length edge).
     auto zero_len = RnsPolynomial(basis, 0);
     auto odd_len = rns::randomPolynomial(basis, 12, 81);
     EXPECT_THROW(eng.toEval(zero_len), InvalidArgument);
@@ -241,46 +230,6 @@ TEST(Form, ExceptionPropagationThroughPoolTasks)
     auto too_big = rns::randomPolynomial(basis, 256, 82);
     EXPECT_THROW(eng.toEval(too_big), InvalidArgument);
     EXPECT_THROW(serial.toEval(too_big), InvalidArgument);
-}
-
-TEST(SerialTablesCache, PolymulReusesTablesAcrossCalls)
-{
-    const auto& basis = testBasis();
-    rns::RnsKernels kernels(basis, Backend::Scalar);
-    EXPECT_EQ(kernels.cachedTableCount(), 0u);
-
-    auto a = rns::randomPolynomial(basis, 64, 91);
-    auto b = rns::randomPolynomial(basis, 64, 92);
-    auto first = kernels.polymulNegacyclic(a, b);
-    EXPECT_EQ(kernels.cachedTableCount(), basis.size());
-    auto second = kernels.polymulNegacyclic(a, b);
-    // Same tables, same bits — and no growth in the cache.
-    EXPECT_EQ(kernels.cachedTableCount(), basis.size());
-    expectIdentical(first, second);
-
-    // A different length caches its own tables; conversions share them.
-    auto c = rns::randomPolynomial(basis, 32, 93);
-    (void)kernels.toEval(c);
-    EXPECT_EQ(kernels.cachedTableCount(), 2 * basis.size());
-    (void)kernels.toCoeff(kernels.toEval(c));
-    EXPECT_EQ(kernels.cachedTableCount(), 2 * basis.size());
-}
-
-TEST(SerialTablesCache, SerialMatchesEngineSetupReuse)
-{
-    // The serial path with its table cache must stay bit-identical to
-    // the engine path with its PlanCache, across repeated calls.
-    const auto& basis = testBasis();
-    rns::RnsKernels serial(basis, Backend::Scalar);
-    engine::Engine eng(Backend::Scalar, 2);
-    auto a = rns::randomPolynomial(basis, 64, 94);
-    auto b = rns::randomPolynomial(basis, 64, 95);
-    for (int round = 0; round < 3; ++round) {
-        expectIdentical(serial.polymulNegacyclic(a, b),
-                        eng.polymulNegacyclic(a, b));
-    }
-    EXPECT_EQ(serial.cachedTableCount(), basis.size());
-    EXPECT_EQ(eng.planCache().negacyclicCount(), basis.size());
 }
 
 TEST(Decompose, DecomposeIntoMatchesBigIntegerDivision)

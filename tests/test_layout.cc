@@ -5,7 +5,7 @@
  * of the SoA-native pipeline against the retained U128 adapter path on
  * every compiled backend, and the steady-state guarantee the refactor
  * exists for — zero AoS<->SoA conversions and zero aligned heap
- * allocations per RnsKernels/Engine op (layout::metrics() counters).
+ * allocations per Engine op (layout::metrics() counters).
  */
 #include <gtest/gtest.h>
 
@@ -318,8 +318,8 @@ TEST(BitIdentity, RnsNativeMatchesPerChannelAdapterRoundTrip)
 
     for (Backend be : test::availableCorrectBackends()) {
         SCOPED_TRACE(backendName(be));
-        rns::RnsKernels kernels(basis, be);
-        auto native = kernels.polymulNegacyclic(a, b);
+        engine::Engine serial(be, 1);
+        auto native = serial.polymulNegacyclic(a, b);
 
         // The pre-refactor pipeline: repack every channel to U128s, run
         // the adapter overloads, repack the result.
@@ -429,7 +429,8 @@ TEST(SteadyState, SerialKernelPathsAreConversionAndAllocationFree)
     const size_t n = 64;
     auto a = rns::randomPolynomial(basis, n, 801);
     auto b = rns::randomPolynomial(basis, n, 802);
-    rns::RnsKernels kernels(basis, Backend::Scalar);
+    // threads = 1 runs tasks inline on the caller, in channel order.
+    engine::Engine eng(Backend::Scalar, 1);
 
     RnsPolynomial sum(basis, n), prod(basis, n), poly(basis, n);
     RnsPolynomial ae(basis, n, Form::Eval), be_(basis, n, Form::Eval);
@@ -437,68 +438,43 @@ TEST(SteadyState, SerialKernelPathsAreConversionAndAllocationFree)
     RnsPolynomial fma(basis, n);
     ProductList products = {{&a, &b}, {&ae, &be_}, {&a, &be_}};
 
-    // Warm every path twice: tables caches fill, workspace pool grows to
-    // its peak, aux buffers get sized.
+    // Warm every path twice: the plan cache fills, the workspace pool
+    // grows to its peak, aux buffers get sized.
     for (int warm = 0; warm < 2; ++warm) {
-        kernels.addInto(a, b, sum);
-        kernels.mulInto(a, b, prod);
-        kernels.polymulNegacyclicInto(a, b, poly);
-        kernels.toEvalInto(a, ae);
-        kernels.toEvalInto(b, be_);
-        kernels.mulEvalInto(ae, be_, emul);
-        kernels.toCoeffInto(emul, back);
-        kernels.fmaBatchInto(products, fma);
+        eng.addInto(a, b, sum);
+        eng.mulInto(a, b, prod);
+        eng.polymulNegacyclicInto(a, b, poly);
+        eng.toEvalInto(a, ae);
+        eng.toEvalInto(b, be_);
+        eng.mulEvalInto(ae, be_, emul);
+        eng.toCoeffInto(emul, back);
+        eng.fmaBatchInto(products, fma);
     }
 
     auto expectFree = [](const layout::Metrics& d, const char* what) {
         EXPECT_EQ(d.conversions(), 0u) << what << ": layout conversions";
         EXPECT_EQ(d.aligned_allocs, 0u) << what << ": aligned allocations";
     };
-    expectFree(measure([&] { kernels.addInto(a, b, sum); }), "addInto");
-    expectFree(measure([&] { kernels.mulInto(a, b, prod); }), "mulInto");
-    expectFree(measure([&] { kernels.polymulNegacyclicInto(a, b, poly); }),
+    expectFree(measure([&] { eng.addInto(a, b, sum); }), "addInto");
+    expectFree(measure([&] { eng.mulInto(a, b, prod); }), "mulInto");
+    expectFree(measure([&] { eng.polymulNegacyclicInto(a, b, poly); }),
                "polymulNegacyclicInto");
-    expectFree(measure([&] { kernels.toEvalInto(a, ae); }), "toEvalInto");
-    expectFree(measure([&] { kernels.mulEvalInto(ae, be_, emul); }),
+    expectFree(measure([&] { eng.toEvalInto(a, ae); }), "toEvalInto");
+    expectFree(measure([&] { eng.mulEvalInto(ae, be_, emul); }),
                "mulEvalInto");
-    expectFree(measure([&] { kernels.toCoeffInto(emul, back); }),
+    expectFree(measure([&] { eng.toCoeffInto(emul, back); }),
                "toCoeffInto");
-    expectFree(measure([&] { kernels.fmaBatchInto(products, fma); }),
+    expectFree(measure([&] { eng.fmaBatchInto(products, fma); }),
                "fmaBatchInto");
 
     // The warmed pipeline still produces the right bits (the counters
     // must never be satisfied by skipping work).
-    auto naive = kernels.add(
-        kernels.add(kernels.polymulNegacyclic(a, b),
-                    kernels.toCoeff(kernels.mulEval(ae, be_))),
-        kernels.toCoeff(kernels.mulEval(kernels.toEval(a), be_)));
+    auto naive = eng.add(
+        eng.add(eng.polymulNegacyclic(a, b),
+                    eng.toCoeff(eng.mulEval(ae, be_))),
+        eng.toCoeff(eng.mulEval(eng.toEval(a), be_)));
     for (size_t i = 0; i < basis.size(); ++i)
         EXPECT_EQ(fma.channel(i), naive.channel(i)) << "channel " << i;
-}
-
-TEST(SteadyState, InlineEnginePathIsConversionAndAllocationFree)
-{
-    const auto& basis = testBasis();
-    const size_t n = 64;
-    auto a = rns::randomPolynomial(basis, n, 811);
-    auto b = rns::randomPolynomial(basis, n, 812);
-    // threads = 1 runs tasks inline on the caller — the deterministic
-    // flavour of the engine path.
-    engine::Engine eng(Backend::Scalar, 1);
-
-    RnsPolynomial poly(basis, n), fma(basis, n);
-    ProductList products = {{&a, &b}, {&b, &a}};
-    for (int warm = 0; warm < 2; ++warm) {
-        eng.polymulNegacyclicInto(a, b, poly);
-        eng.fmaBatchInto(products, fma);
-    }
-
-    auto d = measure([&] { eng.polymulNegacyclicInto(a, b, poly); });
-    EXPECT_EQ(d.conversions(), 0u);
-    EXPECT_EQ(d.aligned_allocs, 0u);
-    d = measure([&] { eng.fmaBatchInto(products, fma); });
-    EXPECT_EQ(d.conversions(), 0u);
-    EXPECT_EQ(d.aligned_allocs, 0u);
     // Between calls every workspace is back in the engine's pool,
     // waiting to be rebound.
     EXPECT_GE(eng.workspacePool().idleCount(), 1u);
@@ -538,17 +514,17 @@ TEST(SteadyState, DestinationMayAliasOperands)
     const size_t n = 64;
     auto a = rns::randomPolynomial(basis, n, 831);
     auto b = rns::randomPolynomial(basis, n, 832);
-    rns::RnsKernels kernels(basis, Backend::Scalar);
+    engine::Engine eng(Backend::Scalar, 1);
 
-    auto sum = kernels.add(a, b);
+    auto sum = eng.add(a, b);
     auto aa = a;
-    kernels.addInto(aa, b, aa); // in-place over the first operand
+    eng.addInto(aa, b, aa); // in-place over the first operand
     for (size_t i = 0; i < basis.size(); ++i)
         EXPECT_EQ(aa.channel(i), sum.channel(i));
 
-    auto prod = kernels.polymulNegacyclic(a, b);
+    auto prod = eng.polymulNegacyclic(a, b);
     auto pa = a;
-    kernels.polymulNegacyclicInto(pa, b, pa);
+    eng.polymulNegacyclicInto(pa, b, pa);
     for (size_t i = 0; i < basis.size(); ++i)
         EXPECT_EQ(pa.channel(i), prod.channel(i));
 }

@@ -3,11 +3,12 @@
  * RNS tests: CRT decompose/reconstruct roundtrips, ring homomorphism,
  * and the end-to-end integration that ties the whole library together —
  * a negacyclic polynomial product over a multi-prime modulus Q computed
- * channel-wise with the SIMD kernels must equal the same product
- * computed directly in BigUInt arithmetic mod Q.
+ * channel-wise by engine::Engine with the SIMD kernels must equal the
+ * same product computed directly in BigUInt arithmetic mod Q.
  */
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "rns/rns.h"
 #include "test_util.h"
 
@@ -95,10 +96,10 @@ TEST(RnsPolynomial, CoefficientsRoundTrip)
     EXPECT_EQ(poly.toCoefficients(), coeffs);
 }
 
-TEST(RnsKernels, PointwiseOpsMatchBigIntegerOps)
+TEST(RnsEngine, PointwiseOpsMatchBigIntegerOps)
 {
     rns::RnsBasis basis(62, 16, 3);
-    rns::RnsKernels kernels(basis, Backend::Scalar);
+    engine::Engine eng(Backend::Scalar, 1);
     SplitMix64 rng(707);
     const size_t n = 32;
     std::vector<BigUInt> fa(n), fb(n);
@@ -109,18 +110,19 @@ TEST(RnsKernels, PointwiseOpsMatchBigIntegerOps)
     auto pa = rns::RnsPolynomial::fromCoefficients(basis, fa);
     auto pb = rns::RnsPolynomial::fromCoefficients(basis, fb);
 
-    auto sum = kernels.add(pa, pb).toCoefficients();
-    auto prod = kernels.mul(pa, pb).toCoefficients();
+    auto sum = eng.add(pa, pb).toCoefficients();
+    auto prod = eng.mul(pa, pb).toCoefficients();
     for (size_t i = 0; i < n; ++i) {
         EXPECT_EQ(sum[i], BigUInt::addMod(fa[i], fb[i], basis.bigModulus()));
         EXPECT_EQ(prod[i], BigUInt::mulMod(fa[i], fb[i], basis.bigModulus()));
     }
 }
 
-TEST(RnsKernels, NegacyclicPolymulMatchesBigIntegerSchoolbook)
+TEST(RnsEngine, NegacyclicPolymulMatchesBigIntegerSchoolbook)
 {
     // The flagship integration test: SIMD channel kernels + CRT must
-    // equal direct big-integer negacyclic schoolbook over Z_Q.
+    // equal direct big-integer negacyclic schoolbook over Z_Q, word for
+    // word, on every backend, run serially and across a pool.
     rns::RnsBasis basis(62, 16, 3);
     const size_t n = 32;
     SplitMix64 rng(808);
@@ -132,37 +134,38 @@ TEST(RnsKernels, NegacyclicPolymulMatchesBigIntegerSchoolbook)
     auto pa = rns::RnsPolynomial::fromCoefficients(basis, fa);
     auto pb = rns::RnsPolynomial::fromCoefficients(basis, fb);
 
-    for (Backend be : test::availableCorrectBackends()) {
-        rns::RnsKernels kernels(basis, be);
-        auto got = kernels.polymulNegacyclic(pa, pb).toCoefficients();
-
-        // Oracle: schoolbook negacyclic product in BigUInt mod Q.
-        const BigUInt& q = basis.bigModulus();
-        std::vector<BigUInt> expect(n, BigUInt{});
-        for (size_t i = 0; i < n; ++i) {
-            for (size_t j = 0; j < n; ++j) {
-                BigUInt term = BigUInt::mulMod(fa[i], fb[j], q);
-                size_t k = i + j;
-                if (k < n) {
-                    expect[k] = BigUInt::addMod(expect[k], term, q);
-                } else {
-                    expect[k - n] = BigUInt::subMod(expect[k - n], term, q);
-                }
+    // Oracle: schoolbook negacyclic product in BigUInt mod Q.
+    const BigUInt& q = basis.bigModulus();
+    std::vector<BigUInt> expect(n, BigUInt{});
+    for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+            BigUInt term = BigUInt::mulMod(fa[i], fb[j], q);
+            size_t k = i + j;
+            if (k < n) {
+                expect[k] = BigUInt::addMod(expect[k], term, q);
+            } else {
+                expect[k - n] = BigUInt::subMod(expect[k - n], term, q);
             }
         }
-        EXPECT_EQ(got, expect) << backendName(be);
+    }
+    for (Backend be : test::availableCorrectBackends()) {
+        for (size_t threads : {size_t{1}, size_t{3}}) {
+            engine::Engine eng(be, threads);
+            EXPECT_EQ(eng.polymulNegacyclic(pa, pb).toCoefficients(), expect)
+                << backendName(be) << " threads=" << threads;
+        }
     }
 }
 
-TEST(RnsKernels, MismatchedBasisRejected)
+TEST(RnsEngine, MismatchedBasisRejected)
 {
     rns::RnsBasis basis_a(60, 12, 2);
     rns::RnsBasis basis_b(58, 12, 2);
-    rns::RnsKernels kernels(basis_a, Backend::Scalar);
+    engine::Engine eng(Backend::Scalar, 1);
     rns::RnsPolynomial pa(basis_a, 8), pb(basis_b, 8);
-    EXPECT_THROW(kernels.add(pa, pb), InvalidArgument);
+    EXPECT_THROW(eng.add(pa, pb), InvalidArgument);
     rns::RnsPolynomial pc(basis_a, 4);
-    EXPECT_THROW(kernels.add(pa, pc), InvalidArgument);
+    EXPECT_THROW(eng.add(pa, pc), InvalidArgument);
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  * Freivalds / guard-digest verification math, workspace lease
  * accounting — and, when the tree is configured with
  * -DMQX_FAULT_INJECTION=ON, the injection harness itself: fault-plan
- * determinism, detect-and-repair of planted bit flips, batch-kernel
+ * determinism, detect-and-repair of planted bit flips (with the repair
+ * isolated from armed points and the engine's pool), batch-kernel
  * fallback, and deadline cancellation mid-pipeline with balanced
  * leases. The injection-gated suites GTEST_SKIP on regular builds, so
  * one test binary serves both CI legs.
@@ -289,11 +290,10 @@ TEST(Verify, FreivaldsPassesCleanPolymulsOnEveryBackend)
     const size_t n = 64;
     for (Backend backend : test::availableCorrectBackends()) {
         engine::Engine eng(backend, 1);
-        rns::RnsKernels serial(basis, backend);
         for (uint64_t trial = 0; trial < 16; ++trial) {
             auto a = rns::randomPolynomial(basis, n, 2 * trial);
             auto b = rns::randomPolynomial(basis, n, 2 * trial + 1);
-            auto c = serial.polymulNegacyclic(a, b);
+            auto c = eng.polymulNegacyclic(a, b);
             for (size_t ch = 0; ch < basis.size(); ++ch) {
                 auto tables =
                     eng.planCache().getNegacyclic(basis.prime(ch), n);
@@ -317,10 +317,9 @@ TEST(Verify, FreivaldsCatchesEverySingleBitFlip)
     const Backend backend = bestBackend();
     const size_t n = 64;
     engine::Engine eng(backend, 1);
-    rns::RnsKernels serial(basis, backend);
     auto a = rns::randomPolynomial(basis, n, 101);
     auto b = rns::randomPolynomial(basis, n, 102);
-    auto c = serial.polymulNegacyclic(a, b);
+    auto c = eng.polymulNegacyclic(a, b);
 
     SplitMix64 rng(0xfeedbeef);
     size_t detected = 0;
@@ -351,7 +350,6 @@ TEST(Verify, FmaIdentityPassesCleanAndCatchesFlips)
     const Backend backend = bestBackend();
     const size_t n = 32;
     engine::Engine eng(backend, 1);
-    rns::RnsKernels serial(basis, backend);
 
     std::vector<rns::RnsPolynomial> operands;
     std::vector<std::pair<const rns::RnsPolynomial*,
@@ -361,7 +359,7 @@ TEST(Verify, FmaIdentityPassesCleanAndCatchesFlips)
         operands.push_back(rns::randomPolynomial(basis, n, 300 + i));
     for (size_t i = 0; i < 3; ++i)
         products.emplace_back(&operands[2 * i], &operands[2 * i + 1]);
-    auto c = serial.fmaBatch(products);
+    auto c = eng.fmaBatch(products);
 
     for (size_t ch = 0; ch < basis.size(); ++ch) {
         auto tables = eng.planCache().getNegacyclic(basis.prime(ch), n);
@@ -386,7 +384,7 @@ TEST(Verify, GuardDigestIsLinearAndCatchesFlips)
 {
     const rns::RnsBasis& basis = testBasis();
     const size_t n = 64;
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     auto a = rns::randomPolynomial(basis, n, 7);
     auto b = rns::randomPolynomial(basis, n, 8);
     auto c = serial.add(a, b);
@@ -428,7 +426,7 @@ TEST(EngineVerify, AlwaysOnVerificationPreservesResults)
     const size_t n = 128;
     auto eng =
         makeVerifyingEngine(robust::VerifyPolicy::Always, 1, 2, true);
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     auto a = rns::randomPolynomial(basis, n, 21);
     auto b = rns::randomPolynomial(basis, n, 22);
     expectIdentical(eng.polymulNegacyclic(a, b),
@@ -446,7 +444,7 @@ TEST(EngineVerify, SampledVerificationPreservesResults)
     const rns::RnsBasis& basis = testBasis();
     const size_t n = 64;
     auto eng = makeVerifyingEngine(robust::VerifyPolicy::Sample, 4, 1);
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     for (uint64_t t = 0; t < 12; ++t) {
         auto a = rns::randomPolynomial(basis, n, 900 + 2 * t);
         auto b = rns::randomPolynomial(basis, n, 901 + 2 * t);
@@ -463,7 +461,7 @@ TEST(EngineCancel, LiveTokenStagedPipelineIsBitIdentical)
     const rns::RnsBasis& basis = testBasis();
     const size_t n = 128;
     engine::Engine eng(bestBackend(), 2);
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     auto a = rns::randomPolynomial(basis, n, 55);
     auto b = rns::randomPolynomial(basis, n, 56);
     robust::CancelToken token;
@@ -492,7 +490,7 @@ TEST(EngineCancel, CancelledTokenAbortsWithLeasesReleased)
     EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
     EXPECT_EQ(eng.pool().stats().submitted, eng.pool().stats().executed());
     // The engine is fully usable after the abort.
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     expectIdentical(eng.polymulNegacyclic(a, b),
                     serial.polymulNegacyclic(a, b));
 }
@@ -604,12 +602,12 @@ TEST(FaultInjection, PlantedFlipIsDetectedAndRepairedBitIdentically)
     const size_t n = 64;
     auto a = rns::randomPolynomial(basis, n, 81);
     auto b = rns::randomPolynomial(basis, n, 82);
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     const auto expected = serial.polymulNegacyclic(a, b);
 
     // Sampled policy with period 1: this op is sampled, the flip is
-    // caught by the Freivalds check, and the repair path recomputes the
-    // corrupted channel through the fault-free serial path.
+    // caught by the Freivalds check, and the repair recomputes the
+    // corrupted channel with every fault point silenced.
     auto eng = makeVerifyingEngine(robust::VerifyPolicy::Sample, 1, 1);
     robust::FaultPlan plan(7);
     plan.arm("rns.polymul.out",
@@ -618,6 +616,41 @@ TEST(FaultInjection, PlantedFlipIsDetectedAndRepairedBitIdentically)
     const auto c = eng.polymulNegacyclic(a, b);
     EXPECT_EQ(scope.stats("rns.polymul.out").fires, 1u);
     expectIdentical(c, expected); // repaired bit-identically
+    EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
+}
+
+TEST(FaultInjection, RepairIsIsolatedFromArmedPointsAndEnginePool)
+{
+    MQX_REQUIRE_INJECTION();
+    const rns::RnsBasis& basis = testBasis();
+    const size_t n = 64;
+    auto a = rns::randomPolynomial(basis, n, 83);
+    auto b = rns::randomPolynomial(basis, n, 84);
+    engine::Engine serial(bestBackend(), 1);
+    const auto expected = serial.polymulNegacyclic(a, b);
+
+    // One flip sends the op into a repair. The acquire point lets the
+    // op's own k leases through and throws on every later hit, so a
+    // repair that reached it (or leased from the engine's pool) fails.
+    auto eng = makeVerifyingEngine(robust::VerifyPolicy::Sample, 1, 1);
+    robust::FaultPlan plan(13);
+    plan.arm("rns.polymul.out",
+             {robust::FaultAction::FlipBit, 1.0, /*max_fires=*/1});
+    robust::FaultSpec acquire;
+    acquire.action = robust::FaultAction::Throw;
+    acquire.skip_hits = basis.size();
+    plan.arm("workspace_pool.acquire", acquire);
+    robust::ScopedFaultInjection scope(std::move(plan));
+    auto& repairs = telemetry::counter("robust.repairs");
+    const uint64_t repairs_before = repairs.value();
+    const auto c = eng.polymulNegacyclic(a, b);
+    EXPECT_EQ(repairs.value(), repairs_before + 1);
+    expectIdentical(c, expected); // repaired bit-identically
+    // Under the guard the repair's own points are inert: no hit, no fire.
+    EXPECT_EQ(scope.stats("rns.polymul.out").hits, basis.size());
+    EXPECT_EQ(scope.stats("rns.polymul.out").fires, 1u);
+    EXPECT_EQ(scope.stats("workspace_pool.acquire").hits, basis.size());
+    EXPECT_EQ(scope.stats("workspace_pool.acquire").fires, 0u);
     EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
 }
 
@@ -631,7 +664,7 @@ TEST(FaultInjection, UnverifiedFlipActuallyCorrupts)
     const size_t n = 64;
     auto a = rns::randomPolynomial(basis, n, 81);
     auto b = rns::randomPolynomial(basis, n, 82);
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     const auto expected = serial.polymulNegacyclic(a, b);
 
     engine::Engine eng(bestBackend(), 1);
@@ -668,7 +701,7 @@ TEST(FaultInjection, BatchKernelFailureFallsBackBitIdentically)
     for (size_t i = 0; i < 2 * il; ++i)
         products.emplace_back(&operands[2 * i], &operands[2 * i + 1]);
 
-    rns::RnsKernels serial(basis, bestBackend());
+    engine::Engine serial(bestBackend(), 1);
     std::vector<rns::RnsPolynomial> expected;
     for (const auto& [pa, pb] : products)
         expected.push_back(serial.polymulNegacyclic(*pa, *pb));
@@ -696,6 +729,8 @@ TEST(FaultInjection, PlanCacheBuildFailureIsNotCached)
     const size_t n = 64;
     auto a = rns::randomPolynomial(basis, n, 91);
     auto b = rns::randomPolynomial(basis, n, 92);
+    engine::Engine serial(bestBackend(), 1);
+    const auto expected = serial.polymulNegacyclic(a, b);
     engine::Engine eng(bestBackend(), 1); // fresh, cold plan cache
     robust::FaultPlan plan(3);
     plan.arm("plan_cache.alloc",
@@ -703,9 +738,7 @@ TEST(FaultInjection, PlanCacheBuildFailureIsNotCached)
     robust::ScopedFaultInjection scope(std::move(plan));
     EXPECT_THROW((void)eng.polymulNegacyclic(a, b), robust::StatusError);
     // The failed build was not cached: the next call rebuilds cleanly.
-    rns::RnsKernels serial(basis, bestBackend());
-    expectIdentical(eng.polymulNegacyclic(a, b),
-                    serial.polymulNegacyclic(a, b));
+    expectIdentical(eng.polymulNegacyclic(a, b), expected);
     EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
 }
 
@@ -746,6 +779,7 @@ TEST(FaultInjection, StalledTaskTripsDeadlineMidPipeline)
     auto a = rns::randomPolynomial(basis, n, 95);
     auto b = rns::randomPolynomial(basis, n, 96);
     engine::Engine eng(bestBackend(), 1);
+    const auto expected = eng.polymulNegacyclic(a, b);
     rns::RnsPolynomial c(basis, n);
     // The first channel task stalls 20 ms against a 2 ms deadline, so
     // the token expires mid-op; the remaining channel tasks are skipped
@@ -768,9 +802,7 @@ TEST(FaultInjection, StalledTaskTripsDeadlineMidPipeline)
     EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
     EXPECT_EQ(eng.pool().stats().submitted, eng.pool().stats().executed());
     // Still serviceable afterwards.
-    rns::RnsKernels serial(basis, bestBackend());
-    expectIdentical(eng.polymulNegacyclic(a, b),
-                    serial.polymulNegacyclic(a, b));
+    expectIdentical(eng.polymulNegacyclic(a, b), expected);
 }
 
 } // namespace
