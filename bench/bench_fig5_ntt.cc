@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <memory>
 
 #include "blas/blas.h"
 #include "blas/blas_backends.h"
@@ -71,39 +72,38 @@ measureFwdInvNs(Backend be, const ntt::NttPlan& plan, size_t n,
 }
 
 /**
- * Batch scenario: k channels' fwd+inv through the interleaved batch
- * kernels (packed layout, pack/unpack excluded from the timed region)
- * vs k per-channel radix-2 transforms — the ROADMAP item 2 measurement.
+ * Batch scenario: k channels' fwd+inv through the merged negacyclic
+ * batch kernels (packed layout, pack/unpack excluded from the timed
+ * region) vs k per-channel merged negacyclic transforms: the choice
+ * Engine::fmaBatch and polymulNegacyclicBatch make per channel.
  * Returns {per_channel_ns, batch_ns} for one (backend, k, n).
  */
 std::pair<double, double>
-measureBatchFwdInvNs(Backend be, const ntt::NttPlan& plan, size_t n, size_t k,
-                     int total, int kept)
+measureBatchFwdInvNs(Backend be, const ntt::NegacyclicTables& tables,
+                     size_t n, size_t k, int total, int kept)
 {
     const size_t il = ntt::batchInterleave(be);
     const BatchLayout layout(n, k, il);
+    const U128 q = tables.plan().modulus().value();
 
     std::vector<ResidueVector> lanes;
     std::vector<DConstSpan> lane_spans;
     for (size_t c = 0; c < k; ++c) {
-        lanes.push_back(ResidueVector::fromU128(
-            randomResidues(n, plan.modulus().value(), 0xba7c + 31 * c)));
+        lanes.push_back(
+            ResidueVector::fromU128(randomResidues(n, q, 0xba7c + 31 * c)));
     }
     for (auto& v : lanes)
         lane_spans.push_back(v.span());
 
-    // Per-channel baseline: k independent fwd+inv pairs, radix-2
-    // Shoup-lazy (the same wiring the batch kernels run).
+    // Per-channel baseline: k independent merged fwd+inv pairs.
     ResidueVector mid(n), out(n), scratch(n);
     Measurement per = runProtocol(
         [&] {
             for (size_t c = 0; c < k; ++c) {
-                ntt::forward(plan, be, lane_spans[c], mid.span(),
-                             scratch.span(), MulAlgo::Schoolbook,
-                             Reduction::ShoupLazy, StageFusion::Radix2);
-                ntt::inverse(plan, be, mid.span(), out.span(), scratch.span(),
-                             MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                             StageFusion::Radix2);
+                ntt::negacyclicForward(tables, be, lane_spans[c], mid.span(),
+                                       scratch.span());
+                ntt::negacyclicInverse(tables, be, mid.span(), out.span(),
+                                       scratch.span());
             }
         },
         total, kept);
@@ -128,8 +128,8 @@ measureBatchFwdInvNs(Backend be, const ntt::NttPlan& plan, size_t n, size_t k,
                            packed_out.span().lo + off, group_words};
                 DSpan gscr{packed_scratch.span().hi + off,
                            packed_scratch.span().lo + off, group_words};
-                ntt::forwardBatch(plan, be, il, in, gmid, gscr);
-                ntt::inverseBatch(plan, be, il, gmid, gout, gscr);
+                ntt::negacyclicForwardBatch(tables, be, il, in, gmid, gscr);
+                ntt::negacyclicInverseBatch(tables, be, il, gmid, gout, gscr);
             }
         },
         total, kept);
@@ -384,17 +384,19 @@ runJsonMode(const char* path)
 #endif
     os << "\n  ],\n";
 
-    // Batch scenario (ROADMAP item 2): k channels swept by the
-    // interleaved kernels vs k per-channel transforms, at the FHE-core
-    // size n = 4096. effective_gbps counts useful lane bytes only
-    // (padding sweeps are the batch path's own overhead), and the DRAM
-    // floor is the paper's Fig. 5a machine — roofline context for the
-    // bytes-swept accounting.
+    // Batch scenario: k channels swept by the merged negacyclic batch
+    // kernels vs k per-channel merged transforms, at the FHE-core size
+    // n = 4096. effective_gbps counts useful lane bytes only (padding
+    // sweeps are the batch path's own overhead), and the DRAM floor is
+    // the paper's Fig. 5a machine — roofline context for the
+    // bytes-swept accounting (a merged transform sweeps the radix-2
+    // bytes: the twist and n^-1 ride inside its stages).
     os << "  \"batch\": [\n";
     const size_t batch_n = 4096;
-    ntt::NttPlan batch_plan(prime, batch_n);
+    const ntt::NegacyclicTables batch_tables(
+        std::make_shared<const ntt::NttPlan>(prime, batch_n));
     const size_t batch_swept =
-        batch_plan.bytesSweptPerTransform(StageFusion::Radix2);
+        batch_tables.plan().bytesSweptPerTransform(StageFusion::Radix2);
     double batch_speedup_k8 = 0.0;
     Backend batch_best_backend = best;
     first = true;
@@ -404,7 +406,7 @@ runJsonMode(const char* path)
             int total = 0, kept = 0;
             pinnedIters(batch_n, total, kept);
             auto [per_ns, bat_ns] = measureBatchFwdInvNs(
-                be, batch_plan, batch_n, k, total, kept);
+                be, batch_tables, batch_n, k, total, kept);
             const double speedup = bat_ns > 0.0 ? per_ns / bat_ns : 0.0;
             // One op = k fwd+inv pairs = 2k transforms' worth of sweeps.
             const double bytes =

@@ -486,7 +486,7 @@ Engine::fmaBatchInto(
                 try {
                     rns::detail::fmaChannelBatched(backend_, basis, i,
                                                    tables, workspaces_,
-                                                   products, il, c);
+                                                   products, il, c, cancel);
                 } catch (const robust::StatusError& e) {
                     if (propagateFromBatchKernel(e))
                         throw;

@@ -176,10 +176,10 @@ class Engine
      * When every operand is Coeff form and the batch holds at least
      * ntt::batchInterleave(backend()) products on a batch-capable plan,
      * whole tiles of il products run their forward transforms through
-     * the interleaved batch kernels (core/batch_layout.h) — still
-     * bit-identical, since exact mod-q accumulation is
-     * order-independent and each lane's transform is word-identical to
-     * the per-channel kernel.
+     * the merged negacyclic batch kernels (ntt::negacyclicForwardBatch
+     * over core/batch_layout.h) — still bit-identical, since exact
+     * mod-q accumulation is order-independent and each lane's
+     * transform is word-identical to the per-channel kernel.
      */
     rns::RnsPolynomial fmaBatch(
         const std::vector<std::pair<const rns::RnsPolynomial*,
@@ -198,9 +198,10 @@ class Engine
      *
      * Uniform batches (one basis, one length) of at least
      * ntt::batchInterleave(backend()) products on a batch-capable plan
-     * dispatch whole tiles of il products through the interleaved batch
-     * kernels — one stage sweep serves il products per channel, with
-     * per-lane results word-identical to the per-channel path.
+     * dispatch whole tiles of il products through the merged
+     * negacyclic batch kernels — one stage sweep serves il products per
+     * channel, with per-lane results word-identical to the per-channel
+     * path.
      */
     std::vector<rns::RnsPolynomial> polymulNegacyclicBatch(
         const std::vector<std::pair<const rns::RnsPolynomial*,

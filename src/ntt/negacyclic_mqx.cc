@@ -1,9 +1,8 @@
 /**
  * @file
  * MQX instantiations of the merged negacyclic kernels, in Table-2
- * emulation and PISA proxy modes. Like the cyclic batch path they model
- * the full MQX feature set only: the Fig. 6 ablation variants stay on
- * the cyclic kernels.
+ * emulation and PISA proxy modes. They model the full MQX feature set
+ * only: the Fig. 6 ablation variants stay on the cyclic kernels.
  */
 #include "ntt/negacyclic_backends.h"
 

@@ -4,10 +4,14 @@
  */
 #include "ntt/ntt.h"
 
+#include <algorithm>
+
+#include "core/batch_layout.h"
 #include "core/config.h"
 #include "ntt/negacyclic.h"
 #include "ntt/negacyclic_backends.h"
 #include "ntt/ntt_backends.h"
+#include "ntt/pease_impl.h"
 #include "telemetry/telemetry.h"
 
 namespace mqx {
@@ -39,8 +43,6 @@ struct Avx512Tier
 {
     decltype(&backends::forwardAvx512) forward;
     decltype(&backends::inverseAvx512) inverse;
-    decltype(&backends::forwardBatchAvx512) forwardBatch;
-    decltype(&backends::inverseBatchAvx512) inverseBatch;
     NegacyclicKernels negacyclic;
 };
 
@@ -52,8 +54,6 @@ avx512Tier()
         if (avx512Ifma())
             return Avx512Tier{&backends::forwardAvx512Ifma,
                               &backends::inverseAvx512Ifma,
-                              &backends::forwardBatchAvx512Ifma,
-                              &backends::inverseBatchAvx512Ifma,
                               {&backends::negacyclicForwardAvx512Ifma,
                                &backends::negacyclicInverseAvx512Ifma,
                                &backends::negacyclicForwardBatchAvx512Ifma,
@@ -61,8 +61,6 @@ avx512Tier()
 #endif
         return Avx512Tier{&backends::forwardAvx512,
                           &backends::inverseAvx512,
-                          &backends::forwardBatchAvx512,
-                          &backends::inverseBatchAvx512,
                           {&backends::negacyclicForwardAvx512,
                            &backends::negacyclicInverseAvx512,
                            &backends::negacyclicForwardBatchAvx512,
@@ -357,6 +355,43 @@ noteBatchSweep(const NttPlan& plan, size_t il)
         .add(il * plan.bytesSweptPerTransform(StageFusion::Radix2));
 }
 
+/**
+ * The per-lane loop behind forwardBatch/inverseBatch: gather each lane
+ * of the il-lane tiled group, run @p transform on it and scatter the
+ * result back. The three n-word lane buffers are carved out of
+ * @p scratch (il * n words, clobbered) whenever il >= 3, which covers
+ * every batchInterleave() width; narrower calls stage on the heap.
+ */
+template <class Transform>
+void
+batchLaneLoop(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
+              DSpan scratch, Transform&& transform)
+{
+    detail::validateBatchNttArgs(plan, il, in, out, scratch);
+    constexpr size_t w = BatchLayout::kTileWords;
+    const size_t n = plan.n();
+    ResidueVector spill;
+    if (il < 3)
+        spill.ensure(3 * n);
+    const DSpan stage = il < 3 ? spill.span() : scratch;
+    const DSpan lane_in{stage.hi, stage.lo, n};
+    const DSpan lane_out{stage.hi + n, stage.lo + n, n};
+    const DSpan lane_scratch{stage.hi + 2 * n, stage.lo + 2 * n, n};
+    for (size_t c = 0; c < il; ++c) {
+        for (size_t e = 0; e < n; e += w) {
+            const size_t i = detail::batchIndex(e, c, il);
+            std::copy_n(in.hi + i, w, lane_in.hi + e);
+            std::copy_n(in.lo + i, w, lane_in.lo + e);
+        }
+        transform(lane_in, lane_out, lane_scratch);
+        for (size_t e = 0; e < n; e += w) {
+            const size_t i = detail::batchIndex(e, c, il);
+            std::copy_n(lane_out.hi + e, w, out.hi + i);
+            std::copy_n(lane_out.lo + e, w, out.lo + i);
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -367,45 +402,10 @@ forwardBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
     requireAvailable(backend);
     checkArg(batchSupported(plan),
              "forwardBatch: plan too small (n < 16)");
-    noteBatchSweep(plan, il);
-    switch (backend) {
-      case Backend::Scalar:
-        backends::forwardBatchScalar(plan, il, in, out, scratch, algo);
-        return;
-      case Backend::Portable:
-        backends::forwardBatchPortable(plan, il, in, out, scratch, algo);
-        return;
-      case Backend::Avx2:
-#if MQX_BUILD_AVX2
-        backends::forwardBatchAvx2(plan, il, in, out, scratch, algo);
-        return;
-#else
-        break;
-#endif
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        avx512Tier().forwardBatch(plan, il, in, out, scratch, algo);
-        return;
-#else
-        break;
-#endif
-      case Backend::MqxEmulate:
-#if MQX_BUILD_AVX512
-        backends::forwardBatchMqx(false, plan, il, in, out, scratch, algo);
-        return;
-#else
-        break;
-#endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        backends::forwardBatchMqx(true, plan, il, in, out, scratch, algo);
-        return;
-#else
-        break;
-#endif
-    }
-    throw BackendUnavailable("NTT backend not compiled in: " +
-                             backendName(backend));
+    batchLaneLoop(plan, il, in, out, scratch,
+                  [&](DConstSpan x, DSpan y, DSpan scr) {
+                      forward(plan, backend, x, y, scr, algo);
+                  });
 }
 
 void
@@ -416,45 +416,10 @@ inverseBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
     requireAvailable(backend);
     checkArg(batchSupported(plan),
              "inverseBatch: plan too small (n < 16)");
-    noteBatchSweep(plan, il);
-    switch (backend) {
-      case Backend::Scalar:
-        backends::inverseBatchScalar(plan, il, in, out, scratch, algo);
-        return;
-      case Backend::Portable:
-        backends::inverseBatchPortable(plan, il, in, out, scratch, algo);
-        return;
-      case Backend::Avx2:
-#if MQX_BUILD_AVX2
-        backends::inverseBatchAvx2(plan, il, in, out, scratch, algo);
-        return;
-#else
-        break;
-#endif
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        avx512Tier().inverseBatch(plan, il, in, out, scratch, algo);
-        return;
-#else
-        break;
-#endif
-      case Backend::MqxEmulate:
-#if MQX_BUILD_AVX512
-        backends::inverseBatchMqx(false, plan, il, in, out, scratch, algo);
-        return;
-#else
-        break;
-#endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        backends::inverseBatchMqx(true, plan, il, in, out, scratch, algo);
-        return;
-#else
-        break;
-#endif
-    }
-    throw BackendUnavailable("NTT backend not compiled in: " +
-                             backendName(backend));
+    batchLaneLoop(plan, il, in, out, scratch,
+                  [&](DConstSpan x, DSpan y, DSpan scr) {
+                      inverse(plan, backend, x, y, scr, algo);
+                  });
 }
 
 void

@@ -77,7 +77,8 @@ void inverseMqx(const NttPlan& plan, MqxVariant variant, bool pisa,
                 StageFusion fusion = StageFusion::Auto);
 
 /**
- * Interleave factor of the batch kernels for @p backend: how many
+ * Interleave factor of the merged negacyclic batch kernels
+ * (negacyclicForwardBatch/InverseBatch) for @p backend: how many
  * residue channels one stage sweep serves (the IL knob of the
  * channel-major tiled layout, core/batch_layout.h). 4 for the 4-lane
  * AVX2 tier and the narrow scalar/portable tiers, 8 for the 8-lane
@@ -94,15 +95,22 @@ bool batchSupported(const NttPlan& plan);
 /**
  * Forward NTT over @p il channels packed in the interleaved batch
  * layout (batch::packLanes); buffers are il * plan.n() words per half.
- * Always the radix-2 Shoup-lazy wiring, so each lane's output is
- * word-identical to a per-channel forward() with any fusion/reduction.
- * @throws InvalidArgument when !batchSupported(plan).
+ * A per-lane loop: each lane is gathered, run through forward() and
+ * scattered back, so its output is word-identical to a per-channel
+ * forward() with any fusion/reduction. @p scratch is clobbered; at
+ * il >= 3 it also stages the lanes, so the call allocates nothing.
+ * No Engine op runs this: the batched ops use negacyclicForwardBatch
+ * (ntt/negacyclic.h). It remains for the perfbench ladder's
+ * ntt.fwd_batch probe.
+ * @throws InvalidArgument when !batchSupported(plan), or on bad buffer
+ *         sizes or overlapping buffers.
  */
 void forwardBatch(const NttPlan& plan, Backend backend, size_t il,
                   DConstSpan in, DSpan out, DSpan scratch,
                   MulAlgo algo = MulAlgo::Schoolbook);
 
-/** Inverse counterpart of forwardBatch (includes the n^-1 pass). */
+/** Inverse counterpart of forwardBatch: the same per-lane loop over
+ *  inverse() (includes the n^-1 pass). */
 void inverseBatch(const NttPlan& plan, Backend backend, size_t il,
                   DConstSpan in, DSpan out, DSpan scratch,
                   MulAlgo algo = MulAlgo::Schoolbook);

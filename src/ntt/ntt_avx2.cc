@@ -43,20 +43,6 @@ inverseAvx2(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch,
     }
 }
 
-void
-forwardBatchAvx2(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
-                 DSpan scratch, MulAlgo algo)
-{
-    peaseForwardBatchImpl<simd::Avx2Isa>(plan, il, in, out, scratch, algo);
-}
-
-void
-inverseBatchAvx2(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
-                 DSpan scratch, MulAlgo algo)
-{
-    peaseInverseBatchImpl<simd::Avx2Isa>(plan, il, in, out, scratch, algo);
-}
-
 } // namespace backends
 } // namespace ntt
 } // namespace mqx

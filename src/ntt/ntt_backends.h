@@ -53,40 +53,6 @@ void forwardMqxImpl(const NttPlan&, MqxVariant, bool pisa, DConstSpan, DSpan,
 void inverseMqxImpl(const NttPlan&, MqxVariant, bool pisa, DConstSpan, DSpan,
                     DSpan, MulAlgo, Reduction, StageFusion);
 
-// Interleaved batch entry points (ROADMAP item 2): buffers are
-// il * plan.n() words per half, packed by batch::packLanes. Always the
-// radix-2 Shoup-lazy wiring — word-identical per lane to every
-// per-channel variant.
-void forwardBatchScalar(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
-                        MulAlgo);
-void inverseBatchScalar(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
-                        MulAlgo);
-
-void forwardBatchPortable(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
-                          MulAlgo);
-void inverseBatchPortable(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
-                          MulAlgo);
-
-void forwardBatchAvx2(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
-                      MulAlgo);
-void inverseBatchAvx2(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
-                      MulAlgo);
-
-void forwardBatchAvx512(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
-                        MulAlgo);
-void inverseBatchAvx512(const NttPlan&, size_t il, DConstSpan, DSpan, DSpan,
-                        MulAlgo);
-
-void forwardBatchAvx512Ifma(const NttPlan&, size_t il, DConstSpan, DSpan,
-                            DSpan, MulAlgo);
-void inverseBatchAvx512Ifma(const NttPlan&, size_t il, DConstSpan, DSpan,
-                            DSpan, MulAlgo);
-
-void forwardBatchMqx(bool pisa, const NttPlan&, size_t il, DConstSpan, DSpan,
-                     DSpan, MulAlgo);
-void inverseBatchMqx(bool pisa, const NttPlan&, size_t il, DConstSpan, DSpan,
-                     DSpan, MulAlgo);
-
 } // namespace backends
 } // namespace ntt
 } // namespace mqx

@@ -142,33 +142,6 @@ inverseMqxImpl(const NttPlan& plan, MqxVariant variant, bool pisa,
                                              algo, red, fusion);
 }
 
-// The batch path models only the full MQX feature set (the Fig. 6
-// ablation variants stay per-channel; batching is orthogonal to the
-// instruction-mix study).
-void
-forwardBatchMqx(bool pisa, const NttPlan& plan, size_t il, DConstSpan in,
-                DSpan out, DSpan scratch, MulAlgo algo)
-{
-    if (pisa)
-        peaseForwardBatchImpl<MqxIsa<MqxMode::Pisa, kMqxFull>>(
-            plan, il, in, out, scratch, algo);
-    else
-        peaseForwardBatchImpl<MqxIsa<MqxMode::Emulate, kMqxFull>>(
-            plan, il, in, out, scratch, algo);
-}
-
-void
-inverseBatchMqx(bool pisa, const NttPlan& plan, size_t il, DConstSpan in,
-                DSpan out, DSpan scratch, MulAlgo algo)
-{
-    if (pisa)
-        peaseInverseBatchImpl<MqxIsa<MqxMode::Pisa, kMqxFull>>(
-            plan, il, in, out, scratch, algo);
-    else
-        peaseInverseBatchImpl<MqxIsa<MqxMode::Emulate, kMqxFull>>(
-            plan, il, in, out, scratch, algo);
-}
-
 } // namespace backends
 } // namespace ntt
 } // namespace mqx

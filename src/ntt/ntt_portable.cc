@@ -44,22 +44,6 @@ inversePortable(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch,
     }
 }
 
-void
-forwardBatchPortable(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
-                     DSpan scratch, MulAlgo algo)
-{
-    peaseForwardBatchImpl<simd::PortableIsa>(plan, il, in, out, scratch,
-                                             algo);
-}
-
-void
-inverseBatchPortable(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
-                     DSpan scratch, MulAlgo algo)
-{
-    peaseInverseBatchImpl<simd::PortableIsa>(plan, il, in, out, scratch,
-                                             algo);
-}
-
 } // namespace backends
 } // namespace ntt
 } // namespace mqx

@@ -339,20 +339,6 @@ inverseScalar(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch,
     }
 }
 
-void
-forwardBatchScalar(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
-                   DSpan scratch, MulAlgo algo)
-{
-    peaseForwardBatchScalarImpl(plan, il, in, out, scratch, algo);
-}
-
-void
-inverseBatchScalar(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
-                   DSpan scratch, MulAlgo algo)
-{
-    peaseInverseBatchScalarImpl(plan, il, in, out, scratch, algo);
-}
-
 } // namespace backends
 } // namespace ntt
 } // namespace mqx

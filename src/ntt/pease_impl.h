@@ -1177,19 +1177,13 @@ vmulShoupLazyImpl(const Modulus& m, DConstSpan a, DConstSpan t, DConstSpan tq,
 }
 
 // ======================================================================
-// Interleaved batch kernels (ROADMAP item 2).
+// Interleaved batch layout helpers.
 //
-// One butterfly sweep serves IL residue channels at once over the
+// The batch kernels serve IL residue channels per stage sweep over the
 // channel-major tiled layout of core/batch_layout.h: element e of lane
 // c lives at flat word batchIndex(e, c, il), so every vector load of
 // kLanes consecutive elements of one lane is contiguous (kLanes divides
-// the 8-word tile for every backend). Each stage's Shoup twiddle pair
-// is loaded ONCE per vector of butterflies and reused across all IL
-// lanes — the ParPar packed multi-region pattern — and the next
-// group-row of both read streams is prefetched through
-// core::prefetchNext. The per-lane arithmetic is EXACTLY the radix-2
-// Shoup-lazy sequence of peaseForward/InverseLazyImpl, so each lane's
-// output is word-identical to a per-channel transform.
+// the 8-word tile for every backend).
 // ======================================================================
 
 namespace detail {
@@ -1224,327 +1218,7 @@ validateBatchNttArgs(const NttPlan& plan, size_t il, DConstSpan in,
                     plan, in, out, scratch);
 }
 
-/**
- * Forward batch stage sweeps. IL = 0 instantiates the generic
- * runtime-il loop; IL in {4, 8} lets the compiler unroll the lane loop
- * around the hoisted twiddle registers (the knob values of
- * batchInterleave()).
- */
-template <class Isa, size_t IL>
-void
-peaseForwardBatchLazyCore(const NttPlan& plan, size_t il_rt, DConstSpan in,
-                          DSpan out, DSpan scratch, MulAlgo algo)
-{
-    const size_t il = IL ? IL : il_rt;
-    constexpr size_t w8 = BatchLayout::kTileWords;
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const Modulus& mod = plan.modulus();
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(mod);
-    const uint64_t* tw_hi = plan.twiddleHi();
-    const uint64_t* tw_lo = plan.twiddleLo();
-    const uint64_t* twq_hi = plan.twiddleShoupHi();
-    const uint64_t* twq_lo = plan.twiddleShoupLo();
-    const size_t pf = core::prefetchDistance() * il * w8;
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-
-    for (int s = 0; s < m; ++s) {
-        const bool last = s == m - 1;
-        DSpan dst = bufs[target];
-        detail::StageShoup<Isa> tw(tw_hi, tw_lo, twq_hi, twq_lo, s);
-        // h >= 8 and kLanes divides 8, so the lane loop has no tail.
-        for (size_t j = 0; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            const auto w = tw.at(j);
-            const size_t ja = batchIndex(j, 0, il);
-            const size_t jb = batchIndex(j + h, 0, il);
-            const size_t jo0 = batchIndex(2 * j, 0, il);
-            const size_t jo1 = batchIndex(2 * j + Isa::kLanes, 0, il);
-            // One prefetch pair per read stream per group-row: the il
-            // lane rows behind it are contiguous, so the hardware
-            // streamer follows; issuing per lane was pure instruction
-            // overhead (measurably slower on 8-lane tiers).
-            if (pf && (j & (w8 - 1)) == 0) {
-                core::prefetchNext(src_hi, src_lo, ja, pf);
-                core::prefetchNext(src_hi, src_lo, jb, pf);
-            }
-            for (size_t c = 0; c < il; ++c) {
-                const size_t ia = ja + c * w8;
-                const size_t ib = jb + c * w8;
-                auto a = simd::loadDv<Isa>(src_hi, src_lo, ia);
-                auto b = simd::loadDv<Isa>(src_hi, src_lo, ib);
-                auto u = simd::addModLazyV<Isa>(ctx, a, b);
-                auto d = simd::subModLazyRawV<Isa>(ctx, a, b); // (0, 4q)
-                auto v = simd::mulModShoupV<Isa>(ctx, d, w, algo);
-                if (last) {
-                    u = simd::condSubDwV<Isa>(ctx, u, ctx.qh, ctx.ql);
-                    v = simd::condSubDwV<Isa>(ctx, v, ctx.qh, ctx.ql);
-                }
-                typename Isa::V blk0, blk1;
-                Isa::interleave2(u.hi, v.hi, blk0, blk1);
-                Isa::storeu(dst.hi + jo0 + c * w8, blk0);
-                Isa::storeu(dst.hi + jo1 + c * w8, blk1);
-                Isa::interleave2(u.lo, v.lo, blk0, blk1);
-                Isa::storeu(dst.lo + jo0 + c * w8, blk0);
-                Isa::storeu(dst.lo + jo1 + c * w8, blk1);
-            }
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-}
-
-/**
- * Inverse batch stage sweeps. Unlike the per-channel kernel, the n^-1
- * scaling + canonicalization is fused into the LAST stage sweep
- * (s == 0) rather than run as a separate flat pass: the scaled outputs
- * are the same values through the same mulModShoupV/condSubDwV ops, so
- * per-lane words are unchanged, but the batch path saves one full
- * read+write sweep over the il * n working set.
- */
-template <class Isa, size_t IL>
-void
-peaseInverseBatchLazyCore(const NttPlan& plan, size_t il_rt, DConstSpan in,
-                          DSpan out, DSpan scratch, MulAlgo algo)
-{
-    const size_t il = IL ? IL : il_rt;
-    constexpr size_t w8 = BatchLayout::kTileWords;
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const Modulus& mod = plan.modulus();
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(mod);
-    const uint64_t* tw_hi = plan.twiddleInvHi();
-    const uint64_t* tw_lo = plan.twiddleInvLo();
-    const uint64_t* twq_hi = plan.twiddleInvShoupHi();
-    const uint64_t* twq_lo = plan.twiddleInvShoupLo();
-    const size_t pf = core::prefetchDistance() * il * w8;
-    const U128 n_inv = plan.nInv();
-    const U128 n_inv_sh = plan.nInvShoup();
-    const auto vninv = simd::broadcastShoupW<Isa>(n_inv.hi, n_inv.lo,
-                                                  n_inv_sh.hi, n_inv_sh.lo);
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-
-    for (int s = m - 1; s >= 0; --s) {
-        const bool last = s == 0;
-        DSpan dst = bufs[target];
-        detail::StageShoup<Isa> tw(tw_hi, tw_lo, twq_hi, twq_lo, s);
-        for (size_t j = 0; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            const auto w = tw.at(j);
-            const size_t ji0 = batchIndex(2 * j, 0, il);
-            const size_t ji1 = batchIndex(2 * j + Isa::kLanes, 0, il);
-            const size_t jx0 = batchIndex(j, 0, il);
-            const size_t jx1 = batchIndex(j + h, 0, il);
-            // See the forward sweep: one prefetch pair per stream per
-            // group-row (the inverse reads two interleaved rows per j,
-            // hence the doubled lookahead).
-            if (pf && (j & (w8 - 1)) == 0) {
-                core::prefetchNext(src_hi, src_lo, ji0, 2 * pf);
-                core::prefetchNext(src_hi, src_lo, ji1, 2 * pf);
-            }
-            for (size_t c = 0; c < il; ++c) {
-                const size_t i0 = ji0 + c * w8;
-                const size_t i1 = ji1 + c * w8;
-                auto blk0h = Isa::loadu(src_hi + i0);
-                auto blk1h = Isa::loadu(src_hi + i1);
-                auto blk0l = Isa::loadu(src_lo + i0);
-                auto blk1l = Isa::loadu(src_lo + i1);
-                simd::DV<Isa> u, v;
-                Isa::deinterleave2(blk0h, blk1h, u.hi, v.hi);
-                Isa::deinterleave2(blk0l, blk1l, u.lo, v.lo);
-                auto t = simd::mulModShoupV<Isa>(ctx, v, w, algo);
-                auto x0 = simd::addModLazyV<Isa>(ctx, u, t);
-                auto x1 = simd::subModLazyV<Isa>(ctx, u, t);
-                if (last) {
-                    x0 = simd::mulModShoupV<Isa>(ctx, x0, vninv, algo);
-                    x0 = simd::condSubDwV<Isa>(ctx, x0, ctx.qh, ctx.ql);
-                    x1 = simd::mulModShoupV<Isa>(ctx, x1, vninv, algo);
-                    x1 = simd::condSubDwV<Isa>(ctx, x1, ctx.qh, ctx.ql);
-                }
-                simd::storeDv<Isa>(dst.hi, dst.lo, jx0 + c * w8, x0);
-                simd::storeDv<Isa>(dst.hi, dst.lo, jx1 + c * w8, x1);
-            }
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-
-    // Padding lanes entered as zeros and every op above maps zero to
-    // zero (0 * n^-1 = 0 canonical), so they leave as zeros too.
-}
-
 } // namespace detail
-
-/**
- * Forward interleaved batch NTT: one call transforms il lanes packed by
- * batch::packLanes (buffers are il * plan.n() words per half).
- * Per-lane output is word-identical to peaseForwardLazyImpl — and so to
- * every other per-channel fusion/reduction variant.
- */
-template <class Isa>
-void
-peaseForwardBatchImpl(const NttPlan& plan, size_t il, DConstSpan in,
-                      DSpan out, DSpan scratch,
-                      MulAlgo algo = MulAlgo::Schoolbook)
-{
-    detail::validateBatchNttArgs(plan, il, in, out, scratch);
-    switch (il) {
-    case 4:
-        detail::peaseForwardBatchLazyCore<Isa, 4>(plan, il, in, out, scratch,
-                                                  algo);
-        break;
-    case 8:
-        detail::peaseForwardBatchLazyCore<Isa, 8>(plan, il, in, out, scratch,
-                                                  algo);
-        break;
-    default:
-        detail::peaseForwardBatchLazyCore<Isa, 0>(plan, il, in, out, scratch,
-                                                  algo);
-        break;
-    }
-}
-
-/** Inverse interleaved batch NTT (see peaseForwardBatchImpl). */
-template <class Isa>
-void
-peaseInverseBatchImpl(const NttPlan& plan, size_t il, DConstSpan in,
-                      DSpan out, DSpan scratch,
-                      MulAlgo algo = MulAlgo::Schoolbook)
-{
-    detail::validateBatchNttArgs(plan, il, in, out, scratch);
-    switch (il) {
-    case 4:
-        detail::peaseInverseBatchLazyCore<Isa, 4>(plan, il, in, out, scratch,
-                                                  algo);
-        break;
-    case 8:
-        detail::peaseInverseBatchLazyCore<Isa, 8>(plan, il, in, out, scratch,
-                                                  algo);
-        break;
-    default:
-        detail::peaseInverseBatchLazyCore<Isa, 0>(plan, il, in, out, scratch,
-                                                  algo);
-        break;
-    }
-}
-
-/**
- * Scalar-backend batch kernels: the same tiled addressing driven by the
- * native-128-bit lazy scalar ops (mod::DefaultLazyOps accepts arbitrary
- * indices, so the packed index stands in for the linear one). Per-lane
- * arithmetic mirrors forwardButterflyLazyScalar exactly.
- */
-inline void
-peaseForwardBatchScalarImpl(const NttPlan& plan, size_t il, DConstSpan in,
-                            DSpan out, DSpan scratch,
-                            MulAlgo algo = MulAlgo::Schoolbook)
-{
-    using A = mod::DefaultLazyOps;
-    detail::validateBatchNttArgs(plan, il, in, out, scratch);
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
-    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
-    const uint64_t* tw_hi = plan.twiddleHi();
-    const uint64_t* tw_lo = plan.twiddleLo();
-    const uint64_t* twq_hi = plan.twiddleShoupHi();
-    const uint64_t* twq_lo = plan.twiddleShoupLo();
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-    for (int s = 0; s < m; ++s) {
-        const bool last = s == m - 1;
-        DSpan dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            const size_t e = NttPlan::stageTwiddleIndex(s, j);
-            const auto w = A::twiddle(mod::DW<uint64_t>{tw_hi[e], tw_lo[e]},
-                                      q);
-            const mod::DW<uint64_t> wq{twq_hi[e], twq_lo[e]};
-            for (size_t c = 0; c < il; ++c) {
-                auto a = A::load2q(src_hi, src_lo,
-                                   detail::batchIndex(j, c, il), q);
-                auto b = A::load2q(src_hi, src_lo,
-                                   detail::batchIndex(j + h, c, il), q);
-                auto u = A::condSub2q(A::add(a, b, q), q2, q);
-                auto v = A::mulShoup(A::subRaw(a, b, q2, q), w, wq, q, algo);
-                if (last) {
-                    u = A::canon(u, q);
-                    v = A::canon(v, q);
-                }
-                A::store(dst.hi, dst.lo, detail::batchIndex(2 * j, c, il), u);
-                A::store(dst.hi, dst.lo, detail::batchIndex(2 * j + 1, c, il),
-                         v);
-            }
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-}
-
-/** Scalar-backend inverse batch kernel + fused n^-1 pass. */
-inline void
-peaseInverseBatchScalarImpl(const NttPlan& plan, size_t il, DConstSpan in,
-                            DSpan out, DSpan scratch,
-                            MulAlgo algo = MulAlgo::Schoolbook)
-{
-    using A = mod::DefaultLazyOps;
-    detail::validateBatchNttArgs(plan, il, in, out, scratch);
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
-    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
-    const uint64_t* tw_hi = plan.twiddleInvHi();
-    const uint64_t* tw_lo = plan.twiddleInvLo();
-    const uint64_t* twq_hi = plan.twiddleInvShoupHi();
-    const uint64_t* twq_lo = plan.twiddleInvShoupLo();
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-    for (int s = m - 1; s >= 0; --s) {
-        DSpan dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            const size_t e = NttPlan::stageTwiddleIndex(s, j);
-            const auto w = A::twiddle(mod::DW<uint64_t>{tw_hi[e], tw_lo[e]},
-                                      q);
-            const mod::DW<uint64_t> wq{twq_hi[e], twq_lo[e]};
-            for (size_t c = 0; c < il; ++c) {
-                auto u = A::load2q(src_hi, src_lo,
-                                   detail::batchIndex(2 * j, c, il), q);
-                auto v = A::load2q(src_hi, src_lo,
-                                   detail::batchIndex(2 * j + 1, c, il), q);
-                auto t = A::mulShoup(v, w, wq, q, algo);
-                auto x0 = A::condSub2q(A::add(u, t, q), q2, q);
-                auto x1 = A::condSub2q(A::subRaw(u, t, q2, q), q2, q);
-                A::store(dst.hi, dst.lo, detail::batchIndex(j, c, il), x0);
-                A::store(dst.hi, dst.lo, detail::batchIndex(j + h, c, il),
-                         x1);
-            }
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-
-    const mod::DW<uint64_t> dn = mod::toDw(plan.nInv());
-    const mod::DW<uint64_t> dnq = mod::toDw(plan.nInvShoup());
-    for (size_t i = 0; i < il * plan.n(); ++i) {
-        detail::mulShoupCanonElementScalar(q, out.hi, out.lo, out.hi, out.lo,
-                                           dn, dnq, i, algo);
-    }
-}
 
 // ======================================================================
 // Merged negacyclic kernels.
@@ -1740,6 +1414,10 @@ negacyclicForwardBatchCore(const NegacyclicTables& tables, size_t il_rt,
             const size_t jb = batchIndex(j + h, 0, il);
             const size_t jo0 = batchIndex(2 * j, 0, il);
             const size_t jo1 = batchIndex(2 * j + Isa::kLanes, 0, il);
+            // One prefetch pair per read stream per group-row: the il
+            // lane rows behind it are contiguous, so the hardware
+            // streamer follows; issuing per lane was pure instruction
+            // overhead (measurably slower on 8-lane tiers).
             if (pf && (j & (w8 - 1)) == 0) {
                 core::prefetchNext(src_hi, src_lo, ja, pf);
                 core::prefetchNext(src_hi, src_lo, jb, pf);
@@ -1790,6 +1468,8 @@ negacyclicInverseBatchCore(const NegacyclicTables& tables, size_t il_rt,
             const size_t ji1 = batchIndex(2 * j + Isa::kLanes, 0, il);
             const size_t jx0 = batchIndex(j, 0, il);
             const size_t jx1 = batchIndex(j + h, 0, il);
+            // The inverse reads two interleaved rows per j, hence the
+            // doubled lookahead.
             if (pf && (j & (w8 - 1)) == 0) {
                 core::prefetchNext(src_hi, src_lo, ji0, 2 * pf);
                 core::prefetchNext(src_hi, src_lo, ji1, 2 * pf);

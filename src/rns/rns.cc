@@ -462,10 +462,11 @@ fmaChannelBatched(Backend backend, const RnsBasis& basis, size_t channel,
                   ntt::NegacyclicWorkspacePool& workspaces,
                   const std::vector<std::pair<const RnsPolynomial*,
                                               const RnsPolynomial*>>& products,
-                  size_t il, RnsPolynomial& c)
+                  size_t il, RnsPolynomial& c,
+                  const robust::CancelToken* cancel)
 {
     MQX_SCOPED_SPAN(ch_span, "rns.channel.fma_batch");
-    auto lease = workspaces.acquire(tables, backend);
+    auto lease = workspaces.acquire(tables, backend, cancel);
     ntt::NegacyclicEngine& eng = lease.engine();
     const size_t n = c.n();
     const Modulus& m = basis.modulus(channel);
@@ -478,9 +479,15 @@ fmaChannelBatched(Backend backend, const RnsBasis& basis, size_t channel,
     s->packed_acc.ensure(il * n);
     for (size_t t = 0; t < tiles; ++t) {
         const size_t p0 = t * il;
+        // Each packed forward is il transforms of work, so it gets the
+        // checkpoint fmaChannel gives each product.
+        if (cancel)
+            cancel->checkpoint("rns.fma.accumulate");
         packForward(backend, *tables, layout, channel, products, p0,
                     /*second=*/false, s->lane_src, s->packed_a, s->packed_b,
                     s->packed_c);
+        if (cancel)
+            cancel->checkpoint("rns.fma.accumulate");
         packForward(backend, *tables, layout, channel, products, p0,
                     /*second=*/true, s->lane_src, s->packed_a, s->packed_c,
                     s->packed_d);
@@ -516,10 +523,14 @@ fmaChannelBatched(Backend backend, const RnsBasis& basis, size_t channel,
     ResidueVector& fa = eng.auxBuffer(1);
     ResidueVector& fb = eng.auxBuffer(2);
     for (size_t p = tiles * il; p < products.size(); ++p) {
+        if (cancel)
+            cancel->checkpoint("rns.fma.accumulate");
         eng.forward(products[p].first->channel(channel).span(), fa.span());
         eng.forward(products[p].second->channel(channel).span(), fb.span());
         eng.pointwiseAccumulate(acc.span(), fa.span(), fb.span());
     }
+    if (cancel)
+        cancel->checkpoint("rns.fma.inverse");
     // One inverse for the whole batch, exactly as fmaChannel.
     eng.inverse(acc.span(), c.channel(channel).span());
     MQX_FAULT_POINT_DATA("rns.fma.out", c.channel(channel).span());

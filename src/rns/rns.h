@@ -262,6 +262,8 @@ void polymulChannelBatch(
  * k % il remainder products take the classic per-product path, and the
  * whole sum still pays ONE inverse transform. Exact mod-q accumulation
  * is order-independent, so the result is bit-identical to fmaChannel.
+ * A non-null @p cancel is checked before each packed forward
+ * (`rns.fma.accumulate`) and before the inverse (`rns.fma.inverse`).
  */
 void fmaChannelBatched(
     Backend backend, const RnsBasis& basis, size_t channel,
@@ -269,7 +271,8 @@ void fmaChannelBatched(
     ntt::NegacyclicWorkspacePool& workspaces,
     const std::vector<std::pair<const RnsPolynomial*,
                                 const RnsPolynomial*>>& products,
-    size_t il, RnsPolynomial& c);
+    size_t il, RnsPolynomial& c,
+    const robust::CancelToken* cancel = nullptr);
 
 /**
  * Shared operand validation (both over @p basis, same length); @p what

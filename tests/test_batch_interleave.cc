@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -160,8 +161,16 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BatchNttBackend,
 TEST_P(BatchNttBackend, ForwardBatchBitIdenticalPerLane)
 {
     const Backend be = GetParam();
-    const size_t il = ntt::batchInterleave(be);
-    for (size_t n : {size_t{16}, size_t{256}}) {
+    // The backend's own width, plus the narrow widths whose lane loop
+    // stages on the heap (il < 3) or exactly fills its scratch (il = 3).
+    std::vector<std::pair<size_t, size_t>> shapes;
+    for (size_t il : {size_t{1}, size_t{2}, size_t{3},
+                      ntt::batchInterleave(be)}) {
+        for (size_t n : {size_t{16}, size_t{256}})
+            shapes.emplace_back(il, n);
+    }
+    for (const auto& [il, n] : shapes) {
+        SCOPED_TRACE("il=" + std::to_string(il));
         const ntt::NttPlan plan(testPrime(), n);
         ASSERT_TRUE(ntt::batchSupported(plan));
         const BatchLayout layout(n, il, il);

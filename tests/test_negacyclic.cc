@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/batch_layout.h"
 #include "ntt/negacyclic.h"
@@ -214,6 +216,42 @@ TEST_P(NegacyclicMerged, Avx512KernelsWordIdentical)
         EXPECT_EQ(out.toU128(), want_fwd) << "forward";
         inv(*t, in.span(), out.span(), scratch.span());
         EXPECT_EQ(out.toU128(), want_inv) << "inverse";
+    }
+
+    // The batch entries at IL = 8, full and padded tiles: both builds
+    // must agree word for word, scratch buffers included, and the
+    // inverse must restore the packed input.
+    if (n < 16 || n > (size_t{1} << 15))
+        return;
+    const size_t il = 8;
+    for (size_t k : {il, il - 1}) {
+        SCOPED_TRACE("k=" + std::to_string(k));
+        const BatchLayout layout(n, k, il);
+        std::vector<ResidueVector> lanes;
+        std::vector<DConstSpan> spans;
+        for (size_t c = 0; c < k; ++c)
+            lanes.push_back(ResidueVector::fromU128(
+                randomResidues(n, testPrime().q, 0x5f00 + 7 * c + n)));
+        for (const auto& v : lanes)
+            spans.push_back(v.span());
+        const size_t words = layout.totalWords();
+        ResidueVector packed(words);
+        batch::packLanes(layout, spans.data(), k, packed.span());
+        ResidueVector fe(words), fse(words), fi(words), fsi(words);
+        nb::negacyclicForwardBatchAvx512(*t, il, packed.span(), fe.span(),
+                                         fse.span());
+        nb::negacyclicForwardBatchAvx512Ifma(*t, il, packed.span(),
+                                             fi.span(), fsi.span());
+        EXPECT_TRUE(fe == fi) << "batch forward";
+        EXPECT_TRUE(fse == fsi) << "batch forward scratch";
+        ResidueVector ie(words), ise(words), ii(words), isi(words);
+        nb::negacyclicInverseBatchAvx512(*t, il, fe.span(), ie.span(),
+                                         ise.span());
+        nb::negacyclicInverseBatchAvx512Ifma(*t, il, fe.span(), ii.span(),
+                                             isi.span());
+        EXPECT_TRUE(ie == ii) << "batch inverse";
+        EXPECT_TRUE(ise == isi) << "batch inverse scratch";
+        EXPECT_TRUE(ii == packed) << "batch round trip";
     }
 #else
     GTEST_SKIP() << "IFMA build of the AVX-512 tier not compiled in";

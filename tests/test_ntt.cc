@@ -611,27 +611,6 @@ TEST(NttBackendIfma, WordIdenticalToEmulatedAvx512)
             EXPECT_TRUE(same(ise, isi)) << "inverse lazy intermediates";
             EXPECT_TRUE(same(ii, in)) << "roundtrip";
         }
-        // Interleaved batch kernels: il = 8 lanes of canonical words (the
-        // kernels are layout-agnostic per word, so any packing will do).
-        const size_t il = ntt::batchInterleave(Backend::Avx512);
-        ResidueVector bin = ResidueVector::fromU128(
-            randomResidues(il * n, prime.q, 0x2b4c + n));
-        ResidueVector be_out(il * n), be_s(il * n), bi_out(il * n),
-            bi_s(il * n);
-        be::forwardBatchAvx512(plan, il, bin.span(), be_out.span(),
-                               be_s.span(), MulAlgo::Schoolbook);
-        be::forwardBatchAvx512Ifma(plan, il, bin.span(), bi_out.span(),
-                                   bi_s.span(), MulAlgo::Schoolbook);
-        EXPECT_TRUE(same(be_out, bi_out)) << "batch forward output";
-        EXPECT_TRUE(same(be_s, bi_s)) << "batch forward lazy intermediates";
-        ResidueVector ber(il * n), bir(il * n);
-        be::inverseBatchAvx512(plan, il, be_out.span(), ber.span(),
-                               be_s.span(), MulAlgo::Schoolbook);
-        be::inverseBatchAvx512Ifma(plan, il, be_out.span(), bir.span(),
-                                   bi_s.span(), MulAlgo::Schoolbook);
-        EXPECT_TRUE(same(ber, bir)) << "batch inverse output";
-        EXPECT_TRUE(same(be_s, bi_s)) << "batch inverse lazy intermediates";
-        EXPECT_TRUE(same(bir, bin)) << "batch roundtrip";
     }
 #else
     GTEST_SKIP() << "IFMA build of the AVX-512 tier not compiled in";

@@ -7,9 +7,9 @@
  * -DMQX_FAULT_INJECTION=ON, the injection harness itself: fault-plan
  * determinism, detect-and-repair of planted bit flips (with the repair
  * isolated from armed points and the engine's pool), batch-kernel
- * fallback, and deadline cancellation mid-pipeline with balanced
- * leases. The injection-gated suites GTEST_SKIP on regular builds, so
- * one test binary serves both CI legs.
+ * fallback, and deadline cancellation mid-pipeline (a batched fma
+ * included) with balanced leases. The injection-gated suites
+ * GTEST_SKIP on regular builds, so one test binary serves both CI legs.
  */
 #include <gtest/gtest.h>
 
@@ -803,6 +803,52 @@ TEST(FaultInjection, StalledTaskTripsDeadlineMidPipeline)
     EXPECT_EQ(eng.pool().stats().submitted, eng.pool().stats().executed());
     // Still serviceable afterwards.
     expectIdentical(eng.polymulNegacyclic(a, b), expected);
+}
+
+TEST(FaultInjection, StalledBatchedFmaTripsDeadlineBetweenPackedForwards)
+{
+    MQX_REQUIRE_INJECTION();
+    const rns::RnsBasis& basis = testBasis();
+    const size_t n = 64;
+    const size_t il = ntt::batchInterleave(bestBackend());
+    engine::Engine eng(bestBackend(), 1);
+    std::vector<rns::RnsPolynomial> operands;
+    for (uint64_t i = 0; i < 2 * 2 * il; ++i)
+        operands.push_back(rns::randomPolynomial(basis, n, 700 + i));
+    std::vector<std::pair<const rns::RnsPolynomial*,
+                          const rns::RnsPolynomial*>>
+        products;
+    for (size_t i = 0; i < 2 * il; ++i)
+        products.emplace_back(&operands[2 * i], &operands[2 * i + 1]);
+    // Also warms the plan cache and workspaces, so the timed op reaches
+    // its first packed forward well inside the deadline.
+    const auto expected = eng.fmaBatch(products);
+    rns::RnsPolynomial c(basis, n);
+    // Two tiles of il products take the batched path. The first packed
+    // forward stalls 20 ms against a 2 ms deadline; the checkpoint before
+    // the next packed forward must abort the channel there, not after
+    // both tiles and the inverse have run.
+    robust::FaultPlan plan(6);
+    robust::FaultSpec stall;
+    stall.action = robust::FaultAction::Stall;
+    stall.max_fires = 1;
+    stall.stall_ns = 20'000'000;
+    plan.arm("rns.batch.pack", stall);
+    robust::ScopedFaultInjection scope(std::move(plan));
+    robust::CancelToken token =
+        robust::CancelToken::withDeadlineNs(2'000'000);
+    try {
+        eng.fmaBatchInto(products, c, &token);
+        FAIL() << "stalled batched fma beat a 2ms deadline";
+    } catch (const robust::StatusError& e) {
+        EXPECT_EQ(e.status().code(), robust::StatusCode::DeadlineExceeded);
+    }
+    EXPECT_EQ(scope.stats("rns.batch.pack").hits, 1u);
+    EXPECT_EQ(scope.stats("rns.batch.pack").fires, 1u);
+    EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
+    EXPECT_EQ(eng.pool().stats().submitted, eng.pool().stats().executed());
+    // Still serviceable afterwards.
+    expectIdentical(eng.fmaBatch(products), expected);
 }
 
 } // namespace
