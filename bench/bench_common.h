@@ -211,6 +211,22 @@ hostAnchorFactor(const ntt::NttPrime& prime)
     return cached;
 }
 
+/**
+ * @p s with the two characters that could break a JSON string ('"' and
+ * '\\') escaped — for CPUID brand strings in the BENCH files.
+ */
+inline std::string
+jsonEscape(const std::string& s)
+{
+    std::string out;
+    for (char ch : s) {
+        if (ch == '"' || ch == '\\')
+            out += '\\';
+        out += ch;
+    }
+    return out;
+}
+
 /** Print the host context every harness shares. */
 inline void
 printHostHeader(const std::string& what)

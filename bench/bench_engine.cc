@@ -412,23 +412,31 @@ main(int argc, char** argv)
         }
     }
 
-    // Plan-cache effect: cold first call vs warm steady state.
+    // Plan-cache effect: per-channel table derivation (cyclic plan +
+    // negacyclic tables, from PlanCache::stats()), the cold first call
+    // that pays it, and the warm steady state.
     {
         rns::RnsBasis basis(124, 20, 4);
-        auto a = rns::randomPolynomial(basis, n, 1);
-        auto b = rns::randomPolynomial(basis, n, 2);
-        engine::Engine eng(be, 1);
-        uint64_t t0 = nowNs();
-        (void)eng.polymulNegacyclic(a, b);
-        uint64_t cold = nowNs() - t0;
-        uint64_t warm = bestOf(kReps,
-                               [&] { (void)eng.polymulNegacyclic(a, b); });
         TextTable pc("plan cache (serial engine, 4 channels)");
-        pc.setHeader({"call", "ms", "note"});
-        pc.addRow({"first (derive plans)", formatFixed(cold / 1e6, 2),
-                   std::to_string(eng.planCache().misses()) + " misses"});
-        pc.addRow({"repeat (cached)", formatFixed(warm / 1e6, 2),
-                   std::to_string(eng.planCache().hits()) + "+ hits"});
+        pc.setHeader({"n", "derive ms/channel", "first call ms",
+                      "repeat ms", "note"});
+        for (size_t pn : {size_t{4096}, size_t{32768}}) {
+            auto a = rns::randomPolynomial(basis, pn, 1);
+            auto b = rns::randomPolynomial(basis, pn, 2);
+            engine::Engine eng(be, 1);
+            uint64_t t0 = nowNs();
+            (void)eng.polymulNegacyclic(a, b);
+            uint64_t cold = nowNs() - t0;
+            const engine::PlanCache::Stats st = eng.planCache().stats();
+            const size_t channels = eng.planCache().negacyclicCount();
+            uint64_t warm = bestOf(
+                kReps, [&] { (void)eng.polymulNegacyclic(a, b); });
+            pc.addRow({std::to_string(pn),
+                       formatFixed(st.build_ns / 1e6 / channels, 2),
+                       formatFixed(cold / 1e6, 2), formatFixed(warm / 1e6, 2),
+                       std::to_string(st.builds) + " builds, " +
+                           std::to_string(st.misses) + " misses"});
+        }
         pc.print();
     }
     return 0;

@@ -214,16 +214,8 @@ runJsonMode(const char* path)
     os << "  \"modulus_bits\": " << Modulus(prime.q).bits() << ",\n";
     // Host metadata: which machine and build produced these numbers —
     // the trajectory file is diffed across PRs, so "what ran this" must
-    // live next to the results. Brand strings come from CPUID; escape
-    // the two characters that could break the JSON string.
-    std::string cpu_brand = hostCpuFeatures().brand;
-    std::string cpu_escaped;
-    for (char ch : cpu_brand) {
-        if (ch == '"' || ch == '\\')
-            cpu_escaped += '\\';
-        cpu_escaped += ch;
-    }
-    os << "  \"cpu\": \"" << cpu_escaped << "\",\n";
+    // live next to the results. Brand strings come from CPUID.
+    os << "  \"cpu\": \"" << jsonEscape(hostCpuFeatures().brand) << "\",\n";
     os << "  \"threads\": " << engine::defaultThreadCount() << ",\n";
     // Which Shoup and Barrett multiplies the AVX-512 rows ran: "ifma"
     // (52-bit limbs, picked by CPUID), "emulated", or "unavailable".

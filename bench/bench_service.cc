@@ -312,6 +312,20 @@ run(const char* json_path)
             return 1;
         }
         std::fprintf(f, "{\n  \"scenario\": \"service_open_loop\",\n");
+        // Host and server metadata: what produced these numbers, so a
+        // stale or foreign-host file is visible in the diff.
+        std::fprintf(f, "  \"cpu\": \"%s\",\n",
+                     jsonEscape(hostCpuFeatures().brand).c_str());
+        std::fprintf(f, "  \"backend\": \"%s\",\n",
+                     backendName(server.engine().backend()).c_str());
+        std::fprintf(f, "  \"avx512_shoup_kernel\": \"%s\",\n",
+                     avx512Kernel());
+        std::fprintf(f, "  \"engine_threads\": %zu,\n",
+                     server.engine().threads());
+        std::fprintf(f, "  \"dispatchers\": %zu,\n", options.dispatchers);
+        std::fprintf(f, "  \"coalesce_window_us\": %llu,\n",
+                     static_cast<unsigned long long>(
+                         options.coalesce_window_us));
         std::fprintf(f, "  \"n\": %zu,\n  \"channels\": %d,\n", kN,
                      kChannels);
         std::fprintf(f, "  \"connections\": %d,\n", kConnections);

@@ -62,8 +62,7 @@ struct Operands
           wq(kLanes), c(kLanes), d(kLanes)
     {
         for (size_t i = 0; i < kLanes; ++i)
-            wq.set(i, mod::fromDw(mod::shoupPrecompute(
-                          mod::toDw(w.at(i)), mod::toDw(m.value()))));
+            wq.set(i, m.shoupCompanion(w.at(i)));
     }
     ResidueVector a, b, w, wq, c, d;
 };

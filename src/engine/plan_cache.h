@@ -2,13 +2,16 @@
  * @file
  * Memoized NTT plans keyed by (q, n).
  *
- * An NttPlan holds every twiddle table the kernels need (plan.h) and
- * costs O(n log n) modular exponentiations to derive. The RNS pipeline
+ * An NttPlan holds every twiddle table the kernels need (plan.h), and
+ * NegacyclicTables the merged psi tables built on it; deriving them
+ * costs O(n) modular multiplies plus one word-arithmetic Shoup
+ * companion per entry (Modulus::shoupCompanion). The RNS pipeline
  * re-enters the same handful of (prime, size) pairs on every polymul —
- * once per residue channel per call — so a process-wide cache turns all
- * but the first derivation into a shared_ptr copy. Plans are immutable
- * after construction, which is what makes sharing them across pool
- * threads safe.
+ * once per residue channel per call — so the cache turns all but the
+ * first derivation into a shared_ptr copy. Each engine::Engine owns its
+ * own PlanCache (nothing is shared between engines); within an engine,
+ * plans are immutable after construction, which is what makes sharing
+ * them across its pool threads safe.
  */
 #pragma once
 

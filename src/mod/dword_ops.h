@@ -439,7 +439,10 @@ condSubDw(const DW<W>& x, const DW<W>& b)
  * with w0 = bits(W), i.e. the precomputed quotient that lets
  * mulModShoup() skip Barrett's estimate product entirely.
  *
- * Setup-path only (one BigUInt division per table entry).
+ * Test oracle only: one BigUInt long division per call. Plan and table
+ * derivation use Modulus::shoupCompanion (and w64::Modulus64's 64-bit
+ * form), which reach the same word in O(1) word arithmetic; the tests
+ * compare them against this.
  *
  * @throws InvalidArgument unless w < q (required for wq to fit in a
  * double word).
@@ -470,7 +473,8 @@ shoupPrecompute(const DW<W>& w, const DW<W>& q)
 
 /**
  * Shoup/Harvey modular multiplication by a fixed w with precomputed
- * quotient wq = shoupPrecompute(w, q): with beta = 2^(2w0),
+ * quotient wq = floor(w * beta / q) (Modulus::shoupCompanion): with
+ * beta = 2^(2w0),
  *
  *     h = floor(a * wq / beta)        (one full product, top half)
  *     r = (a*w - h*q) mod beta        (two low products)

@@ -1,10 +1,26 @@
 /**
  * @file
- * Out-of-line Modulus operations (exponentiation, inversion, reduction).
+ * Out-of-line Modulus operations (construction, exponentiation,
+ * inversion, reduction).
  */
 #include "mod/modulus.h"
 
 namespace mqx {
+
+Modulus::Modulus(const U128& q)
+    : q_(q), barrett_(mod::Barrett<uint64_t>::make(mod::toDw(q))),
+      r128_(reduce(U128{0} - q))
+{
+    // Newton's step x <- x (2 - q x) doubles the correct low bits of
+    // q^-1 mod 2^128; x = q starts with 3 (q^2 = 1 mod 8 for odd q), so
+    // six steps reach 192 >= 128.
+    if ((q.lo & 1) != 0) {
+        U128 x = q;
+        for (int i = 0; i < 6; ++i)
+            x = x * (U128{2} - q * x);
+        q_inv_ = x;
+    }
+}
 
 U128
 Modulus::pow(const U128& base, const U128& exponent) const

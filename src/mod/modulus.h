@@ -30,10 +30,7 @@ class Modulus
      * @param q modulus, 2 <= q < 2^124 (Barrett headroom, Section 2.1).
      * @throws InvalidArgument outside that range.
      */
-    explicit Modulus(const U128& q)
-        : q_(q), barrett_(mod::Barrett<uint64_t>::make(mod::toDw(q)))
-    {
-    }
+    explicit Modulus(const U128& q);
 
     const U128& value() const { return q_; }
     int bits() const { return barrett_.qbits(); }
@@ -117,9 +114,34 @@ class Modulus
     /** Reduce an arbitrary 128-bit value into [0, q). */
     U128 reduce(const U128& x) const;
 
+    /**
+     * Shoup companion wq = floor(w * 2^128 / q) of a fixed multiplicand
+     * (the quotient mod::mulModShoup consumes), in word arithmetic.
+     * With rho = w * 2^128 mod q = w * (2^128 mod q) mod q,
+     *
+     *     w * 2^128 = wq * q + rho   =>   wq = -rho * q^-1  (mod 2^128),
+     *
+     * and wq < 2^128 because w < q, so that residue is wq itself: one
+     * Barrett multiply and one wrapping 128-bit multiply. The BigUInt
+     * mod::shoupPrecompute computes the same word by long division and
+     * serves as the test oracle.
+     *
+     * @throws InvalidArgument unless q is odd and w < q.
+     */
+    U128
+    shoupCompanion(const U128& w) const
+    {
+        checkArg((q_.lo & 1) != 0,
+                 "Modulus::shoupCompanion: modulus must be odd");
+        checkArg(w < q_, "Modulus::shoupCompanion: multiplicand must be < q");
+        return (U128{0} - mul(w, r128_)) * q_inv_;
+    }
+
   private:
     U128 q_;
     mod::Barrett<uint64_t> barrett_;
+    U128 r128_;  ///< 2^128 mod q
+    U128 q_inv_; ///< q^-1 mod 2^128 (0 for even q)
 };
 
 } // namespace mqx

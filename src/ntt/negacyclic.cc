@@ -64,17 +64,9 @@ NegacyclicTables::NegacyclicTables(std::shared_ptr<const NttPlan> plan)
     const size_t n = plan_->n();
     const int logn = plan_->logn();
     const Modulus& m = plan_->modulus();
-    // psi: primitive 2n-th root with psi^2 == omega. rootOfUnity gives a
-    // 2n-order element; square it and, since both psi^2 and omega
-    // generate the same cyclic group of order n, re-derive the plan's
-    // omega as a power of psi^2 is unnecessary — instead pick psi as a
-    // square root of the plan's omega directly: psi = r^((order
-    // alignment)). Simplest robust approach: search k odd with
-    // r^k == candidate such that candidate^2 == omega, i.e. candidate =
-    // r * omega^j where r^2 * omega^(2j) == omega. We use the standard
-    // trick: r has order 2n, r^2 has order n, so omega = (r^2)^t for
-    // some t coprime to n; then psi = r^t satisfies psi^2 = omega and
-    // psi has order 2n (t odd).
+    // psi: primitive 2n-th root with psi^2 == omega. r has order 2n and
+    // r^2 order n, so omega = (r^2)^t for some t coprime to n; then
+    // psi = r^t satisfies psi^2 = omega and has order 2n (t odd).
     U128 r = rootOfUnity(m, U128{static_cast<uint64_t>(2 * n)});
     U128 r2 = m.mul(r, r);
     // Find t: omega = r2^t by baby-step enumeration (setup path; n is a
@@ -91,9 +83,11 @@ NegacyclicTables::NegacyclicTables(std::shared_ptr<const NttPlan> plan)
         acc = m.mul(acc, r2);
     }
     checkArg(found, "NegacyclicTables: omega not in <r^2> (internal)");
-    if ((t & 1) == 0)
-        t += n; // r2 has order n: exponent t + n gives the same omega,
-                // and one of t, t+n is odd (n even for n >= 2)
+    // omega has order exactly n, so gcd(t, n) == 1 and t is odd; an even
+    // t means a broken root search whose psi would have order below 2n
+    // (which the psi^2 == omega check below cannot see).
+    checkArg((t & 1) != 0, "NegacyclicTables: omega = r^(2t) with t even "
+                           "(internal)");
     psi_ = m.pow(r, U128{t});
     checkArg(m.mul(psi_, psi_) == plan_->omega(),
              "NegacyclicTables: psi^2 != omega (internal)");
@@ -113,12 +107,9 @@ NegacyclicTables::NegacyclicTables(std::shared_ptr<const NttPlan> plan)
     const U128 n_inv = plan_->nInv();
     inv_.set(0, n_inv);
     inv_.set(1, m.mul(inv_.at(1), n_inv));
-    const mod::DW<uint64_t> qd = mod::toDw(m.value());
     for (size_t k = 0; k < n; ++k) {
-        fwd_shoup_.set(k, mod::fromDw(mod::shoupPrecompute(
-                              mod::toDw(fwd_.at(k)), qd)));
-        inv_shoup_.set(k, mod::fromDw(mod::shoupPrecompute(
-                              mod::toDw(inv_.at(k)), qd)));
+        fwd_shoup_.set(k, m.shoupCompanion(fwd_.at(k)));
+        inv_shoup_.set(k, m.shoupCompanion(inv_.at(k)));
     }
 }
 

@@ -41,7 +41,6 @@ NttPlan::NttPlan(const Modulus& modulus, size_t n)
     // entry; stage s addresses them with stageTwiddleIndex(). One entry
     // per distinct twiddle — the stretched per-stage layout is gone.
     const size_t h = half();
-    const mod::DW<uint64_t> qd = mod::toDw(mod_.value());
     fwd_hi_.reset(h);
     fwd_lo_.reset(h);
     fwd_sh_hi_.reset(h);
@@ -56,8 +55,8 @@ NttPlan::NttPlan(const Modulus& modulus, size_t n)
         fwd_lo_[i] = acc_f.lo;
         inv_hi_[i] = acc_i.hi;
         inv_lo_[i] = acc_i.lo;
-        mod::DW<uint64_t> sf = mod::shoupPrecompute(mod::toDw(acc_f), qd);
-        mod::DW<uint64_t> si = mod::shoupPrecompute(mod::toDw(acc_i), qd);
+        const U128 sf = mod_.shoupCompanion(acc_f);
+        const U128 si = mod_.shoupCompanion(acc_i);
         fwd_sh_hi_[i] = sf.hi;
         fwd_sh_lo_[i] = sf.lo;
         inv_sh_hi_[i] = si.hi;
@@ -65,8 +64,7 @@ NttPlan::NttPlan(const Modulus& modulus, size_t n)
         acc_f = mod_.mul(acc_f, omega_);
         acc_i = mod_.mul(acc_i, omega_inv_);
     }
-    n_inv_shoup_ =
-        mod::fromDw(mod::shoupPrecompute(mod::toDw(n_inv_), qd));
+    n_inv_shoup_ = mod_.shoupCompanion(n_inv_);
 }
 
 size_t

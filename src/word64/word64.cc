@@ -5,7 +5,6 @@
  */
 #include "word64/word64.h"
 
-#include "bigint/biguint.h"
 #include "ntt/prime.h"
 #include "simd/isa_portable.h"
 #include "word64/ntt64_impl.h"
@@ -19,18 +18,20 @@ Modulus64::Modulus64(uint64_t q) : q_(q)
     bits_ = bitLength64(q);
     checkArg(bits_ <= 62, "Modulus64: modulus exceeds 62 bits (Barrett)");
     // mu = floor(2^2b / q) fits 64 bits for b <= 62 (mu < 2^(b+1)).
-    BigUInt mu = (BigUInt{1} << (2 * bits_)) / BigUInt{q};
-    mu_ = mu.toU128().lo;
+    U128 mu, rem;
+    divmod128(U128{1} << (2 * bits_), U128{q}, mu, rem);
+    mu_ = mu.lo;
     shift1_ = static_cast<unsigned>(bits_ - 1);
     shift2_ = static_cast<unsigned>(bits_ + 1);
-}
-
-uint64_t
-Modulus64::shoupPrecompute(uint64_t w) const
-{
-    checkArg(w < q_, "Modulus64::shoupPrecompute: multiplicand must be < q");
-    BigUInt wq = (BigUInt{w} << 64) / BigUInt{q_};
-    return wq.toU128().lo; // < 2^64 since w < q
+    r64_ = (0 - q) % q;
+    // Newton's step x <- x (2 - q x) doubles the correct low bits of
+    // q^-1 mod 2^64 from the 3 of x = q (q^2 = 1 mod 8 for odd q).
+    if ((q & 1) != 0) {
+        uint64_t x = q;
+        for (int i = 0; i < 5; ++i)
+            x *= 2 - q * x;
+        q_inv_ = x;
+    }
 }
 
 uint64_t
@@ -89,12 +90,12 @@ Ntt64Plan::Ntt64Plan(uint64_t q, size_t n) : mod_(q), n_(n)
     for (size_t i = 0; i < h; ++i) {
         fwd_[i] = acc_f;
         inv_[i] = acc_i;
-        fwd_sh_[i] = mod_.shoupPrecompute(acc_f);
-        inv_sh_[i] = mod_.shoupPrecompute(acc_i);
+        fwd_sh_[i] = mod_.shoupCompanion(acc_f);
+        inv_sh_[i] = mod_.shoupCompanion(acc_i);
         acc_f = mod_.mulMod(acc_f, omega_);
         acc_i = mod_.mulMod(acc_i, omega_inv);
     }
-    n_inv_shoup_ = mod_.shoupPrecompute(n_inv_);
+    n_inv_shoup_ = mod_.shoupCompanion(n_inv_);
 }
 
 // AVX-512 entries (word64_avx512.cc).

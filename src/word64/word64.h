@@ -77,10 +77,22 @@ class Modulus64
     }
 
     /**
-     * Shoup companion wq = floor(w * 2^64 / q) for a fixed w < q
-     * (setup path; one BigUInt division).
+     * Shoup companion wq = floor(w * 2^64 / q) for a fixed w < q, in
+     * word arithmetic: w * 2^64 = wq * q + rho with
+     * rho = w * (2^64 mod q) mod q, so wq = -rho * q^-1 mod 2^64 (the
+     * 64-bit form of Modulus::shoupCompanion). No __int128 needed.
+     *
+     * @throws InvalidArgument unless q is odd and w < q.
      */
-    uint64_t shoupPrecompute(uint64_t w) const;
+    uint64_t
+    shoupCompanion(uint64_t w) const
+    {
+        checkArg((q_ & 1) != 0,
+                 "Modulus64::shoupCompanion: modulus must be odd");
+        checkArg(w < q_,
+                 "Modulus64::shoupCompanion: multiplicand must be < q");
+        return (0 - mulMod(w, r64_)) * q_inv_;
+    }
 
     /**
      * Shoup multiply by fixed w with companion wq: r = a*w - h*q with
@@ -108,6 +120,8 @@ class Modulus64
     int bits_ = 0;
     unsigned shift1_ = 0; ///< b - 1
     unsigned shift2_ = 0; ///< b + 1
+    uint64_t r64_ = 0;    ///< 2^64 mod q
+    uint64_t q_inv_ = 0;  ///< q^-1 mod 2^64 (0 for even q)
 };
 
 /** Deterministic single-word NTT prime: q = c * 2^e + 1, b <= 62 bits. */

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/batch_layout.h"
@@ -162,6 +163,28 @@ TEST(NegacyclicMerged, TablesHoldBitReversedPsiPowers)
     EXPECT_EQ(t->inverseTwiddles().at(0), n_inv);
     EXPECT_EQ(t->inverseTwiddles().at(1),
               m.mul(m.pow(psi_inv, U128{n / 2}), n_inv));
+}
+
+TEST(NegacyclicTables, ShoupCompanionsMatchOracle)
+{
+    // Every companion, entries 0 and 1 (which hold n^-1) included, is
+    // the BigUInt oracle's floor(w * 2^128 / q).
+    const std::pair<ntt::NttPrime, size_t> cases[] = {
+        {testPrime(), 256}, {ntt::defaultBenchPrime(), 4096}};
+    for (const auto& [prime, n] : cases) {
+        ntt::NegacyclicTables t(std::make_shared<const ntt::NttPlan>(prime, n));
+        const mod::DW<uint64_t> q = mod::toDw(prime.q);
+        for (size_t k = 0; k < n; ++k) {
+            EXPECT_EQ(t.forwardTwiddlesShoup().at(k),
+                      mod::fromDw(mod::shoupPrecompute(
+                          mod::toDw(t.forwardTwiddles().at(k)), q)))
+                << "forward k=" << k << " n=" << n;
+            EXPECT_EQ(t.inverseTwiddlesShoup().at(k),
+                      mod::fromDw(mod::shoupPrecompute(
+                          mod::toDw(t.inverseTwiddles().at(k)), q)))
+                << "inverse k=" << k << " n=" << n;
+        }
+    }
 }
 
 class NegacyclicMerged : public testing::TestWithParam<size_t>

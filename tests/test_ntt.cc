@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <utility>
 
 #include "core/cpu_features.h"
 #include "ntt/ntt.h"
@@ -113,20 +114,26 @@ TEST(NttPlan, TwiddleStructure)
 
 TEST(NttPlan, ShoupCompanionsMatchPrecompute)
 {
-    ntt::NttPlan plan(testPrime(), 32);
-    const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
-    for (size_t k = 0; k < plan.half(); ++k) {
-        mod::DW<uint64_t> w{plan.twiddleHi()[k], plan.twiddleLo()[k]};
-        auto wq = mod::shoupPrecompute(w, q);
-        EXPECT_EQ(plan.twiddleShoupHi()[k], wq.hi) << "k=" << k;
-        EXPECT_EQ(plan.twiddleShoupLo()[k], wq.lo) << "k=" << k;
-        mod::DW<uint64_t> wi{plan.twiddleInvHi()[k], plan.twiddleInvLo()[k]};
-        auto wiq = mod::shoupPrecompute(wi, q);
-        EXPECT_EQ(plan.twiddleInvShoupHi()[k], wiq.hi) << "k=" << k;
-        EXPECT_EQ(plan.twiddleInvShoupLo()[k], wiq.lo) << "k=" << k;
+    const std::pair<ntt::NttPrime, size_t> cases[] = {
+        {testPrime(), 32}, {ntt::defaultBenchPrime(), 4096}};
+    for (const auto& [prime, n] : cases) {
+        ntt::NttPlan plan(prime, n);
+        const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
+        for (size_t k = 0; k < plan.half(); ++k) {
+            mod::DW<uint64_t> w{plan.twiddleHi()[k], plan.twiddleLo()[k]};
+            auto wq = mod::shoupPrecompute(w, q);
+            EXPECT_EQ(plan.twiddleShoupHi()[k], wq.hi) << "k=" << k;
+            EXPECT_EQ(plan.twiddleShoupLo()[k], wq.lo) << "k=" << k;
+            mod::DW<uint64_t> wi{plan.twiddleInvHi()[k],
+                                 plan.twiddleInvLo()[k]};
+            auto wiq = mod::shoupPrecompute(wi, q);
+            EXPECT_EQ(plan.twiddleInvShoupHi()[k], wiq.hi) << "k=" << k;
+            EXPECT_EQ(plan.twiddleInvShoupLo()[k], wiq.lo) << "k=" << k;
+        }
+        EXPECT_EQ(plan.nInvShoup(), mod::fromDw(mod::shoupPrecompute(
+                                        mod::toDw(plan.nInv()), q)))
+            << "n=" << n;
     }
-    EXPECT_EQ(plan.nInvShoup(),
-              mod::fromDw(mod::shoupPrecompute(mod::toDw(plan.nInv()), q)));
 }
 
 TEST(NttPlan, CompactTablesShrinkTwiddleBytes4xAt4096)

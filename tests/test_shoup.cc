@@ -314,6 +314,35 @@ TEST(Shoup64, PrecomputeRejectsWNotBelowQ)
     EXPECT_NO_THROW(mod::shoupPrecompute(DW<uint64_t>{}, q));
 }
 
+TEST(ShoupCompanion, MatchesBigUIntOracle)
+{
+    // Modulus::shoupCompanion (word arithmetic) against the BigUInt
+    // oracle floor(w * 2^128 / q), on NTT primes across the word sizes.
+    for (int bits : {33, 52, 64, 65, 100, 123, 124}) {
+        const ntt::NttPrime prime = ntt::findNttPrime(bits, 16);
+        const Modulus m(prime.q);
+        const DW<uint64_t> q = mod::toDw(prime.q);
+        const U128 half = prime.q >> 1;
+        std::vector<U128> ws = {U128{0},         U128{1},
+                                U128{2},         half,
+                                half + U128{1},  prime.q - U128{2},
+                                prime.q - U128{1}};
+        SplitMix64 rng(0x5C0u + static_cast<uint64_t>(bits));
+        for (int t = 0; t < 2000; ++t)
+            ws.push_back(rng.nextBelow(prime.q));
+        for (const U128& w : ws) {
+            ASSERT_EQ(m.shoupCompanion(w),
+                      mod::fromDw(mod::shoupPrecompute(mod::toDw(w), q)))
+                << bits << "-bit q, w=" << toString(w);
+        }
+        EXPECT_THROW(m.shoupCompanion(prime.q), InvalidArgument);
+        EXPECT_THROW(m.shoupCompanion(prime.q + prime.q), InvalidArgument);
+    }
+    // Even q has no inverse mod 2^128.
+    const Modulus even(U128::fromParts(1, 0));
+    EXPECT_THROW(even.shoupCompanion(U128{1}), InvalidArgument);
+}
+
 // ---------------------------------------------------------------------
 // AVX-512 vector Shoup multiplies: emulated and IFMA, word for word
 // ---------------------------------------------------------------------

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <iterator>
+
+#include "bigint/biguint.h"
 #include "ntt/ntt.h"
 #include "test_util.h"
 #include "word64/word64.h"
@@ -141,11 +144,16 @@ TEST(Word64Modulus, ShoupMulMatchesOracle)
 {
     w64::Modulus64 m(testPrime64());
     const uint64_t q = m.value();
+    const uint64_t edges[] = {0, 1, 2, q / 2, q / 2 + 1, q - 2, q - 1};
     SplitMix64 rng(0x64064);
     for (int t = 0; t < 500; ++t) {
-        uint64_t w = rng.next() % q;
+        uint64_t w = t < static_cast<int>(std::size(edges)) ? edges[t]
+                                                            : rng.next() % q;
         uint64_t a = rng.next() % (4 * q); // full lazy operand range
-        uint64_t wq = m.shoupPrecompute(w);
+        uint64_t wq = m.shoupCompanion(w);
+        // The word-arithmetic companion is exactly floor(w * 2^64 / q).
+        EXPECT_EQ(U128{wq}, ((BigUInt{w} << 64) / BigUInt{q}).toU128())
+            << "w=" << w;
         uint64_t r = m.mulModShoup(a, w, wq);
         ASSERT_LT(r, 2 * q) << "lazy range escaped";
 #if MQX_HAVE_INT128
@@ -154,6 +162,9 @@ TEST(Word64Modulus, ShoupMulMatchesOracle)
         EXPECT_EQ(r % q, static_cast<uint64_t>(expect));
 #endif
     }
+    EXPECT_THROW(m.shoupCompanion(q), InvalidArgument);
+    EXPECT_THROW(w64::Modulus64(1ull << 40).shoupCompanion(1),
+                 InvalidArgument); // even q has no inverse mod 2^64
 }
 
 TEST_P(Word64Ntt, RoundTrip)

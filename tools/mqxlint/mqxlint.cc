@@ -36,6 +36,13 @@
  *                     (hint level, lookahead distance) lives in the
  *                     sanctioned prefetchRead/prefetchNext helpers,
  *                     mirroring the aligned-alloc funnel.
+ *   setup-bigint      no BigUInt, bigint/biguint.h include, or use of
+ *                     the long-division oracle shoupPrecompute in the
+ *                     kernel and engine directories (ntt, word64, simd,
+ *                     blas, engine; .inc bodies included) — plan and
+ *                     table derivation computes Shoup companions in
+ *                     word arithmetic (Modulus::shoupCompanion), so a
+ *                     per-entry heap-allocating division cannot return.
  *   net-hygiene       raw global-qualified POSIX socket syscalls
  *                     (`::socket(`, `::recv(`, ...) outside src/net/ —
  *                     socket I/O goes through net::Socket, which owns
@@ -241,6 +248,21 @@ isIdentChar(char c)
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
+/** Offsets of @p tok in @p code where it stands as a whole identifier. */
+std::vector<size_t>
+findWord(const std::string& code, const std::string& tok)
+{
+    std::vector<size_t> out;
+    for (size_t pos = 0; (pos = code.find(tok, pos)) != std::string::npos;
+         pos += tok.size()) {
+        const size_t end = pos + tok.size();
+        if ((pos == 0 || !isIdentChar(code[pos - 1])) &&
+            (end >= code.size() || !isIdentChar(code[end])))
+            out.push_back(pos);
+    }
+    return out;
+}
+
 class Linter
 {
   public:
@@ -258,6 +280,7 @@ class Linter
         ruleAtomicOrder();
         ruleAlignedAlloc();
         ruleHotModulo();
+        ruleSetupBigint();
         rulePrefetchHygiene();
         ruleCatchSwallow();
         ruleNetHygiene();
@@ -282,14 +305,14 @@ class Linter
             if (!e.is_regular_file())
                 continue;
             std::string ext = e.path().extension().string();
-            if (ext != ".h" && ext != ".cc")
+            if (ext != ".h" && ext != ".cc" && ext != ".inc")
                 continue;
             SourceFile f;
             if (!readFile(e.path(), f.raw))
                 continue;
             f.rel = fs::relative(e.path(), root_).generic_string();
             f.code = stripCode(f.raw);
-            files_.push_back(std::move(f));
+            (ext == ".inc" ? incs_ : files_).push_back(std::move(f));
         }
         expandTierBodies();
         std::sort(files_.begin(), files_.end(),
@@ -618,38 +641,22 @@ class Linter
                        "(core/aligned.h funnel)");
                 pos += 1;
             }
-            pos = 0;
-            while ((pos = f.code.find("malloc", pos)) !=
-                   std::string::npos) {
-                bool word = (pos == 0 || !isIdentChar(f.code[pos - 1])) &&
-                            (pos + 6 >= f.code.size() ||
-                             !isIdentChar(f.code[pos + 6]));
-                if (word)
-                    report(f, lineOf(f.code, pos), "aligned-alloc",
-                           "raw malloc in a channel-data layer; use the "
-                           "core/aligned.h funnel");
-                pos += 1;
-            }
+            for (size_t at : findWord(f.code, "malloc"))
+                report(f, lineOf(f.code, at), "aligned-alloc",
+                       "raw malloc in a channel-data layer; use the "
+                       "core/aligned.h funnel");
             // `new <type>[` or `new[` — raw array allocation.
-            pos = 0;
-            while ((pos = f.code.find("new", pos)) != std::string::npos) {
-                bool word = (pos == 0 || !isIdentChar(f.code[pos - 1])) &&
-                            (pos + 3 < f.code.size() &&
-                             !isIdentChar(f.code[pos + 3]));
-                if (word) {
-                    size_t i = pos + 3;
-                    while (i < f.code.size() &&
-                           (std::isspace(
-                                static_cast<unsigned char>(f.code[i])) ||
-                            isIdentChar(f.code[i]) || f.code[i] == ':' ||
-                            f.code[i] == '<' || f.code[i] == '>'))
-                        ++i;
-                    if (i < f.code.size() && f.code[i] == '[')
-                        report(f, lineOf(f.code, pos), "aligned-alloc",
-                               "raw new[] in a channel-data layer; use "
-                               "the core/aligned.h funnel");
-                }
-                pos += 3;
+            for (size_t at : findWord(f.code, "new")) {
+                size_t i = at + 3;
+                while (i < f.code.size() &&
+                       (std::isspace(static_cast<unsigned char>(f.code[i])) ||
+                        isIdentChar(f.code[i]) || f.code[i] == ':' ||
+                        f.code[i] == '<' || f.code[i] == '>'))
+                    ++i;
+                if (i < f.code.size() && f.code[i] == '[')
+                    report(f, lineOf(f.code, at), "aligned-alloc",
+                           "raw new[] in a channel-data layer; use the "
+                           "core/aligned.h funnel");
             }
         }
     }
@@ -689,6 +696,44 @@ class Linter
     }
 
     void
+    ruleSetupBigint()
+    {
+        const char* kDirs[] = {"src/ntt/", "src/word64/", "src/simd/",
+                               "src/blas/", "src/engine/"};
+        std::vector<const SourceFile*> scope;
+        for (const auto* list : {&files_, &incs_}) {
+            for (const auto& f : *list) {
+                bool in_dir = false;
+                for (const char* d : kDirs)
+                    in_dir = in_dir || f.rel.rfind(d, 0) == 0;
+                // Expanded tier bodies repeat their .inc, linted raw.
+                if (in_dir && f.tu.empty())
+                    scope.push_back(&f);
+            }
+        }
+        for (const SourceFile* f : scope) {
+            // stripCode blanks the header name, so read it from the raw
+            // text at the same offset.
+            for (size_t pos : findWord(f->code, "include")) {
+                const size_t eol = f->raw.find('\n', pos);
+                if (f->raw.substr(pos, eol - pos).find("bigint/biguint.h") !=
+                    std::string::npos)
+                    report(*f, lineOf(f->code, pos), "setup-bigint",
+                           "bigint/biguint.h included in a kernel/engine "
+                           "directory; derive tables in word arithmetic");
+            }
+            for (size_t pos : findWord(f->code, "BigUInt"))
+                report(*f, lineOf(f->code, pos), "setup-bigint",
+                       "BigUInt in a kernel/engine directory; derive "
+                       "tables in word arithmetic (src/mod)");
+            for (size_t pos : findWord(f->code, "shoupPrecompute"))
+                report(*f, lineOf(f->code, pos), "setup-bigint",
+                       "the long-division oracle shoupPrecompute; "
+                       "use Modulus::shoupCompanion");
+        }
+    }
+
+    void
     rulePrefetchHygiene()
     {
         const char* kIntrinsics[] = {"_mm_prefetch", "__builtin_prefetch"};
@@ -696,21 +741,12 @@ class Linter
             if (f.rel == "src/core/prefetch.h")
                 continue;
             for (const char* tok : kIntrinsics) {
-                const size_t len = std::string(tok).size();
-                size_t pos = 0;
-                while ((pos = f.code.find(tok, pos)) != std::string::npos) {
-                    bool word =
-                        (pos == 0 || !isIdentChar(f.code[pos - 1])) &&
-                        (pos + len >= f.code.size() ||
-                         !isIdentChar(f.code[pos + len]));
-                    if (word)
-                        report(f, lineOf(f.code, pos), "prefetch-hygiene",
-                               std::string("raw ") + tok +
-                                   " outside core/prefetch.h; use the "
-                                   "sanctioned prefetchRead/prefetchNext "
-                                   "helpers");
-                    pos += len;
-                }
+                for (size_t pos : findWord(f.code, tok))
+                    report(f, lineOf(f.code, pos), "prefetch-hygiene",
+                           std::string("raw ") + tok +
+                               " outside core/prefetch.h; use the "
+                               "sanctioned prefetchRead/prefetchNext "
+                               "helpers");
             }
         }
     }
@@ -852,6 +888,7 @@ class Linter
     fs::path root_;
     std::vector<AllowEntry> allow_;
     std::vector<SourceFile> files_;
+    std::vector<SourceFile> incs_; ///< raw .inc files (setup-bigint only)
     std::set<std::string> entry_points_;
     std::vector<Diagnostic> diags_;
     int suppressed_ = 0;
@@ -907,8 +944,9 @@ selfTest(const fs::path& fixtures)
 {
     const char* kRules[] = {"backend-coverage", "dspan-validate",
                             "atomic-order",     "aligned-alloc",
-                            "hot-modulo",       "prefetch-hygiene",
-                            "catch-swallow",    "net-hygiene"};
+                            "hot-modulo",       "setup-bigint",
+                            "prefetch-hygiene", "catch-swallow",
+                            "net-hygiene"};
     // Pass 1: no allowlist — every rule fires exactly once.
     auto diags = Linter(fixtures, {}).run();
     printDiags(diags, false);
