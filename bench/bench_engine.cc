@@ -412,9 +412,10 @@ main(int argc, char** argv)
         }
     }
 
-    // Plan-cache effect: per-channel table derivation (cyclic plan +
-    // negacyclic tables, from PlanCache::stats()), the cold first call
-    // that pays it, and the warm steady state.
+    // Plan-cache effect: per-channel table derivation (one
+    // NegacyclicTables entry, its cyclic plan included, per channel;
+    // from PlanCache::stats()), the cold first call that pays it, and
+    // the warm steady state.
     {
         rns::RnsBasis basis(124, 20, 4);
         TextTable pc("plan cache (serial engine, 4 channels)");
@@ -428,7 +429,7 @@ main(int argc, char** argv)
             (void)eng.polymulNegacyclic(a, b);
             uint64_t cold = nowNs() - t0;
             const engine::PlanCache::Stats st = eng.planCache().stats();
-            const size_t channels = eng.planCache().negacyclicCount();
+            const size_t channels = eng.planCache().size();
             uint64_t warm = bestOf(
                 kReps, [&] { (void)eng.polymulNegacyclic(a, b); });
             pc.addRow({std::to_string(pn),

@@ -385,8 +385,7 @@ runJsonMode(const char* path)
     // bytes: the twist and n^-1 ride inside its stages).
     os << "  \"batch\": [\n";
     const size_t batch_n = 4096;
-    const ntt::NegacyclicTables batch_tables(
-        std::make_shared<const ntt::NttPlan>(prime, batch_n));
+    const ntt::NegacyclicTables batch_tables(prime, batch_n);
     const size_t batch_swept =
         batch_tables.plan().bytesSweptPerTransform(StageFusion::Radix2);
     double batch_speedup_k8 = 0.0;

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
+#include <string>
 
 #include "core/config.h"
 #include "robust/fault_injection.h"
@@ -91,16 +92,82 @@ repairWorkspaces()
 }
 
 /**
- * Whether a StatusError escaping a batch kernel should propagate
- * instead of falling back to the per-channel path: cancellation and
- * corruption verdicts are about the op, not the kernel, and must reach
- * the caller. An injected kernel fault (FaultInjected) is exactly the
- * failure the fallback exists for.
+ * The one check-and-repair step of every checked channel op: run
+ * @p passes on the finished channel; on a mismatch rerun @p body — the
+ * op's own channel body — on repair-pool scratch with every fault point
+ * silenced, up to @p max_retries times, re-checking after each, then
+ * surface DataCorruption for @p op. A repair is a full recomputation,
+ * so re-checking at the same cached point is sound: a correct result
+ * always passes.
  */
-bool
-propagateFromBatchKernel(const robust::StatusError& e)
+template <typename Passes, typename Body>
+void
+checkAndRepair(size_t max_retries, const char* op, const Passes& passes,
+               const Body& body)
 {
-    return e.status().code() != robust::StatusCode::FaultInjected;
+    verifyChecks().add(1);
+    if (passes())
+        return;
+    verifyFailures().add(1);
+    const robust::ScopedFaultFree fault_free;
+    for (size_t attempt = 0; attempt < max_retries; ++attempt) {
+        robustRetries().add(1);
+        body(repairWorkspaces(), nullptr);
+        if (passes()) {
+            robustRepairs().add(1);
+            return;
+        }
+    }
+    robustFailures().add(1);
+    robust::throwStatus(robust::StatusCode::DataCorruption,
+                        std::string(op) +
+                            ": a channel failed verification after every "
+                            "repair retry");
+}
+
+/** checkAndRepair for one polymul channel: the Freivalds identity. */
+template <typename Body>
+void
+checkPolymul(Backend backend, const robust::VerifyOptions& verify,
+             const rns::RnsBasis& basis, size_t channel,
+             const ntt::NegacyclicTables& tables, const rns::RnsPolynomial& a,
+             const rns::RnsPolynomial& b, const rns::RnsPolynomial& c,
+             const Body& body)
+{
+    checkAndRepair(
+        verify.max_retries, "Engine::polymulNegacyclic",
+        [&] {
+            return robust::checkNegacyclicPolymul(
+                backend, basis.modulus(channel), tables.psi(),
+                a.channel(channel).span(), b.channel(channel).span(),
+                c.channel(channel).span(), verify.seed);
+        },
+        body);
+}
+
+/**
+ * The one batch fallback: run @p batched, a task's interleaved-kernel
+ * body. If it fails with an injected kernel fault (FaultInjected) or a
+ * non-Status exception, redo the task's work through @p per_channel on
+ * repair-pool scratch with every fault point silenced, so one broken
+ * tile cannot sink the whole op. Any other StatusError (cancellation,
+ * corruption) is about the op, not the kernel, and propagates.
+ */
+template <typename Batched, typename PerChannel>
+void
+runBatchedOrFallBack(const Batched& batched, const PerChannel& per_channel)
+{
+    try {
+        batched();
+        return;
+    } catch (const robust::StatusError& e) {
+        if (e.status().code() != robust::StatusCode::FaultInjected)
+            throw;
+    } catch (const std::exception&) {
+    }
+    batchFallbacks().add(1);
+    const robust::ScopedFaultFree fault_free;
+    per_channel(repairWorkspaces(), nullptr);
 }
 
 } // namespace
@@ -127,112 +194,6 @@ Engine::shouldVerify(uint64_t seq) const
 }
 
 void
-Engine::verifyRepairPolymul(
-    const rns::RnsBasis& basis, size_t channel,
-    const std::shared_ptr<const ntt::NegacyclicTables>& tables,
-    const rns::RnsPolynomial& a, const rns::RnsPolynomial& b,
-    rns::RnsPolynomial& c)
-{
-    const Modulus& m = basis.modulus(channel);
-    verifyChecks().add(1);
-    if (robust::checkNegacyclicPolymul(
-            backend_, m, tables->psi(), a.channel(channel).span(),
-            b.channel(channel).span(), c.channel(channel).span(),
-            verify_.seed))
-        return;
-    verifyFailures().add(1);
-    // The channel failed the evaluation identity: recompute it with
-    // every fault point silenced and scratch from the repair pool, then
-    // re-check. The repair is a full recomputation, so re-checking at
-    // the same cached point is sound — a correct product always passes.
-    const robust::ScopedFaultFree fault_free;
-    for (size_t attempt = 0; attempt < verify_.max_retries; ++attempt) {
-        robustRetries().add(1);
-        rns::detail::polymulChannel(backend_, basis, channel, tables,
-                                    repairWorkspaces(), a, b, c);
-        if (robust::checkNegacyclicPolymul(
-                backend_, m, tables->psi(), a.channel(channel).span(),
-                b.channel(channel).span(), c.channel(channel).span(),
-                verify_.seed)) {
-            robustRepairs().add(1);
-            return;
-        }
-    }
-    robustFailures().add(1);
-    robust::throwStatus(
-        robust::StatusCode::DataCorruption,
-        "Engine::polymulNegacyclic: a channel failed Freivalds "
-        "verification after every repair retry");
-}
-
-void
-Engine::verifyRepairFma(
-    const rns::RnsBasis& basis, size_t channel,
-    const std::shared_ptr<const ntt::NegacyclicTables>& tables,
-    const std::vector<std::pair<const rns::RnsPolynomial*,
-                                const rns::RnsPolynomial*>>& products,
-    rns::RnsPolynomial& c)
-{
-    const Modulus& m = basis.modulus(channel);
-    std::vector<std::pair<DConstSpan, DConstSpan>> spans;
-    spans.reserve(products.size());
-    for (const auto& [a, b] : products) {
-        spans.emplace_back(a->channel(channel).span(),
-                           b->channel(channel).span());
-    }
-    verifyChecks().add(1);
-    if (robust::checkNegacyclicFma(backend_, m, tables->psi(), spans,
-                                   c.channel(channel).span(), verify_.seed))
-        return;
-    verifyFailures().add(1);
-    const robust::ScopedFaultFree fault_free;
-    for (size_t attempt = 0; attempt < verify_.max_retries; ++attempt) {
-        robustRetries().add(1);
-        rns::detail::fmaChannel(backend_, basis, channel, tables,
-                                repairWorkspaces(), products, c);
-        if (robust::checkNegacyclicFma(backend_, m, tables->psi(), spans,
-                                       c.channel(channel).span(),
-                                       verify_.seed)) {
-            robustRepairs().add(1);
-            return;
-        }
-    }
-    robustFailures().add(1);
-    robust::throwStatus(robust::StatusCode::DataCorruption,
-                        "Engine::fmaBatch: a channel failed Freivalds "
-                        "verification after every repair retry");
-}
-
-void
-Engine::verifyRepairAdd(const rns::RnsBasis& basis, size_t channel,
-                        const rns::RnsPolynomial& a,
-                        const rns::RnsPolynomial& b, rns::RnsPolynomial& c)
-{
-    const Modulus& m = basis.modulus(channel);
-    verifyChecks().add(1);
-    if (robust::checkAddDigest(m, a.channel(channel).span(),
-                               b.channel(channel).span(),
-                               c.channel(channel).span()))
-        return;
-    verifyFailures().add(1);
-    const robust::ScopedFaultFree fault_free;
-    for (size_t attempt = 0; attempt < verify_.max_retries; ++attempt) {
-        robustRetries().add(1);
-        rns::detail::addChannel(backend_, basis, channel, a, b, c);
-        if (robust::checkAddDigest(m, a.channel(channel).span(),
-                                   b.channel(channel).span(),
-                                   c.channel(channel).span())) {
-            robustRepairs().add(1);
-            return;
-        }
-    }
-    robustFailures().add(1);
-    robust::throwStatus(robust::StatusCode::DataCorruption,
-                        "Engine::add: a channel failed the guard digest "
-                        "after every repair retry");
-}
-
-void
 Engine::addInto(const rns::RnsPolynomial& a, const rns::RnsPolynomial& b,
                 rns::RnsPolynomial& c, const robust::CancelToken* cancel)
 {
@@ -251,9 +212,21 @@ Engine::addInto(const rns::RnsPolynomial& a, const rns::RnsPolynomial& b,
     pool_.parallelFor(
         0, basis.size(),
         [&](size_t i) {
-            rns::detail::addChannel(backend_, basis, i, a, b, c);
-            if (check)
-                verifyRepairAdd(basis, i, a, b, c);
+            auto body = [&](ntt::NegacyclicWorkspacePool&,
+                            const robust::CancelToken*) {
+                rns::detail::addChannel(backend_, basis, i, a, b, c);
+            };
+            body(workspaces_, cancel);
+            if (check) {
+                checkAndRepair(
+                    verify_.max_retries, "Engine::add",
+                    [&] {
+                        return robust::checkAddDigest(
+                            basis.modulus(i), a.channel(i).span(),
+                            b.channel(i).span(), c.channel(i).span());
+                    },
+                    body);
+            }
         },
         cancel);
 }
@@ -320,10 +293,15 @@ Engine::polymulNegacyclicInto(const rns::RnsPolynomial& a,
         0, basis.size(),
         [&](size_t i) {
             auto tables = plan_cache_.getNegacyclic(basis.prime(i), a.n());
-            rns::detail::polymulChannel(backend_, basis, i, tables,
-                                        workspaces_, a, b, c, cancel);
+            auto body = [&](ntt::NegacyclicWorkspacePool& ws,
+                            const robust::CancelToken* token) {
+                rns::detail::polymulChannel(backend_, basis, i, tables, ws, a,
+                                            b, c, token);
+            };
+            body(workspaces_, cancel);
             if (check)
-                verifyRepairPolymul(basis, i, tables, a, b, c);
+                checkPolymul(backend_, verify_, basis, i, *tables, a, b, c,
+                             body);
         },
         cancel);
 }
@@ -354,7 +332,7 @@ Engine::toEvalInto(const rns::RnsPolynomial& a, rns::RnsPolynomial& c,
             rns::detail::toEvalChannel(
                 backend_, basis, i,
                 plan_cache_.getNegacyclic(basis.prime(i), a.n()), workspaces_,
-                a, c);
+                a, c, cancel);
         },
         cancel);
 }
@@ -384,7 +362,7 @@ Engine::toCoeffInto(const rns::RnsPolynomial& a, rns::RnsPolynomial& c,
             rns::detail::toCoeffChannel(
                 backend_, basis, i,
                 plan_cache_.getNegacyclic(basis.prime(i), a.n()), workspaces_,
-                a, c);
+                a, c, cancel);
         },
         cancel);
 }
@@ -469,40 +447,42 @@ Engine::fmaBatchInto(
     // The Freivalds dot-product identity evaluates the Coeff operands
     // at the check point, so it needs an all-Coeff, non-aliased batch.
     const bool check = shouldVerify(seq) && all_coeff && !aliased;
-    auto redoChannel =
-        [&](size_t i,
-            const std::shared_ptr<const ntt::NegacyclicTables>& tables) {
-            batchFallbacks().add(1);
-            const robust::ScopedFaultFree fault_free;
-            rns::detail::fmaChannel(backend_, basis, i, tables,
-                                    repairWorkspaces(), products, c);
-        };
     pool_.parallelFor(
         0, basis.size(),
         [&](size_t i) {
             auto tables =
                 plan_cache_.getNegacyclic(basis.prime(i), first.n());
+            auto body = [&](ntt::NegacyclicWorkspacePool& ws,
+                            const robust::CancelToken* token) {
+                rns::detail::fmaChannel(backend_, basis, i, tables, ws,
+                                        products, c, token);
+            };
             if (batched) {
-                try {
-                    rns::detail::fmaChannelBatched(backend_, basis, i,
-                                                   tables, workspaces_,
-                                                   products, il, c, cancel);
-                } catch (const robust::StatusError& e) {
-                    if (propagateFromBatchKernel(e))
-                        throw;
-                    // Injected batch-kernel failure: recompute this
-                    // channel on the per-product path, fault-free, so
-                    // one broken tile can't sink the whole op.
-                    redoChannel(i, tables);
-                } catch (const std::exception&) {
-                    redoChannel(i, tables);
-                }
+                runBatchedOrFallBack(
+                    [&] {
+                        rns::detail::fmaChannelBatched(
+                            backend_, basis, i, tables, workspaces_, products,
+                            il, c, cancel);
+                    },
+                    body);
             } else {
-                rns::detail::fmaChannel(backend_, basis, i, tables,
-                                        workspaces_, products, c, cancel);
+                body(workspaces_, cancel);
             }
-            if (check)
-                verifyRepairFma(basis, i, tables, products, c);
+            if (!check)
+                return;
+            std::vector<std::pair<DConstSpan, DConstSpan>> spans;
+            spans.reserve(products.size());
+            for (const auto& [pa, pb] : products)
+                spans.emplace_back(pa->channel(i).span(),
+                                   pb->channel(i).span());
+            checkAndRepair(
+                verify_.max_retries, "Engine::fmaBatch",
+                [&] {
+                    return robust::checkNegacyclicFma(
+                        backend_, basis.modulus(i), tables->psi(), spans,
+                        c.channel(i).span(), verify_.seed);
+                },
+                body);
         },
         cancel);
 }
@@ -532,12 +512,10 @@ Engine::polymulNegacyclicBatch(
     MQX_SCOPED_SPAN(op_span, "engine.polymul_batch");
     if (cancel)
         cancel->checkpoint("Engine::polymulNegacyclicBatch");
-    // Validate everything and lay out results before dispatch; the flat
-    // (product, channel) index space keeps the pool saturated when
-    // operands have fewer channels than there are threads.
+    // Validate everything and lay out results before dispatch.
     std::vector<rns::RnsPolynomial> results;
     results.reserve(products.size());
-    std::vector<size_t> first_task(products.size() + 1, 0);
+    size_t total_channels = 0;
     for (size_t p = 0; p < products.size(); ++p) {
         const auto& [a, b] = products[p];
         checkArg(a != nullptr && b != nullptr,
@@ -549,7 +527,7 @@ Engine::polymulNegacyclicBatch(
         rns::detail::checkForm(*b, rns::Form::Coeff,
                                "Engine::polymulNegacyclicBatch");
         results.emplace_back(a->basis(), a->n());
-        first_task[p + 1] = first_task[p] + a->basis().size();
+        total_channels += a->basis().size();
     }
     if (products.empty())
         return results;
@@ -558,104 +536,82 @@ Engine::polymulNegacyclicBatch(
     const uint64_t seq = op_seq_.fetch_add(1, std::memory_order_relaxed);
     const bool check = shouldVerify(seq);
 
-    // Interleaved-batch eligibility: a uniform batch (one basis, one
-    // length) with at least one whole tile of il products, on a
-    // batch-capable plan shape. Mixed-basis batches keep the flat
-    // per-(product, channel) path below.
+    // One flat, channel-major task list keeps the pool saturated when
+    // operands have fewer channels than there are threads. A task is
+    // `lanes` consecutive products on one channel: il for the whole
+    // tiles of a uniform batch (one basis, one length) of at least il
+    // products on a batch-capable plan shape, which run the interleaved
+    // kernels once per tile; 1 for every other product.
     const rns::RnsPolynomial& first = *products.front().first;
     const size_t il = ntt::batchInterleave(backend_);
     bool uniform = true;
+    size_t max_channels = 0;
     for (const auto& [a, b] : products) {
         uniform = uniform && &a->basis() == &first.basis() &&
                   a->n() == first.n();
+        max_channels = std::max(max_channels, a->basis().size());
     }
-    if (uniform && products.size() >= il &&
+    const bool tileable =
+        uniform && products.size() >= il &&
         ntt::batchSupported(
             plan_cache_.getNegacyclic(first.basis().prime(0), first.n())
-                ->plan())) {
-        // Flat (channel, tile-or-remainder) task space: each whole tile
-        // of il products runs the interleaved kernels once; the k % il
-        // remainder products run per-channel. Still one flat
-        // parallelFor — tasks never nest.
-        const rns::RnsBasis& basis = first.basis();
-        const size_t tiles = products.size() / il;
-        const size_t rem = products.size() % il;
-        const size_t per_channel = tiles + rem;
-        pool_.parallelFor(
-            0, basis.size() * per_channel,
-            [&](size_t task) {
-                const size_t channel = task / per_channel;
-                const size_t slot = task % per_channel;
-                auto tables = plan_cache_.getNegacyclic(
-                    basis.prime(channel), first.n());
-                if (slot < tiles) {
-                    const size_t p0 = slot * il;
-                    // Injected batch-kernel failure: redo every lane of
-                    // this tile on the per-channel path, fault-free.
-                    auto redoTile = [&] {
-                        batchFallbacks().add(1);
-                        const robust::ScopedFaultFree fault_free;
-                        for (size_t p = p0; p < p0 + il; ++p) {
-                            rns::detail::polymulChannel(
-                                backend_, basis, channel, tables,
-                                repairWorkspaces(), *products[p].first,
-                                *products[p].second, results[p]);
-                        }
-                    };
-                    try {
-                        rns::detail::polymulChannelBatch(
-                            backend_, basis, channel, tables, products, p0,
-                            il, results);
-                    } catch (const robust::StatusError& e) {
-                        if (propagateFromBatchKernel(e))
-                            throw;
-                        redoTile();
-                    } catch (const std::exception&) {
-                        redoTile();
-                    }
-                    if (check) {
-                        for (size_t p = p0; p < p0 + il; ++p) {
-                            verifyRepairPolymul(basis, channel, tables,
-                                                *products[p].first,
-                                                *products[p].second,
-                                                results[p]);
-                        }
-                    }
-                } else {
-                    const size_t p = tiles * il + (slot - tiles);
-                    rns::detail::polymulChannel(
-                        backend_, basis, channel, tables, workspaces_,
-                        *products[p].first, *products[p].second, results[p],
-                        cancel);
-                    if (check)
-                        verifyRepairPolymul(basis, channel, tables,
-                                            *products[p].first,
-                                            *products[p].second, results[p]);
-                }
-            },
-            cancel);
-        return results;
+                ->plan());
+    const size_t tiled = tileable ? products.size() / il * il : 0;
+    struct Task
+    {
+        size_t p0, channel, lanes;
+    };
+    std::vector<Task> tasks;
+    tasks.reserve(total_channels);
+    for (size_t channel = 0; channel < max_channels; ++channel) {
+        for (size_t p = 0; p < products.size();) {
+            const size_t lanes = p < tiled ? il : 1;
+            if (channel < products[p].first->basis().size())
+                tasks.push_back({p, channel, lanes});
+            p += lanes;
+        }
     }
 
     pool_.parallelFor(
-        0, first_task.back(),
-        [&](size_t task) {
-            // Binary search for the product this flat index belongs to.
-            size_t p = static_cast<size_t>(
-                std::upper_bound(first_task.begin(), first_task.end(),
-                                 task) -
-                first_task.begin() - 1);
-            size_t channel = task - first_task[p];
-            const rns::RnsPolynomial& a = *products[p].first;
-            const rns::RnsPolynomial& b = *products[p].second;
-            auto tables =
-                plan_cache_.getNegacyclic(a.basis().prime(channel), a.n());
-            rns::detail::polymulChannel(backend_, a.basis(), channel, tables,
-                                        workspaces_, a, b, results[p],
-                                        cancel);
-            if (check)
-                verifyRepairPolymul(a.basis(), channel, tables, a, b,
-                                    results[p]);
+        0, tasks.size(),
+        [&](size_t t) {
+            const Task& task = tasks[t];
+            const size_t p0 = task.p0;
+            const size_t channel = task.channel;
+            const rns::RnsBasis& basis = products[p0].first->basis();
+            auto tables = plan_cache_.getNegacyclic(basis.prime(channel),
+                                                    results[p0].n());
+            // The per-channel body over products [begin, end).
+            auto perChannel = [&](size_t begin, size_t end) {
+                return [&, begin, end](ntt::NegacyclicWorkspacePool& ws,
+                                       const robust::CancelToken* token) {
+                    for (size_t p = begin; p < end; ++p) {
+                        rns::detail::polymulChannel(
+                            backend_, basis, channel, tables, ws,
+                            *products[p].first, *products[p].second,
+                            results[p], token);
+                    }
+                };
+            };
+            const size_t end = p0 + task.lanes;
+            if (task.lanes > 1) {
+                runBatchedOrFallBack(
+                    [&] {
+                        rns::detail::polymulChannelBatch(
+                            backend_, basis, channel, tables, products, p0,
+                            task.lanes, results);
+                    },
+                    perChannel(p0, end));
+            } else {
+                perChannel(p0, end)(workspaces_, cancel);
+            }
+            if (!check)
+                return;
+            for (size_t p = p0; p < end; ++p) {
+                checkPolymul(backend_, verify_, basis, channel, *tables,
+                             *products[p].first, *products[p].second,
+                             results[p], perChannel(p, p + 1));
+            }
         },
         cancel);
     return results;

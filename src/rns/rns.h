@@ -198,11 +198,10 @@ void mulChannel(Backend backend, const RnsBasis& basis, size_t channel,
 
 /**
  * One channel of the negacyclic product. @p tables holds the cached
- * plan + psi tables for (q_channel, n). A non-null @p cancel switches the
- * body to the staged pipeline (forward → pointwise → inverse with a
- * cancellation checkpoint at every stage boundary), so a tripped
- * deadline aborts within one NTT stage; the null fast path is the
- * fused eng.polymul call, unchanged.
+ * plan + psi tables for (q_channel, n). A non-null @p cancel is checked
+ * while waiting for a workspace lease and between the stages of
+ * NegacyclicEngine::polymul, so a tripped deadline aborts within one
+ * transform.
  */
 void polymulChannel(Backend backend, const RnsBasis& basis, size_t channel,
                     std::shared_ptr<const ntt::NegacyclicTables> tables,
@@ -211,17 +210,22 @@ void polymulChannel(Backend backend, const RnsBasis& basis, size_t channel,
                     RnsPolynomial& c,
                     const robust::CancelToken* cancel = nullptr);
 
-/** One channel of the forward (Coeff -> Eval) conversion. */
+/**
+ * One channel of the forward (Coeff -> Eval) conversion. A non-null
+ * @p cancel is checked while waiting for a workspace lease.
+ */
 void toEvalChannel(Backend backend, const RnsBasis& basis, size_t channel,
                    std::shared_ptr<const ntt::NegacyclicTables> tables,
                    ntt::NegacyclicWorkspacePool& workspaces,
-                   const RnsPolynomial& a, RnsPolynomial& c);
+                   const RnsPolynomial& a, RnsPolynomial& c,
+                   const robust::CancelToken* cancel = nullptr);
 
-/** One channel of the inverse (Eval -> Coeff) conversion. */
+/** One channel of the inverse (Eval -> Coeff) conversion; as above. */
 void toCoeffChannel(Backend backend, const RnsBasis& basis, size_t channel,
                     std::shared_ptr<const ntt::NegacyclicTables> tables,
                     ntt::NegacyclicWorkspacePool& workspaces,
-                    const RnsPolynomial& a, RnsPolynomial& c);
+                    const RnsPolynomial& a, RnsPolynomial& c,
+                    const robust::CancelToken* cancel = nullptr);
 
 /**
  * One channel of the fused transform-domain dot product: forward any

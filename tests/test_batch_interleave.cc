@@ -273,31 +273,47 @@ testBasis()
 
 TEST(EngineBatch, PolymulBatchMatchesSerialOracle)
 {
+    // Every shape the batch task list takes: whole tiles plus a
+    // remainder (interleaved and per-channel tasks), fewer products than
+    // one tile (per-channel tasks only), and a mixed batch over two
+    // bases with different channel counts at two lengths.
     const auto& basis = testBasis();
-    const size_t n = 64;
+    static rns::RnsBasis small_basis(50, 8, 2);
     engine::Engine eng;
-    // One whole tile plus a remainder, so both the interleaved and the
-    // per-channel leg of the dispatcher run.
-    const size_t k = ntt::batchInterleave(eng.backend()) + 3;
-    std::vector<rns::RnsPolynomial> as, bs;
-    for (size_t p = 0; p < k; ++p) {
-        as.push_back(rns::randomPolynomial(basis, n, 600 + p));
-        bs.push_back(rns::randomPolynomial(basis, n, 700 + p));
-    }
-    ProductList products;
-    for (size_t p = 0; p < k; ++p)
-        products.emplace_back(&as[p], &bs[p]);
-
-    auto results = eng.polymulNegacyclicBatch(products);
-    ASSERT_EQ(results.size(), k);
-
     engine::Engine serial(eng.backend(), 1);
-    for (size_t p = 0; p < k; ++p) {
-        auto expect = serial.polymulNegacyclic(as[p], bs[p]);
-        ASSERT_EQ(results[p].n(), expect.n());
-        for (size_t i = 0; i < basis.size(); ++i) {
-            ASSERT_EQ(results[p].channel(i), expect.channel(i))
-                << "product " << p << " channel " << i;
+    const size_t il = ntt::batchInterleave(eng.backend());
+    struct Operand
+    {
+        const rns::RnsBasis* basis;
+        size_t n;
+    };
+    std::vector<Operand> tiles_and_rem(il + 3, Operand{&basis, 64});
+    std::vector<Operand> below_tile(il - 1, Operand{&basis, 64});
+    std::vector<Operand> mixed{{&basis, 64}, {&small_basis, 32},
+                               {&basis, 32}, {&small_basis, 64},
+                               {&basis, 64}};
+    uint64_t seed = 600;
+    for (const auto& shape : {tiles_and_rem, below_tile, mixed}) {
+        SCOPED_TRACE(shape.size());
+        std::vector<rns::RnsPolynomial> as, bs;
+        for (const Operand& op : shape) {
+            as.push_back(rns::randomPolynomial(*op.basis, op.n, seed++));
+            bs.push_back(rns::randomPolynomial(*op.basis, op.n, seed++));
+        }
+        ProductList products;
+        for (size_t p = 0; p < shape.size(); ++p)
+            products.emplace_back(&as[p], &bs[p]);
+
+        auto results = eng.polymulNegacyclicBatch(products);
+        ASSERT_EQ(results.size(), shape.size());
+        for (size_t p = 0; p < shape.size(); ++p) {
+            auto expect = serial.polymulNegacyclic(as[p], bs[p]);
+            ASSERT_EQ(&results[p].basis(), &expect.basis());
+            ASSERT_EQ(results[p].n(), expect.n());
+            for (size_t i = 0; i < expect.basis().size(); ++i) {
+                ASSERT_EQ(results[p].channel(i), expect.channel(i))
+                    << "product " << p << " channel " << i;
+            }
         }
     }
 }

@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <latch>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,29 +164,54 @@ TEST(PlanCache, StatsCountBuildsSeparatelyFromMisses)
 {
     engine::PlanCache cache;
     const auto& prime = testBasis().prime(0);
-    (void)cache.get(prime, 64);
+    (void)cache.getNegacyclic(prime, 64);
     engine::PlanCache::Stats cold = cache.stats();
     EXPECT_EQ(cold.misses, 1u);
     EXPECT_EQ(cold.builds, 1u);
     EXPECT_GT(cold.build_ns, 0u);
 
     // Warm second lookup: one hit, zero new builds, no new build time.
-    (void)cache.get(prime, 64);
+    (void)cache.getNegacyclic(prime, 64);
     engine::PlanCache::Stats warm = cache.stats();
     EXPECT_EQ(warm.hits, 1u);
     EXPECT_EQ(warm.misses, 1u);
     EXPECT_EQ(warm.builds, 1u);
     EXPECT_EQ(warm.build_ns, cold.build_ns);
 
-    // Negacyclic tables on a fresh key: the plan build and the psi
-    // table build are timed separately (one get call, two derivations).
+    // A fresh key is one miss and one build: the entry derives its
+    // cyclic plan and psi tables together.
     (void)cache.getNegacyclic(prime, 128);
     engine::PlanCache::Stats after = cache.stats();
     EXPECT_EQ(after.misses, 2u);
-    EXPECT_EQ(after.builds, 3u);
-    EXPECT_LE(after.builds, after.misses + cache.planCount() +
-                                cache.negacyclicCount());
+    EXPECT_EQ(after.builds, 2u);
     EXPECT_GT(after.build_ns, warm.build_ns);
+}
+
+TEST(PlanCache, ConcurrentColdMissesBuildOnce)
+{
+    // Eight threads miss on one cold key at once: exactly one of them
+    // builds, every caller gets that same entry, and each lookup counts
+    // as one hit or one miss.
+    engine::PlanCache cache;
+    const auto& prime = testBasis().prime(0);
+    constexpr size_t kThreads = 8;
+    std::vector<std::shared_ptr<const ntt::NegacyclicTables>> got(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            got[t] = cache.getNegacyclic(prime, 128);
+        });
+    }
+    for (auto& th : threads)
+        th.join();
+    for (const auto& tables : got)
+        EXPECT_EQ(tables.get(), got[0].get());
+    const engine::PlanCache::Stats st = cache.stats();
+    EXPECT_EQ(st.builds, 1u);
+    EXPECT_EQ(st.hits + st.misses, kThreads);
+    EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ThreadPool, DefaultThreadCountHonorsMqxThreadsEnv)
@@ -207,30 +234,22 @@ TEST(PlanCache, MemoizesByModulusAndSize)
 {
     engine::PlanCache cache;
     const auto& prime = testBasis().prime(0);
-    auto p1 = cache.get(prime, 64);
-    auto p2 = cache.get(prime, 64);
+    auto p1 = cache.getNegacyclic(prime, 64);
+    auto p2 = cache.getNegacyclic(prime, 64);
     EXPECT_EQ(p1.get(), p2.get()); // same instance, not just same value
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.misses(), 1u);
 
-    auto p3 = cache.get(prime, 128);
+    auto p3 = cache.getNegacyclic(prime, 128);
     EXPECT_NE(p1.get(), p3.get());
-    auto p4 = cache.get(testBasis().prime(1), 64);
+    auto p4 = cache.getNegacyclic(testBasis().prime(1), 64);
     EXPECT_NE(p1.get(), p4.get());
     EXPECT_EQ(cache.misses(), 3u);
-    EXPECT_EQ(cache.size(), 3u); // three plans, no negacyclic tables yet
-    EXPECT_EQ(cache.planCount(), 3u);
-    EXPECT_EQ(cache.negacyclicCount(), 0u);
-
-    // Negacyclic tables land in their own map; size() counts both.
-    (void)cache.getNegacyclic(prime, 64);
-    EXPECT_EQ(cache.negacyclicCount(), 1u);
-    EXPECT_EQ(cache.planCount(), 3u);
-    EXPECT_EQ(cache.size(), 4u);
+    EXPECT_EQ(cache.size(), 3u); // one entry per (q, n)
 
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(p1->n(), 64u); // outstanding plans survive clear()
+    EXPECT_EQ(p1->plan().n(), 64u); // outstanding entries survive clear()
 }
 
 TEST(PlanCache, TwiddleBytesAccountShoupAndTwistTables)
@@ -239,23 +258,19 @@ TEST(PlanCache, TwiddleBytesAccountShoupAndTwistTables)
     const auto& prime = testBasis().prime(0);
     EXPECT_EQ(cache.twiddleBytes(), 0u);
 
-    auto plan = cache.get(prime, 64);
-    // The plan's own accounting already includes the Shoup companions
-    // (8 arrays of n/2 words); the cache must report exactly that.
-    EXPECT_EQ(cache.twiddleBytes(), plan->twiddleBytes());
-    EXPECT_EQ(plan->twiddleBytes(), 8u * 32 * sizeof(uint64_t));
-
     auto tables = cache.getNegacyclic(prime, 64);
-    // Negacyclic entries add their psi tables + companions (4 split
-    // vectors of n elements) on top of the shared cyclic plan.
-    EXPECT_EQ(cache.twiddleBytes(),
-              plan->twiddleBytes() + tables->tableBytes());
+    // The plan's own accounting already includes the Shoup companions
+    // (8 arrays of n/2 words); the entry adds its psi tables and their
+    // companions (4 split vectors of n elements).
+    EXPECT_EQ(tables->plan().twiddleBytes(), 8u * 32 * sizeof(uint64_t));
     EXPECT_EQ(tables->tableBytes(), 4u * 2 * 64 * sizeof(uint64_t));
+    EXPECT_EQ(cache.twiddleBytes(),
+              tables->plan().twiddleBytes() + tables->tableBytes());
 
-    auto plan2 = cache.get(prime, 128);
-    EXPECT_EQ(cache.twiddleBytes(), plan->twiddleBytes() +
-                                        tables->tableBytes() +
-                                        plan2->twiddleBytes());
+    auto tables2 = cache.getNegacyclic(prime, 128);
+    EXPECT_EQ(cache.twiddleBytes(),
+              tables->plan().twiddleBytes() + tables->tableBytes() +
+                  tables2->plan().twiddleBytes() + tables2->tableBytes());
     cache.clear();
     EXPECT_EQ(cache.twiddleBytes(), 0u);
 }
@@ -268,20 +283,18 @@ TEST(PlanCache, EnginePolymulHitsCacheOnRepeat)
     auto b = rns::randomPolynomial(basis, 64, 2);
     auto first = eng.polymulNegacyclic(a, b);
     EXPECT_EQ(eng.planCache().misses(), basis.size());
+    EXPECT_EQ(eng.planCache().stats().builds, basis.size());
     // Same tables, same bits.
     expectIdentical(eng.polymulNegacyclic(a, b), first);
     EXPECT_EQ(eng.planCache().misses(), basis.size());
     EXPECT_EQ(eng.planCache().hits(), basis.size());
-    // Each channel caches its cyclic plan AND the negacyclic tables
-    // built on it; size() reports both maps.
-    EXPECT_EQ(eng.planCache().planCount(), basis.size());
-    EXPECT_EQ(eng.planCache().negacyclicCount(), basis.size());
-    EXPECT_EQ(eng.planCache().size(), 2 * basis.size());
+    // One entry per channel, its cyclic plan included.
+    EXPECT_EQ(eng.planCache().size(), basis.size());
 
     // A different length caches its own tables; conversions share them.
     auto c = rns::randomPolynomial(basis, 32, 3);
     expectIdentical(eng.toCoeff(eng.toEval(c)), c);
-    EXPECT_EQ(eng.planCache().negacyclicCount(), 2 * basis.size());
+    EXPECT_EQ(eng.planCache().size(), 2 * basis.size());
 }
 
 TEST(EngineParallel, ThreadedMatchesSerialOnAllBackends)
@@ -330,8 +343,7 @@ TEST(EngineParallelLargeN, ThreadedPolymulRoundTripAt65536)
     // arrays of n/2 words, and the cache holds nothing beyond those
     // plus each channel's negacyclic psi tables.
     const size_t k = basis.size();
-    EXPECT_EQ(eng.planCache().negacyclicCount(), k);
-    EXPECT_EQ(eng.planCache().planCount(), k);
+    EXPECT_EQ(eng.planCache().size(), k);
     auto tables = eng.planCache().getNegacyclic(basis.prime(0), n);
     EXPECT_TRUE(ntt::batchSupported(tables->plan()));
     EXPECT_EQ(tables->plan().twiddleBytes(), 8 * (n / 2) * sizeof(uint64_t));

@@ -379,10 +379,10 @@ TEST(ReferenceConvolution, IntoVariantMatchesAndReusesScratch)
 TEST(WorkspacePool, LeasesReturnAndRebindWithoutReallocating)
 {
     const size_t n = 32;
-    auto tables_a = std::make_shared<const ntt::NegacyclicTables>(
-        std::make_shared<const ntt::NttPlan>(testBasis().prime(0), n));
-    auto tables_b = std::make_shared<const ntt::NegacyclicTables>(
-        std::make_shared<const ntt::NttPlan>(testBasis().prime(1), n));
+    auto tables_a =
+        std::make_shared<const ntt::NegacyclicTables>(testBasis().prime(0), n);
+    auto tables_b =
+        std::make_shared<const ntt::NegacyclicTables>(testBasis().prime(1), n);
 
     ntt::NegacyclicWorkspacePool pool;
     EXPECT_EQ(pool.idleCount(), 0u);

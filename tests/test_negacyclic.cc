@@ -105,8 +105,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, NegacyclicBackend,
 std::shared_ptr<const ntt::NegacyclicTables>
 tablesFor(size_t n)
 {
-    return std::make_shared<const ntt::NegacyclicTables>(
-        std::make_shared<const ntt::NttPlan>(testPrime(), n));
+    return std::make_shared<const ntt::NegacyclicTables>(testPrime(), n);
 }
 
 /** Oracle forward: x[i] * psi^i by Modulus::mul, then ntt::forward. */
@@ -172,7 +171,7 @@ TEST(NegacyclicTables, ShoupCompanionsMatchOracle)
     const std::pair<ntt::NttPrime, size_t> cases[] = {
         {testPrime(), 256}, {ntt::defaultBenchPrime(), 4096}};
     for (const auto& [prime, n] : cases) {
-        ntt::NegacyclicTables t(std::make_shared<const ntt::NttPlan>(prime, n));
+        ntt::NegacyclicTables t(prime, n);
         const mod::DW<uint64_t> q = mod::toDw(prime.q);
         for (size_t k = 0; k < n; ++k) {
             EXPECT_EQ(t.forwardTwiddlesShoup().at(k),

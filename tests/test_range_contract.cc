@@ -344,10 +344,9 @@ checkedNegacyclicInverse(const Tables& t, DConstSpan in, DSpan out)
 void
 expectCheckedNegacyclic(const ntt::NttPrime& prime, size_t n, uint64_t seed)
 {
-    auto plan = std::make_shared<const ntt::NttPlan>(prime, n);
-    auto t = std::make_shared<const Tables>(plan);
+    auto t = std::make_shared<const Tables>(prime, n);
     ntt::NegacyclicEngine engine(t, Backend::Scalar);
-    auto in = randomResidues(n, plan->modulus().value(), seed);
+    auto in = randomResidues(n, t->plan().modulus().value(), seed);
     ResidueVector vin = ResidueVector::fromU128(in);
     ResidueVector want(n), checked(n), unchecked(n);
 

@@ -13,7 +13,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <functional>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -513,6 +517,51 @@ TEST(EngineCancel, ExpiredDeadlineSurfacesDeadlineExceeded)
     EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
 }
 
+TEST(EngineCancel, ConversionsHonorDeadlineWhileWaitingForALease)
+{
+    // One workspace, held by the test and released after 1 s: a
+    // conversion with a 20 ms deadline must give up on the lease wait
+    // at its deadline, not when the lease comes back.
+    const rns::RnsBasis& basis = testBasis();
+    const size_t n = 64;
+    engine::EngineOptions opts;
+    opts.threads = 1;
+    opts.max_workspaces = 1;
+    engine::Engine eng(std::move(opts));
+    auto a = rns::randomPolynomial(basis, n, 63);
+    const auto a_eval = eng.toEval(a);
+    auto held = eng.workspacePool().acquire(
+        eng.planCache().getNegacyclic(basis.prime(0), n), eng.backend());
+    const auto t0 = std::chrono::steady_clock::now();
+    std::jthread releaser([lease = std::move(held)]() mutable {
+        std::this_thread::sleep_for(std::chrono::seconds(1));
+    });
+    auto expectDeadline = [&](auto op) {
+        robust::CancelToken token =
+            robust::CancelToken::withDeadlineNs(20'000'000);
+        try {
+            op(token);
+            ADD_FAILURE() << "lease wait beat a 20ms deadline";
+        } catch (const robust::StatusError& e) {
+            EXPECT_EQ(e.status().code(),
+                      robust::StatusCode::DeadlineExceeded);
+        }
+        EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                  std::chrono::milliseconds(500));
+    };
+    rns::RnsPolynomial eval(basis, n, rns::Form::Eval);
+    expectDeadline([&](const robust::CancelToken& token) {
+        eng.toEvalInto(a, eval, &token);
+    });
+    rns::RnsPolynomial coeff(basis, n);
+    expectDeadline([&](const robust::CancelToken& token) {
+        eng.toCoeffInto(a_eval, coeff, &token);
+    });
+    releaser.join();
+    EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
+    expectIdentical(eng.toCoeff(a_eval), a);
+}
+
 // ---------------------------------------------------------------------------
 // Workspace lease accounting.
 // ---------------------------------------------------------------------------
@@ -600,23 +649,65 @@ TEST(FaultInjection, PlantedFlipIsDetectedAndRepairedBitIdentically)
     MQX_REQUIRE_INJECTION();
     const rns::RnsBasis& basis = testBasis();
     const size_t n = 64;
-    auto a = rns::randomPolynomial(basis, n, 81);
-    auto b = rns::randomPolynomial(basis, n, 82);
-    engine::Engine serial(bestBackend(), 1);
-    const auto expected = serial.polymulNegacyclic(a, b);
+    const size_t il = ntt::batchInterleave(bestBackend());
+    std::vector<rns::RnsPolynomial> operands;
+    for (uint64_t i = 0; i < 2 * il; ++i)
+        operands.push_back(rns::randomPolynomial(basis, n, 81 + i));
+    const rns::RnsPolynomial& a = operands[0];
+    const rns::RnsPolynomial& b = operands[1];
+    std::vector<std::pair<const rns::RnsPolynomial*,
+                          const rns::RnsPolynomial*>>
+        tile;
+    for (size_t i = 0; i < il; ++i)
+        tile.emplace_back(&operands[2 * i], &operands[2 * i + 1]);
+    const decltype(tile) pair{tile[0], tile[1]};
 
-    // Sampled policy with period 1: this op is sampled, the flip is
-    // caught by the Freivalds check, and the repair recomputes the
+    // Every checked op's data point, with its op. Sampled policy with
+    // period 1: each op is sampled, the flip is caught by the Freivalds
+    // check (the guard digest for add), and the repair recomputes the
     // corrupted channel with every fault point silenced.
-    auto eng = makeVerifyingEngine(robust::VerifyPolicy::Sample, 1, 1);
-    robust::FaultPlan plan(7);
-    plan.arm("rns.polymul.out",
-             {robust::FaultAction::FlipBit, 1.0, /*max_fires=*/1});
-    robust::ScopedFaultInjection scope(std::move(plan));
-    const auto c = eng.polymulNegacyclic(a, b);
-    EXPECT_EQ(scope.stats("rns.polymul.out").fires, 1u);
-    expectIdentical(c, expected); // repaired bit-identically
-    EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
+    using Op = std::function<std::vector<rns::RnsPolynomial>(engine::Engine&)>;
+    const std::vector<std::pair<const char*, Op>> cases{
+        {"rns.polymul.out",
+         [&](engine::Engine& e) {
+             return std::vector<rns::RnsPolynomial>{
+                 e.polymulNegacyclic(a, b)};
+         }},
+        {"rns.fma.out",
+         [&](engine::Engine& e) {
+             return std::vector<rns::RnsPolynomial>{e.fmaBatch(pair)};
+         }},
+        {"rns.fma.out",
+         [&](engine::Engine& e) {
+             return std::vector<rns::RnsPolynomial>{e.fmaBatch(tile)};
+         }},
+        {"rns.add.out",
+         [&](engine::Engine& e) {
+             return std::vector<rns::RnsPolynomial>{e.add(a, b)};
+         }},
+        {"rns.batch.out",
+         [&](engine::Engine& e) { return e.polymulNegacyclicBatch(tile); }},
+    };
+    engine::Engine serial(bestBackend(), 1);
+    auto& repairs = telemetry::counter("robust.repairs");
+    for (size_t c = 0; c < cases.size(); ++c) {
+        const auto& [point, op] = cases[c];
+        SCOPED_TRACE(std::string(point) + " case " + std::to_string(c));
+        const auto expected = op(serial);
+        auto eng = makeVerifyingEngine(robust::VerifyPolicy::Sample, 1, 1,
+                                       /*guard_digest=*/true);
+        robust::FaultPlan plan(7);
+        plan.arm(point, {robust::FaultAction::FlipBit, 1.0, /*max_fires=*/1});
+        robust::ScopedFaultInjection scope(std::move(plan));
+        const uint64_t repairs_before = repairs.value();
+        const auto got = op(eng);
+        EXPECT_EQ(scope.stats(point).fires, 1u);
+        EXPECT_EQ(repairs.value(), repairs_before + 1);
+        ASSERT_EQ(got.size(), expected.size());
+        for (size_t p = 0; p < got.size(); ++p)
+            expectIdentical(got[p], expected[p]); // repaired bit-identically
+        EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
+    }
 }
 
 TEST(FaultInjection, RepairIsIsolatedFromArmedPointsAndEnginePool)
@@ -701,25 +792,34 @@ TEST(FaultInjection, BatchKernelFailureFallsBackBitIdentically)
     for (size_t i = 0; i < 2 * il; ++i)
         products.emplace_back(&operands[2 * i], &operands[2 * i + 1]);
 
+    // Both batched ops: two of the polymul batch's tiles, or two of the
+    // fma's channels, fail their first packed forward and are redone
+    // per product.
     engine::Engine serial(bestBackend(), 1);
-    std::vector<rns::RnsPolynomial> expected;
-    for (const auto& [pa, pb] : products)
-        expected.push_back(serial.polymulNegacyclic(*pa, *pb));
-
-    robust::FaultPlan plan(11);
-    plan.arm("rns.batch.pack",
-             {robust::FaultAction::Throw, 1.0, /*max_fires=*/2});
-    robust::ScopedFaultInjection scope(std::move(plan));
-    const uint64_t fallbacks_before =
-        telemetry::counter("robust.batch_fallbacks").value();
-    auto results = eng.polymulNegacyclicBatch(products);
-    EXPECT_EQ(scope.stats("rns.batch.pack").fires, 2u);
-    EXPECT_GE(telemetry::counter("robust.batch_fallbacks").value(),
-              fallbacks_before + 2);
-    ASSERT_EQ(results.size(), expected.size());
-    for (size_t p = 0; p < results.size(); ++p)
-        expectIdentical(results[p], expected[p]);
-    EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
+    using Op = std::function<std::vector<rns::RnsPolynomial>(engine::Engine&)>;
+    const Op ops[] = {
+        [&](engine::Engine& e) { return e.polymulNegacyclicBatch(products); },
+        [&](engine::Engine& e) {
+            return std::vector<rns::RnsPolynomial>{e.fmaBatch(products)};
+        },
+    };
+    for (const Op& op : ops) {
+        const auto expected = op(serial);
+        robust::FaultPlan plan(11);
+        plan.arm("rns.batch.pack",
+                 {robust::FaultAction::Throw, 1.0, /*max_fires=*/2});
+        robust::ScopedFaultInjection scope(std::move(plan));
+        const uint64_t fallbacks_before =
+            telemetry::counter("robust.batch_fallbacks").value();
+        const auto results = op(eng);
+        EXPECT_EQ(scope.stats("rns.batch.pack").fires, 2u);
+        EXPECT_EQ(telemetry::counter("robust.batch_fallbacks").value(),
+                  fallbacks_before + 2);
+        ASSERT_EQ(results.size(), expected.size());
+        for (size_t p = 0; p < results.size(); ++p)
+            expectIdentical(results[p], expected[p]);
+        EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
+    }
 }
 
 TEST(FaultInjection, PlanCacheBuildFailureIsNotCached)

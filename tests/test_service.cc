@@ -453,8 +453,7 @@ std::shared_ptr<const ntt::NegacyclicTables>
 poolTables()
 {
     static auto tables = std::make_shared<const ntt::NegacyclicTables>(
-        std::make_shared<const ntt::NttPlan>(ntt::findNttPrime(40, 8),
-                                             64));
+        ntt::findNttPrime(40, 8), 64);
     return tables;
 }
 
