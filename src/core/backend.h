@@ -57,8 +57,8 @@ enum class Reduction
  *
  * Radix4 (default) fuses two consecutive radix-2 stages into one pass:
  * each pass loads the pair of stages' operands once, applies both
- * butterfly layers in registers (Shoup-lazy arithmetic, transients
- * bounded by the same [0, 2q)/4q contract as the radix-2 path), and
+ * butterfly layers in registers (Shoup-lazy arithmetic, the same
+ * [0, 4q) forward / [0, 2q) inverse contract as the radix-2 path), and
  * stores once — ceil(logn/2) ping-pong sweeps instead of logn, plus a
  * single radix-2 pass when logn is odd. Outputs are bit-identical to
  * Radix2.
@@ -69,12 +69,12 @@ enum class Reduction
  * always runs the radix-2 stage loop regardless of this knob.
  *
  * Auto (the public-API default) resolves to the measured-fastest shape
- * for the (backend, n) pair via ntt::resolveStageFusion():
- * BENCH_ntt.json (AMD EPYC) shows fusion is a pure win on Scalar
- * (1.04-1.16x at every n) and a loss on Portable, AVX2 and AVX-512 at
- * every n in 256..65536 (0.83-0.98x): the extra shuffle work of the
- * fused bodies outweighs the saved sweeps. MQX keeps its earlier rule
- * (radix-4 from n = 65536, measured on a Xeon).
+ * for the (backend, n) pair via ntt::resolveStageFusion(): the
+ * committed BENCH_ntt.json (Intel Xeon) has fusion winning on Scalar
+ * and AVX2 at every n and on AVX-512 from n = 16384; Portable fuses
+ * from n = 32768 and MQX from n = 65536. This covers the cyclic transforms
+ * and the merged negacyclic per-channel ones (one kernel body); the
+ * batch kernels are radix-2.
  * Backends never see Auto — the dispatcher resolves it first.
  */
 enum class StageFusion

@@ -11,17 +11,19 @@
  *         = psi^-k * INTT( NTT(psi^i f_i) .* NTT(psi^j g_j) )[k],
  *
  * but no twist pass runs: psi is merged into the Pease stage twiddles
- * (Longa-Naehrig 2016; Seiler 2018). The forward transform is a Harvey
- * Cooley-Tukey butterfly on the cyclic forward's wiring (read j and
- * j + n/2, write 2j and 2j + 1) and splits x^n + 1 level by level:
- * stage s, butterfly j reduces modulo x^(n/2^(s+1)) -+ zeta with zeta =
- * psi^brev(2^s + (j mod 2^s)). The inverse runs the Gentleman-Sande
- * butterfly on the cyclic inverse's wiring with the inverted twiddles
- * and folds n^-1 into its last stage. So a product costs two forwards,
- * one point-wise multiply and one inverse — no separate twist, untwist
- * or n^-1 pass — and its outputs are word-identical to the twisted
- * cyclic pipeline (same bit-reversed evaluation order, canonical
- * words). Requires 2n | q - 1 (one extra factor of two of 2-adicity).
+ * (Longa-Naehrig 2016; Seiler 2018). The transform is the cyclic one's
+ * kernel body (ntt/pease_impl.h) on other tables: the same Harvey
+ * Cooley-Tukey forward (read j and j + n/2, write 2j and 2j + 1) splits
+ * x^n + 1 instead of x^n - 1 level by level — stage s, butterfly j
+ * reduces modulo x^(n/2^(s+1)) -+ zeta with zeta = psi^brev(2^s + (j
+ * mod 2^s)) — and the same Gentleman-Sande inverse runs on the inverted
+ * twiddles with n^-1 folded into its last stage. So a product costs two
+ * forwards, one point-wise multiply and one inverse — no separate
+ * twist, untwist or n^-1 pass — and its outputs are word-identical to
+ * the twisted cyclic pipeline (same bit-reversed evaluation order,
+ * canonical words). Per-channel transforms take the cyclic transforms'
+ * stage fusion (ntt::resolveStageFusion); the batch kernels are
+ * radix-2. Requires 2n | q - 1 (one extra factor of two of 2-adicity).
  *
  * Data layout: the staged primitives are span-based and SoA-native —
  * they consume and produce split hi/lo views (core/residue_span.h)

@@ -9,7 +9,6 @@
 #include "core/batch_layout.h"
 #include "core/config.h"
 #include "ntt/negacyclic.h"
-#include "ntt/negacyclic_backends.h"
 #include "ntt/ntt_backends.h"
 #include "ntt/pease_impl.h"
 #include "telemetry/telemetry.h"
@@ -28,89 +27,82 @@ requireAvailable(Backend backend)
     }
 }
 
-/** One backend's merged negacyclic entry points (ntt/negacyclic.h). */
-struct NegacyclicKernels
+/**
+ * One tier's entry points into the Pease kernel body
+ * (ntt/ntt_backends.h): every cyclic and merged negacyclic transform of
+ * that backend goes through them.
+ */
+struct TierKernels
 {
-    decltype(&backends::negacyclicForwardScalar) forward;
-    decltype(&backends::negacyclicInverseScalar) inverse;
-    decltype(&backends::negacyclicForwardBatchScalar) forwardBatch;
-    decltype(&backends::negacyclicInverseBatchScalar) inverseBatch;
+    decltype(&backends::forwardScalar) forward;
+    decltype(&backends::inverseScalar) inverse;
+    decltype(&backends::forwardBatchScalar) forwardBatch;
+    decltype(&backends::inverseBatchScalar) inverseBatch;
 };
 
 #if MQX_BUILD_AVX512
-/** The Backend::Avx512 entry points: one tier body, two multiplies. */
-struct Avx512Tier
+/** Backend::Avx512: one tier body, IFMA multiplies where CPUID has them. */
+const TierKernels&
+avx512Kernels()
 {
-    decltype(&backends::forwardAvx512) forward;
-    decltype(&backends::inverseAvx512) inverse;
-    NegacyclicKernels negacyclic;
-};
-
-const Avx512Tier&
-avx512Tier()
-{
-    static const Avx512Tier tier = [] {
+    static const TierKernels tier = [] {
 #if MQX_BUILD_AVX512_IFMA
         if (avx512Ifma())
-            return Avx512Tier{&backends::forwardAvx512Ifma,
-                              &backends::inverseAvx512Ifma,
-                              {&backends::negacyclicForwardAvx512Ifma,
-                               &backends::negacyclicInverseAvx512Ifma,
-                               &backends::negacyclicForwardBatchAvx512Ifma,
-                               &backends::negacyclicInverseBatchAvx512Ifma}};
+            return TierKernels{&backends::forwardAvx512Ifma,
+                               &backends::inverseAvx512Ifma,
+                               &backends::forwardBatchAvx512Ifma,
+                               &backends::inverseBatchAvx512Ifma};
 #endif
-        return Avx512Tier{&backends::forwardAvx512,
-                          &backends::inverseAvx512,
-                          {&backends::negacyclicForwardAvx512,
-                           &backends::negacyclicInverseAvx512,
-                           &backends::negacyclicForwardBatchAvx512,
-                           &backends::negacyclicInverseBatchAvx512}};
+        return TierKernels{&backends::forwardAvx512, &backends::inverseAvx512,
+                           &backends::forwardBatchAvx512,
+                           &backends::inverseBatchAvx512};
     }();
     return tier;
 }
 
-/** The MQX entry points for one mode, as captureless forwarders. */
+/** The MQX entry points for one mode and the full feature set, as
+ *  captureless forwarders. */
 template <bool kPisa>
-const NegacyclicKernels&
-mqxNegacyclic()
+const TierKernels&
+mqxKernels()
 {
-    static const NegacyclicKernels k{
-        [](const NegacyclicTables& t, DConstSpan in, DSpan out,
-           DSpan scratch) {
-            backends::negacyclicForwardMqx(kPisa, t, in, out, scratch);
+    static const TierKernels k{
+        [](const NttPlan& plan, const detail::PeaseTwiddles& tw,
+           DConstSpan in, DSpan out, DSpan scratch,
+           detail::PeaseShape shape) {
+            backends::forwardMqxImpl(kPisa, MqxVariant::Full, plan, tw, in,
+                                     out, scratch, shape);
         },
-        [](const NegacyclicTables& t, DConstSpan in, DSpan out,
-           DSpan scratch) {
-            backends::negacyclicInverseMqx(kPisa, t, in, out, scratch);
+        [](const NttPlan& plan, const detail::PeaseTwiddles& tw,
+           DConstSpan in, DSpan out, DSpan scratch,
+           detail::PeaseShape shape) {
+            backends::inverseMqxImpl(kPisa, MqxVariant::Full, plan, tw, in,
+                                     out, scratch, shape);
         },
-        [](const NegacyclicTables& t, size_t il, DConstSpan in, DSpan out,
-           DSpan scratch) {
-            backends::negacyclicForwardBatchMqx(kPisa, t, il, in, out,
-                                                scratch);
+        [](const NttPlan& plan, const detail::PeaseTwiddles& tw, size_t il,
+           DConstSpan in, DSpan out, DSpan scratch) {
+            backends::forwardBatchMqxImpl(kPisa, plan, tw, il, in, out,
+                                          scratch);
         },
-        [](const NegacyclicTables& t, size_t il, DConstSpan in, DSpan out,
-           DSpan scratch) {
-            backends::negacyclicInverseBatchMqx(kPisa, t, il, in, out,
-                                                scratch);
+        [](const NttPlan& plan, const detail::PeaseTwiddles& tw, size_t il,
+           DConstSpan in, DSpan out, DSpan scratch) {
+            backends::inverseBatchMqxImpl(kPisa, plan, tw, il, in, out,
+                                          scratch);
         }};
     return k;
 }
 #endif
 
-const NegacyclicKernels&
-negacyclicKernels(Backend backend)
+const TierKernels&
+tierKernels(Backend backend)
 {
     requireAvailable(backend);
-    static const NegacyclicKernels scalar{
-        &backends::negacyclicForwardScalar,
-        &backends::negacyclicInverseScalar,
-        &backends::negacyclicForwardBatchScalar,
-        &backends::negacyclicInverseBatchScalar};
-    static const NegacyclicKernels portable{
-        &backends::negacyclicForwardPortable,
-        &backends::negacyclicInversePortable,
-        &backends::negacyclicForwardBatchPortable,
-        &backends::negacyclicInverseBatchPortable};
+    static const TierKernels scalar{
+        &backends::forwardScalar, &backends::inverseScalar,
+        &backends::forwardBatchScalar, &backends::inverseBatchScalar};
+    static const TierKernels portable{
+        &backends::forwardPortable, &backends::inversePortable,
+        &backends::forwardBatchPortable, &backends::inverseBatchPortable};
     switch (backend) {
       case Backend::Scalar:
         return scalar;
@@ -118,11 +110,9 @@ negacyclicKernels(Backend backend)
         return portable;
       case Backend::Avx2: {
 #if MQX_BUILD_AVX2
-        static const NegacyclicKernels avx2{
-            &backends::negacyclicForwardAvx2,
-            &backends::negacyclicInverseAvx2,
-            &backends::negacyclicForwardBatchAvx2,
-            &backends::negacyclicInverseBatchAvx2};
+        static const TierKernels avx2{
+            &backends::forwardAvx2, &backends::inverseAvx2,
+            &backends::forwardBatchAvx2, &backends::inverseBatchAvx2};
         return avx2;
 #else
         break;
@@ -130,25 +120,33 @@ negacyclicKernels(Backend backend)
       }
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        return avx512Tier().negacyclic;
+        return avx512Kernels();
 #else
         break;
 #endif
       case Backend::MqxEmulate:
 #if MQX_BUILD_AVX512
-        return mqxNegacyclic<false>();
+        return mqxKernels<false>();
 #else
         break;
 #endif
       case Backend::MqxPisa:
 #if MQX_BUILD_AVX512
-        return mqxNegacyclic<true>();
+        return mqxKernels<true>();
 #else
         break;
 #endif
     }
     throw BackendUnavailable("NTT backend not compiled in: " +
                              backendName(backend));
+}
+
+/** The shape a public transform runs: fusion resolved per (backend, n). */
+detail::PeaseShape
+shapeFor(Backend backend, size_t n, MulAlgo algo, Reduction red,
+         StageFusion fusion)
+{
+    return {algo, red, resolveStageFusion(backend, n, fusion)};
 }
 
 } // namespace
@@ -158,19 +156,30 @@ resolveStageFusion(Backend backend, size_t n, StageFusion fusion)
 {
     if (fusion != StageFusion::Auto)
         return fusion;
-    // BENCH_ntt.json on an AMD EPYC: Scalar fused_speedup is 1.04-1.16x
-    // at every measured n, so it always fuses. Portable (0.88-0.91x),
-    // AVX2 (0.83-0.86x) and AVX-512 (0.86-0.98x) lose at every n in
-    // 256..65536: the fused bodies' shuffles cost more than the sweeps
-    // they save. The MQX tiers keep the earlier rule (radix-2 below
-    // n = 65536, radix-4 from there; Xeon @ 2.10GHz), which the EPYC
-    // data does not cover.
-    if (backend == Backend::Scalar)
+    // BENCH_ntt.json on an Intel Xeon (AVX-512 IFMA); medians of
+    // radix4/radix2 over nine runs, each interleaving the two shapes
+    // per iteration. Scalar (0.84-0.87) and AVX2 (0.96-0.99) fuse at
+    // every n in 256..65536. Portable breaks even everywhere (1.00-1.03
+    // up to 16384, 0.99 from 32768) and fuses once the ping-pong
+    // buffers leave L2 (n >= 32768), where the halved sweeps count.
+    // AVX-512 breaks even up to n = 4096 (1.00-1.03) and fuses from
+    // 16384 on (0.98 at 16384, 0.97 at 32768, 0.94 at 65536). MQX is
+    // not in BENCH_ntt.json; an alternated fwd+inv run of the PISA
+    // proxy on the same host put radix4/radix2 at 1.10 for n = 1024,
+    // 0.99-1.01 for 4096-16384 and 0.87 for 65536.
+    switch (backend) {
+      case Backend::Scalar:
+      case Backend::Avx2:
         return StageFusion::Radix4;
-    if (backend != Backend::MqxEmulate && backend != Backend::MqxPisa)
-        return StageFusion::Radix2;
-    constexpr size_t kMqxRadix4MinN = 65536;
-    return n >= kMqxRadix4MinN ? StageFusion::Radix4 : StageFusion::Radix2;
+      case Backend::Portable:
+        return n >= 32768 ? StageFusion::Radix4 : StageFusion::Radix2;
+      case Backend::Avx512:
+        return n >= 16384 ? StageFusion::Radix4 : StageFusion::Radix2;
+      case Backend::MqxEmulate:
+      case Backend::MqxPisa:
+        break;
+    }
+    return n >= 65536 ? StageFusion::Radix4 : StageFusion::Radix2;
 }
 
 void
@@ -178,48 +187,9 @@ forward(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
         DSpan scratch, MulAlgo algo, Reduction red, StageFusion fusion)
 {
     MQX_SCOPED_SPAN(ntt_span, "ntt.forward");
-    requireAvailable(backend);
-    fusion = resolveStageFusion(backend, plan.n(), fusion);
-    switch (backend) {
-      case Backend::Scalar:
-        backends::forwardScalar(plan, in, out, scratch, algo, red, fusion);
-        return;
-      case Backend::Portable:
-        backends::forwardPortable(plan, in, out, scratch, algo, red, fusion);
-        return;
-      case Backend::Avx2:
-#if MQX_BUILD_AVX2
-        backends::forwardAvx2(plan, in, out, scratch, algo, red, fusion);
-        return;
-#else
-        break;
-#endif
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        avx512Tier().forward(plan, in, out, scratch, algo, red, fusion);
-        return;
-#else
-        break;
-#endif
-      case Backend::MqxEmulate:
-#if MQX_BUILD_AVX512
-        backends::forwardMqxImpl(plan, MqxVariant::Full, false, in, out,
-                                 scratch, algo, red, fusion);
-        return;
-#else
-        break;
-#endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        backends::forwardMqxImpl(plan, MqxVariant::Full, true, in, out,
-                                 scratch, algo, red, fusion);
-        return;
-#else
-        break;
-#endif
-    }
-    throw BackendUnavailable("NTT backend not compiled in: " +
-                             backendName(backend));
+    tierKernels(backend).forward(plan, detail::forwardTwiddles(plan), in, out,
+                                 scratch,
+                                 shapeFor(backend, plan.n(), algo, red, fusion));
 }
 
 void
@@ -227,48 +197,9 @@ inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
         DSpan scratch, MulAlgo algo, Reduction red, StageFusion fusion)
 {
     MQX_SCOPED_SPAN(ntt_span, "ntt.inverse");
-    requireAvailable(backend);
-    fusion = resolveStageFusion(backend, plan.n(), fusion);
-    switch (backend) {
-      case Backend::Scalar:
-        backends::inverseScalar(plan, in, out, scratch, algo, red, fusion);
-        return;
-      case Backend::Portable:
-        backends::inversePortable(plan, in, out, scratch, algo, red, fusion);
-        return;
-      case Backend::Avx2:
-#if MQX_BUILD_AVX2
-        backends::inverseAvx2(plan, in, out, scratch, algo, red, fusion);
-        return;
-#else
-        break;
-#endif
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        avx512Tier().inverse(plan, in, out, scratch, algo, red, fusion);
-        return;
-#else
-        break;
-#endif
-      case Backend::MqxEmulate:
-#if MQX_BUILD_AVX512
-        backends::inverseMqxImpl(plan, MqxVariant::Full, false, in, out,
-                                 scratch, algo, red, fusion);
-        return;
-#else
-        break;
-#endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        backends::inverseMqxImpl(plan, MqxVariant::Full, true, in, out,
-                                 scratch, algo, red, fusion);
-        return;
-#else
-        break;
-#endif
-    }
-    throw BackendUnavailable("NTT backend not compiled in: " +
-                             backendName(backend));
+    tierKernels(backend).inverse(plan, detail::inverseTwiddles(plan), in, out,
+                                 scratch,
+                                 shapeFor(backend, plan.n(), algo, red, fusion));
 }
 
 void
@@ -277,21 +208,14 @@ forwardMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
            StageFusion fusion)
 {
     requireAvailable(Backend::MqxEmulate);
-    fusion = resolveStageFusion(pisa ? Backend::MqxPisa : Backend::MqxEmulate,
-                                plan.n(), fusion);
 #if MQX_BUILD_AVX512
-    backends::forwardMqxImpl(plan, variant, pisa, in, out, scratch, algo,
-                             red, fusion);
+    backends::forwardMqxImpl(
+        pisa, variant, plan, detail::forwardTwiddles(plan), in, out, scratch,
+        shapeFor(pisa ? Backend::MqxPisa : Backend::MqxEmulate, plan.n(), algo,
+                 red, fusion));
 #else
-    (void)plan;
-    (void)variant;
-    (void)pisa;
-    (void)in;
-    (void)out;
-    (void)scratch;
-    (void)algo;
-    (void)red;
-    (void)fusion;
+    (void)plan, (void)variant, (void)pisa, (void)in, (void)out;
+    (void)scratch, (void)algo, (void)red, (void)fusion;
     throw BackendUnavailable("MQX backend not compiled in");
 #endif
 }
@@ -302,21 +226,14 @@ inverseMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
            StageFusion fusion)
 {
     requireAvailable(Backend::MqxEmulate);
-    fusion = resolveStageFusion(pisa ? Backend::MqxPisa : Backend::MqxEmulate,
-                                plan.n(), fusion);
 #if MQX_BUILD_AVX512
-    backends::inverseMqxImpl(plan, variant, pisa, in, out, scratch, algo,
-                             red, fusion);
+    backends::inverseMqxImpl(
+        pisa, variant, plan, detail::inverseTwiddles(plan), in, out, scratch,
+        shapeFor(pisa ? Backend::MqxPisa : Backend::MqxEmulate, plan.n(), algo,
+                 red, fusion));
 #else
-    (void)plan;
-    (void)variant;
-    (void)pisa;
-    (void)in;
-    (void)out;
-    (void)scratch;
-    (void)algo;
-    (void)red;
-    (void)fusion;
+    (void)plan, (void)variant, (void)pisa, (void)in, (void)out;
+    (void)scratch, (void)algo, (void)red, (void)fusion;
     throw BackendUnavailable("MQX backend not compiled in");
 #endif
 }
@@ -426,14 +343,22 @@ void
 negacyclicForward(const NegacyclicTables& tables, Backend backend,
                   DConstSpan in, DSpan out, DSpan scratch)
 {
-    negacyclicKernels(backend).forward(tables, in, out, scratch);
+    const NttPlan& plan = tables.plan();
+    tierKernels(backend).forward(
+        plan, detail::forwardTwiddles(tables), in, out, scratch,
+        shapeFor(backend, plan.n(), MulAlgo::Schoolbook, Reduction::ShoupLazy,
+                 StageFusion::Auto));
 }
 
 void
 negacyclicInverse(const NegacyclicTables& tables, Backend backend,
                   DConstSpan in, DSpan out, DSpan scratch)
 {
-    negacyclicKernels(backend).inverse(tables, in, out, scratch);
+    const NttPlan& plan = tables.plan();
+    tierKernels(backend).inverse(
+        plan, detail::inverseTwiddles(tables), in, out, scratch,
+        shapeFor(backend, plan.n(), MulAlgo::Schoolbook, Reduction::ShoupLazy,
+                 StageFusion::Auto));
 }
 
 void
@@ -441,11 +366,12 @@ negacyclicForwardBatch(const NegacyclicTables& tables, Backend backend,
                        size_t il, DConstSpan in, DSpan out, DSpan scratch)
 {
     MQX_SCOPED_SPAN(ntt_span, "negacyclic.forward_batch");
-    const NegacyclicKernels& k = negacyclicKernels(backend);
+    const TierKernels& k = tierKernels(backend);
     checkArg(batchSupported(tables.plan()),
              "negacyclicForwardBatch: plan too small (n < 16)");
     noteBatchSweep(tables.plan(), il);
-    k.forwardBatch(tables, il, in, out, scratch);
+    k.forwardBatch(tables.plan(), detail::forwardTwiddles(tables), il, in,
+                   out, scratch);
 }
 
 void
@@ -453,11 +379,12 @@ negacyclicInverseBatch(const NegacyclicTables& tables, Backend backend,
                        size_t il, DConstSpan in, DSpan out, DSpan scratch)
 {
     MQX_SCOPED_SPAN(ntt_span, "negacyclic.inverse_batch");
-    const NegacyclicKernels& k = negacyclicKernels(backend);
+    const TierKernels& k = tierKernels(backend);
     checkArg(batchSupported(tables.plan()),
              "negacyclicInverseBatch: plan too small (n < 16)");
     noteBatchSweep(tables.plan(), il);
-    k.inverseBatch(tables, il, in, out, scratch);
+    k.inverseBatch(tables.plan(), detail::inverseTwiddles(tables), il, in,
+                   out, scratch);
 }
 
 Engine::Engine(const NttPlan& plan, Backend backend)

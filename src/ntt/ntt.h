@@ -50,10 +50,9 @@ void inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
 
 /**
  * Resolve StageFusion::Auto to a concrete shape for (backend, n), from
- * BENCH_ntt.json measurements (AMD EPYC): Scalar fuses everywhere
- * (fused_speedup 1.04-1.16x); Portable, AVX2 and AVX-512 never fuse
- * (0.83-0.98x at every n in 256..65536); the MQX tiers keep radix-2
- * below n = 65536 and fuse at and above it. Radix4/Radix2 requests pass
+ * the committed BENCH_ntt.json: Scalar and AVX2 fuse at every n,
+ * AVX-512 from n = 16384, Portable from n = 32768 and the MQX tiers
+ * from n = 65536. Radix4/Radix2 requests pass
  * through unchanged; the backend entry points never see Auto.
  */
 StageFusion resolveStageFusion(Backend backend, size_t n, StageFusion fusion);

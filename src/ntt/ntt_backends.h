@@ -1,45 +1,141 @@
 /**
  * @file
- * Internal per-backend NTT entry points. Each lives in a translation
- * unit compiled with the matching ISA flags; the public dispatcher in
- * ntt.cc routes to them. Not part of the public API.
+ * Internal per-backend entry points of the one Pease kernel body
+ * (ntt/pease_impl.h). Every tier compiles the same four entry points —
+ * per-channel forward and inverse in any PeaseShape, and the IL-lane
+ * batch forms — in a translation unit built with its ISA flags; the
+ * dispatcher in ntt.cc routes the cyclic transforms (NttPlan twiddles)
+ * and the merged negacyclic ones (NegacyclicTables twiddles) through
+ * one per-tier table of them. Not part of the public API.
  */
 #pragma once
 
 #include "core/backend.h"
+#include "ntt/negacyclic.h"
 #include "ntt/plan.h"
 
 namespace mqx {
 namespace ntt {
+namespace detail {
+
+/**
+ * One direction's twiddles as the Pease body reads them. Stage s,
+ * butterfly j multiplies by entry offset(s) + (j mod 2^s):
+ *
+ *  - offset(s) = 0 on the cyclic plan's n/2-entry tables, entry k =
+ *    omega^(+-brev(k));
+ *  - offset(s) = 2^s on the merged negacyclic n-entry tables, entry k =
+ *    psi^(+-brev(k)).
+ *
+ * The inverse's last stage (s = 0) multiplies its sum branch by
+ * last_sum and its difference branch by last_diff, so n^-1 costs no
+ * pass of its own: n^-1 and n^-1 on the cyclic plan, entries 0 and 1
+ * (n^-1 and psi^-(n/2) * n^-1) of the negacyclic inverse table.
+ */
+struct PeaseTwiddles
+{
+    DConstSpan w;  ///< twiddle values, canonical
+    DConstSpan wq; ///< their Shoup companions
+    bool per_level = false;
+    U128 last_sum{}, last_sum_q{}, last_diff{}, last_diff_q{};
+
+    size_t offset(int s) const { return per_level ? size_t{1} << s : 0; }
+};
+
+/** How one transform runs; fusion is already resolved (never Auto). */
+struct PeaseShape
+{
+    MulAlgo algo = MulAlgo::Schoolbook;
+    Reduction red = Reduction::ShoupLazy;
+    StageFusion fusion = StageFusion::Radix2;
+};
+
+inline PeaseTwiddles
+forwardTwiddles(const NttPlan& plan)
+{
+    return {plan.forwardTwiddles().span(),
+            plan.forwardTwiddlesShoup().span(), false};
+}
+
+inline PeaseTwiddles
+inverseTwiddles(const NttPlan& plan)
+{
+    return {plan.inverseTwiddles().span(), plan.inverseTwiddlesShoup().span(),
+            false,           plan.nInv(),
+            plan.nInvShoup(), plan.nInv(),
+            plan.nInvShoup()};
+}
+
+inline PeaseTwiddles
+forwardTwiddles(const NegacyclicTables& tables)
+{
+    return {tables.forwardTwiddles().span(),
+            tables.forwardTwiddlesShoup().span(), true};
+}
+
+inline PeaseTwiddles
+inverseTwiddles(const NegacyclicTables& tables)
+{
+    const ResidueVector& w = tables.inverseTwiddles();
+    const ResidueVector& wq = tables.inverseTwiddlesShoup();
+    return {w.span(), wq.span(), true,     w.at(0),
+            wq.at(0), w.at(1),   wq.at(1)};
+}
+
+} // namespace detail
+
 namespace backends {
 
-void forwardScalar(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
-                   Reduction, StageFusion);
-void inverseScalar(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
-                   Reduction, StageFusion);
+using detail::PeaseShape;
+using detail::PeaseTwiddles;
 
-void forwardPortable(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
-                     Reduction, StageFusion);
-void inversePortable(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
-                     Reduction, StageFusion);
+void forwardScalar(const NttPlan&, const PeaseTwiddles&, DConstSpan, DSpan,
+                   DSpan, PeaseShape);
+void inverseScalar(const NttPlan&, const PeaseTwiddles&, DConstSpan, DSpan,
+                   DSpan, PeaseShape);
+void forwardBatchScalar(const NttPlan&, const PeaseTwiddles&, size_t il,
+                        DConstSpan, DSpan, DSpan);
+void inverseBatchScalar(const NttPlan&, const PeaseTwiddles&, size_t il,
+                        DConstSpan, DSpan, DSpan);
 
-void forwardAvx2(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
-                 Reduction, StageFusion);
-void inverseAvx2(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
-                 Reduction, StageFusion);
+void forwardPortable(const NttPlan&, const PeaseTwiddles&, DConstSpan, DSpan,
+                     DSpan, PeaseShape);
+void inversePortable(const NttPlan&, const PeaseTwiddles&, DConstSpan, DSpan,
+                     DSpan, PeaseShape);
+void forwardBatchPortable(const NttPlan&, const PeaseTwiddles&, size_t il,
+                          DConstSpan, DSpan, DSpan);
+void inverseBatchPortable(const NttPlan&, const PeaseTwiddles&, size_t il,
+                          DConstSpan, DSpan, DSpan);
 
-void forwardAvx512(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
-                   Reduction, StageFusion);
-void inverseAvx512(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
-                   Reduction, StageFusion);
+void forwardAvx2(const NttPlan&, const PeaseTwiddles&, DConstSpan, DSpan,
+                 DSpan, PeaseShape);
+void inverseAvx2(const NttPlan&, const PeaseTwiddles&, DConstSpan, DSpan,
+                 DSpan, PeaseShape);
+void forwardBatchAvx2(const NttPlan&, const PeaseTwiddles&, size_t il,
+                      DConstSpan, DSpan, DSpan);
+void inverseBatchAvx2(const NttPlan&, const PeaseTwiddles&, size_t il,
+                      DConstSpan, DSpan, DSpan);
+
+void forwardAvx512(const NttPlan&, const PeaseTwiddles&, DConstSpan, DSpan,
+                   DSpan, PeaseShape);
+void inverseAvx512(const NttPlan&, const PeaseTwiddles&, DConstSpan, DSpan,
+                   DSpan, PeaseShape);
+void forwardBatchAvx512(const NttPlan&, const PeaseTwiddles&, size_t il,
+                        DConstSpan, DSpan, DSpan);
+void inverseBatchAvx512(const NttPlan&, const PeaseTwiddles&, size_t il,
+                        DConstSpan, DSpan, DSpan);
 
 // The same AVX-512 tier body built on IFMA 52-bit limbs
 // (ntt_avx512_ifma.cc, MQX_BUILD_AVX512_IFMA): word-identical to the
 // Avx512 entry points; ntt.cc picks it when mqx::avx512Ifma().
-void forwardAvx512Ifma(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
-                       Reduction, StageFusion);
-void inverseAvx512Ifma(const NttPlan&, DConstSpan, DSpan, DSpan, MulAlgo,
-                       Reduction, StageFusion);
+void forwardAvx512Ifma(const NttPlan&, const PeaseTwiddles&, DConstSpan,
+                       DSpan, DSpan, PeaseShape);
+void inverseAvx512Ifma(const NttPlan&, const PeaseTwiddles&, DConstSpan,
+                       DSpan, DSpan, PeaseShape);
+void forwardBatchAvx512Ifma(const NttPlan&, const PeaseTwiddles&, size_t il,
+                            DConstSpan, DSpan, DSpan);
+void inverseBatchAvx512Ifma(const NttPlan&, const PeaseTwiddles&, size_t il,
+                            DConstSpan, DSpan, DSpan);
 
 // Raw Shoup products left in [0, 2q) (no canonicalization), for the
 // word-level tests of each AVX-512 multiply against mod::mulModShoup.
@@ -48,10 +144,18 @@ void vmulShoupLazyAvx512(const Modulus&, DConstSpan, DConstSpan, DConstSpan,
 void vmulShoupLazyAvx512Ifma(const Modulus&, DConstSpan, DConstSpan,
                              DConstSpan, DSpan);
 
-void forwardMqxImpl(const NttPlan&, MqxVariant, bool pisa, DConstSpan, DSpan,
-                    DSpan, MulAlgo, Reduction, StageFusion);
-void inverseMqxImpl(const NttPlan&, MqxVariant, bool pisa, DConstSpan, DSpan,
-                    DSpan, MulAlgo, Reduction, StageFusion);
+// MQX: every Fig. 6 feature variant, in Table-2 emulation and PISA
+// proxy mode (pisa = true: timing-faithful, wrong words by design).
+void forwardMqxImpl(bool pisa, MqxVariant, const NttPlan&,
+                    const PeaseTwiddles&, DConstSpan, DSpan, DSpan,
+                    PeaseShape);
+void inverseMqxImpl(bool pisa, MqxVariant, const NttPlan&,
+                    const PeaseTwiddles&, DConstSpan, DSpan, DSpan,
+                    PeaseShape);
+void forwardBatchMqxImpl(bool pisa, const NttPlan&, const PeaseTwiddles&,
+                         size_t il, DConstSpan, DSpan, DSpan);
+void inverseBatchMqxImpl(bool pisa, const NttPlan&, const PeaseTwiddles&,
+                         size_t il, DConstSpan, DSpan, DSpan);
 
 } // namespace backends
 } // namespace ntt

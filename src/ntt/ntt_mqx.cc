@@ -1,9 +1,10 @@
 /**
  * @file
- * MQX instantiations of the Pease NTT: every Fig. 6 feature variant, in
- * both Table-2 emulation and PISA proxy modes, with both reduction
- * strategies (the Shoup-lazy path exercises the same adc/sbb/mulWide
- * policy ops, so the ablation stays apples-to-apples).
+ * MQX instantiations of the Pease kernel body: every Fig. 6 feature
+ * variant, in both Table-2 emulation and PISA proxy modes, in every
+ * PeaseShape (the Shoup-lazy path exercises the same adc/sbb/mulWide
+ * policy ops as Barrett, so the ablation stays apples-to-apples). The
+ * batch kernels serve the full feature set only.
  */
 #include "ntt/ntt_backends.h"
 
@@ -24,122 +25,80 @@ using mqxisa::kMqxPredicated;
 using mqxisa::MqxIsa;
 using mqxisa::MqxMode;
 
-template <class Isa>
+/** Run @p f with the MQX ISA policy for (pisa, variant) as its type. */
+template <class F>
 void
-forwardWithIsa(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch,
-               MulAlgo algo, Reduction red, StageFusion fusion)
+withVariant(bool pisa, MqxVariant variant, F&& f)
 {
-    if (red == Reduction::ShoupLazy) {
-        if (fusion == StageFusion::Radix4)
-            peaseForward4LazyImpl<Isa>(plan, in, out, scratch, algo);
-        else
-            peaseForwardLazyImpl<Isa>(plan, in, out, scratch, algo);
-    } else {
-        peaseForwardImpl<Isa>(plan, in, out, scratch, algo);
-    }
-}
-
-template <class Isa>
-void
-inverseWithIsa(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch,
-               MulAlgo algo, Reduction red, StageFusion fusion)
-{
-    if (red == Reduction::ShoupLazy) {
-        if (fusion == StageFusion::Radix4)
-            peaseInverse4LazyImpl<Isa>(plan, in, out, scratch, algo);
-        else
-            peaseInverseLazyImpl<Isa>(plan, in, out, scratch, algo);
-    } else {
-        peaseInverseImpl<Isa>(plan, in, out, scratch, algo);
-    }
-}
-
-template <MqxMode Mode>
-void
-forwardWithVariant(const NttPlan& plan, MqxVariant variant, DConstSpan in,
-                   DSpan out, DSpan scratch, MulAlgo algo, Reduction red,
-                   StageFusion fusion)
-{
-    switch (variant) {
-      case MqxVariant::MulOnly:
-        forwardWithIsa<MqxIsa<Mode, kMqxMulOnly>>(plan, in, out, scratch,
-                                                  algo, red, fusion);
-        break;
-      case MqxVariant::CarryOnly:
-        forwardWithIsa<MqxIsa<Mode, kMqxCarryOnly>>(plan, in, out, scratch,
-                                                    algo, red, fusion);
-        break;
-      case MqxVariant::Full:
-        forwardWithIsa<MqxIsa<Mode, kMqxFull>>(plan, in, out, scratch, algo,
-                                               red, fusion);
-        break;
-      case MqxVariant::MulhiCarry:
-        forwardWithIsa<MqxIsa<Mode, kMqxMulhi>>(plan, in, out, scratch, algo,
-                                                red, fusion);
-        break;
-      case MqxVariant::FullPredicated:
-        forwardWithIsa<MqxIsa<Mode, kMqxPredicated>>(plan, in, out, scratch,
-                                                     algo, red, fusion);
-        break;
-    }
-}
-
-template <MqxMode Mode>
-void
-inverseWithVariant(const NttPlan& plan, MqxVariant variant, DConstSpan in,
-                   DSpan out, DSpan scratch, MulAlgo algo, Reduction red,
-                   StageFusion fusion)
-{
-    switch (variant) {
-      case MqxVariant::MulOnly:
-        inverseWithIsa<MqxIsa<Mode, kMqxMulOnly>>(plan, in, out, scratch,
-                                                  algo, red, fusion);
-        break;
-      case MqxVariant::CarryOnly:
-        inverseWithIsa<MqxIsa<Mode, kMqxCarryOnly>>(plan, in, out, scratch,
-                                                    algo, red, fusion);
-        break;
-      case MqxVariant::Full:
-        inverseWithIsa<MqxIsa<Mode, kMqxFull>>(plan, in, out, scratch, algo,
-                                               red, fusion);
-        break;
-      case MqxVariant::MulhiCarry:
-        inverseWithIsa<MqxIsa<Mode, kMqxMulhi>>(plan, in, out, scratch, algo,
-                                                red, fusion);
-        break;
-      case MqxVariant::FullPredicated:
-        inverseWithIsa<MqxIsa<Mode, kMqxPredicated>>(plan, in, out, scratch,
-                                                     algo, red, fusion);
-        break;
-    }
+    auto run = [&]<MqxMode Mode>() {
+        switch (variant) {
+          case MqxVariant::MulOnly:
+            f(MqxIsa<Mode, kMqxMulOnly>{});
+            return;
+          case MqxVariant::CarryOnly:
+            f(MqxIsa<Mode, kMqxCarryOnly>{});
+            return;
+          case MqxVariant::Full:
+            f(MqxIsa<Mode, kMqxFull>{});
+            return;
+          case MqxVariant::MulhiCarry:
+            f(MqxIsa<Mode, kMqxMulhi>{});
+            return;
+          case MqxVariant::FullPredicated:
+            f(MqxIsa<Mode, kMqxPredicated>{});
+            return;
+        }
+    };
+    if (pisa)
+        run.template operator()<MqxMode::Pisa>();
+    else
+        run.template operator()<MqxMode::Emulate>();
 }
 
 } // namespace
 
 void
-forwardMqxImpl(const NttPlan& plan, MqxVariant variant, bool pisa,
-               DConstSpan in, DSpan out, DSpan scratch, MulAlgo algo,
-               Reduction red, StageFusion fusion)
+forwardMqxImpl(bool pisa, MqxVariant variant, const NttPlan& plan,
+               const PeaseTwiddles& tw, DConstSpan in, DSpan out,
+               DSpan scratch, PeaseShape shape)
 {
-    if (pisa)
-        forwardWithVariant<MqxMode::Pisa>(plan, variant, in, out, scratch,
-                                          algo, red, fusion);
-    else
-        forwardWithVariant<MqxMode::Emulate>(plan, variant, in, out, scratch,
-                                             algo, red, fusion);
+    withVariant(pisa, variant, [&]<class Isa>(Isa) {
+        forwardImpl<Isa>(plan, tw, in, out, scratch, shape);
+    });
 }
 
 void
-inverseMqxImpl(const NttPlan& plan, MqxVariant variant, bool pisa,
-               DConstSpan in, DSpan out, DSpan scratch, MulAlgo algo,
-               Reduction red, StageFusion fusion)
+inverseMqxImpl(bool pisa, MqxVariant variant, const NttPlan& plan,
+               const PeaseTwiddles& tw, DConstSpan in, DSpan out,
+               DSpan scratch, PeaseShape shape)
+{
+    withVariant(pisa, variant, [&]<class Isa>(Isa) {
+        inverseImpl<Isa>(plan, tw, in, out, scratch, shape);
+    });
+}
+
+void
+forwardBatchMqxImpl(bool pisa, const NttPlan& plan, const PeaseTwiddles& tw,
+                    size_t il, DConstSpan in, DSpan out, DSpan scratch)
 {
     if (pisa)
-        inverseWithVariant<MqxMode::Pisa>(plan, variant, in, out, scratch,
-                                          algo, red, fusion);
+        forwardBatchImpl<MqxIsa<MqxMode::Pisa, kMqxFull>>(plan, tw, il, in,
+                                                          out, scratch);
     else
-        inverseWithVariant<MqxMode::Emulate>(plan, variant, in, out, scratch,
-                                             algo, red, fusion);
+        forwardBatchImpl<MqxIsa<MqxMode::Emulate, kMqxFull>>(plan, tw, il, in,
+                                                             out, scratch);
+}
+
+void
+inverseBatchMqxImpl(bool pisa, const NttPlan& plan, const PeaseTwiddles& tw,
+                    size_t il, DConstSpan in, DSpan out, DSpan scratch)
+{
+    if (pisa)
+        inverseBatchImpl<MqxIsa<MqxMode::Pisa, kMqxFull>>(plan, tw, il, in,
+                                                          out, scratch);
+    else
+        inverseBatchImpl<MqxIsa<MqxMode::Emulate, kMqxFull>>(plan, tw, il, in,
+                                                             out, scratch);
 }
 
 } // namespace backends

@@ -1,63 +1,61 @@
 /**
  * @file
- * The Pease constant-geometry NTT, templated over a SIMD ISA policy.
+ * The Pease constant-geometry NTT: one kernel body, templated over a
+ * SIMD ISA policy, for the cyclic transform, the merged negacyclic one
+ * and every ablation of both.
  *
- * Forward stage s (of log2 n), butterfly j in [0, n/2):
- *     u = x[j] + x[j + n/2]
- *     v = (x[j] - x[j + n/2]) * w[s][j],  w[s][j] = omega^((j >> s) << s)
- *     y[2j] = u;  y[2j+1] = v
+ * Forward stage s (of log2 n), butterfly j in [0, n/2), a Harvey
+ * Cooley-Tukey butterfly:
+ *
+ *     t = x[j + n/2] * w,  w = entry offset(s) + (j mod 2^s)
+ *     y[2j] = x[j] + t;  y[2j+1] = x[j] - t
  *
  * Reads are contiguous at stride n/2, writes are the perfect shuffle —
  * in SIMD the two result vectors are interleaved with
  * unpack/permutex2var-style shuffles (paper Section 3.2) and stored as
- * two contiguous blocks. Output ends up in bit-reversed order.
+ * two contiguous blocks. Output ends up in bit-reversed order. The
+ * inverse runs the transposed Gentleman-Sande stages in reverse order
+ * (reads interleaved pairs, writes strided halves) with the inverted
+ * twiddles; its last stage multiplies the sum branch and the difference
+ * branch by the table's last-stage factors, which fold in n^-1. The
+ * table layouts (cyclic n/2 entries at offset 0, merged negacyclic n
+ * entries at offset 2^s) are described at detail::PeaseTwiddles.
  *
- * The inverse runs the transposed stages in reverse order with inverse
- * twiddles (reads interleaved pairs, writes strided halves) and applies
- * one final scaling pass by n^-1; it consumes the forward's bit-reversed
- * output and restores natural order.
+ * One body, three knobs (detail::PeaseShape):
  *
- * Two arithmetic strategies share the stage wiring (Reduction knob):
+ *  - Reduction::ShoupLazy (default): Harvey lazy butterflies. Forward
+ *    values live in [0, 4q) between stages, inverse values in [0, 2q)
+ *    (q < 2^124 leaves 4 bits of double-word headroom); every twiddle
+ *    multiply is the Shoup precomputed-quotient form, and the last
+ *    stage of either direction canonicalizes. Reduction::Barrett keeps
+ *    canonical operands and a full Eq.-4 reduction per multiply — the
+ *    paper's original kernels, the ablation baseline. Radix-2 only.
+ *  - StageFusion::Radix4 fuses two stages per ping-pong sweep: pass p
+ *    loads x[p], x[p+n/4], x[p+n/2], x[p+3n/4], runs both butterfly
+ *    layers in registers with exactly the radix-2 arithmetic (so the
+ *    words are identical) and stores y[4p .. 4p+3]. The first layer's
+ *    two butterflies share one twiddle (2^s divides n/4); the second
+ *    layer's two read adjacent entries, one deinterleaved load.
+ *  - MulAlgo: schoolbook or Karatsuba 128x128 products (no effect on
+ *    IFMA ISAs, whose multiplies run on 52-bit limbs).
  *
- *  - Barrett: canonical [0, q) operands, full Eq.-4 reduction per
- *    butterfly multiply. The paper's original kernels; kept as the
- *    ablation baseline and cross-check oracle.
- *  - ShoupLazy (default): Harvey lazy butterflies. Operands live in
- *    [0, 2q) between stages (q < 2^124 leaves 4 bits of double-word
- *    headroom, so transients reach 4q safely), the twiddle multiply is
- *    the Shoup precomputed-quotient form with a [0, 2q) result and no
- *    correction subtractions, and canonicalization to [0, q) happens
- *    once — fused into the last forward stage, or into the inverse's
- *    n^-1 scaling pass. Bit-identical to Barrett after that pass.
- *
- * Twiddles come from the plan's compact shared power tables; stage s
- * addresses them as pow[(j >> s) << s] via loadStageTwiddles(): a
- * contiguous load at stage 0, a short step load while the run length
- * 2^s is below the lane count, and a single broadcast afterwards —
- * ~logn/2x less twiddle traffic than the old stretched tables.
- *
- * The merged negacyclic kernels (end of this file; math and table
- * layout in ntt/negacyclic.h) share the stage wiring but not the
- * butterflies: the forward runs a Harvey Cooley-Tukey butterfly with
- * psi folded into per-level twiddles, values in [0, 4q) between stages;
- * the inverse runs a Gentleman-Sande butterfly with n^-1 folded into
- * its last stage. They are instantiated in their own negacyclic_*.cc
- * TUs, apart from the cyclic ntt_*.cc ones.
+ * Canonical outputs in every shape, so every shape, reduction and ISA
+ * produces the same words.
  *
  * Out-of-place ping-pong: the caller provides `out` and `scratch`
- * buffers; the stage parity is arranged so the final stage always lands
+ * buffers; the stage parity is arranged so the final pass always lands
  * in `out`. Neither may alias the input (any hi/lo storage overlap,
  * including lo-lo and mixed hi-lo, is rejected).
  */
 #pragma once
 
 #include <cstdio>
+#include <utility>
 
 #include "core/batch_layout.h"
 #include "core/prefetch.h"
 #include "mod/range_checked.h"
-#include "ntt/negacyclic.h"
-#include "ntt/plan.h"
+#include "ntt/ntt_backends.h"
 #include "simd/dw_kernels.h"
 
 namespace mqx {
@@ -65,522 +63,11 @@ namespace ntt {
 
 namespace detail {
 
-/**
- * Stage-s twiddle gather from a compact power table: butterfly j uses
- * entry (j >> s) << s, so a vector of kLanes consecutive butterflies
- * needs a contiguous load (s == 0), a step load repeating each entry
- * 2^s times (0 < 2^s < kLanes — only the first log2(kLanes) stages),
- * or one broadcast (2^s >= kLanes).
- */
-template <class Isa>
-inline simd::DV<Isa>
-loadStageTwiddles(const uint64_t* hi, const uint64_t* lo, size_t j, int s)
-{
-    if (s == 0)
-        return simd::loadDv<Isa>(hi, lo, j);
-    if ((size_t{1} << s) >= Isa::kLanes) {
-        size_t e = (j >> s) << s;
-        return simd::DV<Isa>{Isa::set1(hi[e]), Isa::set1(lo[e])};
-    }
-    alignas(64) uint64_t th[Isa::kLanes];
-    alignas(64) uint64_t tl[Isa::kLanes];
-    for (size_t i = 0; i < Isa::kLanes; ++i) {
-        size_t e = ((j + i) >> s) << s;
-        th[i] = hi[e];
-        tl[i] = lo[e];
-    }
-    return simd::loadDv<Isa>(th, tl, 0);
-}
+using Dw = mod::DW<uint64_t>;
 
-/**
- * Second-layer twiddle load for the fused radix-4 pass over stage pair
- * (s, s+1): butterfly p needs pow[stageTwiddlePair(s, p)] =
- * pow[2*((p >> s) << s)]. A stride-2 gather at stage 0, a short step
- * gather while the run length 2^s is under the lane count, one
- * broadcast afterwards — the same three shapes as the first layer.
- */
-template <class Isa>
-inline simd::DV<Isa>
-loadStageTwiddlesPair(const uint64_t* hi, const uint64_t* lo, size_t p, int s)
-{
-    if ((size_t{1} << s) >= Isa::kLanes) {
-        size_t e = NttPlan::stageTwiddlePair(s, p);
-        return simd::DV<Isa>{Isa::set1(hi[e]), Isa::set1(lo[e])};
-    }
-    alignas(64) uint64_t th[Isa::kLanes];
-    alignas(64) uint64_t tl[Isa::kLanes];
-    for (size_t i = 0; i < Isa::kLanes; ++i) {
-        size_t e = NttPlan::stageTwiddlePair(s, p + i);
-        th[i] = hi[e];
-        tl[i] = lo[e];
-    }
-    return simd::loadDv<Isa>(th, tl, 0);
-}
-
-/**
- * Stage-s Shoup twiddles (w, wq) of butterfly j as one simd::ShoupW:
- * loadStageTwiddles (loadStageTwiddlesPair when kPair) over the power
- * table and its Shoup companion. On IFMA ISAs a broadcast run
- * (2^s >= kLanes) is split into 52-bit limbs once per run rather than
- * once per vector; other ISAs load exactly as before.
- */
-template <class Isa, bool kPair = false>
-class StageShoup
-{
-  public:
-    StageShoup(const uint64_t* hi, const uint64_t* lo, const uint64_t* qhi,
-               const uint64_t* qlo, int s)
-        : hi_(hi), lo_(lo), qhi_(qhi), qlo_(qlo), s_(s),
-          broadcast_((size_t{1} << s) >= Isa::kLanes)
-    {
-    }
-
-    simd::ShoupW<Isa>
-    at(size_t j)
-    {
-        if constexpr (Isa::kHasIfma) {
-            if (broadcast_) {
-                const size_t e = kPair ? NttPlan::stageTwiddlePair(s_, j)
-                                       : NttPlan::stageTwiddleIndex(s_, j);
-                if (e != run_) {
-                    run_ = e;
-                    cur_ = simd::broadcastShoupW<Isa>(hi_[e], lo_[e],
-                                                      qhi_[e], qlo_[e]);
-                }
-                return cur_;
-            }
-        }
-        if constexpr (kPair)
-            return simd::makeShoupW<Isa>(
-                loadStageTwiddlesPair<Isa>(hi_, lo_, j, s_),
-                loadStageTwiddlesPair<Isa>(qhi_, qlo_, j, s_));
-        else
-            return simd::makeShoupW<Isa>(
-                loadStageTwiddles<Isa>(hi_, lo_, j, s_),
-                loadStageTwiddles<Isa>(qhi_, qlo_, j, s_));
-    }
-
-  private:
-    const uint64_t* hi_;
-    const uint64_t* lo_;
-    const uint64_t* qhi_;
-    const uint64_t* qlo_;
-    int s_;
-    bool broadcast_;
-    size_t run_ = ~size_t{0};
-    simd::ShoupW<Isa> cur_{};
-};
-
-/**
- * 4-way interleave built from two rounds of the ISA's interleave2:
- * lane p of (z0, z1, z2, z3) lands at memory positions 4p .. 4p+3 of
- * the concatenated outputs (o0, o1, o2, o3) — the fused radix-4 store
- * wiring y[4p+i] = zi.
- */
-template <class Isa>
-inline void
-interleave4(typename Isa::V z0, typename Isa::V z1, typename Isa::V z2,
-            typename Isa::V z3, typename Isa::V& o0, typename Isa::V& o1,
-            typename Isa::V& o2, typename Isa::V& o3)
-{
-    typename Isa::V a0, a1, b0, b1;
-    Isa::interleave2(z0, z2, a0, a1);
-    Isa::interleave2(z1, z3, b0, b1);
-    Isa::interleave2(a0, b0, o0, o1);
-    Isa::interleave2(a1, b1, o2, o3);
-}
-
-/** Exact inverse of interleave4 (the fused radix-4 inverse load). */
-template <class Isa>
-inline void
-deinterleave4(typename Isa::V o0, typename Isa::V o1, typename Isa::V o2,
-              typename Isa::V o3, typename Isa::V& z0, typename Isa::V& z1,
-              typename Isa::V& z2, typename Isa::V& z3)
-{
-    typename Isa::V a0, a1, b0, b1;
-    Isa::deinterleave2(o0, o1, a0, b0);
-    Isa::deinterleave2(o2, o3, a1, b1);
-    Isa::deinterleave2(a0, a1, z0, z2);
-    Isa::deinterleave2(b0, b1, z1, z3);
-}
-
-/** Scalar butterfly tail shared by every backend (Barrett path). */
-inline void
-forwardButterflyScalar(const mod::Barrett<uint64_t>& br,
-                       const mod::DW<uint64_t>& q, const uint64_t* src_hi,
-                       const uint64_t* src_lo, uint64_t* dst_hi,
-                       uint64_t* dst_lo, const uint64_t* tw_hi,
-                       const uint64_t* tw_lo, size_t j, size_t h, int s,
-                       MulAlgo algo)
-{
-    size_t e = NttPlan::stageTwiddleIndex(s, j);
-    mod::DW<uint64_t> a{src_hi[j], src_lo[j]};
-    mod::DW<uint64_t> b{src_hi[j + h], src_lo[j + h]};
-    mod::DW<uint64_t> w{tw_hi[e], tw_lo[e]};
-    auto u = mod::addMod(a, b, q);
-    auto d = mod::subMod(a, b, q);
-    auto v = algo == MulAlgo::Schoolbook ? mod::mulModSchool(d, w, br)
-                                         : mod::mulModKaratsuba(d, w, br);
-    dst_hi[2 * j] = u.hi;
-    dst_lo[2 * j] = u.lo;
-    dst_hi[2 * j + 1] = v.hi;
-    dst_lo[2 * j + 1] = v.lo;
-}
-
-inline void
-inverseButterflyScalar(const mod::Barrett<uint64_t>& br,
-                       const mod::DW<uint64_t>& q, const uint64_t* src_hi,
-                       const uint64_t* src_lo, uint64_t* dst_hi,
-                       uint64_t* dst_lo, const uint64_t* tw_hi,
-                       const uint64_t* tw_lo, size_t j, size_t h, int s,
-                       MulAlgo algo)
-{
-    size_t e = NttPlan::stageTwiddleIndex(s, j);
-    mod::DW<uint64_t> u{src_hi[2 * j], src_lo[2 * j]};
-    mod::DW<uint64_t> v{src_hi[2 * j + 1], src_lo[2 * j + 1]};
-    mod::DW<uint64_t> w{tw_hi[e], tw_lo[e]};
-    auto t = algo == MulAlgo::Schoolbook ? mod::mulModSchool(v, w, br)
-                                         : mod::mulModKaratsuba(v, w, br);
-    auto x0 = mod::addMod(u, t, q);
-    auto x1 = mod::subMod(u, t, q);
-    dst_hi[j] = x0.hi;
-    dst_lo[j] = x0.lo;
-    dst_hi[j + h] = x1.hi;
-    dst_lo[j + h] = x1.lo;
-}
-
-/**
- * Scalar lazy forward butterfly: [0,2q) in, [0,2q) out (canonical when
- * @p last — the fused final-stage canonicalization).
- *
- * Templated over the range-contract arithmetic policy
- * (mod/range_checked.h): the default instantiation is the production
- * unchecked arithmetic (or the checked algebra under MQX_RANGE_AUDIT);
- * the contract tests instantiate mod::CheckedLazyOps explicitly. All
- * policies share this one source, so the checked kernels are
- * bit-identical to the unchecked ones by construction.
- */
-template <class A = mod::DefaultLazyOps>
-inline void
-forwardButterflyLazyScalar(const mod::DW<uint64_t>& q,
-                           const mod::DW<uint64_t>& q2,
-                           const uint64_t* src_hi, const uint64_t* src_lo,
-                           uint64_t* dst_hi, uint64_t* dst_lo,
-                           const uint64_t* tw_hi, const uint64_t* tw_lo,
-                           const uint64_t* twq_hi, const uint64_t* twq_lo,
-                           size_t j, size_t h, int s, bool last,
-                           MulAlgo algo)
-{
-    size_t e = NttPlan::stageTwiddleIndex(s, j);
-    auto a = A::load2q(src_hi, src_lo, j, q);
-    auto b = A::load2q(src_hi, src_lo, j + h, q);
-    auto w = A::twiddle(mod::DW<uint64_t>{tw_hi[e], tw_lo[e]}, q);
-    const mod::DW<uint64_t> wq{twq_hi[e], twq_lo[e]};
-    auto u = A::condSub2q(A::add(a, b, q), q2, q);       // [0, 2q)
-    auto v = A::mulShoup(A::subRaw(a, b, q2, q),         // a - b + 2q < 4q
-                         w, wq, q, algo);                // [0, 2q)
-    if (last) {
-        A::store(dst_hi, dst_lo, 2 * j, A::canon(u, q));
-        A::store(dst_hi, dst_lo, 2 * j + 1, A::canon(v, q));
-    } else {
-        A::store(dst_hi, dst_lo, 2 * j, u);
-        A::store(dst_hi, dst_lo, 2 * j + 1, v);
-    }
-}
-
-/** Scalar lazy inverse butterfly: [0,2q) in, [0,2q) out. Policy-
- *  templated like forwardButterflyLazyScalar. */
-template <class A = mod::DefaultLazyOps>
-inline void
-inverseButterflyLazyScalar(const mod::DW<uint64_t>& q,
-                           const mod::DW<uint64_t>& q2,
-                           const uint64_t* src_hi, const uint64_t* src_lo,
-                           uint64_t* dst_hi, uint64_t* dst_lo,
-                           const uint64_t* tw_hi, const uint64_t* tw_lo,
-                           const uint64_t* twq_hi, const uint64_t* twq_lo,
-                           size_t j, size_t h, int s, MulAlgo algo)
-{
-    size_t e = NttPlan::stageTwiddleIndex(s, j);
-    auto u = A::load2q(src_hi, src_lo, 2 * j, q);
-    auto v = A::load2q(src_hi, src_lo, 2 * j + 1, q);
-    auto w = A::twiddle(mod::DW<uint64_t>{tw_hi[e], tw_lo[e]}, q);
-    const mod::DW<uint64_t> wq{twq_hi[e], twq_lo[e]};
-    auto t = A::mulShoup(v, w, wq, q, algo);             // [0, 2q)
-    auto x0 = A::condSub2q(A::add(u, t, q), q2, q);      // [0, 2q)
-    auto x1 = A::condSub2q(A::subRaw(u, t, q2, q), q2, q);
-    A::store(dst_hi, dst_lo, j, x0);
-    A::store(dst_hi, dst_lo, j + h, x1);
-}
-
-/**
- * Twiddle-valued core of the fused forward butterfly p: reads x[p],
- * x[p+h/2], x[p+h], x[p+3h/2], applies both radix-2 layers in registers
- * with EXACTLY the arithmetic of two consecutive
- * forwardButterflyLazyScalar stages (bit-identical to the radix-2
- * path), and writes y[4p .. 4p+3]. [0, 2q) in/out, transients < 4q;
- * canonical outputs when @p last. Callers that know a run of
- * butterflies shares its three twiddles (run length 2^s) hoist the
- * loads out of the loop — the compiler cannot, because the dst stores
- * may alias the twiddle tables as far as it knows.
- */
-template <class A = mod::DefaultLazyOps>
-inline void
-forwardButterfly4LazyCore(const mod::DW<uint64_t>& q,
-                          const mod::DW<uint64_t>& q2,
-                          const uint64_t* MQX_RESTRICT src_hi,
-                          const uint64_t* MQX_RESTRICT src_lo,
-                          uint64_t* MQX_RESTRICT dst_hi,
-                          uint64_t* MQX_RESTRICT dst_lo,
-                          const mod::DW<uint64_t>& w0,
-                          const mod::DW<uint64_t>& w0q,
-                          const mod::DW<uint64_t>& w1,
-                          const mod::DW<uint64_t>& w1q,
-                          const mod::DW<uint64_t>& wb,
-                          const mod::DW<uint64_t>& wbq, size_t p, size_t h,
-                          bool last, MulAlgo algo)
-{
-    const size_t h2 = h / 2;
-    auto a = A::load2q(src_hi, src_lo, p, q);
-    auto b = A::load2q(src_hi, src_lo, p + h2, q);
-    auto c = A::load2q(src_hi, src_lo, p + h, q);
-    auto d = A::load2q(src_hi, src_lo, p + h + h2, q);
-    auto tw0 = A::twiddle(w0, q);
-    auto tw1 = A::twiddle(w1, q);
-    auto twb = A::twiddle(wb, q);
-    // First layer (stage s): butterflies p and p + h/2.
-    auto u0 = A::condSub2q(A::add(a, c, q), q2, q);
-    auto v0 = A::mulShoup(A::subRaw(a, c, q2, q), tw0, w0q, q, algo);
-    auto u1 = A::condSub2q(A::add(b, d, q), q2, q);
-    auto v1 = A::mulShoup(A::subRaw(b, d, q2, q), tw1, w1q, q, algo);
-    // Second layer (stage s+1): butterflies 2p and 2p+1 share pow[eb].
-    auto z0 = A::condSub2q(A::add(u0, u1, q), q2, q);
-    auto z1 = A::mulShoup(A::subRaw(u0, u1, q2, q), twb, wbq, q, algo);
-    auto z2 = A::condSub2q(A::add(v0, v1, q), q2, q);
-    auto z3 = A::mulShoup(A::subRaw(v0, v1, q2, q), twb, wbq, q, algo);
-    if (last) {
-        A::store(dst_hi, dst_lo, 4 * p, A::canon(z0, q));
-        A::store(dst_hi, dst_lo, 4 * p + 1, A::canon(z1, q));
-        A::store(dst_hi, dst_lo, 4 * p + 2, A::canon(z2, q));
-        A::store(dst_hi, dst_lo, 4 * p + 3, A::canon(z3, q));
-    } else {
-        A::store(dst_hi, dst_lo, 4 * p, z0);
-        A::store(dst_hi, dst_lo, 4 * p + 1, z1);
-        A::store(dst_hi, dst_lo, 4 * p + 2, z2);
-        A::store(dst_hi, dst_lo, 4 * p + 3, z3);
-    }
-}
-
-/**
- * Scalar fused radix-4 forward butterfly p of stage pair (s, s+1):
- * index computation + twiddle loads + the core above. Used by the SIMD
- * kernels' tail loops (where runs may straddle the vector remainder).
- */
-inline void
-forwardButterfly4LazyScalar(const mod::DW<uint64_t>& q,
-                            const mod::DW<uint64_t>& q2,
-                            const uint64_t* src_hi, const uint64_t* src_lo,
-                            uint64_t* dst_hi, uint64_t* dst_lo,
-                            const uint64_t* tw_hi, const uint64_t* tw_lo,
-                            const uint64_t* twq_hi, const uint64_t* twq_lo,
-                            size_t p, size_t h, int s, bool last,
-                            MulAlgo algo)
-{
-    const size_t h2 = h / 2;
-    const size_t e0 = NttPlan::stageTwiddleIndex(s, p);
-    const size_t e1 = e0 + h2;
-    const size_t eb = NttPlan::stageTwiddlePair(s, p);
-    mod::DW<uint64_t> w0{tw_hi[e0], tw_lo[e0]}, w0q{twq_hi[e0], twq_lo[e0]};
-    mod::DW<uint64_t> w1{tw_hi[e1], tw_lo[e1]}, w1q{twq_hi[e1], twq_lo[e1]};
-    mod::DW<uint64_t> wb{tw_hi[eb], tw_lo[eb]}, wbq{twq_hi[eb], twq_lo[eb]};
-    forwardButterfly4LazyCore(q, q2, src_hi, src_lo, dst_hi, dst_lo, w0, w0q,
-                              w1, w1q, wb, wbq, p, h, last, algo);
-}
-
-/** Twiddle-valued core of the fused inverse butterfly (see forward). */
-template <class A = mod::DefaultLazyOps>
-inline void
-inverseButterfly4LazyCore(const mod::DW<uint64_t>& q,
-                          const mod::DW<uint64_t>& q2,
-                          const uint64_t* MQX_RESTRICT src_hi,
-                          const uint64_t* MQX_RESTRICT src_lo,
-                          uint64_t* MQX_RESTRICT dst_hi,
-                          uint64_t* MQX_RESTRICT dst_lo,
-                          const mod::DW<uint64_t>& w0,
-                          const mod::DW<uint64_t>& w0q,
-                          const mod::DW<uint64_t>& w1,
-                          const mod::DW<uint64_t>& w1q,
-                          const mod::DW<uint64_t>& wb,
-                          const mod::DW<uint64_t>& wbq, size_t p, size_t h,
-                          MulAlgo algo)
-{
-    const size_t h2 = h / 2;
-    auto z0 = A::load2q(src_hi, src_lo, 4 * p, q);
-    auto z1 = A::load2q(src_hi, src_lo, 4 * p + 1, q);
-    auto z2 = A::load2q(src_hi, src_lo, 4 * p + 2, q);
-    auto z3 = A::load2q(src_hi, src_lo, 4 * p + 3, q);
-    auto tw0 = A::twiddle(w0, q);
-    auto tw1 = A::twiddle(w1, q);
-    auto twb = A::twiddle(wb, q);
-    // First layer (inverse stage s_lo + 1): butterflies 2p and 2p+1.
-    auto ta = A::mulShoup(z1, twb, wbq, q, algo);
-    auto y0 = A::condSub2q(A::add(z0, ta, q), q2, q);
-    auto yh0 = A::condSub2q(A::subRaw(z0, ta, q2, q), q2, q);
-    auto tb = A::mulShoup(z3, twb, wbq, q, algo);
-    auto y1 = A::condSub2q(A::add(z2, tb, q), q2, q);
-    auto yh1 = A::condSub2q(A::subRaw(z2, tb, q2, q), q2, q);
-    // Second layer (inverse stage s_lo): butterflies p and p + h/2.
-    auto t0 = A::mulShoup(y1, tw0, w0q, q, algo);
-    auto x0 = A::condSub2q(A::add(y0, t0, q), q2, q);
-    auto x2 = A::condSub2q(A::subRaw(y0, t0, q2, q), q2, q);
-    auto t1 = A::mulShoup(yh1, tw1, w1q, q, algo);
-    auto x1 = A::condSub2q(A::add(yh0, t1, q), q2, q);
-    auto x3 = A::condSub2q(A::subRaw(yh0, t1, q2, q), q2, q);
-    A::store(dst_hi, dst_lo, p, x0);
-    A::store(dst_hi, dst_lo, p + h2, x1);
-    A::store(dst_hi, dst_lo, p + h, x2);
-    A::store(dst_hi, dst_lo, p + h + h2, x3);
-}
-
-/**
- * Scalar fused radix-4 inverse butterfly p of the inverse stage pair
- * (s_lo + 1, s_lo): reads y[4p .. 4p+3], writes x[p], x[p+h/2],
- * x[p+h], x[p+3h/2]. Mirrors two consecutive inverseButterflyLazyScalar
- * stages exactly (bit-identical). @p tw/@p twq are the INVERSE tables.
- */
-inline void
-inverseButterfly4LazyScalar(const mod::DW<uint64_t>& q,
-                            const mod::DW<uint64_t>& q2,
-                            const uint64_t* src_hi, const uint64_t* src_lo,
-                            uint64_t* dst_hi, uint64_t* dst_lo,
-                            const uint64_t* tw_hi, const uint64_t* tw_lo,
-                            const uint64_t* twq_hi, const uint64_t* twq_lo,
-                            size_t p, size_t h, int s_lo, MulAlgo algo)
-{
-    const size_t h2 = h / 2;
-    const size_t e0 = NttPlan::stageTwiddleIndex(s_lo, p);
-    const size_t e1 = e0 + h2;
-    const size_t eb = NttPlan::stageTwiddlePair(s_lo, p);
-    mod::DW<uint64_t> w0{tw_hi[e0], tw_lo[e0]}, w0q{twq_hi[e0], twq_lo[e0]};
-    mod::DW<uint64_t> w1{tw_hi[e1], tw_lo[e1]}, w1q{twq_hi[e1], twq_lo[e1]};
-    mod::DW<uint64_t> wb{tw_hi[eb], tw_lo[eb]}, wbq{twq_hi[eb], twq_lo[eb]};
-    inverseButterfly4LazyCore(q, q2, src_hi, src_lo, dst_hi, dst_lo, w0, w0q,
-                              w1, w1q, wb, wbq, p, h, algo);
-}
-
-/**
- * One element of a canonicalizing Shoup multiply by a fixed canonical
- * multiplicand: dst[i] = src[i] * w mod q in [0, q), for src[i] in
- * [0, 2q) — the cyclic inverse NTT's fused n^-1 scaling pass. In-place
- * (dst == src) is legal. Policy-templated like the butterflies.
- */
-template <class A = mod::DefaultLazyOps>
-inline void
-mulShoupCanonElementScalar(const mod::DW<uint64_t>& q,
-                           const uint64_t* src_hi, const uint64_t* src_lo,
-                           uint64_t* dst_hi, uint64_t* dst_lo,
-                           const mod::DW<uint64_t>& w,
-                           const mod::DW<uint64_t>& wq, size_t i,
-                           MulAlgo algo)
-{
-    auto x = A::load2q(src_hi, src_lo, i, q);
-    auto r = A::canon(A::mulShoup(x, A::twiddle(w, q), wq, q, algo), q);
-    A::store(dst_hi, dst_lo, i, r);
-}
-
-/**
- * Merged negacyclic forward butterfly (Harvey Cooley-Tukey) at explicit
- * word indices: reads a = src[ia], b = src[ib] in [0, 4q), writes
- * a' + w*b to dst[io0] and a' - w*b + 2q to dst[io1], both in [0, 4q)
- * — canonical when @p last — where a' is a reduced to [0, 2q). @p w is
- * the stage twiddle, @p wq its Shoup companion. Policy-templated like
- * forwardButterflyLazyScalar; the per-channel (io = 2j, 2j + 1) and
- * batch (tiled indices) scalar kernels share it.
- */
-template <class A = mod::DefaultLazyOps>
-inline void
-negacyclicForwardButterflyScalar(const mod::DW<uint64_t>& q,
-                                 const mod::DW<uint64_t>& q2,
-                                 const uint64_t* src_hi,
-                                 const uint64_t* src_lo, uint64_t* dst_hi,
-                                 uint64_t* dst_lo, const mod::DW<uint64_t>& w,
-                                 const mod::DW<uint64_t>& wq, size_t ia,
-                                 size_t ib, size_t io0, size_t io1, bool last,
-                                 MulAlgo algo = MulAlgo::Schoolbook)
-{
-    // The product first: measured ~8% faster on the scalar backend than
-    // reducing a first.
-    auto t = A::mulShoup(A::load4q(src_hi, src_lo, ib, q), A::twiddle(w, q),
-                         wq, q, algo);                          // [0, 2q)
-    auto a = A::condSub2q(A::load4q(src_hi, src_lo, ia, q), q2, q); // [0, 2q)
-    auto u = A::add(a, t, q);        // [0, 4q)
-    auto v = A::subRaw(a, t, q2, q); // (0, 4q)
-    if (last) {
-        A::store(dst_hi, dst_lo, io0, A::canon(A::condSub2q(u, q2, q), q));
-        A::store(dst_hi, dst_lo, io1, A::canon(A::condSub2q(v, q2, q), q));
-    } else {
-        A::store(dst_hi, dst_lo, io0, u);
-        A::store(dst_hi, dst_lo, io1, v);
-    }
-}
-
-/**
- * Merged negacyclic inverse butterfly (Gentleman-Sande) at explicit word
- * indices: reads u = src[i0], v = src[i1] in [0, 2q), writes u + v to
- * dst[io0] and (u - v) * w to dst[io1], both in [0, 2q).
- */
-template <class A = mod::DefaultLazyOps>
-inline void
-negacyclicInverseButterflyScalar(const mod::DW<uint64_t>& q,
-                                 const mod::DW<uint64_t>& q2,
-                                 const uint64_t* src_hi,
-                                 const uint64_t* src_lo, uint64_t* dst_hi,
-                                 uint64_t* dst_lo, const mod::DW<uint64_t>& w,
-                                 const mod::DW<uint64_t>& wq, size_t i0,
-                                 size_t i1, size_t io0, size_t io1,
-                                 MulAlgo algo = MulAlgo::Schoolbook)
-{
-    auto u = A::load2q(src_hi, src_lo, i0, q);
-    auto v = A::load2q(src_hi, src_lo, i1, q);
-    A::store(dst_hi, dst_lo, io0, A::condSub2q(A::add(u, v, q), q2, q));
-    A::store(dst_hi, dst_lo, io1,
-             A::mulShoup(A::subRaw(u, v, q2, q), A::twiddle(w, q), wq, q,
-                         algo));
-}
-
-/**
- * The merged inverse's last-stage butterfly with n^-1 folded in: the sum
- * branch is multiplied by @p ninv (n^-1), the difference branch by @p w
- * (zeta^-1 * n^-1), and both leave canonical. [0, 2q) in.
- */
-template <class A = mod::DefaultLazyOps>
-inline void
-negacyclicInverseLastButterflyScalar(
-    const mod::DW<uint64_t>& q, const mod::DW<uint64_t>& q2,
-    const uint64_t* src_hi, const uint64_t* src_lo, uint64_t* dst_hi,
-    uint64_t* dst_lo, const mod::DW<uint64_t>& ninv,
-    const mod::DW<uint64_t>& ninvq, const mod::DW<uint64_t>& w,
-    const mod::DW<uint64_t>& wq, size_t i0, size_t i1, size_t io0,
-    size_t io1, MulAlgo algo = MulAlgo::Schoolbook)
-{
-    auto u = A::load2q(src_hi, src_lo, i0, q);
-    auto v = A::load2q(src_hi, src_lo, i1, q);
-    A::store(dst_hi, dst_lo, io0,
-             A::canon(A::mulShoup(A::add(u, v, q), A::twiddle(ninv, q),
-                                  ninvq, q, algo),
-                      q));
-    A::store(dst_hi, dst_lo, io1,
-             A::canon(A::mulShoup(A::subRaw(u, v, q2, q), A::twiddle(w, q),
-                                  wq, q, algo),
-                      q));
-}
-
-/** Merged-table entry of butterfly j at stage s: 2^s + (j mod 2^s). */
-MQX_FORCE_INLINE size_t
-negacyclicTwiddleIndex(int s, size_t j)
-{
-    const size_t base = size_t{1} << s;
-    return base + (j & (base - 1));
-}
+// ======================================================================
+// Argument checks, ping-pong and layout helpers.
+// ======================================================================
 
 /**
  * Cold half of validateNttArgs: formats the offending buffer geometry
@@ -605,12 +92,9 @@ failNttArgs(const char* reason, const NttPlan& plan, DConstSpan in,
     throw InvalidArgument(buf);
 }
 
-inline void
-validateNttArgs(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch)
+inline bool
+anyOverlap(DConstSpan in, DConstSpan out, DConstSpan scratch)
 {
-    if (in.n != plan.n() || out.n != plan.n() || scratch.n != plan.n())
-        failNttArgs("ntt: buffer sizes must equal the plan size", plan, in,
-                    out, scratch);
     // The ping-pong is out-of-place: reject ANY storage sharing between
     // the three buffers — identical spans, aliased lo arrays, and mixed
     // hi/lo overlap included (the span-overlap contract of the SoA
@@ -618,529 +102,1171 @@ validateNttArgs(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch)
     auto overlaps = [](DConstSpan a, DConstSpan b) {
         return sameSpan(a, b) || spansPartiallyOverlap(a, b);
     };
-    if (overlaps(in, out) || overlaps(in, scratch) || overlaps(out, scratch))
+    return overlaps(in, out) || overlaps(in, scratch) ||
+           overlaps(out, scratch);
+}
+
+inline void
+validateNttArgs(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch)
+{
+    if (in.n != plan.n() || out.n != plan.n() || scratch.n != plan.n())
+        failNttArgs("ntt: buffer sizes must equal the plan size", plan, in,
+                    out, scratch);
+    if (anyOverlap(in, out, scratch))
         failNttArgs(
             "ntt: in/out/scratch must be distinct, non-overlapping buffers",
             plan, in, out, scratch);
 }
 
+/** Flat word index of element @p e of lane @p c in one IL-lane group. */
+MQX_FORCE_INLINE size_t
+batchIndex(size_t e, size_t c, size_t il)
+{
+    constexpr size_t w = BatchLayout::kTileWords; // power of two
+    return ((e / w) * il + c) * w + (e & (w - 1));
+}
+
+/** Batch flavour of validateNttArgs: buffers hold il lanes of plan.n()
+ *  elements each; same no-overlap contract between the three. */
+inline void
+validateBatchNttArgs(const NttPlan& plan, size_t il, DConstSpan in,
+                     DConstSpan out, DConstSpan scratch)
+{
+    checkArg(il >= 1 && il <= 64, "ntt batch: interleave factor out of range");
+    checkArg(plan.n() >= 2 * BatchLayout::kTileWords,
+             "ntt batch: plan size must be at least 16");
+    const size_t want = il * plan.n();
+    if (in.n != want || out.n != want || scratch.n != want)
+        failNttArgs("ntt batch: buffer sizes must equal il * plan size", plan,
+                    in, out, scratch);
+    if (anyOverlap(in, out, scratch))
+        failNttArgs("ntt batch: in/out/scratch must be distinct, "
+                    "non-overlapping buffers",
+                    plan, in, out, scratch);
+}
+
+/**
+ * The out-of-place ping-pong over (out, scratch) for @p passes sweeps,
+ * arranged so the last sweep lands in out: src() is the current input,
+ * dst() the current output, next() advances one sweep.
+ */
+class PingPong
+{
+  public:
+    PingPong(DConstSpan in, DSpan out, DSpan scratch, int passes)
+        : bufs_{out, scratch}, target_(passes % 2 == 1 ? 0 : 1),
+          src_hi_(in.hi), src_lo_(in.lo)
+    {
+    }
+
+    const uint64_t* srcHi() const { return src_hi_; }
+    const uint64_t* srcLo() const { return src_lo_; }
+    DSpan dst() const { return bufs_[target_]; }
+
+    void
+    next()
+    {
+        src_hi_ = bufs_[target_].hi;
+        src_lo_ = bufs_[target_].lo;
+        target_ ^= 1;
+    }
+
+  private:
+    DSpan bufs_[2];
+    int target_;
+    const uint64_t* src_hi_;
+    const uint64_t* src_lo_;
+};
+
+/** Sweeps of a transform: logn radix-2 stages, or ceil(logn/2) fused. */
+inline int
+peasePasses(int logn, bool fused)
+{
+    return fused ? (logn + 1) / 2 : logn;
+}
+
+/**
+ * Whether the forward sweep starting at stage @p s fuses (s, s+1): with
+ * odd logn the first stage runs alone, then pairs.
+ */
+inline bool
+forwardPairAt(bool fused, int s, int logn)
+{
+    return fused && s + 1 < logn && (s > 0 || logn % 2 == 0);
+}
+
+/** Stage-s table entry of butterfly j (see PeaseTwiddles). */
+MQX_FORCE_INLINE size_t
+twiddleIndex(const PeaseTwiddles& tw, int s, size_t j)
+{
+    const size_t base = size_t{1} << s;
+    return tw.offset(s) + (j & (base - 1));
+}
+
+inline Dw
+entry(DConstSpan t, size_t e)
+{
+    return Dw{t.hi[e], t.lo[e]};
+}
+
+// ======================================================================
+// Scalar butterflies. The Shoup-lazy ones are templated over the
+// range-contract arithmetic policy (mod/range_checked.h): the default
+// instantiation is the production unchecked arithmetic (or the checked
+// algebra under MQX_RANGE_AUDIT); the contract tests instantiate
+// mod::CheckedLazyOps explicitly. All policies share this one source, so
+// the checked kernels are bit-identical to the unchecked ones.
+// ======================================================================
+
+/** Forward (Cooley-Tukey) butterfly on values in [0, 4q): u = a' + w*b,
+ *  v = a' - w*b + 2q, both in [0, 4q), where a' is a reduced to [0, 2q). */
+template <class A>
+MQX_FORCE_INLINE std::pair<typename A::V4q, typename A::V4q>
+forwardButterfly(const Dw& q, const Dw& q2, const typename A::V4q& a,
+                 const typename A::V4q& b, const Dw& w, const Dw& wq,
+                 MulAlgo algo)
+{
+    // The product first: measured ~8% faster on the scalar backend than
+    // reducing a first.
+    auto t = A::mulShoup(b, A::twiddle(w, q), wq, q, algo); // [0, 2q)
+    auto a2 = A::condSub2q(a, q2, q);                       // [0, 2q)
+    return {A::add(a2, t, q),                               // [0, 4q)
+            A::subRaw(a2, t, q2, q)};                       // (0, 4q)
+}
+
+/** Store a forward output: raw [0, 4q), or canonical when @p last. */
+template <class A>
+MQX_FORCE_INLINE void
+storeForward(const Dw& q, const Dw& q2, uint64_t* hi, uint64_t* lo, size_t i,
+             const typename A::V4q& x, bool last)
+{
+    if (last)
+        A::store(hi, lo, i, A::canon(A::condSub2q(x, q2, q), q));
+    else
+        A::store(hi, lo, i, x);
+}
+
+/** Inverse (Gentleman-Sande) butterfly on [0, 2q): x0 = u + v,
+ *  x1 = (u - v) * w, both in [0, 2q). */
+template <class A>
+MQX_FORCE_INLINE std::pair<typename A::V2q, typename A::V2q>
+inverseButterfly(const Dw& q, const Dw& q2, const typename A::V2q& u,
+                 const typename A::V2q& v, const Dw& w, const Dw& wq,
+                 MulAlgo algo)
+{
+    return {A::condSub2q(A::add(u, v, q), q2, q),
+            A::mulShoup(A::subRaw(u, v, q2, q), A::twiddle(w, q), wq, q,
+                        algo)};
+}
+
+/** The inverse's last-stage butterfly: sum and difference branches
+ *  multiplied by the last-stage factors, both leave canonical. */
+template <class A>
+MQX_FORCE_INLINE std::pair<typename A::Vq, typename A::Vq>
+inverseLastButterfly(const Dw& q, const Dw& q2, const typename A::V2q& u,
+                     const typename A::V2q& v, const PeaseTwiddles& tw,
+                     MulAlgo algo)
+{
+    return {A::canon(A::mulShoup(A::add(u, v, q),
+                                 A::twiddle(mod::toDw(tw.last_sum), q),
+                                 mod::toDw(tw.last_sum_q), q, algo),
+                     q),
+            A::canon(A::mulShoup(A::subRaw(u, v, q2, q),
+                                 A::twiddle(mod::toDw(tw.last_diff), q),
+                                 mod::toDw(tw.last_diff_q), q, algo),
+                     q)};
+}
+
+/** Inverse butterfly at word indices: the last stage when @p last. */
+template <class A>
+MQX_FORCE_INLINE void
+inverseButterflyAt(const Dw& q, const Dw& q2, const uint64_t* src_hi,
+                   const uint64_t* src_lo, uint64_t* dst_hi, uint64_t* dst_lo,
+                   const PeaseTwiddles& tw, const Dw& w, const Dw& wq,
+                   size_t i0, size_t i1, size_t o0, size_t o1, bool last,
+                   MulAlgo algo)
+{
+    const auto u = A::load2q(src_hi, src_lo, i0, q);
+    const auto v = A::load2q(src_hi, src_lo, i1, q);
+    if (last) {
+        const auto [x0, x1] = inverseLastButterfly<A>(q, q2, u, v, tw, algo);
+        A::store(dst_hi, dst_lo, o0, x0);
+        A::store(dst_hi, dst_lo, o1, x1);
+    } else {
+        const auto [x0, x1] = inverseButterfly<A>(q, q2, u, v, w, wq, algo);
+        A::store(dst_hi, dst_lo, o0, x0);
+        A::store(dst_hi, dst_lo, o1, x1);
+    }
+}
+
+/**
+ * Fused radix-4 forward pass p over stages (s, s+1): reads x[p],
+ * x[p+h/2], x[p+h], x[p+3h/2], runs both layers with exactly the
+ * arithmetic of two radix-2 stages and writes y[4p .. 4p+3]. @p w0 is
+ * the first layer's twiddle, @p wa / @p wb the second layer's
+ * (butterflies 2p and 2p+1).
+ */
+template <class A>
+MQX_FORCE_INLINE void
+forwardButterfly4(const Dw& q, const Dw& q2,
+                  const uint64_t* MQX_RESTRICT src_hi,
+                  const uint64_t* MQX_RESTRICT src_lo,
+                  uint64_t* MQX_RESTRICT dst_hi, uint64_t* MQX_RESTRICT dst_lo,
+                  DConstSpan w, DConstSpan wq, size_t e0, size_t e1, size_t p,
+                  size_t h, bool last, MulAlgo algo)
+{
+    const size_t h2 = h / 2;
+    // First layer (stage s): butterflies p and p + h/2.
+    const auto [u0, v0] = forwardButterfly<A>(
+        q, q2, A::load4q(src_hi, src_lo, p, q),
+        A::load4q(src_hi, src_lo, p + h, q), entry(w, e0), entry(wq, e0),
+        algo);
+    const auto [u1, v1] = forwardButterfly<A>(
+        q, q2, A::load4q(src_hi, src_lo, p + h2, q),
+        A::load4q(src_hi, src_lo, p + h + h2, q), entry(w, e0),
+        entry(wq, e0), algo);
+    // Second layer (stage s+1): butterflies 2p and 2p + 1.
+    const auto [z0, z1] = forwardButterfly<A>(q, q2, u0, u1, entry(w, e1),
+                                              entry(wq, e1), algo);
+    const auto [z2, z3] = forwardButterfly<A>(
+        q, q2, v0, v1, entry(w, e1 + 1), entry(wq, e1 + 1), algo);
+    storeForward<A>(q, q2, dst_hi, dst_lo, 4 * p, z0, last);
+    storeForward<A>(q, q2, dst_hi, dst_lo, 4 * p + 1, z1, last);
+    storeForward<A>(q, q2, dst_hi, dst_lo, 4 * p + 2, z2, last);
+    storeForward<A>(q, q2, dst_hi, dst_lo, 4 * p + 3, z3, last);
+}
+
+/**
+ * Fused radix-4 inverse pass p over inverse stages (s+1, s): reads
+ * y[4p .. 4p+3], writes x[p], x[p+h/2], x[p+h], x[p+3h/2]; the second
+ * layer is the last stage (n^-1 folded in) when @p last.
+ */
+template <class A>
+MQX_FORCE_INLINE void
+inverseButterfly4(const Dw& q, const Dw& q2,
+                  const uint64_t* MQX_RESTRICT src_hi,
+                  const uint64_t* MQX_RESTRICT src_lo,
+                  uint64_t* MQX_RESTRICT dst_hi, uint64_t* MQX_RESTRICT dst_lo,
+                  const PeaseTwiddles& tw, size_t e0, size_t e1, size_t p,
+                  size_t h, bool last, MulAlgo algo)
+{
+    const size_t h2 = h / 2;
+    // First layer (inverse stage s+1): butterflies 2p and 2p + 1.
+    const auto [y0, yh0] = inverseButterfly<A>(
+        q, q2, A::load2q(src_hi, src_lo, 4 * p, q),
+        A::load2q(src_hi, src_lo, 4 * p + 1, q), entry(tw.w, e1),
+        entry(tw.wq, e1), algo);
+    const auto [y1, yh1] = inverseButterfly<A>(
+        q, q2, A::load2q(src_hi, src_lo, 4 * p + 2, q),
+        A::load2q(src_hi, src_lo, 4 * p + 3, q), entry(tw.w, e1 + 1),
+        entry(tw.wq, e1 + 1), algo);
+    // Second layer (inverse stage s): butterflies p and p + h/2.
+    auto store4 = [&](const auto& x0, const auto& x1, const auto& x2,
+                      const auto& x3) {
+        A::store(dst_hi, dst_lo, p, x0);
+        A::store(dst_hi, dst_lo, p + h2, x1);
+        A::store(dst_hi, dst_lo, p + h, x2);
+        A::store(dst_hi, dst_lo, p + h + h2, x3);
+    };
+    if (last) {
+        const auto [x0, x2] = inverseLastButterfly<A>(q, q2, y0, y1, tw, algo);
+        const auto [x1, x3] =
+            inverseLastButterfly<A>(q, q2, yh0, yh1, tw, algo);
+        store4(x0, x1, x2, x3);
+    } else {
+        const Dw w0 = entry(tw.w, e0), w0q = entry(tw.wq, e0);
+        const auto [x0, x2] =
+            inverseButterfly<A>(q, q2, y0, y1, w0, w0q, algo);
+        const auto [x1, x3] =
+            inverseButterfly<A>(q, q2, yh0, yh1, w0, w0q, algo);
+        store4(x0, x1, x2, x3);
+    }
+}
+
+/** a * b mod q with a full Barrett reduction (Reduction::Barrett). */
+MQX_FORCE_INLINE Dw
+mulBarrett(const Dw& a, const Dw& b, const mod::Barrett<uint64_t>& br,
+           MulAlgo algo)
+{
+    return algo == MulAlgo::Schoolbook ? mod::mulModSchool(a, b, br)
+                                       : mod::mulModKaratsuba(a, b, br);
+}
+
+/** Barrett forward butterfly at word indices, canonical in and out. */
+MQX_FORCE_INLINE void
+forwardButterflyBarrettAt(const mod::Barrett<uint64_t>& br, const Dw& q,
+                          const uint64_t* src_hi, const uint64_t* src_lo,
+                          uint64_t* dst_hi, uint64_t* dst_lo, const Dw& w,
+                          size_t ia, size_t ib, size_t o0, size_t o1,
+                          MulAlgo algo)
+{
+    const Dw a{src_hi[ia], src_lo[ia]};
+    const Dw t = mulBarrett(Dw{src_hi[ib], src_lo[ib]}, w, br, algo);
+    const Dw u = mod::addMod(a, t, q);
+    const Dw v = mod::subMod(a, t, q);
+    dst_hi[o0] = u.hi;
+    dst_lo[o0] = u.lo;
+    dst_hi[o1] = v.hi;
+    dst_lo[o1] = v.lo;
+}
+
+/** Barrett inverse butterfly at word indices (last stage: n^-1 folded). */
+MQX_FORCE_INLINE void
+inverseButterflyBarrettAt(const mod::Barrett<uint64_t>& br, const Dw& q,
+                          const uint64_t* src_hi, const uint64_t* src_lo,
+                          uint64_t* dst_hi, uint64_t* dst_lo,
+                          const PeaseTwiddles& tw, const Dw& w, size_t i0,
+                          size_t i1, size_t o0, size_t o1, bool last,
+                          MulAlgo algo)
+{
+    const Dw u{src_hi[i0], src_lo[i0]};
+    const Dw v{src_hi[i1], src_lo[i1]};
+    Dw x0 = mod::addMod(u, v, q);
+    Dw x1 = mulBarrett(mod::subMod(u, v, q), last ? mod::toDw(tw.last_diff) : w,
+                       br, algo);
+    if (last)
+        x0 = mulBarrett(x0, mod::toDw(tw.last_sum), br, algo);
+    dst_hi[o0] = x0.hi;
+    dst_lo[o0] = x0.lo;
+    dst_hi[o1] = x1.hi;
+    dst_lo[o1] = x1.lo;
+}
+
+// ======================================================================
+// The scalar cores (Backend::Scalar, and the SIMD kernels' tails).
+// ======================================================================
+
+/**
+ * Word of element @p e of lane @p c: IL = 1 is the per-channel layout,
+ * anything else the batch layout.
+ */
+template <size_t IL>
+MQX_FORCE_INLINE size_t
+scalarCoreIndex(size_t e, size_t c, size_t il)
+{
+    if constexpr (IL == 1)
+        return e;
+    else
+        return batchIndex(e, c, il);
+}
+
+/** The scalar cores' default per-pass hook: none. */
+struct NoStageHook
+{
+    void operator()(DConstSpan, int) const {}
+};
+
+/** One radix-2 forward stage over butterflies [j0, h) of il lanes. */
+template <size_t IL, class A>
+inline void
+forwardStageScalar(const NttPlan& plan, const PeaseTwiddles& tw, size_t il,
+                   const uint64_t* src_hi, const uint64_t* src_lo, DSpan dst,
+                   int s, size_t j0, bool last, PeaseShape shape)
+{
+    const size_t h = plan.half();
+    const Dw q = mod::toDw(plan.modulus().value());
+    const Dw q2 = mod::shl1Dw(q);
+    const auto& br = plan.modulus().barrett();
+    for (size_t j = j0; j < h; ++j) {
+        const size_t e = twiddleIndex(tw, s, j);
+        const Dw w = entry(tw.w, e), wq = entry(tw.wq, e);
+        for (size_t c = 0; c < il; ++c) {
+            const size_t ia = scalarCoreIndex<IL>(j, c, il);
+            const size_t ib = scalarCoreIndex<IL>(j + h, c, il);
+            const size_t o0 = scalarCoreIndex<IL>(2 * j, c, il);
+            const size_t o1 = scalarCoreIndex<IL>(2 * j + 1, c, il);
+            if (shape.red == Reduction::Barrett) {
+                forwardButterflyBarrettAt(br, q, src_hi, src_lo, dst.hi,
+                                          dst.lo, w, ia, ib, o0, o1,
+                                          shape.algo);
+                continue;
+            }
+            const auto [u, v] = forwardButterfly<A>(
+                q, q2, A::load4q(src_hi, src_lo, ia, q),
+                A::load4q(src_hi, src_lo, ib, q), w, wq, shape.algo);
+            storeForward<A>(q, q2, dst.hi, dst.lo, o0, u, last);
+            storeForward<A>(q, q2, dst.hi, dst.lo, o1, v, last);
+        }
+    }
+}
+
+/** One radix-2 inverse stage over butterflies [j0, h) of il lanes. */
+template <size_t IL, class A>
+inline void
+inverseStageScalar(const NttPlan& plan, const PeaseTwiddles& tw, size_t il,
+                   const uint64_t* src_hi, const uint64_t* src_lo, DSpan dst,
+                   int s, size_t j0, PeaseShape shape)
+{
+    const size_t h = plan.half();
+    const Dw q = mod::toDw(plan.modulus().value());
+    const Dw q2 = mod::shl1Dw(q);
+    const auto& br = plan.modulus().barrett();
+    const bool last = s == 0;
+    for (size_t j = j0; j < h; ++j) {
+        const size_t e = twiddleIndex(tw, s, j);
+        const Dw w = entry(tw.w, e), wq = entry(tw.wq, e);
+        for (size_t c = 0; c < il; ++c) {
+            const size_t i0 = scalarCoreIndex<IL>(2 * j, c, il);
+            const size_t i1 = scalarCoreIndex<IL>(2 * j + 1, c, il);
+            const size_t o0 = scalarCoreIndex<IL>(j, c, il);
+            const size_t o1 = scalarCoreIndex<IL>(j + h, c, il);
+            if (shape.red == Reduction::Barrett)
+                inverseButterflyBarrettAt(br, q, src_hi, src_lo, dst.hi,
+                                          dst.lo, tw, w, i0, i1, o0, o1, last,
+                                          shape.algo);
+            else
+                inverseButterflyAt<A>(q, q2, src_hi, src_lo, dst.hi, dst.lo,
+                                      tw, w, wq, i0, i1, o0, o1, last,
+                                      shape.algo);
+        }
+    }
+}
+
+/** One fused forward pass over stages (s, s+1), passes [p0, n/4). */
+template <class A>
+inline void
+forwardPass4Scalar(const NttPlan& plan, const PeaseTwiddles& tw,
+                   const uint64_t* src_hi, const uint64_t* src_lo, DSpan dst,
+                   int s, size_t p0, bool last, MulAlgo algo)
+{
+    const size_t h = plan.half();
+    const Dw q = mod::toDw(plan.modulus().value());
+    const Dw q2 = mod::shl1Dw(q);
+    const size_t mask = (size_t{1} << s) - 1;
+    for (size_t p = p0; p < h / 2; ++p) {
+        forwardButterfly4<A>(q, q2, src_hi, src_lo, dst.hi, dst.lo, tw.w,
+                             tw.wq, tw.offset(s) + (p & mask),
+                             tw.offset(s + 1) + 2 * (p & mask), p, h, last,
+                             algo);
+    }
+}
+
+/** One fused inverse pass over inverse stages (s+1, s), passes [p0, n/4). */
+template <class A>
+inline void
+inversePass4Scalar(const NttPlan& plan, const PeaseTwiddles& tw,
+                   const uint64_t* src_hi, const uint64_t* src_lo, DSpan dst,
+                   int s, size_t p0, MulAlgo algo)
+{
+    const size_t h = plan.half();
+    const Dw q = mod::toDw(plan.modulus().value());
+    const Dw q2 = mod::shl1Dw(q);
+    const size_t mask = (size_t{1} << s) - 1;
+    for (size_t p = p0; p < h / 2; ++p) {
+        inverseButterfly4<A>(q, q2, src_hi, src_lo, dst.hi, dst.lo, tw,
+                             tw.offset(s) + (p & mask),
+                             tw.offset(s + 1) + 2 * (p & mask), p, h, s == 0,
+                             algo);
+    }
+}
+
+/**
+ * Scalar forward over il lanes (Backend::Scalar): IL = 1 is the
+ * per-channel transform (radix-2 or fused radix-4), IL = 0 the
+ * runtime-il batch (radix-2). Policy-templated like the butterflies;
+ * @p on_stage(dst, s) runs after every pass, s being the last stage it
+ * covered, so the range-contract tests check this very loop.
+ */
+template <size_t IL, class A = mod::DefaultLazyOps,
+          class OnStage = NoStageHook>
+void
+forwardScalarCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
+                  DConstSpan in, DSpan out, DSpan scratch, PeaseShape shape,
+                  OnStage on_stage = {})
+{
+    const size_t il = IL ? IL : il_rt;
+    const int m = plan.logn();
+    const bool fused = IL == 1 && shape.red == Reduction::ShoupLazy &&
+                       shape.fusion == StageFusion::Radix4;
+    PingPong pp(in, out, scratch, peasePasses(m, fused));
+    for (int s = 0; s < m; pp.next()) {
+        if (forwardPairAt(fused, s, m)) {
+            forwardPass4Scalar<A>(plan, tw, pp.srcHi(), pp.srcLo(), pp.dst(),
+                                  s, 0, s + 2 == m, shape.algo);
+            s += 2;
+        } else {
+            forwardStageScalar<IL, A>(plan, tw, il, pp.srcHi(), pp.srcLo(),
+                                      pp.dst(), s, 0, s + 1 == m, shape);
+            s += 1;
+        }
+        on_stage(DConstSpan(pp.dst()), s - 1);
+    }
+}
+
+/** Scalar inverse (see forwardScalarCore): stages high to low, fused
+ *  pairs first and a lone stage 0 when logn is odd. */
+template <size_t IL, class A = mod::DefaultLazyOps,
+          class OnStage = NoStageHook>
+void
+inverseScalarCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
+                  DConstSpan in, DSpan out, DSpan scratch, PeaseShape shape,
+                  OnStage on_stage = {})
+{
+    const size_t il = IL ? IL : il_rt;
+    const int m = plan.logn();
+    const bool fused = IL == 1 && shape.red == Reduction::ShoupLazy &&
+                       shape.fusion == StageFusion::Radix4;
+    PingPong pp(in, out, scratch, peasePasses(m, fused));
+    for (int s = m - 1; s >= 0; pp.next()) {
+        if (fused && s >= 1) {
+            inversePass4Scalar<A>(plan, tw, pp.srcHi(), pp.srcLo(), pp.dst(),
+                                  s - 1, 0, shape.algo);
+            s -= 2;
+        } else {
+            inverseStageScalar<IL, A>(plan, tw, il, pp.srcHi(), pp.srcLo(),
+                                      pp.dst(), s, 0, shape);
+            s -= 1;
+        }
+        on_stage(DConstSpan(pp.dst()), s + 1);
+    }
+}
+
+// ======================================================================
+// SIMD twiddle loads and butterflies.
+// ======================================================================
+
+/**
+ * Stage-s twiddles as vectors: butterfly j reads entry offset(s) +
+ * (j mod 2^s). While 2^s < kLanes every vector of butterflies reads the
+ * same pattern, so it is built once per stage; from 2^s >= kLanes on, a
+ * vector's entries are contiguous (j is a multiple of kLanes) and cost
+ * one load. at() gives the Shoup form, value() the plain twiddle.
+ */
+template <class Isa>
+class StageTwiddles
+{
+  public:
+    StageTwiddles(const PeaseTwiddles& tw, int s)
+        : w_(tw.w), wq_(tw.wq), off_(tw.offset(s)),
+          mask_((size_t{1} << s) - 1), hoisted_(mask_ + 1 < Isa::kLanes)
+    {
+        if (!hoisted_)
+            return;
+        alignas(64) uint64_t th[Isa::kLanes], tl[Isa::kLanes];
+        alignas(64) uint64_t qh[Isa::kLanes], ql[Isa::kLanes];
+        for (size_t i = 0; i < Isa::kLanes; ++i) {
+            const size_t e = off_ + (i & mask_);
+            th[i] = w_.hi[e];
+            tl[i] = w_.lo[e];
+            qh[i] = wq_.hi[e];
+            ql[i] = wq_.lo[e];
+        }
+        value_ = simd::loadDv<Isa>(th, tl, 0);
+        pattern_ = simd::makeShoupW<Isa>(value_, simd::loadDv<Isa>(qh, ql, 0));
+    }
+
+    simd::ShoupW<Isa>
+    at(size_t j) const
+    {
+        if (hoisted_)
+            return pattern_;
+        const size_t e = off_ + (j & mask_);
+        return simd::makeShoupW<Isa>(simd::loadDv<Isa>(w_.hi, w_.lo, e),
+                                     simd::loadDv<Isa>(wq_.hi, wq_.lo, e));
+    }
+
+    simd::DV<Isa>
+    value(size_t j) const
+    {
+        if (hoisted_)
+            return value_;
+        return simd::loadDv<Isa>(w_.hi, w_.lo, off_ + (j & mask_));
+    }
+
+  private:
+    DConstSpan w_, wq_;
+    size_t off_, mask_;
+    bool hoisted_;
+    simd::DV<Isa> value_{};
+    simd::ShoupW<Isa> pattern_{};
+};
+
+/**
+ * Second-layer twiddles of the fused pass over stages (s, s+1): pass p
+ * runs stage-(s+1) butterflies 2p and 2p + 1, which read the adjacent
+ * entries offset(s+1) + 2 (p mod 2^s) + {0, 1}. Hoisted patterns while
+ * 2^s < kLanes, else one load of 2 kLanes contiguous entries split into
+ * the even and odd twiddles.
+ */
+template <class Isa>
+class PairTwiddles
+{
+  public:
+    PairTwiddles(const PeaseTwiddles& tw, int s)
+        : w_(tw.w), wq_(tw.wq), off_(tw.offset(s + 1)),
+          mask_((size_t{1} << s) - 1), hoisted_(mask_ + 1 < Isa::kLanes)
+    {
+        if (!hoisted_)
+            return;
+        alignas(64) uint64_t t[4][2][Isa::kLanes];
+        for (size_t i = 0; i < Isa::kLanes; ++i) {
+            for (size_t odd = 0; odd < 2; ++odd) {
+                const size_t e = off_ + 2 * (i & mask_) + odd;
+                t[0][odd][i] = w_.hi[e];
+                t[1][odd][i] = w_.lo[e];
+                t[2][odd][i] = wq_.hi[e];
+                t[3][odd][i] = wq_.lo[e];
+            }
+        }
+        even_ = simd::makeShoupW<Isa>(simd::loadDv<Isa>(t[0][0], t[1][0], 0),
+                                      simd::loadDv<Isa>(t[2][0], t[3][0], 0));
+        odd_ = simd::makeShoupW<Isa>(simd::loadDv<Isa>(t[0][1], t[1][1], 0),
+                                     simd::loadDv<Isa>(t[2][1], t[3][1], 0));
+    }
+
+    void
+    at(size_t p, simd::ShoupW<Isa>& even, simd::ShoupW<Isa>& odd) const
+    {
+        if (hoisted_) {
+            even = even_;
+            odd = odd_;
+            return;
+        }
+        const size_t e = off_ + 2 * (p & mask_);
+        simd::DV<Isa> we, wo, qe, qo;
+        split(w_, e, we, wo);
+        split(wq_, e, qe, qo);
+        even = simd::makeShoupW<Isa>(we, qe);
+        odd = simd::makeShoupW<Isa>(wo, qo);
+    }
+
+  private:
+    static void
+    split(DConstSpan t, size_t e, simd::DV<Isa>& even, simd::DV<Isa>& odd)
+    {
+        Isa::deinterleave2(Isa::loadu(t.hi + e), Isa::loadu(t.hi + e + Isa::kLanes),
+                           even.hi, odd.hi);
+        Isa::deinterleave2(Isa::loadu(t.lo + e), Isa::loadu(t.lo + e + Isa::kLanes),
+                           even.lo, odd.lo);
+    }
+
+    DConstSpan w_, wq_;
+    size_t off_, mask_;
+    bool hoisted_;
+    simd::ShoupW<Isa> even_{}, odd_{};
+};
+
+/** [0, 4q) -> [0, q): the forward's last-stage canonicalization. */
+template <class Isa>
+MQX_FORCE_INLINE simd::DV<Isa>
+canonFrom4qV(const simd::ModCtx<Isa>& ctx, const simd::DV<Isa>& x)
+{
+    return simd::condSubDwV<Isa>(
+        ctx, simd::condSubDwV<Isa>(ctx, x, ctx.q2h, ctx.q2l), ctx.qh,
+        ctx.ql);
+}
+
+/** Vector forwardButterfly: a, b in [0, 4q); canonical when @p last. */
+template <class Isa>
+MQX_FORCE_INLINE void
+forwardButterflyV(const simd::ModCtx<Isa>& ctx, const simd::DV<Isa>& a,
+                  const simd::DV<Isa>& b, const simd::ShoupW<Isa>& w,
+                  bool last, MulAlgo algo, simd::DV<Isa>& u, simd::DV<Isa>& v)
+{
+    // a reduced to [0, 2q); t = w * b in [0, 2q).
+    const auto a2 = simd::condSubDwV<Isa>(ctx, a, ctx.q2h, ctx.q2l);
+    const auto t = simd::mulModShoupV<Isa>(ctx, b, w, algo);
+    u = simd::addDwV<Isa>(ctx, a2, t);         // [0, 4q)
+    v = simd::subModLazyRawV<Isa>(ctx, a2, t); // (0, 4q)
+    if (last) {
+        u = canonFrom4qV<Isa>(ctx, u);
+        v = canonFrom4qV<Isa>(ctx, v);
+    }
+}
+
+/** Vector inverseButterfly: u, v in [0, 2q). */
+template <class Isa>
+MQX_FORCE_INLINE void
+inverseButterflyV(const simd::ModCtx<Isa>& ctx, const simd::DV<Isa>& u,
+                  const simd::DV<Isa>& v, const simd::ShoupW<Isa>& w,
+                  MulAlgo algo, simd::DV<Isa>& x0, simd::DV<Isa>& x1)
+{
+    x0 = simd::addModLazyV<Isa>(ctx, u, v);
+    x1 = simd::mulModShoupV<Isa>(ctx, simd::subModLazyRawV<Isa>(ctx, u, v), w,
+                                 algo);
+}
+
+/** The last-stage factors of an inverse, broadcast once per transform. */
+template <class Isa>
+struct LastFactorsV
+{
+    explicit LastFactorsV(const PeaseTwiddles& tw)
+        : sum(simd::broadcastShoupW<Isa>(tw.last_sum.hi, tw.last_sum.lo,
+                                         tw.last_sum_q.hi, tw.last_sum_q.lo)),
+          diff(simd::broadcastShoupW<Isa>(tw.last_diff.hi, tw.last_diff.lo,
+                                          tw.last_diff_q.hi,
+                                          tw.last_diff_q.lo))
+    {
+    }
+    simd::ShoupW<Isa> sum, diff;
+};
+
+/** Vector inverseLastButterfly (n^-1 folded in), canonical out. */
+template <class Isa>
+MQX_FORCE_INLINE void
+inverseLastButterflyV(const simd::ModCtx<Isa>& ctx, const simd::DV<Isa>& u,
+                      const simd::DV<Isa>& v, const LastFactorsV<Isa>& f,
+                      MulAlgo algo, simd::DV<Isa>& x0, simd::DV<Isa>& x1)
+{
+    x0 = simd::mulModShoupV<Isa>(ctx, simd::addDwV<Isa>(ctx, u, v), f.sum,
+                                 algo);
+    x0 = simd::condSubDwV<Isa>(ctx, x0, ctx.qh, ctx.ql);
+    x1 = simd::mulModShoupV<Isa>(ctx, simd::subModLazyRawV<Isa>(ctx, u, v),
+                                 f.diff, algo);
+    x1 = simd::condSubDwV<Isa>(ctx, x1, ctx.qh, ctx.ql);
+}
+
+/** Interleave (u, v) and store the two blocks at words i0 and i1. */
+template <class Isa>
+MQX_FORCE_INLINE void
+storeInterleaved(DSpan dst, size_t i0, size_t i1, const simd::DV<Isa>& u,
+                 const simd::DV<Isa>& v)
+{
+    typename Isa::V blk0, blk1;
+    Isa::interleave2(u.hi, v.hi, blk0, blk1);
+    Isa::storeu(dst.hi + i0, blk0);
+    Isa::storeu(dst.hi + i1, blk1);
+    Isa::interleave2(u.lo, v.lo, blk0, blk1);
+    Isa::storeu(dst.lo + i0, blk0);
+    Isa::storeu(dst.lo + i1, blk1);
+}
+
+/** Load the blocks at words i0 and i1 and split them into (u, v). */
+template <class Isa>
+MQX_FORCE_INLINE void
+loadDeinterleaved(const uint64_t* hi, const uint64_t* lo, size_t i0,
+                  size_t i1, simd::DV<Isa>& u, simd::DV<Isa>& v)
+{
+    Isa::deinterleave2(Isa::loadu(hi + i0), Isa::loadu(hi + i1), u.hi, v.hi);
+    Isa::deinterleave2(Isa::loadu(lo + i0), Isa::loadu(lo + i1), u.lo, v.lo);
+}
+
+/**
+ * 4-way interleave built from two rounds of the ISA's interleave2: lane
+ * p of (z0, z1, z2, z3) lands at words 4p .. 4p+3 of the 4 kLanes
+ * words stored from @p i — the fused radix-4 store y[4p+i] = zi.
+ */
+template <class Isa>
+MQX_FORCE_INLINE void
+storeInterleaved4(uint64_t* dst, size_t i, typename Isa::V z0,
+                  typename Isa::V z1, typename Isa::V z2, typename Isa::V z3)
+{
+    typename Isa::V a0, a1, b0, b1, o0, o1, o2, o3;
+    Isa::interleave2(z0, z2, a0, a1);
+    Isa::interleave2(z1, z3, b0, b1);
+    Isa::interleave2(a0, b0, o0, o1);
+    Isa::interleave2(a1, b1, o2, o3);
+    Isa::storeu(dst + i, o0);
+    Isa::storeu(dst + i + Isa::kLanes, o1);
+    Isa::storeu(dst + i + 2 * Isa::kLanes, o2);
+    Isa::storeu(dst + i + 3 * Isa::kLanes, o3);
+}
+
+/** Exact inverse of storeInterleaved4 (the fused radix-4 inverse load). */
+template <class Isa>
+MQX_FORCE_INLINE void
+loadDeinterleaved4(const uint64_t* src, size_t i, typename Isa::V& z0,
+                   typename Isa::V& z1, typename Isa::V& z2,
+                   typename Isa::V& z3)
+{
+    typename Isa::V a0, a1, b0, b1;
+    Isa::deinterleave2(Isa::loadu(src + i), Isa::loadu(src + i + Isa::kLanes),
+                       a0, b0);
+    Isa::deinterleave2(Isa::loadu(src + i + 2 * Isa::kLanes),
+                       Isa::loadu(src + i + 3 * Isa::kLanes), a1, b1);
+    Isa::deinterleave2(a0, a1, z0, z2);
+    Isa::deinterleave2(b0, b1, z1, z3);
+}
+
+// ======================================================================
+// SIMD sweeps of one channel. Each vector loop covers whole vectors of
+// butterflies; the scalar cores' loops finish the rest (only transforms
+// with n/2 or n/4 below kLanes have one).
+// ======================================================================
+
+template <class Isa>
+void
+forwardStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
+              const PeaseTwiddles& tw, const PingPong& pp, int s, bool last,
+              PeaseShape shape)
+{
+    const size_t h = plan.half();
+    const uint64_t* src_hi = pp.srcHi();
+    const uint64_t* src_lo = pp.srcLo();
+    const DSpan dst = pp.dst();
+    StageTwiddles<Isa> tws(tw, s);
+    size_t j = 0;
+    if (shape.red == Reduction::Barrett) {
+        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
+            const auto a = simd::loadDv<Isa>(src_hi, src_lo, j);
+            const auto t = simd::mulModV<Isa>(
+                ctx, simd::loadDv<Isa>(src_hi, src_lo, j + h), tws.value(j),
+                shape.algo);
+            storeInterleaved<Isa>(dst, 2 * j, 2 * j + Isa::kLanes,
+                                  simd::addModV<Isa>(ctx, a, t),
+                                  simd::subModV<Isa>(ctx, a, t));
+        }
+    } else {
+        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
+            simd::DV<Isa> u, v;
+            forwardButterflyV<Isa>(ctx, simd::loadDv<Isa>(src_hi, src_lo, j),
+                                   simd::loadDv<Isa>(src_hi, src_lo, j + h),
+                                   tws.at(j), last, shape.algo, u, v);
+            storeInterleaved<Isa>(dst, 2 * j, 2 * j + Isa::kLanes, u, v);
+        }
+    }
+    forwardStageScalar<1, mod::DefaultLazyOps>(plan, tw, 1, src_hi, src_lo,
+                                               dst, s, j, last, shape);
+}
+
+template <class Isa>
+void
+inverseStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
+              const PeaseTwiddles& tw, const PingPong& pp, int s,
+              PeaseShape shape)
+{
+    const size_t h = plan.half();
+    const uint64_t* src_hi = pp.srcHi();
+    const uint64_t* src_lo = pp.srcLo();
+    const DSpan dst = pp.dst();
+    StageTwiddles<Isa> tws(tw, s);
+    const LastFactorsV<Isa> lastf(tw);
+    size_t j = 0;
+    if (shape.red == Reduction::Barrett) {
+        const simd::DV<Isa> sum{Isa::set1(tw.last_sum.hi),
+                                Isa::set1(tw.last_sum.lo)};
+        const simd::DV<Isa> diff{Isa::set1(tw.last_diff.hi),
+                                 Isa::set1(tw.last_diff.lo)};
+        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
+            simd::DV<Isa> u, v;
+            loadDeinterleaved<Isa>(src_hi, src_lo, 2 * j, 2 * j + Isa::kLanes,
+                                   u, v);
+            auto x0 = simd::addModV<Isa>(ctx, u, v);
+            auto x1 = simd::mulModV<Isa>(ctx, simd::subModV<Isa>(ctx, u, v),
+                                         s == 0 ? diff : tws.value(j),
+                                         shape.algo);
+            if (s == 0)
+                x0 = simd::mulModV<Isa>(ctx, x0, sum, shape.algo);
+            simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
+            simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
+        }
+    } else {
+        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
+            simd::DV<Isa> u, v, x0, x1;
+            loadDeinterleaved<Isa>(src_hi, src_lo, 2 * j, 2 * j + Isa::kLanes,
+                                   u, v);
+            if (s == 0)
+                inverseLastButterflyV<Isa>(ctx, u, v, lastf, shape.algo, x0,
+                                           x1);
+            else
+                inverseButterflyV<Isa>(ctx, u, v, tws.at(j), shape.algo, x0,
+                                       x1);
+            simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
+            simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
+        }
+    }
+    inverseStageScalar<1, mod::DefaultLazyOps>(plan, tw, 1, src_hi, src_lo,
+                                               dst, s, j, shape);
+}
+
+template <class Isa>
+void
+forwardPass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
+              const PeaseTwiddles& tw, const PingPong& pp, int s, bool last,
+              MulAlgo algo)
+{
+    const size_t h = plan.half();
+    const size_t h2 = h / 2;
+    const uint64_t* src_hi = pp.srcHi();
+    const uint64_t* src_lo = pp.srcLo();
+    const DSpan dst = pp.dst();
+    StageTwiddles<Isa> tw0(tw, s);
+    PairTwiddles<Isa> tw1(tw, s);
+    size_t p = 0;
+    for (; p + Isa::kLanes <= h2; p += Isa::kLanes) {
+        // Live-range discipline: finish the first layer before loading
+        // the second layer's twiddles — the fused body otherwise
+        // overflows the vector register file.
+        const auto w0 = tw0.at(p);
+        simd::DV<Isa> u0, v0, u1, v1, z0, z1, z2, z3;
+        forwardButterflyV<Isa>(ctx, simd::loadDv<Isa>(src_hi, src_lo, p),
+                               simd::loadDv<Isa>(src_hi, src_lo, p + h), w0,
+                               false, algo, u0, v0);
+        forwardButterflyV<Isa>(ctx, simd::loadDv<Isa>(src_hi, src_lo, p + h2),
+                               simd::loadDv<Isa>(src_hi, src_lo, p + h + h2),
+                               w0, false, algo, u1, v1);
+        simd::ShoupW<Isa> wa, wb;
+        tw1.at(p, wa, wb);
+        forwardButterflyV<Isa>(ctx, u0, u1, wa, last, algo, z0, z1);
+        forwardButterflyV<Isa>(ctx, v0, v1, wb, last, algo, z2, z3);
+        storeInterleaved4<Isa>(dst.hi, 4 * p, z0.hi, z1.hi, z2.hi, z3.hi);
+        storeInterleaved4<Isa>(dst.lo, 4 * p, z0.lo, z1.lo, z2.lo, z3.lo);
+    }
+    forwardPass4Scalar<mod::DefaultLazyOps>(plan, tw, src_hi, src_lo, dst, s,
+                                            p, last, algo);
+}
+
+template <class Isa>
+void
+inversePass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
+              const PeaseTwiddles& tw, const PingPong& pp, int s,
+              MulAlgo algo)
+{
+    const size_t h = plan.half();
+    const size_t h2 = h / 2;
+    const uint64_t* src_hi = pp.srcHi();
+    const uint64_t* src_lo = pp.srcLo();
+    const DSpan dst = pp.dst();
+    StageTwiddles<Isa> tw0(tw, s);
+    PairTwiddles<Isa> tw1(tw, s);
+    const LastFactorsV<Isa> lastf(tw);
+    size_t p = 0;
+    for (; p + Isa::kLanes <= h2; p += Isa::kLanes) {
+        simd::DV<Isa> z0, z1, z2, z3, y0, yh0, y1, yh1, x0, x1, x2, x3;
+        loadDeinterleaved4<Isa>(src_hi, 4 * p, z0.hi, z1.hi, z2.hi, z3.hi);
+        loadDeinterleaved4<Isa>(src_lo, 4 * p, z0.lo, z1.lo, z2.lo, z3.lo);
+        simd::ShoupW<Isa> wa, wb;
+        tw1.at(p, wa, wb);
+        // First layer (inverse stage s+1): butterflies 2p and 2p + 1.
+        inverseButterflyV<Isa>(ctx, z0, z1, wa, algo, y0, yh0);
+        inverseButterflyV<Isa>(ctx, z2, z3, wb, algo, y1, yh1);
+        // Second layer (inverse stage s): butterflies p and p + h/2.
+        if (s == 0) {
+            inverseLastButterflyV<Isa>(ctx, y0, y1, lastf, algo, x0, x2);
+            inverseLastButterflyV<Isa>(ctx, yh0, yh1, lastf, algo, x1, x3);
+        } else {
+            const auto w0 = tw0.at(p);
+            inverseButterflyV<Isa>(ctx, y0, y1, w0, algo, x0, x2);
+            inverseButterflyV<Isa>(ctx, yh0, yh1, w0, algo, x1, x3);
+        }
+        simd::storeDv<Isa>(dst.hi, dst.lo, p, x0);
+        simd::storeDv<Isa>(dst.hi, dst.lo, p + h2, x1);
+        simd::storeDv<Isa>(dst.hi, dst.lo, p + h, x2);
+        simd::storeDv<Isa>(dst.hi, dst.lo, p + h + h2, x3);
+    }
+    inversePass4Scalar<mod::DefaultLazyOps>(plan, tw, src_hi, src_lo, dst, s,
+                                            p, algo);
+}
+
+// ======================================================================
+// IL-lane batch sweeps (radix-2, Shoup-lazy, schoolbook): each twiddle
+// vector is loaded once and reused across the lanes of the channel-major
+// tiled layout of core/batch_layout.h (element e of lane c at word
+// batchIndex(e, c, il); kLanes divides the 8-word tile for every ISA).
+// ======================================================================
+
+/** Forward batch sweeps. IL = 0 is the runtime-il loop; IL in {4, 8}
+ *  unrolls the lane loop around the hoisted twiddle registers. */
+template <class Isa, size_t IL>
+void
+forwardBatchCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
+                 DConstSpan in, DSpan out, DSpan scratch)
+{
+    const size_t il = IL ? IL : il_rt;
+    constexpr size_t w8 = BatchLayout::kTileWords;
+    const size_t h = plan.half();
+    const int m = plan.logn();
+    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
+    const size_t pf = core::prefetchDistance() * il * w8;
+
+    PingPong pp(in, out, scratch, m);
+    for (int s = 0; s < m; ++s, pp.next()) {
+        const bool last = s == m - 1;
+        const uint64_t* src_hi = pp.srcHi();
+        const uint64_t* src_lo = pp.srcLo();
+        const DSpan dst = pp.dst();
+        StageTwiddles<Isa> tws(tw, s);
+        // h >= 8 and kLanes divides 8, so the lane loop has no tail.
+        for (size_t j = 0; j + Isa::kLanes <= h; j += Isa::kLanes) {
+            const auto wj = tws.at(j);
+            const size_t ja = batchIndex(j, 0, il);
+            const size_t jb = batchIndex(j + h, 0, il);
+            const size_t jo0 = batchIndex(2 * j, 0, il);
+            const size_t jo1 = batchIndex(2 * j + Isa::kLanes, 0, il);
+            // One prefetch pair per read stream per group-row: the il
+            // lane rows behind it are contiguous, so the hardware
+            // streamer follows; issuing per lane was pure instruction
+            // overhead (measurably slower on 8-lane tiers).
+            if (pf && (j & (w8 - 1)) == 0) {
+                core::prefetchNext(src_hi, src_lo, ja, pf);
+                core::prefetchNext(src_hi, src_lo, jb, pf);
+            }
+            for (size_t c = 0; c < il; ++c) {
+                simd::DV<Isa> u, v;
+                forwardButterflyV<Isa>(
+                    ctx, simd::loadDv<Isa>(src_hi, src_lo, ja + c * w8),
+                    simd::loadDv<Isa>(src_hi, src_lo, jb + c * w8), wj, last,
+                    MulAlgo::Schoolbook, u, v);
+                storeInterleaved<Isa>(dst, jo0 + c * w8, jo1 + c * w8, u, v);
+            }
+        }
+    }
+}
+
+/** Inverse batch sweeps (see the forward core). */
+template <class Isa, size_t IL>
+void
+inverseBatchCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
+                 DConstSpan in, DSpan out, DSpan scratch)
+{
+    const size_t il = IL ? IL : il_rt;
+    constexpr size_t w8 = BatchLayout::kTileWords;
+    const size_t h = plan.half();
+    const int m = plan.logn();
+    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
+    const size_t pf = core::prefetchDistance() * il * w8;
+    const LastFactorsV<Isa> lastf(tw);
+
+    PingPong pp(in, out, scratch, m);
+    for (int s = m - 1; s >= 0; --s, pp.next()) {
+        const uint64_t* src_hi = pp.srcHi();
+        const uint64_t* src_lo = pp.srcLo();
+        const DSpan dst = pp.dst();
+        StageTwiddles<Isa> tws(tw, s);
+        for (size_t j = 0; j + Isa::kLanes <= h; j += Isa::kLanes) {
+            const auto wj = tws.at(j);
+            const size_t ji0 = batchIndex(2 * j, 0, il);
+            const size_t ji1 = batchIndex(2 * j + Isa::kLanes, 0, il);
+            const size_t jx0 = batchIndex(j, 0, il);
+            const size_t jx1 = batchIndex(j + h, 0, il);
+            // The inverse reads two interleaved rows per j, hence the
+            // doubled lookahead.
+            if (pf && (j & (w8 - 1)) == 0) {
+                core::prefetchNext(src_hi, src_lo, ji0, 2 * pf);
+                core::prefetchNext(src_hi, src_lo, ji1, 2 * pf);
+            }
+            for (size_t c = 0; c < il; ++c) {
+                simd::DV<Isa> u, v, x0, x1;
+                loadDeinterleaved<Isa>(src_hi, src_lo, ji0 + c * w8,
+                                       ji1 + c * w8, u, v);
+                if (s == 0)
+                    inverseLastButterflyV<Isa>(ctx, u, v, lastf,
+                                               MulAlgo::Schoolbook, x0, x1);
+                else
+                    inverseButterflyV<Isa>(ctx, u, v, wj, MulAlgo::Schoolbook,
+                                           x0, x1);
+                simd::storeDv<Isa>(dst.hi, dst.lo, jx0 + c * w8, x0);
+                simd::storeDv<Isa>(dst.hi, dst.lo, jx1 + c * w8, x1);
+            }
+        }
+    }
+}
+
 } // namespace detail
 
-/** Forward Pease NTT, Barrett arithmetic (natural in, bit-reversed out). */
+// ======================================================================
+// Entry templates: every tier TU instantiates these four.
+// ======================================================================
+
+/**
+ * Forward transform of one channel: canonical natural-order input,
+ * canonical bit-reversed output, in any PeaseShape (Barrett runs
+ * radix-2 whatever the fusion).
+ */
 template <class Isa>
 void
-peaseForwardImpl(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch,
-                 MulAlgo algo = MulAlgo::Schoolbook)
+forwardImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,
+            DConstSpan in, DSpan out, DSpan scratch, detail::PeaseShape shape)
 {
     detail::validateNttArgs(plan, in, out, scratch);
-    const size_t h = plan.half();
     const int m = plan.logn();
-    const Modulus& mod = plan.modulus();
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(mod);
-    const auto& br = mod.barrett();
-    const mod::DW<uint64_t> q = mod::toDw(mod.value());
-    const uint64_t* tw_hi = plan.twiddleHi();
-    const uint64_t* tw_lo = plan.twiddleLo();
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-
-    for (int s = 0; s < m; ++s) {
-        DSpan dst = bufs[target];
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto a = simd::loadDv<Isa>(src_hi, src_lo, j);
-            auto b = simd::loadDv<Isa>(src_hi, src_lo, j + h);
-            auto w = detail::loadStageTwiddles<Isa>(tw_hi, tw_lo, j, s);
-            auto u = simd::addModV<Isa>(ctx, a, b);
-            auto v = simd::mulModV<Isa>(ctx, simd::subModV<Isa>(ctx, a, b),
-                                        w, algo);
-            typename Isa::V blk0, blk1;
-            Isa::interleave2(u.hi, v.hi, blk0, blk1);
-            Isa::storeu(dst.hi + 2 * j, blk0);
-            Isa::storeu(dst.hi + 2 * j + Isa::kLanes, blk1);
-            Isa::interleave2(u.lo, v.lo, blk0, blk1);
-            Isa::storeu(dst.lo + 2 * j, blk0);
-            Isa::storeu(dst.lo + 2 * j + Isa::kLanes, blk1);
+    const simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
+    const bool fused = shape.red == Reduction::ShoupLazy &&
+                       shape.fusion == StageFusion::Radix4;
+    detail::PingPong pp(in, out, scratch, detail::peasePasses(m, fused));
+    for (int s = 0; s < m; pp.next()) {
+        if (detail::forwardPairAt(fused, s, m)) {
+            detail::forwardPass4V<Isa>(ctx, plan, tw, pp, s, s + 2 == m,
+                                       shape.algo);
+            s += 2;
+        } else {
+            detail::forwardStageV<Isa>(ctx, plan, tw, pp, s, s + 1 == m,
+                                       shape);
+            s += 1;
         }
-        for (; j < h; ++j) {
-            detail::forwardButterflyScalar(br, q, src_hi, src_lo, dst.hi,
-                                           dst.lo, tw_hi, tw_lo, j, h, s,
-                                           algo);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-}
-
-/** Inverse Pease NTT, Barrett arithmetic (bit-reversed in, natural out,
- *  scaled by n^-1). */
-template <class Isa>
-void
-peaseInverseImpl(const NttPlan& plan, DConstSpan in, DSpan out, DSpan scratch,
-                 MulAlgo algo = MulAlgo::Schoolbook)
-{
-    detail::validateNttArgs(plan, in, out, scratch);
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const Modulus& mod = plan.modulus();
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(mod);
-    const auto& br = mod.barrett();
-    const mod::DW<uint64_t> q = mod::toDw(mod.value());
-    const uint64_t* tw_hi = plan.twiddleInvHi();
-    const uint64_t* tw_lo = plan.twiddleInvLo();
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-
-    for (int s = m - 1; s >= 0; --s) {
-        DSpan dst = bufs[target];
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto blk0h = Isa::loadu(src_hi + 2 * j);
-            auto blk1h = Isa::loadu(src_hi + 2 * j + Isa::kLanes);
-            auto blk0l = Isa::loadu(src_lo + 2 * j);
-            auto blk1l = Isa::loadu(src_lo + 2 * j + Isa::kLanes);
-            simd::DV<Isa> u, v;
-            Isa::deinterleave2(blk0h, blk1h, u.hi, v.hi);
-            Isa::deinterleave2(blk0l, blk1l, u.lo, v.lo);
-            auto w = detail::loadStageTwiddles<Isa>(tw_hi, tw_lo, j, s);
-            auto t = simd::mulModV<Isa>(ctx, v, w, algo);
-            auto x0 = simd::addModV<Isa>(ctx, u, t);
-            auto x1 = simd::subModV<Isa>(ctx, u, t);
-            simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
-            simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
-        }
-        for (; j < h; ++j) {
-            detail::inverseButterflyScalar(br, q, src_hi, src_lo, dst.hi,
-                                           dst.lo, tw_hi, tw_lo, j, h, s,
-                                           algo);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-
-    // Final scaling by n^-1 (deferred from the per-stage halving).
-    const U128 n_inv = plan.nInv();
-    simd::DV<Isa> vninv{Isa::set1(n_inv.hi), Isa::set1(n_inv.lo)};
-    size_t i = 0;
-    for (; i + Isa::kLanes <= plan.n(); i += Isa::kLanes) {
-        auto x = simd::loadDv<Isa>(out.hi, out.lo, i);
-        simd::storeDv<Isa>(out.hi, out.lo, i,
-                           simd::mulModV<Isa>(ctx, x, vninv, algo));
-    }
-    mod::DW<uint64_t> dn = mod::toDw(n_inv);
-    for (; i < plan.n(); ++i) {
-        mod::DW<uint64_t> x{out.hi[i], out.lo[i]};
-        auto r = algo == MulAlgo::Schoolbook ? mod::mulModSchool(x, dn, br)
-                                             : mod::mulModKaratsuba(x, dn, br);
-        out.hi[i] = r.hi;
-        out.lo[i] = r.lo;
     }
 }
 
 /**
- * Forward Pease NTT, Shoup-lazy arithmetic. Canonical [0, q) input,
- * canonical output (the last stage fuses the condSub-q pass); between
- * stages operands stay in the redundant [0, 2q) range and every twiddle
- * multiply is the Shoup precomputed-quotient form. Bit-identical to
- * peaseForwardImpl.
+ * Inverse transform of one channel: canonical bit-reversed input,
+ * canonical natural-order output, n^-1 folded into the last stage.
  */
 template <class Isa>
 void
-peaseForwardLazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
-                     DSpan scratch, MulAlgo algo = MulAlgo::Schoolbook)
+inverseImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,
+            DConstSpan in, DSpan out, DSpan scratch, detail::PeaseShape shape)
 {
     detail::validateNttArgs(plan, in, out, scratch);
-    const size_t h = plan.half();
     const int m = plan.logn();
-    const Modulus& mod = plan.modulus();
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(mod);
-    const mod::DW<uint64_t> q = mod::toDw(mod.value());
-    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
-    const uint64_t* tw_hi = plan.twiddleHi();
-    const uint64_t* tw_lo = plan.twiddleLo();
-    const uint64_t* twq_hi = plan.twiddleShoupHi();
-    const uint64_t* twq_lo = plan.twiddleShoupLo();
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-
-    for (int s = 0; s < m; ++s) {
-        const bool last = s == m - 1;
-        DSpan dst = bufs[target];
-        detail::StageShoup<Isa> tw(tw_hi, tw_lo, twq_hi, twq_lo, s);
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto a = simd::loadDv<Isa>(src_hi, src_lo, j);
-            auto b = simd::loadDv<Isa>(src_hi, src_lo, j + h);
-            auto u = simd::addModLazyV<Isa>(ctx, a, b);
-            auto d = simd::subModLazyRawV<Isa>(ctx, a, b); // (0, 4q)
-            auto v = simd::mulModShoupV<Isa>(ctx, d, tw.at(j), algo);
-            if (last) {
-                u = simd::condSubDwV<Isa>(ctx, u, ctx.qh, ctx.ql);
-                v = simd::condSubDwV<Isa>(ctx, v, ctx.qh, ctx.ql);
-            }
-            typename Isa::V blk0, blk1;
-            Isa::interleave2(u.hi, v.hi, blk0, blk1);
-            Isa::storeu(dst.hi + 2 * j, blk0);
-            Isa::storeu(dst.hi + 2 * j + Isa::kLanes, blk1);
-            Isa::interleave2(u.lo, v.lo, blk0, blk1);
-            Isa::storeu(dst.lo + 2 * j, blk0);
-            Isa::storeu(dst.lo + 2 * j + Isa::kLanes, blk1);
+    const simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
+    const bool fused = shape.red == Reduction::ShoupLazy &&
+                       shape.fusion == StageFusion::Radix4;
+    detail::PingPong pp(in, out, scratch, detail::peasePasses(m, fused));
+    for (int s = m - 1; s >= 0; pp.next()) {
+        if (fused && s >= 1) {
+            detail::inversePass4V<Isa>(ctx, plan, tw, pp, s - 1, shape.algo);
+            s -= 2;
+        } else {
+            detail::inverseStageV<Isa>(ctx, plan, tw, pp, s, shape);
+            s -= 1;
         }
-        for (; j < h; ++j) {
-            detail::forwardButterflyLazyScalar(q, q2, src_hi, src_lo, dst.hi,
-                                               dst.lo, tw_hi, tw_lo, twq_hi,
-                                               twq_lo, j, h, s, last, algo);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
+    }
+}
+
+/** Forward over il lanes packed by batch::packLanes; per lane
+ *  word-identical to forwardImpl. */
+template <class Isa>
+void
+forwardBatchImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,
+                 size_t il, DConstSpan in, DSpan out, DSpan scratch)
+{
+    detail::validateBatchNttArgs(plan, il, in, out, scratch);
+    switch (il) {
+    case 4:
+        detail::forwardBatchCore<Isa, 4>(plan, tw, il, in, out, scratch);
+        break;
+    case 8:
+        detail::forwardBatchCore<Isa, 8>(plan, tw, il, in, out, scratch);
+        break;
+    default:
+        detail::forwardBatchCore<Isa, 0>(plan, tw, il, in, out, scratch);
+        break;
+    }
+}
+
+/** Batch counterpart of inverseImpl. */
+template <class Isa>
+void
+inverseBatchImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,
+                 size_t il, DConstSpan in, DSpan out, DSpan scratch)
+{
+    detail::validateBatchNttArgs(plan, il, in, out, scratch);
+    switch (il) {
+    case 4:
+        detail::inverseBatchCore<Isa, 4>(plan, tw, il, in, out, scratch);
+        break;
+    case 8:
+        detail::inverseBatchCore<Isa, 8>(plan, tw, il, in, out, scratch);
+        break;
+    default:
+        detail::inverseBatchCore<Isa, 0>(plan, tw, il, in, out, scratch);
+        break;
     }
 }
 
 /**
- * Inverse Pease NTT, Shoup-lazy arithmetic. Canonical input, canonical
- * output; canonicalization is fused into the n^-1 scaling pass (itself
- * a Shoup multiply against the plan's nInvShoup companion).
- * Bit-identical to peaseInverseImpl.
+ * The paper's original kernel shape on the cyclic plan: Barrett
+ * reduction, radix-2, schoolbook products (Listing 2) — the kernel the
+ * PISA Table 5 validation pairs time with and without their proxy.
  */
 template <class Isa>
 void
-peaseInverseLazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
-                     DSpan scratch, MulAlgo algo = MulAlgo::Schoolbook)
+barrettForwardImpl(const NttPlan& plan, DConstSpan in, DSpan out,
+                   DSpan scratch)
 {
-    detail::validateNttArgs(plan, in, out, scratch);
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const Modulus& mod = plan.modulus();
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(mod);
-    const mod::DW<uint64_t> q = mod::toDw(mod.value());
-    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
-    const uint64_t* tw_hi = plan.twiddleInvHi();
-    const uint64_t* tw_lo = plan.twiddleInvLo();
-    const uint64_t* twq_hi = plan.twiddleInvShoupHi();
-    const uint64_t* twq_lo = plan.twiddleInvShoupLo();
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-
-    for (int s = m - 1; s >= 0; --s) {
-        DSpan dst = bufs[target];
-        detail::StageShoup<Isa> tw(tw_hi, tw_lo, twq_hi, twq_lo, s);
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto blk0h = Isa::loadu(src_hi + 2 * j);
-            auto blk1h = Isa::loadu(src_hi + 2 * j + Isa::kLanes);
-            auto blk0l = Isa::loadu(src_lo + 2 * j);
-            auto blk1l = Isa::loadu(src_lo + 2 * j + Isa::kLanes);
-            simd::DV<Isa> u, v;
-            Isa::deinterleave2(blk0h, blk1h, u.hi, v.hi);
-            Isa::deinterleave2(blk0l, blk1l, u.lo, v.lo);
-            auto t = simd::mulModShoupV<Isa>(ctx, v, tw.at(j), algo); // [0,2q)
-            auto x0 = simd::addModLazyV<Isa>(ctx, u, t);
-            auto x1 = simd::subModLazyV<Isa>(ctx, u, t);
-            simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
-            simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
-        }
-        for (; j < h; ++j) {
-            detail::inverseButterflyLazyScalar(q, q2, src_hi, src_lo, dst.hi,
-                                               dst.lo, tw_hi, tw_lo, twq_hi,
-                                               twq_lo, j, h, s, algo);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-
-    // Fused n^-1 scaling + canonicalization: one Shoup multiply into
-    // [0, 2q) and one conditional subtract of q per element.
-    const U128 n_inv = plan.nInv();
-    const U128 n_inv_sh = plan.nInvShoup();
-    const auto vninv = simd::broadcastShoupW<Isa>(n_inv.hi, n_inv.lo,
-                                                  n_inv_sh.hi, n_inv_sh.lo);
-    size_t i = 0;
-    for (; i + Isa::kLanes <= plan.n(); i += Isa::kLanes) {
-        auto x = simd::loadDv<Isa>(out.hi, out.lo, i);
-        auto r = simd::mulModShoupV<Isa>(ctx, x, vninv, algo);
-        r = simd::condSubDwV<Isa>(ctx, r, ctx.qh, ctx.ql);
-        simd::storeDv<Isa>(out.hi, out.lo, i, r);
-    }
-    const mod::DW<uint64_t> dn = mod::toDw(n_inv);
-    const mod::DW<uint64_t> dnq = mod::toDw(n_inv_sh);
-    for (; i < plan.n(); ++i) {
-        detail::mulShoupCanonElementScalar(q, out.hi, out.lo, out.hi, out.lo,
-                                           dn, dnq, i, algo);
-    }
-}
-
-/**
- * Forward Pease NTT with fused radix-4 passes, Shoup-lazy arithmetic.
- * Each pass loads the operands of TWO consecutive stages once, applies
- * both butterfly layers in registers, and stores once: ceil(logn/2)
- * ping-pong sweeps instead of logn (a single radix-2 pass runs first
- * when logn is odd). Arithmetic and ranges are exactly the radix-2 lazy
- * path's, so the output is bit-identical to peaseForwardLazyImpl (and
- * therefore to the Barrett path).
- */
-template <class Isa>
-void
-peaseForward4LazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
-                      DSpan scratch, MulAlgo algo = MulAlgo::Schoolbook)
-{
-    detail::validateNttArgs(plan, in, out, scratch);
-    const size_t h = plan.half();
-    const size_t h2 = h / 2;
-    const int m = plan.logn();
-    const Modulus& mod = plan.modulus();
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(mod);
-    const mod::DW<uint64_t> q = mod::toDw(mod.value());
-    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
-    const uint64_t* tw_hi = plan.twiddleHi();
-    const uint64_t* tw_lo = plan.twiddleLo();
-    const uint64_t* twq_hi = plan.twiddleShoupHi();
-    const uint64_t* twq_lo = plan.twiddleShoupLo();
-
-    DSpan bufs[2] = {out, scratch};
-    const int passes = (m + 1) / 2;
-    int target = (passes % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-
-    int s = 0;
-    if (m % 2 == 1) {
-        // Odd logn: one radix-2 stage first (stage 0), fused pairs after.
-        const bool last = m == 1;
-        DSpan dst = bufs[target];
-        detail::StageShoup<Isa> tw(tw_hi, tw_lo, twq_hi, twq_lo, 0);
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto a = simd::loadDv<Isa>(src_hi, src_lo, j);
-            auto b = simd::loadDv<Isa>(src_hi, src_lo, j + h);
-            auto u = simd::addModLazyV<Isa>(ctx, a, b);
-            auto dd = simd::subModLazyRawV<Isa>(ctx, a, b);
-            auto v = simd::mulModShoupV<Isa>(ctx, dd, tw.at(j), algo);
-            if (last) {
-                u = simd::condSubDwV<Isa>(ctx, u, ctx.qh, ctx.ql);
-                v = simd::condSubDwV<Isa>(ctx, v, ctx.qh, ctx.ql);
-            }
-            typename Isa::V blk0, blk1;
-            Isa::interleave2(u.hi, v.hi, blk0, blk1);
-            Isa::storeu(dst.hi + 2 * j, blk0);
-            Isa::storeu(dst.hi + 2 * j + Isa::kLanes, blk1);
-            Isa::interleave2(u.lo, v.lo, blk0, blk1);
-            Isa::storeu(dst.lo + 2 * j, blk0);
-            Isa::storeu(dst.lo + 2 * j + Isa::kLanes, blk1);
-        }
-        for (; j < h; ++j) {
-            detail::forwardButterflyLazyScalar(q, q2, src_hi, src_lo, dst.hi,
-                                               dst.lo, tw_hi, tw_lo, twq_hi,
-                                               twq_lo, j, h, 0, last, algo);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-        s = 1;
-    }
-    for (; s + 1 < m; s += 2) {
-        const bool last = s + 2 == m;
-        DSpan dst = bufs[target];
-        detail::StageShoup<Isa> tw0(tw_hi, tw_lo, twq_hi, twq_lo, s);
-        detail::StageShoup<Isa> tw1(tw_hi + h2, tw_lo + h2, twq_hi + h2,
-                                    twq_lo + h2, s);
-        detail::StageShoup<Isa, true> twb(tw_hi, tw_lo, twq_hi, twq_lo, s);
-        size_t p = 0;
-        for (; p + Isa::kLanes <= h2; p += Isa::kLanes) {
-            // Live-range discipline: finish each first-layer butterfly
-            // before loading the next one's operands — the fused body
-            // otherwise overflows the vector register file.
-            auto a = simd::loadDv<Isa>(src_hi, src_lo, p);
-            auto c = simd::loadDv<Isa>(src_hi, src_lo, p + h);
-            auto u0 = simd::addModLazyV<Isa>(ctx, a, c);
-            auto v0 = simd::mulModShoupV<Isa>(
-                ctx, simd::subModLazyRawV<Isa>(ctx, a, c), tw0.at(p), algo);
-            auto b = simd::loadDv<Isa>(src_hi, src_lo, p + h2);
-            auto d = simd::loadDv<Isa>(src_hi, src_lo, p + h + h2);
-            auto u1 = simd::addModLazyV<Isa>(ctx, b, d);
-            auto v1 = simd::mulModShoupV<Isa>(
-                ctx, simd::subModLazyRawV<Isa>(ctx, b, d), tw1.at(p), algo);
-            const auto wb = twb.at(p);
-            auto z0 = simd::addModLazyV<Isa>(ctx, u0, u1);
-            auto z1 = simd::mulModShoupV<Isa>(
-                ctx, simd::subModLazyRawV<Isa>(ctx, u0, u1), wb, algo);
-            auto z2 = simd::addModLazyV<Isa>(ctx, v0, v1);
-            auto z3 = simd::mulModShoupV<Isa>(
-                ctx, simd::subModLazyRawV<Isa>(ctx, v0, v1), wb, algo);
-            if (last) {
-                z0 = simd::condSubDwV<Isa>(ctx, z0, ctx.qh, ctx.ql);
-                z1 = simd::condSubDwV<Isa>(ctx, z1, ctx.qh, ctx.ql);
-                z2 = simd::condSubDwV<Isa>(ctx, z2, ctx.qh, ctx.ql);
-                z3 = simd::condSubDwV<Isa>(ctx, z3, ctx.qh, ctx.ql);
-            }
-            typename Isa::V o0, o1, o2, o3;
-            detail::interleave4<Isa>(z0.hi, z1.hi, z2.hi, z3.hi, o0, o1, o2,
-                                     o3);
-            Isa::storeu(dst.hi + 4 * p, o0);
-            Isa::storeu(dst.hi + 4 * p + Isa::kLanes, o1);
-            Isa::storeu(dst.hi + 4 * p + 2 * Isa::kLanes, o2);
-            Isa::storeu(dst.hi + 4 * p + 3 * Isa::kLanes, o3);
-            detail::interleave4<Isa>(z0.lo, z1.lo, z2.lo, z3.lo, o0, o1, o2,
-                                     o3);
-            Isa::storeu(dst.lo + 4 * p, o0);
-            Isa::storeu(dst.lo + 4 * p + Isa::kLanes, o1);
-            Isa::storeu(dst.lo + 4 * p + 2 * Isa::kLanes, o2);
-            Isa::storeu(dst.lo + 4 * p + 3 * Isa::kLanes, o3);
-        }
-        for (; p < h2; ++p) {
-            detail::forwardButterfly4LazyScalar(q, q2, src_hi, src_lo,
-                                                dst.hi, dst.lo, tw_hi, tw_lo,
-                                                twq_hi, twq_lo, p, h, s, last,
-                                                algo);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-}
-
-/**
- * Inverse Pease NTT with fused radix-4 passes, Shoup-lazy arithmetic:
- * stage pairs run high-to-low with a single radix-2 pass last when logn
- * is odd, then the fused n^-1 scaling + canonicalization. Bit-identical
- * to peaseInverseLazyImpl.
- */
-template <class Isa>
-void
-peaseInverse4LazyImpl(const NttPlan& plan, DConstSpan in, DSpan out,
-                      DSpan scratch, MulAlgo algo = MulAlgo::Schoolbook)
-{
-    detail::validateNttArgs(plan, in, out, scratch);
-    const size_t h = plan.half();
-    const size_t h2 = h / 2;
-    const int m = plan.logn();
-    const Modulus& mod = plan.modulus();
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(mod);
-    const mod::DW<uint64_t> q = mod::toDw(mod.value());
-    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
-    const uint64_t* tw_hi = plan.twiddleInvHi();
-    const uint64_t* tw_lo = plan.twiddleInvLo();
-    const uint64_t* twq_hi = plan.twiddleInvShoupHi();
-    const uint64_t* twq_lo = plan.twiddleInvShoupLo();
-
-    DSpan bufs[2] = {out, scratch};
-    const int passes = (m + 1) / 2;
-    int target = (passes % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-
-    int s = m - 1;
-    for (; s >= 1; s -= 2) {
-        const int sl = s - 1; // pair (s, s-1), indexed by the low stage
-        DSpan dst = bufs[target];
-        detail::StageShoup<Isa> tw0(tw_hi, tw_lo, twq_hi, twq_lo, sl);
-        detail::StageShoup<Isa> tw1(tw_hi + h2, tw_lo + h2, twq_hi + h2,
-                                    twq_lo + h2, sl);
-        detail::StageShoup<Isa, true> twb(tw_hi, tw_lo, twq_hi, twq_lo, sl);
-        size_t p = 0;
-        for (; p + Isa::kLanes <= h2; p += Isa::kLanes) {
-            auto i0h = Isa::loadu(src_hi + 4 * p);
-            auto i1h = Isa::loadu(src_hi + 4 * p + Isa::kLanes);
-            auto i2h = Isa::loadu(src_hi + 4 * p + 2 * Isa::kLanes);
-            auto i3h = Isa::loadu(src_hi + 4 * p + 3 * Isa::kLanes);
-            auto i0l = Isa::loadu(src_lo + 4 * p);
-            auto i1l = Isa::loadu(src_lo + 4 * p + Isa::kLanes);
-            auto i2l = Isa::loadu(src_lo + 4 * p + 2 * Isa::kLanes);
-            auto i3l = Isa::loadu(src_lo + 4 * p + 3 * Isa::kLanes);
-            simd::DV<Isa> z0, z1, z2, z3;
-            detail::deinterleave4<Isa>(i0h, i1h, i2h, i3h, z0.hi, z1.hi,
-                                       z2.hi, z3.hi);
-            detail::deinterleave4<Isa>(i0l, i1l, i2l, i3l, z0.lo, z1.lo,
-                                       z2.lo, z3.lo);
-            const auto wb = twb.at(p);
-            // First layer (inverse stage s): butterflies 2p and 2p+1.
-            auto ta = simd::mulModShoupV<Isa>(ctx, z1, wb, algo);
-            auto y0 = simd::addModLazyV<Isa>(ctx, z0, ta);
-            auto yh0 = simd::subModLazyV<Isa>(ctx, z0, ta);
-            auto tb = simd::mulModShoupV<Isa>(ctx, z3, wb, algo);
-            auto y1 = simd::addModLazyV<Isa>(ctx, z2, tb);
-            auto yh1 = simd::subModLazyV<Isa>(ctx, z2, tb);
-            // Second layer (inverse stage s-1): butterflies p, p + h/2.
-            auto t0 = simd::mulModShoupV<Isa>(ctx, y1, tw0.at(p), algo);
-            simd::storeDv<Isa>(dst.hi, dst.lo, p,
-                               simd::addModLazyV<Isa>(ctx, y0, t0));
-            simd::storeDv<Isa>(dst.hi, dst.lo, p + h,
-                               simd::subModLazyV<Isa>(ctx, y0, t0));
-            auto t1 = simd::mulModShoupV<Isa>(ctx, yh1, tw1.at(p), algo);
-            simd::storeDv<Isa>(dst.hi, dst.lo, p + h2,
-                               simd::addModLazyV<Isa>(ctx, yh0, t1));
-            simd::storeDv<Isa>(dst.hi, dst.lo, p + h + h2,
-                               simd::subModLazyV<Isa>(ctx, yh0, t1));
-        }
-        for (; p < h2; ++p) {
-            detail::inverseButterfly4LazyScalar(q, q2, src_hi, src_lo,
-                                                dst.hi, dst.lo, tw_hi, tw_lo,
-                                                twq_hi, twq_lo, p, h, sl,
-                                                algo);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-    if (s == 0) {
-        // Odd logn: the leftover radix-2 inverse stage (stage 0).
-        DSpan dst = bufs[target];
-        detail::StageShoup<Isa> tw(tw_hi, tw_lo, twq_hi, twq_lo, 0);
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto blk0h = Isa::loadu(src_hi + 2 * j);
-            auto blk1h = Isa::loadu(src_hi + 2 * j + Isa::kLanes);
-            auto blk0l = Isa::loadu(src_lo + 2 * j);
-            auto blk1l = Isa::loadu(src_lo + 2 * j + Isa::kLanes);
-            simd::DV<Isa> u, v;
-            Isa::deinterleave2(blk0h, blk1h, u.hi, v.hi);
-            Isa::deinterleave2(blk0l, blk1l, u.lo, v.lo);
-            auto t = simd::mulModShoupV<Isa>(ctx, v, tw.at(j), algo);
-            auto x0 = simd::addModLazyV<Isa>(ctx, u, t);
-            auto x1 = simd::subModLazyV<Isa>(ctx, u, t);
-            simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
-            simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
-        }
-        for (; j < h; ++j) {
-            detail::inverseButterflyLazyScalar(q, q2, src_hi, src_lo, dst.hi,
-                                               dst.lo, tw_hi, tw_lo, twq_hi,
-                                               twq_lo, j, h, 0, algo);
-        }
-    }
-
-    // Fused n^-1 scaling + canonicalization (same as the radix-2 path).
-    const U128 n_inv = plan.nInv();
-    const U128 n_inv_sh = plan.nInvShoup();
-    const auto vninv = simd::broadcastShoupW<Isa>(n_inv.hi, n_inv.lo,
-                                                  n_inv_sh.hi, n_inv_sh.lo);
-    size_t i = 0;
-    for (; i + Isa::kLanes <= plan.n(); i += Isa::kLanes) {
-        auto x = simd::loadDv<Isa>(out.hi, out.lo, i);
-        auto r = simd::mulModShoupV<Isa>(ctx, x, vninv, algo);
-        r = simd::condSubDwV<Isa>(ctx, r, ctx.qh, ctx.ql);
-        simd::storeDv<Isa>(out.hi, out.lo, i, r);
-    }
-    const mod::DW<uint64_t> dn = mod::toDw(n_inv);
-    const mod::DW<uint64_t> dnq = mod::toDw(n_inv_sh);
-    for (; i < plan.n(); ++i) {
-        detail::mulShoupCanonElementScalar(q, out.hi, out.lo, out.hi, out.lo,
-                                           dn, dnq, i, algo);
-    }
+    forwardImpl<Isa>(plan, detail::forwardTwiddles(plan), in, out, scratch,
+                     {MulAlgo::Schoolbook, Reduction::Barrett,
+                      StageFusion::Radix2});
 }
 
 /**
@@ -1174,654 +1300,6 @@ vmulShoupLazyImpl(const Modulus& m, DConstSpan a, DConstSpan t, DConstSpan tq,
         c.hi[i] = r.hi;
         c.lo[i] = r.lo;
     }
-}
-
-// ======================================================================
-// Interleaved batch layout helpers.
-//
-// The batch kernels serve IL residue channels per stage sweep over the
-// channel-major tiled layout of core/batch_layout.h: element e of lane
-// c lives at flat word batchIndex(e, c, il), so every vector load of
-// kLanes consecutive elements of one lane is contiguous (kLanes divides
-// the 8-word tile for every backend).
-// ======================================================================
-
-namespace detail {
-
-/** Flat word index of element @p e of lane @p c in one IL-lane group. */
-MQX_FORCE_INLINE size_t
-batchIndex(size_t e, size_t c, size_t il)
-{
-    constexpr size_t w = BatchLayout::kTileWords; // power of two
-    return ((e / w) * il + c) * w + (e & (w - 1));
-}
-
-/** Batch flavour of validateNttArgs: buffers hold il lanes of plan.n()
- *  elements each; same no-overlap contract between the three. */
-inline void
-validateBatchNttArgs(const NttPlan& plan, size_t il, DConstSpan in,
-                     DConstSpan out, DConstSpan scratch)
-{
-    checkArg(il >= 1 && il <= 64, "ntt batch: interleave factor out of range");
-    checkArg(plan.n() >= 2 * BatchLayout::kTileWords,
-             "ntt batch: plan size must be at least 16");
-    const size_t want = il * plan.n();
-    if (in.n != want || out.n != want || scratch.n != want)
-        failNttArgs("ntt batch: buffer sizes must equal il * plan size", plan,
-                    in, out, scratch);
-    auto overlaps = [](DConstSpan a, DConstSpan b) {
-        return sameSpan(a, b) || spansPartiallyOverlap(a, b);
-    };
-    if (overlaps(in, out) || overlaps(in, scratch) || overlaps(out, scratch))
-        failNttArgs("ntt batch: in/out/scratch must be distinct, "
-                    "non-overlapping buffers",
-                    plan, in, out, scratch);
-}
-
-} // namespace detail
-
-// ======================================================================
-// Merged negacyclic kernels.
-//
-// The negacyclic transform with psi folded into the stage twiddles (see
-// ntt/negacyclic.h for the math and the table layout): a Harvey
-// Cooley-Tukey forward on the cyclic forward's wiring, values in
-// [0, 4q) between stages and canonical out of the last one; and a
-// Gentleman-Sande inverse on the cyclic inverse's wiring, values in
-// [0, 2q) between stages, whose last stage multiplies the sum branch by
-// n^-1 and the difference branch by zeta^-1 * n^-1 (inverse-table
-// entries 0 and 1). Canonical outputs, so the words match the twisted
-// cyclic pipeline exactly. Each kernel comes per channel and in the
-// IL-lane batch form, which loads every twiddle vector once and reuses
-// it across the lanes.
-// ======================================================================
-
-namespace detail {
-
-/**
- * Stage-s twiddles of the merged transform as simd::ShoupW: butterfly j
- * reads entry 2^s + (j mod 2^s). While 2^s < kLanes every vector of
- * butterflies reads the same pattern, so it is built once per stage;
- * from 2^s >= kLanes on, a vector's entries are contiguous (j is a
- * multiple of kLanes) and cost one load.
- */
-template <class Isa>
-class NegacyclicStageShoup
-{
-  public:
-    NegacyclicStageShoup(DConstSpan w, DConstSpan wq, int s)
-        : w_(w), wq_(wq), base_(size_t{1} << s),
-          hoisted_(base_ < Isa::kLanes)
-    {
-        if (!hoisted_)
-            return;
-        alignas(64) uint64_t th[Isa::kLanes], tl[Isa::kLanes];
-        alignas(64) uint64_t qh[Isa::kLanes], ql[Isa::kLanes];
-        for (size_t i = 0; i < Isa::kLanes; ++i) {
-            const size_t e = negacyclicTwiddleIndex(s, i);
-            th[i] = w.hi[e];
-            tl[i] = w.lo[e];
-            qh[i] = wq.hi[e];
-            ql[i] = wq.lo[e];
-        }
-        pattern_ = simd::makeShoupW<Isa>(simd::loadDv<Isa>(th, tl, 0),
-                                         simd::loadDv<Isa>(qh, ql, 0));
-    }
-
-    simd::ShoupW<Isa>
-    at(size_t j) const
-    {
-        if (hoisted_)
-            return pattern_;
-        const size_t e = base_ + (j & (base_ - 1));
-        return simd::makeShoupW<Isa>(simd::loadDv<Isa>(w_.hi, w_.lo, e),
-                                     simd::loadDv<Isa>(wq_.hi, wq_.lo, e));
-    }
-
-  private:
-    DConstSpan w_, wq_;
-    size_t base_;
-    bool hoisted_;
-    simd::ShoupW<Isa> pattern_{};
-};
-
-/** [0, 4q) -> [0, q): the merged forward's last-stage canonicalization. */
-template <class Isa>
-MQX_FORCE_INLINE simd::DV<Isa>
-canonFrom4qV(const simd::ModCtx<Isa>& ctx, const simd::DV<Isa>& x)
-{
-    return simd::condSubDwV<Isa>(
-        ctx, simd::condSubDwV<Isa>(ctx, x, ctx.q2h, ctx.q2l), ctx.qh,
-        ctx.ql);
-}
-
-/** Vector negacyclicForwardButterflyScalar: a = src[ia], b = src[ib]. */
-template <class Isa>
-MQX_FORCE_INLINE void
-negacyclicForwardButterflyV(const simd::ModCtx<Isa>& ctx,
-                            const uint64_t* src_hi, const uint64_t* src_lo,
-                            size_t ia, size_t ib, const simd::ShoupW<Isa>& w,
-                            bool last, simd::DV<Isa>& u, simd::DV<Isa>& v)
-{
-    // a reduced to [0, 2q); t = w * b in [0, 2q).
-    const auto a = simd::condSubDwV<Isa>(
-        ctx, simd::loadDv<Isa>(src_hi, src_lo, ia), ctx.q2h, ctx.q2l);
-    const auto t = simd::mulModShoupV<Isa>(
-        ctx, simd::loadDv<Isa>(src_hi, src_lo, ib), w);
-    u = simd::addDwV<Isa>(ctx, a, t);         // [0, 4q)
-    v = simd::subModLazyRawV<Isa>(ctx, a, t); // (0, 4q)
-    if (last) {
-        u = canonFrom4qV<Isa>(ctx, u);
-        v = canonFrom4qV<Isa>(ctx, v);
-    }
-}
-
-/** Vector negacyclicInverseButterflyScalar: u, v in [0, 2q). */
-template <class Isa>
-MQX_FORCE_INLINE void
-negacyclicInverseButterflyV(const simd::ModCtx<Isa>& ctx,
-                            const simd::DV<Isa>& u, const simd::DV<Isa>& v,
-                            const simd::ShoupW<Isa>& w, simd::DV<Isa>& x0,
-                            simd::DV<Isa>& x1)
-{
-    x0 = simd::addModLazyV<Isa>(ctx, u, v);
-    x1 = simd::mulModShoupV<Isa>(ctx, simd::subModLazyRawV<Isa>(ctx, u, v),
-                                 w);
-}
-
-/** Vector negacyclicInverseLastButterflyScalar (n^-1 folded in). */
-template <class Isa>
-MQX_FORCE_INLINE void
-negacyclicInverseLastButterflyV(const simd::ModCtx<Isa>& ctx,
-                                const simd::DV<Isa>& u,
-                                const simd::DV<Isa>& v,
-                                const simd::ShoupW<Isa>& ninv,
-                                const simd::ShoupW<Isa>& w, simd::DV<Isa>& x0,
-                                simd::DV<Isa>& x1)
-{
-    x0 = simd::mulModShoupV<Isa>(ctx, simd::addDwV<Isa>(ctx, u, v), ninv);
-    x0 = simd::condSubDwV<Isa>(ctx, x0, ctx.qh, ctx.ql);
-    x1 = simd::mulModShoupV<Isa>(ctx, simd::subModLazyRawV<Isa>(ctx, u, v),
-                                 w);
-    x1 = simd::condSubDwV<Isa>(ctx, x1, ctx.qh, ctx.ql);
-}
-
-/** Interleave (u, v) and store the two blocks at words i0 and i1. */
-template <class Isa>
-MQX_FORCE_INLINE void
-storeInterleaved(DSpan dst, size_t i0, size_t i1, const simd::DV<Isa>& u,
-                 const simd::DV<Isa>& v)
-{
-    typename Isa::V blk0, blk1;
-    Isa::interleave2(u.hi, v.hi, blk0, blk1);
-    Isa::storeu(dst.hi + i0, blk0);
-    Isa::storeu(dst.hi + i1, blk1);
-    Isa::interleave2(u.lo, v.lo, blk0, blk1);
-    Isa::storeu(dst.lo + i0, blk0);
-    Isa::storeu(dst.lo + i1, blk1);
-}
-
-/** Load the blocks at words i0 and i1 and split them into (u, v). */
-template <class Isa>
-MQX_FORCE_INLINE void
-loadDeinterleaved(const uint64_t* hi, const uint64_t* lo, size_t i0,
-                  size_t i1, simd::DV<Isa>& u, simd::DV<Isa>& v)
-{
-    Isa::deinterleave2(Isa::loadu(hi + i0), Isa::loadu(hi + i1), u.hi, v.hi);
-    Isa::deinterleave2(Isa::loadu(lo + i0), Isa::loadu(lo + i1), u.lo, v.lo);
-}
-
-/** Inverse-table entry @p e as a broadcast ShoupW. */
-template <class Isa>
-inline simd::ShoupW<Isa>
-broadcastEntry(DConstSpan w, DConstSpan wq, size_t e)
-{
-    return simd::broadcastShoupW<Isa>(w.hi[e], w.lo[e], wq.hi[e], wq.lo[e]);
-}
-
-/**
- * Merged forward stage sweeps over il lanes in the batch layout. IL = 0
- * is the runtime-il loop; IL in {4, 8} unrolls the lane loop around the
- * hoisted twiddle registers.
- */
-template <class Isa, size_t IL>
-void
-negacyclicForwardBatchCore(const NegacyclicTables& tables, size_t il_rt,
-                           DConstSpan in, DSpan out, DSpan scratch)
-{
-    const size_t il = IL ? IL : il_rt;
-    constexpr size_t w8 = BatchLayout::kTileWords;
-    const NttPlan& plan = tables.plan();
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
-    const DConstSpan w = tables.forwardTwiddles().span();
-    const DConstSpan wq = tables.forwardTwiddlesShoup().span();
-    const size_t pf = core::prefetchDistance() * il * w8;
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-    for (int s = 0; s < m; ++s) {
-        const bool last = s == m - 1;
-        DSpan dst = bufs[target];
-        NegacyclicStageShoup<Isa> tw(w, wq, s);
-        // h >= 8 and kLanes divides 8, so the lane loop has no tail.
-        for (size_t j = 0; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            const auto wj = tw.at(j);
-            const size_t ja = batchIndex(j, 0, il);
-            const size_t jb = batchIndex(j + h, 0, il);
-            const size_t jo0 = batchIndex(2 * j, 0, il);
-            const size_t jo1 = batchIndex(2 * j + Isa::kLanes, 0, il);
-            // One prefetch pair per read stream per group-row: the il
-            // lane rows behind it are contiguous, so the hardware
-            // streamer follows; issuing per lane was pure instruction
-            // overhead (measurably slower on 8-lane tiers).
-            if (pf && (j & (w8 - 1)) == 0) {
-                core::prefetchNext(src_hi, src_lo, ja, pf);
-                core::prefetchNext(src_hi, src_lo, jb, pf);
-            }
-            for (size_t c = 0; c < il; ++c) {
-                simd::DV<Isa> u, v;
-                negacyclicForwardButterflyV<Isa>(ctx, src_hi, src_lo,
-                                                 ja + c * w8, jb + c * w8,
-                                                 wj, last, u, v);
-                storeInterleaved<Isa>(dst, jo0 + c * w8, jo1 + c * w8, u, v);
-            }
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-}
-
-/** Merged inverse stage sweeps over il lanes (see the forward core). */
-template <class Isa, size_t IL>
-void
-negacyclicInverseBatchCore(const NegacyclicTables& tables, size_t il_rt,
-                           DConstSpan in, DSpan out, DSpan scratch)
-{
-    const size_t il = IL ? IL : il_rt;
-    constexpr size_t w8 = BatchLayout::kTileWords;
-    const NttPlan& plan = tables.plan();
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
-    const DConstSpan w = tables.inverseTwiddles().span();
-    const DConstSpan wq = tables.inverseTwiddlesShoup().span();
-    const size_t pf = core::prefetchDistance() * il * w8;
-    const auto ninv = broadcastEntry<Isa>(w, wq, 0);
-    const auto wlast = broadcastEntry<Isa>(w, wq, 1);
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-    for (int s = m - 1; s >= 0; --s) {
-        const bool last = s == 0;
-        DSpan dst = bufs[target];
-        NegacyclicStageShoup<Isa> tw(w, wq, s);
-        for (size_t j = 0; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            const auto wj = tw.at(j);
-            const size_t ji0 = batchIndex(2 * j, 0, il);
-            const size_t ji1 = batchIndex(2 * j + Isa::kLanes, 0, il);
-            const size_t jx0 = batchIndex(j, 0, il);
-            const size_t jx1 = batchIndex(j + h, 0, il);
-            // The inverse reads two interleaved rows per j, hence the
-            // doubled lookahead.
-            if (pf && (j & (w8 - 1)) == 0) {
-                core::prefetchNext(src_hi, src_lo, ji0, 2 * pf);
-                core::prefetchNext(src_hi, src_lo, ji1, 2 * pf);
-            }
-            for (size_t c = 0; c < il; ++c) {
-                simd::DV<Isa> u, v, x0, x1;
-                loadDeinterleaved<Isa>(src_hi, src_lo, ji0 + c * w8,
-                                       ji1 + c * w8, u, v);
-                if (last)
-                    negacyclicInverseLastButterflyV<Isa>(ctx, u, v, ninv,
-                                                         wlast, x0, x1);
-                else
-                    negacyclicInverseButterflyV<Isa>(ctx, u, v, wj, x0, x1);
-                simd::storeDv<Isa>(dst.hi, dst.lo, jx0 + c * w8, x0);
-                simd::storeDv<Isa>(dst.hi, dst.lo, jx1 + c * w8, x1);
-            }
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-}
-
-/**
- * Word of element @p e of lane @p c for the scalar merged cores: IL = 1
- * is the per-channel layout, anything else the batch layout.
- */
-template <size_t IL>
-MQX_FORCE_INLINE size_t
-scalarCoreIndex(size_t e, size_t c, size_t il)
-{
-    if constexpr (IL == 1)
-        return e;
-    else
-        return batchIndex(e, c, il);
-}
-
-/** The scalar merged cores' default per-stage hook: none. */
-struct NoStageHook
-{
-    void operator()(DConstSpan, int) const {}
-};
-
-/**
- * Scalar merged forward over il lanes (Backend::Scalar): IL = 1 is the
- * per-channel transform, IL = 0 the runtime-il batch. Policy-templated
- * like the butterflies; @p on_stage(dst, s) runs after every stage s,
- * so the range-contract tests check this very loop.
- */
-template <size_t IL, class A = mod::DefaultLazyOps,
-          class OnStage = NoStageHook>
-void
-negacyclicForwardScalarCore(const NegacyclicTables& tables, size_t il_rt,
-                            DConstSpan in, DSpan out, DSpan scratch,
-                            OnStage on_stage = {})
-{
-    const size_t il = IL ? IL : il_rt;
-    const NttPlan& plan = tables.plan();
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
-    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
-    const DConstSpan w = tables.forwardTwiddles().span();
-    const DConstSpan wq = tables.forwardTwiddlesShoup().span();
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-    for (int s = 0; s < m; ++s) {
-        const bool last = s == m - 1;
-        DSpan dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            const size_t e = negacyclicTwiddleIndex(s, j);
-            const mod::DW<uint64_t> wj{w.hi[e], w.lo[e]};
-            const mod::DW<uint64_t> wjq{wq.hi[e], wq.lo[e]};
-            for (size_t c = 0; c < il; ++c) {
-                negacyclicForwardButterflyScalar<A>(
-                    q, q2, src_hi, src_lo, dst.hi, dst.lo, wj, wjq,
-                    scalarCoreIndex<IL>(j, c, il),
-                    scalarCoreIndex<IL>(j + h, c, il),
-                    scalarCoreIndex<IL>(2 * j, c, il),
-                    scalarCoreIndex<IL>(2 * j + 1, c, il), last);
-            }
-        }
-        on_stage(DConstSpan(dst), s);
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-}
-
-/** Scalar merged inverse (see negacyclicForwardScalarCore). */
-template <size_t IL, class A = mod::DefaultLazyOps,
-          class OnStage = NoStageHook>
-void
-negacyclicInverseScalarCore(const NegacyclicTables& tables, size_t il_rt,
-                            DConstSpan in, DSpan out, DSpan scratch,
-                            OnStage on_stage = {})
-{
-    const size_t il = IL ? IL : il_rt;
-    const NttPlan& plan = tables.plan();
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
-    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
-    const DConstSpan w = tables.inverseTwiddles().span();
-    const DConstSpan wq = tables.inverseTwiddlesShoup().span();
-    const mod::DW<uint64_t> ninv{w.hi[0], w.lo[0]};
-    const mod::DW<uint64_t> ninvq{wq.hi[0], wq.lo[0]};
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-    for (int s = m - 1; s >= 0; --s) {
-        DSpan dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            const size_t e = negacyclicTwiddleIndex(s, j);
-            const mod::DW<uint64_t> wj{w.hi[e], w.lo[e]};
-            const mod::DW<uint64_t> wjq{wq.hi[e], wq.lo[e]};
-            for (size_t c = 0; c < il; ++c) {
-                const size_t i0 = scalarCoreIndex<IL>(2 * j, c, il);
-                const size_t i1 = scalarCoreIndex<IL>(2 * j + 1, c, il);
-                const size_t o0 = scalarCoreIndex<IL>(j, c, il);
-                const size_t o1 = scalarCoreIndex<IL>(j + h, c, il);
-                if (s == 0)
-                    negacyclicInverseLastButterflyScalar<A>(
-                        q, q2, src_hi, src_lo, dst.hi, dst.lo, ninv, ninvq,
-                        wj, wjq, i0, i1, o0, o1);
-                else
-                    negacyclicInverseButterflyScalar<A>(
-                        q, q2, src_hi, src_lo, dst.hi, dst.lo, wj, wjq, i0,
-                        i1, o0, o1);
-            }
-        }
-        on_stage(DConstSpan(dst), s);
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-}
-
-} // namespace detail
-
-/**
- * Merged negacyclic forward of one channel (see ntt/negacyclic.h):
- * canonical natural-order input, canonical bit-reversed output. The
- * scalar loop only serves transforms with n/2 < kLanes.
- */
-template <class Isa>
-void
-negacyclicForwardImpl(const NegacyclicTables& tables, DConstSpan in,
-                      DSpan out, DSpan scratch)
-{
-    const NttPlan& plan = tables.plan();
-    detail::validateNttArgs(plan, in, out, scratch);
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
-    const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
-    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
-    const DConstSpan w = tables.forwardTwiddles().span();
-    const DConstSpan wq = tables.forwardTwiddlesShoup().span();
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-    for (int s = 0; s < m; ++s) {
-        const bool last = s == m - 1;
-        DSpan dst = bufs[target];
-        detail::NegacyclicStageShoup<Isa> tw(w, wq, s);
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            simd::DV<Isa> u, v;
-            detail::negacyclicForwardButterflyV<Isa>(
-                ctx, src_hi, src_lo, j, j + h, tw.at(j), last, u, v);
-            detail::storeInterleaved<Isa>(dst, 2 * j, 2 * j + Isa::kLanes, u,
-                                          v);
-        }
-        for (; j < h; ++j) {
-            const size_t e = detail::negacyclicTwiddleIndex(s, j);
-            detail::negacyclicForwardButterflyScalar(
-                q, q2, src_hi, src_lo, dst.hi, dst.lo,
-                mod::DW<uint64_t>{w.hi[e], w.lo[e]},
-                mod::DW<uint64_t>{wq.hi[e], wq.lo[e]}, j, j + h, 2 * j,
-                2 * j + 1, last);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-}
-
-/**
- * Merged negacyclic inverse of one channel: canonical bit-reversed
- * input, canonical natural-order output, n^-1 folded into the last
- * stage.
- */
-template <class Isa>
-void
-negacyclicInverseImpl(const NegacyclicTables& tables, DConstSpan in,
-                      DSpan out, DSpan scratch)
-{
-    const NttPlan& plan = tables.plan();
-    detail::validateNttArgs(plan, in, out, scratch);
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
-    const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
-    const mod::DW<uint64_t> q2 = mod::shl1Dw(q);
-    const DConstSpan w = tables.inverseTwiddles().span();
-    const DConstSpan wq = tables.inverseTwiddlesShoup().span();
-
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-    for (int s = m - 1; s >= 1; --s) {
-        DSpan dst = bufs[target];
-        detail::NegacyclicStageShoup<Isa> tw(w, wq, s);
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            simd::DV<Isa> u, v, x0, x1;
-            detail::loadDeinterleaved<Isa>(src_hi, src_lo, 2 * j,
-                                           2 * j + Isa::kLanes, u, v);
-            detail::negacyclicInverseButterflyV<Isa>(ctx, u, v, tw.at(j), x0,
-                                                     x1);
-            simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
-            simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
-        }
-        for (; j < h; ++j) {
-            const size_t e = detail::negacyclicTwiddleIndex(s, j);
-            detail::negacyclicInverseButterflyScalar(
-                q, q2, src_hi, src_lo, dst.hi, dst.lo,
-                mod::DW<uint64_t>{w.hi[e], w.lo[e]},
-                mod::DW<uint64_t>{wq.hi[e], wq.lo[e]}, 2 * j, 2 * j + 1, j,
-                j + h);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-
-    // Stage 0 lands in out (the parity above), with n^-1 folded in.
-    const auto ninv = detail::broadcastEntry<Isa>(w, wq, 0);
-    const auto wlast = detail::broadcastEntry<Isa>(w, wq, 1);
-    size_t j = 0;
-    for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-        simd::DV<Isa> u, v, x0, x1;
-        detail::loadDeinterleaved<Isa>(src_hi, src_lo, 2 * j,
-                                       2 * j + Isa::kLanes, u, v);
-        detail::negacyclicInverseLastButterflyV<Isa>(ctx, u, v, ninv, wlast,
-                                                     x0, x1);
-        simd::storeDv<Isa>(out.hi, out.lo, j, x0);
-        simd::storeDv<Isa>(out.hi, out.lo, j + h, x1);
-    }
-    for (; j < h; ++j) {
-        detail::negacyclicInverseLastButterflyScalar(
-            q, q2, src_hi, src_lo, out.hi, out.lo,
-            mod::DW<uint64_t>{w.hi[0], w.lo[0]},
-            mod::DW<uint64_t>{wq.hi[0], wq.lo[0]},
-            mod::DW<uint64_t>{w.hi[1], w.lo[1]},
-            mod::DW<uint64_t>{wq.hi[1], wq.lo[1]}, 2 * j, 2 * j + 1, j,
-            j + h);
-    }
-}
-
-/**
- * Merged negacyclic forward over il lanes packed by batch::packLanes;
- * per lane word-identical to negacyclicForwardImpl.
- */
-template <class Isa>
-void
-negacyclicForwardBatchImpl(const NegacyclicTables& tables, size_t il,
-                           DConstSpan in, DSpan out, DSpan scratch)
-{
-    detail::validateBatchNttArgs(tables.plan(), il, in, out, scratch);
-    switch (il) {
-    case 4:
-        detail::negacyclicForwardBatchCore<Isa, 4>(tables, il, in, out,
-                                                   scratch);
-        break;
-    case 8:
-        detail::negacyclicForwardBatchCore<Isa, 8>(tables, il, in, out,
-                                                   scratch);
-        break;
-    default:
-        detail::negacyclicForwardBatchCore<Isa, 0>(tables, il, in, out,
-                                                   scratch);
-        break;
-    }
-}
-
-/** Batch counterpart of negacyclicInverseImpl. */
-template <class Isa>
-void
-negacyclicInverseBatchImpl(const NegacyclicTables& tables, size_t il,
-                           DConstSpan in, DSpan out, DSpan scratch)
-{
-    detail::validateBatchNttArgs(tables.plan(), il, in, out, scratch);
-    switch (il) {
-    case 4:
-        detail::negacyclicInverseBatchCore<Isa, 4>(tables, il, in, out,
-                                                   scratch);
-        break;
-    case 8:
-        detail::negacyclicInverseBatchCore<Isa, 8>(tables, il, in, out,
-                                                   scratch);
-        break;
-    default:
-        detail::negacyclicInverseBatchCore<Isa, 0>(tables, il, in, out,
-                                                   scratch);
-        break;
-    }
-}
-
-/** Backend::Scalar merged forward (native 128-bit scalar arithmetic). */
-inline void
-negacyclicForwardScalarImpl(const NegacyclicTables& tables, DConstSpan in,
-                            DSpan out, DSpan scratch)
-{
-    detail::validateNttArgs(tables.plan(), in, out, scratch);
-    detail::negacyclicForwardScalarCore<1>(tables, 1, in, out, scratch);
-}
-
-/** Backend::Scalar merged inverse. */
-inline void
-negacyclicInverseScalarImpl(const NegacyclicTables& tables, DConstSpan in,
-                            DSpan out, DSpan scratch)
-{
-    detail::validateNttArgs(tables.plan(), in, out, scratch);
-    detail::negacyclicInverseScalarCore<1>(tables, 1, in, out, scratch);
-}
-
-/** Backend::Scalar merged forward over il packed lanes. */
-inline void
-negacyclicForwardBatchScalarImpl(const NegacyclicTables& tables, size_t il,
-                                 DConstSpan in, DSpan out, DSpan scratch)
-{
-    detail::validateBatchNttArgs(tables.plan(), il, in, out, scratch);
-    detail::negacyclicForwardScalarCore<0>(tables, il, in, out, scratch);
-}
-
-/** Backend::Scalar merged inverse over il packed lanes. */
-inline void
-negacyclicInverseBatchScalarImpl(const NegacyclicTables& tables, size_t il,
-                                 DConstSpan in, DSpan out, DSpan scratch)
-{
-    detail::validateBatchNttArgs(tables.plan(), il, in, out, scratch);
-    detail::negacyclicInverseScalarCore<0>(tables, il, in, out, scratch);
 }
 
 } // namespace ntt

@@ -36,31 +36,20 @@ NttPlan::NttPlan(const Modulus& modulus, size_t n)
     omega_inv_ = mod_.inverse(omega_);
     n_inv_ = mod_.inverse(mod_.reduce(U128{static_cast<uint64_t>(n)}));
 
-    // Shared power tables pow[k] = omega^k and powInv[k] = omega^-k,
-    // k < n/2, plus the Shoup companion floor(w * 2^128 / q) for every
-    // entry; stage s addresses them with stageTwiddleIndex(). One entry
-    // per distinct twiddle — the stretched per-stage layout is gone.
+    // Entry brev(e) of each table is omega^e (omega^-e): one running
+    // power per direction, plus the Shoup companion of every entry.
     const size_t h = half();
-    fwd_hi_.reset(h);
-    fwd_lo_.reset(h);
-    fwd_sh_hi_.reset(h);
-    fwd_sh_lo_.reset(h);
-    inv_hi_.reset(h);
-    inv_lo_.reset(h);
-    inv_sh_hi_.reset(h);
-    inv_sh_lo_.reset(h);
+    fwd_.ensure(h);
+    inv_.ensure(h);
+    fwd_shoup_.ensure(h);
+    inv_shoup_.ensure(h);
     U128 acc_f{1}, acc_i{1};
-    for (size_t i = 0; i < h; ++i) {
-        fwd_hi_[i] = acc_f.hi;
-        fwd_lo_[i] = acc_f.lo;
-        inv_hi_[i] = acc_i.hi;
-        inv_lo_[i] = acc_i.lo;
-        const U128 sf = mod_.shoupCompanion(acc_f);
-        const U128 si = mod_.shoupCompanion(acc_i);
-        fwd_sh_hi_[i] = sf.hi;
-        fwd_sh_lo_[i] = sf.lo;
-        inv_sh_hi_[i] = si.hi;
-        inv_sh_lo_[i] = si.lo;
+    for (size_t e = 0; e < h; ++e) {
+        const size_t k = bitReverseIndex(e, logn_ - 1);
+        fwd_.set(k, acc_f);
+        inv_.set(k, acc_i);
+        fwd_shoup_.set(k, mod_.shoupCompanion(acc_f));
+        inv_shoup_.set(k, mod_.shoupCompanion(acc_i));
         acc_f = mod_.mul(acc_f, omega_);
         acc_i = mod_.mul(acc_i, omega_inv_);
     }
@@ -70,7 +59,7 @@ NttPlan::NttPlan(const Modulus& modulus, size_t n)
 size_t
 NttPlan::twiddleBytes() const
 {
-    return 8 * half() * sizeof(uint64_t);
+    return 4 * 2 * half() * sizeof(uint64_t);
 }
 
 size_t

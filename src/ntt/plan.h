@@ -1,40 +1,41 @@
 /**
  * @file
  * NTT plans: validated parameters plus every precomputed table the
- * kernels need (twiddle factors per Pease stage, inverse twiddles,
- * n^-1, Barrett constants).
+ * kernels need (the cyclic stage twiddles in both directions with their
+ * Shoup companions, n^-1, Barrett constants).
  *
- * Dataflow (paper Section 3.2): we use the Pease constant-geometry
- * radix-2 NTT. Every stage has identical wiring — butterfly j reads
- * positions (j, j + n/2) and writes (2j, 2j + 1):
+ * Dataflow (paper Section 3.2): the Pease constant-geometry radix-2
+ * NTT. Every stage has identical wiring — butterfly j reads positions
+ * (j, j + n/2) and writes (2j, 2j + 1). The forward stage is a
+ * Cooley-Tukey butterfly
  *
- *     u = x[j] + x[j + n/2]                 (mod q)
- *     v = (x[j] - x[j + n/2]) * w[s][j]     (mod q)
- *     y[2j] = u;  y[2j+1] = v
+ *     t = x[j + n/2] * w[s][j]              (mod q)
+ *     y[2j] = x[j] + t;  y[2j+1] = x[j] - t
  *
- * with stage-s twiddle w[s][j] = omega^((j >> s) << s). After log2(n)
- * stages the output is in bit-reversed order. The inverse transform runs
- * the transposed stages in reverse order with inverse twiddles and a
- * final scale by n^-1, consuming bit-reversed input and producing
- * natural order — so inverse(forward(x)) == x with no explicit
- * permutation, and pointwise products in the transformed domain are
- * order-consistent (the convolution path needs no bit reversal either).
+ * that splits x^n - 1 level by level: stage s, butterfly j reduces
+ * modulo x^(n/2^(s+1)) -+ zeta with zeta = omega^(brev_s(j mod 2^s) *
+ * n/2^(s+1)). After log2(n) stages position k holds the evaluation at
+ * omega^brev(k), i.e. the output is in bit-reversed order. The inverse
+ * runs the transposed Gentleman-Sande stages in reverse order with the
+ * inverted twiddles and folds n^-1 into its last stage, consuming
+ * bit-reversed input and producing natural order — so
+ * inverse(forward(x)) == x with no explicit permutation, and point-wise
+ * products in the transformed domain are order-consistent (the
+ * convolution path needs no bit reversal either).
  *
  * Data layout: residue vectors are stored as split hi/lo uint64_t
  * arrays ("the vectorized implementation passes in two 512-bit vectors
  * per input" — Section 3.2).
  *
- * Twiddle storage is COMPACT: stage s has only n/2^(s+1) distinct
- * twiddles (w[s][j] depends on j only through (j >> s) << s), and every
- * stage's set {omega^(k*2^s)} is a stride-2^s subsample of the single
- * power table pow[k] = omega^k, k < n/2. So the plan stores ONE hi/lo
- * power table per direction — the per-stage tables of the old stretched
- * layout (logn * n/2 entries per direction) overlap into n/2 entries —
- * and the kernels address stage s with broadcast loads (late stages,
- * run length 2^s >= lane count) or short step loads (early stages).
- * Every twiddle also carries its Shoup companion floor(w * 2^128 / q)
- * so the butterfly multiply needs no Barrett reduction; even counting
- * the companions, total twiddle bytes shrink by logn/2 (6x at n=4096).
+ * Twiddle storage is ONE n/2-entry table per direction, T[k] =
+ * omega^brev(k) (brev over log2(n) - 1 bits), and its inverse
+ * omega^-brev(k), each with the Shoup companions floor(w * 2^128 / q):
+ * stage s, butterfly j reads T[j mod 2^s], because zeta of level s,
+ * factor b is T[b] for every b < 2^s. Stage s therefore reads the
+ * first 2^s entries: broadcast-like patterns in the first log2(lanes)
+ * stages and contiguous loads after that. The merged negacyclic tables
+ * (ntt/negacyclic.h) have the same shape with n entries, read at
+ * 2^s + (j mod 2^s); one kernel body (ntt/pease_impl.h) serves both.
  */
 #pragma once
 
@@ -91,65 +92,21 @@ class NttPlan
     U128 nInvShoup() const { return n_inv_shoup_; }
 
     /**
-     * Index into the shared power table for butterfly j of stage s:
-     * stage s uses pow[(j >> s) << s] = omega^((j >> s) << s).
+     * Cyclic stage twiddles, n/2 entries: entry k = omega^brev(k), so
+     * stage s, butterfly j reads entry j mod 2^s. The inverse table
+     * holds omega^-brev(k); the Shoup companions are floor(w * 2^128 /
+     * q) of each entry.
      */
-    static size_t
-    stageTwiddleIndex(int stage, size_t j)
-    {
-        return (j >> stage) << stage;
-    }
-
-    /**
-     * Second-layer index for the fused radix-4 butterfly p of the stage
-     * pair (s, s+1): both stage-(s+1) butterflies it contains (2p and
-     * 2p+1) share the single twiddle pow[2 * ((p >> s) << s)] =
-     * stageTwiddleIndex(s+1, 2p) = stageTwiddleIndex(s+1, 2p+1). The
-     * first layer's two twiddles are stageTwiddleIndex(s, p) and
-     * stageTwiddleIndex(s, p) + n/4 (p < n/4, so both stay below n/2).
-     */
-    static size_t
-    stageTwiddlePair(int stage, size_t p)
-    {
-        return ((p >> stage) << stage) << 1;
-    }
-
-    /** Distinct twiddles of stage @p s: n/2^(s+1). */
-    size_t stageTwiddles(int s) const { return half() >> s; }
-
-    /** Forward twiddle w[s][j] = omega^((j >> s) << s), j < n/2. */
-    U128
-    twiddle(int stage, size_t j) const
-    {
-        size_t idx = stageTwiddleIndex(stage, j);
-        return U128::fromParts(fwd_hi_[idx], fwd_lo_[idx]);
-    }
-
-    /** Inverse twiddle w^-1[s][j]. */
-    U128
-    twiddleInv(int stage, size_t j) const
-    {
-        size_t idx = stageTwiddleIndex(stage, j);
-        return U128::fromParts(inv_hi_[idx], inv_lo_[idx]);
-    }
-
-    // Shared power tables (length n/2 each): pow[k] = omega^k and its
-    // Shoup companion; likewise for omega^-k. Stage s addresses them
-    // through stageTwiddleIndex().
-    const uint64_t* twiddleHi() const { return fwd_hi_.data(); }
-    const uint64_t* twiddleLo() const { return fwd_lo_.data(); }
-    const uint64_t* twiddleShoupHi() const { return fwd_sh_hi_.data(); }
-    const uint64_t* twiddleShoupLo() const { return fwd_sh_lo_.data(); }
-    const uint64_t* twiddleInvHi() const { return inv_hi_.data(); }
-    const uint64_t* twiddleInvLo() const { return inv_lo_.data(); }
-    const uint64_t* twiddleInvShoupHi() const { return inv_sh_hi_.data(); }
-    const uint64_t* twiddleInvShoupLo() const { return inv_sh_lo_.data(); }
+    const ResidueVector& forwardTwiddles() const { return fwd_; }
+    const ResidueVector& inverseTwiddles() const { return inv_; }
+    const ResidueVector& forwardTwiddlesShoup() const { return fwd_shoup_; }
+    const ResidueVector& inverseTwiddlesShoup() const { return inv_shoup_; }
 
     size_t half() const { return n_ / 2; }
 
     /**
      * Bytes of twiddle storage (for the paper's L2 discussion, §5.4):
-     * 8 arrays (fwd/inv x value/Shoup x hi/lo) of n/2 words.
+     * 4 split-layout tables (fwd/inv x value/Shoup) of n/2 entries.
      */
     size_t twiddleBytes() const;
 
@@ -165,7 +122,7 @@ class NttPlan
      * ping-pong data, by construction of the kernels: every pass reads
      * and writes n split residues (32 bytes each). Radix2 makes logn
      * passes, Radix4 ceil(logn/2). Twiddle traffic is excluded (the
-     * compact tables are cache-resident).
+     * n/2-entry tables are cache-resident).
      */
     size_t bytesSweptPerTransform(StageFusion fusion) const;
 
@@ -177,10 +134,10 @@ class NttPlan
     U128 omega_inv_{};
     U128 n_inv_{};
     U128 n_inv_shoup_{};
-    AlignedVec<uint64_t> fwd_hi_, fwd_lo_;
-    AlignedVec<uint64_t> fwd_sh_hi_, fwd_sh_lo_;
-    AlignedVec<uint64_t> inv_hi_, inv_lo_;
-    AlignedVec<uint64_t> inv_sh_hi_, inv_sh_lo_;
+    ResidueVector fwd_;       ///< omega^brev(k), k < n/2
+    ResidueVector inv_;       ///< omega^-brev(k)
+    ResidueVector fwd_shoup_; ///< floor(fwd_[k] * 2^128 / q)
+    ResidueVector inv_shoup_; ///< floor(inv_[k] * 2^128 / q)
 };
 
 /** In-place bit-reversal permutation of a split-layout vector. */

@@ -52,9 +52,9 @@ runAvx2WideningMulNtt(bool use_proxy, const ntt::NttPlan& plan, DConstSpan in,
                       DSpan out, DSpan scratch)
 {
     if (use_proxy)
-        ntt::peaseForwardImpl<Avx2ProxyMulIsa>(plan, in, out, scratch);
+        ntt::barrettForwardImpl<Avx2ProxyMulIsa>(plan, in, out, scratch);
     else
-        ntt::peaseForwardImpl<simd::Avx2Isa>(plan, in, out, scratch);
+        ntt::barrettForwardImpl<simd::Avx2Isa>(plan, in, out, scratch);
 }
 
 } // namespace detail

@@ -49,9 +49,9 @@ runAvx512MaskAddNtt(bool use_proxy, const ntt::NttPlan& plan, DConstSpan in,
                     DSpan out, DSpan scratch)
 {
     if (use_proxy)
-        ntt::peaseForwardImpl<ProxyMaskAddIsa>(plan, in, out, scratch);
+        ntt::barrettForwardImpl<ProxyMaskAddIsa>(plan, in, out, scratch);
     else
-        ntt::peaseForwardImpl<simd::Avx512Isa>(plan, in, out, scratch);
+        ntt::barrettForwardImpl<simd::Avx512Isa>(plan, in, out, scratch);
 }
 
 void
@@ -59,9 +59,9 @@ runAvx512MaskSubNtt(bool use_proxy, const ntt::NttPlan& plan, DConstSpan in,
                     DSpan out, DSpan scratch)
 {
     if (use_proxy)
-        ntt::peaseForwardImpl<ProxyMaskSubIsa>(plan, in, out, scratch);
+        ntt::barrettForwardImpl<ProxyMaskSubIsa>(plan, in, out, scratch);
     else
-        ntt::peaseForwardImpl<simd::Avx512Isa>(plan, in, out, scratch);
+        ntt::barrettForwardImpl<simd::Avx512Isa>(plan, in, out, scratch);
 }
 
 } // namespace detail

@@ -2,8 +2,9 @@
  * @file
  * Negacyclic NTT tests: psi structure, roundtrips, products against the
  * schoolbook x^n + 1 reduction, and the merged (psi-in-the-stages)
- * kernels word for word against an oracle built from the public cyclic
- * pieces, across backends, sizes, aliasing and the batch layout.
+ * kernels word for word against the Eq.-11 reference transforms (which
+ * share no code with the Pease body), across backends, sizes, aliasing
+ * and the batch layout.
  */
 #include <gtest/gtest.h>
 
@@ -14,7 +15,7 @@
 
 #include "core/batch_layout.h"
 #include "ntt/negacyclic.h"
-#include "ntt/negacyclic_backends.h"
+#include "ntt/ntt_backends.h"
 #include "ntt/reference_ntt.h"
 #include "test_util.h"
 
@@ -108,33 +109,42 @@ tablesFor(size_t n)
     return std::make_shared<const ntt::NegacyclicTables>(testPrime(), n);
 }
 
-/** Oracle forward: x[i] * psi^i by Modulus::mul, then ntt::forward. */
+/** The reference oracles evaluate Eq. 11 in O(n^2): n <= 1024 only. */
+constexpr size_t kOracleMaxN = 1024;
+
+/**
+ * Oracle forward: x[i] * psi^i, then referenceNtt (Eq. 11, natural
+ * order), read out in bit-reversed order.
+ */
 std::vector<U128>
 oracleForward(const ntt::NegacyclicTables& t, const std::vector<U128>& x)
 {
     const Modulus& m = t.plan().modulus();
     const size_t n = x.size();
-    ResidueVector in(n), out(n), scratch(n);
+    std::vector<U128> twisted(n);
     U128 p{1};
     for (size_t i = 0; i < n; ++i) {
-        in.set(i, m.mul(x[i], p));
+        twisted[i] = m.mul(x[i], p);
         p = m.mul(p, t.psi());
     }
-    ntt::forward(t.plan(), Backend::Scalar, in.span(), out.span(),
-                 scratch.span());
-    return out.toU128();
+    const auto nat = ntt::referenceNtt(t.plan(), twisted);
+    std::vector<U128> out(n);
+    for (size_t k = 0; k < n; ++k)
+        out[k] = nat[ntt::bitReverseIndex(k, t.plan().logn())];
+    return out;
 }
 
-/** Oracle inverse: ntt::inverse, then y[i] * psi^-i by Modulus::mul. */
+/** Oracle inverse: bit-reversed y back to natural order, referenceIntt,
+ *  then y[i] * psi^-i. */
 std::vector<U128>
 oracleInverse(const ntt::NegacyclicTables& t, const std::vector<U128>& y)
 {
     const Modulus& m = t.plan().modulus();
     const size_t n = y.size();
-    ResidueVector in = ResidueVector::fromU128(y), out(n), scratch(n);
-    ntt::inverse(t.plan(), Backend::Scalar, in.span(), out.span(),
-                 scratch.span());
-    std::vector<U128> r = out.toU128();
+    std::vector<U128> nat(n);
+    for (size_t k = 0; k < n; ++k)
+        nat[ntt::bitReverseIndex(k, t.plan().logn())] = y[k];
+    std::vector<U128> r = ntt::referenceIntt(t.plan(), nat);
     const U128 psi_inv = m.inverse(t.psi());
     U128 p{1};
     for (size_t i = 0; i < n; ++i) {
@@ -142,6 +152,29 @@ oracleInverse(const ntt::NegacyclicTables& t, const std::vector<U128>& y)
         p = m.mul(p, psi_inv);
     }
     return r;
+}
+
+/**
+ * Above kOracleMaxN: Eq. 11 at spot positions. Output k of the merged
+ * forward is x evaluated at psi^(1 + 2 brev(k)) (Horner, O(n) each).
+ */
+void
+expectForwardSpotChecks(const ntt::NegacyclicTables& t,
+                        const std::vector<U128>& x,
+                        const std::vector<U128>& out)
+{
+    const Modulus& m = t.plan().modulus();
+    const size_t n = x.size();
+    for (size_t k : {size_t{0}, size_t{1}, n / 3, n / 2 + 1, n - 1}) {
+        const U128 z = m.pow(
+            t.psi(),
+            U128{1 + 2 * static_cast<uint64_t>(
+                             ntt::bitReverseIndex(k, t.plan().logn()))});
+        U128 acc{0};
+        for (size_t i = n; i-- > 0;)
+            acc = m.add(m.mul(acc, z), x[i]);
+        EXPECT_EQ(out[k], acc) << "spot k=" << k;
+    }
 }
 
 TEST(NegacyclicMerged, TablesHoldBitReversedPsiPowers)
@@ -190,29 +223,40 @@ class NegacyclicMerged : public testing::TestWithParam<size_t>
 {
 };
 
-TEST_P(NegacyclicMerged, WordIdenticalToTwistedCyclicOnEveryBackend)
+TEST_P(NegacyclicMerged, WordIdenticalToReferenceOnEveryBackend)
 {
     const size_t n = GetParam();
     auto t = tablesFor(n);
     const auto x = randomResidues(n, testPrime().q, 0x4e00 + n);
     const auto y = randomResidues(n, testPrime().q, 0x4f00 + n);
-    const auto want_fwd = oracleForward(*t, x);
-    const auto want_inv = oracleInverse(*t, y);
+    const bool full = n <= kOracleMaxN;
+    const auto want_fwd = full ? oracleForward(*t, x) : std::vector<U128>{};
+    const auto want_inv = full ? oracleInverse(*t, y) : std::vector<U128>{};
     for (Backend be : test::availableCorrectBackends()) {
         SCOPED_TRACE(backendName(be));
         ntt::NegacyclicEngine engine(t, be);
         ResidueVector vx = ResidueVector::fromU128(x), out(n);
         engine.forward(vx.span(), out.span());
-        EXPECT_EQ(out.toU128(), want_fwd) << "forward";
+        if (full)
+            EXPECT_EQ(out.toU128(), want_fwd) << "forward";
+        else
+            expectForwardSpotChecks(*t, x, out.toU128());
         // in == out: the engine stages the aliased input.
         engine.forward(vx.span(), vx.span());
-        EXPECT_EQ(vx.toU128(), want_fwd) << "forward in place";
+        EXPECT_TRUE(vx == out) << "forward in place";
 
         ResidueVector vy = ResidueVector::fromU128(y);
         engine.inverse(vy.span(), out.span());
-        EXPECT_EQ(out.toU128(), want_inv) << "inverse";
+        if (full) {
+            EXPECT_EQ(out.toU128(), want_inv) << "inverse";
+        } else {
+            // The inverse of y is the x whose spot-checked forward is y.
+            ResidueVector back(n);
+            engine.forward(out.span(), back.span());
+            EXPECT_EQ(back.toU128(), y) << "inverse";
+        }
         engine.inverse(vy.span(), vy.span());
-        EXPECT_EQ(vy.toU128(), want_inv) << "inverse in place";
+        EXPECT_TRUE(vy == out) << "inverse in place";
     }
 }
 
@@ -224,20 +268,32 @@ TEST_P(NegacyclicMerged, Avx512KernelsWordIdentical)
     namespace nb = ntt::backends;
     const size_t n = GetParam();
     auto t = tablesFor(n);
+    const ntt::NttPlan& plan = t->plan();
+    const auto fw = ntt::detail::forwardTwiddles(*t);
+    const auto iw = ntt::detail::inverseTwiddles(*t);
     const auto x = randomResidues(n, testPrime().q, 0x5e00 + n);
-    const auto want_fwd = oracleForward(*t, x);
-    const auto want_inv = oracleInverse(*t, x);
+    // The Scalar backend, checked against Eq. 11 by the test above.
     ResidueVector in = ResidueVector::fromU128(x), out(n), scratch(n);
+    ResidueVector want_fwd(n), want_inv(n);
+    ntt::negacyclicForward(*t, Backend::Scalar, in.span(), want_fwd.span(),
+                           scratch.span());
+    ntt::negacyclicInverse(*t, Backend::Scalar, in.span(), want_inv.span(),
+                           scratch.span());
     for (auto [name, fwd, inv] :
-         {std::tuple{"emulated", &nb::negacyclicForwardAvx512,
-                     &nb::negacyclicInverseAvx512},
-          std::tuple{"ifma", &nb::negacyclicForwardAvx512Ifma,
-                     &nb::negacyclicInverseAvx512Ifma}}) {
-        SCOPED_TRACE(name);
-        fwd(*t, in.span(), out.span(), scratch.span());
-        EXPECT_EQ(out.toU128(), want_fwd) << "forward";
-        inv(*t, in.span(), out.span(), scratch.span());
-        EXPECT_EQ(out.toU128(), want_inv) << "inverse";
+         {std::tuple{"emulated", &nb::forwardAvx512, &nb::inverseAvx512},
+          std::tuple{"ifma", &nb::forwardAvx512Ifma,
+                     &nb::inverseAvx512Ifma}}) {
+        for (StageFusion fusion : {StageFusion::Radix2, StageFusion::Radix4}) {
+            SCOPED_TRACE(std::string(name) +
+                         (fusion == StageFusion::Radix4 ? " radix4"
+                                                        : " radix2"));
+            const ntt::detail::PeaseShape shape{
+                MulAlgo::Schoolbook, Reduction::ShoupLazy, fusion};
+            fwd(plan, fw, in.span(), out.span(), scratch.span(), shape);
+            EXPECT_TRUE(out == want_fwd) << "forward";
+            inv(plan, iw, in.span(), out.span(), scratch.span(), shape);
+            EXPECT_TRUE(out == want_inv) << "inverse";
+        }
     }
 
     // The batch entries at IL = 8, full and padded tiles: both builds
@@ -260,17 +316,17 @@ TEST_P(NegacyclicMerged, Avx512KernelsWordIdentical)
         ResidueVector packed(words);
         batch::packLanes(layout, spans.data(), k, packed.span());
         ResidueVector fe(words), fse(words), fi(words), fsi(words);
-        nb::negacyclicForwardBatchAvx512(*t, il, packed.span(), fe.span(),
-                                         fse.span());
-        nb::negacyclicForwardBatchAvx512Ifma(*t, il, packed.span(),
-                                             fi.span(), fsi.span());
+        nb::forwardBatchAvx512(plan, fw, il, packed.span(), fe.span(),
+                               fse.span());
+        nb::forwardBatchAvx512Ifma(plan, fw, il, packed.span(), fi.span(),
+                                   fsi.span());
         EXPECT_TRUE(fe == fi) << "batch forward";
         EXPECT_TRUE(fse == fsi) << "batch forward scratch";
         ResidueVector ie(words), ise(words), ii(words), isi(words);
-        nb::negacyclicInverseBatchAvx512(*t, il, fe.span(), ie.span(),
-                                         ise.span());
-        nb::negacyclicInverseBatchAvx512Ifma(*t, il, fe.span(), ii.span(),
-                                             isi.span());
+        nb::inverseBatchAvx512(plan, iw, il, fe.span(), ie.span(),
+                               ise.span());
+        nb::inverseBatchAvx512Ifma(plan, iw, il, fe.span(), ii.span(),
+                                   isi.span());
         EXPECT_TRUE(ie == ii) << "batch inverse";
         EXPECT_TRUE(ise == isi) << "batch inverse scratch";
         EXPECT_TRUE(ii == packed) << "batch round trip";
@@ -287,9 +343,10 @@ INSTANTIATE_TEST_SUITE_P(Sizes, NegacyclicMerged,
 
 /**
  * The batch entries at IL = 4 and 8, full and padded tiles: every lane
- * must match the per-channel oracle, and padding lanes stay zero.
+ * must match the per-channel transform (checked against Eq. 11 above),
+ * and padding lanes stay zero.
  */
-TEST(NegacyclicMerged, BatchLanesMatchPerChannelOracle)
+TEST(NegacyclicMerged, BatchLanesMatchPerChannelTransform)
 {
     for (size_t n : {size_t{16}, size_t{4096}}) {
         auto t = tablesFor(n);
@@ -304,8 +361,9 @@ TEST(NegacyclicMerged, BatchLanesMatchPerChannelOracle)
                 for (size_t c = 0; c < k; ++c) {
                     lanes.push_back(
                         randomResidues(n, testPrime().q, 0x6a00 + 7 * c + n));
-                    want_fwd.push_back(oracleForward(*t, lanes.back()));
-                    want_inv.push_back(oracleInverse(*t, lanes.back()));
+                    ntt::NegacyclicEngine ref(t, Backend::Scalar);
+                    want_fwd.push_back(ref.forward(lanes.back()));
+                    want_inv.push_back(ref.inverse(lanes.back()));
                     vlanes.push_back(ResidueVector::fromU128(lanes.back()));
                 }
                 for (const auto& v : vlanes)

@@ -12,6 +12,7 @@
 #include "core/cpu_features.h"
 #include "ntt/ntt.h"
 #include "ntt/ntt_backends.h"
+#include "ntt/pease_impl.h"
 #include "ntt/reference_ntt.h"
 #include "test_util.h"
 
@@ -90,50 +91,64 @@ TEST(NttPlan, TwiddleStructure)
     EXPECT_NE(m.pow(plan.omega(), U128{8}), U128{1});
     EXPECT_EQ(m.mul(plan.omega(), plan.omegaInv()), U128{1});
     EXPECT_EQ(m.mul(plan.nInv(), U128{16}), U128{1});
-    // Stage-s twiddle is omega^((j >> s) << s); stage s has exactly
-    // n/2^(s+1) distinct entries in the shared power table.
-    for (int s = 0; s < plan.logn(); ++s) {
-        EXPECT_EQ(plan.stageTwiddles(s), plan.half() >> s);
-        for (size_t j = 0; j < plan.half(); ++j) {
-            EXPECT_LT(ntt::NttPlan::stageTwiddleIndex(s, j), plan.half());
-            uint64_t e = (j >> s) << s;
-            EXPECT_EQ(plan.twiddle(s, j), m.pow(plan.omega(), U128{e}));
-            EXPECT_EQ(plan.twiddleInv(s, j),
-                      m.pow(plan.omegaInv(), U128{e}));
-        }
-    }
-    // Compact layout: 8 arrays (fwd/inv x value/Shoup x hi/lo) of n/2
-    // words — no stretched per-stage duplication.
-    EXPECT_EQ(plan.twiddleBytes(), 8u * plan.half() * 8);
-    EXPECT_EQ(plan.twiddleBytesStretched(),
-              4u * static_cast<size_t>(plan.logn()) * plan.half() * 8);
     // Swept-bytes model: 32n bytes per pass; radix-4 halves the passes.
     EXPECT_EQ(plan.bytesSweptPerTransform(StageFusion::Radix2), 32u * 16 * 4);
     EXPECT_EQ(plan.bytesSweptPerTransform(StageFusion::Radix4), 32u * 16 * 2);
 }
 
-TEST(NttPlan, ShoupCompanionsMatchPrecompute)
+TEST(NttPlan, BitReversedTwiddleTable)
 {
+    // One n/2-entry table per direction: T[k] = omega^brev(k) (and
+    // omega^-brev(k)), every Shoup companion exact, and stage s of the
+    // kernel body reads T[j mod 2^s], which is the zeta of the factor
+    // tree of x^n - 1: omega^(brev_s(j mod 2^s) * n/2^(s+1)).
     const std::pair<ntt::NttPrime, size_t> cases[] = {
-        {testPrime(), 32}, {ntt::defaultBenchPrime(), 4096}};
+        {testPrime(), 2},   {testPrime(), 4},
+        {testPrime(), 32},  {ntt::defaultBenchPrime(), 256},
+        {ntt::defaultBenchPrime(), 4096}};
     for (const auto& [prime, n] : cases) {
+        SCOPED_TRACE("n=" + std::to_string(n));
         ntt::NttPlan plan(prime, n);
-        const mod::DW<uint64_t> q = mod::toDw(plan.modulus().value());
+        const Modulus& m = plan.modulus();
+        const mod::DW<uint64_t> q = mod::toDw(m.value());
+        const int bits = plan.logn() - 1;
+        ASSERT_EQ(plan.forwardTwiddles().size(), plan.half());
         for (size_t k = 0; k < plan.half(); ++k) {
-            mod::DW<uint64_t> w{plan.twiddleHi()[k], plan.twiddleLo()[k]};
-            auto wq = mod::shoupPrecompute(w, q);
-            EXPECT_EQ(plan.twiddleShoupHi()[k], wq.hi) << "k=" << k;
-            EXPECT_EQ(plan.twiddleShoupLo()[k], wq.lo) << "k=" << k;
-            mod::DW<uint64_t> wi{plan.twiddleInvHi()[k],
-                                 plan.twiddleInvLo()[k]};
-            auto wiq = mod::shoupPrecompute(wi, q);
-            EXPECT_EQ(plan.twiddleInvShoupHi()[k], wiq.hi) << "k=" << k;
-            EXPECT_EQ(plan.twiddleInvShoupLo()[k], wiq.lo) << "k=" << k;
+            const U128 e{static_cast<uint64_t>(ntt::bitReverseIndex(k, bits))};
+            EXPECT_EQ(plan.forwardTwiddles().at(k), m.pow(plan.omega(), e));
+            EXPECT_EQ(plan.inverseTwiddles().at(k), m.pow(plan.omegaInv(), e));
+            EXPECT_EQ(plan.forwardTwiddlesShoup().at(k),
+                      mod::fromDw(mod::shoupPrecompute(
+                          mod::toDw(plan.forwardTwiddles().at(k)), q)))
+                << "k=" << k;
+            EXPECT_EQ(plan.inverseTwiddlesShoup().at(k),
+                      mod::fromDw(mod::shoupPrecompute(
+                          mod::toDw(plan.inverseTwiddles().at(k)), q)))
+                << "k=" << k;
         }
         EXPECT_EQ(plan.nInvShoup(), mod::fromDw(mod::shoupPrecompute(
-                                        mod::toDw(plan.nInv()), q)))
-            << "n=" << n;
+                                        mod::toDw(plan.nInv()), q)));
+        const auto tw = ntt::detail::forwardTwiddles(plan);
+        for (int s = 0; s < plan.logn(); ++s) {
+            for (size_t j = 0; j < plan.half(); ++j) {
+                const size_t b = j & ((size_t{1} << s) - 1);
+                const size_t e = ntt::detail::twiddleIndex(tw, s, j);
+                ASSERT_EQ(e, b);
+                const U128 zeta = m.pow(
+                    plan.omega(),
+                    U128{static_cast<uint64_t>(ntt::bitReverseIndex(b, s) *
+                                               (n >> (s + 1)))});
+                EXPECT_EQ(plan.forwardTwiddles().at(e), zeta)
+                    << "s=" << s << " j=" << j;
+            }
+        }
     }
+    // The table bytes equal the old power tables' at every n: four
+    // split-layout tables of n/2 entries.
+    const ntt::NttPrime wide = ntt::findNttPrime(124, 17);
+    for (size_t n = 2; n <= (size_t{1} << 16); n <<= 1)
+        EXPECT_EQ(ntt::NttPlan(wide, n).twiddleBytes(), 8 * (n / 2) * 8)
+            << "n=" << n;
 }
 
 TEST(NttPlan, CompactTablesShrinkTwiddleBytes4xAt4096)
@@ -353,24 +368,6 @@ TEST_P(NttBackend, Radix4BitIdenticalOnWideModulus)
         EXPECT_EQ(runInverse(plan, be, fwd4, MulAlgo::Schoolbook,
                              Reduction::ShoupLazy, StageFusion::Radix4),
                   input);
-    }
-}
-
-TEST(NttPlan, StageTwiddlePairIndexing)
-{
-    // The fused second layer's shared twiddle: butterflies 2p and 2p+1
-    // of stage s+1 both read pow[2 * ((p >> s) << s)].
-    ntt::NttPlan plan(testPrime(), 64);
-    for (int s = 0; s + 1 < plan.logn(); ++s) {
-        for (size_t p = 0; p < plan.n() / 4; ++p) {
-            size_t e = ntt::NttPlan::stageTwiddlePair(s, p);
-            EXPECT_EQ(e, ntt::NttPlan::stageTwiddleIndex(s + 1, 2 * p));
-            EXPECT_EQ(e, ntt::NttPlan::stageTwiddleIndex(s + 1, 2 * p + 1));
-            EXPECT_LT(e, plan.half());
-            // First-layer partner index stays in range too.
-            EXPECT_LT(ntt::NttPlan::stageTwiddleIndex(s, p) + plan.n() / 4,
-                      plan.half());
-        }
     }
 }
 
@@ -602,18 +599,22 @@ TEST(NttBackendIfma, WordIdenticalToEmulatedAvx512)
                              ? "barrett"
                              : (fusion == StageFusion::Radix2 ? "radix2"
                                                               : "radix4"));
+            const ntt::detail::PeaseShape shape{MulAlgo::Schoolbook, red,
+                                                fusion};
+            const auto fw = ntt::detail::forwardTwiddles(plan);
+            const auto iw = ntt::detail::inverseTwiddles(plan);
             ResidueVector fe(n), fse(n), fi(n), fsi(n);
-            be::forwardAvx512(plan, in.span(), fe.span(), fse.span(),
-                              MulAlgo::Schoolbook, red, fusion);
-            be::forwardAvx512Ifma(plan, in.span(), fi.span(), fsi.span(),
-                                  MulAlgo::Schoolbook, red, fusion);
+            be::forwardAvx512(plan, fw, in.span(), fe.span(), fse.span(),
+                              shape);
+            be::forwardAvx512Ifma(plan, fw, in.span(), fi.span(), fsi.span(),
+                                  shape);
             EXPECT_TRUE(same(fe, fi)) << "forward output";
             EXPECT_TRUE(same(fse, fsi)) << "forward lazy intermediates";
             ResidueVector ie(n), ise(n), ii(n), isi(n);
-            be::inverseAvx512(plan, fe.span(), ie.span(), ise.span(),
-                              MulAlgo::Schoolbook, red, fusion);
-            be::inverseAvx512Ifma(plan, fe.span(), ii.span(), isi.span(),
-                                  MulAlgo::Schoolbook, red, fusion);
+            be::inverseAvx512(plan, iw, fe.span(), ie.span(), ise.span(),
+                              shape);
+            be::inverseAvx512Ifma(plan, iw, fe.span(), ii.span(), isi.span(),
+                                  shape);
             EXPECT_TRUE(same(ie, ii)) << "inverse output";
             EXPECT_TRUE(same(ise, isi)) << "inverse lazy intermediates";
             EXPECT_TRUE(same(ii, in)) << "roundtrip";

@@ -9,11 +9,12 @@
  *     algebra ever loosens). The companion NEGATIVE compile test,
  *     tests/fixtures/range_violation.cc, proves a violating kernel
  *     snippet actually fails to build (ctest: range_contract_violation).
- *  2. Bit-identity: the scalar Pease radix-2 and radix-4 lazy cores and
- *     the merged negacyclic forward/inverse instantiated over
- *     CheckedLazyOps produce word-identical results to the production
- *     backends (which compile LazyOps unless MQX_RANGE_AUDIT is on);
- *     the merged drivers also assert each stage's output bound.
+ *  2. Bit-identity: the scalar cores of the one Pease body — radix-2,
+ *     radix-4 and Barrett, over the cyclic plan's and the merged
+ *     negacyclic twiddles — instantiated over CheckedLazyOps produce
+ *     word-identical results to the production backends (which compile
+ *     LazyOps unless MQX_RANGE_AUDIT is on); the per-pass hook also
+ *     asserts each pass's output bound.
  *  3. Audit mode: under MQX_RANGE_AUDIT the dynamic bound assertions
  *     abort on an out-of-contract value (death test) and stay silent on
  *     the whole in-contract suite.
@@ -113,180 +114,16 @@ static_assert(requires(Lazy2Q a, LazyQ w, Dw wq, Dw q2, Dw q) {
 // ---------------------------------------------------------------------------
 // 2. Bit-identity of the checked instantiations.
 //
-// The drivers below mirror the production scalar drivers in
-// ntt_scalar.cc stage for stage, but instantiate the shared butterfly
-// cores with an explicit policy. With A = LazyOps they ARE the
-// production arithmetic; with A = CheckedLazyOps every value is typed
-// and (in audit builds) bound-asserted. Both must match the public
-// scalar backend word for word.
+// The drivers below run the scalar cores Backend::Scalar itself runs
+// (ntt::detail::forwardScalarCore / inverseScalarCore), instantiated
+// with an explicit policy: with A = LazyOps they ARE the production
+// arithmetic; with A = CheckedLazyOps every value is typed and (in audit
+// builds) bound-asserted. Their per-pass hook checks each pass's output
+// bound. Both must match the public scalar backend word for word.
 // ---------------------------------------------------------------------------
 
-template <class A>
-void
-checkedForwardRadix2(const ntt::NttPlan& plan, DConstSpan in, DSpan out,
-                     DSpan scratch, MulAlgo algo)
-{
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const Dw q = mod::toDw(plan.modulus().value());
-    const Dw q2 = mod::shl1Dw(q);
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-    for (int s = 0; s < m; ++s) {
-        const bool last = s == m - 1;
-        DSpan dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            ntt::detail::forwardButterflyLazyScalar<A>(
-                q, q2, src_hi, src_lo, dst.hi, dst.lo, plan.twiddleHi(),
-                plan.twiddleLo(), plan.twiddleShoupHi(),
-                plan.twiddleShoupLo(), j, h, s, last, algo);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-}
-
-template <class A>
-void
-checkedInverseRadix2(const ntt::NttPlan& plan, DConstSpan in, DSpan out,
-                     DSpan scratch, MulAlgo algo)
-{
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const Dw q = mod::toDw(plan.modulus().value());
-    const Dw q2 = mod::shl1Dw(q);
-    DSpan bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-    for (int s = m - 1; s >= 0; --s) {
-        DSpan dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            ntt::detail::inverseButterflyLazyScalar<A>(
-                q, q2, src_hi, src_lo, dst.hi, dst.lo, plan.twiddleInvHi(),
-                plan.twiddleInvLo(), plan.twiddleInvShoupHi(),
-                plan.twiddleInvShoupLo(), j, h, s, algo);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-    const Dw dn = mod::toDw(plan.nInv());
-    const Dw dnq = mod::toDw(plan.nInvShoup());
-    for (size_t i = 0; i < plan.n(); ++i) {
-        ntt::detail::mulShoupCanonElementScalar<A>(
-            q, out.hi, out.lo, out.hi, out.lo, dn, dnq, i, algo);
-    }
-}
-
-template <class A>
-void
-checkedForwardRadix4(const ntt::NttPlan& plan, DConstSpan in, DSpan out,
-                     DSpan scratch, MulAlgo algo)
-{
-    const size_t h = plan.half();
-    const size_t h2 = h / 2;
-    const int m = plan.logn();
-    const Dw q = mod::toDw(plan.modulus().value());
-    const Dw q2 = mod::shl1Dw(q);
-    const uint64_t* tw_hi = plan.twiddleHi();
-    const uint64_t* tw_lo = plan.twiddleLo();
-    const uint64_t* twq_hi = plan.twiddleShoupHi();
-    const uint64_t* twq_lo = plan.twiddleShoupLo();
-    DSpan bufs[2] = {out, scratch};
-    const int passes = (m + 1) / 2;
-    int target = (passes % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-    int s = 0;
-    if (m % 2 == 1) {
-        DSpan dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            ntt::detail::forwardButterflyLazyScalar<A>(
-                q, q2, src_hi, src_lo, dst.hi, dst.lo, tw_hi, tw_lo, twq_hi,
-                twq_lo, j, h, 0, m == 1, algo);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-        s = 1;
-    }
-    for (; s + 1 < m; s += 2) {
-        const bool last = s + 2 == m;
-        DSpan dst = bufs[target];
-        for (size_t p = 0; p < h2; ++p) {
-            const size_t e0 = ntt::NttPlan::stageTwiddleIndex(s, p);
-            const size_t e1 = e0 + h2;
-            const size_t eb = ntt::NttPlan::stageTwiddlePair(s, p);
-            Dw w0{tw_hi[e0], tw_lo[e0]}, w0q{twq_hi[e0], twq_lo[e0]};
-            Dw w1{tw_hi[e1], tw_lo[e1]}, w1q{twq_hi[e1], twq_lo[e1]};
-            Dw wb{tw_hi[eb], tw_lo[eb]}, wbq{twq_hi[eb], twq_lo[eb]};
-            ntt::detail::forwardButterfly4LazyCore<A>(
-                q, q2, src_hi, src_lo, dst.hi, dst.lo, w0, w0q, w1, w1q, wb,
-                wbq, p, h, last, algo);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-}
-
-template <class A>
-void
-checkedInverseRadix4(const ntt::NttPlan& plan, DConstSpan in, DSpan out,
-                     DSpan scratch, MulAlgo algo)
-{
-    const size_t h = plan.half();
-    const size_t h2 = h / 2;
-    const int m = plan.logn();
-    const Dw q = mod::toDw(plan.modulus().value());
-    const Dw q2 = mod::shl1Dw(q);
-    const uint64_t* tw_hi = plan.twiddleInvHi();
-    const uint64_t* tw_lo = plan.twiddleInvLo();
-    const uint64_t* twq_hi = plan.twiddleInvShoupHi();
-    const uint64_t* twq_lo = plan.twiddleInvShoupLo();
-    DSpan bufs[2] = {out, scratch};
-    const int passes = (m + 1) / 2;
-    int target = (passes % 2 == 1) ? 0 : 1;
-    const uint64_t* src_hi = in.hi;
-    const uint64_t* src_lo = in.lo;
-    int s = m - 1;
-    for (; s >= 1; s -= 2) {
-        const int sl = s - 1;
-        DSpan dst = bufs[target];
-        for (size_t p = 0; p < h2; ++p) {
-            const size_t e0 = ntt::NttPlan::stageTwiddleIndex(sl, p);
-            const size_t e1 = e0 + h2;
-            const size_t eb = ntt::NttPlan::stageTwiddlePair(sl, p);
-            Dw w0{tw_hi[e0], tw_lo[e0]}, w0q{twq_hi[e0], twq_lo[e0]};
-            Dw w1{tw_hi[e1], tw_lo[e1]}, w1q{twq_hi[e1], twq_lo[e1]};
-            Dw wb{tw_hi[eb], tw_lo[eb]}, wbq{twq_hi[eb], twq_lo[eb]};
-            ntt::detail::inverseButterfly4LazyCore<A>(
-                q, q2, src_hi, src_lo, dst.hi, dst.lo, w0, w0q, w1, w1q, wb,
-                wbq, p, h, algo);
-        }
-        src_hi = dst.hi;
-        src_lo = dst.lo;
-        target ^= 1;
-    }
-    if (s == 0) {
-        DSpan dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            ntt::detail::inverseButterflyLazyScalar<A>(
-                q, q2, src_hi, src_lo, dst.hi, dst.lo, tw_hi, tw_lo, twq_hi,
-                twq_lo, j, h, 0, algo);
-        }
-    }
-    const Dw dn = mod::toDw(plan.nInv());
-    const Dw dnq = mod::toDw(plan.nInvShoup());
-    for (size_t i = 0; i < plan.n(); ++i) {
-        ntt::detail::mulShoupCanonElementScalar<A>(
-            q, out.hi, out.lo, out.hi, out.lo, dn, dnq, i, algo);
-    }
-}
+using ntt::detail::PeaseShape;
+using ntt::detail::PeaseTwiddles;
 
 /** Every word of @p v is below @p multiple * q (multiple in {1, 2, 4}). */
 ::testing::AssertionResult
@@ -302,67 +139,122 @@ allBelow(DConstSpan v, unsigned multiple, const Dw& q)
     return ::testing::AssertionSuccess();
 }
 
-using ntt::detail::negacyclicForwardScalarCore;
-using ntt::detail::negacyclicInverseScalarCore;
+/**
+ * The scalar forward core with policy A, checking the range contract
+ * after every pass: [0, 4q) between passes (canonical under Barrett),
+ * canonical out of the last one.
+ */
+template <class A>
+void
+checkedForward(const ntt::NttPlan& plan, const PeaseTwiddles& tw,
+               DConstSpan in, DSpan out, PeaseShape shape)
+{
+    const Dw q = mod::toDw(plan.modulus().value());
+    const int last = plan.logn() - 1;
+    ResidueVector scratch(in.n);
+    auto check = [&](DConstSpan dst, int s) {
+        const bool canonical = shape.red == Reduction::Barrett || s == last;
+        EXPECT_TRUE(allBelow(dst, canonical ? 1 : 4, q)) << "stage " << s;
+    };
+    ntt::detail::forwardScalarCore<1, A>(plan, tw, 1, in, out,
+                                         scratch.span(), shape, check);
+}
+
+/**
+ * The scalar inverse core, checked: [0, 2q) between passes (canonical
+ * under Barrett), canonical out of the last (n^-1-folded) stage.
+ */
+template <class A>
+void
+checkedInverse(const ntt::NttPlan& plan, const PeaseTwiddles& tw,
+               DConstSpan in, DSpan out, PeaseShape shape)
+{
+    const Dw q = mod::toDw(plan.modulus().value());
+    ResidueVector scratch(in.n);
+    auto check = [&](DConstSpan dst, int s) {
+        const bool canonical = shape.red == Reduction::Barrett || s == 0;
+        EXPECT_TRUE(allBelow(dst, canonical ? 1 : 2, q)) << "stage " << s;
+    };
+    ntt::detail::inverseScalarCore<1, A>(plan, tw, 1, in, out,
+                                         scratch.span(), shape, check);
+}
+
+/**
+ * Checked cyclic forward and inverse in @p shape vs the Scalar backend,
+ * plus the checked round trip back to the input.
+ */
+void
+expectCheckedCyclic(const ntt::NttPlan& plan, PeaseShape shape,
+                    uint64_t seed)
+{
+    const size_t n = plan.n();
+    const auto fw = ntt::detail::forwardTwiddles(plan);
+    const auto iw = ntt::detail::inverseTwiddles(plan);
+    auto in = randomResidues(n, plan.modulus().value(), seed);
+    ResidueVector vin = ResidueVector::fromU128(in);
+    ResidueVector want(n), ws(n), checked(n), unchecked(n);
+
+    ntt::forward(plan, Backend::Scalar, vin.span(), want.span(), ws.span(),
+                 shape.algo, shape.red, shape.fusion);
+    checkedForward<CheckedLazyOps>(plan, fw, vin.span(), checked.span(),
+                                   shape);
+    checkedForward<LazyOps>(plan, fw, vin.span(), unchecked.span(), shape);
+    EXPECT_EQ(want.toU128(), checked.toU128());
+    EXPECT_EQ(want.toU128(), unchecked.toU128());
+
+    ResidueVector inv_want(n), inv_checked(n);
+    ntt::inverse(plan, Backend::Scalar, want.span(), inv_want.span(),
+                 ws.span(), shape.algo, shape.red, shape.fusion);
+    checkedInverse<CheckedLazyOps>(plan, iw, checked.span(),
+                                   inv_checked.span(), shape);
+    EXPECT_EQ(inv_want.toU128(), inv_checked.toU128());
+    EXPECT_EQ(in, inv_checked.toU128());
+}
+
 using Tables = ntt::NegacyclicTables;
 
-/**
- * The scalar backend's merged negacyclic forward loop instantiated with
- * policy A, checking the range contract after every stage: [0, 4q)
- * between stages, canonical out of the last one.
- */
-template <class A>
-void
-checkedNegacyclicForward(const Tables& t, DConstSpan in, DSpan out)
-{
-    const Dw q = mod::toDw(t.plan().modulus().value());
-    const int last = t.plan().logn() - 1;
-    ResidueVector scratch(in.n);
-    auto check = [&](DConstSpan dst, int s) {
-        EXPECT_TRUE(allBelow(dst, s == last ? 1 : 4, q)) << "stage " << s;
-    };
-    negacyclicForwardScalarCore<1, A>(t, 1, in, out, scratch.span(), check);
-}
-
-/**
- * The merged inverse loop, checked: [0, 2q) between stages, canonical
- * out of the last (n^-1-folded) stage.
- */
-template <class A>
-void
-checkedNegacyclicInverse(const Tables& t, DConstSpan in, DSpan out)
-{
-    const Dw q = mod::toDw(t.plan().modulus().value());
-    ResidueVector scratch(in.n);
-    auto check = [&](DConstSpan dst, int s) {
-        EXPECT_TRUE(allBelow(dst, s == 0 ? 1 : 2, q)) << "stage " << s;
-    };
-    negacyclicInverseScalarCore<1, A>(t, 1, in, out, scratch.span(), check);
-}
-
-/** Checked merged forward and inverse vs the Scalar backend's engine. */
+/** Checked merged forward and inverse vs the Scalar backend's engine,
+ *  radix-2 and radix-4. */
 void
 expectCheckedNegacyclic(const ntt::NttPrime& prime, size_t n, uint64_t seed)
 {
     auto t = std::make_shared<const Tables>(prime, n);
+    const ntt::NttPlan& plan = t->plan();
+    const auto fw = ntt::detail::forwardTwiddles(*t);
+    const auto iw = ntt::detail::inverseTwiddles(*t);
     ntt::NegacyclicEngine engine(t, Backend::Scalar);
-    auto in = randomResidues(n, t->plan().modulus().value(), seed);
+    auto in = randomResidues(n, plan.modulus().value(), seed);
     ResidueVector vin = ResidueVector::fromU128(in);
-    ResidueVector want(n), checked(n), unchecked(n);
-
+    ResidueVector want(n), inv_want(n);
     engine.forward(vin.span(), want.span());
-    checkedNegacyclicForward<CheckedLazyOps>(*t, vin.span(), checked.span());
-    checkedNegacyclicForward<LazyOps>(*t, vin.span(), unchecked.span());
-    EXPECT_EQ(want.toU128(), checked.toU128());
-    EXPECT_EQ(want.toU128(), unchecked.toU128());
-
-    // Inverse of the forward's output, then the full checked roundtrip.
-    ResidueVector inv_want(n), back(n);
     engine.inverse(want.span(), inv_want.span());
-    checkedNegacyclicInverse<CheckedLazyOps>(*t, want.span(), back.span());
-    EXPECT_EQ(inv_want.toU128(), back.toU128());
-    EXPECT_EQ(in, back.toU128());
+
+    for (StageFusion fusion : {StageFusion::Radix2, StageFusion::Radix4}) {
+        SCOPED_TRACE(fusion == StageFusion::Radix4 ? "radix4" : "radix2");
+        const PeaseShape shape{MulAlgo::Schoolbook, Reduction::ShoupLazy,
+                               fusion};
+        ResidueVector checked(n), unchecked(n), back(n);
+        checkedForward<CheckedLazyOps>(plan, fw, vin.span(), checked.span(),
+                                       shape);
+        checkedForward<LazyOps>(plan, fw, vin.span(), unchecked.span(),
+                                shape);
+        EXPECT_EQ(want.toU128(), checked.toU128());
+        EXPECT_EQ(want.toU128(), unchecked.toU128());
+        // Inverse of the forward's output, then the full checked
+        // roundtrip.
+        checkedInverse<CheckedLazyOps>(plan, iw, want.span(), back.span(),
+                                       shape);
+        EXPECT_EQ(inv_want.toU128(), back.toU128());
+        EXPECT_EQ(in, back.toU128());
+    }
 }
+
+constexpr PeaseShape kRadix2{MulAlgo::Schoolbook, Reduction::ShoupLazy,
+                             StageFusion::Radix2};
+constexpr PeaseShape kRadix4{MulAlgo::Schoolbook, Reduction::ShoupLazy,
+                             StageFusion::Radix4};
+constexpr PeaseShape kBarrett{MulAlgo::Schoolbook, Reduction::Barrett,
+                              StageFusion::Radix2};
 
 class RangeContract : public ::testing::TestWithParam<size_t>
 {
@@ -371,58 +263,22 @@ class RangeContract : public ::testing::TestWithParam<size_t>
 TEST_P(RangeContract, CheckedRadix2BitIdenticalToScalarBackend)
 {
     const size_t n = GetParam();
-    ntt::NttPlan plan(ntt::smallTestPrime(), n);
-    auto in = randomResidues(n, plan.modulus().value(), 0x7001 + n);
-    ResidueVector vin = ResidueVector::fromU128(in);
-    ResidueVector want(n), ws(n), checked(n), cs(n), unchecked(n), us(n);
-
-    ntt::forward(plan, Backend::Scalar, vin.span(), want.span(), ws.span(),
-                 MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                 StageFusion::Radix2);
-    checkedForwardRadix2<CheckedLazyOps>(plan, vin.span(), checked.span(),
-                                         cs.span(), MulAlgo::Schoolbook);
-    checkedForwardRadix2<LazyOps>(plan, vin.span(), unchecked.span(),
-                                  us.span(), MulAlgo::Schoolbook);
-    EXPECT_EQ(want.toU128(), checked.toU128());
-    EXPECT_EQ(want.toU128(), unchecked.toU128());
-
-    // Inverse over the forward's output: checked driver vs backend, and
-    // a full checked roundtrip back to the input.
-    ResidueVector inv_want(n), inv_checked(n);
-    ntt::inverse(plan, Backend::Scalar, want.span(), inv_want.span(),
-                 ws.span(), MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                 StageFusion::Radix2);
-    checkedInverseRadix2<CheckedLazyOps>(plan, checked.span(),
-                                         inv_checked.span(), cs.span(),
-                                         MulAlgo::Schoolbook);
-    EXPECT_EQ(inv_want.toU128(), inv_checked.toU128());
-    EXPECT_EQ(in, inv_checked.toU128());
+    expectCheckedCyclic(ntt::NttPlan(ntt::smallTestPrime(), n), kRadix2,
+                        0x7001 + n);
 }
 
 TEST_P(RangeContract, CheckedRadix4BitIdenticalToScalarBackend)
 {
     const size_t n = GetParam();
-    ntt::NttPlan plan(ntt::smallTestPrime(), n);
-    auto in = randomResidues(n, plan.modulus().value(), 0x7002 + n);
-    ResidueVector vin = ResidueVector::fromU128(in);
-    ResidueVector want(n), ws(n), checked(n), cs(n);
+    expectCheckedCyclic(ntt::NttPlan(ntt::smallTestPrime(), n), kRadix4,
+                        0x7002 + n);
+}
 
-    ntt::forward(plan, Backend::Scalar, vin.span(), want.span(), ws.span(),
-                 MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                 StageFusion::Radix4);
-    checkedForwardRadix4<CheckedLazyOps>(plan, vin.span(), checked.span(),
-                                         cs.span(), MulAlgo::Schoolbook);
-    EXPECT_EQ(want.toU128(), checked.toU128());
-
-    ResidueVector inv_want(n), inv_checked(n);
-    ntt::inverse(plan, Backend::Scalar, want.span(), inv_want.span(),
-                 ws.span(), MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                 StageFusion::Radix4);
-    checkedInverseRadix4<CheckedLazyOps>(plan, checked.span(),
-                                         inv_checked.span(), cs.span(),
-                                         MulAlgo::Schoolbook);
-    EXPECT_EQ(inv_want.toU128(), inv_checked.toU128());
-    EXPECT_EQ(in, inv_checked.toU128());
+TEST_P(RangeContract, CheckedBarrettBitIdenticalToScalarBackend)
+{
+    const size_t n = GetParam();
+    expectCheckedCyclic(ntt::NttPlan(ntt::smallTestPrime(), n), kBarrett,
+                        0x7006 + n);
 }
 
 TEST_P(RangeContract, CheckedMergedNegacyclicBitIdentical)
@@ -437,34 +293,23 @@ INSTANTIATE_TEST_SUITE_P(Sizes, RangeContract,
 TEST(RangeContract, CheckedCoresAtBarrettCeiling)
 {
     // The 124-bit prime exercises the lazy headroom edge: 4q is within
-    // 2^128 by exactly the 4 reserved bits. Checked radix-2 and radix-4
-    // must agree with the backend there too (Karatsuba quotient path).
-    const size_t n = 64;
+    // 2^128 by exactly the 4 reserved bits. Checked radix-2, radix-4 and
+    // Barrett must agree with the backend there too, on both quotient
+    // paths; n = 64 and 128 cover even and odd logn.
     ntt::NttPrime prime = ntt::findNttPrime(124, 10);
     ASSERT_EQ(prime.bits, 124);
-    ntt::NttPlan plan(prime, n);
-    auto in = randomResidues(n, plan.modulus().value(), 0x7004);
-    ResidueVector vin = ResidueVector::fromU128(in);
-    ResidueVector want(n), ws(n), checked(n), cs(n);
-
-    for (MulAlgo algo : {MulAlgo::Schoolbook, MulAlgo::Karatsuba}) {
-        ntt::forward(plan, Backend::Scalar, vin.span(), want.span(),
-                     ws.span(), algo, Reduction::ShoupLazy,
-                     StageFusion::Radix4);
-        checkedForwardRadix4<CheckedLazyOps>(plan, vin.span(), checked.span(),
-                                             cs.span(), algo);
-        EXPECT_EQ(want.toU128(), checked.toU128());
-
-        ntt::forward(plan, Backend::Scalar, vin.span(), want.span(),
-                     ws.span(), algo, Reduction::ShoupLazy,
-                     StageFusion::Radix2);
-        checkedForwardRadix2<CheckedLazyOps>(plan, vin.span(), checked.span(),
-                                             cs.span(), algo);
-        EXPECT_EQ(want.toU128(), checked.toU128());
+    for (size_t n : {size_t{64}, size_t{128}}) {
+        ntt::NttPlan plan(prime, n);
+        for (MulAlgo algo : {MulAlgo::Schoolbook, MulAlgo::Karatsuba}) {
+            for (PeaseShape shape : {kRadix2, kRadix4, kBarrett}) {
+                shape.algo = algo;
+                expectCheckedCyclic(plan, shape, 0x7004 + n);
+            }
+        }
     }
     // The merged negacyclic forward holds [0, 4q) between stages: at 124
     // bits that is the whole 4-bit headroom.
-    expectCheckedNegacyclic(prime, n, 0x7005);
+    expectCheckedNegacyclic(prime, 64, 0x7005);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
  * see because they are about THIS codebase's contracts:
  *
  *   backend-coverage  every entry point declared in ntt_backends.h /
- *                     negacyclic_backends.h / blas_backends.h is
+ *                     blas_backends.h is
  *                     defined in its backend TU
  *                     (suffix Scalar/Portable/Avx2/Avx512/Avx512Ifma/
  *                     Mqx selects the file), directly or through a
@@ -16,8 +16,9 @@
  *                     that compile that tier — this catches it always.
  *   dspan-validate    every backend entry point taking a DSpan/
  *                     DConstSpan validates its arguments: calls
- *                     validateNttArgs or checkArg directly, or routes
- *                     through a pease impl (which validates on entry).
+ *                     validateNttArgs, validateBatchNttArgs or checkArg
+ *                     directly, or routes through a pease impl (which
+ *                     validates on entry).
  *   atomic-order      every std::atomic load/store/RMW in
  *                     src/telemetry/ and src/engine/ names an explicit
  *                     memory_order — no silent seq_cst in the
@@ -322,9 +323,9 @@ class Linter
     }
 
     /**
-     * ParPar-style tier bodies (src/ntt/ntt_avx512_tier.inc and
-     * src/blas/blas_avx512_tier.inc, each compiled as the emulated
-     * *_avx512.cc and the IFMA *_avx512_ifma.cc): a TU that
+     * ParPar-style tier bodies (src/ntt/pease_tier.inc, compiled as
+     * every SIMD ntt_<tier>.cc, and src/blas/blas_avx512_tier.inc,
+     * compiled as blas_avx512.cc and blas_avx512_ifma.cc): a TU that
      * does `#define M(name) name##Suffix` and then includes "x.inc"
      * defines every `M(fn)` of x.inc as fnSuffix. Each instantiation is
      * linted as its own file — the body's path and line numbers with
@@ -485,7 +486,6 @@ class Linter
             const char* stem;
         } kHeaders[] = {
             {"src/ntt/ntt_backends.h", "src/ntt", "ntt"},
-            {"src/ntt/negacyclic_backends.h", "src/ntt", "negacyclic"},
             {"src/blas/blas_backends.h", "src/blas", "blas"},
         };
         for (const auto& h : kHeaders) {
@@ -518,9 +518,10 @@ class Linter
     {
         // Satisfying calls: direct validation, or routing through an
         // impl that validates on entry — the ISA-templated pease/blas
-        // impls (`...Impl<Isa>(`) and the MQX variant routers.
-        const char* kValidators[] = {"validateNttArgs(", "checkArg(", "Impl(",
-                                     "Impl<", "WithVariant<"};
+        // impls (`...Impl<Isa>(`) and the MQX entry points (`...Impl(`).
+        const char* kValidators[] = {"validateNttArgs(",
+                                     "validateBatchNttArgs(", "checkArg(",
+                                     "Impl(", "Impl<"};
         for (const auto& f : files_) {
             bool in_scope = (f.rel.rfind("src/ntt/", 0) == 0 ||
                              f.rel.rfind("src/blas/", 0) == 0) &&

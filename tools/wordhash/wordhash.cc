@@ -32,7 +32,6 @@
 #include "engine/engine.h"
 #include "ntt/negacyclic.h"
 #include "ntt/ntt.h"
-#include "ntt/negacyclic_backends.h"
 #include "ntt/ntt_backends.h"
 #include "rns/rns.h"
 
@@ -159,10 +158,13 @@ cyclic(const Slot& s, bool fwd, const ntt::NttPlan& plan, DConstSpan in,
 {
     if (s.emulated_avx512) {
 #if MQX_BUILD_AVX512
+        const ntt::detail::PeaseShape shape{algo, red, fusion};
         if (fwd)
-            ntt::backends::forwardAvx512(plan, in, out, scr, algo, red, fusion);
+            ntt::backends::forwardAvx512(
+                plan, ntt::detail::forwardTwiddles(plan), in, out, scr, shape);
         else
-            ntt::backends::inverseAvx512(plan, in, out, scr, algo, red, fusion);
+            ntt::backends::inverseAvx512(
+                plan, ntt::detail::inverseTwiddles(plan), in, out, scr, shape);
 #endif
         return;
     }
@@ -178,14 +180,17 @@ negacyclic(const Slot& s, bool fwd, const ntt::NegacyclicTables& t,
 {
     if (s.emulated_avx512) {
 #if MQX_BUILD_AVX512
+        const ntt::NttPlan& plan = t.plan();
+        const auto tw = fwd ? ntt::detail::forwardTwiddles(t)
+                            : ntt::detail::inverseTwiddles(t);
         if (il == 0 && fwd)
-            ntt::backends::negacyclicForwardAvx512(t, in, out, scr);
+            ntt::backends::forwardAvx512(plan, tw, in, out, scr, {});
         else if (il == 0)
-            ntt::backends::negacyclicInverseAvx512(t, in, out, scr);
+            ntt::backends::inverseAvx512(plan, tw, in, out, scr, {});
         else if (fwd)
-            ntt::backends::negacyclicForwardBatchAvx512(t, il, in, out, scr);
+            ntt::backends::forwardBatchAvx512(plan, tw, il, in, out, scr);
         else
-            ntt::backends::negacyclicInverseBatchAvx512(t, il, in, out, scr);
+            ntt::backends::inverseBatchAvx512(plan, tw, il, in, out, scr);
 #endif
         return;
     }
