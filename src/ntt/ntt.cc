@@ -187,9 +187,10 @@ forward(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
         DSpan scratch, MulAlgo algo, Reduction red, StageFusion fusion)
 {
     MQX_SCOPED_SPAN(ntt_span, "ntt.forward");
+    const detail::PeaseShape shape =
+        shapeFor(backend, plan.n(), algo, red, fusion);
     tierKernels(backend).forward(plan, detail::forwardTwiddles(plan), in, out,
-                                 scratch,
-                                 shapeFor(backend, plan.n(), algo, red, fusion));
+                                 scratch, shape);
 }
 
 void
@@ -197,9 +198,10 @@ inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
         DSpan scratch, MulAlgo algo, Reduction red, StageFusion fusion)
 {
     MQX_SCOPED_SPAN(ntt_span, "ntt.inverse");
+    const detail::PeaseShape shape =
+        shapeFor(backend, plan.n(), algo, red, fusion);
     tierKernels(backend).inverse(plan, detail::inverseTwiddles(plan), in, out,
-                                 scratch,
-                                 shapeFor(backend, plan.n(), algo, red, fusion));
+                                 scratch, shape);
 }
 
 void

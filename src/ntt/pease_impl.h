@@ -302,9 +302,9 @@ inverseButterflyAt(const Dw& q, const Dw& q2, const uint64_t* src_hi,
 /**
  * Fused radix-4 forward pass p over stages (s, s+1): reads x[p],
  * x[p+h/2], x[p+h], x[p+3h/2], runs both layers with exactly the
- * arithmetic of two radix-2 stages and writes y[4p .. 4p+3]. @p w0 is
- * the first layer's twiddle, @p wa / @p wb the second layer's
- * (butterflies 2p and 2p+1).
+ * arithmetic of two radix-2 stages and writes y[4p .. 4p+3]. Both
+ * first-layer butterflies read table entry @p e0; the second layer's
+ * butterflies 2p and 2p + 1 read entries @p e1 and e1 + 1.
  */
 template <class A>
 MQX_FORCE_INLINE void
@@ -338,8 +338,9 @@ forwardButterfly4(const Dw& q, const Dw& q2,
 
 /**
  * Fused radix-4 inverse pass p over inverse stages (s+1, s): reads
- * y[4p .. 4p+3], writes x[p], x[p+h/2], x[p+h], x[p+3h/2]; the second
- * layer is the last stage (n^-1 folded in) when @p last.
+ * y[4p .. 4p+3], writes x[p], x[p+h/2], x[p+h], x[p+3h/2]. Entries as
+ * in forwardButterfly4; the second layer is the last stage (n^-1
+ * folded in) when @p last.
  */
 template <class A>
 MQX_FORCE_INLINE void
@@ -625,6 +626,31 @@ inverseScalarCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
 // SIMD twiddle loads and butterflies.
 // ======================================================================
 
+/** Interleave (u, v) and store the two blocks at words i0 and i1. */
+template <class Isa>
+MQX_FORCE_INLINE void
+storeInterleaved(DSpan dst, size_t i0, size_t i1, const simd::DV<Isa>& u,
+                 const simd::DV<Isa>& v)
+{
+    typename Isa::V blk0, blk1;
+    Isa::interleave2(u.hi, v.hi, blk0, blk1);
+    Isa::storeu(dst.hi + i0, blk0);
+    Isa::storeu(dst.hi + i1, blk1);
+    Isa::interleave2(u.lo, v.lo, blk0, blk1);
+    Isa::storeu(dst.lo + i0, blk0);
+    Isa::storeu(dst.lo + i1, blk1);
+}
+
+/** Load the blocks at words i0 and i1 and split them into (u, v). */
+template <class Isa>
+MQX_FORCE_INLINE void
+loadDeinterleaved(const uint64_t* hi, const uint64_t* lo, size_t i0,
+                  size_t i1, simd::DV<Isa>& u, simd::DV<Isa>& v)
+{
+    Isa::deinterleave2(Isa::loadu(hi + i0), Isa::loadu(hi + i1), u.hi, v.hi);
+    Isa::deinterleave2(Isa::loadu(lo + i0), Isa::loadu(lo + i1), u.lo, v.lo);
+}
+
 /**
  * Stage-s twiddles as vectors: butterfly j reads entry offset(s) +
  * (j mod 2^s). While 2^s < kLanes every vector of butterflies reads the
@@ -724,22 +750,13 @@ class PairTwiddles
         }
         const size_t e = off_ + 2 * (p & mask_);
         simd::DV<Isa> we, wo, qe, qo;
-        split(w_, e, we, wo);
-        split(wq_, e, qe, qo);
+        loadDeinterleaved<Isa>(w_.hi, w_.lo, e, e + Isa::kLanes, we, wo);
+        loadDeinterleaved<Isa>(wq_.hi, wq_.lo, e, e + Isa::kLanes, qe, qo);
         even = simd::makeShoupW<Isa>(we, qe);
         odd = simd::makeShoupW<Isa>(wo, qo);
     }
 
   private:
-    static void
-    split(DConstSpan t, size_t e, simd::DV<Isa>& even, simd::DV<Isa>& odd)
-    {
-        Isa::deinterleave2(Isa::loadu(t.hi + e), Isa::loadu(t.hi + e + Isa::kLanes),
-                           even.hi, odd.hi);
-        Isa::deinterleave2(Isa::loadu(t.lo + e), Isa::loadu(t.lo + e + Isa::kLanes),
-                           even.lo, odd.lo);
-    }
-
     DConstSpan w_, wq_;
     size_t off_, mask_;
     bool hoisted_;
@@ -816,31 +833,6 @@ inverseLastButterflyV(const simd::ModCtx<Isa>& ctx, const simd::DV<Isa>& u,
     x1 = simd::condSubDwV<Isa>(ctx, x1, ctx.qh, ctx.ql);
 }
 
-/** Interleave (u, v) and store the two blocks at words i0 and i1. */
-template <class Isa>
-MQX_FORCE_INLINE void
-storeInterleaved(DSpan dst, size_t i0, size_t i1, const simd::DV<Isa>& u,
-                 const simd::DV<Isa>& v)
-{
-    typename Isa::V blk0, blk1;
-    Isa::interleave2(u.hi, v.hi, blk0, blk1);
-    Isa::storeu(dst.hi + i0, blk0);
-    Isa::storeu(dst.hi + i1, blk1);
-    Isa::interleave2(u.lo, v.lo, blk0, blk1);
-    Isa::storeu(dst.lo + i0, blk0);
-    Isa::storeu(dst.lo + i1, blk1);
-}
-
-/** Load the blocks at words i0 and i1 and split them into (u, v). */
-template <class Isa>
-MQX_FORCE_INLINE void
-loadDeinterleaved(const uint64_t* hi, const uint64_t* lo, size_t i0,
-                  size_t i1, simd::DV<Isa>& u, simd::DV<Isa>& v)
-{
-    Isa::deinterleave2(Isa::loadu(hi + i0), Isa::loadu(hi + i1), u.hi, v.hi);
-    Isa::deinterleave2(Isa::loadu(lo + i0), Isa::loadu(lo + i1), u.lo, v.lo);
-}
-
 /**
  * 4-way interleave built from two rounds of the ISA's interleave2: lane
  * p of (z0, z1, z2, z3) lands at words 4p .. 4p+3 of the 4 kLanes
@@ -884,7 +876,7 @@ loadDeinterleaved4(const uint64_t* src, size_t i, typename Isa::V& z0,
 // with n/2 or n/4 below kLanes have one).
 // ======================================================================
 
-template <class Isa>
+template <class Isa, MulAlgo kAlgo>
 void
 forwardStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
               const PeaseTwiddles& tw, const PingPong& pp, int s, bool last,
@@ -901,7 +893,7 @@ forwardStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
             const auto a = simd::loadDv<Isa>(src_hi, src_lo, j);
             const auto t = simd::mulModV<Isa>(
                 ctx, simd::loadDv<Isa>(src_hi, src_lo, j + h), tws.value(j),
-                shape.algo);
+                kAlgo);
             storeInterleaved<Isa>(dst, 2 * j, 2 * j + Isa::kLanes,
                                   simd::addModV<Isa>(ctx, a, t),
                                   simd::subModV<Isa>(ctx, a, t));
@@ -911,7 +903,7 @@ forwardStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
             simd::DV<Isa> u, v;
             forwardButterflyV<Isa>(ctx, simd::loadDv<Isa>(src_hi, src_lo, j),
                                    simd::loadDv<Isa>(src_hi, src_lo, j + h),
-                                   tws.at(j), last, shape.algo, u, v);
+                                   tws.at(j), last, kAlgo, u, v);
             storeInterleaved<Isa>(dst, 2 * j, 2 * j + Isa::kLanes, u, v);
         }
     }
@@ -919,7 +911,7 @@ forwardStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
                                                dst, s, j, last, shape);
 }
 
-template <class Isa>
+template <class Isa, MulAlgo kAlgo>
 void
 inverseStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
               const PeaseTwiddles& tw, const PingPong& pp, int s,
@@ -944,9 +936,9 @@ inverseStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
             auto x0 = simd::addModV<Isa>(ctx, u, v);
             auto x1 = simd::mulModV<Isa>(ctx, simd::subModV<Isa>(ctx, u, v),
                                          s == 0 ? diff : tws.value(j),
-                                         shape.algo);
+                                         kAlgo);
             if (s == 0)
-                x0 = simd::mulModV<Isa>(ctx, x0, sum, shape.algo);
+                x0 = simd::mulModV<Isa>(ctx, x0, sum, kAlgo);
             simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
             simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
         }
@@ -956,10 +948,10 @@ inverseStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
             loadDeinterleaved<Isa>(src_hi, src_lo, 2 * j, 2 * j + Isa::kLanes,
                                    u, v);
             if (s == 0)
-                inverseLastButterflyV<Isa>(ctx, u, v, lastf, shape.algo, x0,
+                inverseLastButterflyV<Isa>(ctx, u, v, lastf, kAlgo, x0,
                                            x1);
             else
-                inverseButterflyV<Isa>(ctx, u, v, tws.at(j), shape.algo, x0,
+                inverseButterflyV<Isa>(ctx, u, v, tws.at(j), kAlgo, x0,
                                        x1);
             simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
             simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
@@ -969,11 +961,10 @@ inverseStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
                                                dst, s, j, shape);
 }
 
-template <class Isa>
+template <class Isa, MulAlgo kAlgo>
 void
 forwardPass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
-              const PeaseTwiddles& tw, const PingPong& pp, int s, bool last,
-              MulAlgo algo)
+              const PeaseTwiddles& tw, const PingPong& pp, int s, bool last)
 {
     const size_t h = plan.half();
     const size_t h2 = h / 2;
@@ -991,26 +982,25 @@ forwardPass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
         simd::DV<Isa> u0, v0, u1, v1, z0, z1, z2, z3;
         forwardButterflyV<Isa>(ctx, simd::loadDv<Isa>(src_hi, src_lo, p),
                                simd::loadDv<Isa>(src_hi, src_lo, p + h), w0,
-                               false, algo, u0, v0);
+                               false, kAlgo, u0, v0);
         forwardButterflyV<Isa>(ctx, simd::loadDv<Isa>(src_hi, src_lo, p + h2),
                                simd::loadDv<Isa>(src_hi, src_lo, p + h + h2),
-                               w0, false, algo, u1, v1);
+                               w0, false, kAlgo, u1, v1);
         simd::ShoupW<Isa> wa, wb;
         tw1.at(p, wa, wb);
-        forwardButterflyV<Isa>(ctx, u0, u1, wa, last, algo, z0, z1);
-        forwardButterflyV<Isa>(ctx, v0, v1, wb, last, algo, z2, z3);
+        forwardButterflyV<Isa>(ctx, u0, u1, wa, last, kAlgo, z0, z1);
+        forwardButterflyV<Isa>(ctx, v0, v1, wb, last, kAlgo, z2, z3);
         storeInterleaved4<Isa>(dst.hi, 4 * p, z0.hi, z1.hi, z2.hi, z3.hi);
         storeInterleaved4<Isa>(dst.lo, 4 * p, z0.lo, z1.lo, z2.lo, z3.lo);
     }
     forwardPass4Scalar<mod::DefaultLazyOps>(plan, tw, src_hi, src_lo, dst, s,
-                                            p, last, algo);
+                                            p, last, kAlgo);
 }
 
-template <class Isa>
+template <class Isa, MulAlgo kAlgo>
 void
 inversePass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
-              const PeaseTwiddles& tw, const PingPong& pp, int s,
-              MulAlgo algo)
+              const PeaseTwiddles& tw, const PingPong& pp, int s)
 {
     const size_t h = plan.half();
     const size_t h2 = h / 2;
@@ -1028,16 +1018,16 @@ inversePass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
         simd::ShoupW<Isa> wa, wb;
         tw1.at(p, wa, wb);
         // First layer (inverse stage s+1): butterflies 2p and 2p + 1.
-        inverseButterflyV<Isa>(ctx, z0, z1, wa, algo, y0, yh0);
-        inverseButterflyV<Isa>(ctx, z2, z3, wb, algo, y1, yh1);
+        inverseButterflyV<Isa>(ctx, z0, z1, wa, kAlgo, y0, yh0);
+        inverseButterflyV<Isa>(ctx, z2, z3, wb, kAlgo, y1, yh1);
         // Second layer (inverse stage s): butterflies p and p + h/2.
         if (s == 0) {
-            inverseLastButterflyV<Isa>(ctx, y0, y1, lastf, algo, x0, x2);
-            inverseLastButterflyV<Isa>(ctx, yh0, yh1, lastf, algo, x1, x3);
+            inverseLastButterflyV<Isa>(ctx, y0, y1, lastf, kAlgo, x0, x2);
+            inverseLastButterflyV<Isa>(ctx, yh0, yh1, lastf, kAlgo, x1, x3);
         } else {
             const auto w0 = tw0.at(p);
-            inverseButterflyV<Isa>(ctx, y0, y1, w0, algo, x0, x2);
-            inverseButterflyV<Isa>(ctx, yh0, yh1, w0, algo, x1, x3);
+            inverseButterflyV<Isa>(ctx, y0, y1, w0, kAlgo, x0, x2);
+            inverseButterflyV<Isa>(ctx, yh0, yh1, w0, kAlgo, x1, x3);
         }
         simd::storeDv<Isa>(dst.hi, dst.lo, p, x0);
         simd::storeDv<Isa>(dst.hi, dst.lo, p + h2, x1);
@@ -1045,7 +1035,7 @@ inversePass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
         simd::storeDv<Isa>(dst.hi, dst.lo, p + h + h2, x3);
     }
     inversePass4Scalar<mod::DefaultLazyOps>(plan, tw, src_hi, src_lo, dst, s,
-                                            p, algo);
+                                            p, kAlgo);
 }
 
 // ======================================================================
@@ -1158,10 +1148,61 @@ inverseBatchCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
 // Entry templates: every tier TU instantiates these four.
 // ======================================================================
 
+namespace detail {
+
+/** The sweeps of forwardImpl with the multiply algorithm fixed. */
+template <class Isa, MulAlgo kAlgo>
+void
+forwardSweeps(const NttPlan& plan, const PeaseTwiddles& tw, DConstSpan in,
+              DSpan out, DSpan scratch, PeaseShape shape)
+{
+    const int m = plan.logn();
+    const simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
+    const bool fused = shape.red == Reduction::ShoupLazy &&
+                       shape.fusion == StageFusion::Radix4;
+    PingPong pp(in, out, scratch, peasePasses(m, fused));
+    for (int s = 0; s < m; pp.next()) {
+        if (forwardPairAt(fused, s, m)) {
+            forwardPass4V<Isa, kAlgo>(ctx, plan, tw, pp, s, s + 2 == m);
+            s += 2;
+        } else {
+            forwardStageV<Isa, kAlgo>(ctx, plan, tw, pp, s, s + 1 == m,
+                                      shape);
+            s += 1;
+        }
+    }
+}
+
+/** The sweeps of inverseImpl with the multiply algorithm fixed. */
+template <class Isa, MulAlgo kAlgo>
+void
+inverseSweeps(const NttPlan& plan, const PeaseTwiddles& tw, DConstSpan in,
+              DSpan out, DSpan scratch, PeaseShape shape)
+{
+    const int m = plan.logn();
+    const simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
+    const bool fused = shape.red == Reduction::ShoupLazy &&
+                       shape.fusion == StageFusion::Radix4;
+    PingPong pp(in, out, scratch, peasePasses(m, fused));
+    for (int s = m - 1; s >= 0; pp.next()) {
+        if (fused && s >= 1) {
+            inversePass4V<Isa, kAlgo>(ctx, plan, tw, pp, s - 1);
+            s -= 2;
+        } else {
+            inverseStageV<Isa, kAlgo>(ctx, plan, tw, pp, s, shape);
+            s -= 1;
+        }
+    }
+}
+
+} // namespace detail
+
 /**
  * Forward transform of one channel: canonical natural-order input,
  * canonical bit-reversed output, in any PeaseShape (Barrett runs
- * radix-2 whatever the fusion).
+ * radix-2 whatever the fusion). The multiply algorithm is a template
+ * argument of the sweeps, so no multiply branches on it; IFMA ISAs
+ * have one multiply and ignore it.
  */
 template <class Isa>
 void
@@ -1169,22 +1210,12 @@ forwardImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,
             DConstSpan in, DSpan out, DSpan scratch, detail::PeaseShape shape)
 {
     detail::validateNttArgs(plan, in, out, scratch);
-    const int m = plan.logn();
-    const simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
-    const bool fused = shape.red == Reduction::ShoupLazy &&
-                       shape.fusion == StageFusion::Radix4;
-    detail::PingPong pp(in, out, scratch, detail::peasePasses(m, fused));
-    for (int s = 0; s < m; pp.next()) {
-        if (detail::forwardPairAt(fused, s, m)) {
-            detail::forwardPass4V<Isa>(ctx, plan, tw, pp, s, s + 2 == m,
-                                       shape.algo);
-            s += 2;
-        } else {
-            detail::forwardStageV<Isa>(ctx, plan, tw, pp, s, s + 1 == m,
-                                       shape);
-            s += 1;
-        }
-    }
+    if (!Isa::kHasIfma && shape.algo == MulAlgo::Karatsuba)
+        detail::forwardSweeps<Isa, MulAlgo::Karatsuba>(plan, tw, in, out,
+                                                       scratch, shape);
+    else
+        detail::forwardSweeps<Isa, MulAlgo::Schoolbook>(plan, tw, in, out,
+                                                        scratch, shape);
 }
 
 /**
@@ -1197,20 +1228,12 @@ inverseImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,
             DConstSpan in, DSpan out, DSpan scratch, detail::PeaseShape shape)
 {
     detail::validateNttArgs(plan, in, out, scratch);
-    const int m = plan.logn();
-    const simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
-    const bool fused = shape.red == Reduction::ShoupLazy &&
-                       shape.fusion == StageFusion::Radix4;
-    detail::PingPong pp(in, out, scratch, detail::peasePasses(m, fused));
-    for (int s = m - 1; s >= 0; pp.next()) {
-        if (fused && s >= 1) {
-            detail::inversePass4V<Isa>(ctx, plan, tw, pp, s - 1, shape.algo);
-            s -= 2;
-        } else {
-            detail::inverseStageV<Isa>(ctx, plan, tw, pp, s, shape);
-            s -= 1;
-        }
-    }
+    if (!Isa::kHasIfma && shape.algo == MulAlgo::Karatsuba)
+        detail::inverseSweeps<Isa, MulAlgo::Karatsuba>(plan, tw, in, out,
+                                                       scratch, shape);
+    else
+        detail::inverseSweeps<Isa, MulAlgo::Schoolbook>(plan, tw, in, out,
+                                                        scratch, shape);
 }
 
 /** Forward over il lanes packed by batch::packLanes; per lane

@@ -36,22 +36,30 @@ NttPlan::NttPlan(const Modulus& modulus, size_t n)
     omega_inv_ = mod_.inverse(omega_);
     n_inv_ = mod_.inverse(mod_.reduce(U128{static_cast<uint64_t>(n)}));
 
-    // Entry brev(e) of each table is omega^e (omega^-e): one running
-    // power per direction, plus the Shoup companion of every entry.
+    // T[k] = omega^brev(k) fills in order: brev(2^l + i) = n/2^(l+2) +
+    // brev(i) for i < 2^l, so entry 2^l + i is entry i times
+    // omega^(n/2^(l+2)) — n/2 multiplies per direction, as a running
+    // power would take, plus the Shoup companion of every entry.
     const size_t h = half();
     fwd_.ensure(h);
     inv_.ensure(h);
     fwd_shoup_.ensure(h);
     inv_shoup_.ensure(h);
-    U128 acc_f{1}, acc_i{1};
-    for (size_t e = 0; e < h; ++e) {
-        const size_t k = bitReverseIndex(e, logn_ - 1);
-        fwd_.set(k, acc_f);
-        inv_.set(k, acc_i);
-        fwd_shoup_.set(k, mod_.shoupCompanion(acc_f));
-        inv_shoup_.set(k, mod_.shoupCompanion(acc_i));
-        acc_f = mod_.mul(acc_f, omega_);
-        acc_i = mod_.mul(acc_i, omega_inv_);
+    fwd_.set(0, U128{1});
+    inv_.set(0, U128{1});
+    for (int l = 0; (size_t{1} << l) < h; ++l) {
+        const size_t base = size_t{1} << l;
+        const U128 step{static_cast<uint64_t>(h >> (l + 1))};
+        const U128 zf = mod_.pow(omega_, step);
+        const U128 zi = mod_.pow(omega_inv_, step);
+        for (size_t i = 0; i < base; ++i) {
+            fwd_.set(base + i, mod_.mul(fwd_.at(i), zf));
+            inv_.set(base + i, mod_.mul(inv_.at(i), zi));
+        }
+    }
+    for (size_t k = 0; k < h; ++k) {
+        fwd_shoup_.set(k, mod_.shoupCompanion(fwd_.at(k)));
+        inv_shoup_.set(k, mod_.shoupCompanion(inv_.at(k)));
     }
     n_inv_shoup_ = mod_.shoupCompanion(n_inv_);
 }

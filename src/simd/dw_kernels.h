@@ -30,6 +30,7 @@
  */
 #pragma once
 
+#include "core/config.h"
 #include "mod/modulus.h"
 
 namespace mqx {
@@ -170,7 +171,7 @@ makeModCtx(const Modulus& m)
 
 /** Load a DV from split arrays at offset @p j. */
 template <class Isa>
-inline DV<Isa>
+MQX_FORCE_INLINE DV<Isa>
 loadDv(const uint64_t* hi, const uint64_t* lo, size_t j)
 {
     return DV<Isa>{Isa::loadu(hi + j), Isa::loadu(lo + j)};
@@ -178,7 +179,7 @@ loadDv(const uint64_t* hi, const uint64_t* lo, size_t j)
 
 /** Store a DV to split arrays at offset @p j. */
 template <class Isa>
-inline void
+MQX_FORCE_INLINE void
 storeDv(uint64_t* hi, uint64_t* lo, size_t j, const DV<Isa>& v)
 {
     Isa::storeu(hi + j, v.hi);
@@ -314,7 +315,7 @@ subModMqx(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 
 /** Schoolbook full product (Eq. 8): four mulWide + carry chains. */
 template <class Isa>
-inline QV<Isa>
+MQX_FORCE_INLINE QV<Isa>
 mulFullSchoolV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
     using M = typename Isa::M;
@@ -338,7 +339,7 @@ mulFullSchoolV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 
 /** Karatsuba full product (Eq. 9): three mulWide + fixups. */
 template <class Isa>
-inline QV<Isa>
+MQX_FORCE_INLINE QV<Isa>
 mulFullKaratsubaV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
     using M = typename Isa::M;
@@ -408,7 +409,7 @@ shrQwV(const QV<Isa>& x, unsigned s)
 
 /** Low double word of the product a*b (3 mullo + 1 mulWide-high). */
 template <class Isa>
-inline DV<Isa>
+MQX_FORCE_INLINE DV<Isa>
 mulLowDwV(const DV<Isa>& a, const DV<Isa>& b)
 {
     typename Isa::V ph, pl;
@@ -422,7 +423,7 @@ mulLowDwV(const DV<Isa>& a, const DV<Isa>& b)
 
 /** Lane mask of (a >= b) over double words. */
 template <class Isa>
-inline typename Isa::M
+MQX_FORCE_INLINE typename Isa::M
 cmpGeDwV(const DV<Isa>& a, const DV<Isa>& b)
 {
     using M = typename Isa::M;
@@ -502,7 +503,7 @@ barrettReduceV(const ModCtx<Isa>& ctx, const QV<Isa>& x)
 
 /** Plain wrap-around double-word add (no modular reduction). */
 template <class Isa, bool kCarry = Isa::kCarryChain>
-inline DV<Isa>
+MQX_FORCE_INLINE DV<Isa>
 addDwV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
     using M = typename Isa::M;
@@ -522,7 +523,7 @@ addDwV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 
 /** Plain wrap-around double-word subtract (no modular correction). */
 template <class Isa, bool kCarry = Isa::kCarryChain>
-inline DV<Isa>
+MQX_FORCE_INLINE DV<Isa>
 subDwV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
     using M = typename Isa::M;
@@ -546,7 +547,7 @@ subDwV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
  * bit of x - b is set.
  */
 template <class Isa, bool kCarry = Isa::kCarryChain>
-inline DV<Isa>
+MQX_FORCE_INLINE DV<Isa>
 condSubDwV(const ModCtx<Isa>& ctx, const DV<Isa>& x, typename Isa::V bh,
            typename Isa::V bl)
 {
@@ -851,7 +852,7 @@ mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const ShoupW<Isa>& w,
  * the only correction is one conditional subtract of 2q.
  */
 template <class Isa, bool kCarry = Isa::kCarryChain>
-inline DV<Isa>
+MQX_FORCE_INLINE DV<Isa>
 addModLazyV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
     return condSubDwV<Isa, kCarry>(ctx, addDwV<Isa, kCarry>(ctx, a, b),
@@ -865,7 +866,7 @@ addModLazyV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
  * multiply.
  */
 template <class Isa, bool kCarry = Isa::kCarryChain>
-inline DV<Isa>
+MQX_FORCE_INLINE DV<Isa>
 subModLazyRawV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
     DV<Isa> q2{ctx.q2h, ctx.q2l};
@@ -874,7 +875,7 @@ subModLazyRawV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 
 /** Lazy modular subtract: inputs in [0, 2q), output in [0, 2q). */
 template <class Isa, bool kCarry = Isa::kCarryChain>
-inline DV<Isa>
+MQX_FORCE_INLINE DV<Isa>
 subModLazyV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
     return condSubDwV<Isa, kCarry>(

@@ -164,7 +164,7 @@ struct Avx2Isa
     }
 
     /** Widening multiply from four 32-bit partial products. */
-    static void
+    static MQX_FORCE_INLINE void
     mulWide(V a, V b, V& hi, V& lo)
     {
         const V mask32 = _mm256_set1_epi64x(0xffffffffll);

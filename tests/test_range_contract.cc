@@ -156,8 +156,8 @@ checkedForward(const ntt::NttPlan& plan, const PeaseTwiddles& tw,
         const bool canonical = shape.red == Reduction::Barrett || s == last;
         EXPECT_TRUE(allBelow(dst, canonical ? 1 : 4, q)) << "stage " << s;
     };
-    ntt::detail::forwardScalarCore<1, A>(plan, tw, 1, in, out,
-                                         scratch.span(), shape, check);
+    ntt::detail::forwardScalarCore<1, A>(plan, tw, 1, in, out, scratch.span(),
+                                         shape, check);
 }
 
 /**
@@ -175,8 +175,8 @@ checkedInverse(const ntt::NttPlan& plan, const PeaseTwiddles& tw,
         const bool canonical = shape.red == Reduction::Barrett || s == 0;
         EXPECT_TRUE(allBelow(dst, canonical ? 1 : 2, q)) << "stage " << s;
     };
-    ntt::detail::inverseScalarCore<1, A>(plan, tw, 1, in, out,
-                                         scratch.span(), shape, check);
+    ntt::detail::inverseScalarCore<1, A>(plan, tw, 1, in, out, scratch.span(),
+                                         shape, check);
 }
 
 /**
@@ -184,8 +184,7 @@ checkedInverse(const ntt::NttPlan& plan, const PeaseTwiddles& tw,
  * plus the checked round trip back to the input.
  */
 void
-expectCheckedCyclic(const ntt::NttPlan& plan, PeaseShape shape,
-                    uint64_t seed)
+expectCheckedCyclic(const ntt::NttPlan& plan, PeaseShape shape, uint64_t seed)
 {
     const size_t n = plan.n();
     const auto fw = ntt::detail::forwardTwiddles(plan);
@@ -196,17 +195,16 @@ expectCheckedCyclic(const ntt::NttPlan& plan, PeaseShape shape,
 
     ntt::forward(plan, Backend::Scalar, vin.span(), want.span(), ws.span(),
                  shape.algo, shape.red, shape.fusion);
-    checkedForward<CheckedLazyOps>(plan, fw, vin.span(), checked.span(),
-                                   shape);
+    checkedForward<CheckedLazyOps>(plan, fw, vin.span(), checked.span(), shape);
     checkedForward<LazyOps>(plan, fw, vin.span(), unchecked.span(), shape);
     EXPECT_EQ(want.toU128(), checked.toU128());
     EXPECT_EQ(want.toU128(), unchecked.toU128());
 
     ResidueVector inv_want(n), inv_checked(n);
-    ntt::inverse(plan, Backend::Scalar, want.span(), inv_want.span(),
-                 ws.span(), shape.algo, shape.red, shape.fusion);
-    checkedInverse<CheckedLazyOps>(plan, iw, checked.span(),
-                                   inv_checked.span(), shape);
+    ntt::inverse(plan, Backend::Scalar, want.span(), inv_want.span(), ws.span(),
+                 shape.algo, shape.red, shape.fusion);
+    checkedInverse<CheckedLazyOps>(plan, iw, checked.span(), inv_checked.span(),
+                                   shape);
     EXPECT_EQ(inv_want.toU128(), inv_checked.toU128());
     EXPECT_EQ(in, inv_checked.toU128());
 }
@@ -236,8 +234,7 @@ expectCheckedNegacyclic(const ntt::NttPrime& prime, size_t n, uint64_t seed)
         ResidueVector checked(n), unchecked(n), back(n);
         checkedForward<CheckedLazyOps>(plan, fw, vin.span(), checked.span(),
                                        shape);
-        checkedForward<LazyOps>(plan, fw, vin.span(), unchecked.span(),
-                                shape);
+        checkedForward<LazyOps>(plan, fw, vin.span(), unchecked.span(), shape);
         EXPECT_EQ(want.toU128(), checked.toU128());
         EXPECT_EQ(want.toU128(), unchecked.toU128());
         // Inverse of the forward's output, then the full checked
