@@ -156,25 +156,23 @@ resolveStageFusion(Backend backend, size_t n, StageFusion fusion)
 {
     if (fusion != StageFusion::Auto)
         return fusion;
-    // BENCH_ntt.json on an Intel Xeon (AVX-512 IFMA); medians of
-    // radix4/radix2 over nine runs, each interleaving the two shapes
-    // per iteration. Scalar (0.84-0.87) and AVX2 (0.96-0.99) fuse at
-    // every n in 256..65536. Portable breaks even everywhere (1.00-1.03
-    // up to 16384, 0.99 from 32768) and fuses once the ping-pong
-    // buffers leave L2 (n >= 32768), where the halved sweeps count.
-    // AVX-512 breaks even up to n = 4096 (1.00-1.03) and fuses from
-    // 16384 on (0.98 at 16384, 0.97 at 32768, 0.94 at 65536). MQX is
-    // not in BENCH_ntt.json; an alternated fwd+inv run of the PISA
-    // proxy on the same host put radix4/radix2 at 1.10 for n = 1024,
-    // 0.99-1.01 for 4096-16384 and 0.87 for 65536.
+    // BENCH_ntt.json on an Intel Xeon (AVX-512 IFMA), nine runs, each
+    // interleaving the two shapes per iteration; radix4/radix2 medians:
+    // Scalar 0.85-0.87 at every n in 256..65536, so it fuses. Portable
+    // 1.02-1.07, so it does not. AVX2 0.98-1.01 and AVX-512 0.96-1.03
+    // (radix-2 ahead at 1024-4096, radix-4 from 16384) fuse: a fused
+    // default stayed within 3% of the faster shape in every AVX-512 run
+    // (worst 1.028), where a radix-2 one missed in four runs by up to
+    // 7%. MQX is not in BENCH_ntt.json; an alternated fwd+inv run of
+    // the PISA proxy on the same host put radix4/radix2 at 1.10 for
+    // n = 1024, 0.99-1.01 for 4096-16384 and 0.87 for 65536.
     switch (backend) {
       case Backend::Scalar:
       case Backend::Avx2:
+      case Backend::Avx512:
         return StageFusion::Radix4;
       case Backend::Portable:
-        return n >= 32768 ? StageFusion::Radix4 : StageFusion::Radix2;
-      case Backend::Avx512:
-        return n >= 16384 ? StageFusion::Radix4 : StageFusion::Radix2;
+        return StageFusion::Radix2;
       case Backend::MqxEmulate:
       case Backend::MqxPisa:
         break;

@@ -50,9 +50,8 @@ void inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
 
 /**
  * Resolve StageFusion::Auto to a concrete shape for (backend, n), from
- * the committed BENCH_ntt.json: Scalar and AVX2 fuse at every n,
- * AVX-512 from n = 16384, Portable from n = 32768 and the MQX tiers
- * from n = 65536. Radix4/Radix2 requests pass
+ * the committed BENCH_ntt.json: Scalar, AVX2 and AVX-512 fuse at every
+ * n, the MQX tiers from n = 65536; Portable never fuses. Radix4/Radix2 requests pass
  * through unchanged; the backend entry points never see Auto.
  */
 StageFusion resolveStageFusion(Backend backend, size_t n, StageFusion fusion);

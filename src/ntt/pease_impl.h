@@ -1210,12 +1210,13 @@ forwardImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,
             DConstSpan in, DSpan out, DSpan scratch, detail::PeaseShape shape)
 {
     detail::validateNttArgs(plan, in, out, scratch);
-    if (!Isa::kHasIfma && shape.algo == MulAlgo::Karatsuba)
-        detail::forwardSweeps<Isa, MulAlgo::Karatsuba>(plan, tw, in, out,
-                                                       scratch, shape);
-    else
-        detail::forwardSweeps<Isa, MulAlgo::Schoolbook>(plan, tw, in, out,
-                                                        scratch, shape);
+    if constexpr (!Isa::kHasIfma) {
+        if (shape.algo == MulAlgo::Karatsuba)
+            return detail::forwardSweeps<Isa, MulAlgo::Karatsuba>(
+                plan, tw, in, out, scratch, shape);
+    }
+    detail::forwardSweeps<Isa, MulAlgo::Schoolbook>(plan, tw, in, out, scratch,
+                                                 shape);
 }
 
 /**
@@ -1228,12 +1229,13 @@ inverseImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,
             DConstSpan in, DSpan out, DSpan scratch, detail::PeaseShape shape)
 {
     detail::validateNttArgs(plan, in, out, scratch);
-    if (!Isa::kHasIfma && shape.algo == MulAlgo::Karatsuba)
-        detail::inverseSweeps<Isa, MulAlgo::Karatsuba>(plan, tw, in, out,
-                                                       scratch, shape);
-    else
-        detail::inverseSweeps<Isa, MulAlgo::Schoolbook>(plan, tw, in, out,
-                                                        scratch, shape);
+    if constexpr (!Isa::kHasIfma) {
+        if (shape.algo == MulAlgo::Karatsuba)
+            return detail::inverseSweeps<Isa, MulAlgo::Karatsuba>(
+                plan, tw, in, out, scratch, shape);
+    }
+    detail::inverseSweeps<Isa, MulAlgo::Schoolbook>(plan, tw, in, out, scratch,
+                                                 shape);
 }
 
 /** Forward over il lanes packed by batch::packLanes; per lane
