@@ -8,8 +8,8 @@
  * stack): Barrett with canonical operands, and Shoup-lazy with [0, 2q)
  * operands, precomputed twiddle quotients, and one fused
  * canonicalization pass (last forward stage / inverse n^-1 scaling).
- * Twiddles come from the plan's compact power tables via the same
- * contiguous/step/broadcast stage addressing as the 128-bit kernels.
+ * Twiddles come from the plan's compact power tables with
+ * contiguous/step/broadcast stage addressing.
  */
 #pragma once
 

@@ -23,7 +23,6 @@
 #include <fstream>
 #include <functional>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
