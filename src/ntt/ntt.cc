@@ -214,8 +214,15 @@ forwardMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
         shapeFor(pisa ? Backend::MqxPisa : Backend::MqxEmulate, plan.n(), algo,
                  red, fusion));
 #else
-    (void)plan, (void)variant, (void)pisa, (void)in, (void)out;
-    (void)scratch, (void)algo, (void)red, (void)fusion;
+    (void)plan;
+    (void)variant;
+    (void)pisa;
+    (void)in;
+    (void)out;
+    (void)scratch;
+    (void)algo;
+    (void)red;
+    (void)fusion;
     throw BackendUnavailable("MQX backend not compiled in");
 #endif
 }
@@ -232,8 +239,15 @@ inverseMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
         shapeFor(pisa ? Backend::MqxPisa : Backend::MqxEmulate, plan.n(), algo,
                  red, fusion));
 #else
-    (void)plan, (void)variant, (void)pisa, (void)in, (void)out;
-    (void)scratch, (void)algo, (void)red, (void)fusion;
+    (void)plan;
+    (void)variant;
+    (void)pisa;
+    (void)in;
+    (void)out;
+    (void)scratch;
+    (void)algo;
+    (void)red;
+    (void)fusion;
     throw BackendUnavailable("MQX backend not compiled in");
 #endif
 }
