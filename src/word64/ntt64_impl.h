@@ -42,7 +42,7 @@ makeCtx64(const Modulus64& m)
 
 /**
  * Stage-s gather from a compact power table (see
- * Ntt64Plan::powerIndex): contiguous at stage 0, short step load
+ * Ntt64Plan::stageTwiddleIndex): contiguous at stage 0, short step load
  * while the run length 2^s is under the lane count, one broadcast
  * afterwards.
  */
@@ -62,7 +62,7 @@ loadStageTwiddles64(const uint64_t* tw, size_t j, int s)
 
 /**
  * Second-layer twiddle load for the fused radix-4 pass (see
- * Ntt64Plan::powerPairIndex): stride-2/step gather below the lane
+ * Ntt64Plan::stageTwiddlePair): stride-2/step gather below the lane
  * count, one broadcast afterwards.
  */
 template <class Isa>
@@ -70,10 +70,10 @@ inline typename Isa::V
 loadStageTwiddles64Pair(const uint64_t* tw, size_t p, int s)
 {
     if ((size_t{1} << s) >= Isa::kLanes)
-        return Isa::set1(tw[Ntt64Plan::powerPairIndex(s, p)]);
+        return Isa::set1(tw[Ntt64Plan::stageTwiddlePair(s, p)]);
     alignas(64) uint64_t t[Isa::kLanes];
     for (size_t i = 0; i < Isa::kLanes; ++i)
-        t[i] = tw[Ntt64Plan::powerPairIndex(s, p + i)];
+        t[i] = tw[Ntt64Plan::stageTwiddlePair(s, p + i)];
     return Isa::loadu(t);
 }
 
@@ -240,7 +240,7 @@ forward64Impl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
             Isa::storeu(dst + 2 * j + Isa::kLanes, blk1);
         }
         for (; j < h; ++j) {
-            uint64_t w = tw[Ntt64Plan::powerIndex(s, j)];
+            uint64_t w = tw[Ntt64Plan::stageTwiddleIndex(s, j)];
             uint64_t u = mod.addMod(src[j], src[j + h]);
             uint64_t v = mod.mulMod(mod.subMod(src[j], src[j + h]), w);
             dst[2 * j] = u;
@@ -280,7 +280,7 @@ inverse64Impl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
             Isa::storeu(dst + j + h, subMod64V<Isa>(ctx, u, t));
         }
         for (; j < h; ++j) {
-            uint64_t w = tw[Ntt64Plan::powerIndex(s, j)];
+            uint64_t w = tw[Ntt64Plan::stageTwiddleIndex(s, j)];
             uint64_t u = src[2 * j];
             uint64_t t = mod.mulMod(src[2 * j + 1], w);
             dst[j] = mod.addMod(u, t);
@@ -343,7 +343,7 @@ forward64LazyImpl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
             Isa::storeu(dst + 2 * j + Isa::kLanes, blk1);
         }
         for (; j < h; ++j) {
-            size_t e = Ntt64Plan::powerIndex(s, j);
+            size_t e = Ntt64Plan::stageTwiddleIndex(s, j);
             uint64_t t = src[j] + src[j + h]; // < 4q < 2^64
             uint64_t u = t >= q2 ? t - q2 : t;
             uint64_t d = src[j] + q2 - src[j + h];
@@ -400,7 +400,7 @@ inverse64LazyImpl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
             Isa::storeu(dst + j + h, x1);
         }
         for (; j < h; ++j) {
-            size_t e = Ntt64Plan::powerIndex(s, j);
+            size_t e = Ntt64Plan::stageTwiddleIndex(s, j);
             uint64_t u = src[2 * j];
             uint64_t t = mod.mulModShoup(src[2 * j + 1], tw[e], twq[e]);
             uint64_t s0 = u + t;
@@ -478,9 +478,9 @@ forwardButterfly64Lazy4(const Modulus64& mod, uint64_t q, uint64_t q2,
                         const uint64_t* tw, const uint64_t* twq, size_t p,
                         size_t h, int s, bool last)
 {
-    const size_t e0 = Ntt64Plan::powerIndex(s, p);
+    const size_t e0 = Ntt64Plan::stageTwiddleIndex(s, p);
     const size_t e1 = e0 + h / 2;
-    const size_t eb = Ntt64Plan::powerPairIndex(s, p);
+    const size_t eb = Ntt64Plan::stageTwiddlePair(s, p);
     forwardButterfly64Lazy4Core(mod, q, q2, src, dst, tw[e0], twq[e0],
                                 tw[e1], twq[e1], tw[eb], twq[eb], p, h,
                                 last);
@@ -526,9 +526,9 @@ inverseButterfly64Lazy4(const Modulus64& mod, uint64_t q2,
                         const uint64_t* tw, const uint64_t* twq, size_t p,
                         size_t h, int s_lo)
 {
-    const size_t e0 = Ntt64Plan::powerIndex(s_lo, p);
+    const size_t e0 = Ntt64Plan::stageTwiddleIndex(s_lo, p);
     const size_t e1 = e0 + h / 2;
-    const size_t eb = Ntt64Plan::powerPairIndex(s_lo, p);
+    const size_t eb = Ntt64Plan::stageTwiddlePair(s_lo, p);
     inverseButterfly64Lazy4Core(mod, q2, src, dst, tw[e0], twq[e0], tw[e1],
                                 twq[e1], tw[eb], twq[eb], p, h);
 }
@@ -580,7 +580,7 @@ forward64Lazy4Impl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
             Isa::storeu(dst + 2 * j + Isa::kLanes, blk1);
         }
         for (; j < h; ++j) {
-            size_t e = Ntt64Plan::powerIndex(0, j);
+            size_t e = Ntt64Plan::stageTwiddleIndex(0, j);
             uint64_t t = src[j] + src[j + h];
             uint64_t u = t >= q2 ? t - q2 : t;
             uint64_t v = mod.mulModShoup(src[j] + q2 - src[j + h], tw[e],
@@ -726,7 +726,7 @@ inverse64Lazy4Impl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
                                         ctx.q2));
         }
         for (; j < h; ++j) {
-            size_t e = Ntt64Plan::powerIndex(0, j);
+            size_t e = Ntt64Plan::stageTwiddleIndex(0, j);
             uint64_t u = src[2 * j];
             uint64_t t = mod.mulModShoup(src[2 * j + 1], tw[e], twq[e]);
             uint64_t s0 = u + t;

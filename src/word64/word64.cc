@@ -81,7 +81,7 @@ Ntt64Plan::Ntt64Plan(uint64_t q, size_t n) : mod_(q), n_(n)
     uint64_t omega_inv = mod_.inverse(omega_);
     size_t h = half();
     // Compact power tables (one entry per distinct twiddle) plus their
-    // Shoup companions; stage s addresses them via powerIndex().
+    // Shoup companions; stage s addresses them via stageTwiddleIndex().
     fwd_.reset(h);
     inv_.reset(h);
     fwd_sh_.reset(h);
@@ -148,7 +148,7 @@ forward64Scalar(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
     for (int s = 0; s < m; ++s) {
         uint64_t* dst = bufs[target];
         for (size_t j = 0; j < h; ++j) {
-            uint64_t w = tw[Ntt64Plan::powerIndex(s, j)];
+            uint64_t w = tw[Ntt64Plan::stageTwiddleIndex(s, j)];
             uint64_t u = mod.addMod(src[j], src[j + h]);
             uint64_t v = mod.mulMod(mod.subMod(src[j], src[j + h]), w);
             dst[2 * j] = u;
@@ -173,7 +173,7 @@ inverse64Scalar(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
     for (int s = m - 1; s >= 0; --s) {
         uint64_t* dst = bufs[target];
         for (size_t j = 0; j < h; ++j) {
-            uint64_t w = tw[Ntt64Plan::powerIndex(s, j)];
+            uint64_t w = tw[Ntt64Plan::stageTwiddleIndex(s, j)];
             uint64_t u = src[2 * j];
             uint64_t t = mod.mulMod(src[2 * j + 1], w);
             dst[j] = mod.addMod(u, t);
@@ -205,7 +205,7 @@ forward64ScalarLazy(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
         const bool last = s == m - 1;
         uint64_t* dst = bufs[target];
         for (size_t j = 0; j < h; ++j) {
-            size_t e = Ntt64Plan::powerIndex(s, j);
+            size_t e = Ntt64Plan::stageTwiddleIndex(s, j);
             uint64_t t = src[j] + src[j + h]; // < 4q < 2^64
             uint64_t u = t >= q2 ? t - q2 : t;
             uint64_t d = src[j] + q2 - src[j + h]; // (0, 4q)
@@ -239,7 +239,7 @@ inverse64ScalarLazy(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
     for (int s = m - 1; s >= 0; --s) {
         uint64_t* dst = bufs[target];
         for (size_t j = 0; j < h; ++j) {
-            size_t e = Ntt64Plan::powerIndex(s, j);
+            size_t e = Ntt64Plan::stageTwiddleIndex(s, j);
             uint64_t u = src[2 * j];
             uint64_t t = mod.mulModShoup(src[2 * j + 1], tw[e], twq[e]);
             uint64_t s0 = u + t;

@@ -146,25 +146,23 @@ class Ntt64Plan
     uint64_t nInvShoup() const { return n_inv_shoup_; }
 
     /**
-     * Compact twiddle addressing of this 64-bit family's power-table
-     * Pease kernels: ONE power table per direction, pow[k] = omega^k
-     * for k < n/2, and stage s reads entry (j >> s) << s — stage s
-     * touches only its n/2^(s+1) distinct twiddles instead of streaming
-     * a stretched n/2 row.
+     * Compact twiddle addressing: ONE power table per direction,
+     * pow[k] = omega^k for k < n/2, and stage s reads entry
+     * (j >> s) << s — stage s touches only its n/2^(s+1) distinct
+     * twiddles instead of streaming a stretched n/2 row.
      */
     static size_t
-    powerIndex(int stage, size_t j)
+    stageTwiddleIndex(int stage, size_t j)
     {
         return (j >> stage) << stage;
     }
 
     /**
      * Shared second-layer index for fused radix-4 butterfly p of stage
-     * pair (s, s+1): butterflies 2p and 2p+1 of stage s+1 both read
-     * powerIndex(s+1, 2p) = 2 * powerIndex(s, p).
+     * pair (s, s+1).
      */
     static size_t
-    powerPairIndex(int stage, size_t p)
+    stageTwiddlePair(int stage, size_t p)
     {
         return ((p >> stage) << stage) << 1;
     }
