@@ -11,11 +11,9 @@
  */
 #include "bench_common.h"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <utility>
 
 #include "blas/blas.h"
 #include "blas/blas_backends.h"
@@ -161,52 +159,6 @@ measureNegacyclicNs(Backend be, const ntt::NttPrime& prime, size_t n,
     return r;
 }
 
-/** Iterations of the radix-2 vs radix-4 comparison, in units of the
- *  pinned counts (see measureFusionPair). */
-constexpr int kFusionRounds = 5;
-
-/**
- * Radix-2 and radix-4 fwd+inv ns on one backend, interleaved one
- * iteration at a time (r2 r4 | r4 r2 | ...) for kFusionRounds times the
- * pinned counts; each shape reports the median of its kept window. The
- * interleaving makes a drift in host speed hit both shapes alike, and
- * the median keeps one lucky fast iteration from deciding the
- * comparison (a min did, on a shared VM).
- */
-std::pair<double, double>
-measureFusionPair(Backend be, const ntt::NttPlan& plan, size_t n, int total,
-                  int kept)
-{
-    auto input_u = randomResidues(n, plan.modulus().value(), 0x15a9 + n);
-    ResidueVector in = ResidueVector::fromU128(input_u);
-    ResidueVector mid(n), out(n), scratch(n);
-    auto once = [&](StageFusion fusion) {
-        const uint64_t t0 = nowNs();
-        ntt::forward(plan, be, in.span(), mid.span(), scratch.span(),
-                     MulAlgo::Schoolbook, Reduction::ShoupLazy, fusion);
-        ntt::inverse(plan, be, mid.span(), out.span(), scratch.span(),
-                     MulAlgo::Schoolbook, Reduction::ShoupLazy, fusion);
-        return static_cast<double>(nowNs() - t0);
-    };
-    const int iters = kFusionRounds * total;
-    const int skip = kFusionRounds * (total - kept);
-    std::vector<double> times[2]; // radix2, radix4
-    for (int i = 0; i < iters; ++i) {
-        for (int k = 0; k < 2; ++k) {
-            const int shape = (i + k) % 2;
-            const double t = once(shape == 1 ? StageFusion::Radix4
-                                             : StageFusion::Radix2);
-            if (i >= skip)
-                times[shape].push_back(t);
-        }
-    }
-    auto median = [](std::vector<double>& v) {
-        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-        return v[v.size() / 2];
-    };
-    return {median(times[0]), median(times[1])};
-}
-
 /** JSON label of a concrete stage-fusion shape. */
 const char*
 fusionLabel(StageFusion fusion)
@@ -243,9 +195,7 @@ int
 runJsonMode(const char* path)
 {
     const auto& prime = ntt::defaultBenchPrime();
-    // 4096 and 32768 are the perfbench workloads' sizes.
-    const std::vector<size_t> sizes = {256,   1024,  4096,
-                                       16384, 32768, 65536};
+    const std::vector<size_t> sizes = {256, 1024, 4096, 16384, 65536};
     std::vector<Backend> backends;
     for (Backend b : {Backend::Scalar, Backend::Portable, Backend::Avx2,
                       Backend::Avx512}) {
@@ -300,8 +250,10 @@ runJsonMode(const char* path)
         int total = 0, kept = 0;
         pinnedIters(n, total, kept);
         for (Backend be : backends) {
-            const auto [r2, r4] =
-                measureFusionPair(be, direct, n, total, kept);
+            double r2 = measureFwdInvNs(be, direct, n, Reduction::ShoupLazy,
+                                        StageFusion::Radix2, total, kept);
+            double r4 = measureFwdInvNs(be, direct, n, Reduction::ShoupLazy,
+                                        StageFusion::Radix4, total, kept);
             double barrett = 0.0;
             if (n <= 4096) {
                 barrett =
@@ -538,9 +490,7 @@ runJsonMode(const char* path)
     os << "  \"batch_backend\": \"" << backendName(batch_best_backend)
        << "\",\n";
     os << "  \"iters\": \"pinned (40/20 <=4096, 20/10 <=16384, 12/6 above), "
-          "min of kept window; results radix2/radix4: interleaved per "
-          "iteration for "
-       << kFusionRounds << "x the pinned counts, median of kept window\",\n";
+          "min of kept window\",\n";
     os << "  \"fastest_backend\": \"" << backendName(best) << "\",\n";
     os << "  \"fastest_backend_speedup_n65536\": "
        << formatFixed(fastest_fused_65536, 3) << ",\n";
