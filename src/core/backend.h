@@ -71,11 +71,11 @@ enum class Reduction
  * Auto (the public-API default) resolves to the measured-fastest shape
  * for the (backend, n) pair via ntt::resolveStageFusion(): the
  * committed BENCH_ntt.json (Intel Xeon) has fusion winning on Scalar
- * at every n, within 3% of the faster shape on AVX2 and AVX-512 at
- * every n (both fuse) and losing on Portable (which does not); MQX
- * fuses from n = 65536. This covers the cyclic transforms
- * and the merged negacyclic per-channel ones (one kernel body); the
- * batch kernels are radix-2.
+ * at every n, tied on AVX2 (which fuses) and losing on Portable (which
+ * does not); AVX-512 runs radix-2 for 1024 <= n < 16384 and fuses
+ * outside that band; MQX fuses from n = 65536. This covers the cyclic
+ * transforms and the merged negacyclic per-channel ones (one kernel
+ * body); the batch kernels are radix-2.
  * Backends never see Auto — the dispatcher resolves it first.
  */
 enum class StageFusion

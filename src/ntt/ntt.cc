@@ -156,23 +156,27 @@ resolveStageFusion(Backend backend, size_t n, StageFusion fusion)
 {
     if (fusion != StageFusion::Auto)
         return fusion;
-    // BENCH_ntt.json on an Intel Xeon (AVX-512 IFMA), nine runs, each
-    // interleaving the two shapes per iteration; radix4/radix2 medians:
-    // Scalar 0.85-0.87 at every n in 256..65536, so it fuses. Portable
-    // 1.02-1.07, so it does not. AVX2 0.98-1.01 and AVX-512 0.96-1.03
-    // (radix-2 ahead at 1024-4096, radix-4 from 16384) fuse: a fused
-    // default stayed within 3% of the faster shape in every AVX-512 run
-    // (worst 1.028), where a radix-2 one missed in four runs by up to
-    // 7%. MQX is not in BENCH_ntt.json; an alternated fwd+inv run of
-    // the PISA proxy on the same host put radix4/radix2 at 1.10 for
-    // n = 1024, 0.99-1.01 for 4096-16384 and 0.87 for 65536.
+    // Radix4/radix2 fwd+inv on an Intel Xeon (AVX-512 IFMA), the median
+    // of the per-run ratios over fourteen bench_fig5_ntt runs (the seven
+    // BENCH_ntt.json merges and seven before them): Scalar 0.83-0.87 at
+    // every n in 256..65536, so it fuses. Portable 1.00-1.06, so it does
+    // not. AVX2 0.99-1.00, a tie; it fuses. AVX-512 0.95 at n = 256,
+    // 1.01 at 1024 and 4096, 1.02 at 16384, 0.97 at the perfbench size
+    // 32768 and 0.95 at 65536, so it runs radix-2 for 1024 <= n < 16384
+    // (16384 is within 2%) and fuses outside that band. A single run
+    // swings a row by about 4%. MQX is not in BENCH_ntt.json; an
+    // alternated fwd+inv run of the PISA proxy on the same host put
+    // radix4/radix2 at 1.10 for n = 1024, 0.99-1.01 for 4096-16384 and
+    // 0.87 for 65536.
     switch (backend) {
       case Backend::Scalar:
       case Backend::Avx2:
-      case Backend::Avx512:
         return StageFusion::Radix4;
       case Backend::Portable:
         return StageFusion::Radix2;
+      case Backend::Avx512:
+        return n >= 1024 && n < 16384 ? StageFusion::Radix2
+                                      : StageFusion::Radix4;
       case Backend::MqxEmulate:
       case Backend::MqxPisa:
         break;

@@ -50,9 +50,10 @@ void inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
 
 /**
  * Resolve StageFusion::Auto to a concrete shape for (backend, n), from
- * the committed BENCH_ntt.json: Scalar, AVX2 and AVX-512 fuse at every
- * n, the MQX tiers from n = 65536; Portable never fuses. Radix4/Radix2 requests pass
- * through unchanged; the backend entry points never see Auto.
+ * the committed BENCH_ntt.json: Scalar and AVX2 fuse at every n,
+ * AVX-512 below n = 1024 and from 16384, the MQX tiers from 65536;
+ * Portable never fuses. Radix4/Radix2 requests pass through unchanged;
+ * the backend entry points never see Auto.
  */
 StageFusion resolveStageFusion(Backend backend, size_t n, StageFusion fusion);
 

@@ -363,12 +363,11 @@ TEST(EngineBatch, FmaBatchMatchesSerialOracle)
 TEST(StageFusionAuto, ResolvesMeasuredThresholds)
 {
     using ntt::resolveStageFusion;
-    // Scalar, AVX2 and AVX-512 fuse at every size (BENCH_ntt.json
-    // radix4/radix2 medians 0.85-0.87, 0.98-1.01 and 0.96-1.03);
-    // Portable never does (1.02-1.07).
+    // Scalar and AVX2 fuse at every size, Portable never does
+    // (BENCH_ntt.json radix4/radix2 medians).
     for (size_t n : {size_t{16}, size_t{4096}, size_t{65536}, size_t{1}
                      << 17}) {
-        for (Backend be : {Backend::Scalar, Backend::Avx2, Backend::Avx512})
+        for (Backend be : {Backend::Scalar, Backend::Avx2})
             EXPECT_EQ(resolveStageFusion(be, n, StageFusion::Auto),
                       StageFusion::Radix4)
                 << backendName(be) << " n=" << n;
@@ -376,6 +375,17 @@ TEST(StageFusionAuto, ResolvesMeasuredThresholds)
                   StageFusion::Radix2)
             << "n=" << n;
     }
+    // AVX-512 runs radix-2 for 1024 <= n < 16384 and fuses outside that
+    // band.
+    for (size_t n : {size_t{256}, size_t{512}, size_t{16384}, size_t{32768},
+                     size_t{65536}})
+        EXPECT_EQ(resolveStageFusion(Backend::Avx512, n, StageFusion::Auto),
+                  StageFusion::Radix4)
+            << "n=" << n;
+    for (size_t n : {size_t{1024}, size_t{4096}, size_t{8192}})
+        EXPECT_EQ(resolveStageFusion(Backend::Avx512, n, StageFusion::Auto),
+                  StageFusion::Radix2)
+            << "n=" << n;
     // The MQX tiers keep radix-2 below n = 65536 and fuse at and above
     // it.
     for (Backend be : {Backend::MqxEmulate, Backend::MqxPisa}) {
