@@ -161,13 +161,13 @@ resolveStageFusion(Backend backend, size_t n, StageFusion fusion)
     // BENCH_ntt.json merges and seven before them): Scalar 0.83-0.87 at
     // every n in 256..65536, so it fuses. Portable 1.00-1.06, so it does
     // not. AVX2 0.99-1.00, a tie; it fuses. AVX-512 0.95 at n = 256,
-    // 1.01 at 1024 and 4096, 1.02 at 16384, 0.97 at the perfbench size
-    // 32768 and 0.95 at 65536, so it runs radix-2 for 1024 <= n < 16384
-    // (16384 is within 2%) and fuses outside that band. A single run
-    // swings a row by about 4%. MQX is not in BENCH_ntt.json; an
-    // alternated fwd+inv run of the PISA proxy on the same host put
-    // radix4/radix2 at 1.10 for n = 1024, 0.99-1.01 for 4096-16384 and
-    // 0.87 for 65536.
+    // 1.01 at 1024 and 4096, 1.02 at 16384 and 0.95 at 65536 (and 0.97
+    // at the perfbench size 32768 over nine runs of the benchmark cut to
+    // that size), so it runs radix-2 for 1024 <= n < 16384 (16384 is
+    // within 2%) and fuses outside that band. A single run swings a row
+    // by about 4%. MQX is not in BENCH_ntt.json; an alternated fwd+inv
+    // run of the PISA proxy on the same host put radix4/radix2 at 1.10
+    // for n = 1024, 0.99-1.01 for 4096-16384 and 0.87 for 65536.
     switch (backend) {
       case Backend::Scalar:
       case Backend::Avx2:
