@@ -140,13 +140,15 @@ measureBatchFwdInvNs(Backend be, const ntt::NegacyclicTables& tables,
 struct NegacyclicNs
 {
     double forward = 0.0, inverse = 0.0, polymul = 0.0;
+    size_t table_bytes = 0; ///< NegacyclicTables::tableBytes()
 };
 
 NegacyclicNs
 measureNegacyclicNs(Backend be, const ntt::NttPrime& prime, size_t n,
                     int total, int kept)
 {
-    ntt::NegacyclicEngine eng(prime, n, be);
+    auto tables = std::make_shared<const ntt::NegacyclicTables>(prime, n);
+    ntt::NegacyclicEngine eng(tables, be);
     const U128 q = prime.q;
     ResidueVector f = ResidueVector::fromU128(randomResidues(n, q, 0x2e91));
     ResidueVector g = ResidueVector::fromU128(randomResidues(n, q, 0x2e92));
@@ -156,6 +158,7 @@ measureNegacyclicNs(Backend be, const ntt::NttPrime& prime, size_t n,
     r.forward = time([&] { eng.forward(f.span(), fe.span()); });
     r.inverse = time([&] { eng.inverse(fe.span(), out.span()); });
     r.polymul = time([&] { eng.polymul(f.span(), g.span(), out.span()); });
+    r.table_bytes = tables->tableBytes();
     return r;
 }
 
@@ -476,7 +479,7 @@ runJsonMode(const char* path)
                << ", \"polymul_ns\": " << formatFixed(neg.polymul, 1)
                << ", \"cyclic_fwdinv_ns\": " << formatFixed(fwdinv, 1)
                << ", \"polymul_vs_fwdinv\": " << formatFixed(ratio, 3)
-               << "}";
+               << ", \"table_bytes\": " << neg.table_bytes << "}";
             std::fprintf(stderr,
                          "  negacyclic %-10s n=%6zu fwd=%.0fns inv=%.0fns "
                          "polymul=%.0fns (%.2fx cyclic fwd+inv)\n",

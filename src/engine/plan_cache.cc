@@ -116,8 +116,11 @@ PlanCache::twiddleBytes() const
         if (slot.wait_for(std::chrono::seconds(0)) !=
             std::future_status::ready)
             continue;
-        if (auto tables = slot.get())
-            bytes += tables->plan().twiddleBytes() + tables->tableBytes();
+        if (auto tables = slot.get()) {
+            bytes += tables->tableBytes();
+            if (tables->plan().twiddlesBuilt())
+                bytes += tables->plan().twiddleBytes();
+        }
     }
     return bytes;
 }

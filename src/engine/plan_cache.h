@@ -59,11 +59,13 @@ class PlanCache
 
     /**
      * Total bytes of precomputed-table storage held by the cache: for
-     * every ready entry, its plan's twiddleBytes() — the compact power
-     * tables AND their Shoup companions — plus its tableBytes() (the
-     * forward/inverse psi tables and companions). In-flight entries
-     * (still building) contribute 0. This is the real L2 footprint the
-     * paper's §5.4 discussion cares about, not just the twiddle values.
+     * every ready entry, its tableBytes() (the merged psi table and its
+     * Shoup companions), plus its plan's twiddleBytes() — the cyclic
+     * tables AND their companions — once a cyclic transform has built
+     * them (NttPlan::twiddlesBuilt(); the Engine's ops never do).
+     * In-flight entries (still building) contribute 0. This is the real
+     * L2 footprint the paper's §5.4 discussion cares about, not just
+     * the twiddle values.
      */
     size_t twiddleBytes() const;
 

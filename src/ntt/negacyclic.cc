@@ -52,8 +52,7 @@ checkSpans(DConstSpan in, DConstSpan out, size_t n, const char* what)
 } // namespace
 
 NegacyclicTables::NegacyclicTables(const Modulus& modulus, size_t n)
-    : plan_(std::make_unique<const NttPlan>(modulus, n)), fwd_(n), inv_(n),
-      fwd_shoup_(n), inv_shoup_(n)
+    : plan_(std::make_unique<const NttPlan>(modulus, n)), w_(n), w_shoup_(n)
 {
     const int logn = plan_->logn();
     const Modulus& m = plan_->modulus();
@@ -61,21 +60,26 @@ NegacyclicTables::NegacyclicTables(const Modulus& modulus, size_t n)
     // r^2 order n, so omega = (r^2)^t for some t coprime to n; then
     // psi = r^t satisfies psi^2 = omega and has order 2n (t odd).
     U128 r = rootOfUnity(m, U128{static_cast<uint64_t>(2 * n)});
-    U128 r2 = m.mul(r, r);
-    // Find t: omega = r2^t by baby-step enumeration (setup path; n is a
-    // power of two and this is O(n) worst case).
-    U128 acc{1};
+    const U128 g_inv = m.inverse(m.mul(r, r));
+    // t = log_{r^2}(omega) by Pohlig-Hellman over the order 2^logn, one
+    // bit per round: with h = omega * (r^2)^-(t mod 2^i), the power
+    // h^(2^(logn-1-i)) is 1 when bit i of t is clear and -1 when set.
+    U128 h = plan_->omega();
+    U128 g_inv_2i = g_inv; // (r^2)^-(2^i)
     uint64_t t = 0;
-    bool found = false;
-    for (uint64_t i = 0; i < 2 * n; ++i) {
-        if (acc == plan_->omega()) {
-            t = i;
-            found = true;
-            break;
+    for (int i = 0; i < logn; ++i) {
+        U128 x = h;
+        for (int k = i + 1; k < logn; ++k)
+            x = m.mul(x, x);
+        if (x != U128{1}) {
+            checkArg(x == m.sub(U128{0}, U128{1}),
+                     "NegacyclicTables: omega not in <r^2> (internal)");
+            t |= uint64_t{1} << i;
+            h = m.mul(h, g_inv_2i);
         }
-        acc = m.mul(acc, r2);
+        g_inv_2i = m.mul(g_inv_2i, g_inv_2i);
     }
-    checkArg(found, "NegacyclicTables: omega not in <r^2> (internal)");
+    checkArg(h == U128{1}, "NegacyclicTables: omega not in <r^2> (internal)");
     // omega has order exactly n, so gcd(t, n) == 1 and t is odd; an even
     // t means a broken root search whose psi would have order below 2n
     // (which the psi^2 == omega check below cannot see).
@@ -85,25 +89,17 @@ NegacyclicTables::NegacyclicTables(const Modulus& modulus, size_t n)
     checkArg(m.mul(psi_, psi_) == plan_->omega(),
              "NegacyclicTables: psi^2 != omega (internal)");
 
-    // One pass over p = psi^e fills both directions with n multiplies:
-    // forward entry brev(e) is psi^e, and inverse entry brev(n - e) is
-    // psi^-(n-e) = psi^(n+e) = -psi^e.
+    // One running power of psi: entry brev(e) is psi^e.
     U128 p{1};
     for (size_t e = 0; e < n; ++e) {
-        fwd_.set(bitReverseIndex(e, logn), p);
-        if (e != 0)
-            inv_.set(bitReverseIndex(n - e, logn), m.sub(U128{0}, p));
+        w_.set(bitReverseIndex(e, logn), p);
         p = m.mul(p, psi_);
     }
-    // The last inverse stage reads entries 0 and 1 only: entry 0 becomes
-    // n^-1 (its sum branch) and n^-1 folds into entry 1.
-    const U128 n_inv = plan_->nInv();
-    inv_.set(0, n_inv);
-    inv_.set(1, m.mul(inv_.at(1), n_inv));
-    for (size_t k = 0; k < n; ++k) {
-        fwd_shoup_.set(k, m.shoupCompanion(fwd_.at(k)));
-        inv_shoup_.set(k, m.shoupCompanion(inv_.at(k)));
-    }
+    for (size_t k = 0; k < n; ++k)
+        w_shoup_.set(k, m.shoupCompanion(w_.at(k)));
+    // psi^-(n/2) = -psi^(n/2) = -(entry 1), since psi^n = -1.
+    last_diff_ = m.mul(m.sub(U128{0}, w_.at(1)), plan_->nInv());
+    last_diff_shoup_ = m.shoupCompanion(last_diff_);
 }
 
 NegacyclicEngine::NegacyclicEngine(const NttPrime& prime, size_t n)

@@ -16,8 +16,9 @@
  * Cooley-Tukey forward (read j and j + n/2, write 2j and 2j + 1) splits
  * x^n + 1 instead of x^n - 1 level by level — stage s, butterfly j
  * reduces modulo x^(n/2^(s+1)) -+ zeta with zeta = psi^brev(2^s + (j
- * mod 2^s)) — and the same Gentleman-Sande inverse runs on the inverted
- * twiddles with n^-1 folded into its last stage. So a product costs two
+ * mod 2^s)) — and the same Gentleman-Sande inverse runs on the same
+ * table read mirrored (detail::PeaseTwiddles) with n^-1 folded into its
+ * last stage. So a product costs two
  * forwards, one point-wise multiply and one inverse — no separate
  * twist, untwist or n^-1 pass — and its outputs are word-identical to
  * the twisted cyclic pipeline (same bit-reversed evaluation order,
@@ -63,19 +64,25 @@ namespace ntt {
 
 /**
  * The immutable, shareable part of a negacyclic transform over one
- * (q, n): the cyclic plan (built and owned here), psi, and the merged
- * transform's per-level twiddle tables. A pure function of (q, n), so
+ * (q, n): the cyclic plan (built and owned here; its own twiddle tables
+ * are built only if a cyclic transform reads them), psi, and the merged
+ * transform's per-level twiddle table. A pure function of (q, n), so
  * engine::PlanCache memoizes whole instances and threads share them
  * freely; per-call scratch lives in NegacyclicEngine.
  *
- * Table layout (one table of n entries per direction, plus Shoup
- * companions): stage s, butterfly j reads entry 2^s + (j mod 2^s). The
- * entries walk the factor tree of x^n + 1 = x^n - psi^n: entry 2^s + b
- * holds the zeta that splits factor b of level s, x^(2m) - zeta^2, into
- * x^m - zeta and x^m + zeta (children 2b and 2b + 1 of level s + 1).
- * The root's zeta is psi^(n/2), and a factor x^(2m) - psi^g has
- * children with g/2 and g/2 + n, which works out to entry k =
- * psi^brev(k) (brev: log2(n)-bit reversal).
+ * Table layout (ONE table of n entries for both directions, plus Shoup
+ * companions): forward stage s, butterfly j reads entry 2^s + (j mod
+ * 2^s). The entries walk the factor tree of x^n + 1 = x^n - psi^n:
+ * entry 2^s + b holds the zeta that splits factor b of level s,
+ * x^(2m) - zeta^2, into x^m - zeta and x^m + zeta (children 2b and
+ * 2b + 1 of level s + 1). The root's zeta is psi^(n/2), and a factor
+ * x^(2m) - psi^g has children with g/2 and g/2 + n, which works out to
+ * entry k = psi^brev(k) (brev: log2(n)-bit reversal). The inverse
+ * stage s >= 1 reads entry 2^s + 2^s - 1 - (j mod 2^s), since
+ * psi^-brev(2^s + b) = q - psi^brev(2^(s+1) - 1 - b), and multiplies
+ * v - u; its last stage multiplies by n^-1 (the plan's) and lastDiff().
+ * So the tables hold 2n residues (32n bytes) and set-up computes n
+ * Shoup companions.
  *
  * @throws InvalidArgument unless n is a power of two and 2n divides
  * q - 1 (i.e. the prime's 2-adicity is at least log2(n) + 1).
@@ -83,7 +90,7 @@ namespace ntt {
 class NegacyclicTables
 {
   public:
-    /** Derive the cyclic plan for (q, n) and the merged tables on it. */
+    /** Derive the cyclic plan for (q, n) and the merged table on it. */
     NegacyclicTables(const Modulus& modulus, size_t n);
     NegacyclicTables(const NttPrime& prime, size_t n)
         : NegacyclicTables(Modulus(prime.q), n)
@@ -93,27 +100,28 @@ class NegacyclicTables
     const NttPlan& plan() const { return *plan_; }
     U128 psi() const { return psi_; }
 
-    /** Forward twiddles: entry k = psi^brev(k) (entry 0 = 1, unread). */
-    const ResidueVector& forwardTwiddles() const { return fwd_; }
+    /** The twiddles: entry k = psi^brev(k) (entry 0 = 1, unread). */
+    const ResidueVector& twiddles() const { return w_; }
+    /** Their Shoup companions floor(w * 2^128 / q). */
+    const ResidueVector& twiddlesShoup() const { return w_shoup_; }
+
     /**
-     * Inverse twiddles: entry k >= 2 = psi^-brev(k). The last inverse
-     * stage (s = 0) folds in n^-1, so entry 1 = psi^-(n/2) * n^-1 (its
-     * difference branch) and entry 0 = n^-1 (its sum branch).
+     * psi^-(n/2) * n^-1, the factor of the inverse's last-stage
+     * difference branch (its sum branch takes plan().nInv()), and its
+     * Shoup companion.
      */
-    const ResidueVector& inverseTwiddles() const { return inv_; }
-    /** Shoup companions floor(w * 2^128 / q) of the two tables. */
-    const ResidueVector& forwardTwiddlesShoup() const { return fwd_shoup_; }
-    const ResidueVector& inverseTwiddlesShoup() const { return inv_shoup_; }
+    U128 lastDiff() const { return last_diff_; }
+    U128 lastDiffShoup() const { return last_diff_shoup_; }
 
     /**
      * Bytes of merged-twiddle storage including the Shoup companions
-     * (4 split-layout vectors of n elements) — the negacyclic side of
-     * the plan-cache footprint accounting.
+     * (2 split-layout vectors of n elements, 32n bytes) — the
+     * negacyclic side of the plan-cache footprint accounting.
      */
     size_t
     tableBytes() const
     {
-        return 4 * 2 * plan_->n() * sizeof(uint64_t);
+        return 2 * 2 * plan_->n() * sizeof(uint64_t);
     }
 
   private:
@@ -125,10 +133,9 @@ class NegacyclicTables
      */
     std::unique_ptr<const NttPlan> plan_;
     U128 psi_;
-    ResidueVector fwd_;       ///< psi^brev(k)
-    ResidueVector inv_;       ///< psi^-brev(k), n^-1 folded into 0 and 1
-    ResidueVector fwd_shoup_; ///< floor(fwd_[k] * 2^128 / q)
-    ResidueVector inv_shoup_; ///< floor(inv_[k] * 2^128 / q)
+    ResidueVector w_;       ///< psi^brev(k)
+    ResidueVector w_shoup_; ///< floor(w_[k] * 2^128 / q)
+    U128 last_diff_, last_diff_shoup_;
 };
 
 /**

@@ -401,8 +401,10 @@ negacyclicInverseBatch(const NegacyclicTables& tables, Backend backend,
     checkArg(batchSupported(tables.plan()),
              "negacyclicInverseBatch: plan too small (n < 16)");
     noteBatchSweep(tables.plan(), il);
-    k.inverseBatch(tables.plan(), detail::inverseTwiddles(tables), il, in,
-                   out, scratch);
+    // The batch inverse kernels read the merged table mirrored only.
+    const detail::PeaseTwiddles tw = detail::inverseTwiddles(tables);
+    checkArg(tw.mirrored, "negacyclicInverseBatch: merged tables only");
+    k.inverseBatch(tables.plan(), tw, il, in, out, scratch);
 }
 
 Engine::Engine(const NttPlan& plan, Backend backend)

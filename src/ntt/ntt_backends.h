@@ -3,7 +3,8 @@
  * Internal per-backend entry points of the one Pease kernel body
  * (ntt/pease_impl.h). Every tier compiles the same four entry points —
  * per-channel forward and inverse in any PeaseShape, and the IL-lane
- * batch forms — in a translation unit built with its ISA flags; the
+ * batch forms (whose inverse takes the merged, mirrored table only) —
+ * in a translation unit built with its ISA flags; the
  * dispatcher in ntt.cc routes the cyclic transforms (NttPlan twiddles)
  * and the merged negacyclic ones (NegacyclicTables twiddles) through
  * one per-tier table of them. Not part of the public API.
@@ -24,19 +25,27 @@ namespace detail {
  *
  *  - offset(s) = 0 on the cyclic plan's n/2-entry tables, entry k =
  *    omega^(+-brev(k));
- *  - offset(s) = 2^s on the merged negacyclic n-entry tables, entry k =
- *    psi^(+-brev(k)).
+ *  - offset(s) = 2^s on the merged negacyclic n-entry table, entry k =
+ *    psi^brev(k).
  *
- * The inverse's last stage (s = 0) multiplies its sum branch by
- * last_sum and its difference branch by last_diff, so n^-1 costs no
- * pass of its own: n^-1 and n^-1 on the cyclic plan, entries 0 and 1
- * (n^-1 and psi^-(n/2) * n^-1) of the negacyclic inverse table.
+ * The merged inverse reads that same forward table mirrored within
+ * each level: stage s, butterfly j reads entry offset(s) + 2^s - 1 -
+ * (j mod 2^s) and multiplies v - u instead of u - v. For s >= 1,
+ * psi^-brev(2^s + b) = q - psi^brev(2^(s+1) - 1 - b) (the reversed,
+ * negated zeta walk of Dilithium's reference inverse NTT), so the
+ * product is the same and no twiddle is ever negated.
+ *
+ * The inverse's last stage (s = 0) reads no entry: it multiplies its
+ * sum branch by last_sum and its difference branch by last_diff, so
+ * n^-1 costs no pass of its own — n^-1 and n^-1 on the cyclic plan,
+ * n^-1 and psi^-(n/2) * n^-1 on the negacyclic tables.
  */
 struct PeaseTwiddles
 {
     DConstSpan w;  ///< twiddle values, canonical
     DConstSpan wq; ///< their Shoup companions
     bool per_level = false;
+    bool mirrored = false; ///< the merged inverse on the forward table
     U128 last_sum{}, last_sum_q{}, last_diff{}, last_diff_q{};
 
     size_t offset(int s) const { return per_level ? size_t{1} << s : 0; }
@@ -60,26 +69,34 @@ forwardTwiddles(const NttPlan& plan)
 inline PeaseTwiddles
 inverseTwiddles(const NttPlan& plan)
 {
-    return {plan.inverseTwiddles().span(), plan.inverseTwiddlesShoup().span(),
-            false,           plan.nInv(),
-            plan.nInvShoup(), plan.nInv(),
+    return {plan.inverseTwiddles().span(),
+            plan.inverseTwiddlesShoup().span(),
+            false,
+            false,
+            plan.nInv(),
+            plan.nInvShoup(),
+            plan.nInv(),
             plan.nInvShoup()};
 }
 
 inline PeaseTwiddles
 forwardTwiddles(const NegacyclicTables& tables)
 {
-    return {tables.forwardTwiddles().span(),
-            tables.forwardTwiddlesShoup().span(), true};
+    return {tables.twiddles().span(), tables.twiddlesShoup().span(), true};
 }
 
 inline PeaseTwiddles
 inverseTwiddles(const NegacyclicTables& tables)
 {
-    const ResidueVector& w = tables.inverseTwiddles();
-    const ResidueVector& wq = tables.inverseTwiddlesShoup();
-    return {w.span(), wq.span(), true,     w.at(0),
-            wq.at(0), w.at(1),   wq.at(1)};
+    const NttPlan& plan = tables.plan();
+    return {tables.twiddles().span(),
+            tables.twiddlesShoup().span(),
+            true,
+            true,
+            plan.nInv(),
+            plan.nInvShoup(),
+            tables.lastDiff(),
+            tables.lastDiffShoup()};
 }
 
 } // namespace detail

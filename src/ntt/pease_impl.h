@@ -19,7 +19,12 @@
  * twiddles; its last stage multiplies the sum branch and the difference
  * branch by the table's last-stage factors, which fold in n^-1. The
  * table layouts (cyclic n/2 entries at offset 0, merged negacyclic n
- * entries at offset 2^s) are described at detail::PeaseTwiddles.
+ * entries at offset 2^s) are described at detail::PeaseTwiddles. The
+ * merged inverse has no table of its own: it reads the forward table
+ * mirrored within each level and multiplies v - u instead of u - v.
+ * The scalar cores pay for that in index arithmetic only; the SIMD
+ * kernels reverse the lanes of each twiddle vector (one permute per
+ * register, none where the load already deinterleaves).
  *
  * One body, three knobs (detail::PeaseShape):
  *
@@ -195,12 +200,15 @@ forwardPairAt(bool fused, int s, int logn)
     return fused && s + 1 < logn && (s > 0 || logn % 2 == 0);
 }
 
-/** Stage-s table entry of butterfly j (see PeaseTwiddles). */
+/**
+ * Stage-s table entry of butterfly j (see PeaseTwiddles): offset(s) +
+ * (j mod 2^s), or offset(s) + 2^s - 1 - (j mod 2^s) on a mirrored table.
+ */
 MQX_FORCE_INLINE size_t
 twiddleIndex(const PeaseTwiddles& tw, int s, size_t j)
 {
-    const size_t base = size_t{1} << s;
-    return tw.offset(s) + (j & (base - 1));
+    const size_t mask = (size_t{1} << s) - 1;
+    return tw.offset(s) + ((j & mask) ^ (tw.mirrored ? mask : 0));
 }
 
 inline Dw
@@ -338,9 +346,12 @@ forwardButterfly4(const Dw& q, const Dw& q2,
 
 /**
  * Fused radix-4 inverse pass p over inverse stages (s+1, s): reads
- * y[4p .. 4p+3], writes x[p], x[p+h/2], x[p+h], x[p+3h/2]. Entries as
- * in forwardButterfly4; the second layer is the last stage (n^-1
- * folded in) when @p last.
+ * y[4p .. 4p+3], writes x[p], x[p+h/2], x[p+h], x[p+3h/2]. The second
+ * layer is the last stage (n^-1 folded in) when s == 0. On a mirrored
+ * table every butterfly but the last stage's takes v - u, so its
+ * operands trade places (the sum is symmetric): within each first-layer
+ * butterfly (f), and between the two first-layer butterflies that feed
+ * the second layer (g).
  */
 template <class A>
 MQX_FORCE_INLINE void
@@ -348,19 +359,24 @@ inverseButterfly4(const Dw& q, const Dw& q2,
                   const uint64_t* MQX_RESTRICT src_hi,
                   const uint64_t* MQX_RESTRICT src_lo,
                   uint64_t* MQX_RESTRICT dst_hi, uint64_t* MQX_RESTRICT dst_lo,
-                  const PeaseTwiddles& tw, size_t e0, size_t e1, size_t p,
-                  size_t h, bool last, MulAlgo algo)
+                  const PeaseTwiddles& tw, int s, size_t p, size_t h,
+                  MulAlgo algo)
 {
     const size_t h2 = h / 2;
-    // First layer (inverse stage s+1): butterflies 2p and 2p + 1.
-    const auto [y0, yh0] = inverseButterfly<A>(
-        q, q2, A::load2q(src_hi, src_lo, 4 * p, q),
-        A::load2q(src_hi, src_lo, 4 * p + 1, q), entry(tw.w, e1),
-        entry(tw.wq, e1), algo);
-    const auto [y1, yh1] = inverseButterfly<A>(
-        q, q2, A::load2q(src_hi, src_lo, 4 * p + 2, q),
-        A::load2q(src_hi, src_lo, 4 * p + 3, q), entry(tw.w, e1 + 1),
-        entry(tw.wq, e1 + 1), algo);
+    const bool last = s == 0;
+    const size_t f = tw.mirrored ? 1 : 0;
+    const size_t g = tw.mirrored && !last ? 1 : 0;
+    // First layer (inverse stage s+1): butterflies 2p + g (words 4p + 2g)
+    // and 2p + 1 - g.
+    auto first = [&](size_t t) {
+        const size_t i = 4 * p + 2 * t;
+        const size_t e = twiddleIndex(tw, s + 1, 2 * p + t);
+        return inverseButterfly<A>(q, q2, A::load2q(src_hi, src_lo, i + f, q),
+                                   A::load2q(src_hi, src_lo, i + 1 - f, q),
+                                   entry(tw.w, e), entry(tw.wq, e), algo);
+    };
+    const auto [y0, yh0] = first(g);
+    const auto [y1, yh1] = first(1 - g);
     // Second layer (inverse stage s): butterflies p and p + h/2.
     auto store4 = [&](const auto& x0, const auto& x1, const auto& x2,
                       const auto& x3) {
@@ -375,6 +391,7 @@ inverseButterfly4(const Dw& q, const Dw& q2,
             inverseLastButterfly<A>(q, q2, yh0, yh1, tw, algo);
         store4(x0, x1, x2, x3);
     } else {
+        const size_t e0 = twiddleIndex(tw, s, p);
         const Dw w0 = entry(tw.w, e0), w0q = entry(tw.wq, e0);
         const auto [x0, x2] =
             inverseButterfly<A>(q, q2, y0, y1, w0, w0q, algo);
@@ -503,12 +520,15 @@ inverseStageScalar(const NttPlan& plan, const PeaseTwiddles& tw, size_t il,
     const Dw q2 = mod::shl1Dw(q);
     const auto& br = plan.modulus().barrett();
     const bool last = s == 0;
+    // A mirrored table's butterflies take v - u: swap the operands (the
+    // sum is symmetric). The last stage reads its own factors.
+    const size_t f = tw.mirrored && !last ? 1 : 0;
     for (size_t j = j0; j < h; ++j) {
         const size_t e = twiddleIndex(tw, s, j);
         const Dw w = entry(tw.w, e), wq = entry(tw.wq, e);
         for (size_t c = 0; c < il; ++c) {
-            const size_t i0 = scalarCoreIndex<IL>(2 * j, c, il);
-            const size_t i1 = scalarCoreIndex<IL>(2 * j + 1, c, il);
+            const size_t i0 = scalarCoreIndex<IL>(2 * j + f, c, il);
+            const size_t i1 = scalarCoreIndex<IL>(2 * j + 1 - f, c, il);
             const size_t o0 = scalarCoreIndex<IL>(j, c, il);
             const size_t o1 = scalarCoreIndex<IL>(j + h, c, il);
             if (shape.red == Reduction::Barrett)
@@ -552,13 +572,9 @@ inversePass4Scalar(const NttPlan& plan, const PeaseTwiddles& tw,
     const size_t h = plan.half();
     const Dw q = mod::toDw(plan.modulus().value());
     const Dw q2 = mod::shl1Dw(q);
-    const size_t mask = (size_t{1} << s) - 1;
-    for (size_t p = p0; p < h / 2; ++p) {
-        inverseButterfly4<A>(q, q2, src_hi, src_lo, dst.hi, dst.lo, tw,
-                             tw.offset(s) + (p & mask),
-                             tw.offset(s + 1) + 2 * (p & mask), p, h, s == 0,
-                             algo);
-    }
+    for (size_t p = p0; p < h / 2; ++p)
+        inverseButterfly4<A>(q, q2, src_hi, src_lo, dst.hi, dst.lo, tw, s, p,
+                             h, algo);
 }
 
 /**
@@ -652,18 +668,36 @@ loadDeinterleaved(const uint64_t* hi, const uint64_t* lo, size_t i0,
 }
 
 /**
- * Stage-s twiddles as vectors: butterfly j reads entry offset(s) +
- * (j mod 2^s). While 2^s < kLanes every vector of butterflies reads the
- * same pattern, so it is built once per stage; from 2^s >= kLanes on, a
- * vector's entries are contiguous (j is a multiple of kLanes) and cost
- * one load. at() gives the Shoup form, value() the plain twiddle.
+ * The twiddles of kLanes consecutive butterflies whose first reads
+ * entry @p e: entries e, e + 1, ... (one load), or on a mirrored table
+ * (kMirror) e, e - 1, ... (one load with its lanes reversed).
  */
-template <class Isa>
+template <class Isa, bool kMirror>
+MQX_FORCE_INLINE simd::DV<Isa>
+loadTwiddlesV(DConstSpan t, size_t e)
+{
+    if constexpr (kMirror) {
+        const auto x = simd::loadDv<Isa>(t.hi, t.lo, e + 1 - Isa::kLanes);
+        return {Isa::reverse(x.hi), Isa::reverse(x.lo)};
+    } else {
+        return simd::loadDv<Isa>(t.hi, t.lo, e);
+    }
+}
+
+/**
+ * Stage-s twiddles as vectors: butterfly j reads entry twiddleIndex(tw,
+ * s, j). While 2^s < kLanes every vector of butterflies reads the same
+ * pattern, so it is built once per stage; from 2^s >= kLanes on, a
+ * vector's entries are contiguous (j is a multiple of kLanes) and cost
+ * one load (loadTwiddlesV). kMirror must match tw.mirrored. at() gives
+ * the Shoup form, value() the plain twiddle.
+ */
+template <class Isa, bool kMirror = false>
 class StageTwiddles
 {
   public:
     StageTwiddles(const PeaseTwiddles& tw, int s)
-        : w_(tw.w), wq_(tw.wq), off_(tw.offset(s)),
+        : w_(tw.w), wq_(tw.wq), base_(twiddleIndex(tw, s, 0)),
           mask_((size_t{1} << s) - 1), hoisted_(mask_ + 1 < Isa::kLanes)
     {
         if (!hoisted_)
@@ -671,7 +705,7 @@ class StageTwiddles
         alignas(64) uint64_t th[Isa::kLanes], tl[Isa::kLanes];
         alignas(64) uint64_t qh[Isa::kLanes], ql[Isa::kLanes];
         for (size_t i = 0; i < Isa::kLanes; ++i) {
-            const size_t e = off_ + (i & mask_);
+            const size_t e = index(i);
             th[i] = w_.hi[e];
             tl[i] = w_.lo[e];
             qh[i] = wq_.hi[e];
@@ -686,9 +720,9 @@ class StageTwiddles
     {
         if (hoisted_)
             return pattern_;
-        const size_t e = off_ + (j & mask_);
-        return simd::makeShoupW<Isa>(simd::loadDv<Isa>(w_.hi, w_.lo, e),
-                                     simd::loadDv<Isa>(wq_.hi, wq_.lo, e));
+        const size_t e = index(j);
+        return simd::makeShoupW<Isa>(loadTwiddlesV<Isa, kMirror>(w_, e),
+                                     loadTwiddlesV<Isa, kMirror>(wq_, e));
     }
 
     simd::DV<Isa>
@@ -696,12 +730,19 @@ class StageTwiddles
     {
         if (hoisted_)
             return value_;
-        return simd::loadDv<Isa>(w_.hi, w_.lo, off_ + (j & mask_));
+        return loadTwiddlesV<Isa, kMirror>(w_, index(j));
     }
 
   private:
+    /** twiddleIndex(tw, s, j) from the hoisted entry of butterfly 0. */
+    size_t
+    index(size_t j) const
+    {
+        return kMirror ? base_ - (j & mask_) : base_ + (j & mask_);
+    }
+
     DConstSpan w_, wq_;
-    size_t off_, mask_;
+    size_t base_, mask_;
     bool hoisted_;
     simd::DV<Isa> value_{};
     simd::ShoupW<Isa> pattern_{};
@@ -709,17 +750,18 @@ class StageTwiddles
 
 /**
  * Second-layer twiddles of the fused pass over stages (s, s+1): pass p
- * runs stage-(s+1) butterflies 2p and 2p + 1, which read the adjacent
- * entries offset(s+1) + 2 (p mod 2^s) + {0, 1}. Hoisted patterns while
- * 2^s < kLanes, else one load of 2 kLanes contiguous entries split into
- * the even and odd twiddles.
+ * runs stage-(s+1) butterflies 2p and 2p + 1, which read adjacent
+ * entries (twiddleIndex(tw, s + 1, 2p) + {0, 1}, or - {0, 1} on a
+ * mirrored table). Hoisted patterns while 2^s < kLanes, else one load
+ * of 2 kLanes contiguous entries split into the even and odd twiddles
+ * (mirrored: the split's lane selects also reverse them, for free).
  */
-template <class Isa>
+template <class Isa, bool kMirror = false>
 class PairTwiddles
 {
   public:
     PairTwiddles(const PeaseTwiddles& tw, int s)
-        : w_(tw.w), wq_(tw.wq), off_(tw.offset(s + 1)),
+        : w_(tw.w), wq_(tw.wq), base_(twiddleIndex(tw, s + 1, 0)),
           mask_((size_t{1} << s) - 1), hoisted_(mask_ + 1 < Isa::kLanes)
     {
         if (!hoisted_)
@@ -727,7 +769,7 @@ class PairTwiddles
         alignas(64) uint64_t t[4][2][Isa::kLanes];
         for (size_t i = 0; i < Isa::kLanes; ++i) {
             for (size_t odd = 0; odd < 2; ++odd) {
-                const size_t e = off_ + 2 * (i & mask_) + odd;
+                const size_t e = kMirror ? index(i) - odd : index(i) + odd;
                 t[0][odd][i] = w_.hi[e];
                 t[1][odd][i] = w_.lo[e];
                 t[2][odd][i] = wq_.hi[e];
@@ -748,17 +790,40 @@ class PairTwiddles
             odd = odd_;
             return;
         }
-        const size_t e = off_ + 2 * (p & mask_);
+        const size_t e = index(p);
         simd::DV<Isa> we, wo, qe, qo;
-        loadDeinterleaved<Isa>(w_.hi, w_.lo, e, e + Isa::kLanes, we, wo);
-        loadDeinterleaved<Isa>(wq_.hi, wq_.lo, e, e + Isa::kLanes, qe, qo);
+        split(w_, e, we, wo);
+        split(wq_, e, qe, qo);
         even = simd::makeShoupW<Isa>(we, qe);
         odd = simd::makeShoupW<Isa>(wo, qo);
     }
 
   private:
+    /** twiddleIndex(tw, s + 1, 2p): the even butterfly of pass p. */
+    size_t
+    index(size_t p) const
+    {
+        return kMirror ? base_ - 2 * (p & mask_) : base_ + 2 * (p & mask_);
+    }
+
+    static MQX_FORCE_INLINE void
+    split(DConstSpan t, size_t e, simd::DV<Isa>& even, simd::DV<Isa>& odd)
+    {
+        if constexpr (kMirror) {
+            const size_t b = e + 1 - 2 * Isa::kLanes;
+            Isa::deinterleave2Reversed(Isa::loadu(t.hi + b),
+                                       Isa::loadu(t.hi + b + Isa::kLanes),
+                                       even.hi, odd.hi);
+            Isa::deinterleave2Reversed(Isa::loadu(t.lo + b),
+                                       Isa::loadu(t.lo + b + Isa::kLanes),
+                                       even.lo, odd.lo);
+        } else {
+            loadDeinterleaved<Isa>(t.hi, t.lo, e, e + Isa::kLanes, even, odd);
+        }
+    }
+
     DConstSpan w_, wq_;
-    size_t off_, mask_;
+    size_t base_, mask_;
     bool hoisted_;
     simd::ShoupW<Isa> even_{}, odd_{};
 };
@@ -911,7 +976,12 @@ forwardStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
                                                dst, s, j, last, shape);
 }
 
-template <class Isa, MulAlgo kAlgo>
+/**
+ * The inverse sweeps carry kMirror == tw.mirrored as a template
+ * argument: a mirrored table's butterflies (all but the last stage's)
+ * take v - u, so their operands trade places at no run-time cost.
+ */
+template <class Isa, MulAlgo kAlgo, bool kMirror>
 void
 inverseStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
               const PeaseTwiddles& tw, const PingPong& pp, int s,
@@ -921,7 +991,7 @@ inverseStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
     const uint64_t* src_hi = pp.srcHi();
     const uint64_t* src_lo = pp.srcLo();
     const DSpan dst = pp.dst();
-    StageTwiddles<Isa> tws(tw, s);
+    StageTwiddles<Isa, kMirror> tws(tw, s);
     const LastFactorsV<Isa> lastf(tw);
     size_t j = 0;
     if (shape.red == Reduction::Barrett) {
@@ -929,14 +999,15 @@ inverseStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
                                 Isa::set1(tw.last_sum.lo)};
         const simd::DV<Isa> diff{Isa::set1(tw.last_diff.hi),
                                  Isa::set1(tw.last_diff.lo)};
+        const bool swap = kMirror && s != 0;
         for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
             simd::DV<Isa> u, v;
             loadDeinterleaved<Isa>(src_hi, src_lo, 2 * j, 2 * j + Isa::kLanes,
                                    u, v);
             auto x0 = simd::addModV<Isa>(ctx, u, v);
-            auto x1 = simd::mulModV<Isa>(ctx, simd::subModV<Isa>(ctx, u, v),
-                                         s == 0 ? diff : tws.value(j),
-                                         kAlgo);
+            auto x1 = simd::mulModV<Isa>(
+                ctx, simd::subModV<Isa>(ctx, swap ? v : u, swap ? u : v),
+                s == 0 ? diff : tws.value(j), kAlgo);
             if (s == 0)
                 x0 = simd::mulModV<Isa>(ctx, x0, sum, kAlgo);
             simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
@@ -951,8 +1022,8 @@ inverseStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
                 inverseLastButterflyV<Isa>(ctx, u, v, lastf, kAlgo, x0,
                                            x1);
             else
-                inverseButterflyV<Isa>(ctx, u, v, tws.at(j), kAlgo, x0,
-                                       x1);
+                inverseButterflyV<Isa>(ctx, kMirror ? v : u, kMirror ? u : v,
+                                       tws.at(j), kAlgo, x0, x1);
             simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
             simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
         }
@@ -997,7 +1068,7 @@ forwardPass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
                                             p, last, kAlgo);
 }
 
-template <class Isa, MulAlgo kAlgo>
+template <class Isa, MulAlgo kAlgo, bool kMirror>
 void
 inversePass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
               const PeaseTwiddles& tw, const PingPong& pp, int s)
@@ -1007,8 +1078,8 @@ inversePass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
     const uint64_t* src_hi = pp.srcHi();
     const uint64_t* src_lo = pp.srcLo();
     const DSpan dst = pp.dst();
-    StageTwiddles<Isa> tw0(tw, s);
-    PairTwiddles<Isa> tw1(tw, s);
+    StageTwiddles<Isa, kMirror> tw0(tw, s);
+    PairTwiddles<Isa, kMirror> tw1(tw, s);
     const LastFactorsV<Isa> lastf(tw);
     size_t p = 0;
     for (; p + Isa::kLanes <= h2; p += Isa::kLanes) {
@@ -1018,16 +1089,20 @@ inversePass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
         simd::ShoupW<Isa> wa, wb;
         tw1.at(p, wa, wb);
         // First layer (inverse stage s+1): butterflies 2p and 2p + 1.
-        inverseButterflyV<Isa>(ctx, z0, z1, wa, kAlgo, y0, yh0);
-        inverseButterflyV<Isa>(ctx, z2, z3, wb, kAlgo, y1, yh1);
+        inverseButterflyV<Isa>(ctx, kMirror ? z1 : z0, kMirror ? z0 : z1, wa,
+                               kAlgo, y0, yh0);
+        inverseButterflyV<Isa>(ctx, kMirror ? z3 : z2, kMirror ? z2 : z3, wb,
+                               kAlgo, y1, yh1);
         // Second layer (inverse stage s): butterflies p and p + h/2.
         if (s == 0) {
             inverseLastButterflyV<Isa>(ctx, y0, y1, lastf, kAlgo, x0, x2);
             inverseLastButterflyV<Isa>(ctx, yh0, yh1, lastf, kAlgo, x1, x3);
         } else {
             const auto w0 = tw0.at(p);
-            inverseButterflyV<Isa>(ctx, y0, y1, w0, kAlgo, x0, x2);
-            inverseButterflyV<Isa>(ctx, yh0, yh1, w0, kAlgo, x1, x3);
+            inverseButterflyV<Isa>(ctx, kMirror ? y1 : y0, kMirror ? y0 : y1,
+                                   w0, kAlgo, x0, x2);
+            inverseButterflyV<Isa>(ctx, kMirror ? yh1 : yh0,
+                                   kMirror ? yh0 : yh1, w0, kAlgo, x1, x3);
         }
         simd::storeDv<Isa>(dst.hi, dst.lo, p, x0);
         simd::storeDv<Isa>(dst.hi, dst.lo, p + h2, x1);
@@ -1093,7 +1168,12 @@ forwardBatchCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
     }
 }
 
-/** Inverse batch sweeps (see the forward core). */
+/**
+ * Inverse batch sweeps (see the forward core) on the merged table, read
+ * mirrored (the batch kernels serve the negacyclic tables only): the
+ * reversed twiddle vector of each j is reused across the il lanes, and
+ * every butterfly but the last stage's takes v - u.
+ */
 template <class Isa, size_t IL>
 void
 inverseBatchCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
@@ -1112,7 +1192,7 @@ inverseBatchCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
         const uint64_t* src_hi = pp.srcHi();
         const uint64_t* src_lo = pp.srcLo();
         const DSpan dst = pp.dst();
-        StageTwiddles<Isa> tws(tw, s);
+        StageTwiddles<Isa, true> tws(tw, s);
         for (size_t j = 0; j + Isa::kLanes <= h; j += Isa::kLanes) {
             const auto wj = tws.at(j);
             const size_t ji0 = batchIndex(2 * j, 0, il);
@@ -1133,7 +1213,7 @@ inverseBatchCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
                     inverseLastButterflyV<Isa>(ctx, u, v, lastf,
                                                MulAlgo::Schoolbook, x0, x1);
                 else
-                    inverseButterflyV<Isa>(ctx, u, v, wj, MulAlgo::Schoolbook,
+                    inverseButterflyV<Isa>(ctx, v, u, wj, MulAlgo::Schoolbook,
                                            x0, x1);
                 simd::storeDv<Isa>(dst.hi, dst.lo, jx0 + c * w8, x0);
                 simd::storeDv<Isa>(dst.hi, dst.lo, jx1 + c * w8, x1);
@@ -1173,8 +1253,9 @@ forwardSweeps(const NttPlan& plan, const PeaseTwiddles& tw, DConstSpan in,
     }
 }
 
-/** The sweeps of inverseImpl with the multiply algorithm fixed. */
-template <class Isa, MulAlgo kAlgo>
+/** The sweeps of inverseImpl with the multiply algorithm and the
+ *  table's mirroring fixed. */
+template <class Isa, MulAlgo kAlgo, bool kMirror>
 void
 inverseSweeps(const NttPlan& plan, const PeaseTwiddles& tw, DConstSpan in,
               DSpan out, DSpan scratch, PeaseShape shape)
@@ -1186,10 +1267,10 @@ inverseSweeps(const NttPlan& plan, const PeaseTwiddles& tw, DConstSpan in,
     PingPong pp(in, out, scratch, peasePasses(m, fused));
     for (int s = m - 1; s >= 0; pp.next()) {
         if (fused && s >= 1) {
-            inversePass4V<Isa, kAlgo>(ctx, plan, tw, pp, s - 1);
+            inversePass4V<Isa, kAlgo, kMirror>(ctx, plan, tw, pp, s - 1);
             s -= 2;
         } else {
-            inverseStageV<Isa, kAlgo>(ctx, plan, tw, pp, s, shape);
+            inverseStageV<Isa, kAlgo, kMirror>(ctx, plan, tw, pp, s, shape);
             s -= 1;
         }
     }
@@ -1229,13 +1310,19 @@ inverseImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,
             DConstSpan in, DSpan out, DSpan scratch, detail::PeaseShape shape)
 {
     detail::validateNttArgs(plan, in, out, scratch);
+    auto sweeps = [&]<MulAlgo kAlgo>() {
+        if (tw.mirrored)
+            detail::inverseSweeps<Isa, kAlgo, true>(plan, tw, in, out,
+                                                    scratch, shape);
+        else
+            detail::inverseSweeps<Isa, kAlgo, false>(plan, tw, in, out,
+                                                     scratch, shape);
+    };
     if constexpr (!Isa::kHasIfma) {
         if (shape.algo == MulAlgo::Karatsuba)
-            return detail::inverseSweeps<Isa, MulAlgo::Karatsuba>(
-                plan, tw, in, out, scratch, shape);
+            return sweeps.template operator()<MulAlgo::Karatsuba>();
     }
-    detail::inverseSweeps<Isa, MulAlgo::Schoolbook>(plan, tw, in, out, scratch,
-                                                 shape);
+    sweeps.template operator()<MulAlgo::Schoolbook>();
 }
 
 /** Forward over il lanes packed by batch::packLanes; per lane
@@ -1259,7 +1346,7 @@ forwardBatchImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,
     }
 }
 
-/** Batch counterpart of inverseImpl. */
+/** Batch counterpart of inverseImpl, on the merged (mirrored) table. */
 template <class Isa>
 void
 inverseBatchImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,

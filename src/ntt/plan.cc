@@ -35,33 +35,42 @@ NttPlan::NttPlan(const Modulus& modulus, size_t n)
     omega_ = rootOfUnity(mod_, U128{static_cast<uint64_t>(n)});
     omega_inv_ = mod_.inverse(omega_);
     n_inv_ = mod_.inverse(mod_.reduce(U128{static_cast<uint64_t>(n)}));
-
-    // T[k] = omega^brev(k) fills in order: brev(2^l + i) = n/2^(l+2) +
-    // brev(i) for i < 2^l, so entry 2^l + i is entry i times
-    // omega^(n/2^(l+2)) — n/2 multiplies per direction, as a running
-    // power would take, plus the Shoup companion of every entry.
-    const size_t h = half();
-    fwd_.ensure(h);
-    inv_.ensure(h);
-    fwd_shoup_.ensure(h);
-    inv_shoup_.ensure(h);
-    fwd_.set(0, U128{1});
-    inv_.set(0, U128{1});
-    for (int l = 0; (size_t{1} << l) < h; ++l) {
-        const size_t base = size_t{1} << l;
-        const U128 step{static_cast<uint64_t>(h >> (l + 1))};
-        const U128 zf = mod_.pow(omega_, step);
-        const U128 zi = mod_.pow(omega_inv_, step);
-        for (size_t i = 0; i < base; ++i) {
-            fwd_.set(base + i, mod_.mul(fwd_.at(i), zf));
-            inv_.set(base + i, mod_.mul(inv_.at(i), zi));
-        }
-    }
-    for (size_t k = 0; k < h; ++k) {
-        fwd_shoup_.set(k, mod_.shoupCompanion(fwd_.at(k)));
-        inv_shoup_.set(k, mod_.shoupCompanion(inv_.at(k)));
-    }
     n_inv_shoup_ = mod_.shoupCompanion(n_inv_);
+}
+
+const NttPlan::LazyTables&
+NttPlan::tables() const
+{
+    LazyTables& t = *lazy_;
+    std::call_once(t.once, [&] {
+        // T[k] = omega^brev(k) fills in order: brev(2^l + i) = n/2^(l+2)
+        // + brev(i) for i < 2^l, so entry 2^l + i is entry i times
+        // omega^(n/2^(l+2)) — n/2 multiplies per direction, as a running
+        // power would take, plus the Shoup companion of every entry.
+        const size_t h = half();
+        t.fwd.ensure(h);
+        t.inv.ensure(h);
+        t.fwd_shoup.ensure(h);
+        t.inv_shoup.ensure(h);
+        t.fwd.set(0, U128{1});
+        t.inv.set(0, U128{1});
+        for (int l = 0; (size_t{1} << l) < h; ++l) {
+            const size_t base = size_t{1} << l;
+            const U128 step{static_cast<uint64_t>(h >> (l + 1))};
+            const U128 zf = mod_.pow(omega_, step);
+            const U128 zi = mod_.pow(omega_inv_, step);
+            for (size_t i = 0; i < base; ++i) {
+                t.fwd.set(base + i, mod_.mul(t.fwd.at(i), zf));
+                t.inv.set(base + i, mod_.mul(t.inv.at(i), zi));
+            }
+        }
+        for (size_t k = 0; k < h; ++k) {
+            t.fwd_shoup.set(k, mod_.shoupCompanion(t.fwd.at(k)));
+            t.inv_shoup.set(k, mod_.shoupCompanion(t.inv.at(k)));
+        }
+        t.built.store(true, std::memory_order_release);
+    });
+    return t;
 }
 
 size_t

@@ -33,14 +33,23 @@
  * stage s, butterfly j reads T[j mod 2^s], because zeta of level s,
  * factor b is T[b] for every b < 2^s. Stage s therefore reads the
  * first 2^s entries: broadcast-like patterns in the first log2(lanes)
- * stages and contiguous loads after that. The merged negacyclic tables
- * (ntt/negacyclic.h) have the same shape with n entries, read at
- * 2^s + (j mod 2^s); one kernel body (ntt/pease_impl.h) serves both.
+ * stages and contiguous loads after that. The merged negacyclic table
+ * (ntt/negacyclic.h) has the same shape with n entries, read at
+ * 2^s + (j mod 2^s) by its forward and mirrored by its inverse; one
+ * kernel body (ntt/pease_impl.h) serves both.
+ *
+ * The plan computes omega, n^-1 and n^-1's Shoup companion eagerly and
+ * the four cyclic tables on first read (under one std::call_once,
+ * shared by every copy of the plan): a plan that only serves the
+ * merged negacyclic transforms never builds them.
  */
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/aligned.h"
@@ -58,7 +67,8 @@ using mqx::DSpan;
 using mqx::ResidueVector;
 
 /**
- * Immutable per-(q, n) precomputation shared by all backends.
+ * Immutable per-(q, n) precomputation shared by all backends. Copies
+ * share the lazily built cyclic tables.
  */
 class NttPlan
 {
@@ -95,18 +105,35 @@ class NttPlan
      * Cyclic stage twiddles, n/2 entries: entry k = omega^brev(k), so
      * stage s, butterfly j reads entry j mod 2^s. The inverse table
      * holds omega^-brev(k); the Shoup companions are floor(w * 2^128 /
-     * q) of each entry.
+     * q) of each entry. The first read of any of the four builds all
+     * four (thread-safe).
      */
-    const ResidueVector& forwardTwiddles() const { return fwd_; }
-    const ResidueVector& inverseTwiddles() const { return inv_; }
-    const ResidueVector& forwardTwiddlesShoup() const { return fwd_shoup_; }
-    const ResidueVector& inverseTwiddlesShoup() const { return inv_shoup_; }
+    const ResidueVector& forwardTwiddles() const { return tables().fwd; }
+    const ResidueVector& inverseTwiddles() const { return tables().inv; }
+    const ResidueVector&
+    forwardTwiddlesShoup() const
+    {
+        return tables().fwd_shoup;
+    }
+    const ResidueVector&
+    inverseTwiddlesShoup() const
+    {
+        return tables().inv_shoup;
+    }
+
+    /** Whether a read has built the cyclic tables yet. */
+    bool
+    twiddlesBuilt() const
+    {
+        return lazy_->built.load(std::memory_order_acquire);
+    }
 
     size_t half() const { return n_ / 2; }
 
     /**
      * Bytes of twiddle storage (for the paper's L2 discussion, §5.4):
-     * 4 split-layout tables (fwd/inv x value/Shoup) of n/2 entries.
+     * 4 split-layout tables (fwd/inv x value/Shoup) of n/2 entries,
+     * allocated once twiddlesBuilt().
      */
     size_t twiddleBytes() const;
 
@@ -127,6 +154,19 @@ class NttPlan
     size_t bytesSweptPerTransform(StageFusion fusion) const;
 
   private:
+    /** The cyclic tables and their build-once state. */
+    struct LazyTables
+    {
+        std::once_flag once;
+        std::atomic<bool> built{false};
+        ResidueVector fwd;       ///< omega^brev(k), k < n/2
+        ResidueVector inv;       ///< omega^-brev(k)
+        ResidueVector fwd_shoup; ///< floor(fwd[k] * 2^128 / q)
+        ResidueVector inv_shoup; ///< floor(inv[k] * 2^128 / q)
+    };
+
+    const LazyTables& tables() const;
+
     Modulus mod_;
     size_t n_ = 0;
     int logn_ = 0;
@@ -134,10 +174,7 @@ class NttPlan
     U128 omega_inv_{};
     U128 n_inv_{};
     U128 n_inv_shoup_{};
-    ResidueVector fwd_;       ///< omega^brev(k), k < n/2
-    ResidueVector inv_;       ///< omega^-brev(k)
-    ResidueVector fwd_shoup_; ///< floor(fwd_[k] * 2^128 / q)
-    ResidueVector inv_shoup_; ///< floor(inv_[k] * 2^128 / q)
+    std::shared_ptr<LazyTables> lazy_ = std::make_shared<LazyTables>();
 };
 
 /** In-place bit-reversal permutation of a split-layout vector. */

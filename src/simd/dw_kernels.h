@@ -586,7 +586,7 @@ condSubDwV(const ModCtx<Isa>& ctx, const DV<Isa>& x, typename Isa::V bh,
  * 18 more give columns 0..2 of a*w + h*(2^128 - q).
  */
 template <class Isa>
-inline DV<Isa>
+MQX_FORCE_INLINE DV<Isa>
 mulModShoupIfmaV(const ModCtx<Isa>& ctx, const DV<Isa>& a,
                  const Limbs52<Isa>& w, const Limbs52<Isa>& b)
 {
@@ -731,7 +731,7 @@ windowLimbs52(const IfmaCtx<Isa>& k, const Limbs52x5<Isa>& x, LimbShift s)
  * the same two exact corrections.
  */
 template <class Isa>
-inline DV<Isa>
+MQX_FORCE_INLINE DV<Isa>
 mulModBarrettIfmaV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
     using V = typename Isa::V;

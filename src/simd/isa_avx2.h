@@ -203,6 +203,18 @@ struct Avx2Isa
         even = _mm256_unpacklo_epi64(t0, t1);
         odd = _mm256_unpackhi_epi64(t0, t1);
     }
+
+    static V reverse(V x) { return _mm256_permute4x64_epi64(x, 0x1b); }
+
+    static void
+    deinterleave2Reversed(V a, V b, V& even, V& odd)
+    {
+        // The reversal rides on the lane selects: c = (a, b) = c0..c7.
+        V t0 = _mm256_permute2x128_si256(a, b, 0x13); // (c6, c7, c2, c3)
+        V t1 = _mm256_permute2x128_si256(a, b, 0x02); // (c4, c5, c0, c1)
+        even = _mm256_unpackhi_epi64(t0, t1);         // (c7, c5, c3, c1)
+        odd = _mm256_unpacklo_epi64(t0, t1);          // (c6, c4, c2, c0)
+    }
 };
 
 } // namespace simd

@@ -186,6 +186,24 @@ struct Avx512Isa
         even = _mm512_permutex2var_epi64(a, idx_even, b);
         odd = _mm512_permutex2var_epi64(a, idx_odd, b);
     }
+
+    static V
+    reverse(V x)
+    {
+        return _mm512_permutexvar_epi64(_mm512_setr_epi64(7, 6, 5, 4, 3, 2,
+                                                          1, 0),
+                                        x);
+    }
+
+    static void
+    deinterleave2Reversed(V a, V b, V& even, V& odd)
+    {
+        // deinterleave2 with the reversal folded into its indices.
+        const V idx_even = _mm512_setr_epi64(15, 13, 11, 9, 7, 5, 3, 1);
+        const V idx_odd = _mm512_setr_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+        even = _mm512_permutex2var_epi64(a, idx_even, b);
+        odd = _mm512_permutex2var_epi64(a, idx_odd, b);
+    }
 };
 
 } // namespace simd

@@ -17,7 +17,8 @@
  *   mask    maskOr, maskAnd, maskNot, maskZero
  *   select  maskAdd, maskSub (merge-masked), blend (m ? b : a)
  *   carry   adc, sbb (Table 1 / Table 2), mulWide (widening multiply)
- *   shuffle interleave2, deinterleave2 (Pease NTT stage wiring)
+ *   shuffle interleave2, deinterleave2 (Pease NTT stage wiring),
+ *           reverse, deinterleave2Reversed (mirrored twiddle loads)
  */
 #pragma once
 
@@ -284,6 +285,26 @@ struct PortableIsa
         }
         even = u;
         odd = v;
+    }
+
+    /** Lanes in reverse order: r[i] = x[kLanes - 1 - i]. */
+    static V
+    reverse(V x)
+    {
+        V r;
+        for (size_t i = 0; i < kLanes; ++i)
+            r.l[i] = x.l[kLanes - 1 - i];
+        return r;
+    }
+
+    /**
+     * deinterleave2 of the reversed concatenation c = (a, b):
+     * even[i] = c[2 kLanes - 1 - 2i], odd[i] = c[2 kLanes - 2 - 2i].
+     */
+    static void
+    deinterleave2Reversed(V a, V b, V& even, V& odd)
+    {
+        deinterleave2(reverse(b), reverse(a), even, odd);
     }
 };
 

@@ -259,20 +259,60 @@ TEST(PlanCache, TwiddleBytesAccountShoupAndTwistTables)
     EXPECT_EQ(cache.twiddleBytes(), 0u);
 
     auto tables = cache.getNegacyclic(prime, 64);
-    // The plan's own accounting already includes the Shoup companions
-    // (8 arrays of n/2 words); the entry adds its psi tables and their
-    // companions (4 split vectors of n elements).
+    // An entry holds its psi table and the table's Shoup companions (2
+    // split vectors of n elements, 32n bytes); its plan's cyclic tables
+    // (8 arrays of n/2 words, Shoup companions included) count only
+    // once a cyclic transform has built them.
+    EXPECT_EQ(tables->tableBytes(), 32u * 64);
     EXPECT_EQ(tables->plan().twiddleBytes(), 8u * 32 * sizeof(uint64_t));
-    EXPECT_EQ(tables->tableBytes(), 4u * 2 * 64 * sizeof(uint64_t));
+    EXPECT_FALSE(tables->plan().twiddlesBuilt());
+    EXPECT_EQ(cache.twiddleBytes(), tables->tableBytes());
+
+    ResidueVector in(64), out(64), scratch(64);
+    ntt::forward(tables->plan(), Backend::Scalar, in.span(), out.span(),
+                 scratch.span());
+    EXPECT_TRUE(tables->plan().twiddlesBuilt());
     EXPECT_EQ(cache.twiddleBytes(),
               tables->plan().twiddleBytes() + tables->tableBytes());
 
     auto tables2 = cache.getNegacyclic(prime, 128);
-    EXPECT_EQ(cache.twiddleBytes(),
-              tables->plan().twiddleBytes() + tables->tableBytes() +
-                  tables2->plan().twiddleBytes() + tables2->tableBytes());
+    EXPECT_EQ(tables2->tableBytes(), 32u * 128);
+    EXPECT_EQ(cache.twiddleBytes(), tables->plan().twiddleBytes() +
+                                        tables->tableBytes() +
+                                        tables2->tableBytes());
     cache.clear();
     EXPECT_EQ(cache.twiddleBytes(), 0u);
+}
+
+TEST(PlanCache, EngineOpsBuildNoCyclicTables)
+{
+    // polymul, fma and batch polymul at n = 4096 over four channels run
+    // the merged negacyclic kernels only: the cache holds one psi table
+    // per channel and no plan's cyclic tables.
+    static rns::RnsBasis basis(40, 13, 4);
+    const size_t n = 4096;
+    engine::Engine eng(bestBackend(), 2);
+    std::vector<rns::RnsPolynomial> as, bs;
+    std::vector<std::pair<const rns::RnsPolynomial*,
+                          const rns::RnsPolynomial*>>
+        products;
+    for (uint64_t i = 0; i < 8; ++i) {
+        as.push_back(rns::randomPolynomial(basis, n, 300 + i));
+        bs.push_back(rns::randomPolynomial(basis, n, 400 + i));
+    }
+    for (size_t i = 0; i < as.size(); ++i)
+        products.push_back({&as[i], &bs[i]});
+
+    (void)eng.polymulNegacyclic(as[0], bs[0]);
+    (void)eng.fmaBatch(products);
+    (void)eng.polymulNegacyclicBatch(products);
+    engine::PlanCache& cache = eng.planCache();
+    EXPECT_EQ(cache.size(), 4u);
+    const auto tables = cache.getNegacyclic(basis.prime(0), n);
+    EXPECT_EQ(cache.twiddleBytes(), 4 * tables->tableBytes());
+    for (size_t c = 0; c < 4; ++c)
+        EXPECT_FALSE(
+            cache.getNegacyclic(basis.prime(c), n)->plan().twiddlesBuilt());
 }
 
 TEST(PlanCache, EnginePolymulHitsCacheOnRepeat)
@@ -339,16 +379,14 @@ TEST(EngineParallelLargeN, ThreadedPolymulRoundTripAt65536)
 
     engine::Engine eng(be, 4);
     expectIdentical(eng.polymulNegacyclic(a, b), poly_ref);
-    // Every cached plan is direct: its tables are exactly the 8 power
-    // arrays of n/2 words, and the cache holds nothing beyond those
-    // plus each channel's negacyclic psi tables.
+    // The cache holds each channel's merged psi table and nothing else:
+    // no Engine op builds a plan's cyclic tables.
     const size_t k = basis.size();
     EXPECT_EQ(eng.planCache().size(), k);
     auto tables = eng.planCache().getNegacyclic(basis.prime(0), n);
     EXPECT_TRUE(ntt::batchSupported(tables->plan()));
-    EXPECT_EQ(tables->plan().twiddleBytes(), 8 * (n / 2) * sizeof(uint64_t));
-    EXPECT_EQ(eng.planCache().twiddleBytes(),
-              k * (8 * (n / 2) * sizeof(uint64_t) + tables->tableBytes()));
+    EXPECT_EQ(tables->tableBytes(), 32 * n);
+    EXPECT_EQ(eng.planCache().twiddleBytes(), k * tables->tableBytes());
 
     // Round trip through the evaluation form at the same size.
     auto back = eng.toCoeff(eng.toEval(a));

@@ -182,39 +182,72 @@ TEST(NegacyclicMerged, TablesHoldBitReversedPsiPowers)
     const size_t n = 16;
     auto t = tablesFor(n);
     const Modulus& m = t->plan().modulus();
-    const U128 psi_inv = m.inverse(t->psi());
-    for (size_t k = 2; k < n; ++k) {
+    for (size_t k = 0; k < n; ++k) {
         const size_t e = ((k & 1) << 3) | ((k & 2) << 1) | ((k & 4) >> 1) |
                          ((k & 8) >> 3); // 4-bit reversal
-        EXPECT_EQ(t->forwardTwiddles().at(k), m.pow(t->psi(), U128{e}));
-        EXPECT_EQ(t->inverseTwiddles().at(k), m.pow(psi_inv, U128{e}));
+        EXPECT_EQ(t->twiddles().at(k), m.pow(t->psi(), U128{e}));
     }
-    // The last inverse stage's multipliers carry n^-1.
-    const U128 n_inv = t->plan().nInv();
-    EXPECT_EQ(t->forwardTwiddles().at(1), m.pow(t->psi(), U128{n / 2}));
-    EXPECT_EQ(t->inverseTwiddles().at(0), n_inv);
-    EXPECT_EQ(t->inverseTwiddles().at(1),
-              m.mul(m.pow(psi_inv, U128{n / 2}), n_inv));
+    EXPECT_EQ(t->twiddles().at(1), m.pow(t->psi(), U128{n / 2}));
 }
 
 TEST(NegacyclicTables, ShoupCompanionsMatchOracle)
 {
-    // Every companion, entries 0 and 1 (which hold n^-1) included, is
-    // the BigUInt oracle's floor(w * 2^128 / q).
+    // Every companion is the BigUInt oracle's floor(w * 2^128 / q).
     const std::pair<ntt::NttPrime, size_t> cases[] = {
         {testPrime(), 256}, {ntt::defaultBenchPrime(), 4096}};
     for (const auto& [prime, n] : cases) {
         ntt::NegacyclicTables t(prime, n);
         const mod::DW<uint64_t> q = mod::toDw(prime.q);
         for (size_t k = 0; k < n; ++k) {
-            EXPECT_EQ(t.forwardTwiddlesShoup().at(k),
+            EXPECT_EQ(t.twiddlesShoup().at(k),
                       mod::fromDw(mod::shoupPrecompute(
-                          mod::toDw(t.forwardTwiddles().at(k)), q)))
-                << "forward k=" << k << " n=" << n;
-            EXPECT_EQ(t.inverseTwiddlesShoup().at(k),
-                      mod::fromDw(mod::shoupPrecompute(
-                          mod::toDw(t.inverseTwiddles().at(k)), q)))
-                << "inverse k=" << k << " n=" << n;
+                          mod::toDw(t.twiddles().at(k)), q)))
+                << "k=" << k << " n=" << n;
+        }
+    }
+}
+
+TEST(NegacyclicTables, MirroredTableHoldsTheInverseTwiddles)
+{
+    // The merged inverse's stage s >= 1, factor b needs psi^-brev(2^s +
+    // b) and reads q - entry 2^(s+1) - 1 - b of the forward table; its
+    // last stage needs n^-1 and psi^-(n/2) * n^-1. Oracle: powers of
+    // psi^-1 and the BigUInt Shoup companions.
+    const ntt::NttPrime primes[] = {ntt::defaultBenchPrime(),
+                                    ntt::findNttPrime(40, 13)};
+    for (const ntt::NttPrime& prime : primes) {
+        for (size_t n : {size_t{16}, size_t{256}, size_t{4096}}) {
+            SCOPED_TRACE("n=" + std::to_string(n));
+            ntt::NegacyclicTables t(prime, n);
+            const ntt::NttPlan& plan = t.plan();
+            const Modulus& m = plan.modulus();
+            const U128 psi_inv = m.inverse(t.psi());
+            const ResidueVector& fwd = t.twiddles();
+            for (size_t half = 2; half < n; half *= 2) { // half = 2^s
+                for (size_t b = 0; b < half; ++b) {
+                    const U128 want = m.pow(
+                        psi_inv,
+                        U128{static_cast<uint64_t>(ntt::bitReverseIndex(
+                            half + b, plan.logn()))});
+                    ASSERT_EQ(want, prime.q - fwd.at(2 * half - 1 - b))
+                        << "2^s=" << half << " b=" << b;
+                }
+            }
+            const mod::DW<uint64_t> q = mod::toDw(prime.q);
+            const U128 n_inv = m.inverse(U128{static_cast<uint64_t>(n)});
+            EXPECT_EQ(plan.nInv(), n_inv);
+            EXPECT_EQ(plan.nInvShoup(), mod::fromDw(mod::shoupPrecompute(
+                                            mod::toDw(n_inv), q)));
+            const U128 diff =
+                m.mul(m.pow(psi_inv, U128{static_cast<uint64_t>(n / 2)}),
+                      n_inv);
+            EXPECT_EQ(t.lastDiff(), diff);
+            EXPECT_EQ(t.lastDiffShoup(), mod::fromDw(mod::shoupPrecompute(
+                                             mod::toDw(diff), q)));
+            const auto iw = ntt::detail::inverseTwiddles(t);
+            EXPECT_TRUE(iw.mirrored && iw.per_level);
+            EXPECT_EQ(iw.last_sum, n_inv);
+            EXPECT_EQ(iw.last_diff, diff);
         }
     }
 }

@@ -6,10 +6,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <latch>
+#include <thread>
 #include <utility>
 
 #include "core/cpu_features.h"
+#include "ntt/negacyclic.h"
 #include "ntt/ntt.h"
 #include "ntt/ntt_backends.h"
 #include "ntt/pease_impl.h"
@@ -160,6 +164,69 @@ TEST(NttPlan, CompactTablesShrinkTwiddleBytes4xAt4096)
     EXPECT_GE(plan.twiddleBytesStretched(), 4 * plan.twiddleBytes());
     EXPECT_EQ(plan.twiddleBytesStretched() / plan.twiddleBytes(),
               static_cast<size_t>(plan.logn()) / 2);
+}
+
+TEST(NttPlan, CyclicTablesBuildOnFirstReadAndCopiesShareThem)
+{
+    ntt::NttPlan plan(testPrime(), 64);
+    const ntt::NttPlan copy = plan; // as ntt::Engine copies its plan
+    EXPECT_FALSE(plan.twiddlesBuilt());
+    EXPECT_EQ(copy.forwardTwiddles().size(), copy.half());
+    EXPECT_TRUE(plan.twiddlesBuilt());
+    EXPECT_EQ(&plan.forwardTwiddles(), &copy.forwardTwiddles());
+}
+
+TEST(NttPlan, LazyTablesRaceFreeUnderConcurrentFirstUse)
+{
+    // Eight threads run the cyclic forward and inverse at once on one
+    // fresh plan, whose first reads race to build its tables; each
+    // output must equal a serial run on another plan. Then the same on
+    // the plan a fresh NegacyclicTables owns.
+    const size_t n = 256;
+    const auto x = randomResidues(n, testPrime().q, 0x1a2b);
+    const Backend be = bestBackend();
+    const ntt::NttPlan ref_plan(testPrime(), n);
+    const ResidueVector want_fwd = ResidueVector::fromU128(
+        runForward(ref_plan, be, x, MulAlgo::Schoolbook,
+                   Reduction::ShoupLazy, StageFusion::Auto));
+    const ResidueVector want_inv = ResidueVector::fromU128(
+        runInverse(ref_plan, be, x, MulAlgo::Schoolbook,
+                   Reduction::ShoupLazy, StageFusion::Auto));
+    auto race = [&](const ntt::NttPlan& plan) {
+        ASSERT_FALSE(plan.twiddlesBuilt());
+        constexpr int kThreads = 8;
+        std::latch start(kThreads);
+        std::atomic<int> mismatches{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                const ResidueVector in = ResidueVector::fromU128(x);
+                ResidueVector out(n), scratch(n);
+                start.arrive_and_wait();
+                // Half the threads read the inverse tables first.
+                for (int k = 0; k < 2; ++k) {
+                    if ((k + t) % 2 == 0) {
+                        ntt::forward(plan, be, in.span(), out.span(),
+                                     scratch.span());
+                        if (!(out == want_fwd))
+                            mismatches.fetch_add(1, std::memory_order_relaxed);
+                    } else {
+                        ntt::inverse(plan, be, in.span(), out.span(),
+                                     scratch.span());
+                        if (!(out == want_inv))
+                            mismatches.fetch_add(1, std::memory_order_relaxed);
+                    }
+                }
+            });
+        }
+        for (auto& th : threads)
+            th.join();
+        EXPECT_EQ(mismatches.load(std::memory_order_relaxed), 0);
+        EXPECT_TRUE(plan.twiddlesBuilt());
+    };
+    race(ntt::NttPlan(testPrime(), n));
+    const ntt::NegacyclicTables tables(testPrime(), n);
+    race(tables.plan());
 }
 
 TEST(NttReference, MatchesEquation11ByHand)
