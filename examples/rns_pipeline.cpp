@@ -68,7 +68,7 @@ main()
     std::printf("  repeat call    : %8.2f us (plan cache: %llu hits, "
                 "deterministic: %s)\n",
                 (t2 - t1) / 1e3,
-                static_cast<unsigned long long>(engine.planCache().hits()),
+                static_cast<unsigned long long>(engine.planCache().stats().hits),
                 warm.channel(0) == prod.channel(0) ? "yes" : "NO");
     std::printf("  CRT reconstruct: %8.2f us\n", (t3 - t2) / 1e3);
 

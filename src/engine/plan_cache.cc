@@ -125,18 +125,6 @@ PlanCache::twiddleBytes() const
     return bytes;
 }
 
-uint64_t
-PlanCache::hits() const
-{
-    return hits_.load(std::memory_order_relaxed);
-}
-
-uint64_t
-PlanCache::misses() const
-{
-    return misses_.load(std::memory_order_relaxed);
-}
-
 PlanCache::Stats
 PlanCache::stats() const
 {

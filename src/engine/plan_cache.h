@@ -70,15 +70,9 @@ class PlanCache
     size_t twiddleBytes() const;
 
     /**
-     * Lookup counters (monotonic; for tests and bench reporting). Each
-     * getNegacyclic() call counts exactly one hit or miss.
-     */
-    uint64_t hits() const;
-    uint64_t misses() const;
-
-    /**
      * Lookup and build accounting in one consistent-enough snapshot
-     * (relaxed reads; exact once the cache is quiescent). builds
+     * (relaxed reads; exact once the cache is quiescent). Each
+     * getNegacyclic() call counts exactly one hit or miss. builds
      * counts actual derivations, one per key — a miss that loses the
      * insert race and waits on another thread's in-flight build is a
      * miss but not a build, so builds <= misses, and a warm second

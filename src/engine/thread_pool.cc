@@ -5,8 +5,6 @@
 #include "engine/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <string>
 
@@ -61,15 +59,35 @@ skippedCounter()
     return c;
 }
 
-/** Shared flags coordinating one parallelFor call's drain-on-failure. */
-struct DrainState {
-    /** Set on first task failure or cancellation: siblings skip. */
-    std::atomic<bool> abort{false};
-    /** Set only by the cancellation path (failure takes precedence). */
-    std::atomic<bool> cancelled{false};
-};
-
 } // namespace
+
+struct ThreadPool::Job
+{
+    const std::function<void(size_t)>& body;
+    const robust::CancelToken* cancel;
+    const size_t end;
+    const size_t count;
+    /** Listed in jobs_ for workers to claim from (set before any can). */
+    bool published = false;
+
+    // Guarded by the pool mutex.
+    /** Next unclaimed index; the job is exhausted at end. */
+    size_t next;
+    /** Tasks counted finished (run or skipped). */
+    size_t finished = 0;
+    /** Lowest index whose body threw (end: none); later claims skip. */
+    size_t failed;
+    /** That index's exception. */
+    std::exception_ptr error;
+    /** Some task saw the token tripped and skipped. */
+    bool cancelled = false;
+
+    Job(const std::function<void(size_t)>& b, const robust::CancelToken* c,
+        size_t begin, size_t e)
+        : body(b), cancel(c), end(e), count(e - begin), next(begin),
+          failed(e)
+    {}
+};
 
 size_t
 defaultThreadCount()
@@ -108,7 +126,7 @@ ThreadPool::ThreadPool(size_t threads)
             std::lock_guard<std::mutex> lock(mutex_);
             stop_ = true;
         }
-        cv_.notify_all();
+        work_cv_.notify_all();
         for (std::thread& w : workers_)
             w.join();
         workers_.clear();
@@ -122,7 +140,7 @@ ThreadPool::~ThreadPool()
         std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
     }
-    cv_.notify_all();
+    work_cv_.notify_all();
     for (std::thread& w : workers_)
         w.join();
 }
@@ -148,85 +166,83 @@ ThreadPool::stats() const
 }
 
 void
-ThreadPool::noteCallerTask(bool stolen)
-{
-    caller_tasks_.fetch_add(1, std::memory_order_relaxed);
-    tasksCounter().add(1);
-    if (stolen) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        stealsCounter().add(1);
-    }
-}
-
-void
 ThreadPool::workerLoop(size_t worker_index)
 {
     telemetry::setThreadName("pool-worker-" + std::to_string(worker_index));
     WorkerCounters& wc = worker_counters_[worker_index];
     std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
-        if (queue_.empty() && !stop_) {
-            // Blocked on an empty queue: the pool-overhead number the
-            // attribution report cites (workers waiting, not working).
+    while (!stop_ || !jobs_.empty()) {
+        if (jobs_.empty()) {
+            // Blocked with nothing to claim: the pool-overhead number
+            // the attribution report cites (workers waiting, not
+            // working).
             const uint64_t t0 = telemetry::nowNs();
-            cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+            work_cv_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
             const uint64_t idle = telemetry::nowNs() - t0;
             wc.idle_ns.fetch_add(idle, std::memory_order_relaxed);
             idleNsCounter().add(idle);
-        }
-        if (queue_.empty()) {
-            if (stop_)
-                return;
             continue;
         }
-        // Attribute BEFORE executing: the task's future becomes ready
-        // the instant the body finishes, and a caller observing that
-        // future must already see the task counted — otherwise the
-        // quiescent-Stats invariant would race with the last bump.
-        wc.tasks.fetch_add(1, std::memory_order_relaxed);
-        tasksCounter().add(1);
-        runOneTask(lock);
+        runNext(*jobs_.front(), lock, &wc);
     }
 }
 
 /**
- * Pop and run one task with @p lock held on entry; the lock is released
- * around the task body and re-acquired before returning. Returns false
- * if the queue was empty.
+ * The one claim loop body. With @p lock held, claim @p job's next index
+ * (false when none is left), unlinking a published job that this claim
+ * exhausts; then, unlocked, count the task for its executor (@p worker,
+ * or the caller when null) and run the body unless a lower index has
+ * failed or the token has tripped. The finish is counted under the
+ * re-acquired lock, and the job's last finish wakes its caller — the
+ * last touch of the job, so it can leave the caller's stack as soon as
+ * the caller's wait returns.
  */
 bool
-ThreadPool::runOneTask(std::unique_lock<std::mutex>& lock)
+ThreadPool::runNext(Job& job, std::unique_lock<std::mutex>& lock,
+                    WorkerCounters* worker)
 {
-    if (queue_.empty())
+    if (job.next == job.end)
         return false;
-    std::packaged_task<void()> task = std::move(queue_.front());
-    queue_.pop_front();
+    const size_t i = job.next++;
+    if (job.next == job.end && job.published)
+        jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+    const bool aborted = job.failed < i;
     lock.unlock();
-    task(); // exceptions land in the task's future
-    lock.lock();
-    return true;
-}
 
-std::future<void>
-ThreadPool::submit(std::function<void()> task)
-{
-    std::packaged_task<void()> packaged(std::move(task));
-    std::future<void> future = packaged.get_future();
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    submittedCounter().add(1);
-    if (serial()) {
-        // Count before running (see workerLoop): the future is ready as
-        // soon as packaged() returns, and Stats must already include it.
-        noteCallerTask(/*stolen=*/false);
-        packaged();
-        return future;
+    if (worker) {
+        worker->tasks.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        caller_tasks_.fetch_add(1, std::memory_order_relaxed);
+        if (job.published) {
+            steals_.fetch_add(1, std::memory_order_relaxed);
+            stealsCounter().add(1);
+        }
     }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(packaged));
+    tasksCounter().add(1);
+    const bool cancelled = !aborted && job.cancel && job.cancel->cancelled();
+    std::exception_ptr error;
+    if (aborted || cancelled) {
+        skipped_.fetch_add(1, std::memory_order_relaxed);
+        skippedCounter().add(1);
+    } else {
+        try {
+            MQX_FAULT_POINT("thread_pool.task");
+            job.body(i);
+        } catch (...) {
+            error = std::current_exception(); // rethrown by parallelFor
+        }
     }
-    cv_.notify_one();
-    return future;
+
+    lock.lock();
+    if (error && i < job.failed) {
+        job.failed = i;
+        job.error = std::move(error);
+    }
+    if (cancelled)
+        job.cancelled = true;
+    if (++job.finished == job.count)
+        done_cv_.notify_all();
+    return true;
 }
 
 void
@@ -236,125 +252,25 @@ ThreadPool::parallelFor(size_t begin, size_t end,
 {
     if (begin >= end)
         return;
-    const uint64_t count = static_cast<uint64_t>(end - begin);
-    submitted_.fetch_add(count, std::memory_order_relaxed);
-    submittedCounter().add(count);
-    if (serial() || end - begin == 1) {
-        // Same contract as the threaded path: once one index fails (or
-        // the token trips) the rest drain as counted no-ops, then the
-        // first failure surfaces — so partial results never depend on
-        // the pool width.
-        std::exception_ptr first_error;
-        bool cancelled = false;
-        uint64_t skipped = 0;
-        for (size_t i = begin; i < end; ++i) {
-            noteCallerTask(/*stolen=*/false);
-            if (first_error || cancelled) {
-                ++skipped;
-                continue;
-            }
-            if (cancel && cancel->cancelled()) {
-                cancelled = true;
-                ++skipped;
-                continue;
-            }
-            try {
-                MQX_FAULT_POINT("thread_pool.task");
-                body(i);
-            } catch (...) {
-                first_error = std::current_exception();
-            }
-        }
-        if (skipped != 0) {
-            skipped_.fetch_add(skipped, std::memory_order_relaxed);
-            skippedCounter().add(skipped);
-        }
-        if (first_error)
-            std::rethrow_exception(first_error);
-        if (cancelled)
-            throw robust::StatusError(cancel->status());
-        return;
-    }
+    Job job(body, cancel, begin, end);
+    submitted_.fetch_add(job.count, std::memory_order_relaxed);
+    submittedCounter().add(job.count);
 
-    // Shared by this call's task wrappers only; safe on the stack
-    // because every future is harvested before parallelFor returns, so
-    // no wrapper can outlive it. Per-call state means one caller's
-    // failure never drains another caller's tasks.
-    DrainState drain;
-    auto runTask = [this, &body, &drain, cancel](size_t i) {
-        if (drain.abort.load(std::memory_order_acquire)) {
-            skipped_.fetch_add(1, std::memory_order_relaxed);
-            skippedCounter().add(1);
-            return;
-        }
-        if (cancel && cancel->cancelled()) {
-            drain.cancelled.store(true, std::memory_order_relaxed);
-            drain.abort.store(true, std::memory_order_release);
-            skipped_.fetch_add(1, std::memory_order_relaxed);
-            skippedCounter().add(1);
-            return;
-        }
-        try {
-            MQX_FAULT_POINT("thread_pool.task");
-            body(i);
-        } catch (...) {
-            drain.abort.store(true, std::memory_order_release);
-            throw; // lands in this task's future; rethrown below
-        }
-    };
-
-    std::vector<std::future<void>> futures;
-    futures.reserve(end - begin);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (size_t i = begin; i < end; ++i) {
-            std::packaged_task<void()> task([&runTask, i] { runTask(i); });
-            futures.push_back(task.get_future());
-            queue_.push_back(std::move(task));
-        }
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!serial() && job.count > 1) {
+        jobs_.push_back(&job);
+        job.published = true;
+        const size_t wake = std::min(workers_.size(), job.count - 1);
+        for (size_t w = 0; w < wake; ++w)
+            work_cv_.notify_one();
     }
-    cv_.notify_all();
-
-    // Keep stealing tasks until every one of OUR futures is ready. A
-    // single drain-then-block would go idle as soon as the queue is
-    // momentarily empty — and under concurrent batch submission it
-    // would also keep executing other callers' entire backlogs after
-    // this call's own results were already done. Instead: harvest ready
-    // futures in order, steal one task whenever the next future is
-    // pending and the queue is non-empty, and block on the future only
-    // when the queue is empty (our task was popped and is running on a
-    // worker). Every index completes before return (body must not
-    // dangle); the first failure surfaces after that.
-    std::exception_ptr first_error;
-    size_t next = 0;
-    while (next < futures.size()) {
-        if (futures[next].wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-            try {
-                futures[next].get();
-            } catch (...) {
-                if (!first_error)
-                    first_error = std::current_exception();
-            }
-            ++next;
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (!queue_.empty()) {
-            // Count the steal before the task body runs — its future
-            // may belong to another caller whose Stats read must not
-            // outrun this attribution.
-            noteCallerTask(/*stolen=*/true);
-            runOneTask(lock);
-            lock.unlock();
-            continue; // stole something; re-check our futures
-        }
-        lock.unlock();
-        futures[next].wait(); // queue empty: task is on a worker
+    while (runNext(job, lock, nullptr)) {
     }
-    if (first_error)
-        std::rethrow_exception(first_error);
-    if (drain.cancelled.load(std::memory_order_acquire))
+    done_cv_.wait(lock, [&job] { return job.finished == job.count; });
+    lock.unlock();
+    if (job.error)
+        std::rethrow_exception(job.error);
+    if (job.cancelled)
         throw robust::StatusError(cancel->status());
 }
 

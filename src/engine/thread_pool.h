@@ -6,35 +6,37 @@
  * RNS channels are embarrassingly parallel by construction — the whole
  * point of the residue decomposition (paper Section 1) is that channel
  * arithmetic never communicates — so the pool needs no work stealing:
- * a single locked deque plus a condition variable is contention-free at
- * kernel granularity (each task is an NTT pipeline or a length-n
- * point-wise op, microseconds to milliseconds of work).
+ * each parallelFor call is one job on the caller's stack, published in
+ * a short mutex-guarded list, and every executor claims its next index
+ * under that mutex. At kernel granularity (each task is an NTT pipeline
+ * or a length-n point-wise op, microseconds to milliseconds of work)
+ * the claim is contention-free.
  *
- * Serial fallback: a pool constructed with <= 1 thread starts no worker
- * threads at all; submit() and parallelFor() execute inline on the
- * calling thread, in index order — bit-identical to (indeed, the same
- * code path as) a plain sequential loop.
+ * One claim loop runs every task: the workers, the caller of a
+ * published job, and the caller of a serial pool (<= 1 thread, no
+ * workers) or of a one-index call, which runs the same loop without
+ * publishing — in index order, bit-identical to a plain sequential
+ * loop. A caller claims only its own job's indices, so it never idles
+ * while one of them waits and never runs another caller's backlog.
  *
  * Scheduling accounting: every task execution is attributed to exactly
- * one executor — a worker thread (per-worker counter), or a caller
- * thread running tasks inline (serial pool) or stealing from the queue
- * while it waits in parallelFor. The per-pool Stats invariant
- * `sum(worker_tasks) + caller_tasks == submitted` holds whenever the
- * pool is quiescent, and the same events feed the process-wide
- * telemetry counters (pool.tasks / pool.steals / pool.submitted /
- * pool.idle_ns) so scheduler behaviour shows up in
+ * one executor — a worker thread (per-worker counter) or the caller
+ * (inline on an unpublished job, a steal on a published one). The
+ * per-pool Stats invariant `sum(worker_tasks) + caller_tasks ==
+ * submitted` holds whenever the pool is quiescent, and the same events
+ * feed the process-wide telemetry counters (pool.tasks / pool.steals /
+ * pool.submitted / pool.idle_ns) so scheduler behaviour shows up in
  * telemetry::snapshotJson() next to the kernel spans. Workers also
  * name their trace lanes ("pool-worker-N"), which is what gives the
  * Chrome trace export one swimlane per worker.
  */
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -63,26 +65,29 @@ class ThreadPool
     /**
      * Scheduling counters since construction. Consistent (the
      * documented invariant holds exactly) once the pool is quiescent —
-     * no parallelFor in flight and every submitted future ready;
-     * mid-flight reads are approximate but tear-free.
+     * no parallelFor in flight; mid-flight reads are approximate but
+     * tear-free.
      */
     struct Stats
     {
         /** Tasks executed by each worker thread (size threadCount()-1). */
         std::vector<uint64_t> worker_tasks;
-        /** Nanoseconds each worker spent blocked on an empty queue. */
+        /** Nanoseconds each worker spent blocked with no published job. */
         std::vector<uint64_t> worker_idle_ns;
-        /** Tasks executed on caller threads (inline serial + steals). */
+        /** Tasks executed on caller threads (inline + steals). */
         uint64_t caller_tasks = 0;
-        /** Subset of caller_tasks stolen from the shared queue. */
+        /**
+         * Subset of caller_tasks run on a published job, whose indices
+         * the workers could claim too.
+         */
         uint64_t steals = 0;
-        /** Tasks handed to the pool (submit + parallelFor bodies). */
+        /** Tasks handed to the pool: one per parallelFor index. */
         uint64_t submitted = 0;
         /**
          * parallelFor bodies that were drained as no-ops after a
          * sibling task failed or the call's CancelToken tripped. A
          * skipped task still counts toward worker_tasks/caller_tasks
-         * (its no-op wrapper runs on some executor), so the
+         * (some executor claimed it), so the
          * sum(worker_tasks) + caller_tasks == submitted invariant is
          * unchanged; `skipped` says how many of those executions did
          * no useful work.
@@ -123,35 +128,28 @@ class ThreadPool
     Stats stats() const;
 
     /**
-     * Enqueue @p task. The future reports completion and rethrows any
-     * exception the task threw. On a serial pool the task runs before
-     * submit() returns.
-     */
-    std::future<void> submit(std::function<void()> task);
-
-    /**
      * Run body(i) for every i in [begin, end), one task per index, and
-     * wait for all of them. The calling thread keeps stealing queued
-     * tasks until every one of its own futures is ready — not just
-     * until the first time the queue drains — so under concurrent batch
-     * submission a caller neither sits idle while its tasks wait behind
-     * another batch nor keeps chewing through foreign backlogs after
-     * its own results are done.
+     * wait for all of them. With workers and more than one index the
+     * call is published so that up to min(workers, count - 1) woken
+     * workers claim indices alongside the caller; otherwise the caller
+     * runs them all, in order. Either way the caller claims only this
+     * call's indices, and once none is left unclaimed it blocks until
+     * the last claimed one finishes.
      *
-     * Failure semantics: once any task of THIS call throws, the call's
-     * remaining tasks are drained as cheap no-ops (a checked flag per
-     * call; counted in Stats::skipped) instead of running to
-     * completion, every future is still harvested (so @p body never
-     * outlives the call), and then the first exception is rethrown.
-     * Tasks already running when the failure happens do complete;
-     * other concurrent parallelFor calls are unaffected.
+     * Failure semantics: once an index throws, every index claimed
+     * after the failure is drained as a cheap no-op (counted in
+     * Stats::skipped) instead of running, and after the barrier the
+     * error of the
+     * lowest failing index is rethrown — the same one a serial pool
+     * reports. Tasks already running when the failure happens do
+     * complete; other concurrent parallelFor calls are unaffected.
      *
      * Cancellation: when @p cancel is non-null it is polled at every
      * task boundary. Once cancelled (explicitly or by deadline), not-
      * yet-started tasks drain as no-ops and the call throws
      * robust::StatusError with the token's status — unless a task
-     * failure was observed first, which takes precedence. The token is
-     * only read during the call; the caller keeps ownership.
+     * failed, which takes precedence. The token is only read during
+     * the call; the caller keeps ownership.
      *
      * Safe to call from several external threads concurrently; must
      * not be called from inside a pool task.
@@ -168,9 +166,12 @@ class ThreadPool
         std::atomic<uint64_t> idle_ns{0};
     };
 
+    /** One parallelFor call's state, on its caller's stack. */
+    struct Job;
+
     void workerLoop(size_t worker_index);
-    bool runOneTask(std::unique_lock<std::mutex>& lock);
-    void noteCallerTask(bool stolen);
+    bool runNext(Job& job, std::unique_lock<std::mutex>& lock,
+                 WorkerCounters* worker);
 
     size_t thread_count_ = 1;
     std::vector<std::thread> workers_;
@@ -179,10 +180,14 @@ class ThreadPool
     std::atomic<uint64_t> caller_tasks_{0};
     std::atomic<uint64_t> steals_{0};
     std::atomic<uint64_t> skipped_{0};
-    std::deque<std::packaged_task<void()>> queue_;
     std::mutex mutex_;
-    std::condition_variable cv_;
+    /** Published jobs with unclaimed indices, oldest first. */
+    std::vector<Job*> jobs_;
     bool stop_ = false;
+    /** Workers wait here for a published job or stop_. */
+    std::condition_variable work_cv_;
+    /** Callers wait here for their job's last finish. */
+    std::condition_variable done_cv_;
 };
 
 } // namespace engine

@@ -57,7 +57,8 @@ TEST(ThreadPool, SerialPoolRunsInlineOnCaller)
     engine::ThreadPool pool(1);
     EXPECT_TRUE(pool.serial());
     std::thread::id task_thread;
-    pool.submit([&] { task_thread = std::this_thread::get_id(); }).get();
+    pool.parallelFor(0, 1,
+                     [&](size_t) { task_thread = std::this_thread::get_id(); });
     EXPECT_EQ(task_thread, std::this_thread::get_id());
 
     // Indices run in order on the caller — the sequential path.
@@ -69,36 +70,75 @@ TEST(ThreadPool, SerialPoolRunsInlineOnCaller)
 TEST(ThreadPool, ParallelForPropagatesExceptions)
 {
     for (size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(threads);
         engine::ThreadPool pool(threads);
+        std::atomic<uint64_t> ran{0};
         EXPECT_THROW(pool.parallelFor(0, 16,
                                       [&](size_t i) {
+                                          ran.fetch_add(1);
                                           if (i == 11)
                                               throw InvalidArgument("boom");
                                       }),
                      InvalidArgument);
+        // The call drained before rethrowing: every index was claimed
+        // by some executor, and each one whose body did not run is
+        // counted skipped.
+        engine::ThreadPool::Stats s = pool.stats();
+        EXPECT_EQ(s.submitted, 16u);
+        EXPECT_EQ(s.executed(), s.submitted);
+        EXPECT_EQ(s.skipped, 16u - ran.load());
+
+        // The pool is still usable after the failure.
+        std::vector<std::atomic<int>> counts(16);
+        pool.parallelFor(0, counts.size(),
+                         [&](size_t i) { counts[i].fetch_add(1); });
+        for (size_t i = 0; i < counts.size(); ++i)
+            ASSERT_EQ(counts[i].load(), 1) << "index " << i;
+
+        // Two indices throw distinguishable errors: the lower index's
+        // error surfaces at every width, as in the serial loop.
+        try {
+            pool.parallelFor(0, 16, [](size_t i) {
+                if (i == 5 || i == 11)
+                    throw InvalidArgument("index " + std::to_string(i));
+            });
+            FAIL() << "parallelFor did not throw";
+        } catch (const InvalidArgument& e) {
+            EXPECT_NE(std::string(e.what()).find("index 5"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
 TEST(ThreadPool, ConcurrentParallelForBatchesAllComplete)
 {
-    // Several external threads submit interleaved batches; the fixed
-    // steal-until-own-futures-ready wait means every caller makes
-    // progress on its own indices even while another batch occupies the
-    // queue, and no index is lost or run twice.
+    // Several external threads submit interleaved batches: every
+    // caller makes progress on its own indices even while another
+    // batch is published, no index is lost or run twice, and a caller
+    // thread only ever runs indices of its own batch.
     engine::ThreadPool pool(3);
     const int kCallers = 4;
+    const int kRounds = 3;
     const size_t kIndices = 101;
     std::vector<std::vector<std::atomic<int>>> counts(kCallers);
     for (auto& c : counts) {
         std::vector<std::atomic<int>> fresh(kIndices);
         c.swap(fresh);
     }
+    // ran_on[t][round * kIndices + i]: the thread that ran that index.
+    std::vector<std::vector<std::thread::id>> ran_on(
+        kCallers, std::vector<std::thread::id>(kRounds * kIndices));
+    std::vector<std::thread::id> caller_ids(kCallers);
     std::vector<std::thread> callers;
     for (int t = 0; t < kCallers; ++t) {
         callers.emplace_back([&, t] {
-            for (int round = 0; round < 3; ++round) {
-                pool.parallelFor(0, kIndices, [&, t](size_t i) {
+            caller_ids[t] = std::this_thread::get_id();
+            for (int round = 0; round < kRounds; ++round) {
+                pool.parallelFor(0, kIndices, [&, t, round](size_t i) {
                     counts[t][i].fetch_add(1);
+                    ran_on[t][round * kIndices + i] =
+                        std::this_thread::get_id();
                 });
             }
         });
@@ -107,8 +147,17 @@ TEST(ThreadPool, ConcurrentParallelForBatchesAllComplete)
         c.join();
     for (int t = 0; t < kCallers; ++t) {
         for (size_t i = 0; i < kIndices; ++i)
-            ASSERT_EQ(counts[t][i].load(), 3) << "caller " << t << " index "
-                                              << i;
+            ASSERT_EQ(counts[t][i].load(), kRounds)
+                << "caller " << t << " index " << i;
+        for (const std::thread::id& id : ran_on[t]) {
+            for (int other = 0; other < kCallers; ++other) {
+                if (other == t)
+                    continue;
+                ASSERT_NE(id, caller_ids[other])
+                    << "caller " << other << " ran an index of caller " << t
+                    << "'s batch";
+            }
+        }
     }
 }
 
@@ -135,7 +184,7 @@ TEST(ThreadPool, StatsAttributeEveryTaskExactlyOnce)
     }
     for (auto& c : callers)
         c.join();
-    pool.submit([] {}).get();
+    pool.parallelFor(0, 1, [](size_t) {});
 
     const uint64_t expected =
         static_cast<uint64_t>(kCallers) * kRounds * kIndices + 1;
@@ -150,7 +199,7 @@ TEST(ThreadPool, StatsAttributeEveryTaskExactlyOnce)
 TEST(ThreadPool, SerialPoolStatsCountInlineCallerTasks)
 {
     engine::ThreadPool pool(1);
-    pool.submit([] {}).get();
+    pool.parallelFor(0, 1, [](size_t) {});
     pool.parallelFor(0, 5, [](size_t) {});
     engine::ThreadPool::Stats s = pool.stats();
     EXPECT_TRUE(s.worker_tasks.empty());
@@ -237,14 +286,14 @@ TEST(PlanCache, MemoizesByModulusAndSize)
     auto p1 = cache.getNegacyclic(prime, 64);
     auto p2 = cache.getNegacyclic(prime, 64);
     EXPECT_EQ(p1.get(), p2.get()); // same instance, not just same value
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
 
     auto p3 = cache.getNegacyclic(prime, 128);
     EXPECT_NE(p1.get(), p3.get());
     auto p4 = cache.getNegacyclic(testBasis().prime(1), 64);
     EXPECT_NE(p1.get(), p4.get());
-    EXPECT_EQ(cache.misses(), 3u);
+    EXPECT_EQ(cache.stats().misses, 3u);
     EXPECT_EQ(cache.size(), 3u); // one entry per (q, n)
 
     cache.clear();
@@ -322,12 +371,12 @@ TEST(PlanCache, EnginePolymulHitsCacheOnRepeat)
     auto a = rns::randomPolynomial(basis, 64, 1);
     auto b = rns::randomPolynomial(basis, 64, 2);
     auto first = eng.polymulNegacyclic(a, b);
-    EXPECT_EQ(eng.planCache().misses(), basis.size());
+    EXPECT_EQ(eng.planCache().stats().misses, basis.size());
     EXPECT_EQ(eng.planCache().stats().builds, basis.size());
     // Same tables, same bits.
     expectIdentical(eng.polymulNegacyclic(a, b), first);
-    EXPECT_EQ(eng.planCache().misses(), basis.size());
-    EXPECT_EQ(eng.planCache().hits(), basis.size());
+    EXPECT_EQ(eng.planCache().stats().misses, basis.size());
+    EXPECT_EQ(eng.planCache().stats().hits, basis.size());
     // One entry per channel, its cyclic plan included.
     EXPECT_EQ(eng.planCache().size(), basis.size());
 
