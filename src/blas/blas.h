@@ -47,6 +47,18 @@ void vsub(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b,
 void vmul(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b,
           DSpan c, MulAlgo algo = MulAlgo::Schoolbook);
 
+/**
+ * acc[i] = acc[i] + sum_{j < k} a[j][i] * b[j][i] mod q: the point-wise
+ * dot product of k vector pairs, for a transform-domain fma (k
+ * forward-transformed pairs summed before one inverse). Entries must be
+ * canonical (< q). The AVX-512 IFMA kernel sums each coefficient's
+ * products in carry-free 52-bit columns and reduces once per 15 pairs;
+ * the other tiers reduce every product. Words equal k vmul + vadd
+ * passes. acc may exactly alias any input.
+ */
+void vdot(Backend backend, const Modulus& m, const DConstSpan* a,
+          const DConstSpan* b, size_t k, DSpan acc);
+
 /** y[i] = alpha * x[i] + y[i] mod q. */
 void axpy(Backend backend, const Modulus& m, const U128& alpha, DConstSpan x,
           DSpan y, MulAlgo algo = MulAlgo::Schoolbook);

@@ -30,6 +30,13 @@ vmulAvx2(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c, MulAlgo algo)
 }
 
 void
+vdotAvx2(const Modulus& m, const DConstSpan* a, const DConstSpan* b, size_t k,
+         DSpan acc)
+{
+    simd::vdotImpl<simd::Avx2Isa>(m, a, b, k, acc);
+}
+
+void
 axpyAvx2(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y,
          MulAlgo algo)
 {

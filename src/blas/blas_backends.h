@@ -16,6 +16,8 @@ namespace backends {
 void vaddScalar(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubScalar(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vmulScalar(const Modulus&, DConstSpan, DConstSpan, DSpan, MulAlgo);
+void vdotScalar(const Modulus&, const DConstSpan*, const DConstSpan*, size_t,
+                DSpan);
 void axpyScalar(const Modulus&, const U128&, DConstSpan, DSpan, MulAlgo);
 void gemvScalar(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
                 size_t, MulAlgo);
@@ -24,6 +26,8 @@ void gemvScalar(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
 void vaddPortable(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubPortable(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vmulPortable(const Modulus&, DConstSpan, DConstSpan, DSpan, MulAlgo);
+void vdotPortable(const Modulus&, const DConstSpan*, const DConstSpan*, size_t,
+                  DSpan);
 void axpyPortable(const Modulus&, const U128&, DConstSpan, DSpan, MulAlgo);
 void gemvPortable(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
                   size_t, MulAlgo);
@@ -32,6 +36,8 @@ void gemvPortable(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
 void vaddAvx2(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubAvx2(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vmulAvx2(const Modulus&, DConstSpan, DConstSpan, DSpan, MulAlgo);
+void vdotAvx2(const Modulus&, const DConstSpan*, const DConstSpan*, size_t,
+              DSpan);
 void axpyAvx2(const Modulus&, const U128&, DConstSpan, DSpan, MulAlgo);
 void gemvAvx2(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t, size_t,
               MulAlgo);
@@ -40,6 +46,8 @@ void gemvAvx2(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t, size_t,
 void vaddAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vmulAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan, MulAlgo);
+void vdotAvx512(const Modulus&, const DConstSpan*, const DConstSpan*, size_t,
+                DSpan);
 void axpyAvx512(const Modulus&, const U128&, DConstSpan, DSpan, MulAlgo);
 void gemvAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
                 size_t, MulAlgo);
@@ -51,6 +59,8 @@ void gemvAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
 void vaddAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vmulAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan, MulAlgo);
+void vdotAvx512Ifma(const Modulus&, const DConstSpan*, const DConstSpan*,
+                    size_t, DSpan);
 void axpyAvx512Ifma(const Modulus&, const U128&, DConstSpan, DSpan,
                     MulAlgo);
 void gemvAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
@@ -61,6 +71,8 @@ void vaddMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vmulMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan,
              MulAlgo);
+void vdotMqx(bool pisa, const Modulus&, const DConstSpan*, const DConstSpan*,
+             size_t, DSpan);
 void axpyMqx(bool pisa, const Modulus&, const U128&, DConstSpan, DSpan,
              MulAlgo);
 void gemvMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan,

@@ -36,6 +36,7 @@ struct Avx512Tier
     decltype(&backends::vaddAvx512) vadd;
     decltype(&backends::vsubAvx512) vsub;
     decltype(&backends::vmulAvx512) vmul;
+    decltype(&backends::vdotAvx512) vdot;
     decltype(&backends::axpyAvx512) axpy;
     decltype(&backends::gemvAvx512) gemv;
 };
@@ -50,6 +51,7 @@ avx512Tier()
                               &backends::vaddAvx512Ifma,
                               &backends::vsubAvx512Ifma,
                               &backends::vmulAvx512Ifma,
+                              &backends::vdotAvx512Ifma,
                               &backends::axpyAvx512Ifma,
                               &backends::gemvAvx512Ifma};
 #endif
@@ -57,6 +59,7 @@ avx512Tier()
                           &backends::vaddAvx512,
                           &backends::vsubAvx512,
                           &backends::vmulAvx512,
+                          &backends::vdotAvx512,
                           &backends::axpyAvx512,
                           &backends::gemvAvx512};
     }();
@@ -197,6 +200,44 @@ vmul(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
       case Backend::MqxPisa:
 #if MQX_BUILD_AVX512
         return backends::vmulMqx(true, m, a, b, c, algo);
+#else
+        notCompiled(backend);
+#endif
+    }
+    notCompiled(backend);
+}
+
+void
+vdot(Backend backend, const Modulus& m, const DConstSpan* a,
+     const DConstSpan* b, size_t k, DSpan acc)
+{
+    requireAvailable(backend);
+    switch (backend) {
+      case Backend::Scalar:
+        return backends::vdotScalar(m, a, b, k, acc);
+      case Backend::Portable:
+        return backends::vdotPortable(m, a, b, k, acc);
+      case Backend::Avx2:
+#if MQX_BUILD_AVX2
+        return backends::vdotAvx2(m, a, b, k, acc);
+#else
+        notCompiled(backend);
+#endif
+      case Backend::Avx512:
+#if MQX_BUILD_AVX512
+        return avx512Tier().vdot(m, a, b, k, acc);
+#else
+        notCompiled(backend);
+#endif
+      case Backend::MqxEmulate:
+#if MQX_BUILD_AVX512
+        return backends::vdotMqx(false, m, a, b, k, acc);
+#else
+        notCompiled(backend);
+#endif
+      case Backend::MqxPisa:
+#if MQX_BUILD_AVX512
+        return backends::vdotMqx(true, m, a, b, k, acc);
 #else
         notCompiled(backend);
 #endif

@@ -51,6 +51,16 @@ vmulMqx(bool pisa, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
 }
 
 void
+vdotMqx(bool pisa, const Modulus& m, const DConstSpan* a, const DConstSpan* b,
+        size_t k, DSpan acc)
+{
+    if (pisa)
+        simd::vdotImpl<PisaIsa>(m, a, b, k, acc);
+    else
+        simd::vdotImpl<EmuIsa>(m, a, b, k, acc);
+}
+
+void
 axpyMqx(bool pisa, const Modulus& m, const U128& alpha, DConstSpan x, DSpan y,
         MulAlgo algo)
 {

@@ -31,6 +31,13 @@ vmulPortable(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
 }
 
 void
+vdotPortable(const Modulus& m, const DConstSpan* a, const DConstSpan* b,
+             size_t k, DSpan acc)
+{
+    simd::vdotImpl<simd::PortableIsa>(m, a, b, k, acc);
+}
+
+void
 axpyPortable(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y,
              MulAlgo algo)
 {

@@ -5,6 +5,8 @@
  */
 #include "blas/blas_backends.h"
 
+#include "simd/batch_impl.h"
+
 namespace mqx {
 namespace blas {
 namespace backends {
@@ -47,6 +49,13 @@ vmulScalar(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
         c.hi[i] = r.hi;
         c.lo[i] = r.lo;
     }
+}
+
+void
+vdotScalar(const Modulus& m, const DConstSpan* a, const DConstSpan* b,
+           size_t k, DSpan acc)
+{
+    simd::vdotScalarImpl(m, a, b, k, acc);
 }
 
 void

@@ -428,9 +428,11 @@ Engine::fmaBatchInto(
     const rns::RnsBasis& basis = first.basis();
     rns::detail::checkDest(c, basis, first.n(), rns::Form::Coeff,
                            "Engine::fmaBatchInto");
-    // Interleaved-batch eligibility: enough all-Coeff products to fill
-    // at least one channel-major tile, on a batch-capable plan shape
-    // (n >= 16 — shared by every channel since n is uniform).
+    // The interleaved batch kernels run where they beat the per-channel
+    // path (ntt::fmaBatchKernelsWin) and are eligible: enough all-Coeff
+    // products to fill at least one channel-major tile, on a
+    // batch-capable plan shape (n >= 16 — shared by every channel since
+    // n is uniform).
     const size_t il = ntt::batchInterleave(backend_);
     bool all_coeff = true;
     bool aliased = false;
@@ -440,7 +442,8 @@ Engine::fmaBatchInto(
         aliased = aliased || a == &c || b == &c;
     }
     const bool batched =
-        all_coeff && products.size() >= il &&
+        ntt::fmaBatchKernelsWin(backend_) && all_coeff &&
+        products.size() >= il &&
         ntt::batchSupported(
             plan_cache_.getNegacyclic(basis.prime(0), first.n())->plan());
     const uint64_t seq = op_seq_.fetch_add(1, std::memory_order_relaxed);

@@ -177,13 +177,21 @@ class Engine
      * polymulNegacyclic calls. @throws InvalidArgument on an empty
      * batch or mismatched operands.
      *
-     * When every operand is Coeff form and the batch holds at least
-     * ntt::batchInterleave(backend()) products on a batch-capable plan,
-     * whole tiles of il products run their forward transforms through
-     * the merged negacyclic batch kernels (ntt::negacyclicForwardBatch
-     * over core/batch_layout.h) — still bit-identical, since exact
-     * mod-q accumulation is order-independent and each lane's
-     * transform is word-identical to the per-channel kernel.
+     * Each channel takes one of two paths, both bit-identical (exact
+     * mod-q accumulation is order-independent, and each lane of a
+     * batch transform is word-identical to the per-channel kernel):
+     *  - per channel (rns::detail::fmaChannel): the forwards run one
+     *    product at a time into at most four staged pairs, which one
+     *    blas::vdot sums into the accumulator — on AVX-512 IFMA in
+     *    carry-free limb columns reduced once per 15 pairs;
+     *  - batched (rns::detail::fmaChannelBatched): whole tiles of
+     *    il = ntt::batchInterleave(backend()) products run their
+     *    forwards through the merged negacyclic batch kernels
+     *    (ntt::negacyclicForwardBatch over core/batch_layout.h).
+     * The batched path runs only where ntt::fmaBatchKernelsWin(backend())
+     * says it is the faster one (AVX2, Portable, MQX), and only for
+     * all-Coeff batches of at least il products on a batch-capable
+     * plan; Scalar and AVX-512 always run per channel.
      */
     rns::RnsPolynomial fmaBatch(
         const std::vector<std::pair<const rns::RnsPolynomial*,

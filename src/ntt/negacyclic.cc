@@ -195,10 +195,7 @@ NegacyclicEngine::pointwiseAccumulate(DSpan acc, DConstSpan f_eval,
     const NttPlan& plan = tables_->plan();
     checkSpans(f_eval, acc, plan.n(), "NegacyclicEngine::pointwiseAccumulate");
     checkSpans(g_eval, acc, plan.n(), "NegacyclicEngine::pointwiseAccumulate");
-    // Product into scratch, then fold into the accumulator in place
-    // (vadd with c == a is the exact-alias case every backend handles).
-    blas::vmul(backend_, plan.modulus(), f_eval, g_eval, buf_c_.span());
-    blas::vadd(backend_, plan.modulus(), acc, buf_c_.span(), acc);
+    blas::vdot(backend_, plan.modulus(), &f_eval, &g_eval, 1, acc);
 }
 
 void

@@ -184,6 +184,35 @@ resolveStageFusion(Backend backend, size_t n, StageFusion fusion)
     return n >= 65536 ? StageFusion::Radix4 : StageFusion::Radix2;
 }
 
+bool
+fmaBatchKernelsWin(Backend backend)
+{
+    // One op = rns::detail::fmaChannel or fmaChannelBatched over 4
+    // channels of 124 bits, 8 all-Coeff products, alternated in one
+    // process on an Intel Xeon (AVX-512 IFMA, 4 vCPU); the median of
+    // the per-pair per-channel / batched time ratios, and the pairs the
+    // per-channel path won:
+    //   n              1024          4096          32768
+    //   Scalar         0.81 (20/20)  0.81 (12/12)  0.80 (6/6)
+    //   AVX-512        0.89 (26/30)  0.83 (20/20)  0.67 (8/8)
+    //   AVX2           1.13 (6/30)   1.10 (0/20)   1.08 (0/8)
+    //   Portable       1.06 (5/20)   1.02 (3/12)   1.04 (3/6)
+    //   MQX emulated   1.46 (0/20)   1.40 (0/12)   1.45 (0/6)
+    // No backend changes side with n, so n does not enter. MqxPisa
+    // computes no words to time and follows MQX emulated.
+    switch (backend) {
+      case Backend::Scalar:
+      case Backend::Avx512:
+        return false;
+      case Backend::Portable:
+      case Backend::Avx2:
+      case Backend::MqxEmulate:
+      case Backend::MqxPisa:
+        break;
+    }
+    return true;
+}
+
 void
 forward(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
         DSpan scratch, MulAlgo algo, Reduction red, StageFusion fusion)

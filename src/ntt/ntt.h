@@ -58,6 +58,17 @@ void inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
 StageFusion resolveStageFusion(Backend backend, size_t n, StageFusion fusion);
 
 /**
+ * The channel path of engine::Engine::fmaBatch on @p backend, from
+ * alternated fmaChannel / fmaChannelBatched timings at n = 1024, 4096
+ * and 32768: true runs each whole tile of il all-Coeff products
+ * through the interleaved batch kernels (AVX2, Portable and the MQX
+ * tiers), false runs every product through the per-channel forwards
+ * and one lazily reduced dot product (Scalar, AVX-512). Both give the
+ * same words.
+ */
+bool fmaBatchKernelsWin(Backend backend);
+
+/**
  * Forward NTT with an explicit MQX feature variant (Fig. 6 ablation).
  * @param pisa true = PISA proxy timing mode (results are wrong by
  *             design), false = bit-exact Table-2 emulation.

@@ -5,6 +5,8 @@
  */
 #include "rns/rns.h"
 
+#include <array>
+
 #include "bench_util/rng.h"
 #include "blas/blas.h"
 #include "core/batch_layout.h"
@@ -268,7 +270,7 @@ toCoeffChannel(Backend backend, const RnsBasis& /*basis*/, size_t channel,
 }
 
 void
-fmaChannel(Backend backend, const RnsBasis& /*basis*/, size_t channel,
+fmaChannel(Backend backend, const RnsBasis& basis, size_t channel,
            std::shared_ptr<const ntt::NegacyclicTables> tables,
            ntt::NegacyclicWorkspacePool& workspaces,
            const std::vector<std::pair<const RnsPolynomial*,
@@ -279,25 +281,33 @@ fmaChannel(Backend backend, const RnsBasis& /*basis*/, size_t channel,
     auto lease = workspaces.acquire(std::move(tables), backend, cancel);
     ntt::NegacyclicEngine& eng = lease.engine();
     // Accumulator and eval staging live in the workspace: a warmed-up
-    // lease hands them back sized, so the whole batch is heap-free.
+    // lease hands them back sized, so the whole batch is heap-free. Up
+    // to kStage pairs are staged in the transform domain, then summed
+    // into the accumulator by one dot product; Eval operands are read
+    // in place.
+    constexpr size_t kStage = (ntt::NegacyclicEngine::kAuxBuffers - 1) / 2;
     ResidueVector& acc = eng.auxBuffer(0);
-    ResidueVector& fa = eng.auxBuffer(1);
-    ResidueVector& fb = eng.auxBuffer(2);
+    std::array<DConstSpan, kStage> ea, eb;
+    size_t staged = 0;
+    auto evalSpan = [&](const RnsPolynomial& p, size_t slot) -> DConstSpan {
+        if (p.form() == Form::Eval)
+            return p.channel(channel).span();
+        DSpan out = eng.auxBuffer(slot).span();
+        eng.forward(p.channel(channel).span(), out);
+        return out;
+    };
     acc.zero();
-    for (const auto& [a, b] : products) {
+    for (size_t p = 0; p < products.size(); ++p) {
         if (cancel)
             cancel->checkpoint("rns.fma.accumulate");
-        DConstSpan ea = a->channel(channel).span();
-        DConstSpan eb = b->channel(channel).span();
-        if (a->form() == Form::Coeff) {
-            eng.forward(ea, fa.span());
-            ea = fa.span();
+        ea[staged] = evalSpan(*products[p].first, 1 + 2 * staged);
+        eb[staged] = evalSpan(*products[p].second, 2 + 2 * staged);
+        if (++staged == kStage || p + 1 == products.size()) {
+            MQX_SCOPED_SPAN(dot_span, "rns.fma.dot");
+            blas::vdot(backend, basis.modulus(channel), ea.data(), eb.data(),
+                       staged, acc.span());
+            staged = 0;
         }
-        if (b->form() == Form::Coeff) {
-            eng.forward(eb, fb.span());
-            eb = fb.span();
-        }
-        eng.pointwiseAccumulate(acc.span(), ea, eb);
     }
     if (cancel)
         cancel->checkpoint("rns.fma.inverse");

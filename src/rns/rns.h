@@ -229,9 +229,13 @@ void toCoeffChannel(Backend backend, const RnsBasis& basis, size_t channel,
 
 /**
  * One channel of the fused transform-domain dot product: forward any
- * Coeff operand, point-wise accumulate every pair, then ONE inverse.
- * The accumulator and eval staging buffers live in the leased
- * workspace, so the whole batch touches no heap.
+ * Coeff operand, stage up to four eval pairs and sum each stage into
+ * the accumulator with one blas::vdot (lazily reduced on AVX-512
+ * IFMA), then ONE inverse. The accumulator and eval staging buffers
+ * live in the leased workspace, so the whole batch touches no heap,
+ * and their count does not grow with the number of products. A
+ * non-null @p cancel is checked before each product
+ * (`rns.fma.accumulate`) and before the inverse (`rns.fma.inverse`).
  */
 void fmaChannel(Backend backend, const RnsBasis& basis, size_t channel,
                 std::shared_ptr<const ntt::NegacyclicTables> tables,

@@ -13,6 +13,9 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <utility>
+
 #include "core/residue_span.h"
 #include "simd/dw_kernels.h"
 
@@ -140,6 +143,105 @@ gemvImpl(const Modulus& m, DConstSpan matrix, DConstSpan x, DSpan y,
         y.hi[r] = sum.hi;
         y.lo[r] = sum.lo;
     }
+}
+
+/** The argument checks every vdot kernel runs first. */
+inline void
+checkVdotArgs(const DConstSpan* a, const DConstSpan* b, size_t k, DSpan acc)
+{
+    checkArg(k == 0 || (a != nullptr && b != nullptr),
+             "vdot: null operand list");
+    for (size_t j = 0; j < k; ++j)
+        checkArg(a[j].n == acc.n && b[j].n == acc.n,
+                 "vdot: length mismatch");
+}
+
+/**
+ * vdotImpl's element loop from index @p begin: one scalar Barrett
+ * product and modular add per pair (every SIMD tier's tail).
+ */
+inline void
+vdotTail(const Modulus& m, const DConstSpan* a, const DConstSpan* b,
+         size_t k, DSpan acc, size_t begin)
+{
+    const auto& br = m.barrett();
+    mod::DW<uint64_t> q = mod::toDw(m.value());
+    for (size_t i = begin; i < acc.n; ++i) {
+        mod::DW<uint64_t> s{acc.hi[i], acc.lo[i]};
+        for (size_t j = 0; j < k; ++j) {
+            mod::DW<uint64_t> da{a[j].hi[i], a[j].lo[i]};
+            mod::DW<uint64_t> db{b[j].hi[i], b[j].lo[i]};
+            s = mod::addMod(s, mod::mulModSchool(da, db, br), q);
+        }
+        acc.hi[i] = s.hi;
+        acc.lo[i] = s.lo;
+    }
+}
+
+/**
+ * acc[i] = acc[i] + sum_j a[j][i] * b[j][i] mod q over @p k pairs of
+ * canonical vectors: the point-wise dot product of a transform-domain
+ * fma. Per block, the running sum stays in registers across the pairs.
+ * On IFMA ISAs with an odd q the products go into carry-free 52-bit
+ * columns and fold once per kDotFoldPairs pairs (dotFoldIfmaV); every
+ * other case keeps one modular product and add per pair. Exact
+ * arithmetic mod q makes both word-identical to k vmul + vadd passes.
+ * acc may exactly alias any input (each block is loaded before it is
+ * stored).
+ */
+template <class Isa>
+void
+vdotImpl(const Modulus& m, const DConstSpan* a, const DConstSpan* b,
+         size_t k, DSpan acc)
+{
+    checkVdotArgs(a, b, k, acc);
+    ModCtx<Isa> ctx = makeModCtx<Isa>(m);
+    size_t i = 0;
+    auto pairAt = [&](size_t j) {
+        return std::pair{loadDv<Isa>(a[j].hi, a[j].lo, i),
+                         loadDv<Isa>(b[j].hi, b[j].lo, i)};
+    };
+    bool lazy = false;
+    if constexpr (Isa::kHasIfma) {
+        lazy = (m.value().lo & 1) != 0;
+        if (lazy) {
+            const DotFold<Isa> fold = makeDotFold<Isa>(m);
+            for (; i + Isa::kLanes <= acc.n; i += Isa::kLanes) {
+                DV<Isa> s = loadDv<Isa>(acc.hi, acc.lo, i);
+                for (size_t j0 = 0; j0 < k; j0 += kDotFoldPairs) {
+                    const size_t j1 = std::min(k, j0 + kDotFoldPairs);
+                    DotColumns<Isa> cols = dotColumnsFrom<Isa>(ctx.ifma, s);
+                    for (size_t j = j0; j < j1; ++j) {
+                        const auto [va, vb] = pairAt(j);
+                        dotAddProductIfma<Isa>(cols, toLimbs52<Isa>(va),
+                                               toLimbs52<Isa>(vb));
+                    }
+                    s = dotFoldIfmaV<Isa>(ctx, fold, cols);
+                }
+                storeDv<Isa>(acc.hi, acc.lo, i, s);
+            }
+        }
+    }
+    if (!lazy) {
+        for (; i + Isa::kLanes <= acc.n; i += Isa::kLanes) {
+            DV<Isa> s = loadDv<Isa>(acc.hi, acc.lo, i);
+            for (size_t j = 0; j < k; ++j) {
+                const auto [va, vb] = pairAt(j);
+                s = addModV<Isa>(ctx, s, mulModV<Isa>(ctx, va, vb));
+            }
+            storeDv<Isa>(acc.hi, acc.lo, i, s);
+        }
+    }
+    vdotTail(m, a, b, k, acc, i);
+}
+
+/** The Scalar tier's vdot: vdotTail over the whole vector. */
+inline void
+vdotScalarImpl(const Modulus& m, const DConstSpan* a, const DConstSpan* b,
+               size_t k, DSpan acc)
+{
+    checkVdotArgs(a, b, k, acc);
+    vdotTail(m, a, b, k, acc, 0);
 }
 
 /** y[i] = alpha * x[i] + y[i] mod q (BLAS-1 axpy, Section 2.3). */

@@ -572,11 +572,12 @@ condSubDwV(const ModCtx<Isa>& ctx, const DV<Isa>& x, typename Isa::V bh,
 }
 
 /**
- * Shoup multiply on IFMA 52-bit limbs (Avx512IfmaIsa). The value is
- * exactly mulModShoupV's: h = floor(a*wq / 2^128) is taken from the
- * full limb product, then r = a*w + h*(2^128 - q) mod 2^128, which is
- * a*w - h*q with every column sum non-negative. Any a < 2^128, and
- * w, wq < 2^128.
+ * Shoup multiply on IFMA 52-bit limbs (Avx512IfmaIsa), of a value
+ * already split into limbs @p x (toLimbs52; its top limb < 2^24). The
+ * value is exactly mulModShoupV's: h = floor(a*wq / 2^128) is taken
+ * from the full limb product, then r = a*w + h*(2^128 - q) mod 2^128,
+ * which is a*w - h*q with every column sum non-negative. Any a < 2^128,
+ * and w, wq < 2^128.
  *
  * Column k of a product collects the limb products of weight 2^(52k):
  * madd52lo adds the low 52 bits of x_i*y_j to column i+j, madd52hi the
@@ -587,12 +588,11 @@ condSubDwV(const ModCtx<Isa>& ctx, const DV<Isa>& x, typename Isa::V bh,
  */
 template <class Isa>
 MQX_FORCE_INLINE DV<Isa>
-mulModShoupIfmaV(const ModCtx<Isa>& ctx, const DV<Isa>& a,
+mulModShoupIfmaV(const ModCtx<Isa>& ctx, const Limbs52<Isa>& x,
                  const Limbs52<Isa>& w, const Limbs52<Isa>& b)
 {
     using V = typename Isa::V;
     const auto& k = ctx.ifma;
-    const Limbs52<Isa> x = toLimbs52<Isa>(a);
 
     V c1 = Isa::madd52hi(k.zero, x.l0, b.l0);
     c1 = Isa::madd52lo(c1, x.l0, b.l1);
@@ -820,8 +820,8 @@ mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& w,
 {
     if constexpr (Isa::kHasIfma) {
         (void)algo;
-        return mulModShoupIfmaV<Isa>(ctx, a, toLimbs52<Isa>(w),
-                                     toLimbs52<Isa>(wq));
+        return mulModShoupIfmaV<Isa>(ctx, toLimbs52<Isa>(a),
+                                     toLimbs52<Isa>(w), toLimbs52<Isa>(wq));
     }
     QV<Isa> p = algo == MulAlgo::Schoolbook
                     ? mulFullSchoolV<Isa>(ctx, a, wq)
@@ -840,7 +840,7 @@ mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const ShoupW<Isa>& w,
 {
     if constexpr (Isa::kHasIfma) {
         (void)algo;
-        return mulModShoupIfmaV<Isa>(ctx, a, w.w, w.wq);
+        return mulModShoupIfmaV<Isa>(ctx, toLimbs52<Isa>(a), w.w, w.wq);
     } else {
         return mulModShoupV<Isa, kCarry>(ctx, a, w.w, w.wq, algo);
     }
@@ -899,6 +899,144 @@ mulModV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b,
                     ? mulFullSchoolV<Isa>(ctx, a, b)
                     : mulFullKaratsubaV<Isa>(ctx, a, b);
     return barrettReduceV<Isa>(ctx, t);
+}
+
+// ---------------------------------------------------------------------
+// Lazily reduced dot product on IFMA limbs
+// ---------------------------------------------------------------------
+
+/**
+ * Pairs one dot-product column sum takes before it is folded. With
+ * b = bits(q) <= 124, a sum x = s + sum of K products (s < q, operands
+ * < q) stays below K*q^2 + q < 2^(b+128) for K <= 15, so its high part
+ * x >> b is a 128-bit Shoup operand; each column then holds at most
+ * 5K + 1 terms below 2^52, far from 2^64.
+ */
+inline constexpr size_t kDotFoldPairs = 15;
+
+/**
+ * The fold constants of dotFoldIfmaV for one modulus: x = xh*2^b + xl
+ * is congruent to xh*(2^b - q) + xl, so the fold is one Shoup multiply
+ * by c = 2^b - q (c < q, because q >= 2^(b-1)) plus the low b bits.
+ */
+template <class Isa>
+struct DotFold
+{
+    ShoupW<Isa> c;                ///< 2^b - q and its Shoup companion
+    LimbShift b;                  ///< the split point, bits(q)
+    typename Isa::V lo_mask, hi_mask; ///< xl = x mod 2^b, per word
+};
+
+/** DotFold for @p m, whose value must be odd (Shoup companion). */
+template <class Isa>
+inline DotFold<Isa>
+makeDotFold(const Modulus& m)
+{
+    const U128 c = (U128{1} << m.bits()) - m.value();
+    const auto b = static_cast<unsigned>(m.bits());
+    const U128 cq = m.shoupCompanion(c);
+    const uint64_t all = ~uint64_t{0};
+    DotFold<Isa> f;
+    f.c = broadcastShoupW<Isa>(c.hi, c.lo, cq.hi, cq.lo);
+    f.b = {b / 52, b % 52};
+    f.lo_mask = Isa::set1(b >= 64 ? all : (uint64_t{1} << b) - 1);
+    f.hi_mask = Isa::set1(b > 64 ? (uint64_t{1} << (b - 64)) - 1 : 0);
+    return f;
+}
+
+/**
+ * Column sums of a dot product in progress: lo[j] + hi[j] collects
+ * terms of weight 2^(52j), each below 2^52, with no carries between
+ * columns. The madd52lo and madd52hi terms go to separate registers,
+ * which halves the longest dependent vpmadd52 chain per pair.
+ */
+template <class Isa>
+struct DotColumns
+{
+    typename Isa::V lo[5], hi[5];
+};
+
+/** Columns holding the canonical value @p s (the running sum). */
+template <class Isa>
+MQX_FORCE_INLINE DotColumns<Isa>
+dotColumnsFrom(const IfmaCtx<Isa>& k, const DV<Isa>& s)
+{
+    const Limbs52<Isa> x = toLimbs52<Isa>(s);
+    return {{Isa::and_(x.l0, k.m52), Isa::and_(x.l1, k.m52), x.l2, k.zero,
+             k.zero},
+            {k.zero, k.zero, k.zero, k.zero, k.zero}};
+}
+
+/**
+ * Add the full product of @p x and @p y (top limbs < 2^24) into the
+ * columns: the 17 vpmadd52 column products of mulLimbs52, no carry
+ * pass.
+ */
+template <class Isa>
+MQX_FORCE_INLINE void
+dotAddProductIfma(DotColumns<Isa>& d, const Limbs52<Isa>& x,
+                  const Limbs52<Isa>& y)
+{
+    auto& lo = d.lo;
+    auto& hi = d.hi;
+    lo[0] = Isa::madd52lo(lo[0], x.l0, y.l0);
+    hi[1] = Isa::madd52hi(hi[1], x.l0, y.l0);
+    lo[1] = Isa::madd52lo(lo[1], x.l0, y.l1);
+    lo[1] = Isa::madd52lo(lo[1], x.l1, y.l0);
+    hi[2] = Isa::madd52hi(hi[2], x.l0, y.l1);
+    hi[2] = Isa::madd52hi(hi[2], x.l1, y.l0);
+    lo[2] = Isa::madd52lo(lo[2], x.l0, y.l2);
+    lo[2] = Isa::madd52lo(lo[2], x.l1, y.l1);
+    lo[2] = Isa::madd52lo(lo[2], x.l2, y.l0);
+    hi[3] = Isa::madd52hi(hi[3], x.l0, y.l2);
+    hi[3] = Isa::madd52hi(hi[3], x.l1, y.l1);
+    hi[3] = Isa::madd52hi(hi[3], x.l2, y.l0);
+    lo[3] = Isa::madd52lo(lo[3], x.l1, y.l2);
+    lo[3] = Isa::madd52lo(lo[3], x.l2, y.l1);
+    hi[4] = Isa::madd52hi(hi[4], x.l1, y.l2);
+    hi[4] = Isa::madd52hi(hi[4], x.l2, y.l1);
+    lo[4] = Isa::madd52lo(lo[4], x.l2, y.l2);
+}
+
+/**
+ * Reduce the columns of at most kDotFoldPairs products plus a canonical
+ * running sum to [0, q): one carry pass normalises them into five
+ * limbs of x; then xh = x >> b (< 2^128) times 2^b - q by Shoup lands
+ * in [0, 2q), xl = x mod 2^b < 2q, and their sum below 4q takes two
+ * conditional subtractions (of 2q, then q).
+ */
+template <class Isa>
+inline DV<Isa>
+dotFoldIfmaV(const ModCtx<Isa>& ctx, const DotFold<Isa>& f,
+             const DotColumns<Isa>& d)
+{
+    using V = typename Isa::V;
+    const auto& k = ctx.ifma;
+    const V c0 = d.lo[0];
+    const V c1 = Isa::add(Isa::add(d.lo[1], d.hi[1]),
+                          Isa::template srli<52>(c0));
+    const V c2 = Isa::add(Isa::add(d.lo[2], d.hi[2]),
+                          Isa::template srli<52>(c1));
+    const V c3 = Isa::add(Isa::add(d.lo[3], d.hi[3]),
+                          Isa::template srli<52>(c2));
+    Limbs52x5<Isa> x;
+    x.l[0] = Isa::and_(c0, k.m52);
+    x.l[1] = Isa::and_(c1, k.m52);
+    x.l[2] = Isa::and_(c2, k.m52);
+    x.l[3] = Isa::and_(c3, k.m52);
+    x.l[4] = Isa::add(Isa::add(d.lo[4], d.hi[4]),
+                      Isa::template srli<52>(c3));
+    const DV<Isa> r = mulModShoupIfmaV<Isa>(
+        ctx, windowLimbs52<Isa>(k, x, f.b), f.c.w, f.c.wq);
+    DV<Isa> xl;
+    xl.lo = Isa::and_(
+        Isa::or_(x.l[0], Isa::template slli<52>(x.l[1])), f.lo_mask);
+    xl.hi = Isa::and_(Isa::or_(Isa::template srli<12>(x.l[1]),
+                               Isa::template slli<40>(x.l[2])),
+                      f.hi_mask);
+    const DV<Isa> t = condSubDwV<Isa>(ctx, addDwV<Isa>(ctx, r, xl), ctx.q2h,
+                                      ctx.q2l);
+    return condSubDwV<Isa>(ctx, t, ctx.qh, ctx.ql);
 }
 
 /** Backend-appropriate add: Listing-3 shape for MQX, Listing 2 otherwise. */

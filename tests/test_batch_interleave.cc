@@ -4,11 +4,14 @@
  * geometry, pack/unpack round trips (odd lane counts, large n),
  * bit-identity of the batched transforms against the per-channel
  * kernels on every available backend and both reductions, Engine-level
- * batch routing against the serial oracle, argument-validation
- * rejection, and the StageFusion::Auto dispatch thresholds.
+ * batch routing against the serial oracle, fmaBatch word identity on
+ * every backend (both channel paths, the dot product's fold limit),
+ * argument-validation rejection, and the measured dispatch defaults
+ * (StageFusion::Auto, ntt::fmaBatchKernelsWin).
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -320,40 +323,104 @@ TEST(EngineBatch, PolymulBatchMatchesSerialOracle)
 
 TEST(EngineBatch, FmaBatchMatchesSerialOracle)
 {
-    const auto& basis = testBasis();
+    // Oracle: the sum of one-thread Scalar polymuls. k crosses the batch
+    // tile (il = 4 or 8) and the IFMA dot product's 15-pair fold. Each k
+    // runs an all-Coeff batch (the batch kernels where
+    // ntt::fmaBatchKernelsWin picks them) and a mixed Coeff/Eval one
+    // (always per channel), on a 40-bit and a 124-bit basis, on every
+    // backend with a two-thread engine.
+    static const rns::RnsBasis wide(124, 8, 2);
     const size_t n = 64;
-    engine::Engine eng;
-    const size_t k = ntt::batchInterleave(eng.backend()) + 2;
-    std::vector<rns::RnsPolynomial> as, bs;
-    for (size_t p = 0; p < k; ++p) {
-        as.push_back(rns::randomPolynomial(basis, n, 800 + p));
-        bs.push_back(rns::randomPolynomial(basis, n, 900 + p));
+    const size_t ks[] = {1, 7, 8, 9, 15, 16, 17, 31};
+    engine::Engine oracle(Backend::Scalar, 1);
+    uint64_t seed = 1000;
+    for (const rns::RnsBasis* basis : {&testBasis(), &wide}) {
+        SCOPED_TRACE(std::to_string(basis->modulus(0).bits()) + "-bit basis");
+        std::vector<rns::RnsPolynomial> as, bs, as_eval, bs_eval, expect;
+        for (size_t p = 0; p < 31; ++p) {
+            as.push_back(rns::randomPolynomial(*basis, n, seed++));
+            bs.push_back(rns::randomPolynomial(*basis, n, seed++));
+            as_eval.push_back(oracle.toEval(as.back()));
+            bs_eval.push_back(oracle.toEval(bs.back()));
+            auto product = oracle.polymulNegacyclic(as[p], bs[p]);
+            expect.push_back(p == 0 ? product
+                                    : oracle.add(expect.back(), product));
+        }
+        for (Backend be : availableCorrectBackends()) {
+            engine::Engine eng(be, 2);
+            for (size_t k : ks) {
+                ProductList coeff, mixed;
+                for (size_t p = 0; p < k; ++p) {
+                    coeff.emplace_back(&as[p], &bs[p]);
+                    mixed.emplace_back(p % 3 == 1 ? &as_eval[p] : &as[p],
+                                       p % 3 == 2 ? &bs_eval[p] : &bs[p]);
+                }
+                for (const ProductList* products : {&coeff, &mixed}) {
+                    const auto got = eng.fmaBatch(*products);
+                    for (size_t i = 0; i < basis->size(); ++i)
+                        ASSERT_EQ(got.channel(i), expect[k - 1].channel(i))
+                            << backendName(be) << " k=" << k
+                            << (products == &coeff ? " coeff" : " mixed")
+                            << " channel " << i;
+                }
+            }
+        }
     }
-    ProductList products;
-    for (size_t p = 0; p < k; ++p)
-        products.emplace_back(&as[p], &bs[p]);
+}
 
-    auto got = eng.fmaBatch(products);
-    // Oracle: the sum of one-thread polymuls. A one-thread fmaBatch of
-    // this many products takes the same interleaved path, so it cannot
-    // be the reference.
-    engine::Engine serial(eng.backend(), 1);
-    auto expect = serial.polymulNegacyclic(as[0], bs[0]);
-    for (size_t p = 1; p < k; ++p)
-        expect = serial.add(expect, serial.polymulNegacyclic(as[p], bs[p]));
-    for (size_t i = 0; i < basis.size(); ++i)
-        ASSERT_EQ(got.channel(i), expect.channel(i)) << "channel " << i;
+TEST(EngineFma, AllMaxEvalOperandsAtTheFoldLimit)
+{
+    // Eval operands whose every word is q - 1 hand the dot product its
+    // largest column sums: k = 15 fills one fold exactly, 16 and 30/31
+    // need a second and third. Oracle: the Scalar engine's mulEval and
+    // add in the transform domain, then one toCoeff.
+    static const rns::RnsBasis wide(124, 8, 2);
+    static const rns::RnsBasis narrow(60, 8, 2);
+    const size_t n = 64;
+    engine::Engine oracle(Backend::Scalar, 1);
+    for (const rns::RnsBasis* basis : {&wide, &narrow}) {
+        SCOPED_TRACE(std::to_string(basis->modulus(0).bits()) + "-bit basis");
+        rns::RnsPolynomial top(*basis, n, rns::Form::Eval);
+        for (size_t i = 0; i < basis->size(); ++i)
+            top.setChannelFromU128(
+                i, std::vector<U128>(n, basis->modulus(i).value() - U128{1}));
+        for (size_t k : {15, 16, 30, 31}) {
+            const ProductList products(k, {&top, &top});
+            auto sum = oracle.mulEval(top, top);
+            for (size_t p = 1; p < k; ++p)
+                sum = oracle.add(sum, oracle.mulEval(top, top));
+            const auto expect = oracle.toCoeff(sum);
+            for (Backend be : availableCorrectBackends()) {
+                engine::Engine eng(be, 1);
+                const auto got = eng.fmaBatch(products);
+                for (size_t i = 0; i < basis->size(); ++i)
+                    ASSERT_EQ(got.channel(i), expect.channel(i))
+                        << backendName(be) << " k=" << k << " channel " << i;
+            }
+        }
+    }
+}
 
-    // A mixed-form batch is ineligible for interleaving and must fall
-    // back to the per-product path — still bit-identical (the Eval
-    // operand holds the same polynomial, so the sum is unchanged).
-    auto ea = eng.toEval(as[0]);
-    ProductList mixed = products;
-    mixed[0].first = &ea;
-    rns::RnsPolynomial got_mixed(basis, n);
-    eng.fmaBatchInto(mixed, got_mixed);
-    for (size_t i = 0; i < basis.size(); ++i)
-        ASSERT_EQ(got_mixed.channel(i), expect.channel(i));
+// ---------------------------------------------------------------------
+// Measured dispatch defaults
+// ---------------------------------------------------------------------
+
+TEST(FmaPath, ResolvesMeasuredDefaults)
+{
+    // Alternated fmaChannel / fmaChannelBatched timings at n = 1024,
+    // 4096 and 32768 (ntt.cc): the per-channel path with its lazily
+    // reduced dot product wins on Scalar and AVX-512 at every n, the
+    // batch kernels win on AVX2, Portable and the MQX tiers. The
+    // printed lines are what CI logs.
+    for (Backend be : {Backend::Scalar, Backend::Portable, Backend::Avx2,
+                       Backend::Avx512, Backend::MqxEmulate,
+                       Backend::MqxPisa}) {
+        const bool batched = ntt::fmaBatchKernelsWin(be);
+        EXPECT_EQ(batched, be != Backend::Scalar && be != Backend::Avx512)
+            << backendName(be);
+        std::printf("fmaBatch path: %s %s\n", backendName(be).c_str(),
+                    batched ? "batched" : "per-channel");
+    }
 }
 
 // ---------------------------------------------------------------------

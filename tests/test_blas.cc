@@ -184,6 +184,88 @@ TEST_P(BlasBackend, VmulIsDiagonalGemv)
     EXPECT_EQ(via_gemv.toU128(), via_vmul.toU128());
 }
 
+/**
+ * vdot against a scalar oracle, acc + sum a_j * b_j mod q, over k
+ * pairs. Moduli of 30..124 bits put the fold's split point b = bits(q)
+ * on both sides of the 52- and 104-bit limb edges and of the word edge;
+ * k crosses the 15-pair fold limit of the IFMA kernel once and twice;
+ * every length has SIMD blocks and a scalar tail. The all-(q - 1)
+ * operands, with acc = q - 1, are the largest column sums a fold sees.
+ * One modulus is even, the IFMA kernel's per-product path.
+ */
+TEST_P(BlasBackend, VdotMatchesScalarOracle)
+{
+    Backend be = GetParam();
+    const U128 one = U128::fromParts(0, 1);
+    SplitMix64 rng(0xd07);
+    const size_t n = 37;
+    for (int bits : {30, 52, 53, 64, 65, 104, 105, 124, -124}) {
+        const int w = bits < 0 ? -bits : bits;
+        const U128 top = one << (w - 1);
+        U128 q = top + (rng.nextBelow(top) | one);
+        if (bits < 0)
+            q = q - one; // even
+        const Modulus m(q);
+        SCOPED_TRACE("q bits " + std::to_string(w) +
+                     (bits < 0 ? " even" : " odd"));
+        for (size_t k : {0, 1, 2, 7, 8, 9, 15, 16, 17, 30, 31}) {
+            for (bool worst : {false, true}) {
+                SCOPED_TRACE("k=" + std::to_string(k) +
+                             (worst ? " all q-1" : " random"));
+                auto draw = [&] {
+                    std::vector<U128> v(n, q - one);
+                    if (!worst)
+                        for (auto& x : v)
+                            x = rng.nextBelow(q);
+                    return v;
+                };
+                std::vector<std::vector<U128>> au(k), bu(k);
+                std::vector<ResidueVector> av, bv;
+                std::vector<DConstSpan> as, bs;
+                for (size_t j = 0; j < k; ++j) {
+                    au[j] = draw();
+                    bu[j] = draw();
+                    av.push_back(ResidueVector::fromU128(au[j]));
+                    bv.push_back(ResidueVector::fromU128(bu[j]));
+                }
+                for (size_t j = 0; j < k; ++j) {
+                    as.push_back(av[j].span());
+                    bs.push_back(bv[j].span());
+                }
+                const std::vector<U128> acc_u = draw();
+                ResidueVector acc = ResidueVector::fromU128(acc_u);
+                blas::vdot(be, m, as.data(), bs.data(), k, acc.span());
+                for (size_t i = 0; i < n; ++i) {
+                    U128 want = acc_u[i];
+                    for (size_t j = 0; j < k; ++j)
+                        want = m.add(want, m.mul(au[j][i], bu[j][i]));
+                    ASSERT_EQ(acc.at(i), want) << "i=" << i;
+                }
+            }
+        }
+    }
+}
+
+TEST_P(BlasBackend, VdotAccumulatorMayAliasAnInput)
+{
+    Backend be = GetParam();
+    const auto& prime = ntt::defaultBenchPrime();
+    Modulus m(prime.q);
+    const size_t n = 19;
+    auto a_u = randomResidues(n, prime.q, 31);
+    auto b_u = randomResidues(n, prime.q, 32);
+    ResidueVector a = ResidueVector::fromU128(a_u);
+    ResidueVector b = ResidueVector::fromU128(b_u);
+    const DConstSpan as[] = {a.span(), b.span()};
+    const DConstSpan bs[] = {b.span(), b.span()};
+    blas::vdot(be, m, as, bs, 2, a.span()); // a += a*b + b*b
+    for (size_t i = 0; i < n; ++i) {
+        const U128 want = m.add(m.add(a_u[i], m.mul(a_u[i], b_u[i])),
+                                m.mul(b_u[i], b_u[i]));
+        ASSERT_EQ(a.at(i), want) << "i=" << i;
+    }
+}
+
 TEST(BlasErrors, GemvShapeValidation)
 {
     const auto& prime = ntt::smallTestPrime();
@@ -210,6 +292,10 @@ TEST(BlasErrors, LengthMismatchThrows)
     ResidueVector a(8), b(4), c(8);
     EXPECT_THROW(blas::vadd(Backend::Scalar, m, a.span(), b.span(), c.span()),
                  InvalidArgument);
+    const DConstSpan as[] = {a.span()}, bs[] = {b.span()};
+    for (Backend be : availableCorrectBackends())
+        EXPECT_THROW(blas::vdot(be, m, as, bs, 1, c.span()), InvalidArgument)
+            << backendName(be);
 }
 
 TEST(BlasErrors, PisaBackendProducesWrongResultsByDesign)
@@ -294,6 +380,25 @@ TEST(BlasIfma, WordIdenticalToEmulatedAvx512)
                     << "a=" << test::str(a[i]) << " b=" << test::str(b[i]);
             }
         }
+
+        // vdot takes canonical operands: 17 copies of the in-range
+        // pairs cross the IFMA kernel's 15-pair fold.
+        std::vector<U128> ca, cb;
+        for (size_t i = 0; i < n; ++i) {
+            if (a[i] < q && b[i] < q) {
+                ca.push_back(a[i]);
+                cb.push_back(b[i]);
+            }
+        }
+        ResidueVector da = ResidueVector::fromU128(ca);
+        ResidueVector db = ResidueVector::fromU128(cb);
+        const std::vector<DConstSpan> das(17, da.span()), dbs(17, db.span());
+        ResidueVector de = db, di = db, ds = db;
+        be::vdotAvx512(m, das.data(), dbs.data(), 17, de.span());
+        be::vdotAvx512Ifma(m, das.data(), dbs.data(), 17, di.span());
+        blas::vdot(Backend::Scalar, m, das.data(), dbs.data(), 17, ds.span());
+        EXPECT_EQ(de.toU128(), di.toU128()) << "vdot";
+        EXPECT_EQ(ds.toU128(), di.toU128()) << "vdot vs Scalar";
 
         for (const U128& alpha : ops) {
             ResidueVector ye = vb, yi = vb;

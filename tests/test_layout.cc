@@ -478,6 +478,22 @@ TEST(SteadyState, SerialKernelPathsAreConversionAndAllocationFree)
     // Between calls every workspace is back in the engine's pool,
     // waiting to be rebound.
     EXPECT_GE(eng.workspacePool().idleCount(), 1u);
+
+    // At least il all-Coeff products on the best backend: the staged
+    // per-channel dot product on AVX-512, the batch kernels on AVX2.
+    engine::Engine best(bestBackend(), 1);
+    const ProductList wide(ntt::batchInterleave(best.backend()) + 1,
+                           {&a, &b});
+    RnsPolynomial fma_best(basis, n);
+    for (int warm = 0; warm < 2; ++warm)
+        best.fmaBatchInto(wide, fma_best);
+    expectFree(measure([&] { best.fmaBatchInto(wide, fma_best); }),
+               "fmaBatchInto on the best backend");
+    auto want = eng.polymulNegacyclic(a, b);
+    for (size_t p = 1; p < wide.size(); ++p)
+        want = eng.add(want, eng.polymulNegacyclic(a, b));
+    for (size_t i = 0; i < basis.size(); ++i)
+        EXPECT_EQ(fma_best.channel(i), want.channel(i)) << "channel " << i;
 }
 
 TEST(SteadyState, ThreadedEnginePathPerformsZeroConversions)

@@ -771,47 +771,68 @@ TEST(FaultInjection, UnverifiedFlipActuallyCorrupts)
     EXPECT_FALSE(identical);
 }
 
+/**
+ * A backend whose fmaBatch runs the interleaved batch kernels: AVX2,
+ * else Portable (ntt::fmaBatchKernelsWin sends Scalar and AVX-512 per
+ * channel).
+ */
+Backend
+batchedFmaBackend()
+{
+    const Backend be =
+        backendAvailable(Backend::Avx2) ? Backend::Avx2 : Backend::Portable;
+    EXPECT_TRUE(ntt::fmaBatchKernelsWin(be));
+    return be;
+}
+
 TEST(FaultInjection, BatchKernelFailureFallsBackBitIdentically)
 {
     MQX_REQUIRE_INJECTION();
     const rns::RnsBasis& basis = testBasis();
     const size_t n = 32;
-    const size_t il = ntt::batchInterleave(bestBackend());
-    engine::Engine eng(bestBackend(), 1);
-    if (il < 2 ||
-        !ntt::batchSupported(
-            eng.planCache().getNegacyclic(basis.prime(0), n)->plan()))
-        GTEST_SKIP() << "no interleaved batch kernels on this backend";
+    // The polymul batch runs the batch kernels on every backend; fmaBatch
+    // only where ntt::fmaBatchKernelsWin picks them.
+    const Backend fma_backend = batchedFmaBackend();
 
     std::vector<rns::RnsPolynomial> operands;
-    for (uint64_t i = 0; i < 2 * 2 * il; ++i)
+    for (uint64_t i = 0; i < 2 * 2 * 8; ++i)
         operands.push_back(rns::randomPolynomial(basis, n, 500 + i));
-    std::vector<std::pair<const rns::RnsPolynomial*,
-                          const rns::RnsPolynomial*>>
-        products;
-    for (size_t i = 0; i < 2 * il; ++i)
-        products.emplace_back(&operands[2 * i], &operands[2 * i + 1]);
-
+    using Products = std::vector<
+        std::pair<const rns::RnsPolynomial*, const rns::RnsPolynomial*>>;
+    using Op = std::function<std::vector<rns::RnsPolynomial>(
+        engine::Engine&, const Products&)>;
+    const std::pair<Backend, Op> cases[] = {
+        {bestBackend(),
+         [](engine::Engine& e, const Products& products) {
+             return e.polymulNegacyclicBatch(products);
+         }},
+        {fma_backend,
+         [](engine::Engine& e, const Products& products) {
+             return std::vector<rns::RnsPolynomial>{e.fmaBatch(products)};
+         }},
+    };
     // Both batched ops: two of the polymul batch's tiles, or two of the
     // fma's channels, fail their first packed forward and are redone
     // per product.
-    engine::Engine serial(bestBackend(), 1);
-    using Op = std::function<std::vector<rns::RnsPolynomial>(engine::Engine&)>;
-    const Op ops[] = {
-        [&](engine::Engine& e) { return e.polymulNegacyclicBatch(products); },
-        [&](engine::Engine& e) {
-            return std::vector<rns::RnsPolynomial>{e.fmaBatch(products)};
-        },
-    };
-    for (const Op& op : ops) {
-        const auto expected = op(serial);
+    for (const auto& [be, op] : cases) {
+        SCOPED_TRACE(backendName(be));
+        const size_t il = ntt::batchInterleave(be);
+        engine::Engine eng(be, 1);
+        ASSERT_GE(il, 2u);
+        ASSERT_TRUE(ntt::batchSupported(
+            eng.planCache().getNegacyclic(basis.prime(0), n)->plan()));
+        Products products;
+        for (size_t i = 0; i < 2 * il; ++i)
+            products.emplace_back(&operands[2 * i], &operands[2 * i + 1]);
+        engine::Engine serial(be, 1);
+        const auto expected = op(serial, products);
         robust::FaultPlan plan(11);
         plan.arm("rns.batch.pack",
                  {robust::FaultAction::Throw, 1.0, /*max_fires=*/2});
         robust::ScopedFaultInjection scope(std::move(plan));
         const uint64_t fallbacks_before =
             telemetry::counter("robust.batch_fallbacks").value();
-        const auto results = op(eng);
+        const auto results = op(eng, products);
         EXPECT_EQ(scope.stats("rns.batch.pack").fires, 2u);
         EXPECT_EQ(telemetry::counter("robust.batch_fallbacks").value(),
                   fallbacks_before + 2);
@@ -820,6 +841,46 @@ TEST(FaultInjection, BatchKernelFailureFallsBackBitIdentically)
             expectIdentical(results[p], expected[p]);
         EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
     }
+}
+
+TEST(FaultInjection, PerChannelFmaFlipIsRepairedBitIdentically)
+{
+    // A batch of at least il products on the best backend: per channel
+    // where ntt::fmaBatchKernelsWin says so (AVX-512, Scalar), so the
+    // flip lands on the staged dot product's output and Freivalds
+    // repairs it under the Always policy.
+    MQX_REQUIRE_INJECTION();
+    const rns::RnsBasis& basis = testBasis();
+    const size_t n = 64;
+    const size_t k = ntt::batchInterleave(bestBackend()) + 1;
+    std::vector<rns::RnsPolynomial> operands;
+    for (uint64_t i = 0; i < 2 * k; ++i)
+        operands.push_back(rns::randomPolynomial(basis, n, 700 + i));
+    std::vector<std::pair<const rns::RnsPolynomial*,
+                          const rns::RnsPolynomial*>>
+        products;
+    for (size_t i = 0; i < k; ++i)
+        products.emplace_back(&operands[2 * i], &operands[2 * i + 1]);
+    engine::Engine serial(bestBackend(), 1);
+    const auto expected = serial.fmaBatch(products);
+
+    auto eng = makeVerifyingEngine(robust::VerifyPolicy::Always, 1, 1);
+    robust::FaultPlan plan(17);
+    plan.arm("rns.fma.out",
+             {robust::FaultAction::FlipBit, 1.0, /*max_fires=*/1});
+    // Armed never to fire, so its hits show which path ran.
+    plan.arm("rns.batch.pack", {robust::FaultAction::Throw, 0.0});
+    robust::ScopedFaultInjection scope(std::move(plan));
+    auto& repairs = telemetry::counter("robust.repairs");
+    const uint64_t repairs_before = repairs.value();
+    const auto got = eng.fmaBatch(products);
+    EXPECT_EQ(scope.stats("rns.fma.out").fires, 1u);
+    EXPECT_EQ(repairs.value(), repairs_before + 1);
+    expectIdentical(got, expected);
+    if (!ntt::fmaBatchKernelsWin(bestBackend())) {
+        EXPECT_EQ(scope.stats("rns.batch.pack").hits, 0u);
+    }
+    EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
 }
 
 TEST(FaultInjection, PlanCacheBuildFailureIsNotCached)
@@ -910,8 +971,9 @@ TEST(FaultInjection, StalledBatchedFmaTripsDeadlineBetweenPackedForwards)
     MQX_REQUIRE_INJECTION();
     const rns::RnsBasis& basis = testBasis();
     const size_t n = 64;
-    const size_t il = ntt::batchInterleave(bestBackend());
-    engine::Engine eng(bestBackend(), 1);
+    const Backend be = batchedFmaBackend();
+    const size_t il = ntt::batchInterleave(be);
+    engine::Engine eng(be, 1);
     std::vector<rns::RnsPolynomial> operands;
     for (uint64_t i = 0; i < 2 * 2 * il; ++i)
         operands.push_back(rns::randomPolynomial(basis, n, 700 + i));
