@@ -2,7 +2,7 @@
  * @file
  * Hardened environment-variable parsing (ISSUE 9 satellite).
  *
- * Tuning knobs like MQX_THREADS, MQX_PREFETCH_DIST and MQX_TELEMETRY are
+ * Tuning knobs like MQX_THREADS, MQX_SERVER_* and MQX_TELEMETRY are
  * read from the environment in process-wide one-shot initializers, so a
  * malformed value must degrade to the built-in default — never throw from a
  * static initializer, never silently clamp garbage to a surprising

@@ -11,18 +11,16 @@
  * else so the prefetch policy (hint level, distance) stays in one
  * place.
  *
- * The lookahead distance is a process-wide knob: `MQX_PREFETCH_DIST`
- * (group-rows ahead, default 2, 0 disables prefetching), read once on
- * first use. The default comes from a distance sweep of the batch NTT
- * at n = 4096, k = 8: 2 rows ahead beat 0/4/8/16 on both the AVX2 and
- * AVX-512 tiers — anything longer evicts lines the sweep is still
- * using, anything shorter leaves latency exposed at the stream head.
+ * The lookahead distance is the constant kPrefetchRows (2 group-rows),
+ * from a distance sweep of the batch NTT at n = 4096, k = 8: 2 rows
+ * ahead beat 0/4/8/16 on both the AVX2 and AVX-512 tiers — anything
+ * longer evicts lines the sweep is still using, anything shorter leaves
+ * latency exposed at the stream head. A hint changes no output word.
  */
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 
 #if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) ||            \
     defined(_M_IX86)
@@ -33,7 +31,6 @@
 #endif
 
 #include "core/config.h"
-#include "core/env.h"
 
 namespace mqx {
 namespace core {
@@ -58,20 +55,9 @@ prefetchRead(const void* p)
 
 /**
  * Lookahead distance in group-rows (one group-row = IL tiles = the
- * words one batch sweep consumes before advancing), from
- * `MQX_PREFETCH_DIST`. Valid range [0, 64]; 0 disables prefetching.
- * Malformed or out-of-range values fall back to the tuned default of 2
- * with a one-time `env.fallback.MQX_PREFETCH_DIST` telemetry note
- * (core/env.h), read once on first use.
+ * words one batch sweep consumes before advancing).
  */
-inline size_t
-prefetchDistance()
-{
-    static const size_t dist = static_cast<size_t>(
-        envUint("MQX_PREFETCH_DIST", /*fallback=*/2, /*min_ok=*/0,
-                /*max_ok=*/64));
-    return dist;
-}
+constexpr size_t kPrefetchRows = 2;
 
 /**
  * Prefetch the hi/lo words @p ahead_words past @p idx in a split

@@ -8,37 +8,9 @@
 #include <mutex>
 
 #include "robust/fault_injection.h"
-#include "telemetry/telemetry.h"
 
 namespace mqx {
 namespace engine {
-
-namespace {
-
-// Process-wide cache counters: every PlanCache instance feeds the same
-// ones so plan churn is visible in telemetry::snapshotJson().
-telemetry::Counter&
-hitsCounter()
-{
-    static telemetry::Counter& c = telemetry::counter("plancache.hits");
-    return c;
-}
-
-telemetry::Counter&
-missesCounter()
-{
-    static telemetry::Counter& c = telemetry::counter("plancache.misses");
-    return c;
-}
-
-telemetry::Counter&
-buildsCounter()
-{
-    static telemetry::Counter& c = telemetry::counter("plancache.builds");
-    return c;
-}
-
-} // namespace
 
 std::shared_ptr<const ntt::NegacyclicTables>
 PlanCache::getNegacyclic(const U128& q, size_t n)
@@ -48,8 +20,7 @@ PlanCache::getNegacyclic(const U128& q, size_t n)
     // failed build counts as neither.
     auto counted = [this](bool hit,
                           std::shared_ptr<const ntt::NegacyclicTables> t) {
-        (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-        (hit ? hitsCounter() : missesCounter()).add(1);
+        (hit ? hits_ : misses_).add(1);
         return t;
     };
     {
@@ -84,10 +55,8 @@ PlanCache::getNegacyclic(const U128& q, size_t n)
         MQX_FAULT_POINT("plan_cache.alloc");
         auto tables =
             std::make_shared<const ntt::NegacyclicTables>(Modulus(q), n);
-        build_ns_.fetch_add(telemetry::nowNs() - t0,
-                            std::memory_order_relaxed);
-        builds_.fetch_add(1, std::memory_order_relaxed);
-        buildsCounter().add(1);
+        build_ns_.add(telemetry::nowNs() - t0);
+        builds_.add(1);
         promise.set_value(tables);
         return counted(false, std::move(tables));
     } catch (...) {
@@ -128,12 +97,8 @@ PlanCache::twiddleBytes() const
 PlanCache::Stats
 PlanCache::stats() const
 {
-    Stats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.builds = builds_.load(std::memory_order_relaxed);
-    s.build_ns = build_ns_.load(std::memory_order_relaxed);
-    return s;
+    return Stats{hits_.value(), misses_.value(), builds_.value(),
+                 build_ns_.value()};
 }
 
 void

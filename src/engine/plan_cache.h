@@ -16,7 +16,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -25,6 +24,7 @@
 
 #include "ntt/negacyclic.h"
 #include "ntt/prime.h"
+#include "telemetry/telemetry.h"
 
 namespace mqx {
 namespace engine {
@@ -79,6 +79,8 @@ class PlanCache
      * lookup of the same key is one hit and zero new builds. build_ns
      * is the total wall time spent inside derivations; the per-build
      * latency distribution is the "plancache.build" telemetry span.
+     * The fields are views over this cache's telemetry counters
+     * (plancache.hits/misses/builds/build_ns).
      */
     struct Stats
     {
@@ -129,10 +131,10 @@ class PlanCache
 
     mutable std::shared_mutex mutex_;
     std::unordered_map<Key, Slot, KeyHash> tables_;
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> builds_{0};
-    std::atomic<uint64_t> build_ns_{0};
+    telemetry::InstanceCounter hits_{"plancache.hits"};
+    telemetry::InstanceCounter misses_{"plancache.misses"};
+    telemetry::InstanceCounter builds_{"plancache.builds"};
+    telemetry::InstanceCounter build_ns_{"plancache.build_ns"};
 };
 
 } // namespace engine

@@ -21,44 +21,6 @@ namespace {
 // an over-large MQX_THREADS must not exhaust thread handles.
 constexpr size_t kMaxThreads = 512;
 
-// Process-wide scheduling counters (every pool feeds the same ones, so
-// the telemetry snapshot shows total scheduler activity). Interned
-// once; the registry guarantees the references stay valid forever.
-telemetry::Counter&
-tasksCounter()
-{
-    static telemetry::Counter& c = telemetry::counter("pool.tasks");
-    return c;
-}
-
-telemetry::Counter&
-stealsCounter()
-{
-    static telemetry::Counter& c = telemetry::counter("pool.steals");
-    return c;
-}
-
-telemetry::Counter&
-submittedCounter()
-{
-    static telemetry::Counter& c = telemetry::counter("pool.submitted");
-    return c;
-}
-
-telemetry::Counter&
-idleNsCounter()
-{
-    static telemetry::Counter& c = telemetry::counter("pool.idle_ns");
-    return c;
-}
-
-telemetry::Counter&
-skippedCounter()
-{
-    static telemetry::Counter& c = telemetry::counter("pool.skipped");
-    return c;
-}
-
 } // namespace
 
 struct ThreadPool::Job
@@ -153,15 +115,13 @@ ThreadPool::stats() const
     s.worker_tasks.reserve(worker_count);
     s.worker_idle_ns.reserve(worker_count);
     for (size_t i = 0; i < worker_count; ++i) {
-        s.worker_tasks.push_back(
-            worker_counters_[i].tasks.load(std::memory_order_relaxed));
-        s.worker_idle_ns.push_back(
-            worker_counters_[i].idle_ns.load(std::memory_order_relaxed));
+        s.worker_tasks.push_back(worker_counters_[i].tasks.value());
+        s.worker_idle_ns.push_back(worker_counters_[i].idle_ns.value());
     }
-    s.caller_tasks = caller_tasks_.load(std::memory_order_relaxed);
-    s.steals = steals_.load(std::memory_order_relaxed);
-    s.submitted = submitted_.load(std::memory_order_relaxed);
-    s.skipped = skipped_.load(std::memory_order_relaxed);
+    s.caller_tasks = caller_tasks_.value();
+    s.steals = steals_.value();
+    s.submitted = submitted_.value();
+    s.skipped = skipped_.value();
     return s;
 }
 
@@ -178,9 +138,7 @@ ThreadPool::workerLoop(size_t worker_index)
             // working).
             const uint64_t t0 = telemetry::nowNs();
             work_cv_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
-            const uint64_t idle = telemetry::nowNs() - t0;
-            wc.idle_ns.fetch_add(idle, std::memory_order_relaxed);
-            idleNsCounter().add(idle);
+            wc.idle_ns.add(telemetry::nowNs() - t0);
             continue;
         }
         runNext(*jobs_.front(), lock, &wc);
@@ -209,21 +167,13 @@ ThreadPool::runNext(Job& job, std::unique_lock<std::mutex>& lock,
     const bool aborted = job.failed < i;
     lock.unlock();
 
-    if (worker) {
-        worker->tasks.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        caller_tasks_.fetch_add(1, std::memory_order_relaxed);
-        if (job.published) {
-            steals_.fetch_add(1, std::memory_order_relaxed);
-            stealsCounter().add(1);
-        }
-    }
-    tasksCounter().add(1);
+    (worker ? worker->tasks : caller_tasks_).add(1);
+    if (!worker && job.published)
+        steals_.add(1);
     const bool cancelled = !aborted && job.cancel && job.cancel->cancelled();
     std::exception_ptr error;
     if (aborted || cancelled) {
-        skipped_.fetch_add(1, std::memory_order_relaxed);
-        skippedCounter().add(1);
+        skipped_.add(1);
     } else {
         try {
             MQX_FAULT_POINT("thread_pool.task");
@@ -253,8 +203,7 @@ ThreadPool::parallelFor(size_t begin, size_t end,
     if (begin >= end)
         return;
     Job job(body, cancel, begin, end);
-    submitted_.fetch_add(job.count, std::memory_order_relaxed);
-    submittedCounter().add(job.count);
+    submitted_.add(job.count);
 
     std::unique_lock<std::mutex> lock(mutex_);
     if (!serial() && job.count > 1) {

@@ -23,16 +23,16 @@
  * one executor — a worker thread (per-worker counter) or the caller
  * (inline on an unpublished job, a steal on a published one). The
  * per-pool Stats invariant `sum(worker_tasks) + caller_tasks ==
- * submitted` holds whenever the pool is quiescent, and the same events
- * feed the process-wide telemetry counters (pool.tasks / pool.steals /
- * pool.submitted / pool.idle_ns) so scheduler behaviour shows up in
- * telemetry::snapshotJson() next to the kernel spans. Workers also
+ * submitted` holds whenever the pool is quiescent. Every counter is a
+ * telemetry::InstanceCounter the pool owns (pool.tasks, pool.idle_ns,
+ * pool.steals, pool.submitted, pool.skipped), bumped once per event:
+ * Stats is a view over them, and telemetry::snapshotJson() sums them
+ * across live and retired pools next to the kernel spans. Workers also
  * name their trace lanes ("pool-worker-N"), which is what gives the
  * Chrome trace export one swimlane per worker.
  */
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -159,11 +159,11 @@ class ThreadPool
                      const robust::CancelToken* cancel = nullptr);
 
   private:
-    /** Per-worker slots, cache-line padded (each has one writer). */
-    struct alignas(64) WorkerCounters
+    /** Per-worker counters (each has one writer). */
+    struct WorkerCounters
     {
-        std::atomic<uint64_t> tasks{0};
-        std::atomic<uint64_t> idle_ns{0};
+        telemetry::InstanceCounter tasks{"pool.tasks"};
+        telemetry::InstanceCounter idle_ns{"pool.idle_ns"};
     };
 
     /** One parallelFor call's state, on its caller's stack. */
@@ -176,10 +176,11 @@ class ThreadPool
     size_t thread_count_ = 1;
     std::vector<std::thread> workers_;
     std::unique_ptr<WorkerCounters[]> worker_counters_;
-    std::atomic<uint64_t> submitted_{0};
-    std::atomic<uint64_t> caller_tasks_{0};
-    std::atomic<uint64_t> steals_{0};
-    std::atomic<uint64_t> skipped_{0};
+    telemetry::InstanceCounter submitted_{"pool.submitted"};
+    /** Caller executions count under the workers' name. */
+    telemetry::InstanceCounter caller_tasks_{"pool.tasks"};
+    telemetry::InstanceCounter steals_{"pool.steals"};
+    telemetry::InstanceCounter skipped_{"pool.skipped"};
     std::mutex mutex_;
     /** Published jobs with unclaimed indices, oldest first. */
     std::vector<Job*> jobs_;

@@ -87,7 +87,7 @@ Client::backoff(int attempt)
     // Jitter in [0.5, 1.5): decorrelates concurrent clients' retry
     // storms while staying deterministic per (seed, attempt).
     delay_us = delay_us / 2 + rng_.next() % (delay_us | 1);
-    telemetry::counter("net.client_backoff_us").add(delay_us);
+    backoff_us_.add(delay_us);
     std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
 }
 
@@ -98,8 +98,7 @@ Client::call(const Request& req, Response& out)
     robust::Status last;
     for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
         if (attempt > 0) {
-            ++retries_;
-            telemetry::counter("net.client_retries").add(1);
+            retries_.add(1);
             backoff(attempt - 1);
         }
         last = callOnce(frame, req.request_id, out);

@@ -23,6 +23,7 @@
 #include "bench_util/rng.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "telemetry/telemetry.h"
 
 namespace mqx {
 namespace rns {
@@ -64,7 +65,7 @@ class Client
     robust::Status call(const Request& req, Response& out);
 
     /** Retries performed across all call()s (tests/bench). */
-    uint64_t retries() const { return retries_; }
+    uint64_t retries() const { return retries_.value(); }
 
     /** Drop the connection (next call reconnects). */
     void
@@ -92,7 +93,8 @@ class Client
     ClientOptions options_;
     Socket sock_;
     SplitMix64 rng_;
-    uint64_t retries_ = 0;
+    telemetry::InstanceCounter retries_{"net.client_retries"};
+    telemetry::InstanceCounter backoff_us_{"net.client_backoff_us"};
 };
 
 } // namespace net

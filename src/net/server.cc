@@ -127,7 +127,7 @@ PolymulServer::acceptLoop()
         } catch (const robust::StatusError&) {
             // Injected net.accept failure: drop this connection
             // attempt, keep serving.
-            telemetry::counter("net.accept_faults").add(1);
+            accept_faults_.add(1);
             continue;
         }
         // Reap finished session threads so max_sessions counts live
@@ -147,16 +147,12 @@ PolymulServer::acceptLoop()
         if (!s.ok()) {
             if (draining_.load(std::memory_order_acquire))
                 break;
-            telemetry::counter("net.accept_errors").add(1);
+            accept_errors_.add(1);
             continue;
         }
         if (timed_out)
             continue;
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.accepted;
-        }
-        telemetry::counter("net.accepted").add(1);
+        accepted_.add(1);
         std::shared_ptr<Session> session;
         {
             std::lock_guard<std::mutex> lock(sessions_mutex_);
@@ -165,11 +161,7 @@ PolymulServer::acceptLoop()
                 // peer that sees the response must also see the stat),
                 // then tell it why before closing, so its client
                 // backoff kicks in.
-                {
-                    std::lock_guard<std::mutex> slock(stats_mutex_);
-                    ++stats_.sessions_rejected;
-                }
-                telemetry::counter("net.sessions_rejected").add(1);
+                sessions_rejected_.add(1);
                 Response resp;
                 resp.code = robust::StatusCode::ResourceExhausted;
                 resp.message = "session limit reached";
@@ -213,7 +205,7 @@ PolymulServer::sessionLoop(std::shared_ptr<Session> session)
             if (telemetry::nowNs() - last_activity_ns > idle_budget_ns) {
                 // Slow-loris guard: a peer trickling partial frames
                 // (or nothing) cannot pin a session forever.
-                telemetry::counter("net.idle_closed").add(1);
+                idle_closed_.add(1);
                 break;
             }
             continue;
@@ -228,11 +220,7 @@ PolymulServer::sessionLoop(std::shared_ptr<Session> session)
             if (next == FrameReader::Next::Error) {
                 // Framing is lost; nothing further on this connection
                 // can be trusted. Tell the peer and hang up.
-                {
-                    std::lock_guard<std::mutex> lock(stats_mutex_);
-                    ++stats_.protocol_errors;
-                }
-                telemetry::counter("net.protocol_errors").add(1);
+                protocol_errors_.add(1);
                 sendStatus(*session, 0,
                            robust::StatusCode::InvalidArgument,
                            reader.error().message());
@@ -253,22 +241,14 @@ PolymulServer::sessionLoop(std::shared_ptr<Session> session)
             robust::Status decoded =
                 decodeRequest(body.data(), body_len, req);
             if (!decoded.ok()) {
-                {
-                    std::lock_guard<std::mutex> lock(stats_mutex_);
-                    ++stats_.protocol_errors;
-                }
-                telemetry::counter("net.protocol_errors").add(1);
+                protocol_errors_.add(1);
                 // Framing itself was intact, so the session survives
                 // a bad body — only this request is rejected.
                 sendStatus(*session, req.request_id, decoded.code(),
                            decoded.message());
                 continue;
             }
-            {
-                std::lock_guard<std::mutex> lock(stats_mutex_);
-                ++stats_.requests;
-            }
-            telemetry::counter("net.requests").add(1);
+            requests_.add(1);
             const uint64_t request_id = req.request_id;
             Pending pending;
             pending.session = session;
@@ -282,11 +262,7 @@ PolymulServer::sessionLoop(std::shared_ptr<Session> session)
             pending.request = std::move(req);
             pending.admit_ns = telemetry::nowNs();
             if (!admit(std::move(pending))) {
-                {
-                    std::lock_guard<std::mutex> lock(stats_mutex_);
-                    ++stats_.shed;
-                }
-                telemetry::counter("net.shed").add(1);
+                shed_.add(1);
                 sendStatus(*session, request_id,
                            robust::StatusCode::ResourceExhausted,
                            "admission queue full");
@@ -486,10 +462,8 @@ PolymulServer::executeOne(Pending& pending)
         resp.n = 0;
         resp.channels.clear();
     }
-    if (resp.code == robust::StatusCode::DeadlineExceeded) {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.deadline_misses;
-    }
+    if (resp.code == robust::StatusCode::DeadlineExceeded)
+        deadline_misses_.add(1);
     telemetry::spanSite("net.request")
         .hist.record(telemetry::nowNs() - pending.admit_ns);
     respond(*pending.session, resp);
@@ -539,12 +513,8 @@ PolymulServer::execute(std::vector<Pending>& batch)
     try {
         std::vector<rns::RnsPolynomial> results =
             engine_.polymulNegacyclicBatch(products, nullptr);
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.coalesced_batches;
-            stats_.coalesced_requests += live.size();
-        }
-        telemetry::counter("net.coalesced").add(live.size());
+        coalesced_batches_.add(1);
+        coalesced_requests_.add(live.size());
         for (size_t i = 0; i < live.size(); ++i) {
             Response resp;
             resp.code = robust::StatusCode::Ok;
@@ -567,6 +537,9 @@ void
 PolymulServer::respond(Session& session, const Response& resp)
 {
     std::vector<uint8_t> frame = encodeResponseFrame(resp);
+    // Counted before the write: a peer that sees the response also sees
+    // it in stats().
+    served_.add(1);
     robust::Status s;
     {
         std::lock_guard<std::mutex> lock(session.write_mutex);
@@ -577,11 +550,8 @@ PolymulServer::respond(Session& session, const Response& resp)
             s = e.status(); // injected net.write fault
         }
     }
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.served;
     if (!s.ok())
-        telemetry::counter("net.write_errors").add(1);
-    telemetry::counter("net.served").add(1);
+        write_errors_.add(1);
 }
 
 void
@@ -601,8 +571,11 @@ PolymulServer::sendStatus(Session& session, uint64_t request_id,
 PolymulServer::Stats
 PolymulServer::stats() const
 {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return stats_;
+    return Stats{accepted_.value(),        sessions_rejected_.value(),
+                 requests_.value(),        served_.value(),
+                 shed_.value(),            deadline_misses_.value(),
+                 protocol_errors_.value(), coalesced_batches_.value(),
+                 coalesced_requests_.value()};
 }
 
 DrainReport
@@ -652,12 +625,9 @@ PolymulServer::stop()
     DrainReport report;
     report.leased_at_drain = engine_.workspacePool().leasedCount();
     report.clean = report.leased_at_drain == 0;
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        report.served = stats_.served;
-        report.shed = stats_.shed;
-    }
-    telemetry::counter("net.drains").add(1);
+    report.served = served_.value();
+    report.shed = shed_.value();
+    drains_.add(1);
     stopped_ = true;
     last_drain_ = report;
     return report;

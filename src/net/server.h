@@ -43,6 +43,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "robust/cancel.h"
+#include "telemetry/telemetry.h"
 
 namespace mqx {
 namespace net {
@@ -110,6 +111,7 @@ class PolymulServer
 
     engine::Engine& engine() { return engine_; }
 
+    /** A view over the server's telemetry counters (see counters below). */
     struct Stats {
         uint64_t accepted = 0;          ///< connections accepted
         uint64_t sessions_rejected = 0; ///< connections over max_sessions
@@ -176,8 +178,24 @@ class PolymulServer
              std::shared_ptr<rns::RnsBasis>>
         basis_cache_;
 
-    mutable std::mutex stats_mutex_;
-    Stats stats_;
+    // One telemetry counter per event, each bumped once and, for
+    // events a response reports, before that response is written.
+    // Stats reads the first nine; net.coalesced counts the requests
+    // served through a coalesced batch.
+    telemetry::InstanceCounter accepted_{"net.accepted"};
+    telemetry::InstanceCounter sessions_rejected_{"net.sessions_rejected"};
+    telemetry::InstanceCounter requests_{"net.requests"};
+    telemetry::InstanceCounter served_{"net.served"};
+    telemetry::InstanceCounter shed_{"net.shed"};
+    telemetry::InstanceCounter deadline_misses_{"net.deadline_misses"};
+    telemetry::InstanceCounter protocol_errors_{"net.protocol_errors"};
+    telemetry::InstanceCounter coalesced_batches_{"net.coalesced_batches"};
+    telemetry::InstanceCounter coalesced_requests_{"net.coalesced"};
+    telemetry::InstanceCounter accept_faults_{"net.accept_faults"};
+    telemetry::InstanceCounter accept_errors_{"net.accept_errors"};
+    telemetry::InstanceCounter idle_closed_{"net.idle_closed"};
+    telemetry::InstanceCounter write_errors_{"net.write_errors"};
+    telemetry::InstanceCounter drains_{"net.drains"};
 
     bool stopped_ = false;
     DrainReport last_drain_;

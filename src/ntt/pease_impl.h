@@ -1132,7 +1132,7 @@ forwardBatchCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
     const size_t h = plan.half();
     const int m = plan.logn();
     simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
-    const size_t pf = core::prefetchDistance() * il * w8;
+    const size_t pf = core::kPrefetchRows * il * w8;
 
     PingPong pp(in, out, scratch, m);
     for (int s = 0; s < m; ++s, pp.next()) {
@@ -1184,7 +1184,7 @@ inverseBatchCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
     const size_t h = plan.half();
     const int m = plan.logn();
     simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
-    const size_t pf = core::prefetchDistance() * il * w8;
+    const size_t pf = core::kPrefetchRows * il * w8;
     const LastFactorsV<Isa> lastf(tw);
 
     PingPong pp(in, out, scratch, m);

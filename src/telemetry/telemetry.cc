@@ -27,6 +27,23 @@ nowNs()
             .count());
 }
 
+struct CounterEntry
+{
+    /** counter(name); also holds the values of retired instances. */
+    Counter interned;
+    /** Live InstanceCounters of this name (under the registry mutex). */
+    std::vector<Counter*> live;
+
+    uint64_t
+    total() const
+    {
+        uint64_t sum = interned.value();
+        for (const Counter* c : live)
+            sum += c->value();
+        return sum;
+    }
+};
+
 namespace {
 
 std::atomic<bool>&
@@ -39,14 +56,16 @@ enabledFlag()
 }
 
 /**
- * Name-interned counters and span sites. Entries are unique_ptrs so
- * the references handed out stay stable across rehashes, and they are
- * never erased; std::map keeps snapshot key order deterministic.
+ * Name-interned counter entries and span sites. Entries are
+ * unique_ptrs so the references handed out stay stable across
+ * rehashes, and they are never erased; std::map keeps snapshot key
+ * order deterministic.
  */
 struct Registry
 {
     mutable std::shared_mutex mutex;
-    std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
+    std::map<std::string, std::unique_ptr<CounterEntry>, std::less<>>
+        counters;
     std::map<std::string, std::unique_ptr<SpanSite>, std::less<>> spans;
     std::map<uint32_t, std::string> thread_names;
 
@@ -75,6 +94,14 @@ findOrCreate(Map& map, std::string_view name, std::shared_mutex& mutex,
     if (it == map.end())
         it = map.emplace(std::string(name), make()).first;
     return *it->second;
+}
+
+CounterEntry&
+counterEntry(std::string_view name)
+{
+    Registry& reg = Registry::instance();
+    return findOrCreate(reg.counters, name, reg.mutex,
+                        [] { return std::make_unique<CounterEntry>(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -157,9 +184,33 @@ setEnabled(bool on)
 Counter&
 counter(std::string_view name)
 {
+    return counterEntry(name).interned;
+}
+
+InstanceCounter::InstanceCounter(std::string_view name)
+    : entry_(&counterEntry(name))
+{
+    std::unique_lock<std::shared_mutex> lock(Registry::instance().mutex);
+    entry_->live.push_back(this);
+}
+
+InstanceCounter::~InstanceCounter()
+{
+    // One critical section: a snapshot sees this value either live or
+    // folded, never both or neither.
+    std::unique_lock<std::shared_mutex> lock(Registry::instance().mutex);
+    entry_->interned.add(value());
+    std::vector<Counter*>& live = entry_->live;
+    live.erase(std::find(live.begin(), live.end(), this));
+}
+
+uint64_t
+total(std::string_view name)
+{
     Registry& reg = Registry::instance();
-    return findOrCreate(reg.counters, name, reg.mutex,
-                        [] { return std::make_unique<Counter>(); });
+    std::shared_lock<std::shared_mutex> lock(reg.mutex);
+    auto it = reg.counters.find(name);
+    return it == reg.counters.end() ? 0 : it->second->total();
 }
 
 SpanSite&
@@ -368,13 +419,13 @@ snapshotJson()
     out += "},\n  \"counters\": {";
     std::shared_lock<std::shared_mutex> lock(reg.mutex);
     bool first = true;
-    for (const auto& [name, c] : reg.counters) {
+    for (const auto& [name, entry] : reg.counters) {
         if (!first)
             out += ",";
         first = false;
         out += "\n    \"";
         appendJsonEscaped(out, name);
-        out += "\": " + std::to_string(c->value());
+        out += "\": " + std::to_string(entry->total());
     }
     out += "\n  },\n  \"spans\": {";
     first = true;
@@ -402,8 +453,11 @@ resetAll()
 {
     Registry& reg = Registry::instance();
     std::shared_lock<std::shared_mutex> lock(reg.mutex);
-    for (const auto& [name, c] : reg.counters)
-        c->reset();
+    for (const auto& [name, entry] : reg.counters) {
+        entry->interned.reset();
+        for (Counter* c : entry->live)
+            c->reset();
+    }
     for (const auto& [name, site] : reg.spans) {
         site->hist.reset();
         site->self_ns.reset();

@@ -1,6 +1,7 @@
 /**
  * @file
- * Kernel-level telemetry: a process-wide registry of named counters and
+ * Kernel-level telemetry: a process-wide registry of named counters
+ * (interned by name, or owned by an object as an InstanceCounter) and
  * log-bucketed latency histograms, RAII timing spans with parent/child
  * attribution, and a bounded in-memory trace buffer exportable as
  * Chrome trace_event JSON.
@@ -115,6 +116,32 @@ class Counter
         std::atomic<uint64_t> v{0};
     };
     std::array<Shard, kCounterShards> shards_{};
+};
+
+/** A name's registry entry (telemetry.cc): counter(name) + live instances. */
+struct CounterEntry;
+
+/**
+ * A Counter owned by one object (a pool, a cache, a server) and
+ * registered under @p name for as long as it lives, so the owner's
+ * Stats read it directly and the snapshot sees the same number: each
+ * event is one add. Several live instances may share a name. The
+ * destructor folds the value into counter(name), so per-name process
+ * totals stay monotonic when owners come and go. Registration and
+ * retirement take the registry lock; add() never does. Not copyable or
+ * movable (the registry holds its address).
+ */
+class InstanceCounter : public Counter
+{
+  public:
+    explicit InstanceCounter(std::string_view name);
+    ~InstanceCounter();
+
+    InstanceCounter(const InstanceCounter&) = delete;
+    InstanceCounter& operator=(const InstanceCounter&) = delete;
+
+  private:
+    CounterEntry* entry_;
 };
 
 /** Aggregated view of one histogram (all quantiles in ns). */
@@ -238,6 +265,13 @@ struct SpanSite
 Counter& counter(std::string_view name);
 SpanSite& spanSite(std::string_view name);
 
+/**
+ * The process total for @p name, as snapshotJson() reports it:
+ * counter(name) (which holds the retired instances' values) plus every
+ * live InstanceCounter of that name. 0 for a name never registered.
+ */
+uint64_t total(std::string_view name);
+
 /** Append one completed span to the trace buffer (no-op when off). */
 void traceAppend(const char* name, uint64_t start_ns, uint64_t dur_ns);
 
@@ -306,14 +340,18 @@ void setThreadName(std::string name);
 
 /**
  * One JSON document with every registered counter and span site:
- * {"telemetry": {...}, "counters": {name: value},
+ * {"telemetry": {...}, "counters": {name: total(name)},
  *  "spans": {name: {count, sum_ns, self_ns, p50_ns, p95_ns, p99_ns,
  *                   max_ns}}}.
  * Keys are sorted, so snapshots diff cleanly.
  */
 std::string snapshotJson();
 
-/** Zero every counter, histogram, and the trace buffer (tests/bench). */
+/**
+ * Zero every counter (interned and live instances alike, so owners'
+ * Stats restart from 0 too), histogram, and the trace buffer
+ * (tests/bench).
+ */
 void resetAll();
 
 } // namespace telemetry

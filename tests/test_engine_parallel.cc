@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "telemetry/telemetry.h"
 #include "test_util.h"
 
 namespace mqx {
@@ -207,6 +208,25 @@ TEST(ThreadPool, SerialPoolStatsCountInlineCallerTasks)
     EXPECT_EQ(s.caller_tasks, 6u);
     EXPECT_EQ(s.steals, 0u); // inline runs are not steals
     EXPECT_EQ(s.executed(), s.submitted);
+}
+
+TEST(ThreadPool, EngineOpTelemetryDeltaMatchesPoolStats)
+{
+    // pool.tasks in the telemetry snapshot and the pool's own Stats are
+    // one counter set: a warmed Engine op moves both by the same amount.
+    engine::Engine eng(Backend::Scalar, 3);
+    const auto& basis = testBasis();
+    auto a = rns::randomPolynomial(basis, 64, 7);
+    auto b = rns::randomPolynomial(basis, 64, 8);
+    (void)eng.polymulNegacyclic(a, b); // warm: plans built
+    const uint64_t tasks0 = telemetry::total("pool.tasks");
+    const engine::ThreadPool::Stats s0 = eng.pool().stats();
+    (void)eng.polymulNegacyclic(a, b);
+    const engine::ThreadPool::Stats s1 = eng.pool().stats();
+    EXPECT_GT(s1.executed(), s0.executed());
+    EXPECT_EQ(telemetry::total("pool.tasks") - tasks0,
+              s1.executed() - s0.executed());
+    EXPECT_EQ(s1.executed(), s1.submitted);
 }
 
 TEST(PlanCache, StatsCountBuildsSeparatelyFromMisses)

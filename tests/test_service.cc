@@ -30,6 +30,7 @@
 #include "robust/cancel.h"
 #include "robust/fault_injection.h"
 #include "rns/rns.h"
+#include "telemetry/telemetry.h"
 #include "test_util.h"
 
 namespace mqx {
@@ -199,6 +200,8 @@ TEST(Service, OverloadShedsWithResourceExhausted)
     options.engine.max_workspaces = 4;
     options.queue_depth = 2;
     options.dispatchers = 1;
+    const uint64_t served0 = telemetry::total("net.served");
+    const uint64_t shed0 = telemetry::total("net.shed");
     ServiceFixture fx(options);
 
     // The negacyclic transform needs a 2n-th root of unity, so this
@@ -260,6 +263,13 @@ TEST(Service, OverloadShedsWithResourceExhausted)
     net::DrainReport report = fx.server.stop();
     EXPECT_TRUE(report.clean);
     EXPECT_EQ(fx.server.stats().shed, static_cast<uint64_t>(shed));
+    // stats(), the drain report and the telemetry snapshot read the
+    // same counters.
+    EXPECT_EQ(report.shed, fx.server.stats().shed);
+    EXPECT_EQ(report.served, fx.server.stats().served);
+    EXPECT_EQ(report.served, static_cast<uint64_t>(kRequests));
+    EXPECT_EQ(telemetry::total("net.shed") - shed0, report.shed);
+    EXPECT_EQ(telemetry::total("net.served") - served0, report.served);
 }
 
 // ---------------------------------------------------------------------------

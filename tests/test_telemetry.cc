@@ -2,8 +2,9 @@
  * @file
  * Telemetry subsystem tests: histogram bucket math against a sorted
  * oracle, sharded counters and concurrent recording (the TSan target),
- * span nesting/self-time attribution, and well-formedness of the two
- * JSON exports (snapshot and Chrome trace).
+ * span nesting/self-time attribution, well-formedness of the two
+ * JSON exports (snapshot and Chrome trace), and the instance-counter
+ * registry that pool, plan-cache and server Stats are views over.
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +20,9 @@
 
 #include "core/env.h"
 #include "core/layout_metrics.h"
+#include "engine/plan_cache.h"
+#include "engine/thread_pool.h"
+#include "rns/rns.h"
 #include "telemetry/telemetry.h"
 
 namespace mqx {
@@ -507,6 +511,184 @@ TEST(Trace, ConcurrentSpansExportCleanly)
     telemetry::disableTracing();
     EXPECT_TRUE(JsonChecker::valid(json));
     EXPECT_NE(json.find("\"test.trace.concurrent\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Instance counters: owned by an object, reported under a shared name.
+// ---------------------------------------------------------------------------
+
+/** The value snapshotJson() reports for counter @p name (-1: absent). */
+int64_t
+snapshotValue(const std::string& json, const std::string& name)
+{
+    const std::string key = "\"" + name + "\": ";
+    const size_t pos = json.find(key);
+    if (pos == std::string::npos)
+        return -1;
+    return std::strtoll(json.c_str() + pos + key.size(), nullptr, 10);
+}
+
+TEST(TelemetryRegistry, LiveInstancesOfOneNameSum)
+{
+    // Relative to what earlier runs of this test retired (--gtest_repeat).
+    const char* kName = "test.registry.sum";
+    const uint64_t base = telemetry::total(kName);
+    telemetry::InstanceCounter a(kName);
+    telemetry::InstanceCounter b(kName);
+    a.add(3);
+    b.add(4);
+    EXPECT_EQ(a.value(), 3u);
+    EXPECT_EQ(b.value(), 4u);
+    EXPECT_EQ(telemetry::total(kName), base + 7);
+    EXPECT_EQ(telemetry::counter(kName).value(), base); // nothing new retired
+    EXPECT_EQ(snapshotValue(telemetry::snapshotJson(), kName),
+              static_cast<int64_t>(base + 7));
+    EXPECT_EQ(telemetry::total("test.registry.never_registered"), 0u);
+}
+
+TEST(TelemetryRegistry, DestroyedInstanceFoldsIntoProcessTotal)
+{
+    const char* kName = "test.registry.fold";
+    const uint64_t base = telemetry::total(kName);
+    telemetry::InstanceCounter survivor(kName);
+    survivor.add(5);
+    {
+        telemetry::InstanceCounter gone(kName);
+        gone.add(11);
+        EXPECT_EQ(telemetry::total(kName), base + 16);
+    }
+    EXPECT_EQ(telemetry::total(kName), base + 16);
+    EXPECT_EQ(telemetry::counter(kName).value(), base + 11);
+    EXPECT_EQ(survivor.value(), 5u);
+    EXPECT_EQ(snapshotValue(telemetry::snapshotJson(), kName),
+              static_cast<int64_t>(base + 16));
+}
+
+/**
+ * resetAll() zeroes every counter in the process, notes other tests
+ * expect to persist (env.fallback.*) included, so this check runs in a
+ * child process and reports through its exit code: 1 the set-up total,
+ * 2 a count resetAll() left, 3 counting after the reset.
+ */
+TEST(TelemetryRegistryDeathTest, ResetAllZeroesLiveAndRetiredCounts)
+{
+    const char* kName = "test.registry.reset";
+    auto check = [kName] {
+        const uint64_t base = telemetry::total(kName);
+        {
+            telemetry::InstanceCounter gone(kName);
+            gone.add(2);
+        }
+        telemetry::InstanceCounter live(kName);
+        live.add(9);
+        if (telemetry::total(kName) != base + 11)
+            std::exit(1);
+        telemetry::resetAll();
+        if (live.value() != 0 || telemetry::counter(kName).value() != 0 ||
+            telemetry::total(kName) != 0)
+            std::exit(2);
+        live.add(1);
+        std::exit(telemetry::total(kName) == 1 ? 0 : 3);
+    };
+    // Re-executed rather than forked: under TSan the process is never
+    // single-threaded (the runtime keeps a thread of its own).
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(check(), ::testing::ExitedWithCode(0), "");
+}
+
+TEST(TelemetryRegistry, PerInstanceStatsDoNotSeeEachOthersWork)
+{
+    const uint64_t tasks0 = telemetry::total("pool.tasks");
+    const uint64_t submitted0 = telemetry::total("pool.submitted");
+    {
+        engine::ThreadPool p1(2);
+        engine::ThreadPool p2(3);
+        p1.parallelFor(0, 5, [](size_t) {});
+        p2.parallelFor(0, 7, [](size_t) {});
+        p2.parallelFor(0, 1, [](size_t) {});
+        const engine::ThreadPool::Stats s1 = p1.stats();
+        const engine::ThreadPool::Stats s2 = p2.stats();
+        EXPECT_EQ(s1.submitted, 5u);
+        EXPECT_EQ(s1.executed(), 5u);
+        EXPECT_EQ(s2.submitted, 8u);
+        EXPECT_EQ(s2.executed(), 8u);
+        EXPECT_EQ(telemetry::total("pool.tasks") - tasks0, 13u);
+        EXPECT_EQ(telemetry::total("pool.submitted") - submitted0, 13u);
+    }
+    // Both pools retired: their work stays in the process totals.
+    EXPECT_EQ(telemetry::total("pool.tasks") - tasks0, 13u);
+
+    const uint64_t builds0 = telemetry::total("plancache.builds");
+    const uint64_t hits0 = telemetry::total("plancache.hits");
+    const rns::RnsBasis basis(40, 8, 1);
+    engine::PlanCache c1;
+    engine::PlanCache c2;
+    (void)c1.getNegacyclic(basis.prime(0), 64);
+    (void)c1.getNegacyclic(basis.prime(0), 64);
+    (void)c2.getNegacyclic(basis.prime(0), 64);
+    const engine::PlanCache::Stats st1 = c1.stats();
+    const engine::PlanCache::Stats st2 = c2.stats();
+    EXPECT_EQ(st1.hits, 1u);
+    EXPECT_EQ(st1.misses, 1u);
+    EXPECT_EQ(st1.builds, 1u);
+    EXPECT_EQ(st2.hits, 0u);
+    EXPECT_EQ(st2.misses, 1u);
+    EXPECT_EQ(st2.builds, 1u);
+    EXPECT_EQ(telemetry::total("plancache.builds") - builds0, 2u);
+    EXPECT_EQ(telemetry::total("plancache.hits") - hits0, 1u);
+    EXPECT_EQ(telemetry::total("plancache.build_ns"),
+              st1.build_ns + st2.build_ns +
+                  telemetry::counter("plancache.build_ns").value());
+}
+
+TEST(TelemetryRegistry, ConcurrentChurnAndSnapshotsEndWithExactTotal)
+{
+    // Threads create, bump and destroy same-name instances while
+    // another thread snapshots: every snapshot sees a non-decreasing
+    // total (an instance's value is live or folded, never both or
+    // neither), and the final total is exact.
+    const char* kName = "test.registry.churn";
+    (void)telemetry::counter(kName); // listed before the reader starts
+    const uint64_t base = telemetry::total(kName);
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 200;
+    std::atomic<bool> done{false};
+    std::atomic<bool> went_back{false};
+    std::thread reader([&] {
+        int64_t last = 0;
+        while (!done.load(std::memory_order_acquire)) {
+            const int64_t now =
+                snapshotValue(telemetry::snapshotJson(), kName);
+            if (now < last)
+                went_back.store(true, std::memory_order_relaxed);
+            last = now;
+        }
+    });
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+        writers.emplace_back([&, t] {
+            telemetry::InstanceCounter keeper(kName);
+            for (int r = 0; r < kRounds; ++r) {
+                telemetry::InstanceCounter c(kName);
+                c.add(static_cast<uint64_t>(r % 7 + 1));
+                keeper.add(static_cast<uint64_t>(t + 1));
+            }
+        });
+    }
+    for (auto& w : writers)
+        w.join();
+    done.store(true, std::memory_order_release);
+    reader.join();
+
+    uint64_t expected = 0;
+    for (int r = 0; r < kRounds; ++r)
+        expected += static_cast<uint64_t>(r % 7 + 1) * kThreads;
+    for (int t = 0; t < kThreads; ++t)
+        expected += static_cast<uint64_t>(t + 1) * kRounds;
+    EXPECT_FALSE(went_back.load());
+    EXPECT_EQ(telemetry::total(kName) - base, expected);
+    EXPECT_EQ(snapshotValue(telemetry::snapshotJson(), kName),
+              static_cast<int64_t>(base + expected));
 }
 
 } // namespace
