@@ -179,7 +179,7 @@ measureNtt(Tier tier, const ntt::NttPrime& prime, size_t n)
     Measurement m = runNttProtocol(
         [&] {
             ntt::forward(plan, be, in.span(), out.span(), scratch.span(),
-                         MulAlgo::Schoolbook, Reduction::Barrett);
+                         Reduction::Barrett);
         },
         scale);
     return nsPerButterfly(m, n);

@@ -41,68 +41,6 @@ bestOf(int reps, Fn&& fn)
     return best;
 }
 
-/** Lower quartile, median and upper quartile of a sample. */
-struct Quartiles
-{
-    double q1 = 0, median = 0, q3 = 0;
-};
-
-Quartiles
-quartiles(std::vector<double> v)
-{
-    std::sort(v.begin(), v.end());
-    auto at = [&](double p) {
-        const double x = p * static_cast<double>(v.size() - 1);
-        const auto i = static_cast<size_t>(x);
-        const double f = x - static_cast<double>(i);
-        return i + 1 < v.size() ? v[i] + f * (v[i + 1] - v[i]) : v[i];
-    };
-    return {at(0.25), at(0.5), at(0.75)};
-}
-
-/** A variant timed against its baseline in alternated pairs. */
-struct Paired
-{
-    uint64_t base_ns = 0;    ///< median baseline time
-    uint64_t variant_ns = 0; ///< median variant time
-    Quartiles overhead_pct;  ///< of the per-pair variant/base - 1
-};
-
-/**
- * Time @p base and @p variant in @p pairs alternated pairs (the order
- * flips every pair). A pair sees one host state on both sides, so the
- * per-pair ratio cancels the host's speed drifts that separate two
- * best-of runs taken one after the other.
- */
-template <typename Base, typename Variant>
-Paired
-pairedOverhead(int pairs, Base&& base, Variant&& variant)
-{
-    auto timed = [](auto& fn) {
-        const uint64_t t0 = nowNs();
-        fn();
-        return nowNs() - t0;
-    };
-    std::vector<double> b_ns, v_ns, pct;
-    for (int p = 0; p < pairs; ++p) {
-        uint64_t tb = 0, tv = 0;
-        if (p % 2 == 0) {
-            tb = timed(base);
-            tv = timed(variant);
-        } else {
-            tv = timed(variant);
-            tb = timed(base);
-        }
-        b_ns.push_back(static_cast<double>(tb));
-        v_ns.push_back(static_cast<double>(tv));
-        pct.push_back(100.0 * (static_cast<double>(tv) /
-                                   static_cast<double>(tb) -
-                               1.0));
-    }
-    return {static_cast<uint64_t>(quartiles(b_ns).median),
-            static_cast<uint64_t>(quartiles(v_ns).median), quartiles(pct)};
-}
-
 /**
  * The overhead cell of a guard table, and its verdict: EXCEEDED only
  * when the lower quartile of the paired overheads is above the bound,

@@ -43,10 +43,8 @@ measureFwdInvNsWith(Fwd fwd, Inv inv, const ntt::NttPlan& plan, size_t n,
     ResidueVector mid(n), out(n), scratch(n);
     Measurement m = runProtocol(
         [&] {
-            fwd(plan, in.span(), mid.span(), scratch.span(),
-                MulAlgo::Schoolbook, red, fusion);
-            inv(plan, mid.span(), out.span(), scratch.span(),
-                MulAlgo::Schoolbook, red, fusion);
+            fwd(plan, in.span(), mid.span(), scratch.span(), red, fusion);
+            inv(plan, mid.span(), out.span(), scratch.span(), red, fusion);
         },
         total, kept);
     // Min of the kept window: the mean is hostage to scheduler noise on
@@ -61,12 +59,12 @@ measureFwdInvNs(Backend be, const ntt::NttPlan& plan, size_t n,
 {
     return measureFwdInvNsWith(
         [be](const ntt::NttPlan& p, DConstSpan in, DSpan out, DSpan scr,
-             MulAlgo algo, Reduction r, StageFusion f) {
-            ntt::forward(p, be, in, out, scr, algo, r, f);
+             Reduction r, StageFusion f) {
+            ntt::forward(p, be, in, out, scr, r, f);
         },
         [be](const ntt::NttPlan& p, DConstSpan in, DSpan out, DSpan scr,
-             MulAlgo algo, Reduction r, StageFusion f) {
-            ntt::inverse(p, be, in, out, scr, algo, r, f);
+             Reduction r, StageFusion f) {
+            ntt::inverse(p, be, in, out, scr, r, f);
         },
         plan, n, red, fusion, total, kept);
 }
@@ -317,12 +315,12 @@ runJsonMode(const char* path)
             // A tier's own entry point over the plan's cyclic twiddles.
             auto entry = [](auto fn, bool fwd) {
                 return [fn, fwd](const ntt::NttPlan& p, DConstSpan in,
-                                 DSpan out, DSpan scr, MulAlgo algo,
-                                 Reduction r, StageFusion f) {
+                                 DSpan out, DSpan scr, Reduction r,
+                                 StageFusion f) {
                     fn(p,
                        fwd ? ntt::detail::forwardTwiddles(p)
                            : ntt::detail::inverseTwiddles(p),
-                       in, out, scr, {algo, r, f});
+                       in, out, scr, {r, f});
                 };
             };
             namespace nb = ntt::backends;
@@ -369,8 +367,7 @@ runJsonMode(const char* path)
         auto time = [&](auto vmul) {
             return runProtocol(
                        [&] {
-                           vmul(m, a.span(), b.span(), c.span(),
-                                MulAlgo::Schoolbook);
+                           vmul(m, a.span(), b.span(), c.span());
                        },
                        200, 100)
                 .min_ns;

@@ -31,8 +31,7 @@ measureMqxVariantNtt(const ntt::NttPrime& prime, size_t n, MqxVariant v)
     Measurement m = runNttProtocol(
         [&] {
             ntt::forwardMqx(plan, v, /*pisa=*/true, in.span(), out.span(),
-                            scratch.span(), MulAlgo::Schoolbook,
-                            Reduction::Barrett);
+                            scratch.span(), Reduction::Barrett);
         },
         nttProtocolScale(Tier::MqxPisa, n));
     return nsPerButterfly(m, n);

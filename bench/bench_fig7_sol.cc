@@ -138,8 +138,7 @@ main()
             Measurement m = runNttProtocol(
                 [&] {
                     ntt::forward(plan, be, in.span(), out.span(),
-                                 scratch.span(), MulAlgo::Schoolbook,
-                                 Reduction::ShoupLazy, fusion);
+                                 scratch.span(), Reduction::ShoupLazy, fusion);
                 },
                 0.1);
             return m.mean_ns;

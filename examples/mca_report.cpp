@@ -90,8 +90,7 @@ measuredNs(mca::Kernel kernel, mca::TraceFlavor flavor, const Modulus& m,
             });
           case mca::Kernel::MulMod:
             return perVectorNs([&] {
-                bb::vmulAvx512(m, o.b.span(), o.w.span(), o.c.span(),
-                               MulAlgo::Schoolbook);
+                bb::vmulAvx512(m, o.b.span(), o.w.span(), o.c.span());
             });
           case mca::Kernel::LazyButterfly:
           case mca::Kernel::LazyButterflyCarry:
@@ -115,8 +114,7 @@ measuredNs(mca::Kernel kernel, mca::TraceFlavor flavor, const Modulus& m,
             });
           case mca::Kernel::MulMod:
             return perVectorNs([&] {
-                bb::vmulAvx512Ifma(m, o.b.span(), o.w.span(), o.c.span(),
-                                   MulAlgo::Schoolbook);
+                bb::vmulAvx512Ifma(m, o.b.span(), o.w.span(), o.c.span());
             });
           case mca::Kernel::LazyButterfly:
           case mca::Kernel::LazyButterflyCarry:

@@ -82,4 +82,17 @@ nsPerElement(const Measurement& m, size_t n)
     return m.mean_ns / static_cast<double>(n);
 }
 
+Quartiles
+quartiles(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    auto at = [&](double p) {
+        const double x = p * static_cast<double>(v.size() - 1);
+        const auto i = static_cast<size_t>(x);
+        const double f = x - static_cast<double>(i);
+        return i + 1 < v.size() ? v[i] + f * (v[i + 1] - v[i]) : v[i];
+    };
+    return {at(0.25), at(0.5), at(0.75)};
+}
+
 } // namespace mqx

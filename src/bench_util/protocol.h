@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 namespace mqx {
 
@@ -69,5 +70,60 @@ double nsPerButterfly(const Measurement& m, size_t n);
 
 /** Nanoseconds per element for a length-n BLAS measurement. */
 double nsPerElement(const Measurement& m, size_t n);
+
+/** Lower quartile, median and upper quartile of a sample. */
+struct Quartiles
+{
+    double q1 = 0, median = 0, q3 = 0;
+};
+
+Quartiles quartiles(std::vector<double> v);
+
+/** A variant timed against its baseline in alternated pairs. */
+struct Paired
+{
+    uint64_t base_ns = 0;    ///< median baseline time
+    uint64_t variant_ns = 0; ///< median variant time
+    Quartiles overhead_pct;  ///< of the per-pair variant/base - 1
+    int variant_wins = 0;    ///< pairs in which the variant was faster
+};
+
+/**
+ * Time @p base and @p variant in @p pairs alternated pairs (the order
+ * flips every pair). A pair sees one host state on both sides, so the
+ * per-pair ratio cancels the host's speed drifts that separate two
+ * best-of runs taken one after the other.
+ */
+template <typename Base, typename Variant>
+Paired
+pairedOverhead(int pairs, Base&& base, Variant&& variant)
+{
+    auto timed = [](auto& fn) {
+        const uint64_t t0 = nowNs();
+        fn();
+        return nowNs() - t0;
+    };
+    std::vector<double> b_ns, v_ns, pct;
+    int wins = 0;
+    for (int p = 0; p < pairs; ++p) {
+        uint64_t tb = 0, tv = 0;
+        if (p % 2 == 0) {
+            tb = timed(base);
+            tv = timed(variant);
+        } else {
+            tv = timed(variant);
+            tb = timed(base);
+        }
+        wins += tv < tb ? 1 : 0;
+        b_ns.push_back(static_cast<double>(tb));
+        v_ns.push_back(static_cast<double>(tv));
+        pct.push_back(100.0 * (static_cast<double>(tv) /
+                                   static_cast<double>(tb) -
+                               1.0));
+    }
+    return {static_cast<uint64_t>(quartiles(b_ns).median),
+            static_cast<uint64_t>(quartiles(v_ns).median), quartiles(pct),
+            wins};
+}
 
 } // namespace mqx

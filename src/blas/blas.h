@@ -45,7 +45,7 @@ void vsub(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b,
 
 /** c[i] = a[i] * b[i] mod q (point-wise). */
 void vmul(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b,
-          DSpan c, MulAlgo algo = MulAlgo::Schoolbook);
+          DSpan c);
 
 /**
  * acc[i] = acc[i] + sum_{j < k} a[j][i] * b[j][i] mod q: the point-wise
@@ -61,7 +61,7 @@ void vdot(Backend backend, const Modulus& m, const DConstSpan* a,
 
 /** y[i] = alpha * x[i] + y[i] mod q. */
 void axpy(Backend backend, const Modulus& m, const U128& alpha, DConstSpan x,
-          DSpan y, MulAlgo algo = MulAlgo::Schoolbook);
+          DSpan y);
 
 /**
  * y = A x mod q (BLAS-2 gemv; Section 2.3 frames point-wise vector
@@ -69,8 +69,7 @@ void axpy(Backend backend, const Modulus& m, const U128& alpha, DConstSpan x,
  * rows x cols in split hi/lo layout.
  */
 void gemv(Backend backend, const Modulus& m, DConstSpan matrix, DConstSpan x,
-          DSpan y, size_t rows, size_t cols,
-          MulAlgo algo = MulAlgo::Schoolbook);
+          DSpan y, size_t rows, size_t cols);
 
 /**
  * The Barrett multiply the Backend::Avx512 kernels picked on this host,
@@ -85,7 +84,7 @@ const char* avx512MulKernel();
  * copy of b).
  */
 void runOp(Op op, Backend backend, const Modulus& m, DConstSpan a,
-           DConstSpan b, DSpan c, MulAlgo algo = MulAlgo::Schoolbook);
+           DConstSpan b, DSpan c);
 
 } // namespace blas
 } // namespace mqx

@@ -24,9 +24,9 @@ vsubAvx2(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 }
 
 void
-vmulAvx2(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c, MulAlgo algo)
+vmulAvx2(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 {
-    simd::vmulImpl<simd::Avx2Isa>(m, a, b, c, algo);
+    simd::vmulImpl<simd::Avx2Isa>(m, a, b, c);
 }
 
 void
@@ -37,18 +37,17 @@ vdotAvx2(const Modulus& m, const DConstSpan* a, const DConstSpan* b, size_t k,
 }
 
 void
-axpyAvx2(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y,
-         MulAlgo algo)
+axpyAvx2(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y)
 {
-    simd::axpyImpl<simd::Avx2Isa>(m, alpha, x, y, algo);
+    simd::axpyImpl<simd::Avx2Isa>(m, alpha, x, y);
 }
 
 
 void
 gemvAvx2(const Modulus& m, DConstSpan matrix, DConstSpan x, DSpan y,
-         size_t rows, size_t cols, MulAlgo algo)
+         size_t rows, size_t cols)
 {
-    simd::gemvImpl<simd::Avx2Isa>(m, matrix, x, y, rows, cols, algo);
+    simd::gemvImpl<simd::Avx2Isa>(m, matrix, x, y, rows, cols);
 }
 
 } // namespace backends

@@ -15,42 +15,41 @@ namespace backends {
 // Scalar (native 128-bit words).
 void vaddScalar(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubScalar(const Modulus&, DConstSpan, DConstSpan, DSpan);
-void vmulScalar(const Modulus&, DConstSpan, DConstSpan, DSpan, MulAlgo);
+void vmulScalar(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vdotScalar(const Modulus&, const DConstSpan*, const DConstSpan*, size_t,
                 DSpan);
-void axpyScalar(const Modulus&, const U128&, DConstSpan, DSpan, MulAlgo);
+void axpyScalar(const Modulus&, const U128&, DConstSpan, DSpan);
 void gemvScalar(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
-                size_t, MulAlgo);
+                size_t);
 
 // Portable 8-lane model.
 void vaddPortable(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubPortable(const Modulus&, DConstSpan, DConstSpan, DSpan);
-void vmulPortable(const Modulus&, DConstSpan, DConstSpan, DSpan, MulAlgo);
+void vmulPortable(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vdotPortable(const Modulus&, const DConstSpan*, const DConstSpan*, size_t,
                   DSpan);
-void axpyPortable(const Modulus&, const U128&, DConstSpan, DSpan, MulAlgo);
+void axpyPortable(const Modulus&, const U128&, DConstSpan, DSpan);
 void gemvPortable(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
-                  size_t, MulAlgo);
+                  size_t);
 
 // AVX2.
 void vaddAvx2(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubAvx2(const Modulus&, DConstSpan, DConstSpan, DSpan);
-void vmulAvx2(const Modulus&, DConstSpan, DConstSpan, DSpan, MulAlgo);
+void vmulAvx2(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vdotAvx2(const Modulus&, const DConstSpan*, const DConstSpan*, size_t,
               DSpan);
-void axpyAvx2(const Modulus&, const U128&, DConstSpan, DSpan, MulAlgo);
-void gemvAvx2(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t, size_t,
-              MulAlgo);
+void axpyAvx2(const Modulus&, const U128&, DConstSpan, DSpan);
+void gemvAvx2(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t, size_t);
 
 // AVX-512.
 void vaddAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan);
-void vmulAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan, MulAlgo);
+void vmulAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vdotAvx512(const Modulus&, const DConstSpan*, const DConstSpan*, size_t,
                 DSpan);
-void axpyAvx512(const Modulus&, const U128&, DConstSpan, DSpan, MulAlgo);
+void axpyAvx512(const Modulus&, const U128&, DConstSpan, DSpan);
 void gemvAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
-                size_t, MulAlgo);
+                size_t);
 
 // The same AVX-512 tier body with every Barrett multiply on IFMA 52-bit
 // limbs (blas_avx512_ifma.cc, MQX_BUILD_AVX512_IFMA): word-identical to
@@ -58,25 +57,22 @@ void gemvAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
 // mqx::avx512Ifma().
 void vaddAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan);
-void vmulAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan, MulAlgo);
+void vmulAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vdotAvx512Ifma(const Modulus&, const DConstSpan*, const DConstSpan*,
                     size_t, DSpan);
-void axpyAvx512Ifma(const Modulus&, const U128&, DConstSpan, DSpan,
-                    MulAlgo);
+void axpyAvx512Ifma(const Modulus&, const U128&, DConstSpan, DSpan);
 void gemvAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
-                    size_t, MulAlgo);
+                    size_t);
 
 // MQX (full feature set); pisa selects the proxy timing mode.
 void vaddMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan);
-void vmulMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan,
-             MulAlgo);
+void vmulMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vdotMqx(bool pisa, const Modulus&, const DConstSpan*, const DConstSpan*,
              size_t, DSpan);
-void axpyMqx(bool pisa, const Modulus&, const U128&, DConstSpan, DSpan,
-             MulAlgo);
+void axpyMqx(bool pisa, const Modulus&, const U128&, DConstSpan, DSpan);
 void gemvMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan,
-             size_t, size_t, MulAlgo);
+             size_t, size_t);
 
 } // namespace backends
 } // namespace blas

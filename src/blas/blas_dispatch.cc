@@ -170,36 +170,35 @@ vsub(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 }
 
 void
-vmul(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
-     MulAlgo algo)
+vmul(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 {
     requireAvailable(backend);
     switch (backend) {
       case Backend::Scalar:
-        return backends::vmulScalar(m, a, b, c, algo);
+        return backends::vmulScalar(m, a, b, c);
       case Backend::Portable:
-        return backends::vmulPortable(m, a, b, c, algo);
+        return backends::vmulPortable(m, a, b, c);
       case Backend::Avx2:
 #if MQX_BUILD_AVX2
-        return backends::vmulAvx2(m, a, b, c, algo);
+        return backends::vmulAvx2(m, a, b, c);
 #else
         notCompiled(backend);
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        return avx512Tier().vmul(m, a, b, c, algo);
+        return avx512Tier().vmul(m, a, b, c);
 #else
         notCompiled(backend);
 #endif
       case Backend::MqxEmulate:
 #if MQX_BUILD_AVX512
-        return backends::vmulMqx(false, m, a, b, c, algo);
+        return backends::vmulMqx(false, m, a, b, c);
 #else
         notCompiled(backend);
 #endif
       case Backend::MqxPisa:
 #if MQX_BUILD_AVX512
-        return backends::vmulMqx(true, m, a, b, c, algo);
+        return backends::vmulMqx(true, m, a, b, c);
 #else
         notCompiled(backend);
 #endif
@@ -247,35 +246,35 @@ vdot(Backend backend, const Modulus& m, const DConstSpan* a,
 
 void
 axpy(Backend backend, const Modulus& m, const U128& alpha, DConstSpan x,
-     DSpan y, MulAlgo algo)
+     DSpan y)
 {
     requireAvailable(backend);
     switch (backend) {
       case Backend::Scalar:
-        return backends::axpyScalar(m, alpha, x, y, algo);
+        return backends::axpyScalar(m, alpha, x, y);
       case Backend::Portable:
-        return backends::axpyPortable(m, alpha, x, y, algo);
+        return backends::axpyPortable(m, alpha, x, y);
       case Backend::Avx2:
 #if MQX_BUILD_AVX2
-        return backends::axpyAvx2(m, alpha, x, y, algo);
+        return backends::axpyAvx2(m, alpha, x, y);
 #else
         notCompiled(backend);
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        return avx512Tier().axpy(m, alpha, x, y, algo);
+        return avx512Tier().axpy(m, alpha, x, y);
 #else
         notCompiled(backend);
 #endif
       case Backend::MqxEmulate:
 #if MQX_BUILD_AVX512
-        return backends::axpyMqx(false, m, alpha, x, y, algo);
+        return backends::axpyMqx(false, m, alpha, x, y);
 #else
         notCompiled(backend);
 #endif
       case Backend::MqxPisa:
 #if MQX_BUILD_AVX512
-        return backends::axpyMqx(true, m, alpha, x, y, algo);
+        return backends::axpyMqx(true, m, alpha, x, y);
 #else
         notCompiled(backend);
 #endif
@@ -286,35 +285,35 @@ axpy(Backend backend, const Modulus& m, const U128& alpha, DConstSpan x,
 
 void
 gemv(Backend backend, const Modulus& m, DConstSpan matrix, DConstSpan x,
-     DSpan y, size_t rows, size_t cols, MulAlgo algo)
+     DSpan y, size_t rows, size_t cols)
 {
     requireAvailable(backend);
     switch (backend) {
       case Backend::Scalar:
-        return backends::gemvScalar(m, matrix, x, y, rows, cols, algo);
+        return backends::gemvScalar(m, matrix, x, y, rows, cols);
       case Backend::Portable:
-        return backends::gemvPortable(m, matrix, x, y, rows, cols, algo);
+        return backends::gemvPortable(m, matrix, x, y, rows, cols);
       case Backend::Avx2:
 #if MQX_BUILD_AVX2
-        return backends::gemvAvx2(m, matrix, x, y, rows, cols, algo);
+        return backends::gemvAvx2(m, matrix, x, y, rows, cols);
 #else
         notCompiled(backend);
 #endif
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
-        return avx512Tier().gemv(m, matrix, x, y, rows, cols, algo);
+        return avx512Tier().gemv(m, matrix, x, y, rows, cols);
 #else
         notCompiled(backend);
 #endif
       case Backend::MqxEmulate:
 #if MQX_BUILD_AVX512
-        return backends::gemvMqx(false, m, matrix, x, y, rows, cols, algo);
+        return backends::gemvMqx(false, m, matrix, x, y, rows, cols);
 #else
         notCompiled(backend);
 #endif
       case Backend::MqxPisa:
 #if MQX_BUILD_AVX512
-        return backends::gemvMqx(true, m, matrix, x, y, rows, cols, algo);
+        return backends::gemvMqx(true, m, matrix, x, y, rows, cols);
 #else
         notCompiled(backend);
 #endif
@@ -324,7 +323,7 @@ gemv(Backend backend, const Modulus& m, DConstSpan matrix, DConstSpan x,
 
 void
 runOp(Op op, Backend backend, const Modulus& m, DConstSpan a, DConstSpan b,
-      DSpan c, MulAlgo algo)
+      DSpan c)
 {
     switch (op) {
       case Op::VectorAdd:
@@ -332,13 +331,13 @@ runOp(Op op, Backend backend, const Modulus& m, DConstSpan a, DConstSpan b,
       case Op::VectorSub:
         return vsub(backend, m, a, b, c);
       case Op::VectorMul:
-        return vmul(backend, m, a, b, c, algo);
+        return vmul(backend, m, a, b, c);
       case Op::Axpy: {
         // axpy updates in place: c must already contain y (= b's values);
         // alpha is the first element of a.
         checkArg(a.n >= 1, "runOp(axpy): empty alpha source");
         U128 alpha = U128::fromParts(a.hi[0], a.lo[0]);
-        return axpy(backend, m, alpha, b, c, algo);
+        return axpy(backend, m, alpha, b, c);
       }
     }
     throw InvalidArgument("runOp: unknown op");

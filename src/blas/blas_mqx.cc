@@ -41,13 +41,12 @@ vsubMqx(bool pisa, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 }
 
 void
-vmulMqx(bool pisa, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
-        MulAlgo algo)
+vmulMqx(bool pisa, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 {
     if (pisa)
-        simd::vmulImpl<PisaIsa>(m, a, b, c, algo);
+        simd::vmulImpl<PisaIsa>(m, a, b, c);
     else
-        simd::vmulImpl<EmuIsa>(m, a, b, c, algo);
+        simd::vmulImpl<EmuIsa>(m, a, b, c);
 }
 
 void
@@ -61,24 +60,23 @@ vdotMqx(bool pisa, const Modulus& m, const DConstSpan* a, const DConstSpan* b,
 }
 
 void
-axpyMqx(bool pisa, const Modulus& m, const U128& alpha, DConstSpan x, DSpan y,
-        MulAlgo algo)
+axpyMqx(bool pisa, const Modulus& m, const U128& alpha, DConstSpan x, DSpan y)
 {
     if (pisa)
-        simd::axpyImpl<PisaIsa>(m, alpha, x, y, algo);
+        simd::axpyImpl<PisaIsa>(m, alpha, x, y);
     else
-        simd::axpyImpl<EmuIsa>(m, alpha, x, y, algo);
+        simd::axpyImpl<EmuIsa>(m, alpha, x, y);
 }
 
 
 void
 gemvMqx(bool pisa, const Modulus& m, DConstSpan matrix, DConstSpan x, DSpan y,
-        size_t rows, size_t cols, MulAlgo algo)
+        size_t rows, size_t cols)
 {
     if (pisa)
-        simd::gemvImpl<PisaIsa>(m, matrix, x, y, rows, cols, algo);
+        simd::gemvImpl<PisaIsa>(m, matrix, x, y, rows, cols);
     else
-        simd::gemvImpl<EmuIsa>(m, matrix, x, y, rows, cols, algo);
+        simd::gemvImpl<EmuIsa>(m, matrix, x, y, rows, cols);
 }
 
 } // namespace backends

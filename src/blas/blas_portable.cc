@@ -24,10 +24,9 @@ vsubPortable(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 }
 
 void
-vmulPortable(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
-             MulAlgo algo)
+vmulPortable(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 {
-    simd::vmulImpl<simd::PortableIsa>(m, a, b, c, algo);
+    simd::vmulImpl<simd::PortableIsa>(m, a, b, c);
 }
 
 void
@@ -38,18 +37,17 @@ vdotPortable(const Modulus& m, const DConstSpan* a, const DConstSpan* b,
 }
 
 void
-axpyPortable(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y,
-             MulAlgo algo)
+axpyPortable(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y)
 {
-    simd::axpyImpl<simd::PortableIsa>(m, alpha, x, y, algo);
+    simd::axpyImpl<simd::PortableIsa>(m, alpha, x, y);
 }
 
 
 void
 gemvPortable(const Modulus& m, DConstSpan matrix, DConstSpan x, DSpan y,
-         size_t rows, size_t cols, MulAlgo algo)
+         size_t rows, size_t cols)
 {
-    simd::gemvImpl<simd::PortableIsa>(m, matrix, x, y, rows, cols, algo);
+    simd::gemvImpl<simd::PortableIsa>(m, matrix, x, y, rows, cols);
 }
 
 } // namespace backends

@@ -36,16 +36,13 @@ vsubScalar(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 }
 
 void
-vmulScalar(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
-           MulAlgo algo)
+vmulScalar(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 {
     checkArg(a.n == b.n && a.n == c.n, "vmul: length mismatch");
     const auto& br = m.barrett();
     for (size_t i = 0; i < a.n; ++i) {
         mod::DW<uint64_t> da{a.hi[i], a.lo[i]}, db{b.hi[i], b.lo[i]};
-        auto r = algo == MulAlgo::Schoolbook
-                     ? mod::mulModSchool(da, db, br)
-                     : mod::mulModKaratsuba(da, db, br);
+        auto r = mod::mulModSchool(da, db, br);
         c.hi[i] = r.hi;
         c.lo[i] = r.lo;
     }
@@ -59,17 +56,14 @@ vdotScalar(const Modulus& m, const DConstSpan* a, const DConstSpan* b,
 }
 
 void
-axpyScalar(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y,
-           MulAlgo algo)
+axpyScalar(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y)
 {
     checkArg(x.n == y.n, "axpy: length mismatch");
     const auto& br = m.barrett();
     const mod::DW<uint64_t> da = mod::toDw(alpha);
     for (size_t i = 0; i < x.n; ++i) {
         mod::DW<uint64_t> dx{x.hi[i], x.lo[i]};
-        auto t = algo == MulAlgo::Schoolbook
-                     ? mod::mulModSchool(da, dx, br)
-                     : mod::mulModKaratsuba(da, dx, br);
+        auto t = mod::mulModSchool(da, dx, br);
         U128 r = m.add(mod::fromDw(t), U128::fromParts(y.hi[i], y.lo[i]));
         y.hi[i] = r.hi;
         y.lo[i] = r.lo;
@@ -79,7 +73,7 @@ axpyScalar(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y,
 
 void
 gemvScalar(const Modulus& m, DConstSpan matrix, DConstSpan x, DSpan y,
-           size_t rows, size_t cols, MulAlgo algo)
+           size_t rows, size_t cols)
 {
     checkArg(matrix.n == rows * cols, "gemv: matrix size mismatch");
     checkArg(x.n == cols && y.n == rows, "gemv: vector size mismatch");
@@ -91,9 +85,7 @@ gemvScalar(const Modulus& m, DConstSpan matrix, DConstSpan x, DSpan y,
         for (size_t j = 0; j < cols; ++j) {
             mod::DW<uint64_t> da{row_hi[j], row_lo[j]};
             mod::DW<uint64_t> dx{x.hi[j], x.lo[j]};
-            auto t = algo == MulAlgo::Schoolbook
-                         ? mod::mulModSchool(da, dx, br)
-                         : mod::mulModKaratsuba(da, dx, br);
+            auto t = mod::mulModSchool(da, dx, br);
             acc = m.add(acc, mod::fromDw(t));
         }
         y.hi[r] = acc.hi;

@@ -24,13 +24,6 @@ enum class Backend
                 ///< numerically wrong by design — benchmarking only
 };
 
-/** Which double-word multiplication algorithm to use (Section 5.5). */
-enum class MulAlgo
-{
-    Schoolbook, ///< Eq. 8: four word multiplies (paper default — faster on CPUs)
-    Karatsuba,  ///< Eq. 9: three word multiplies, more additions
-};
-
 /**
  * Reduction strategy for kernels whose multiplications have a fixed,
  * precomputable operand (NTT twiddles, psi tables, n^-1).
@@ -45,11 +38,18 @@ enum class MulAlgo
  *
  * Barrett keeps the paper's Eq.-4 full reduction per butterfly; it is
  * retained for the ablation benches and as the cross-check oracle.
+ *
+ * BarrettKaratsuba is Barrett on the Karatsuba double-word product
+ * (Eq. 9: three word multiplies, more additions) instead of schoolbook
+ * (Eq. 8: four), the Section 5.5 ablation; schoolbook wins on CPUs. On
+ * IFMA ISAs (one 52-bit limb product) it runs exactly Barrett. All
+ * other kernels use the schoolbook product.
  */
 enum class Reduction
 {
-    ShoupLazy, ///< precomputed-quotient multiply, lazy [0, 2q) operands
-    Barrett,   ///< full Barrett reduction per butterfly (paper Eq. 4)
+    ShoupLazy,        ///< precomputed-quotient multiply, lazy [0, 2q) operands
+    Barrett,          ///< full Barrett reduction per butterfly (paper Eq. 4)
+    BarrettKaratsuba, ///< Barrett with Karatsuba products (Section 5.5)
 };
 
 /**
@@ -65,8 +65,8 @@ enum class Reduction
  *
  * Radix2 keeps one sweep per stage; it is retained for A/B traffic
  * measurements and figure reproduction. The fused kernels are built on
- * the Shoup-lazy arithmetic; Reduction::Barrett (the ablation baseline)
- * always runs the radix-2 stage loop regardless of this knob.
+ * the Shoup-lazy arithmetic; the Barrett reductions (the ablation
+ * baselines) always run the radix-2 stage loop regardless of this knob.
  *
  * Auto (the public-API default) resolves to the measured-fastest shape
  * for the (backend, n) pair via ntt::resolveStageFusion(): the

@@ -24,7 +24,6 @@
 #include <type_traits>
 
 #include "bigint/biguint.h"
-#include "core/backend.h" // MulAlgo
 #include "core/config.h"
 #include "u128/u128.h"
 
@@ -491,16 +490,12 @@ shoupPrecompute(const DW<W>& w, const DW<W>& q)
  *
  * Requires w < q and 2q < beta (any Barrett-compatible q qualifies);
  * a is unrestricted — in particular the lazy range [0, 4q) is fine.
- * @p algo selects the product algorithm for the quotient estimate, the
- * same knob the Barrett path exposes (Section 5.5 ablation).
  */
 template <typename W>
 constexpr DW<W>
-mulModShoup(const DW<W>& a, const DW<W>& w, const DW<W>& wq, const DW<W>& q,
-            MulAlgo algo = MulAlgo::Schoolbook)
+mulModShoup(const DW<W>& a, const DW<W>& w, const DW<W>& wq, const DW<W>& q)
 {
-    QW<W> p = algo == MulAlgo::Schoolbook ? mulFullSchool(a, wq)
-                                          : mulFullKaratsuba(a, wq);
+    QW<W> p = mulFullSchool(a, wq);
     DW<W> h{p.w3, p.w2};
     DW<W> aw = mulLowDw(a, w);
     DW<W> hq = mulLowDw(h, q);

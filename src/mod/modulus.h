@@ -13,7 +13,6 @@
  */
 #pragma once
 
-#include "core/backend.h" // MulAlgo, Reduction
 #include "mod/dword_ops.h"
 #include "u128/u128.h"
 
@@ -56,13 +55,10 @@ class Modulus
     }
 
     U128
-    mulWords(const U128& a, const U128& b,
-             MulAlgo algo = MulAlgo::Schoolbook) const
+    mulWords(const U128& a, const U128& b) const
     {
-        auto da = mod::toDw(a), db = mod::toDw(b);
-        return mod::fromDw(algo == MulAlgo::Schoolbook
-                               ? mod::mulModSchool(da, db, barrett_)
-                               : mod::mulModKaratsuba(da, db, barrett_));
+        return mod::fromDw(
+            mod::mulModSchool(mod::toDw(a), mod::toDw(b), barrett_));
     }
 
     // -- Native variant (unsigned __int128 when available) ---------------
@@ -97,12 +93,11 @@ class Modulus
 #endif
     }
 
-    /** c = a * b mod q for a, b < q (Barrett; schoolbook by default). */
+    /** c = a * b mod q for a, b < q (Barrett, schoolbook product). */
     U128
-    mul(const U128& a, const U128& b,
-        MulAlgo algo = MulAlgo::Schoolbook) const
+    mul(const U128& a, const U128& b) const
     {
-        return mulWords(a, b, algo);
+        return mulWords(a, b);
     }
 
     /** a^e mod q, square-and-multiply over the scalar mulmod. */

@@ -241,13 +241,12 @@ canonicalize(const Lazy<Bound::TwoQ, W>& x, const DW<W>& q)
 template <typename W>
 constexpr Lazy<Bound::TwoQ, W>
 mulModShoup(const Lazy<Bound::FourQ, W>& a, const Lazy<Bound::Q, W>& w,
-            const DW<W>& wq, const DW<W>& q,
-            MulAlgo algo = MulAlgo::Schoolbook)
+            const DW<W>& wq, const DW<W>& q)
 {
     detail::auditBound(a.raw(), Bound::FourQ, q, "mulModShoup(a)");
     detail::auditBound(w.raw(), Bound::Q, q, "mulModShoup(w)");
-    auto r = Lazy<Bound::TwoQ, W>::fromRaw(
-        mulModShoup(a.raw(), w.raw(), wq, q, algo));
+    auto r =
+        Lazy<Bound::TwoQ, W>::fromRaw(mulModShoup(a.raw(), w.raw(), wq, q));
     detail::auditBound(r.raw(), Bound::TwoQ, q, "mulModShoup(result)");
     return r;
 }
@@ -321,9 +320,9 @@ struct LazyOps
 
     static constexpr V2q
     mulShoup(const V4q& a, const Vq& w, const DW<uint64_t>& wq,
-             const DW<uint64_t>& q, MulAlgo algo)
+             const DW<uint64_t>& q)
     {
-        return mulModShoup(a, w, wq, q, algo);
+        return mulModShoup(a, w, wq, q);
     }
 
     static constexpr void
@@ -394,9 +393,9 @@ struct CheckedLazyOps
 
     static constexpr V2q
     mulShoup(const V4q& a, const Vq& w, const DW<uint64_t>& wq,
-             const DW<uint64_t>& q, MulAlgo algo)
+             const DW<uint64_t>& q)
     {
-        return mulModShoup(a, w, wq, q, algo);
+        return mulModShoup(a, w, wq, q);
     }
 
     template <Bound B>

@@ -464,9 +464,7 @@ PolymulServer::executeOne(Pending& pending)
     }
     if (resp.code == robust::StatusCode::DeadlineExceeded)
         deadline_misses_.add(1);
-    telemetry::spanSite("net.request")
-        .hist.record(telemetry::nowNs() - pending.admit_ns);
-    respond(*pending.session, resp);
+    respond(*pending.session, resp, pending.admit_ns);
 }
 
 void
@@ -485,7 +483,7 @@ PolymulServer::execute(std::vector<Pending>& batch)
         robust::Status s = currentExceptionStatus();
         for (Pending& p : batch)
             sendStatus(*p.session, p.request.request_id, s.code(),
-                       s.message());
+                       s.message(), p.admit_ns);
         return;
     }
     std::vector<Pending*> live;
@@ -495,7 +493,7 @@ PolymulServer::execute(std::vector<Pending>& batch)
         robust::Status valid = validateResidues(p.request, *basis);
         if (!valid.ok()) {
             sendStatus(*p.session, p.request.request_id, valid.code(),
-                       valid.message());
+                       valid.message(), p.admit_ns);
             continue;
         }
         polys.push_back(assemblePoly(*basis, p.request, 0));
@@ -521,21 +519,22 @@ PolymulServer::execute(std::vector<Pending>& batch)
             resp.request_id = live[i]->request.request_id;
             resp.basis = live[i]->request.basis;
             extractChannels(results[i], resp);
-            telemetry::spanSite("net.request")
-                .hist.record(telemetry::nowNs() - live[i]->admit_ns);
-            respond(*live[i]->session, resp);
+            respond(*live[i]->session, resp, live[i]->admit_ns);
         }
     } catch (...) {
         robust::Status s = currentExceptionStatus();
         for (Pending* p : live)
             sendStatus(*p->session, p->request.request_id, s.code(),
-                       s.message());
+                       s.message(), p->admit_ns);
     }
 }
 
 void
-PolymulServer::respond(Session& session, const Response& resp)
+PolymulServer::respond(Session& session, const Response& resp,
+                       uint64_t admit_ns)
 {
+    if (admit_ns != 0)
+        request_site_.hist.record(telemetry::nowNs() - admit_ns);
     std::vector<uint8_t> frame = encodeResponseFrame(resp);
     // Counted before the write: a peer that sees the response also sees
     // it in stats().
@@ -557,7 +556,7 @@ PolymulServer::respond(Session& session, const Response& resp)
 void
 PolymulServer::sendStatus(Session& session, uint64_t request_id,
                           robust::StatusCode code,
-                          const std::string& message)
+                          const std::string& message, uint64_t admit_ns)
 {
     Response resp;
     resp.code = code;
@@ -565,7 +564,7 @@ PolymulServer::sendStatus(Session& session, uint64_t request_id,
     resp.message = message.size() <= kMaxMessageBytes
                        ? message
                        : message.substr(0, kMaxMessageBytes);
-    respond(session, resp);
+    respond(session, resp, admit_ns);
 }
 
 PolymulServer::Stats

@@ -147,9 +147,13 @@ class PolymulServer
     void execute(std::vector<Pending>& batch);
     void executeOne(Pending& pending);
     Response runEngineOp(Pending& pending);
-    void respond(Session& session, const Response& resp);
+    /** Write @p resp. For an admitted request, @p admit_ns is when it
+     *  was admitted: its latency goes into net.request first. */
+    void respond(Session& session, const Response& resp,
+                 uint64_t admit_ns = 0);
     void sendStatus(Session& session, uint64_t request_id,
-                    robust::StatusCode code, const std::string& message);
+                    robust::StatusCode code, const std::string& message,
+                    uint64_t admit_ns = 0);
 
     std::shared_ptr<rns::RnsBasis> basisFor(const BasisSpec& spec);
 
@@ -196,6 +200,7 @@ class PolymulServer
     telemetry::InstanceCounter idle_closed_{"net.idle_closed"};
     telemetry::InstanceCounter write_errors_{"net.write_errors"};
     telemetry::InstanceCounter drains_{"net.drains"};
+    telemetry::SpanSite& request_site_ = telemetry::spanSite("net.request");
 
     bool stopped_ = false;
     DrainReport last_drain_;

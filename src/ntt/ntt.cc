@@ -143,10 +143,9 @@ tierKernels(Backend backend)
 
 /** The shape a public transform runs: fusion resolved per (backend, n). */
 detail::PeaseShape
-shapeFor(Backend backend, size_t n, MulAlgo algo, Reduction red,
-         StageFusion fusion)
+shapeFor(Backend backend, size_t n, Reduction red, StageFusion fusion)
 {
-    return {algo, red, resolveStageFusion(backend, n, fusion)};
+    return {red, resolveStageFusion(backend, n, fusion)};
 }
 
 } // namespace
@@ -215,37 +214,34 @@ fmaBatchKernelsWin(Backend backend)
 
 void
 forward(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
-        DSpan scratch, MulAlgo algo, Reduction red, StageFusion fusion)
+        DSpan scratch, Reduction red, StageFusion fusion)
 {
     MQX_SCOPED_SPAN(ntt_span, "ntt.forward");
-    const detail::PeaseShape shape =
-        shapeFor(backend, plan.n(), algo, red, fusion);
+    const detail::PeaseShape shape = shapeFor(backend, plan.n(), red, fusion);
     tierKernels(backend).forward(plan, detail::forwardTwiddles(plan), in, out,
                                  scratch, shape);
 }
 
 void
 inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
-        DSpan scratch, MulAlgo algo, Reduction red, StageFusion fusion)
+        DSpan scratch, Reduction red, StageFusion fusion)
 {
     MQX_SCOPED_SPAN(ntt_span, "ntt.inverse");
-    const detail::PeaseShape shape =
-        shapeFor(backend, plan.n(), algo, red, fusion);
+    const detail::PeaseShape shape = shapeFor(backend, plan.n(), red, fusion);
     tierKernels(backend).inverse(plan, detail::inverseTwiddles(plan), in, out,
                                  scratch, shape);
 }
 
 void
 forwardMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
-           DSpan out, DSpan scratch, MulAlgo algo, Reduction red,
-           StageFusion fusion)
+           DSpan out, DSpan scratch, Reduction red, StageFusion fusion)
 {
     requireAvailable(Backend::MqxEmulate);
 #if MQX_BUILD_AVX512
     backends::forwardMqxImpl(
         pisa, variant, plan, detail::forwardTwiddles(plan), in, out, scratch,
-        shapeFor(pisa ? Backend::MqxPisa : Backend::MqxEmulate, plan.n(), algo,
-                 red, fusion));
+        shapeFor(pisa ? Backend::MqxPisa : Backend::MqxEmulate, plan.n(), red,
+                 fusion));
 #else
     (void)plan;
     (void)variant;
@@ -253,7 +249,6 @@ forwardMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
     (void)in;
     (void)out;
     (void)scratch;
-    (void)algo;
     (void)red;
     (void)fusion;
     throw BackendUnavailable("MQX backend not compiled in");
@@ -262,15 +257,14 @@ forwardMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
 
 void
 inverseMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
-           DSpan out, DSpan scratch, MulAlgo algo, Reduction red,
-           StageFusion fusion)
+           DSpan out, DSpan scratch, Reduction red, StageFusion fusion)
 {
     requireAvailable(Backend::MqxEmulate);
 #if MQX_BUILD_AVX512
     backends::inverseMqxImpl(
         pisa, variant, plan, detail::inverseTwiddles(plan), in, out, scratch,
-        shapeFor(pisa ? Backend::MqxPisa : Backend::MqxEmulate, plan.n(), algo,
-                 red, fusion));
+        shapeFor(pisa ? Backend::MqxPisa : Backend::MqxEmulate, plan.n(), red,
+                 fusion));
 #else
     (void)plan;
     (void)variant;
@@ -278,7 +272,6 @@ inverseMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
     (void)in;
     (void)out;
     (void)scratch;
-    (void)algo;
     (void)red;
     (void)fusion;
     throw BackendUnavailable("MQX backend not compiled in");
@@ -360,7 +353,7 @@ batchLaneLoop(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
 
 void
 forwardBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
-             DSpan out, DSpan scratch, MulAlgo algo)
+             DSpan out, DSpan scratch)
 {
     MQX_SCOPED_SPAN(ntt_span, "ntt.forward_batch");
     requireAvailable(backend);
@@ -368,13 +361,13 @@ forwardBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
              "forwardBatch: plan too small (n < 16)");
     batchLaneLoop(plan, il, in, out, scratch,
                   [&](DConstSpan x, DSpan y, DSpan scr) {
-                      forward(plan, backend, x, y, scr, algo);
+                      forward(plan, backend, x, y, scr);
                   });
 }
 
 void
 inverseBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
-             DSpan out, DSpan scratch, MulAlgo algo)
+             DSpan out, DSpan scratch)
 {
     MQX_SCOPED_SPAN(ntt_span, "ntt.inverse_batch");
     requireAvailable(backend);
@@ -382,7 +375,7 @@ inverseBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
              "inverseBatch: plan too small (n < 16)");
     batchLaneLoop(plan, il, in, out, scratch,
                   [&](DConstSpan x, DSpan y, DSpan scr) {
-                      inverse(plan, backend, x, y, scr, algo);
+                      inverse(plan, backend, x, y, scr);
                   });
 }
 
@@ -393,8 +386,7 @@ negacyclicForward(const NegacyclicTables& tables, Backend backend,
     const NttPlan& plan = tables.plan();
     tierKernels(backend).forward(
         plan, detail::forwardTwiddles(tables), in, out, scratch,
-        shapeFor(backend, plan.n(), MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                 StageFusion::Auto));
+        shapeFor(backend, plan.n(), Reduction::ShoupLazy, StageFusion::Auto));
 }
 
 void
@@ -404,8 +396,7 @@ negacyclicInverse(const NegacyclicTables& tables, Backend backend,
     const NttPlan& plan = tables.plan();
     tierKernels(backend).inverse(
         plan, detail::inverseTwiddles(tables), in, out, scratch,
-        shapeFor(backend, plan.n(), MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                 StageFusion::Auto));
+        shapeFor(backend, plan.n(), Reduction::ShoupLazy, StageFusion::Auto));
 }
 
 void

@@ -27,25 +27,25 @@ namespace ntt {
  * @param red     Reduction::ShoupLazy (default) runs Harvey lazy
  *                butterflies on the plan's Shoup twiddle companions;
  *                Reduction::Barrett keeps the paper's per-butterfly
- *                full reduction. Outputs are bit-identical.
+ *                full reduction, and Reduction::BarrettKaratsuba runs
+ *                it on Karatsuba products (the Section 5.5 ablation).
+ *                Outputs are bit-identical.
  * @param fusion  StageFusion::Auto (default) picks the measured-fastest
  *                shape per (backend, n) via resolveStageFusion();
  *                Radix4 fuses two Pease stages per ping-pong sweep,
  *                Radix2 keeps one stage per sweep (A/B baseline).
- *                Outputs are bit-identical; Barrett reduction always
- *                runs the radix-2 stage loop.
+ *                Outputs are bit-identical; both Barrett reductions
+ *                always run the radix-2 stage loop.
  *
  * @throws BackendUnavailable if @p backend cannot run on this host.
  */
 void forward(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
-             DSpan scratch, MulAlgo algo = MulAlgo::Schoolbook,
-             Reduction red = Reduction::ShoupLazy,
+             DSpan scratch, Reduction red = Reduction::ShoupLazy,
              StageFusion fusion = StageFusion::Auto);
 
 /** Inverse NTT (bit-reversed in, natural out, scaled by n^-1). */
 void inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
-             DSpan scratch, MulAlgo algo = MulAlgo::Schoolbook,
-             Reduction red = Reduction::ShoupLazy,
+             DSpan scratch, Reduction red = Reduction::ShoupLazy,
              StageFusion fusion = StageFusion::Auto);
 
 /**
@@ -75,14 +75,12 @@ bool fmaBatchKernelsWin(Backend backend);
  */
 void forwardMqx(const NttPlan& plan, MqxVariant variant, bool pisa,
                 DConstSpan in, DSpan out, DSpan scratch,
-                MulAlgo algo = MulAlgo::Schoolbook,
                 Reduction red = Reduction::ShoupLazy,
                 StageFusion fusion = StageFusion::Auto);
 
 /** Inverse counterpart of forwardMqx. */
 void inverseMqx(const NttPlan& plan, MqxVariant variant, bool pisa,
                 DConstSpan in, DSpan out, DSpan scratch,
-                MulAlgo algo = MulAlgo::Schoolbook,
                 Reduction red = Reduction::ShoupLazy,
                 StageFusion fusion = StageFusion::Auto);
 
@@ -116,14 +114,12 @@ bool batchSupported(const NttPlan& plan);
  *         sizes or overlapping buffers.
  */
 void forwardBatch(const NttPlan& plan, Backend backend, size_t il,
-                  DConstSpan in, DSpan out, DSpan scratch,
-                  MulAlgo algo = MulAlgo::Schoolbook);
+                  DConstSpan in, DSpan out, DSpan scratch);
 
 /** Inverse counterpart of forwardBatch: the same per-lane loop over
  *  inverse() (includes the n^-1 pass). */
 void inverseBatch(const NttPlan& plan, Backend backend, size_t il,
-                  DConstSpan in, DSpan out, DSpan scratch,
-                  MulAlgo algo = MulAlgo::Schoolbook);
+                  DConstSpan in, DSpan out, DSpan scratch);
 
 /**
  * Convenience wrapper owning the plan and work buffers. This is the

@@ -54,7 +54,6 @@ struct PeaseTwiddles
 /** How one transform runs; fusion is already resolved (never Auto). */
 struct PeaseShape
 {
-    MulAlgo algo = MulAlgo::Schoolbook;
     Reduction red = Reduction::ShoupLazy;
     StageFusion fusion = StageFusion::Radix2;
 };

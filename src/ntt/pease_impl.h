@@ -26,7 +26,7 @@
  * kernels reverse the lanes of each twiddle vector (one permute per
  * register, none where the load already deinterleaves).
  *
- * One body, three knobs (detail::PeaseShape):
+ * One body, two knobs (detail::PeaseShape):
  *
  *  - Reduction::ShoupLazy (default): Harvey lazy butterflies. Forward
  *    values live in [0, 4q) between stages, inverse values in [0, 2q)
@@ -35,14 +35,15 @@
  *    stage of either direction canonicalizes. Reduction::Barrett keeps
  *    canonical operands and a full Eq.-4 reduction per multiply — the
  *    paper's original kernels, the ablation baseline. Radix-2 only.
+ *    Reduction::BarrettKaratsuba runs them on Karatsuba (Eq. 9)
+ *    products, the Section 5.5 ablation (Barrett on IFMA ISAs: one limb
+ *    product). Every other multiply is schoolbook (Eq. 8).
  *  - StageFusion::Radix4 fuses two stages per ping-pong sweep: pass p
  *    loads x[p], x[p+n/4], x[p+n/2], x[p+3n/4], runs both butterfly
  *    layers in registers with exactly the radix-2 arithmetic (so the
  *    words are identical) and stores y[4p .. 4p+3]. The first layer's
  *    two butterflies share one twiddle (2^s divides n/4); the second
  *    layer's two read adjacent entries, one deinterleaved load.
- *  - MulAlgo: schoolbook or Karatsuba 128x128 products (no effect on
- *    IFMA ISAs, whose multiplies run on 52-bit limbs).
  *
  * Canonical outputs in every shape, so every shape, reduction and ISA
  * produces the same words.
@@ -55,6 +56,7 @@
 #pragma once
 
 #include <cstdio>
+#include <type_traits>
 #include <utility>
 
 #include "core/batch_layout.h"
@@ -231,15 +233,14 @@ entry(DConstSpan t, size_t e)
 template <class A>
 MQX_FORCE_INLINE std::pair<typename A::V4q, typename A::V4q>
 forwardButterfly(const Dw& q, const Dw& q2, const typename A::V4q& a,
-                 const typename A::V4q& b, const Dw& w, const Dw& wq,
-                 MulAlgo algo)
+                 const typename A::V4q& b, const Dw& w, const Dw& wq)
 {
     // The product first: measured ~8% faster on the scalar backend than
     // reducing a first.
-    auto t = A::mulShoup(b, A::twiddle(w, q), wq, q, algo); // [0, 2q)
-    auto a2 = A::condSub2q(a, q2, q);                       // [0, 2q)
-    return {A::add(a2, t, q),                               // [0, 4q)
-            A::subRaw(a2, t, q2, q)};                       // (0, 4q)
+    auto t = A::mulShoup(b, A::twiddle(w, q), wq, q); // [0, 2q)
+    auto a2 = A::condSub2q(a, q2, q);                 // [0, 2q)
+    return {A::add(a2, t, q),                         // [0, 4q)
+            A::subRaw(a2, t, q2, q)};                 // (0, 4q)
 }
 
 /** Store a forward output: raw [0, 4q), or canonical when @p last. */
@@ -259,12 +260,10 @@ storeForward(const Dw& q, const Dw& q2, uint64_t* hi, uint64_t* lo, size_t i,
 template <class A>
 MQX_FORCE_INLINE std::pair<typename A::V2q, typename A::V2q>
 inverseButterfly(const Dw& q, const Dw& q2, const typename A::V2q& u,
-                 const typename A::V2q& v, const Dw& w, const Dw& wq,
-                 MulAlgo algo)
+                 const typename A::V2q& v, const Dw& w, const Dw& wq)
 {
     return {A::condSub2q(A::add(u, v, q), q2, q),
-            A::mulShoup(A::subRaw(u, v, q2, q), A::twiddle(w, q), wq, q,
-                        algo)};
+            A::mulShoup(A::subRaw(u, v, q2, q), A::twiddle(w, q), wq, q)};
 }
 
 /** The inverse's last-stage butterfly: sum and difference branches
@@ -272,16 +271,15 @@ inverseButterfly(const Dw& q, const Dw& q2, const typename A::V2q& u,
 template <class A>
 MQX_FORCE_INLINE std::pair<typename A::Vq, typename A::Vq>
 inverseLastButterfly(const Dw& q, const Dw& q2, const typename A::V2q& u,
-                     const typename A::V2q& v, const PeaseTwiddles& tw,
-                     MulAlgo algo)
+                     const typename A::V2q& v, const PeaseTwiddles& tw)
 {
     return {A::canon(A::mulShoup(A::add(u, v, q),
                                  A::twiddle(mod::toDw(tw.last_sum), q),
-                                 mod::toDw(tw.last_sum_q), q, algo),
+                                 mod::toDw(tw.last_sum_q), q),
                      q),
             A::canon(A::mulShoup(A::subRaw(u, v, q2, q),
                                  A::twiddle(mod::toDw(tw.last_diff), q),
-                                 mod::toDw(tw.last_diff_q), q, algo),
+                                 mod::toDw(tw.last_diff_q), q),
                      q)};
 }
 
@@ -291,17 +289,16 @@ MQX_FORCE_INLINE void
 inverseButterflyAt(const Dw& q, const Dw& q2, const uint64_t* src_hi,
                    const uint64_t* src_lo, uint64_t* dst_hi, uint64_t* dst_lo,
                    const PeaseTwiddles& tw, const Dw& w, const Dw& wq,
-                   size_t i0, size_t i1, size_t o0, size_t o1, bool last,
-                   MulAlgo algo)
+                   size_t i0, size_t i1, size_t o0, size_t o1, bool last)
 {
     const auto u = A::load2q(src_hi, src_lo, i0, q);
     const auto v = A::load2q(src_hi, src_lo, i1, q);
     if (last) {
-        const auto [x0, x1] = inverseLastButterfly<A>(q, q2, u, v, tw, algo);
+        const auto [x0, x1] = inverseLastButterfly<A>(q, q2, u, v, tw);
         A::store(dst_hi, dst_lo, o0, x0);
         A::store(dst_hi, dst_lo, o1, x1);
     } else {
-        const auto [x0, x1] = inverseButterfly<A>(q, q2, u, v, w, wq, algo);
+        const auto [x0, x1] = inverseButterfly<A>(q, q2, u, v, w, wq);
         A::store(dst_hi, dst_lo, o0, x0);
         A::store(dst_hi, dst_lo, o1, x1);
     }
@@ -321,23 +318,21 @@ forwardButterfly4(const Dw& q, const Dw& q2,
                   const uint64_t* MQX_RESTRICT src_lo,
                   uint64_t* MQX_RESTRICT dst_hi, uint64_t* MQX_RESTRICT dst_lo,
                   DConstSpan w, DConstSpan wq, size_t e0, size_t e1, size_t p,
-                  size_t h, bool last, MulAlgo algo)
+                  size_t h, bool last)
 {
     const size_t h2 = h / 2;
     // First layer (stage s): butterflies p and p + h/2.
     const auto [u0, v0] = forwardButterfly<A>(
         q, q2, A::load4q(src_hi, src_lo, p, q),
-        A::load4q(src_hi, src_lo, p + h, q), entry(w, e0), entry(wq, e0),
-        algo);
+        A::load4q(src_hi, src_lo, p + h, q), entry(w, e0), entry(wq, e0));
     const auto [u1, v1] = forwardButterfly<A>(
         q, q2, A::load4q(src_hi, src_lo, p + h2, q),
-        A::load4q(src_hi, src_lo, p + h + h2, q), entry(w, e0),
-        entry(wq, e0), algo);
+        A::load4q(src_hi, src_lo, p + h + h2, q), entry(w, e0), entry(wq, e0));
     // Second layer (stage s+1): butterflies 2p and 2p + 1.
-    const auto [z0, z1] = forwardButterfly<A>(q, q2, u0, u1, entry(w, e1),
-                                              entry(wq, e1), algo);
+    const auto [z0, z1] =
+        forwardButterfly<A>(q, q2, u0, u1, entry(w, e1), entry(wq, e1));
     const auto [z2, z3] = forwardButterfly<A>(
-        q, q2, v0, v1, entry(w, e1 + 1), entry(wq, e1 + 1), algo);
+        q, q2, v0, v1, entry(w, e1 + 1), entry(wq, e1 + 1));
     storeForward<A>(q, q2, dst_hi, dst_lo, 4 * p, z0, last);
     storeForward<A>(q, q2, dst_hi, dst_lo, 4 * p + 1, z1, last);
     storeForward<A>(q, q2, dst_hi, dst_lo, 4 * p + 2, z2, last);
@@ -359,8 +354,7 @@ inverseButterfly4(const Dw& q, const Dw& q2,
                   const uint64_t* MQX_RESTRICT src_hi,
                   const uint64_t* MQX_RESTRICT src_lo,
                   uint64_t* MQX_RESTRICT dst_hi, uint64_t* MQX_RESTRICT dst_lo,
-                  const PeaseTwiddles& tw, int s, size_t p, size_t h,
-                  MulAlgo algo)
+                  const PeaseTwiddles& tw, int s, size_t p, size_t h)
 {
     const size_t h2 = h / 2;
     const bool last = s == 0;
@@ -373,7 +367,7 @@ inverseButterfly4(const Dw& q, const Dw& q2,
         const size_t e = twiddleIndex(tw, s + 1, 2 * p + t);
         return inverseButterfly<A>(q, q2, A::load2q(src_hi, src_lo, i + f, q),
                                    A::load2q(src_hi, src_lo, i + 1 - f, q),
-                                   entry(tw.w, e), entry(tw.wq, e), algo);
+                                   entry(tw.w, e), entry(tw.wq, e));
     };
     const auto [y0, yh0] = first(g);
     const auto [y1, yh1] = first(1 - g);
@@ -386,28 +380,26 @@ inverseButterfly4(const Dw& q, const Dw& q2,
         A::store(dst_hi, dst_lo, p + h + h2, x3);
     };
     if (last) {
-        const auto [x0, x2] = inverseLastButterfly<A>(q, q2, y0, y1, tw, algo);
-        const auto [x1, x3] =
-            inverseLastButterfly<A>(q, q2, yh0, yh1, tw, algo);
+        const auto [x0, x2] = inverseLastButterfly<A>(q, q2, y0, y1, tw);
+        const auto [x1, x3] = inverseLastButterfly<A>(q, q2, yh0, yh1, tw);
         store4(x0, x1, x2, x3);
     } else {
         const size_t e0 = twiddleIndex(tw, s, p);
         const Dw w0 = entry(tw.w, e0), w0q = entry(tw.wq, e0);
-        const auto [x0, x2] =
-            inverseButterfly<A>(q, q2, y0, y1, w0, w0q, algo);
-        const auto [x1, x3] =
-            inverseButterfly<A>(q, q2, yh0, yh1, w0, w0q, algo);
+        const auto [x0, x2] = inverseButterfly<A>(q, q2, y0, y1, w0, w0q);
+        const auto [x1, x3] = inverseButterfly<A>(q, q2, yh0, yh1, w0, w0q);
         store4(x0, x1, x2, x3);
     }
 }
 
-/** a * b mod q with a full Barrett reduction (Reduction::Barrett). */
+/** a * b mod q with a full Barrett reduction, on the Karatsuba product
+ *  under Reduction::BarrettKaratsuba, else on the schoolbook one. */
 MQX_FORCE_INLINE Dw
 mulBarrett(const Dw& a, const Dw& b, const mod::Barrett<uint64_t>& br,
-           MulAlgo algo)
+           Reduction red)
 {
-    return algo == MulAlgo::Schoolbook ? mod::mulModSchool(a, b, br)
-                                       : mod::mulModKaratsuba(a, b, br);
+    return red == Reduction::BarrettKaratsuba ? mod::mulModKaratsuba(a, b, br)
+                                              : mod::mulModSchool(a, b, br);
 }
 
 /** Barrett forward butterfly at word indices, canonical in and out. */
@@ -416,10 +408,10 @@ forwardButterflyBarrettAt(const mod::Barrett<uint64_t>& br, const Dw& q,
                           const uint64_t* src_hi, const uint64_t* src_lo,
                           uint64_t* dst_hi, uint64_t* dst_lo, const Dw& w,
                           size_t ia, size_t ib, size_t o0, size_t o1,
-                          MulAlgo algo)
+                          Reduction red)
 {
     const Dw a{src_hi[ia], src_lo[ia]};
-    const Dw t = mulBarrett(Dw{src_hi[ib], src_lo[ib]}, w, br, algo);
+    const Dw t = mulBarrett(Dw{src_hi[ib], src_lo[ib]}, w, br, red);
     const Dw u = mod::addMod(a, t, q);
     const Dw v = mod::subMod(a, t, q);
     dst_hi[o0] = u.hi;
@@ -435,15 +427,15 @@ inverseButterflyBarrettAt(const mod::Barrett<uint64_t>& br, const Dw& q,
                           uint64_t* dst_hi, uint64_t* dst_lo,
                           const PeaseTwiddles& tw, const Dw& w, size_t i0,
                           size_t i1, size_t o0, size_t o1, bool last,
-                          MulAlgo algo)
+                          Reduction red)
 {
     const Dw u{src_hi[i0], src_lo[i0]};
     const Dw v{src_hi[i1], src_lo[i1]};
     Dw x0 = mod::addMod(u, v, q);
     Dw x1 = mulBarrett(mod::subMod(u, v, q), last ? mod::toDw(tw.last_diff) : w,
-                       br, algo);
+                       br, red);
     if (last)
-        x0 = mulBarrett(x0, mod::toDw(tw.last_sum), br, algo);
+        x0 = mulBarrett(x0, mod::toDw(tw.last_sum), br, red);
     dst_hi[o0] = x0.hi;
     dst_lo[o0] = x0.lo;
     dst_hi[o1] = x1.hi;
@@ -493,15 +485,15 @@ forwardStageScalar(const NttPlan& plan, const PeaseTwiddles& tw, size_t il,
             const size_t ib = scalarCoreIndex<IL>(j + h, c, il);
             const size_t o0 = scalarCoreIndex<IL>(2 * j, c, il);
             const size_t o1 = scalarCoreIndex<IL>(2 * j + 1, c, il);
-            if (shape.red == Reduction::Barrett) {
+            if (shape.red != Reduction::ShoupLazy) {
                 forwardButterflyBarrettAt(br, q, src_hi, src_lo, dst.hi,
                                           dst.lo, w, ia, ib, o0, o1,
-                                          shape.algo);
+                                          shape.red);
                 continue;
             }
             const auto [u, v] = forwardButterfly<A>(
                 q, q2, A::load4q(src_hi, src_lo, ia, q),
-                A::load4q(src_hi, src_lo, ib, q), w, wq, shape.algo);
+                A::load4q(src_hi, src_lo, ib, q), w, wq);
             storeForward<A>(q, q2, dst.hi, dst.lo, o0, u, last);
             storeForward<A>(q, q2, dst.hi, dst.lo, o1, v, last);
         }
@@ -531,14 +523,13 @@ inverseStageScalar(const NttPlan& plan, const PeaseTwiddles& tw, size_t il,
             const size_t i1 = scalarCoreIndex<IL>(2 * j + 1 - f, c, il);
             const size_t o0 = scalarCoreIndex<IL>(j, c, il);
             const size_t o1 = scalarCoreIndex<IL>(j + h, c, il);
-            if (shape.red == Reduction::Barrett)
+            if (shape.red != Reduction::ShoupLazy)
                 inverseButterflyBarrettAt(br, q, src_hi, src_lo, dst.hi,
                                           dst.lo, tw, w, i0, i1, o0, o1, last,
-                                          shape.algo);
+                                          shape.red);
             else
                 inverseButterflyAt<A>(q, q2, src_hi, src_lo, dst.hi, dst.lo,
-                                      tw, w, wq, i0, i1, o0, o1, last,
-                                      shape.algo);
+                                      tw, w, wq, i0, i1, o0, o1, last);
         }
     }
 }
@@ -548,7 +539,7 @@ template <class A>
 inline void
 forwardPass4Scalar(const NttPlan& plan, const PeaseTwiddles& tw,
                    const uint64_t* src_hi, const uint64_t* src_lo, DSpan dst,
-                   int s, size_t p0, bool last, MulAlgo algo)
+                   int s, size_t p0, bool last)
 {
     const size_t h = plan.half();
     const Dw q = mod::toDw(plan.modulus().value());
@@ -557,8 +548,7 @@ forwardPass4Scalar(const NttPlan& plan, const PeaseTwiddles& tw,
     for (size_t p = p0; p < h / 2; ++p) {
         forwardButterfly4<A>(q, q2, src_hi, src_lo, dst.hi, dst.lo, tw.w,
                              tw.wq, tw.offset(s) + (p & mask),
-                             tw.offset(s + 1) + 2 * (p & mask), p, h, last,
-                             algo);
+                             tw.offset(s + 1) + 2 * (p & mask), p, h, last);
     }
 }
 
@@ -567,14 +557,14 @@ template <class A>
 inline void
 inversePass4Scalar(const NttPlan& plan, const PeaseTwiddles& tw,
                    const uint64_t* src_hi, const uint64_t* src_lo, DSpan dst,
-                   int s, size_t p0, MulAlgo algo)
+                   int s, size_t p0)
 {
     const size_t h = plan.half();
     const Dw q = mod::toDw(plan.modulus().value());
     const Dw q2 = mod::shl1Dw(q);
     for (size_t p = p0; p < h / 2; ++p)
         inverseButterfly4<A>(q, q2, src_hi, src_lo, dst.hi, dst.lo, tw, s, p,
-                             h, algo);
+                             h);
 }
 
 /**
@@ -599,7 +589,7 @@ forwardScalarCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
     for (int s = 0; s < m; pp.next()) {
         if (forwardPairAt(fused, s, m)) {
             forwardPass4Scalar<A>(plan, tw, pp.srcHi(), pp.srcLo(), pp.dst(),
-                                  s, 0, s + 2 == m, shape.algo);
+                                  s, 0, s + 2 == m);
             s += 2;
         } else {
             forwardStageScalar<IL, A>(plan, tw, il, pp.srcHi(), pp.srcLo(),
@@ -627,7 +617,7 @@ inverseScalarCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
     for (int s = m - 1; s >= 0; pp.next()) {
         if (fused && s >= 1) {
             inversePass4Scalar<A>(plan, tw, pp.srcHi(), pp.srcLo(), pp.dst(),
-                                  s - 1, 0, shape.algo);
+                                  s - 1, 0);
             s -= 2;
         } else {
             inverseStageScalar<IL, A>(plan, tw, il, pp.srcHi(), pp.srcLo(),
@@ -843,11 +833,11 @@ template <class Isa>
 MQX_FORCE_INLINE void
 forwardButterflyV(const simd::ModCtx<Isa>& ctx, const simd::DV<Isa>& a,
                   const simd::DV<Isa>& b, const simd::ShoupW<Isa>& w,
-                  bool last, MulAlgo algo, simd::DV<Isa>& u, simd::DV<Isa>& v)
+                  bool last, simd::DV<Isa>& u, simd::DV<Isa>& v)
 {
     // a reduced to [0, 2q); t = w * b in [0, 2q).
     const auto a2 = simd::condSubDwV<Isa>(ctx, a, ctx.q2h, ctx.q2l);
-    const auto t = simd::mulModShoupV<Isa>(ctx, b, w, algo);
+    const auto t = simd::mulModShoupV<Isa>(ctx, b, w);
     u = simd::addDwV<Isa>(ctx, a2, t);         // [0, 4q)
     v = simd::subModLazyRawV<Isa>(ctx, a2, t); // (0, 4q)
     if (last) {
@@ -861,11 +851,10 @@ template <class Isa>
 MQX_FORCE_INLINE void
 inverseButterflyV(const simd::ModCtx<Isa>& ctx, const simd::DV<Isa>& u,
                   const simd::DV<Isa>& v, const simd::ShoupW<Isa>& w,
-                  MulAlgo algo, simd::DV<Isa>& x0, simd::DV<Isa>& x1)
+                  simd::DV<Isa>& x0, simd::DV<Isa>& x1)
 {
     x0 = simd::addModLazyV<Isa>(ctx, u, v);
-    x1 = simd::mulModShoupV<Isa>(ctx, simd::subModLazyRawV<Isa>(ctx, u, v), w,
-                                 algo);
+    x1 = simd::mulModShoupV<Isa>(ctx, simd::subModLazyRawV<Isa>(ctx, u, v), w);
 }
 
 /** The last-stage factors of an inverse, broadcast once per transform. */
@@ -888,13 +877,12 @@ template <class Isa>
 MQX_FORCE_INLINE void
 inverseLastButterflyV(const simd::ModCtx<Isa>& ctx, const simd::DV<Isa>& u,
                       const simd::DV<Isa>& v, const LastFactorsV<Isa>& f,
-                      MulAlgo algo, simd::DV<Isa>& x0, simd::DV<Isa>& x1)
+                      simd::DV<Isa>& x0, simd::DV<Isa>& x1)
 {
-    x0 = simd::mulModShoupV<Isa>(ctx, simd::addDwV<Isa>(ctx, u, v), f.sum,
-                                 algo);
+    x0 = simd::mulModShoupV<Isa>(ctx, simd::addDwV<Isa>(ctx, u, v), f.sum);
     x0 = simd::condSubDwV<Isa>(ctx, x0, ctx.qh, ctx.ql);
     x1 = simd::mulModShoupV<Isa>(ctx, simd::subModLazyRawV<Isa>(ctx, u, v),
-                                 f.diff, algo);
+                                 f.diff);
     x1 = simd::condSubDwV<Isa>(ctx, x1, ctx.qh, ctx.ql);
 }
 
@@ -941,7 +929,24 @@ loadDeinterleaved4(const uint64_t* src, size_t i, typename Isa::V& z0,
 // with n/2 or n/4 below kLanes have one).
 // ======================================================================
 
-template <class Isa, MulAlgo kAlgo>
+/**
+ * Runs @p loop(std::true_type) for Reduction::BarrettKaratsuba and
+ * loop(std::false_type) for Barrett: the Barrett stages' product, a
+ * template argument so no multiply branches on it. IFMA ISAs have one
+ * limb product and no Karatsuba copy.
+ */
+template <class Isa, class Loop>
+MQX_FORCE_INLINE void
+withBarrettProduct(Reduction red, Loop&& loop)
+{
+    if constexpr (!Isa::kHasIfma) {
+        if (red == Reduction::BarrettKaratsuba)
+            return loop(std::true_type{});
+    }
+    loop(std::false_type{});
+}
+
+template <class Isa>
 void
 forwardStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
               const PeaseTwiddles& tw, const PingPong& pp, int s, bool last,
@@ -953,22 +958,25 @@ forwardStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
     const DSpan dst = pp.dst();
     StageTwiddles<Isa> tws(tw, s);
     size_t j = 0;
-    if (shape.red == Reduction::Barrett) {
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            const auto a = simd::loadDv<Isa>(src_hi, src_lo, j);
-            const auto t = simd::mulModV<Isa>(
-                ctx, simd::loadDv<Isa>(src_hi, src_lo, j + h), tws.value(j),
-                kAlgo);
-            storeInterleaved<Isa>(dst, 2 * j, 2 * j + Isa::kLanes,
-                                  simd::addModV<Isa>(ctx, a, t),
-                                  simd::subModV<Isa>(ctx, a, t));
-        }
+    if (shape.red != Reduction::ShoupLazy) {
+        withBarrettProduct<Isa>(shape.red, [&](auto karatsuba) {
+            constexpr bool kKaratsuba = decltype(karatsuba)::value;
+            for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
+                const auto a = simd::loadDv<Isa>(src_hi, src_lo, j);
+                const auto t = simd::mulModV<Isa, kKaratsuba>(
+                    ctx, simd::loadDv<Isa>(src_hi, src_lo, j + h),
+                    tws.value(j));
+                storeInterleaved<Isa>(dst, 2 * j, 2 * j + Isa::kLanes,
+                                      simd::addModV<Isa>(ctx, a, t),
+                                      simd::subModV<Isa>(ctx, a, t));
+            }
+        });
     } else {
         for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
             simd::DV<Isa> u, v;
             forwardButterflyV<Isa>(ctx, simd::loadDv<Isa>(src_hi, src_lo, j),
                                    simd::loadDv<Isa>(src_hi, src_lo, j + h),
-                                   tws.at(j), last, kAlgo, u, v);
+                                   tws.at(j), last, u, v);
             storeInterleaved<Isa>(dst, 2 * j, 2 * j + Isa::kLanes, u, v);
         }
     }
@@ -981,7 +989,7 @@ forwardStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
  * argument: a mirrored table's butterflies (all but the last stage's)
  * take v - u, so their operands trade places at no run-time cost.
  */
-template <class Isa, MulAlgo kAlgo, bool kMirror>
+template <class Isa, bool kMirror>
 void
 inverseStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
               const PeaseTwiddles& tw, const PingPong& pp, int s,
@@ -994,36 +1002,38 @@ inverseStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
     StageTwiddles<Isa, kMirror> tws(tw, s);
     const LastFactorsV<Isa> lastf(tw);
     size_t j = 0;
-    if (shape.red == Reduction::Barrett) {
+    if (shape.red != Reduction::ShoupLazy) {
         const simd::DV<Isa> sum{Isa::set1(tw.last_sum.hi),
                                 Isa::set1(tw.last_sum.lo)};
         const simd::DV<Isa> diff{Isa::set1(tw.last_diff.hi),
                                  Isa::set1(tw.last_diff.lo)};
         const bool swap = kMirror && s != 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            simd::DV<Isa> u, v;
-            loadDeinterleaved<Isa>(src_hi, src_lo, 2 * j, 2 * j + Isa::kLanes,
-                                   u, v);
-            auto x0 = simd::addModV<Isa>(ctx, u, v);
-            auto x1 = simd::mulModV<Isa>(
-                ctx, simd::subModV<Isa>(ctx, swap ? v : u, swap ? u : v),
-                s == 0 ? diff : tws.value(j), kAlgo);
-            if (s == 0)
-                x0 = simd::mulModV<Isa>(ctx, x0, sum, kAlgo);
-            simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
-            simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
-        }
+        withBarrettProduct<Isa>(shape.red, [&](auto karatsuba) {
+            constexpr bool kKaratsuba = decltype(karatsuba)::value;
+            for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
+                simd::DV<Isa> u, v;
+                loadDeinterleaved<Isa>(src_hi, src_lo, 2 * j,
+                                       2 * j + Isa::kLanes, u, v);
+                auto x0 = simd::addModV<Isa>(ctx, u, v);
+                auto x1 = simd::mulModV<Isa, kKaratsuba>(
+                    ctx, simd::subModV<Isa>(ctx, swap ? v : u, swap ? u : v),
+                    s == 0 ? diff : tws.value(j));
+                if (s == 0)
+                    x0 = simd::mulModV<Isa, kKaratsuba>(ctx, x0, sum);
+                simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
+                simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
+            }
+        });
     } else {
         for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
             simd::DV<Isa> u, v, x0, x1;
             loadDeinterleaved<Isa>(src_hi, src_lo, 2 * j, 2 * j + Isa::kLanes,
                                    u, v);
             if (s == 0)
-                inverseLastButterflyV<Isa>(ctx, u, v, lastf, kAlgo, x0,
-                                           x1);
+                inverseLastButterflyV<Isa>(ctx, u, v, lastf, x0, x1);
             else
                 inverseButterflyV<Isa>(ctx, kMirror ? v : u, kMirror ? u : v,
-                                       tws.at(j), kAlgo, x0, x1);
+                                       tws.at(j), x0, x1);
             simd::storeDv<Isa>(dst.hi, dst.lo, j, x0);
             simd::storeDv<Isa>(dst.hi, dst.lo, j + h, x1);
         }
@@ -1032,7 +1042,7 @@ inverseStageV(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
                                                dst, s, j, shape);
 }
 
-template <class Isa, MulAlgo kAlgo>
+template <class Isa>
 void
 forwardPass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
               const PeaseTwiddles& tw, const PingPong& pp, int s, bool last)
@@ -1053,22 +1063,22 @@ forwardPass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
         simd::DV<Isa> u0, v0, u1, v1, z0, z1, z2, z3;
         forwardButterflyV<Isa>(ctx, simd::loadDv<Isa>(src_hi, src_lo, p),
                                simd::loadDv<Isa>(src_hi, src_lo, p + h), w0,
-                               false, kAlgo, u0, v0);
+                               false, u0, v0);
         forwardButterflyV<Isa>(ctx, simd::loadDv<Isa>(src_hi, src_lo, p + h2),
                                simd::loadDv<Isa>(src_hi, src_lo, p + h + h2),
-                               w0, false, kAlgo, u1, v1);
+                               w0, false, u1, v1);
         simd::ShoupW<Isa> wa, wb;
         tw1.at(p, wa, wb);
-        forwardButterflyV<Isa>(ctx, u0, u1, wa, last, kAlgo, z0, z1);
-        forwardButterflyV<Isa>(ctx, v0, v1, wb, last, kAlgo, z2, z3);
+        forwardButterflyV<Isa>(ctx, u0, u1, wa, last, z0, z1);
+        forwardButterflyV<Isa>(ctx, v0, v1, wb, last, z2, z3);
         storeInterleaved4<Isa>(dst.hi, 4 * p, z0.hi, z1.hi, z2.hi, z3.hi);
         storeInterleaved4<Isa>(dst.lo, 4 * p, z0.lo, z1.lo, z2.lo, z3.lo);
     }
     forwardPass4Scalar<mod::DefaultLazyOps>(plan, tw, src_hi, src_lo, dst, s,
-                                            p, last, kAlgo);
+                                            p, last);
 }
 
-template <class Isa, MulAlgo kAlgo, bool kMirror>
+template <class Isa, bool kMirror>
 void
 inversePass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
               const PeaseTwiddles& tw, const PingPong& pp, int s)
@@ -1090,19 +1100,19 @@ inversePass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
         tw1.at(p, wa, wb);
         // First layer (inverse stage s+1): butterflies 2p and 2p + 1.
         inverseButterflyV<Isa>(ctx, kMirror ? z1 : z0, kMirror ? z0 : z1, wa,
-                               kAlgo, y0, yh0);
+                               y0, yh0);
         inverseButterflyV<Isa>(ctx, kMirror ? z3 : z2, kMirror ? z2 : z3, wb,
-                               kAlgo, y1, yh1);
+                               y1, yh1);
         // Second layer (inverse stage s): butterflies p and p + h/2.
         if (s == 0) {
-            inverseLastButterflyV<Isa>(ctx, y0, y1, lastf, kAlgo, x0, x2);
-            inverseLastButterflyV<Isa>(ctx, yh0, yh1, lastf, kAlgo, x1, x3);
+            inverseLastButterflyV<Isa>(ctx, y0, y1, lastf, x0, x2);
+            inverseLastButterflyV<Isa>(ctx, yh0, yh1, lastf, x1, x3);
         } else {
             const auto w0 = tw0.at(p);
             inverseButterflyV<Isa>(ctx, kMirror ? y1 : y0, kMirror ? y0 : y1,
-                                   w0, kAlgo, x0, x2);
+                                   w0, x0, x2);
             inverseButterflyV<Isa>(ctx, kMirror ? yh1 : yh0,
-                                   kMirror ? yh0 : yh1, w0, kAlgo, x1, x3);
+                                   kMirror ? yh0 : yh1, w0, x1, x3);
         }
         simd::storeDv<Isa>(dst.hi, dst.lo, p, x0);
         simd::storeDv<Isa>(dst.hi, dst.lo, p + h2, x1);
@@ -1110,7 +1120,7 @@ inversePass4V(const simd::ModCtx<Isa>& ctx, const NttPlan& plan,
         simd::storeDv<Isa>(dst.hi, dst.lo, p + h + h2, x3);
     }
     inversePass4Scalar<mod::DefaultLazyOps>(plan, tw, src_hi, src_lo, dst, s,
-                                            p, kAlgo);
+                                            p);
 }
 
 // ======================================================================
@@ -1161,7 +1171,7 @@ forwardBatchCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
                 forwardButterflyV<Isa>(
                     ctx, simd::loadDv<Isa>(src_hi, src_lo, ja + c * w8),
                     simd::loadDv<Isa>(src_hi, src_lo, jb + c * w8), wj, last,
-                    MulAlgo::Schoolbook, u, v);
+                    u, v);
                 storeInterleaved<Isa>(dst, jo0 + c * w8, jo1 + c * w8, u, v);
             }
         }
@@ -1210,11 +1220,9 @@ inverseBatchCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
                 loadDeinterleaved<Isa>(src_hi, src_lo, ji0 + c * w8,
                                        ji1 + c * w8, u, v);
                 if (s == 0)
-                    inverseLastButterflyV<Isa>(ctx, u, v, lastf,
-                                               MulAlgo::Schoolbook, x0, x1);
+                    inverseLastButterflyV<Isa>(ctx, u, v, lastf, x0, x1);
                 else
-                    inverseButterflyV<Isa>(ctx, v, u, wj, MulAlgo::Schoolbook,
-                                           x0, x1);
+                    inverseButterflyV<Isa>(ctx, v, u, wj, x0, x1);
                 simd::storeDv<Isa>(dst.hi, dst.lo, jx0 + c * w8, x0);
                 simd::storeDv<Isa>(dst.hi, dst.lo, jx1 + c * w8, x1);
             }
@@ -1230,32 +1238,8 @@ inverseBatchCore(const NttPlan& plan, const PeaseTwiddles& tw, size_t il_rt,
 
 namespace detail {
 
-/** The sweeps of forwardImpl with the multiply algorithm fixed. */
-template <class Isa, MulAlgo kAlgo>
-void
-forwardSweeps(const NttPlan& plan, const PeaseTwiddles& tw, DConstSpan in,
-              DSpan out, DSpan scratch, PeaseShape shape)
-{
-    const int m = plan.logn();
-    const simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
-    const bool fused = shape.red == Reduction::ShoupLazy &&
-                       shape.fusion == StageFusion::Radix4;
-    PingPong pp(in, out, scratch, peasePasses(m, fused));
-    for (int s = 0; s < m; pp.next()) {
-        if (forwardPairAt(fused, s, m)) {
-            forwardPass4V<Isa, kAlgo>(ctx, plan, tw, pp, s, s + 2 == m);
-            s += 2;
-        } else {
-            forwardStageV<Isa, kAlgo>(ctx, plan, tw, pp, s, s + 1 == m,
-                                      shape);
-            s += 1;
-        }
-    }
-}
-
-/** The sweeps of inverseImpl with the multiply algorithm and the
- *  table's mirroring fixed. */
-template <class Isa, MulAlgo kAlgo, bool kMirror>
+/** The sweeps of inverseImpl with the table's mirroring fixed. */
+template <class Isa, bool kMirror>
 void
 inverseSweeps(const NttPlan& plan, const PeaseTwiddles& tw, DConstSpan in,
               DSpan out, DSpan scratch, PeaseShape shape)
@@ -1267,10 +1251,10 @@ inverseSweeps(const NttPlan& plan, const PeaseTwiddles& tw, DConstSpan in,
     PingPong pp(in, out, scratch, peasePasses(m, fused));
     for (int s = m - 1; s >= 0; pp.next()) {
         if (fused && s >= 1) {
-            inversePass4V<Isa, kAlgo, kMirror>(ctx, plan, tw, pp, s - 1);
+            inversePass4V<Isa, kMirror>(ctx, plan, tw, pp, s - 1);
             s -= 2;
         } else {
-            inverseStageV<Isa, kAlgo, kMirror>(ctx, plan, tw, pp, s, shape);
+            inverseStageV<Isa, kMirror>(ctx, plan, tw, pp, s, shape);
             s -= 1;
         }
     }
@@ -1281,9 +1265,7 @@ inverseSweeps(const NttPlan& plan, const PeaseTwiddles& tw, DConstSpan in,
 /**
  * Forward transform of one channel: canonical natural-order input,
  * canonical bit-reversed output, in any PeaseShape (Barrett runs
- * radix-2 whatever the fusion). The multiply algorithm is a template
- * argument of the sweeps, so no multiply branches on it; IFMA ISAs
- * have one multiply and ignore it.
+ * radix-2 whatever the fusion).
  */
 template <class Isa>
 void
@@ -1291,13 +1273,21 @@ forwardImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,
             DConstSpan in, DSpan out, DSpan scratch, detail::PeaseShape shape)
 {
     detail::validateNttArgs(plan, in, out, scratch);
-    if constexpr (!Isa::kHasIfma) {
-        if (shape.algo == MulAlgo::Karatsuba)
-            return detail::forwardSweeps<Isa, MulAlgo::Karatsuba>(
-                plan, tw, in, out, scratch, shape);
+    const int m = plan.logn();
+    const simd::ModCtx<Isa> ctx = simd::makeModCtx<Isa>(plan.modulus());
+    const bool fused = shape.red == Reduction::ShoupLazy &&
+                       shape.fusion == StageFusion::Radix4;
+    detail::PingPong pp(in, out, scratch, detail::peasePasses(m, fused));
+    for (int s = 0; s < m; pp.next()) {
+        if (detail::forwardPairAt(fused, s, m)) {
+            detail::forwardPass4V<Isa>(ctx, plan, tw, pp, s, s + 2 == m);
+            s += 2;
+        } else {
+            detail::forwardStageV<Isa>(ctx, plan, tw, pp, s, s + 1 == m,
+                                       shape);
+            s += 1;
+        }
     }
-    detail::forwardSweeps<Isa, MulAlgo::Schoolbook>(plan, tw, in, out, scratch,
-                                                 shape);
 }
 
 /**
@@ -1310,19 +1300,10 @@ inverseImpl(const NttPlan& plan, const detail::PeaseTwiddles& tw,
             DConstSpan in, DSpan out, DSpan scratch, detail::PeaseShape shape)
 {
     detail::validateNttArgs(plan, in, out, scratch);
-    auto sweeps = [&]<MulAlgo kAlgo>() {
-        if (tw.mirrored)
-            detail::inverseSweeps<Isa, kAlgo, true>(plan, tw, in, out,
-                                                    scratch, shape);
-        else
-            detail::inverseSweeps<Isa, kAlgo, false>(plan, tw, in, out,
-                                                     scratch, shape);
-    };
-    if constexpr (!Isa::kHasIfma) {
-        if (shape.algo == MulAlgo::Karatsuba)
-            return sweeps.template operator()<MulAlgo::Karatsuba>();
-    }
-    sweeps.template operator()<MulAlgo::Schoolbook>();
+    if (tw.mirrored)
+        detail::inverseSweeps<Isa, true>(plan, tw, in, out, scratch, shape);
+    else
+        detail::inverseSweeps<Isa, false>(plan, tw, in, out, scratch, shape);
 }
 
 /** Forward over il lanes packed by batch::packLanes; per lane
@@ -1377,8 +1358,7 @@ barrettForwardImpl(const NttPlan& plan, DConstSpan in, DSpan out,
                    DSpan scratch)
 {
     forwardImpl<Isa>(plan, detail::forwardTwiddles(plan), in, out, scratch,
-                     {MulAlgo::Schoolbook, Reduction::Barrett,
-                      StageFusion::Radix2});
+                     {Reduction::Barrett, StageFusion::Radix2});
 }
 
 /**
@@ -1407,8 +1387,7 @@ vmulShoupLazyImpl(const Modulus& m, DConstSpan a, DConstSpan t, DConstSpan tq,
     for (; i < a.n; ++i) {
         auto r = mod::mulModShoup(mod::DW<uint64_t>{a.hi[i], a.lo[i]},
                                   mod::DW<uint64_t>{t.hi[i], t.lo[i]},
-                                  mod::DW<uint64_t>{tq.hi[i], tq.lo[i]}, q,
-                                  MulAlgo::Schoolbook);
+                                  mod::DW<uint64_t>{tq.hi[i], tq.lo[i]}, q);
         c.hi[i] = r.hi;
         c.lo[i] = r.lo;
     }

@@ -69,8 +69,7 @@ vsubImpl(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 /** c[i] = a[i] * b[i] mod q (point-wise vector multiplication). */
 template <class Isa>
 void
-vmulImpl(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
-         MulAlgo algo = MulAlgo::Schoolbook)
+vmulImpl(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 {
     checkArg(a.n == b.n && a.n == c.n, "vmul: length mismatch");
     ModCtx<Isa> ctx = makeModCtx<Isa>(m);
@@ -78,14 +77,12 @@ vmulImpl(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
     for (; i + Isa::kLanes <= a.n; i += Isa::kLanes) {
         DV<Isa> va = loadDv<Isa>(a.hi, a.lo, i);
         DV<Isa> vb = loadDv<Isa>(b.hi, b.lo, i);
-        storeDv<Isa>(c.hi, c.lo, i, mulModV<Isa>(ctx, va, vb, algo));
+        storeDv<Isa>(c.hi, c.lo, i, mulModV<Isa>(ctx, va, vb));
     }
     const auto& br = m.barrett();
     for (; i < a.n; ++i) {
         mod::DW<uint64_t> da{a.hi[i], a.lo[i]}, db{b.hi[i], b.lo[i]};
-        auto r = algo == MulAlgo::Schoolbook
-                     ? mod::mulModSchool(da, db, br)
-                     : mod::mulModKaratsuba(da, db, br);
+        auto r = mod::mulModSchool(da, db, br);
         c.hi[i] = r.hi;
         c.lo[i] = r.lo;
     }
@@ -103,7 +100,7 @@ vmulImpl(const Modulus& m, DConstSpan a, DConstSpan b, DSpan c,
 template <class Isa>
 void
 gemvImpl(const Modulus& m, DConstSpan matrix, DConstSpan x, DSpan y,
-         size_t rows, size_t cols, MulAlgo algo = MulAlgo::Schoolbook)
+         size_t rows, size_t cols)
 {
     checkArg(matrix.n == rows * cols, "gemv: matrix size mismatch");
     checkArg(x.n == cols && y.n == rows, "gemv: vector size mismatch");
@@ -119,7 +116,7 @@ gemvImpl(const Modulus& m, DConstSpan matrix, DConstSpan x, DSpan y,
         for (; j + Isa::kLanes <= cols; j += Isa::kLanes) {
             DV<Isa> va = loadDv<Isa>(row_hi, row_lo, j);
             DV<Isa> vx = loadDv<Isa>(x.hi, x.lo, j);
-            DV<Isa> t = mulModV<Isa>(ctx, va, vx, algo);
+            DV<Isa> t = mulModV<Isa>(ctx, va, vx);
             acc = addModV<Isa>(ctx, acc, t);
         }
         // Fold the lane accumulator, then the scalar tail.
@@ -135,9 +132,7 @@ gemvImpl(const Modulus& m, DConstSpan matrix, DConstSpan x, DSpan y,
         for (; j < cols; ++j) {
             mod::DW<uint64_t> da{row_hi[j], row_lo[j]};
             mod::DW<uint64_t> dx{x.hi[j], x.lo[j]};
-            auto t = algo == MulAlgo::Schoolbook
-                         ? mod::mulModSchool(da, dx, br)
-                         : mod::mulModKaratsuba(da, dx, br);
+            auto t = mod::mulModSchool(da, dx, br);
             sum = mod::addMod(sum, t, q);
         }
         y.hi[r] = sum.hi;
@@ -247,8 +242,7 @@ vdotScalarImpl(const Modulus& m, const DConstSpan* a, const DConstSpan* b,
 /** y[i] = alpha * x[i] + y[i] mod q (BLAS-1 axpy, Section 2.3). */
 template <class Isa>
 void
-axpyImpl(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y,
-         MulAlgo algo = MulAlgo::Schoolbook)
+axpyImpl(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y)
 {
     checkArg(x.n == y.n, "axpy: length mismatch");
     ModCtx<Isa> ctx = makeModCtx<Isa>(m);
@@ -257,7 +251,7 @@ axpyImpl(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y,
     for (; i + Isa::kLanes <= x.n; i += Isa::kLanes) {
         DV<Isa> vx = loadDv<Isa>(x.hi, x.lo, i);
         DV<Isa> vy = loadDv<Isa>(y.hi, y.lo, i);
-        DV<Isa> t = mulModV<Isa>(ctx, va, vx, algo);
+        DV<Isa> t = mulModV<Isa>(ctx, va, vx);
         storeDv<Isa>(y.hi, y.lo, i, addModV<Isa>(ctx, t, vy));
     }
     const auto& br = m.barrett();
@@ -265,8 +259,7 @@ axpyImpl(const Modulus& m, const U128& alpha, DConstSpan x, DSpan y,
     mod::DW<uint64_t> da = mod::toDw(alpha);
     for (; i < x.n; ++i) {
         mod::DW<uint64_t> dx{x.hi[i], x.lo[i]}, dy{y.hi[i], y.lo[i]};
-        auto t = algo == MulAlgo::Schoolbook ? mod::mulModSchool(da, dx, br)
-                                             : mod::mulModKaratsuba(da, dx, br);
+        auto t = mod::mulModSchool(da, dx, br);
         auto r = mod::addMod(t, dy, q);
         y.hi[i] = r.hi;
         y.lo[i] = r.lo;

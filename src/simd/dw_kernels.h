@@ -810,22 +810,19 @@ broadcastShoupW(uint64_t w_hi, uint64_t w_lo, uint64_t wq_hi, uint64_t wq_lo)
  * (see mod::mulModShoup): h = floor(a*wq / 2^128), r = a*w - h*q mod
  * 2^128, with r in [0, 2q) for ANY a. One full product plus two low
  * products — no Barrett shifts, no correction rounds. IFMA ISAs run
- * mulModShoupIfmaV instead (same value; @p algo has no effect there).
- * kCarry picks the form of the final subtract, as for subDwV.
+ * mulModShoupIfmaV instead (same value). kCarry picks the form of the
+ * final subtract, as for subDwV.
  */
 template <class Isa, bool kCarry = Isa::kCarryChain>
 inline DV<Isa>
 mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& w,
-             const DV<Isa>& wq, MulAlgo algo = MulAlgo::Schoolbook)
+             const DV<Isa>& wq)
 {
     if constexpr (Isa::kHasIfma) {
-        (void)algo;
         return mulModShoupIfmaV<Isa>(ctx, toLimbs52<Isa>(a),
                                      toLimbs52<Isa>(w), toLimbs52<Isa>(wq));
     }
-    QV<Isa> p = algo == MulAlgo::Schoolbook
-                    ? mulFullSchoolV<Isa>(ctx, a, wq)
-                    : mulFullKaratsubaV<Isa>(ctx, a, wq);
+    QV<Isa> p = mulFullSchoolV<Isa>(ctx, a, wq);
     DV<Isa> h{p.t3, p.t2};
     DV<Isa> aw = mulLowDwV<Isa>(a, w);
     DV<Isa> hq = mulLowDwV<Isa>(h, DV<Isa>{ctx.qh, ctx.ql});
@@ -835,15 +832,12 @@ mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& w,
 /** mulModShoupV with a prepared multiplicand. */
 template <class Isa, bool kCarry = Isa::kCarryChain>
 inline DV<Isa>
-mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const ShoupW<Isa>& w,
-             MulAlgo algo = MulAlgo::Schoolbook)
+mulModShoupV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const ShoupW<Isa>& w)
 {
-    if constexpr (Isa::kHasIfma) {
-        (void)algo;
+    if constexpr (Isa::kHasIfma)
         return mulModShoupIfmaV<Isa>(ctx, toLimbs52<Isa>(a), w.w, w.wq);
-    } else {
-        return mulModShoupV<Isa, kCarry>(ctx, a, w.w, w.wq, algo);
-    }
+    else
+        return mulModShoupV<Isa, kCarry>(ctx, a, w.w, w.wq);
 }
 
 /**
@@ -883,22 +877,22 @@ subModLazyV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 }
 
 /**
- * Modular multiplication: full product + Barrett reduction. IFMA ISAs
- * run mulModBarrettIfmaV instead (same words; @p algo has no effect).
+ * Modular multiplication: full product + Barrett reduction. The product
+ * is schoolbook (Eq. 8), or Karatsuba (Eq. 9) when @p kKaratsuba — the
+ * Section 5.5 ablation of Reduction::BarrettKaratsuba. IFMA ISAs run
+ * mulModBarrettIfmaV instead (same words; one limb product, so
+ * kKaratsuba has no effect there).
  */
-template <class Isa>
+template <class Isa, bool kKaratsuba = false>
 inline DV<Isa>
-mulModV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b,
-        MulAlgo algo = MulAlgo::Schoolbook)
+mulModV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
 {
-    if constexpr (Isa::kHasIfma) {
-        (void)algo;
+    if constexpr (Isa::kHasIfma)
         return mulModBarrettIfmaV<Isa>(ctx, a, b);
-    }
-    QV<Isa> t = algo == MulAlgo::Schoolbook
-                    ? mulFullSchoolV<Isa>(ctx, a, b)
-                    : mulFullKaratsubaV<Isa>(ctx, a, b);
-    return barrettReduceV<Isa>(ctx, t);
+    else if constexpr (kKaratsuba)
+        return barrettReduceV<Isa>(ctx, mulFullKaratsubaV<Isa>(ctx, a, b));
+    else
+        return barrettReduceV<Isa>(ctx, mulFullSchoolV<Isa>(ctx, a, b));
 }
 
 // ---------------------------------------------------------------------

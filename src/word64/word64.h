@@ -190,10 +190,11 @@ class Ntt64Plan
  * Forward Pease NTT (natural -> bit-reversed), single-word residues.
  * Supported backends: Scalar, Portable, Avx512 (single-word kernels are
  * provided for the tiers the comparison bench needs). Reduction selects
- * Shoup-lazy (default) or Barrett butterflies; StageFusion selects the
- * fused radix-4 passes (default, ceil(logn/2) sweeps) or the radix-2
- * stage loop. All combinations are bit-identical (Barrett always runs
- * radix-2, mirroring the double-word stack).
+ * Shoup-lazy (default) or Barrett butterflies (BarrettKaratsuba is
+ * Barrett: a single-word product has no Karatsuba split); StageFusion
+ * selects the fused radix-4 passes (default, ceil(logn/2) sweeps) or
+ * the radix-2 stage loop. All combinations are bit-identical (Barrett
+ * always runs radix-2, mirroring the double-word stack).
  */
 void forward64(const Ntt64Plan& plan, Backend backend, const uint64_t* in,
                uint64_t* out, uint64_t* scratch,

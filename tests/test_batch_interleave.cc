@@ -195,15 +195,15 @@ TEST_P(BatchNttBackend, ForwardBatchBitIdenticalPerLane)
         ResidueVector ref(n), ref_scratch(n);
         for (size_t c = 0; c < il; ++c) {
             ntt::forward(plan, be, lanes[c].span(), ref.span(),
-                         ref_scratch.span(), MulAlgo::Schoolbook,
-                         Reduction::ShoupLazy, StageFusion::Radix2);
+                         ref_scratch.span(), Reduction::ShoupLazy,
+                         StageFusion::Radix2);
             for (size_t e = 0; e < n; ++e) {
                 ASSERT_EQ(out.at(layout.index(e, c)), ref.at(e))
                     << "lane " << c << " e " << e << " n " << n;
             }
             ntt::forward(plan, be, lanes[c].span(), ref.span(),
-                         ref_scratch.span(), MulAlgo::Schoolbook,
-                         Reduction::Barrett, StageFusion::Radix4);
+                         ref_scratch.span(), Reduction::Barrett,
+                         StageFusion::Radix4);
             for (size_t e = 0; e < n; ++e) {
                 ASSERT_EQ(out.at(layout.index(e, c)), ref.at(e))
                     << "barrett lane " << c << " e " << e;
@@ -219,8 +219,8 @@ TEST_P(BatchNttBackend, ForwardBatchBitIdenticalPerLane)
             ntt::forward(plan, be, lanes[c].span(), ref.span(),
                          ref_scratch.span());
             ntt::inverse(plan, be, ref.span(), ref_inv.span(),
-                         ref_scratch.span(), MulAlgo::Schoolbook,
-                         Reduction::ShoupLazy, StageFusion::Radix2);
+                         ref_scratch.span(), Reduction::ShoupLazy,
+                         StageFusion::Radix2);
             for (size_t e = 0; e < n; ++e) {
                 ASSERT_EQ(back.at(layout.index(e, c)), ref_inv.at(e))
                     << "inverse lane " << c << " e " << e;

@@ -30,8 +30,7 @@ class BlasBackend : public testing::TestWithParam<Backend>
 
 std::vector<U128>
 runVectorOp(blas::Op op, Backend be, const Modulus& m,
-            const std::vector<U128>& a, const std::vector<U128>& b,
-            MulAlgo algo = MulAlgo::Schoolbook)
+            const std::vector<U128>& a, const std::vector<U128>& b)
 {
     ResidueVector va = ResidueVector::fromU128(a);
     ResidueVector vb = ResidueVector::fromU128(b);
@@ -39,9 +38,9 @@ runVectorOp(blas::Op op, Backend be, const Modulus& m,
     if (op == blas::Op::Axpy) {
         // y starts as b; alpha = a[0].
         vc = ResidueVector::fromU128(b);
-        blas::axpy(be, m, a[0], va.span(), vc.span(), algo);
+        blas::axpy(be, m, a[0], va.span(), vc.span());
     } else {
-        blas::runOp(op, be, m, va.span(), vb.span(), vc.span(), algo);
+        blas::runOp(op, be, m, va.span(), vb.span(), vc.span());
     }
     return vc.toU128();
 }
@@ -106,21 +105,6 @@ TEST_P(BlasBackend, AdversarialOperands)
                 << backendName(be);
         }
     }
-}
-
-TEST_P(BlasBackend, KaratsubaAgreesWithSchoolbook)
-{
-    Backend be = GetParam();
-    const auto& prime = ntt::defaultBenchPrime();
-    Modulus m(prime.q);
-    auto a = randomResidues(64, prime.q, 0xabc);
-    auto b = randomResidues(64, prime.q, 0xdef);
-    auto school =
-        runVectorOp(blas::Op::VectorMul, be, m, a, b, MulAlgo::Schoolbook);
-    auto karat =
-        runVectorOp(blas::Op::VectorMul, be, m, a, b, MulAlgo::Karatsuba);
-    for (size_t i = 0; i < a.size(); ++i)
-        ASSERT_EQ(school[i], karat[i]) << "lane " << i;
 }
 
 TEST_P(BlasBackend, SmallModulusWorks)
@@ -366,14 +350,11 @@ TEST(BlasIfma, WordIdenticalToEmulatedAvx512)
         ResidueVector vb = ResidueVector::fromU128(b);
 
         ResidueVector ci(n), scalar(n);
-        be::vmulAvx512Ifma(m, va.span(), vb.span(), ci.span(),
-                           MulAlgo::Schoolbook);
+        be::vmulAvx512Ifma(m, va.span(), vb.span(), ci.span());
         blas::vmul(Backend::Scalar, m, va.span(), vb.span(), scalar.span());
-        for (MulAlgo algo : {MulAlgo::Schoolbook, MulAlgo::Karatsuba}) {
-            ResidueVector ce(n);
-            be::vmulAvx512(m, va.span(), vb.span(), ce.span(), algo);
-            EXPECT_EQ(ce.toU128(), ci.toU128()) << "vmul";
-        }
+        ResidueVector ce(n);
+        be::vmulAvx512(m, va.span(), vb.span(), ce.span());
+        EXPECT_EQ(ce.toU128(), ci.toU128()) << "vmul";
         for (size_t i = 0; i < n; ++i) {
             if (a[i] < q && b[i] < q) {
                 ASSERT_EQ(ci.at(i), scalar.at(i))
@@ -402,10 +383,8 @@ TEST(BlasIfma, WordIdenticalToEmulatedAvx512)
 
         for (const U128& alpha : ops) {
             ResidueVector ye = vb, yi = vb;
-            be::axpyAvx512(m, alpha, va.span(), ye.span(),
-                           MulAlgo::Schoolbook);
-            be::axpyAvx512Ifma(m, alpha, va.span(), yi.span(),
-                               MulAlgo::Schoolbook);
+            be::axpyAvx512(m, alpha, va.span(), ye.span());
+            be::axpyAvx512Ifma(m, alpha, va.span(), yi.span());
             ASSERT_EQ(ye.toU128(), yi.toU128())
                 << "axpy alpha=" << test::str(alpha);
         }
@@ -416,10 +395,8 @@ TEST(BlasIfma, WordIdenticalToEmulatedAvx512)
         ResidueVector x = ResidueVector::fromU128(
             std::vector<U128>(b.begin(), b.begin() + cols));
         ResidueVector ge(rows), gi(rows);
-        be::gemvAvx512(m, mat.span(), x.span(), ge.span(), rows, cols,
-                       MulAlgo::Schoolbook);
-        be::gemvAvx512Ifma(m, mat.span(), x.span(), gi.span(), rows, cols,
-                           MulAlgo::Schoolbook);
+        be::gemvAvx512(m, mat.span(), x.span(), ge.span(), rows, cols);
+        be::gemvAvx512Ifma(m, mat.span(), x.span(), gi.span(), rows, cols);
         EXPECT_EQ(ge.toU128(), gi.toU128()) << "gemv";
     }
 #else

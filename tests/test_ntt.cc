@@ -33,27 +33,23 @@ testPrime()
 
 std::vector<U128>
 runForward(const ntt::NttPlan& plan, Backend be, const std::vector<U128>& in,
-           MulAlgo algo = MulAlgo::Schoolbook,
            Reduction red = Reduction::ShoupLazy,
            StageFusion fusion = StageFusion::Radix4)
 {
     ResidueVector vin = ResidueVector::fromU128(in);
     ResidueVector out(plan.n()), scratch(plan.n());
-    ntt::forward(plan, be, vin.span(), out.span(), scratch.span(), algo, red,
-                 fusion);
+    ntt::forward(plan, be, vin.span(), out.span(), scratch.span(), red, fusion);
     return out.toU128();
 }
 
 std::vector<U128>
 runInverse(const ntt::NttPlan& plan, Backend be, const std::vector<U128>& in,
-           MulAlgo algo = MulAlgo::Schoolbook,
            Reduction red = Reduction::ShoupLazy,
            StageFusion fusion = StageFusion::Radix4)
 {
     ResidueVector vin = ResidueVector::fromU128(in);
     ResidueVector out(plan.n()), scratch(plan.n());
-    ntt::inverse(plan, be, vin.span(), out.span(), scratch.span(), algo, red,
-                 fusion);
+    ntt::inverse(plan, be, vin.span(), out.span(), scratch.span(), red, fusion);
     return out.toU128();
 }
 
@@ -187,11 +183,9 @@ TEST(NttPlan, LazyTablesRaceFreeUnderConcurrentFirstUse)
     const Backend be = bestBackend();
     const ntt::NttPlan ref_plan(testPrime(), n);
     const ResidueVector want_fwd = ResidueVector::fromU128(
-        runForward(ref_plan, be, x, MulAlgo::Schoolbook,
-                   Reduction::ShoupLazy, StageFusion::Auto));
+        runForward(ref_plan, be, x, Reduction::ShoupLazy, StageFusion::Auto));
     const ResidueVector want_inv = ResidueVector::fromU128(
-        runInverse(ref_plan, be, x, MulAlgo::Schoolbook,
-                   Reduction::ShoupLazy, StageFusion::Auto));
+        runInverse(ref_plan, be, x, Reduction::ShoupLazy, StageFusion::Auto));
     auto race = [&](const ntt::NttPlan& plan) {
         ASSERT_FALSE(plan.twiddlesBuilt());
         constexpr int kThreads = 8;
@@ -320,14 +314,16 @@ TEST_P(NttBackend, ConvolutionTheorem)
 
 TEST_P(NttBackend, KaratsubaPathAgrees)
 {
+    // Reduction::BarrettKaratsuba, the Section 5.5 ablation, gives
+    // Barrett's words in both directions.
     Backend be = GetParam();
     const size_t n = 256;
     ntt::NttPlan plan(testPrime(), n);
     auto input = randomResidues(n, testPrime().q, 77);
-    for (Reduction red : {Reduction::ShoupLazy, Reduction::Barrett}) {
-        EXPECT_EQ(runForward(plan, be, input, MulAlgo::Karatsuba, red),
-                  runForward(plan, be, input, MulAlgo::Schoolbook, red));
-    }
+    auto fwd = runForward(plan, be, input, Reduction::Barrett);
+    EXPECT_EQ(runForward(plan, be, input, Reduction::BarrettKaratsuba), fwd);
+    EXPECT_EQ(runInverse(plan, be, fwd, Reduction::BarrettKaratsuba),
+              runInverse(plan, be, fwd, Reduction::Barrett));
 }
 
 TEST_P(NttBackend, ShoupLazyBitIdenticalToBarrett)
@@ -339,16 +335,12 @@ TEST_P(NttBackend, ShoupLazyBitIdenticalToBarrett)
     for (size_t n : {8u, 16u, 64u, 256u, 1024u, 4096u}) {
         ntt::NttPlan plan(testPrime(), n);
         auto input = randomResidues(n, testPrime().q, 31337 + n);
-        auto fwd_shoup = runForward(plan, be, input, MulAlgo::Schoolbook,
-                                    Reduction::ShoupLazy);
-        auto fwd_barrett = runForward(plan, be, input, MulAlgo::Schoolbook,
-                                      Reduction::Barrett);
+        auto fwd_shoup = runForward(plan, be, input, Reduction::ShoupLazy);
+        auto fwd_barrett = runForward(plan, be, input, Reduction::Barrett);
         EXPECT_EQ(fwd_shoup, fwd_barrett)
             << "forward n=" << n << " backend=" << backendName(be);
-        auto inv_shoup = runInverse(plan, be, fwd_shoup, MulAlgo::Schoolbook,
-                                    Reduction::ShoupLazy);
+        auto inv_shoup = runInverse(plan, be, fwd_shoup, Reduction::ShoupLazy);
         auto inv_barrett = runInverse(plan, be, fwd_shoup,
-                                      MulAlgo::Schoolbook,
                                       Reduction::Barrett);
         EXPECT_EQ(inv_shoup, inv_barrett)
             << "inverse n=" << n << " backend=" << backendName(be);
@@ -365,10 +357,8 @@ TEST_P(NttBackend, ShoupLazyBitIdenticalOnWideModulus)
     const size_t n = 256;
     ntt::NttPlan plan(prime, n);
     auto input = randomResidues(n, prime.q, 99);
-    EXPECT_EQ(runForward(plan, be, input, MulAlgo::Schoolbook,
-                         Reduction::ShoupLazy),
-              runForward(plan, be, input, MulAlgo::Schoolbook,
-                         Reduction::Barrett));
+    EXPECT_EQ(runForward(plan, be, input, Reduction::ShoupLazy),
+              runForward(plan, be, input, Reduction::Barrett));
 }
 
 TEST_P(NttBackend, WideModulusWorks)
@@ -402,16 +392,12 @@ TEST_P(NttBackend, Radix4BitIdenticalToRadix2)
         ntt::NttPlan plan(testPrime(), n);
         auto input = randomResidues(n, testPrime().q, 7777 + n);
         for (Reduction red : {Reduction::ShoupLazy, Reduction::Barrett}) {
-            auto fwd4 = runForward(plan, be, input, MulAlgo::Schoolbook, red,
-                                   StageFusion::Radix4);
-            auto fwd2 = runForward(plan, be, input, MulAlgo::Schoolbook, red,
-                                   StageFusion::Radix2);
+            auto fwd4 = runForward(plan, be, input, red, StageFusion::Radix4);
+            auto fwd2 = runForward(plan, be, input, red, StageFusion::Radix2);
             EXPECT_EQ(fwd4, fwd2) << "forward n=" << n
                                   << " backend=" << backendName(be);
-            auto inv4 = runInverse(plan, be, fwd2, MulAlgo::Schoolbook, red,
-                                   StageFusion::Radix4);
-            auto inv2 = runInverse(plan, be, fwd2, MulAlgo::Schoolbook, red,
-                                   StageFusion::Radix2);
+            auto inv4 = runInverse(plan, be, fwd2, red, StageFusion::Radix4);
+            auto inv2 = runInverse(plan, be, fwd2, red, StageFusion::Radix2);
             EXPECT_EQ(inv4, inv2) << "inverse n=" << n
                                   << " backend=" << backendName(be);
             EXPECT_EQ(inv4, input) << "roundtrip n=" << n;
@@ -427,13 +413,12 @@ TEST_P(NttBackend, Radix4BitIdenticalOnWideModulus)
     for (size_t n : {128u, 256u}) { // odd and even logn
         ntt::NttPlan plan(prime, n);
         auto input = randomResidues(n, prime.q, 4242 + n);
-        auto fwd4 = runForward(plan, be, input, MulAlgo::Schoolbook,
-                               Reduction::ShoupLazy, StageFusion::Radix4);
-        EXPECT_EQ(fwd4, runForward(plan, be, input, MulAlgo::Schoolbook,
-                                   Reduction::ShoupLazy,
+        auto fwd4 = runForward(plan, be, input, Reduction::ShoupLazy,
+                               StageFusion::Radix4);
+        EXPECT_EQ(fwd4, runForward(plan, be, input, Reduction::ShoupLazy,
                                    StageFusion::Radix2));
-        EXPECT_EQ(runInverse(plan, be, fwd4, MulAlgo::Schoolbook,
-                             Reduction::ShoupLazy, StageFusion::Radix4),
+        EXPECT_EQ(runInverse(plan, be, fwd4, Reduction::ShoupLazy,
+                             StageFusion::Radix4),
                   input);
     }
 }
@@ -448,20 +433,16 @@ TEST(NttLargeN, Radix2AndRadix4IdenticalAtRealFheSizes)
         auto input = randomResidues(n, testPrime().q, 90000 + n);
         for (Backend be : availableCorrectBackends()) {
             SCOPED_TRACE(backendName(be));
-            auto fwd2 = runForward(direct, be, input, MulAlgo::Schoolbook,
-                                   Reduction::ShoupLazy,
+            auto fwd2 = runForward(direct, be, input, Reduction::ShoupLazy,
                                    StageFusion::Radix2);
-            auto fwd4 = runForward(direct, be, input, MulAlgo::Schoolbook,
-                                   Reduction::ShoupLazy,
+            auto fwd4 = runForward(direct, be, input, Reduction::ShoupLazy,
                                    StageFusion::Radix4);
             EXPECT_EQ(fwd4, fwd2) << "radix4 fwd n=" << n;
             EXPECT_EQ(runForward(direct, be, input), fwd2)
                 << "auto fwd n=" << n;
-            auto inv2 = runInverse(direct, be, fwd2, MulAlgo::Schoolbook,
-                                   Reduction::ShoupLazy,
+            auto inv2 = runInverse(direct, be, fwd2, Reduction::ShoupLazy,
                                    StageFusion::Radix2);
-            auto inv4 = runInverse(direct, be, fwd2, MulAlgo::Schoolbook,
-                                   Reduction::ShoupLazy,
+            auto inv4 = runInverse(direct, be, fwd2, Reduction::ShoupLazy,
                                    StageFusion::Radix4);
             EXPECT_EQ(inv4, inv2) << "radix4 inv n=" << n;
             EXPECT_EQ(runInverse(direct, be, fwd2), inv2)
@@ -479,11 +460,9 @@ TEST(NttLargeN, BarrettAgreesAtN65536)
     ntt::NttPlan direct(testPrime(), n);
     auto input = randomResidues(n, testPrime().q, 1234);
     Backend be = bestBackend();
-    auto fwd_barrett = runForward(direct, be, input, MulAlgo::Schoolbook,
-                                  Reduction::Barrett);
+    auto fwd_barrett = runForward(direct, be, input, Reduction::Barrett);
     EXPECT_EQ(runForward(direct, be, input), fwd_barrett);
-    EXPECT_EQ(runInverse(direct, be, fwd_barrett, MulAlgo::Schoolbook,
-                         Reduction::Barrett),
+    EXPECT_EQ(runInverse(direct, be, fwd_barrett, Reduction::Barrett),
               input);
 }
 
@@ -496,10 +475,10 @@ TEST(NttLargeN, WideModulusCeilingAtN65536)
     ntt::NttPlan direct(prime, n);
     auto input = randomResidues(n, prime.q, 5678);
     Backend be = bestBackend();
-    auto fwd2 = runForward(direct, be, input, MulAlgo::Schoolbook,
-                           Reduction::ShoupLazy, StageFusion::Radix2);
-    EXPECT_EQ(runForward(direct, be, input, MulAlgo::Schoolbook,
-                         Reduction::ShoupLazy, StageFusion::Radix4),
+    auto fwd2 = runForward(direct, be, input, Reduction::ShoupLazy,
+                           StageFusion::Radix2);
+    EXPECT_EQ(runForward(direct, be, input, Reduction::ShoupLazy,
+                         StageFusion::Radix4),
               fwd2);
     EXPECT_EQ(runInverse(direct, be, fwd2), input);
 }
@@ -666,8 +645,7 @@ TEST(NttBackendIfma, WordIdenticalToEmulatedAvx512)
                              ? "barrett"
                              : (fusion == StageFusion::Radix2 ? "radix2"
                                                               : "radix4"));
-            const ntt::detail::PeaseShape shape{MulAlgo::Schoolbook, red,
-                                                fusion};
+            const ntt::detail::PeaseShape shape{red, fusion};
             const auto fw = ntt::detail::forwardTwiddles(plan);
             const auto iw = ntt::detail::inverseTwiddles(plan);
             ResidueVector fe(n), fse(n), fi(n), fsi(n);

@@ -194,7 +194,7 @@ expectCheckedCyclic(const ntt::NttPlan& plan, PeaseShape shape, uint64_t seed)
     ResidueVector want(n), ws(n), checked(n), unchecked(n);
 
     ntt::forward(plan, Backend::Scalar, vin.span(), want.span(), ws.span(),
-                 shape.algo, shape.red, shape.fusion);
+                 shape.red, shape.fusion);
     checkedForward<CheckedLazyOps>(plan, fw, vin.span(), checked.span(), shape);
     checkedForward<LazyOps>(plan, fw, vin.span(), unchecked.span(), shape);
     EXPECT_EQ(want.toU128(), checked.toU128());
@@ -202,7 +202,7 @@ expectCheckedCyclic(const ntt::NttPlan& plan, PeaseShape shape, uint64_t seed)
 
     ResidueVector inv_want(n), inv_checked(n);
     ntt::inverse(plan, Backend::Scalar, want.span(), inv_want.span(), ws.span(),
-                 shape.algo, shape.red, shape.fusion);
+                 shape.red, shape.fusion);
     checkedInverse<CheckedLazyOps>(plan, iw, checked.span(), inv_checked.span(),
                                    shape);
     EXPECT_EQ(inv_want.toU128(), inv_checked.toU128());
@@ -229,8 +229,7 @@ expectCheckedNegacyclic(const ntt::NttPrime& prime, size_t n, uint64_t seed)
 
     for (StageFusion fusion : {StageFusion::Radix2, StageFusion::Radix4}) {
         SCOPED_TRACE(fusion == StageFusion::Radix4 ? "radix4" : "radix2");
-        const PeaseShape shape{MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                               fusion};
+        const PeaseShape shape{Reduction::ShoupLazy, fusion};
         ResidueVector checked(n), unchecked(n), back(n);
         checkedForward<CheckedLazyOps>(plan, fw, vin.span(), checked.span(),
                                        shape);
@@ -246,12 +245,11 @@ expectCheckedNegacyclic(const ntt::NttPrime& prime, size_t n, uint64_t seed)
     }
 }
 
-constexpr PeaseShape kRadix2{MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                             StageFusion::Radix2};
-constexpr PeaseShape kRadix4{MulAlgo::Schoolbook, Reduction::ShoupLazy,
-                             StageFusion::Radix4};
-constexpr PeaseShape kBarrett{MulAlgo::Schoolbook, Reduction::Barrett,
-                              StageFusion::Radix2};
+constexpr PeaseShape kRadix2{Reduction::ShoupLazy, StageFusion::Radix2};
+constexpr PeaseShape kRadix4{Reduction::ShoupLazy, StageFusion::Radix4};
+constexpr PeaseShape kBarrett{Reduction::Barrett, StageFusion::Radix2};
+constexpr PeaseShape kBarrettKaratsuba{Reduction::BarrettKaratsuba,
+                                       StageFusion::Radix2};
 
 class RangeContract : public ::testing::TestWithParam<size_t>
 {
@@ -291,18 +289,14 @@ TEST(RangeContract, CheckedCoresAtBarrettCeiling)
 {
     // The 124-bit prime exercises the lazy headroom edge: 4q is within
     // 2^128 by exactly the 4 reserved bits. Checked radix-2, radix-4 and
-    // Barrett must agree with the backend there too, on both quotient
-    // paths; n = 64 and 128 cover even and odd logn.
+    // both Barretts must agree with the backend there too; n = 64 and
+    // 128 cover even and odd logn.
     ntt::NttPrime prime = ntt::findNttPrime(124, 10);
     ASSERT_EQ(prime.bits, 124);
     for (size_t n : {size_t{64}, size_t{128}}) {
         ntt::NttPlan plan(prime, n);
-        for (MulAlgo algo : {MulAlgo::Schoolbook, MulAlgo::Karatsuba}) {
-            for (PeaseShape shape : {kRadix2, kRadix4, kBarrett}) {
-                shape.algo = algo;
-                expectCheckedCyclic(plan, shape, 0x7004 + n);
-            }
-        }
+        for (PeaseShape shape : {kRadix2, kRadix4, kBarrett, kBarrettKaratsuba})
+            expectCheckedCyclic(plan, shape, 0x7004 + n);
     }
     // The merged negacyclic forward holds [0, 4q) between stages: at 124
     // bits that is the whole 4-bit headroom.

@@ -336,6 +336,88 @@ TEST(Service, CompatibleRequestsCoalesce)
     EXPECT_TRUE(fx.server.stop().clean);
 }
 
+TEST(Service, RequestLatencyRecordedForEveryAdmittedResponse)
+{
+    // net.request holds one admit-to-response sample per admitted
+    // request, whatever its status and whichever path served it: alone
+    // (executeOne) or in a coalesced batch, where a request that fails
+    // residue validation is answered without joining the batch.
+    net::ServerOptions options;
+    options.engine.threads = 2;
+    options.coalesce_window_us = 20000;
+    options.dispatchers = 1;
+    ServiceFixture fx(options);
+    const telemetry::Histogram& hist = telemetry::spanSite("net.request").hist;
+    const uint64_t count0 = hist.snapshot().count;
+
+    const size_t n = 64;
+    // A request whose first operand's first residue is q itself.
+    auto makeRequest = [&](uint64_t id, bool bad) {
+        net::Request req = net::Client::makePolymul(
+            rns::randomPolynomial(testBasis(), n, 2 * id),
+            rns::randomPolynomial(testBasis(), n, 2 * id + 1), kSpec, id);
+        if (bad)
+            req.operands[0].set(0, testBasis().modulus(0).value());
+        return net::encodeRequestFrame(req);
+    };
+    net::Socket sock;
+    ASSERT_TRUE(net::connectLoopback(fx.server.port(), 1000, sock).ok());
+    net::FrameReader reader;
+    // Read @p want responses; returns the ids answered with an error.
+    auto readResponses = [&](int want) {
+        std::vector<uint64_t> failed;
+        uint8_t buf[8192];
+        std::vector<uint8_t> body;
+        int got = 0;
+        const auto start = std::chrono::steady_clock::now();
+        while (got < want && std::chrono::steady_clock::now() - start <
+                                 std::chrono::seconds(30)) {
+            net::IoResult io = sock.readSome(buf, sizeof(buf), 100);
+            EXPECT_TRUE(io.status.ok());
+            if (!io.status.ok())
+                break;
+            if (io.timed_out)
+                continue;
+            reader.feed(buf, io.bytes);
+            while (reader.next(body) == net::FrameReader::Next::Frame) {
+                net::Response resp;
+                EXPECT_TRUE(
+                    net::decodeResponse(body.data(), body.size(), resp).ok());
+                if (resp.code != robust::StatusCode::Ok)
+                    failed.push_back(resp.request_id);
+                ++got;
+            }
+        }
+        EXPECT_EQ(got, want);
+        return failed;
+    };
+
+    // Two single requests, one good and one bad, each answered before
+    // the next is sent.
+    for (uint64_t id : {900u, 901u}) {
+        const std::vector<uint8_t> frame = makeRequest(id, id == 901);
+        ASSERT_TRUE(sock.writeAll(frame.data(), frame.size(), 5000).ok());
+        EXPECT_EQ(readResponses(1), (id == 901 ? std::vector<uint64_t>{901}
+                                               : std::vector<uint64_t>{}));
+    }
+    // A burst that coalesces, with one bad request in the middle.
+    const int kBurst = 6;
+    const uint64_t kBad = 913;
+    std::vector<uint8_t> burst;
+    for (uint64_t id = 910; id < 910 + kBurst; ++id) {
+        const std::vector<uint8_t> frame = makeRequest(id, id == kBad);
+        burst.insert(burst.end(), frame.begin(), frame.end());
+    }
+    const uint64_t coalesced0 = fx.server.stats().coalesced_requests;
+    ASSERT_TRUE(sock.writeAll(burst.data(), burst.size(), 5000).ok());
+    EXPECT_EQ(readResponses(kBurst), std::vector<uint64_t>{kBad});
+    EXPECT_GE(fx.server.stats().coalesced_requests - coalesced0, 2u);
+    sock.closeNow();
+
+    EXPECT_EQ(hist.snapshot().count - count0, uint64_t{2 + kBurst});
+    EXPECT_TRUE(fx.server.stop().clean);
+}
+
 // ---------------------------------------------------------------------------
 // Session cap.
 // ---------------------------------------------------------------------------

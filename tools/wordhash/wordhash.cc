@@ -6,9 +6,9 @@
  *     wordhash --check FILE        recompute and diff against FILE
  *
  * Each configuration (kernel, direction, prime, n, reduction, fusion,
- * multiply algorithm, thread count, ...) runs on a fixed pseudo-random
- * canonical input, and its output words are folded into one FNV-1a
- * hash. The hash is backend-independent: every available correct
+ * thread count, ...) runs on a fixed pseudo-random canonical input,
+ * and its output words are folded into one FNV-1a hash. The hash is
+ * backend-independent: every available correct
  * backend (Scalar, Portable, AVX2, AVX-512 on its dispatched multiply,
  * AVX-512 on the emulated multiply, MQX in Table-2 emulation) must
  * reproduce it, or the run fails. A backend the host lacks is reported
@@ -153,11 +153,11 @@ struct Config
 
 void
 cyclic(const Slot& s, bool fwd, const ntt::NttPlan& plan, DConstSpan in,
-       DSpan out, DSpan scr, MulAlgo algo, Reduction red, StageFusion fusion)
+       DSpan out, DSpan scr, Reduction red, StageFusion fusion)
 {
     if (s.emulated_avx512) {
 #if MQX_BUILD_AVX512
-        const ntt::detail::PeaseShape shape{algo, red, fusion};
+        const ntt::detail::PeaseShape shape{red, fusion};
         if (fwd)
             ntt::backends::forwardAvx512(
                 plan, ntt::detail::forwardTwiddles(plan), in, out, scr, shape);
@@ -168,9 +168,9 @@ cyclic(const Slot& s, bool fwd, const ntt::NttPlan& plan, DConstSpan in,
         return;
     }
     if (fwd)
-        ntt::forward(plan, s.backend, in, out, scr, algo, red, fusion);
+        ntt::forward(plan, s.backend, in, out, scr, red, fusion);
     else
-        ntt::inverse(plan, s.backend, in, out, scr, algo, red, fusion);
+        ntt::inverse(plan, s.backend, in, out, scr, red, fusion);
 }
 
 void
@@ -209,7 +209,7 @@ negacyclic(const Slot& s, bool fwd, const ntt::NegacyclicTables& t,
 const char*
 redName(Reduction r)
 {
-    return r == Reduction::Barrett ? "barrett" : "shoup";
+    return r == Reduction::ShoupLazy ? "shoup" : "barrett";
 }
 
 const char*
@@ -218,10 +218,11 @@ fusionName(StageFusion f)
     return f == StageFusion::Radix4 ? "radix4" : "radix2";
 }
 
+/** The double-word product a reduction multiplies with. */
 const char*
-algoName(MulAlgo a)
+productName(Reduction r)
 {
-    return a == MulAlgo::Karatsuba ? "karatsuba" : "school";
+    return r == Reduction::BarrettKaratsuba ? "karatsuba" : "school";
 }
 
 const char*
@@ -257,6 +258,17 @@ primes()
     return p;
 }
 
+/** The (reduction, fusion) rows of a cyclic or MQX block, in file
+ *  order: each Barrett row is followed by its Karatsuba twin. */
+constexpr std::pair<Reduction, StageFusion> kShapes[] = {
+    {Reduction::ShoupLazy, StageFusion::Radix2},
+    {Reduction::ShoupLazy, StageFusion::Radix4},
+    {Reduction::Barrett, StageFusion::Radix2},
+    {Reduction::BarrettKaratsuba, StageFusion::Radix2},
+    {Reduction::Barrett, StageFusion::Radix4},
+    {Reduction::BarrettKaratsuba, StageFusion::Radix4},
+};
+
 std::string
 label(std::initializer_list<std::string> parts)
 {
@@ -276,30 +288,23 @@ addCyclic(std::vector<Config>& out)
         for (size_t n : {size_t{2}, size_t{16}, size_t{256}, size_t{4096},
                          size_t{32768}})
             for (bool fwd : {true, false})
-                for (Reduction red : {Reduction::ShoupLazy, Reduction::Barrett})
-                    for (StageFusion fu :
-                         {StageFusion::Radix2, StageFusion::Radix4})
-                        for (MulAlgo algo :
-                             {MulAlgo::Schoolbook, MulAlgo::Karatsuba}) {
-                            out.push_back(
-                                {label({"cyclic", fwd ? "fwd" : "inv",
-                                        pr.label, "n=" + std::to_string(n),
-                                        redName(red), fusionName(fu),
-                                        algoName(algo)}),
-                                 [=](const Slot& s, uint64_t& h) {
-                                     ntt::NttPlan plan(pr.prime, n);
-                                     ResidueVector in(n), o(n), scr(n);
-                                     fillRandom(in.span(), pr.prime.q,
-                                                n * 31 + fwd);
-                                     cyclic(s, fwd, plan, in.span(),
-                                            o.span(), scr.span(), algo, red,
-                                            fu);
-                                     Fnv f;
-                                     f.span(o.span());
-                                     h = f.h;
-                                     return true;
-                                 }});
-                        }
+                for (auto [red, fu] : kShapes) {
+                    out.push_back(
+                        {label({"cyclic", fwd ? "fwd" : "inv", pr.label,
+                                "n=" + std::to_string(n), redName(red),
+                                fusionName(fu), productName(red)}),
+                         [=](const Slot& s, uint64_t& h) {
+                             ntt::NttPlan plan(pr.prime, n);
+                             ResidueVector in(n), o(n), scr(n);
+                             fillRandom(in.span(), pr.prime.q, n * 31 + fwd);
+                             cyclic(s, fwd, plan, in.span(), o.span(),
+                                    scr.span(), red, fu);
+                             Fnv f;
+                             f.span(o.span());
+                             h = f.h;
+                             return true;
+                         }});
+                }
 }
 
 void
@@ -311,41 +316,33 @@ addMqxVariants(std::vector<Config>& out)
                  {MqxVariant::MulOnly, MqxVariant::CarryOnly, MqxVariant::Full,
                   MqxVariant::MulhiCarry, MqxVariant::FullPredicated})
                 for (bool fwd : {true, false})
-                    for (Reduction red :
-                         {Reduction::ShoupLazy, Reduction::Barrett})
-                        for (StageFusion fu :
-                             {StageFusion::Radix2, StageFusion::Radix4})
-                            for (MulAlgo algo :
-                                 {MulAlgo::Schoolbook, MulAlgo::Karatsuba}) {
-                                out.push_back(
-                                    {label({"mqx", variantName(v),
-                                            fwd ? "fwd" : "inv", pr.label,
-                                            "n=" + std::to_string(n),
-                                            redName(red), fusionName(fu),
-                                            algoName(algo)}),
-                                     [=](const Slot& s, uint64_t& h) {
-                                         if (s.backend != Backend::MqxEmulate)
-                                             return false;
-                                         ntt::NttPlan plan(pr.prime, n);
-                                         ResidueVector in(n), o(n), scr(n);
-                                         fillRandom(in.span(), pr.prime.q,
-                                                    n * 31 + fwd);
-                                         if (fwd)
-                                             ntt::forwardMqx(
-                                                 plan, v, false, in.span(),
-                                                 o.span(), scr.span(), algo,
-                                                 red, fu);
-                                         else
-                                             ntt::inverseMqx(
-                                                 plan, v, false, in.span(),
-                                                 o.span(), scr.span(), algo,
-                                                 red, fu);
-                                         Fnv f;
-                                         f.span(o.span());
-                                         h = f.h;
-                                         return true;
-                                     }});
-                            }
+                    for (auto [red, fu] : kShapes) {
+                        out.push_back(
+                            {label({"mqx", variantName(v), fwd ? "fwd" : "inv",
+                                    pr.label, "n=" + std::to_string(n),
+                                    redName(red), fusionName(fu),
+                                    productName(red)}),
+                             [=](const Slot& s, uint64_t& h) {
+                                 if (s.backend != Backend::MqxEmulate)
+                                     return false;
+                                 ntt::NttPlan plan(pr.prime, n);
+                                 ResidueVector in(n), o(n), scr(n);
+                                 fillRandom(in.span(), pr.prime.q,
+                                            n * 31 + fwd);
+                                 if (fwd)
+                                     ntt::forwardMqx(plan, v, false, in.span(),
+                                                     o.span(), scr.span(), red,
+                                                     fu);
+                                 else
+                                     ntt::inverseMqx(plan, v, false, in.span(),
+                                                     o.span(), scr.span(), red,
+                                                     fu);
+                                 Fnv f;
+                                 f.span(o.span());
+                                 h = f.h;
+                                 return true;
+                             }});
+                    }
 }
 
 void
