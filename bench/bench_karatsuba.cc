@@ -17,6 +17,7 @@
  * time Barrett once and report no ratio.
  */
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "bench_common.h"
@@ -50,13 +51,12 @@ struct ForwardBlock
     }
 };
 
-/** ns per butterfly of one block of an n-point forward. */
+/** ns per butterfly of one block of @p iters n-point forwards. */
 double
 blockNsPerButterfly(uint64_t block_ns, int iters, size_t n)
 {
-    Measurement m;
-    m.mean_ns = static_cast<double>(block_ns) / iters;
-    return nsPerButterfly(m, n);
+    const double butterflies = n / 2.0 * std::log2(static_cast<double>(n));
+    return static_cast<double>(block_ns) / iters / butterflies;
 }
 
 } // namespace

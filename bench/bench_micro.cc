@@ -70,20 +70,6 @@ BM_ScalarMulMod(benchmark::State& state)
 }
 BENCHMARK(BM_ScalarMulMod)->Arg(0)->Arg(1)->ArgName("karatsuba");
 
-void
-BM_ScalarMulModWordsOnly(benchmark::State& state)
-{
-    // The Listing-1 variant (no native __int128 in the dataflow).
-    Modulus m(benchPrime().q);
-    SplitMix64 rng(4);
-    U128 a = rng.nextBelow(m.value()), b = rng.nextBelow(m.value());
-    for (auto _ : state) {
-        a = m.mulWords(a, b);
-        benchmark::DoNotOptimize(a);
-    }
-}
-BENCHMARK(BM_ScalarMulModWordsOnly);
-
 struct BackendArg
 {
     Backend backend;

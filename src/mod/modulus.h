@@ -8,8 +8,9 @@
  * in native 128-bit values ("used for benchmarking, as it allows the
  * compiler to exploit specialized assembly instructions such as add with
  * carry") and one using only 64-bit words (Listing 1; "essential for
- * SIMD-vectorized implementations"). Modulus exposes both; they are
- * bit-identical and the test suite checks that.
+ * SIMD-vectorized implementations"). Modulus exposes both for add and
+ * sub; they are bit-identical and the test suite checks that. mul has
+ * one form, words only: the 256-bit product has no native type.
  */
 #pragma once
 
@@ -54,13 +55,6 @@ class Modulus
                                        mod::toDw(q_)));
     }
 
-    U128
-    mulWords(const U128& a, const U128& b) const
-    {
-        return mod::fromDw(
-            mod::mulModSchool(mod::toDw(a), mod::toDw(b), barrett_));
-    }
-
     // -- Native variant (unsigned __int128 when available) ---------------
 
     /** c = a + b mod q for a, b < q. */
@@ -93,11 +87,14 @@ class Modulus
 #endif
     }
 
-    /** c = a * b mod q for a, b < q (Barrett, schoolbook product). */
+    // -- Multiply (words only) -------------------------------------------
+
+    /** c = a * b mod q for a, b < q (Barrett, schoolbook product, Eq. 8). */
     U128
     mul(const U128& a, const U128& b) const
     {
-        return mulWords(a, b);
+        return mod::fromDw(
+            mod::mulModSchool(mod::toDw(a), mod::toDw(b), barrett_));
     }
 
     /** a^e mod q, square-and-multiply over the scalar mulmod. */

@@ -1,11 +1,10 @@
 /**
  * @file
  * BLAS kernel tests: every available backend (including MQX emulation)
- * against the scalar oracle, over random and adversarial inputs,
- * multiple lengths (SIMD blocks + scalar tails), and both
- * multiplication algorithms. The AVX-512 tier's two builds (emulated
- * 64x64 and IFMA 52-bit-limb Barrett multiply) are compared word for
- * word through the blas_backends.h entry points.
+ * against the scalar oracle, over random and adversarial inputs and
+ * multiple lengths (SIMD blocks + scalar tails). The AVX-512 tier's two
+ * builds (emulated 64x64 and IFMA 52-bit-limb Barrett multiply) are
+ * compared word for word through the blas_backends.h entry points.
  */
 #include <gtest/gtest.h>
 

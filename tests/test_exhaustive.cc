@@ -21,14 +21,6 @@
 namespace mqx {
 namespace {
 
-/** a * b mod q, Barrett on the Karatsuba (Eq. 9) product. */
-U128
-mulKaratsuba(const Modulus& m, const U128& a, const U128& b)
-{
-    return mod::fromDw(
-        mod::mulModKaratsuba(mod::toDw(a), mod::toDw(b), m.barrett()));
-}
-
 class ExhaustiveTinyModulus : public testing::TestWithParam<uint64_t>
 {
 };
@@ -45,7 +37,7 @@ TEST_P(ExhaustiveTinyModulus, EveryOperandPair)
             EXPECT_EQ(m.add(ua, ub).lo, (a + b) % q);
             EXPECT_EQ(m.sub(ua, ub).lo, (a + q - b) % q);
             EXPECT_EQ(m.mul(ua, ub).lo, (a * b) % q);
-            EXPECT_EQ(mulKaratsuba(m, ua, ub).lo, (a * b) % q);
+            EXPECT_EQ(test::mulKaratsuba(m, ua, ub).lo, (a * b) % q);
             // Same sweep through the 32-bit word instantiation.
             mod::DW<uint32_t> da{0, static_cast<uint32_t>(a)};
             mod::DW<uint32_t> db{0, static_cast<uint32_t>(b)};
@@ -77,7 +69,7 @@ TEST(ExhaustiveBoundary, OperandsAtTheBarrettCeiling)
             BigUInt expect =
                 (BigUInt::fromU128(a) * BigUInt::fromU128(b)) % qb;
             EXPECT_EQ(m.mul(a, b), expect.toU128());
-            EXPECT_EQ(mulKaratsuba(m, a, b), expect.toU128());
+            EXPECT_EQ(test::mulKaratsuba(m, a, b), expect.toU128());
             EXPECT_EQ(m.add(a, b),
                       BigUInt::addMod(BigUInt::fromU128(a),
                                       BigUInt::fromU128(b), qb)

@@ -141,8 +141,8 @@ allBelow(DConstSpan v, unsigned multiple, const Dw& q)
 
 /**
  * The scalar forward core with policy A, checking the range contract
- * after every pass: [0, 4q) between passes (canonical under Barrett),
- * canonical out of the last one.
+ * after every pass: [0, 4q) between passes (canonical under either
+ * Barrett reduction), canonical out of the last one.
  */
 template <class A>
 void
@@ -153,7 +153,7 @@ checkedForward(const ntt::NttPlan& plan, const PeaseTwiddles& tw,
     const int last = plan.logn() - 1;
     ResidueVector scratch(in.n);
     auto check = [&](DConstSpan dst, int s) {
-        const bool canonical = shape.red == Reduction::Barrett || s == last;
+        const bool canonical = shape.red != Reduction::ShoupLazy || s == last;
         EXPECT_TRUE(allBelow(dst, canonical ? 1 : 4, q)) << "stage " << s;
     };
     ntt::detail::forwardScalarCore<1, A>(plan, tw, 1, in, out, scratch.span(),
@@ -162,7 +162,8 @@ checkedForward(const ntt::NttPlan& plan, const PeaseTwiddles& tw,
 
 /**
  * The scalar inverse core, checked: [0, 2q) between passes (canonical
- * under Barrett), canonical out of the last (n^-1-folded) stage.
+ * under either Barrett reduction), canonical out of the last
+ * (n^-1-folded) stage.
  */
 template <class A>
 void
@@ -172,7 +173,7 @@ checkedInverse(const ntt::NttPlan& plan, const PeaseTwiddles& tw,
     const Dw q = mod::toDw(plan.modulus().value());
     ResidueVector scratch(in.n);
     auto check = [&](DConstSpan dst, int s) {
-        const bool canonical = shape.red == Reduction::Barrett || s == 0;
+        const bool canonical = shape.red != Reduction::ShoupLazy || s == 0;
         EXPECT_TRUE(allBelow(dst, canonical ? 1 : 2, q)) << "stage " << s;
     };
     ntt::detail::inverseScalarCore<1, A>(plan, tw, 1, in, out, scratch.span(),

@@ -11,6 +11,7 @@
 
 #include "bench_util/rng.h"
 #include "core/backend.h"
+#include "mod/modulus.h"
 #include "u128/u128.h"
 
 namespace mqx {
@@ -37,6 +38,14 @@ fromNat(unsigned __int128 v)
     return U128::fromNative(v);
 }
 #endif
+
+/** a * b mod q, Barrett on the Karatsuba (Eq. 9) product. */
+inline U128
+mulKaratsuba(const Modulus& m, const U128& a, const U128& b)
+{
+    return mod::fromDw(
+        mod::mulModKaratsuba(mod::toDw(a), mod::toDw(b), m.barrett()));
+}
 
 /** All correct backends available on this host. */
 inline std::vector<Backend>
