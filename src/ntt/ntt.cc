@@ -307,9 +307,11 @@ namespace {
 void
 noteBatchSweep(const NttPlan& plan, size_t il)
 {
-    telemetry::counter("batch.channels_per_sweep").add(il);
-    telemetry::counter("batch.bytes_swept")
-        .add(il * plan.bytesSweptPerTransform(StageFusion::Radix2));
+    static telemetry::Counter& channels =
+        telemetry::counter("batch.channels_per_sweep");
+    static telemetry::Counter& bytes = telemetry::counter("batch.bytes_swept");
+    channels.add(il);
+    bytes.add(il * plan.bytesSweptPerTransform(StageFusion::Radix2));
 }
 
 /**

@@ -1,15 +1,16 @@
 /**
  * @file
- * Single-word SIMD kernels and the Pease NTT stage loop, templated over
+ * Single-word SIMD kernels and the Pease NTT stage loops, templated over
  * the same ISA policy concept as the double-word kernels. One 64-bit
  * residue per lane — the layout every 64-bit FHE library uses.
  *
- * Both reduction strategies are provided (mirroring the double-word
- * stack): Barrett with canonical operands, and Shoup-lazy with [0, 2q)
- * operands, precomputed twiddle quotients, and one fused
- * canonicalization pass (last forward stage / inverse n^-1 scaling).
- * Twiddles come from the plan's compact power tables with
- * contiguous/step/broadcast stage addressing.
+ * Shoup-lazy arithmetic throughout: [0, 2q) operands between stages,
+ * precomputed twiddle quotients, and one fused canonicalization (last
+ * forward stage / inverse n^-1 scaling). Twiddles come from the plan's
+ * compact power tables with contiguous/step/broadcast stage addressing.
+ * The radix-2 loop (forward64LazyImpl) and the fused radix-4 loop
+ * (forward64Lazy4Impl) give the same words; word64.cc picks one per
+ * backend.
  */
 #pragma once
 
@@ -22,22 +23,16 @@ namespace w64 {
 template <class Isa>
 struct Ctx64
 {
-    typename Isa::V q, mu;
-    typename Isa::V q2;      ///< 2q (lazy-reduction bound)
-    unsigned s1 = 0, s2 = 0; ///< Barrett shifts b - 1, b + 1
+    typename Isa::V q;
+    typename Isa::V q2; ///< 2q (lazy-reduction bound)
 };
 
 template <class Isa>
 inline Ctx64<Isa>
 makeCtx64(const Modulus64& m)
 {
-    Ctx64<Isa> ctx;
-    ctx.q = Isa::set1(m.value());
-    ctx.mu = Isa::set1(m.mu());
-    ctx.q2 = Isa::set1(m.value() * 2); // q < 2^62: no overflow
-    ctx.s1 = static_cast<unsigned>(m.bits() - 1);
-    ctx.s2 = static_cast<unsigned>(m.bits() + 1);
-    return ctx;
+    // q < 2^62: 2q does not overflow.
+    return {Isa::set1(m.value()), Isa::set1(m.value() * 2)};
 }
 
 /**
@@ -105,26 +100,6 @@ deinterleave64x4(typename Isa::V o0, typename Isa::V o1, typename Isa::V o2,
     Isa::deinterleave2(b0, b1, z1, z3);
 }
 
-/** (a + b) mod q per lane; no wrap possible for q < 2^62. */
-template <class Isa>
-inline typename Isa::V
-addMod64V(const Ctx64<Isa>& ctx, typename Isa::V a, typename Isa::V b)
-{
-    auto s = Isa::add(a, b);
-    auto ge = Isa::cmpLeU(ctx.q, s);
-    return Isa::maskSub(s, ge, s, ctx.q);
-}
-
-/** (a - b) mod q per lane. */
-template <class Isa>
-inline typename Isa::V
-subMod64V(const Ctx64<Isa>& ctx, typename Isa::V a, typename Isa::V b)
-{
-    auto lt = Isa::cmpLtU(a, b);
-    auto d = Isa::sub(a, b);
-    return Isa::maskAdd(d, lt, d, ctx.q);
-}
-
 /** Lazy add: inputs [0, 2q) -> output [0, 2q) (transient < 4q < 2^64). */
 template <class Isa>
 inline typename Isa::V
@@ -152,34 +127,6 @@ condSub64V(typename Isa::V x, typename Isa::V b)
     return Isa::maskSub(x, ge, x, b);
 }
 
-/** Funnel shift (hi:lo) >> s for uniform s in [1, 127]. */
-template <class Isa>
-inline typename Isa::V
-shr128V(typename Isa::V hi, typename Isa::V lo, unsigned s)
-{
-    if (s >= 64)
-        return Isa::srlCount(hi, s - 64);
-    return Isa::or_(Isa::srlCount(lo, s), Isa::sllCount(hi, 64 - s));
-}
-
-/** Barrett-reduced product per lane (a, b < q). */
-template <class Isa>
-inline typename Isa::V
-mulMod64V(const Ctx64<Isa>& ctx, typename Isa::V a, typename Isa::V b)
-{
-    typename Isa::V p_hi, p_lo;
-    Isa::mulWide(a, b, p_hi, p_lo);
-    auto x1 = shr128V<Isa>(p_hi, p_lo, ctx.s1);
-    typename Isa::V e_hi, e_lo;
-    Isa::mulWide(x1, ctx.mu, e_hi, e_lo);
-    auto e = shr128V<Isa>(e_hi, e_lo, ctx.s2);
-    auto c = Isa::sub(p_lo, Isa::mullo(e, ctx.q));
-    auto ge = Isa::cmpLeU(ctx.q, c);
-    c = Isa::maskSub(c, ge, c, ctx.q);
-    ge = Isa::cmpLeU(ctx.q, c);
-    return Isa::maskSub(c, ge, c, ctx.q);
-}
-
 /**
  * Shoup product per lane: r = a*w - mulhi(a, wq)*q, in [0, 2q) for any
  * a. One widening multiply plus two low multiplies.
@@ -194,238 +141,186 @@ mulMod64ShoupV(const Ctx64<Isa>& ctx, typename Isa::V a, typename Isa::V w,
     return Isa::sub(Isa::mullo(a, w), Isa::mullo(h_hi, ctx.q));
 }
 
-/** Batch point-wise multiply. */
-template <class Isa>
-void
-vmul64Impl(const Modulus64& m, const uint64_t* a, const uint64_t* b,
-           uint64_t* c, size_t n)
+/**
+ * Forward radix-2 stage s over butterflies [j0, h), one word at a time:
+ * [0, 2q) in and out, canonical when @p last. The Scalar backend's
+ * odd-logn pass and the tail of every SIMD stage.
+ */
+inline void
+forwardStage64Tail(const Ntt64Plan& plan, const uint64_t* src, uint64_t* dst,
+                   size_t j0, int s, bool last)
 {
-    Ctx64<Isa> ctx = makeCtx64<Isa>(m);
+    const size_t h = plan.half();
+    const Modulus64& mod = plan.modulus();
+    const uint64_t q = mod.value();
+    const uint64_t q2 = 2 * q;
+    const uint64_t* tw = plan.twiddle();
+    const uint64_t* twq = plan.twiddleShoup();
+    for (size_t j = j0; j < h; ++j) {
+        size_t e = Ntt64Plan::stageTwiddleIndex(s, j);
+        uint64_t t = src[j] + src[j + h]; // < 4q < 2^64
+        uint64_t u = t >= q2 ? t - q2 : t;
+        uint64_t d = src[j] + q2 - src[j + h]; // (0, 4q)
+        uint64_t v = mod.mulModShoup(d, tw[e], twq[e]);
+        if (last) {
+            u = u >= q ? u - q : u;
+            v = v >= q ? v - q : v;
+        }
+        dst[2 * j] = u;
+        dst[2 * j + 1] = v;
+    }
+}
+
+/** Inverse radix-2 stage s over butterflies [j0, h): [0, 2q) in/out. */
+inline void
+inverseStage64Tail(const Ntt64Plan& plan, const uint64_t* src, uint64_t* dst,
+                   size_t j0, int s)
+{
+    const size_t h = plan.half();
+    const Modulus64& mod = plan.modulus();
+    const uint64_t q2 = 2 * mod.value();
+    const uint64_t* tw = plan.twiddleInv();
+    const uint64_t* twq = plan.twiddleInvShoup();
+    for (size_t j = j0; j < h; ++j) {
+        size_t e = Ntt64Plan::stageTwiddleIndex(s, j);
+        uint64_t u = src[2 * j];
+        uint64_t t = mod.mulModShoup(src[2 * j + 1], tw[e], twq[e]);
+        uint64_t s0 = u + t;
+        uint64_t s1 = u + q2 - t;
+        dst[j] = s0 >= q2 ? s0 - q2 : s0;
+        dst[j + h] = s1 >= q2 ? s1 - q2 : s1;
+    }
+}
+
+/** Fused n^-1 Shoup scaling + canonicalization of out[i0, n). */
+inline void
+scaleNInv64Tail(const Ntt64Plan& plan, uint64_t* out, size_t i0)
+{
+    const Modulus64& mod = plan.modulus();
+    const uint64_t q = mod.value();
+    const size_t n = plan.n();
+    const uint64_t n_inv = plan.nInv();
+    const uint64_t n_inv_sh = plan.nInvShoup();
+    for (size_t i = i0; i < n; ++i) {
+        uint64_t r = mod.mulModShoup(out[i], n_inv, n_inv_sh);
+        out[i] = r >= q ? r - q : r;
+    }
+}
+
+/** SIMD forward radix-2 stage s (forwardStage64Tail per lane). */
+template <class Isa>
+inline void
+forwardStage64(const Ntt64Plan& plan, const uint64_t* src, uint64_t* dst,
+               int s, bool last)
+{
+    const size_t h = plan.half();
+    const Ctx64<Isa> ctx = makeCtx64<Isa>(plan.modulus());
+    const uint64_t* tw = plan.twiddle();
+    const uint64_t* twq = plan.twiddleShoup();
+    size_t j = 0;
+    for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
+        auto a = Isa::loadu(src + j);
+        auto b = Isa::loadu(src + j + h);
+        auto w = loadStageTwiddles64<Isa>(tw, j, s);
+        auto wq = loadStageTwiddles64<Isa>(twq, j, s);
+        auto u = addMod64LazyV<Isa>(ctx, a, b);
+        auto v = mulMod64ShoupV<Isa>(ctx, subMod64LazyRawV<Isa>(ctx, a, b),
+                                     w, wq);
+        if (last) {
+            u = condSub64V<Isa>(u, ctx.q);
+            v = condSub64V<Isa>(v, ctx.q);
+        }
+        typename Isa::V blk0, blk1;
+        Isa::interleave2(u, v, blk0, blk1);
+        Isa::storeu(dst + 2 * j, blk0);
+        Isa::storeu(dst + 2 * j + Isa::kLanes, blk1);
+    }
+    forwardStage64Tail(plan, src, dst, j, s, last);
+}
+
+/** SIMD inverse radix-2 stage s (inverseStage64Tail per lane). */
+template <class Isa>
+inline void
+inverseStage64(const Ntt64Plan& plan, const uint64_t* src, uint64_t* dst,
+               int s)
+{
+    const size_t h = plan.half();
+    const Ctx64<Isa> ctx = makeCtx64<Isa>(plan.modulus());
+    const uint64_t* tw = plan.twiddleInv();
+    const uint64_t* twq = plan.twiddleInvShoup();
+    size_t j = 0;
+    for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
+        auto blk0 = Isa::loadu(src + 2 * j);
+        auto blk1 = Isa::loadu(src + 2 * j + Isa::kLanes);
+        typename Isa::V u, v;
+        Isa::deinterleave2(blk0, blk1, u, v);
+        auto w = loadStageTwiddles64<Isa>(tw, j, s);
+        auto wq = loadStageTwiddles64<Isa>(twq, j, s);
+        auto t = mulMod64ShoupV<Isa>(ctx, v, w, wq); // [0, 2q)
+        Isa::storeu(dst + j, addMod64LazyV<Isa>(ctx, u, t));
+        Isa::storeu(dst + j + h,
+                    condSub64V<Isa>(subMod64LazyRawV<Isa>(ctx, u, t),
+                                    ctx.q2));
+    }
+    inverseStage64Tail(plan, src, dst, j, s);
+}
+
+/** SIMD n^-1 scaling + canonicalization (scaleNInv64Tail per lane). */
+template <class Isa>
+inline void
+scaleNInv64(const Ntt64Plan& plan, uint64_t* out)
+{
+    const Ctx64<Isa> ctx = makeCtx64<Isa>(plan.modulus());
+    auto vninv = Isa::set1(plan.nInv());
+    auto vninvq = Isa::set1(plan.nInvShoup());
+    const size_t n = plan.n();
     size_t i = 0;
     for (; i + Isa::kLanes <= n; i += Isa::kLanes) {
-        Isa::storeu(c + i, mulMod64V<Isa>(ctx, Isa::loadu(a + i),
-                                          Isa::loadu(b + i)));
+        auto r = mulMod64ShoupV<Isa>(ctx, Isa::loadu(out + i), vninv, vninvq);
+        Isa::storeu(out + i, condSub64V<Isa>(r, ctx.q));
     }
-    for (; i < n; ++i)
-        c[i] = m.mulMod(a[i], b[i]);
-}
-
-/** Forward Pease stage loop, Barrett arithmetic. */
-template <class Isa>
-void
-forward64Impl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
-              uint64_t* scratch)
-{
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const Modulus64& mod = plan.modulus();
-    Ctx64<Isa> ctx = makeCtx64<Isa>(mod);
-    const uint64_t* tw = plan.twiddle();
-
-    uint64_t* bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src = in;
-    for (int s = 0; s < m; ++s) {
-        uint64_t* dst = bufs[target];
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto a = Isa::loadu(src + j);
-            auto b = Isa::loadu(src + j + h);
-            auto w = loadStageTwiddles64<Isa>(tw, j, s);
-            auto u = addMod64V<Isa>(ctx, a, b);
-            auto v = mulMod64V<Isa>(ctx, subMod64V<Isa>(ctx, a, b), w);
-            typename Isa::V blk0, blk1;
-            Isa::interleave2(u, v, blk0, blk1);
-            Isa::storeu(dst + 2 * j, blk0);
-            Isa::storeu(dst + 2 * j + Isa::kLanes, blk1);
-        }
-        for (; j < h; ++j) {
-            uint64_t w = tw[Ntt64Plan::stageTwiddleIndex(s, j)];
-            uint64_t u = mod.addMod(src[j], src[j + h]);
-            uint64_t v = mod.mulMod(mod.subMod(src[j], src[j + h]), w);
-            dst[2 * j] = u;
-            dst[2 * j + 1] = v;
-        }
-        src = dst;
-        target ^= 1;
-    }
-}
-
-/** Inverse Pease stage loop + n^-1 scaling, Barrett arithmetic. */
-template <class Isa>
-void
-inverse64Impl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
-              uint64_t* scratch)
-{
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const Modulus64& mod = plan.modulus();
-    Ctx64<Isa> ctx = makeCtx64<Isa>(mod);
-    const uint64_t* tw = plan.twiddleInv();
-
-    uint64_t* bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src = in;
-    for (int s = m - 1; s >= 0; --s) {
-        uint64_t* dst = bufs[target];
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto blk0 = Isa::loadu(src + 2 * j);
-            auto blk1 = Isa::loadu(src + 2 * j + Isa::kLanes);
-            typename Isa::V u, v;
-            Isa::deinterleave2(blk0, blk1, u, v);
-            auto w = loadStageTwiddles64<Isa>(tw, j, s);
-            auto t = mulMod64V<Isa>(ctx, v, w);
-            Isa::storeu(dst + j, addMod64V<Isa>(ctx, u, t));
-            Isa::storeu(dst + j + h, subMod64V<Isa>(ctx, u, t));
-        }
-        for (; j < h; ++j) {
-            uint64_t w = tw[Ntt64Plan::stageTwiddleIndex(s, j)];
-            uint64_t u = src[2 * j];
-            uint64_t t = mod.mulMod(src[2 * j + 1], w);
-            dst[j] = mod.addMod(u, t);
-            dst[j + h] = mod.subMod(u, t);
-        }
-        src = dst;
-        target ^= 1;
-    }
-
-    const uint64_t n_inv = plan.nInv();
-    auto vninv = Isa::set1(n_inv);
-    size_t i = 0;
-    for (; i + Isa::kLanes <= plan.n(); i += Isa::kLanes)
-        Isa::storeu(out + i, mulMod64V<Isa>(ctx, Isa::loadu(out + i), vninv));
-    for (; i < plan.n(); ++i)
-        out[i] = mod.mulMod(out[i], n_inv);
+    scaleNInv64Tail(plan, out, i);
 }
 
 /**
- * Forward Pease stage loop, Shoup-lazy arithmetic: canonical input,
- * canonical output; [0, 2q) between stages, canonicalization fused
- * into the last stage. Bit-identical to forward64Impl.
+ * Forward Pease radix-2 stage loop: canonical input, canonical output;
+ * [0, 2q) between stages, canonicalization fused into the last stage.
  */
 template <class Isa>
 void
 forward64LazyImpl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
                   uint64_t* scratch)
 {
-    const size_t h = plan.half();
     const int m = plan.logn();
-    const Modulus64& mod = plan.modulus();
-    Ctx64<Isa> ctx = makeCtx64<Isa>(mod);
-    const uint64_t q = mod.value();
-    const uint64_t q2 = 2 * q;
-    const uint64_t* tw = plan.twiddle();
-    const uint64_t* twq = plan.twiddleShoup();
-
     uint64_t* bufs[2] = {out, scratch};
     int target = (m % 2 == 1) ? 0 : 1;
     const uint64_t* src = in;
     for (int s = 0; s < m; ++s) {
-        const bool last = s == m - 1;
-        uint64_t* dst = bufs[target];
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto a = Isa::loadu(src + j);
-            auto b = Isa::loadu(src + j + h);
-            auto w = loadStageTwiddles64<Isa>(tw, j, s);
-            auto wq = loadStageTwiddles64<Isa>(twq, j, s);
-            auto u = addMod64LazyV<Isa>(ctx, a, b);
-            auto d = subMod64LazyRawV<Isa>(ctx, a, b); // (0, 4q)
-            auto v = mulMod64ShoupV<Isa>(ctx, d, w, wq);
-            if (last) {
-                u = condSub64V<Isa>(u, ctx.q);
-                v = condSub64V<Isa>(v, ctx.q);
-            }
-            typename Isa::V blk0, blk1;
-            Isa::interleave2(u, v, blk0, blk1);
-            Isa::storeu(dst + 2 * j, blk0);
-            Isa::storeu(dst + 2 * j + Isa::kLanes, blk1);
-        }
-        for (; j < h; ++j) {
-            size_t e = Ntt64Plan::stageTwiddleIndex(s, j);
-            uint64_t t = src[j] + src[j + h]; // < 4q < 2^64
-            uint64_t u = t >= q2 ? t - q2 : t;
-            uint64_t d = src[j] + q2 - src[j + h];
-            uint64_t v = mod.mulModShoup(d, tw[e], twq[e]);
-            if (last) {
-                u = u >= q ? u - q : u;
-                v = v >= q ? v - q : v;
-            }
-            dst[2 * j] = u;
-            dst[2 * j + 1] = v;
-        }
-        src = dst;
+        forwardStage64<Isa>(plan, src, bufs[target], s, s == m - 1);
+        src = bufs[target];
         target ^= 1;
     }
 }
 
 /**
- * Inverse Pease stage loop, Shoup-lazy arithmetic; canonicalization is
- * fused into the n^-1 Shoup scaling pass. Bit-identical to
- * inverse64Impl.
+ * Inverse Pease radix-2 stage loop; canonicalization is fused into the
+ * n^-1 Shoup scaling pass.
  */
 template <class Isa>
 void
 inverse64LazyImpl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
                   uint64_t* scratch)
 {
-    const size_t h = plan.half();
     const int m = plan.logn();
-    const Modulus64& mod = plan.modulus();
-    Ctx64<Isa> ctx = makeCtx64<Isa>(mod);
-    const uint64_t q = mod.value();
-    const uint64_t q2 = 2 * q;
-    const uint64_t* tw = plan.twiddleInv();
-    const uint64_t* twq = plan.twiddleInvShoup();
-
     uint64_t* bufs[2] = {out, scratch};
     int target = (m % 2 == 1) ? 0 : 1;
     const uint64_t* src = in;
     for (int s = m - 1; s >= 0; --s) {
-        uint64_t* dst = bufs[target];
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto blk0 = Isa::loadu(src + 2 * j);
-            auto blk1 = Isa::loadu(src + 2 * j + Isa::kLanes);
-            typename Isa::V u, v;
-            Isa::deinterleave2(blk0, blk1, u, v);
-            auto w = loadStageTwiddles64<Isa>(tw, j, s);
-            auto wq = loadStageTwiddles64<Isa>(twq, j, s);
-            auto t = mulMod64ShoupV<Isa>(ctx, v, w, wq); // [0, 2q)
-            auto x0 = addMod64LazyV<Isa>(ctx, u, t);
-            auto x1 = condSub64V<Isa>(subMod64LazyRawV<Isa>(ctx, u, t),
-                                      ctx.q2);
-            Isa::storeu(dst + j, x0);
-            Isa::storeu(dst + j + h, x1);
-        }
-        for (; j < h; ++j) {
-            size_t e = Ntt64Plan::stageTwiddleIndex(s, j);
-            uint64_t u = src[2 * j];
-            uint64_t t = mod.mulModShoup(src[2 * j + 1], tw[e], twq[e]);
-            uint64_t s0 = u + t;
-            uint64_t s1 = u + q2 - t;
-            dst[j] = s0 >= q2 ? s0 - q2 : s0;
-            dst[j + h] = s1 >= q2 ? s1 - q2 : s1;
-        }
-        src = dst;
+        inverseStage64<Isa>(plan, src, bufs[target], s);
+        src = bufs[target];
         target ^= 1;
     }
-
-    // Fused n^-1 scaling + canonicalization.
-    const uint64_t n_inv = plan.nInv();
-    const uint64_t n_inv_sh = plan.nInvShoup();
-    auto vninv = Isa::set1(n_inv);
-    auto vninvq = Isa::set1(n_inv_sh);
-    size_t i = 0;
-    for (; i + Isa::kLanes <= plan.n(); i += Isa::kLanes) {
-        auto r = mulMod64ShoupV<Isa>(ctx, Isa::loadu(out + i), vninv, vninvq);
-        Isa::storeu(out + i, condSub64V<Isa>(r, ctx.q));
-    }
-    for (; i < plan.n(); ++i) {
-        uint64_t r = mod.mulModShoup(out[i], n_inv, n_inv_sh);
-        out[i] = r >= q ? r - q : r;
-    }
+    scaleNInv64<Isa>(plan, out);
 }
 
 /**
@@ -534,9 +429,9 @@ inverseButterfly64Lazy4(const Modulus64& mod, uint64_t q2,
 }
 
 /**
- * Forward Pease stage loop with fused radix-4 passes, Shoup-lazy:
- * ceil(logn/2) sweeps (radix-2 pass first when logn is odd).
- * Bit-identical to forward64LazyImpl and forward64Impl.
+ * Forward Pease stage loop with fused radix-4 passes: ceil(logn/2)
+ * sweeps (radix-2 pass first when logn is odd). Bit-identical to
+ * forward64LazyImpl.
  */
 template <class Isa>
 void
@@ -559,40 +454,8 @@ forward64Lazy4Impl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
     const uint64_t* src = in;
     int s = 0;
     if (m % 2 == 1) {
-        const bool last = m == 1;
-        uint64_t* dst = bufs[target];
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto a = Isa::loadu(src + j);
-            auto b = Isa::loadu(src + j + h);
-            auto w = loadStageTwiddles64<Isa>(tw, j, 0);
-            auto wq = loadStageTwiddles64<Isa>(twq, j, 0);
-            auto u = addMod64LazyV<Isa>(ctx, a, b);
-            auto v = mulMod64ShoupV<Isa>(ctx, subMod64LazyRawV<Isa>(ctx, a, b),
-                                         w, wq);
-            if (last) {
-                u = condSub64V<Isa>(u, ctx.q);
-                v = condSub64V<Isa>(v, ctx.q);
-            }
-            typename Isa::V blk0, blk1;
-            Isa::interleave2(u, v, blk0, blk1);
-            Isa::storeu(dst + 2 * j, blk0);
-            Isa::storeu(dst + 2 * j + Isa::kLanes, blk1);
-        }
-        for (; j < h; ++j) {
-            size_t e = Ntt64Plan::stageTwiddleIndex(0, j);
-            uint64_t t = src[j] + src[j + h];
-            uint64_t u = t >= q2 ? t - q2 : t;
-            uint64_t v = mod.mulModShoup(src[j] + q2 - src[j + h], tw[e],
-                                         twq[e]);
-            if (last) {
-                u = u >= q ? u - q : u;
-                v = v >= q ? v - q : v;
-            }
-            dst[2 * j] = u;
-            dst[2 * j + 1] = v;
-        }
-        src = dst;
+        forwardStage64<Isa>(plan, src, bufs[target], 0, m == 1);
+        src = bufs[target];
         target ^= 1;
         s = 1;
     }
@@ -645,8 +508,8 @@ forward64Lazy4Impl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
 }
 
 /**
- * Inverse Pease stage loop with fused radix-4 passes, Shoup-lazy, plus
- * the fused n^-1 scaling. Bit-identical to inverse64LazyImpl.
+ * Inverse Pease stage loop with fused radix-4 passes, plus the fused
+ * n^-1 scaling. Bit-identical to inverse64LazyImpl.
  */
 template <class Isa>
 void
@@ -658,8 +521,7 @@ inverse64Lazy4Impl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
     const int m = plan.logn();
     const Modulus64& mod = plan.modulus();
     Ctx64<Isa> ctx = makeCtx64<Isa>(mod);
-    const uint64_t q = mod.value();
-    const uint64_t q2 = 2 * q;
+    const uint64_t q2 = 2 * mod.value();
     const uint64_t* tw = plan.twiddleInv();
     const uint64_t* twq = plan.twiddleInvShoup();
 
@@ -709,47 +571,9 @@ inverse64Lazy4Impl(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
         src = dst;
         target ^= 1;
     }
-    if (s == 0) {
-        uint64_t* dst = bufs[target];
-        size_t j = 0;
-        for (; j + Isa::kLanes <= h; j += Isa::kLanes) {
-            auto blk0 = Isa::loadu(src + 2 * j);
-            auto blk1 = Isa::loadu(src + 2 * j + Isa::kLanes);
-            typename Isa::V u, v;
-            Isa::deinterleave2(blk0, blk1, u, v);
-            auto w = loadStageTwiddles64<Isa>(tw, j, 0);
-            auto wq = loadStageTwiddles64<Isa>(twq, j, 0);
-            auto t = mulMod64ShoupV<Isa>(ctx, v, w, wq);
-            Isa::storeu(dst + j, addMod64LazyV<Isa>(ctx, u, t));
-            Isa::storeu(dst + j + h,
-                        condSub64V<Isa>(subMod64LazyRawV<Isa>(ctx, u, t),
-                                        ctx.q2));
-        }
-        for (; j < h; ++j) {
-            size_t e = Ntt64Plan::stageTwiddleIndex(0, j);
-            uint64_t u = src[2 * j];
-            uint64_t t = mod.mulModShoup(src[2 * j + 1], tw[e], twq[e]);
-            uint64_t s0 = u + t;
-            uint64_t s1 = u + q2 - t;
-            dst[j] = s0 >= q2 ? s0 - q2 : s0;
-            dst[j + h] = s1 >= q2 ? s1 - q2 : s1;
-        }
-    }
-
-    // Fused n^-1 scaling + canonicalization.
-    const uint64_t n_inv = plan.nInv();
-    const uint64_t n_inv_sh = plan.nInvShoup();
-    auto vninv = Isa::set1(n_inv);
-    auto vninvq = Isa::set1(n_inv_sh);
-    size_t i = 0;
-    for (; i + Isa::kLanes <= plan.n(); i += Isa::kLanes) {
-        auto r = mulMod64ShoupV<Isa>(ctx, Isa::loadu(out + i), vninv, vninvq);
-        Isa::storeu(out + i, condSub64V<Isa>(r, ctx.q));
-    }
-    for (; i < plan.n(); ++i) {
-        uint64_t r = mod.mulModShoup(out[i], n_inv, n_inv_sh);
-        out[i] = r >= q ? r - q : r;
-    }
+    if (s == 0)
+        inverseStage64<Isa>(plan, src, bufs[target], 0);
+    scaleNInv64<Isa>(plan, out);
 }
 
 } // namespace w64

@@ -15,14 +15,14 @@ namespace w64 {
 Modulus64::Modulus64(uint64_t q) : q_(q)
 {
     checkArg(q >= 2, "Modulus64: modulus must be >= 2");
-    bits_ = bitLength64(q);
-    checkArg(bits_ <= 62, "Modulus64: modulus exceeds 62 bits (Barrett)");
+    const int bits = bitLength64(q);
+    checkArg(bits <= 62, "Modulus64: modulus exceeds 62 bits (Barrett)");
     // mu = floor(2^2b / q) fits 64 bits for b <= 62 (mu < 2^(b+1)).
     U128 mu, rem;
-    divmod128(U128{1} << (2 * bits_), U128{q}, mu, rem);
+    divmod128(U128{1} << (2 * bits), U128{q}, mu, rem);
     mu_ = mu.lo;
-    shift1_ = static_cast<unsigned>(bits_ - 1);
-    shift2_ = static_cast<unsigned>(bits_ + 1);
+    shift1_ = static_cast<unsigned>(bits - 1);
+    shift2_ = static_cast<unsigned>(bits + 1);
     r64_ = (0 - q) % q;
     // Newton's step x <- x (2 - q x) doubles the correct low bits of
     // q^-1 mod 2^64 from the 3 of x = q (q^2 = 1 mod 8 for odd q).
@@ -100,29 +100,20 @@ Ntt64Plan::Ntt64Plan(uint64_t q, size_t n) : mod_(q), n_(n)
 
 // AVX-512 entries (word64_avx512.cc).
 namespace detail {
-void forward64Avx512(const Ntt64Plan&, const uint64_t*, uint64_t*, uint64_t*,
-                     Reduction, StageFusion);
-void inverse64Avx512(const Ntt64Plan&, const uint64_t*, uint64_t*, uint64_t*,
-                     Reduction, StageFusion);
-void vmul64Avx512(const Modulus64&, const uint64_t*, const uint64_t*,
-                  uint64_t*, size_t);
+void forward64Avx512(const Ntt64Plan&, const uint64_t*, uint64_t*,
+                     uint64_t*);
+void inverse64Avx512(const Ntt64Plan&, const uint64_t*, uint64_t*,
+                     uint64_t*);
 } // namespace detail
 
 namespace {
 
-/** kLanes = 1 scalar path shares the stage loop via the tail branches. */
-struct ScalarTag
-{
-};
-
 void
-validate(const Ntt64Plan& plan, const uint64_t* in, const uint64_t* out,
-         const uint64_t* scratch)
+validate(const uint64_t* in, const uint64_t* out, const uint64_t* scratch)
 {
     checkArg(in && out && scratch, "ntt64: null buffer");
     checkArg(in != out && in != scratch && out != scratch,
              "ntt64: buffers must be distinct");
-    (void)plan;
 }
 
 [[noreturn]] void
@@ -133,132 +124,10 @@ unsupported(Backend backend)
         backendName(backend));
 }
 
-/** Scalar forward, Barrett (the tail path of the template, full width). */
-void
-forward64Scalar(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
-                uint64_t* scratch)
-{
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const Modulus64& mod = plan.modulus();
-    const uint64_t* tw = plan.twiddle();
-    uint64_t* bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src = in;
-    for (int s = 0; s < m; ++s) {
-        uint64_t* dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            uint64_t w = tw[Ntt64Plan::stageTwiddleIndex(s, j)];
-            uint64_t u = mod.addMod(src[j], src[j + h]);
-            uint64_t v = mod.mulMod(mod.subMod(src[j], src[j + h]), w);
-            dst[2 * j] = u;
-            dst[2 * j + 1] = v;
-        }
-        src = dst;
-        target ^= 1;
-    }
-}
-
-void
-inverse64Scalar(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
-                uint64_t* scratch)
-{
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const Modulus64& mod = plan.modulus();
-    const uint64_t* tw = plan.twiddleInv();
-    uint64_t* bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src = in;
-    for (int s = m - 1; s >= 0; --s) {
-        uint64_t* dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            uint64_t w = tw[Ntt64Plan::stageTwiddleIndex(s, j)];
-            uint64_t u = src[2 * j];
-            uint64_t t = mod.mulMod(src[2 * j + 1], w);
-            dst[j] = mod.addMod(u, t);
-            dst[j + h] = mod.subMod(u, t);
-        }
-        src = dst;
-        target ^= 1;
-    }
-    for (size_t i = 0; i < plan.n(); ++i)
-        out[i] = mod.mulMod(out[i], plan.nInv());
-}
-
-/** Scalar forward, Shoup-lazy (see ntt64_impl.h for the ranges). */
-void
-forward64ScalarLazy(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
-                    uint64_t* scratch)
-{
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const Modulus64& mod = plan.modulus();
-    const uint64_t q = mod.value();
-    const uint64_t q2 = 2 * q;
-    const uint64_t* tw = plan.twiddle();
-    const uint64_t* twq = plan.twiddleShoup();
-    uint64_t* bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src = in;
-    for (int s = 0; s < m; ++s) {
-        const bool last = s == m - 1;
-        uint64_t* dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            size_t e = Ntt64Plan::stageTwiddleIndex(s, j);
-            uint64_t t = src[j] + src[j + h]; // < 4q < 2^64
-            uint64_t u = t >= q2 ? t - q2 : t;
-            uint64_t d = src[j] + q2 - src[j + h]; // (0, 4q)
-            uint64_t v = mod.mulModShoup(d, tw[e], twq[e]);
-            if (last) {
-                u = u >= q ? u - q : u;
-                v = v >= q ? v - q : v;
-            }
-            dst[2 * j] = u;
-            dst[2 * j + 1] = v;
-        }
-        src = dst;
-        target ^= 1;
-    }
-}
-
-void
-inverse64ScalarLazy(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
-                    uint64_t* scratch)
-{
-    const size_t h = plan.half();
-    const int m = plan.logn();
-    const Modulus64& mod = plan.modulus();
-    const uint64_t q = mod.value();
-    const uint64_t q2 = 2 * q;
-    const uint64_t* tw = plan.twiddleInv();
-    const uint64_t* twq = plan.twiddleInvShoup();
-    uint64_t* bufs[2] = {out, scratch};
-    int target = (m % 2 == 1) ? 0 : 1;
-    const uint64_t* src = in;
-    for (int s = m - 1; s >= 0; --s) {
-        uint64_t* dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            size_t e = Ntt64Plan::stageTwiddleIndex(s, j);
-            uint64_t u = src[2 * j];
-            uint64_t t = mod.mulModShoup(src[2 * j + 1], tw[e], twq[e]);
-            uint64_t s0 = u + t;
-            uint64_t s1 = u + q2 - t;
-            dst[j] = s0 >= q2 ? s0 - q2 : s0;
-            dst[j + h] = s1 >= q2 ? s1 - q2 : s1;
-        }
-        src = dst;
-        target ^= 1;
-    }
-    const uint64_t n_inv = plan.nInv();
-    const uint64_t n_inv_sh = plan.nInvShoup();
-    for (size_t i = 0; i < plan.n(); ++i) {
-        uint64_t r = mod.mulModShoup(out[i], n_inv, n_inv_sh);
-        out[i] = r >= q ? r - q : r;
-    }
-}
-
-/** Scalar fused radix-4 forward (kLanes = 1 tail of the template). */
+/**
+ * Scalar fused radix-4 forward: the lazy radix-2 pass first when logn
+ * is odd, then forwardButterfly64Lazy4Core per stage pair.
+ */
 void
 forward64ScalarLazy4(const Ntt64Plan& plan, const uint64_t* in,
                      uint64_t* out, uint64_t* scratch)
@@ -277,21 +146,8 @@ forward64ScalarLazy4(const Ntt64Plan& plan, const uint64_t* in,
     const uint64_t* src = in;
     int s = 0;
     if (m % 2 == 1) {
-        const bool last = m == 1;
-        uint64_t* dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            uint64_t t = src[j] + src[j + h];
-            uint64_t u = t >= q2 ? t - q2 : t;
-            uint64_t v = mod.mulModShoup(src[j] + q2 - src[j + h], tw[j],
-                                         twq[j]);
-            if (last) {
-                u = u >= q ? u - q : u;
-                v = v >= q ? v - q : v;
-            }
-            dst[2 * j] = u;
-            dst[2 * j + 1] = v;
-        }
-        src = dst;
+        forwardStage64Tail(plan, src, bufs[target], 0, 0, m == 1);
+        src = bufs[target];
         target ^= 1;
         s = 1;
     }
@@ -325,8 +181,7 @@ inverse64ScalarLazy4(const Ntt64Plan& plan, const uint64_t* in,
     const size_t h2 = h / 2;
     const int m = plan.logn();
     const Modulus64& mod = plan.modulus();
-    const uint64_t q = mod.value();
-    const uint64_t q2 = 2 * q;
+    const uint64_t q2 = 2 * mod.value();
     const uint64_t* tw = plan.twiddleInv();
     const uint64_t* twq = plan.twiddleInvShoup();
     uint64_t* bufs[2] = {out, scratch};
@@ -350,51 +205,42 @@ inverse64ScalarLazy4(const Ntt64Plan& plan, const uint64_t* in,
         src = dst;
         target ^= 1;
     }
-    if (s == 0) {
-        uint64_t* dst = bufs[target];
-        for (size_t j = 0; j < h; ++j) {
-            uint64_t u = src[2 * j];
-            uint64_t t = mod.mulModShoup(src[2 * j + 1], tw[j], twq[j]);
-            uint64_t s0 = u + t;
-            uint64_t s1 = u + q2 - t;
-            dst[j] = s0 >= q2 ? s0 - q2 : s0;
-            dst[j + h] = s1 >= q2 ? s1 - q2 : s1;
-        }
-    }
-    const uint64_t n_inv = plan.nInv();
-    const uint64_t n_inv_sh = plan.nInvShoup();
-    for (size_t i = 0; i < plan.n(); ++i) {
-        uint64_t r = mod.mulModShoup(out[i], n_inv, n_inv_sh);
-        out[i] = r >= q ? r - q : r;
-    }
+    if (s == 0)
+        inverseStage64Tail(plan, src, bufs[target], 0, 0);
+    scaleNInv64Tail(plan, out, 0);
 }
 
 } // namespace
 
+// One kernel shape per backend: the faster of radix-2 and fused
+// radix-4 in paired timings (31 alternated fwd+inv pairs per cell,
+// Intel Xeon with AVX-512 IFMA, two runs; median radix-2 time over
+// radix-4 time minus one, in %):
+//
+//   backend    n=1024        n=4096        n=32768
+//   Scalar     +25 / +28     +25 / +28     -7 / -2
+//   Portable   -10 /  -8      -1 / -19    -23 / -24
+//   AVX-512     +6 /  +7     +11 / +13     +8 / +11
+//
+// So Scalar and AVX-512 run fused radix-4 and Portable runs radix-2.
+// Scalar at n = 32768 pays ~2-7% for it; no caller runs that cell, and
+// per-n selection would keep a second Scalar kernel for it. Barrett
+// butterflies were 1.8-5.0x slower than radix-4 in every cell, so no
+// kernel uses them (Modulus64::mulMod serves plan construction).
 void
 forward64(const Ntt64Plan& plan, Backend backend, const uint64_t* in,
-          uint64_t* out, uint64_t* scratch, Reduction red, StageFusion fusion)
+          uint64_t* out, uint64_t* scratch)
 {
-    validate(plan, in, out, scratch);
-    const bool lazy = red == Reduction::ShoupLazy;
-    const bool fused = lazy && fusion == StageFusion::Radix4;
+    validate(in, out, scratch);
     switch (backend) {
       case Backend::Scalar:
-        return fused ? forward64ScalarLazy4(plan, in, out, scratch)
-               : lazy ? forward64ScalarLazy(plan, in, out, scratch)
-                      : forward64Scalar(plan, in, out, scratch);
+        return forward64ScalarLazy4(plan, in, out, scratch);
       case Backend::Portable:
-        return fused ? forward64Lazy4Impl<simd::PortableIsa>(plan, in, out,
-                                                             scratch)
-               : lazy
-                   ? forward64LazyImpl<simd::PortableIsa>(plan, in, out,
-                                                          scratch)
-                   : forward64Impl<simd::PortableIsa>(plan, in, out, scratch);
+        return forward64LazyImpl<simd::PortableIsa>(plan, in, out, scratch);
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
         if (backendAvailable(Backend::Avx512))
-            return detail::forward64Avx512(plan, in, out, scratch, red,
-                                           fusion);
+            return detail::forward64Avx512(plan, in, out, scratch);
 #endif
         unsupported(backend);
       default:
@@ -404,50 +250,18 @@ forward64(const Ntt64Plan& plan, Backend backend, const uint64_t* in,
 
 void
 inverse64(const Ntt64Plan& plan, Backend backend, const uint64_t* in,
-          uint64_t* out, uint64_t* scratch, Reduction red, StageFusion fusion)
+          uint64_t* out, uint64_t* scratch)
 {
-    validate(plan, in, out, scratch);
-    const bool lazy = red == Reduction::ShoupLazy;
-    const bool fused = lazy && fusion == StageFusion::Radix4;
+    validate(in, out, scratch);
     switch (backend) {
       case Backend::Scalar:
-        return fused ? inverse64ScalarLazy4(plan, in, out, scratch)
-               : lazy ? inverse64ScalarLazy(plan, in, out, scratch)
-                      : inverse64Scalar(plan, in, out, scratch);
+        return inverse64ScalarLazy4(plan, in, out, scratch);
       case Backend::Portable:
-        return fused ? inverse64Lazy4Impl<simd::PortableIsa>(plan, in, out,
-                                                             scratch)
-               : lazy
-                   ? inverse64LazyImpl<simd::PortableIsa>(plan, in, out,
-                                                          scratch)
-                   : inverse64Impl<simd::PortableIsa>(plan, in, out, scratch);
+        return inverse64LazyImpl<simd::PortableIsa>(plan, in, out, scratch);
       case Backend::Avx512:
 #if MQX_BUILD_AVX512
         if (backendAvailable(Backend::Avx512))
-            return detail::inverse64Avx512(plan, in, out, scratch, red,
-                                           fusion);
-#endif
-        unsupported(backend);
-      default:
-        unsupported(backend);
-    }
-}
-
-void
-vmul64(Backend backend, const Modulus64& m, const uint64_t* a,
-       const uint64_t* b, uint64_t* c, size_t n)
-{
-    switch (backend) {
-      case Backend::Scalar:
-        for (size_t i = 0; i < n; ++i)
-            c[i] = m.mulMod(a[i], b[i]);
-        return;
-      case Backend::Portable:
-        return vmul64Impl<simd::PortableIsa>(m, a, b, c, n);
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        if (backendAvailable(Backend::Avx512))
-            return detail::vmul64Avx512(m, a, b, c, n);
+            return detail::inverse64Avx512(plan, in, out, scratch);
 #endif
         unsupported(backend);
       default:

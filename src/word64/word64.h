@@ -4,18 +4,18 @@
  * CPU FHE libraries (Intel HEXL et al., paper Section 8: "the majority
  * of CPU-based solutions support only 32-bit or 64-bit arithmetic and
  * rely on RNS"). mqxlib's primary target is the 128-bit double-word
- * regime; this module provides the single-word counterpart so that
- * (a) users with 64-bit parameter sets get first-class kernels and
- * (b) the benches can quantify exactly how much the double-word
- * arithmetic costs per butterfly — the gap MQX exists to shrink.
+ * regime; this module is the single-word counterpart the benches set
+ * against it, to measure how much the double-word arithmetic costs per
+ * butterfly — the gap MQX exists to shrink.
  *
- * Same algorithms one level down: Barrett reduction with
- * mu = floor(2^2b / q) for q of b <= 62 bits, conditional-subtract
- * add/sub, Pease constant-geometry NTT — and the same Shoup-lazy
- * steady state as the double-word stack: compact power-table twiddles
- * with precomputed quotients floor(w * 2^64 / q), lazy [0, 2q)
- * butterfly operands (q < 2^62 leaves two bits of headroom), and a
- * single fused canonicalization in the last stage / n^-1 scaling.
+ * Kept to what that comparison needs: a q < 2^62 modulus (Barrett
+ * mulMod for plan construction, Shoup multiply for the kernels), the
+ * prime search, the plan, and one forward and one inverse Pease NTT.
+ * The transforms run the double-word stack's Shoup-lazy steady state:
+ * compact power-table twiddles with precomputed quotients
+ * floor(w * 2^64 / q), lazy [0, 2q) butterfly operands (q < 2^62 leaves
+ * two bits of headroom), and a single fused canonicalization in the
+ * last stage / n^-1 scaling.
  */
 #pragma once
 
@@ -37,8 +37,6 @@ class Modulus64
     explicit Modulus64(uint64_t q);
 
     uint64_t value() const { return q_; }
-    uint64_t mu() const { return mu_; }
-    int bits() const { return bits_; }
 
     uint64_t
     addMod(uint64_t a, uint64_t b) const
@@ -117,7 +115,6 @@ class Modulus64
   private:
     uint64_t q_ = 0;
     uint64_t mu_ = 0;
-    int bits_ = 0;
     unsigned shift1_ = 0; ///< b - 1
     unsigned shift2_ = 0; ///< b + 1
     uint64_t r64_ = 0;    ///< 2^64 mod q
@@ -172,9 +169,6 @@ class Ntt64Plan
     const uint64_t* twiddleInv() const { return inv_.data(); }
     const uint64_t* twiddleInvShoup() const { return inv_sh_.data(); }
 
-    /** Bytes of twiddle storage (4 arrays of n/2 words). */
-    size_t twiddleBytes() const { return 4 * half() * sizeof(uint64_t); }
-
   private:
     Modulus64 mod_;
     size_t n_ = 0;
@@ -188,28 +182,20 @@ class Ntt64Plan
 
 /**
  * Forward Pease NTT (natural -> bit-reversed), single-word residues.
- * Supported backends: Scalar, Portable, Avx512 (single-word kernels are
- * provided for the tiers the comparison bench needs). Reduction selects
- * Shoup-lazy (default) or Barrett butterflies (BarrettKaratsuba is
- * Barrett: a single-word product has no Karatsuba split); StageFusion
- * selects the fused radix-4 passes (default, ceil(logn/2) sweeps) or
- * the radix-2 stage loop. All combinations are bit-identical (Barrett
- * always runs radix-2, mirroring the double-word stack).
+ * Supported backends: Scalar, Portable, Avx512 (the tiers the comparison
+ * bench needs). Each backend runs one kernel shape, its measured winner
+ * (fused radix-4 on Scalar and AVX-512, radix-2 on Portable); all give
+ * the same words as the double-word ntt::forward on the same q.
+ *
+ * @throws BackendUnavailable for any other backend
+ * @throws InvalidArgument on null or aliased buffers
  */
 void forward64(const Ntt64Plan& plan, Backend backend, const uint64_t* in,
-               uint64_t* out, uint64_t* scratch,
-               Reduction red = Reduction::ShoupLazy,
-               StageFusion fusion = StageFusion::Radix4);
+               uint64_t* out, uint64_t* scratch);
 
 /** Inverse Pease NTT (bit-reversed -> natural, scaled by n^-1). */
 void inverse64(const Ntt64Plan& plan, Backend backend, const uint64_t* in,
-               uint64_t* out, uint64_t* scratch,
-               Reduction red = Reduction::ShoupLazy,
-               StageFusion fusion = StageFusion::Radix4);
-
-/** c[i] = a[i] * b[i] mod q, single-word batch. */
-void vmul64(Backend backend, const Modulus64& m, const uint64_t* a,
-            const uint64_t* b, uint64_t* c, size_t n);
+               uint64_t* out, uint64_t* scratch);
 
 } // namespace w64
 } // namespace mqx

@@ -1,6 +1,7 @@
 /**
  * @file
- * AVX-512 instantiations of the single-word kernels.
+ * AVX-512 instantiation of the single-word kernels (fused radix-4; see
+ * the dispatch in word64.cc).
  */
 #include "simd/isa_avx512.h"
 #include "word64/ntt64_impl.h"
@@ -11,37 +12,16 @@ namespace detail {
 
 void
 forward64Avx512(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
-                uint64_t* scratch, Reduction red, StageFusion fusion)
+                uint64_t* scratch)
 {
-    if (red == Reduction::ShoupLazy) {
-        if (fusion == StageFusion::Radix4)
-            forward64Lazy4Impl<simd::Avx512Isa>(plan, in, out, scratch);
-        else
-            forward64LazyImpl<simd::Avx512Isa>(plan, in, out, scratch);
-    } else {
-        forward64Impl<simd::Avx512Isa>(plan, in, out, scratch);
-    }
+    forward64Lazy4Impl<simd::Avx512Isa>(plan, in, out, scratch);
 }
 
 void
 inverse64Avx512(const Ntt64Plan& plan, const uint64_t* in, uint64_t* out,
-                uint64_t* scratch, Reduction red, StageFusion fusion)
+                uint64_t* scratch)
 {
-    if (red == Reduction::ShoupLazy) {
-        if (fusion == StageFusion::Radix4)
-            inverse64Lazy4Impl<simd::Avx512Isa>(plan, in, out, scratch);
-        else
-            inverse64LazyImpl<simd::Avx512Isa>(plan, in, out, scratch);
-    } else {
-        inverse64Impl<simd::Avx512Isa>(plan, in, out, scratch);
-    }
-}
-
-void
-vmul64Avx512(const Modulus64& m, const uint64_t* a, const uint64_t* b,
-             uint64_t* c, size_t n)
-{
-    vmul64Impl<simd::Avx512Isa>(m, a, b, c, n);
+    inverse64Lazy4Impl<simd::Avx512Isa>(plan, in, out, scratch);
 }
 
 } // namespace detail

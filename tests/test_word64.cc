@@ -1,14 +1,18 @@
 /**
  * @file
- * Single-word (64-bit) kernel tests: Barrett mulmod against the
- * __int128 oracle, NTT roundtrips per backend, convolution theorem, and
- * agreement with the double-word engine on the same parameters.
+ * Single-word (64-bit) kernel tests: Barrett and Shoup mulmod against
+ * the __int128 oracle, and per backend the NTT against the double-word
+ * Scalar NTT on the same q (forward, inverse, round trip) plus the
+ * convolution theorem.
  */
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <string>
+#include <vector>
 
 #include "bigint/biguint.h"
+#include "core/residue_span.h"
 #include "ntt/ntt.h"
 #include "test_util.h"
 #include "word64/word64.h"
@@ -20,6 +24,14 @@ uint64_t
 testPrime64()
 {
     static const uint64_t q = w64::findNttPrime64(58, 18);
+    return q;
+}
+
+/** The widest modulus the lazy [0, 4q) butterfly ranges allow. */
+uint64_t
+testPrime62()
+{
+    static const uint64_t q = w64::findNttPrime64(62, 18);
     return q;
 }
 
@@ -86,60 +98,6 @@ class Word64Ntt : public testing::TestWithParam<Backend>
 {
 };
 
-TEST_P(Word64Ntt, ShoupLazyBitIdenticalToBarrett)
-{
-    Backend be = GetParam();
-    if (!backendAvailable(be))
-        GTEST_SKIP() << "backend unavailable";
-    for (size_t n : {8u, 64u, 1024u, 4096u}) {
-        w64::Ntt64Plan plan(testPrime64(), n);
-        SplitMix64 rng(0x64 + n);
-        std::vector<uint64_t> in(n), a(n), b(n), scratch(n);
-        for (auto& v : in)
-            v = rng.next() % testPrime64();
-        w64::forward64(plan, be, in.data(), a.data(), scratch.data(),
-                       Reduction::ShoupLazy);
-        w64::forward64(plan, be, in.data(), b.data(), scratch.data(),
-                       Reduction::Barrett);
-        EXPECT_EQ(a, b) << "forward n=" << n << " " << backendName(be);
-        std::vector<uint64_t> ia(n), ib(n);
-        w64::inverse64(plan, be, a.data(), ia.data(), scratch.data(),
-                       Reduction::ShoupLazy);
-        w64::inverse64(plan, be, a.data(), ib.data(), scratch.data(),
-                       Reduction::Barrett);
-        EXPECT_EQ(ia, ib) << "inverse n=" << n << " " << backendName(be);
-        EXPECT_EQ(ia, in) << "roundtrip n=" << n;
-    }
-}
-
-TEST_P(Word64Ntt, Radix4BitIdenticalToRadix2)
-{
-    // The single-word stack mirrors the double-word fused radix-4
-    // passes: odd and even logn, bit-identical words on every backend.
-    Backend be = GetParam();
-    if (!backendAvailable(be))
-        GTEST_SKIP() << "backend unavailable";
-    for (size_t n : {4u, 8u, 16u, 64u, 128u, 1024u, 2048u, 4096u}) {
-        w64::Ntt64Plan plan(testPrime64(), n);
-        SplitMix64 rng(0x464 + n);
-        std::vector<uint64_t> in(n), a(n), b(n), scratch(n);
-        for (auto& v : in)
-            v = rng.next() % testPrime64();
-        w64::forward64(plan, be, in.data(), a.data(), scratch.data(),
-                       Reduction::ShoupLazy, StageFusion::Radix4);
-        w64::forward64(plan, be, in.data(), b.data(), scratch.data(),
-                       Reduction::ShoupLazy, StageFusion::Radix2);
-        EXPECT_EQ(a, b) << "forward n=" << n << " " << backendName(be);
-        std::vector<uint64_t> ia(n), ib(n);
-        w64::inverse64(plan, be, a.data(), ia.data(), scratch.data(),
-                       Reduction::ShoupLazy, StageFusion::Radix4);
-        w64::inverse64(plan, be, a.data(), ib.data(), scratch.data(),
-                       Reduction::ShoupLazy, StageFusion::Radix2);
-        EXPECT_EQ(ia, ib) << "inverse n=" << n << " " << backendName(be);
-        EXPECT_EQ(ia, in) << "roundtrip n=" << n;
-    }
-}
-
 TEST(Word64Modulus, ShoupMulMatchesOracle)
 {
     w64::Modulus64 m(testPrime64());
@@ -167,20 +125,63 @@ TEST(Word64Modulus, ShoupMulMatchesOracle)
                  InvalidArgument); // even q has no inverse mod 2^64
 }
 
-TEST_P(Word64Ntt, RoundTrip)
+/** Low words of a double-word NTT's output (all below q < 2^62). */
+std::vector<uint64_t>
+lowWords(const ResidueVector& v)
 {
+    std::vector<uint64_t> lo;
+    for (const U128& x : v.toU128())
+        lo.push_back(x.lo);
+    return lo;
+}
+
+TEST_P(Word64Ntt, MatchesDoubleWordScalarOracle)
+{
+    // Both plans derive omega through the same deterministic root
+    // search, so every backend's forward64/inverse64 must give the
+    // double-word Scalar ntt::forward/inverse words on the same q. The
+    // n mix odd and even logn (radix-4 passes with and without the
+    // leading radix-2 pass); 62 bits is the widest q whose lazy
+    // [0, 4q) differences fit a word.
     Backend be = GetParam();
     if (!backendAvailable(be))
         GTEST_SKIP() << "backend unavailable";
-    for (size_t n : {4u, 64u, 1024u}) {
-        w64::Ntt64Plan plan(testPrime64(), n);
-        SplitMix64 rng(n);
-        std::vector<uint64_t> in(n), out(n), scratch(n), back(n);
-        for (auto& v : in)
-            v = rng.next() % testPrime64();
-        w64::forward64(plan, be, in.data(), out.data(), scratch.data());
-        w64::inverse64(plan, be, out.data(), back.data(), scratch.data());
-        EXPECT_EQ(back, in) << "n=" << n << " " << backendName(be);
+    for (uint64_t q : {testPrime64(), testPrime62()}) {
+        for (size_t n : {2u, 4u, 8u, 16u, 64u, 128u, 1024u, 2048u, 4096u,
+                         32768u}) {
+            w64::Ntt64Plan plan64(q, n);
+            ntt::NttPlan plan128(Modulus(U128{q}), n);
+            ASSERT_EQ(plan64.omega(), plan128.omega().lo);
+            SplitMix64 rng(q ^ n);
+            std::vector<uint64_t> x(n), y(n);
+            std::vector<U128> x128(n), y128(n);
+            for (size_t i = 0; i < n; ++i) {
+                x[i] = rng.next() % q;
+                y[i] = rng.next() % q;
+                x128[i] = U128{x[i]};
+                y128[i] = U128{y[i]};
+            }
+            const ResidueVector xv = ResidueVector::fromU128(x128);
+            const ResidueVector yv = ResidueVector::fromU128(y128);
+            ResidueVector fwd(n), inv(n), scratch(n);
+            ntt::forward(plan128, Backend::Scalar, xv.span(), fwd.span(),
+                         scratch.span());
+            ntt::inverse(plan128, Backend::Scalar, yv.span(), inv.span(),
+                         scratch.span());
+
+            std::vector<uint64_t> got_fwd(n), got_inv(n), back(n), s64(n);
+            w64::forward64(plan64, be, x.data(), got_fwd.data(), s64.data());
+            w64::inverse64(plan64, be, y.data(), got_inv.data(), s64.data());
+            w64::inverse64(plan64, be, got_fwd.data(), back.data(),
+                           s64.data());
+            const auto where = [&] {
+                return "q=" + std::to_string(q) + " n=" + std::to_string(n) +
+                       " " + backendName(be);
+            };
+            EXPECT_EQ(got_fwd, lowWords(fwd)) << "forward " << where();
+            EXPECT_EQ(got_inv, lowWords(inv)) << "inverse " << where();
+            EXPECT_EQ(back, x) << "round trip " << where();
+        }
     }
 }
 
@@ -201,7 +202,8 @@ TEST_P(Word64Ntt, ConvolutionTheorem)
     std::vector<uint64_t> tf(n), tg(n), scratch(n), prod(n), conv(n);
     w64::forward64(plan, be, f.data(), tf.data(), scratch.data());
     w64::forward64(plan, be, g.data(), tg.data(), scratch.data());
-    w64::vmul64(be, m, tf.data(), tg.data(), prod.data(), n);
+    for (size_t i = 0; i < n; ++i)
+        prod[i] = m.mulMod(tf[i], tg[i]);
     w64::inverse64(plan, be, prod.data(), conv.data(), scratch.data());
 
     // Schoolbook cyclic convolution oracle.
@@ -213,36 +215,6 @@ TEST_P(Word64Ntt, ConvolutionTheorem)
         }
     }
     EXPECT_EQ(conv, expect) << backendName(be);
-}
-
-TEST_P(Word64Ntt, MatchesDoubleWordEngineBitForBit)
-{
-    // Same q, n: both plans derive omega through the same deterministic
-    // root search, so the single- and double-word transforms must agree
-    // exactly.
-    Backend be = GetParam();
-    if (!backendAvailable(be))
-        GTEST_SKIP() << "backend unavailable";
-    const size_t n = 256;
-    uint64_t q = testPrime64();
-    w64::Ntt64Plan plan64(q, n);
-    ntt::NttPlan plan128(Modulus(U128{q}), n);
-    ASSERT_EQ(plan64.omega(), plan128.omega().lo);
-
-    SplitMix64 rng(5);
-    std::vector<uint64_t> in(n);
-    for (auto& v : in)
-        v = rng.next() % q;
-    std::vector<uint64_t> out(n), scratch(n);
-    w64::forward64(plan64, be, in.data(), out.data(), scratch.data());
-
-    std::vector<U128> in128(n);
-    for (size_t i = 0; i < n; ++i)
-        in128[i] = U128{in[i]};
-    ntt::Engine engine(plan128, Backend::Scalar);
-    auto out128 = engine.forward(in128);
-    for (size_t i = 0; i < n; ++i)
-        ASSERT_EQ(out[i], out128[i].lo) << "i=" << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, Word64Ntt,
