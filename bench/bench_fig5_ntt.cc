@@ -222,7 +222,7 @@ runJsonMode(const char* path)
     // (52-bit limbs, picked by CPUID), "emulated", or "unavailable".
     os << "  \"avx512_shoup_kernel\": \"" << avx512Kernel()
        << "\",\n";
-    os << "  \"avx512_blas_kernel\": \"" << blas::avx512MulKernel()
+    os << "  \"avx512_blas_kernel\": \"" << avx512Kernel()
        << "\",\n";
     os << "  \"compiled_backends\": [\"Scalar\", \"Portable\"";
 #if MQX_BUILD_AVX2

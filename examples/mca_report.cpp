@@ -17,7 +17,6 @@
 #include <cstdio>
 
 #include "bench_util/rng.h"
-#include "blas/blas.h"
 #include "blas/blas_backends.h"
 #include "core/residue_span.h"
 #include "mca/kernel_traces.h"
@@ -195,9 +194,9 @@ main()
                     analysis.rows.size(), analysis.totals[0],
                     analysis.rthroughput, ns);
     }
-    std::printf("(Backend::Avx512 multiplies on this host: NTT %s, BLAS "
+    std::printf("(Backend::Avx512 multiplies on this host, NTT and BLAS: "
                 "%s)\n\n",
-                avx512Kernel(), blas::avx512MulKernel());
+                avx512Kernel());
 
     // The proposed-instruction inventory.
     std::printf("proposed MQX instructions in the model:\n");

@@ -72,13 +72,6 @@ void gemv(Backend backend, const Modulus& m, DConstSpan matrix, DConstSpan x,
           DSpan y, size_t rows, size_t cols);
 
 /**
- * The Barrett multiply the Backend::Avx512 kernels picked on this host,
- * for logs and BENCH rows: "ifma" (52-bit limbs, picked by CPUID, see
- * mqx::avx512Ifma), "emulated", or "unavailable" (no AVX-512 tier).
- */
-const char* avx512MulKernel();
-
-/**
  * Run @p op through the common 3-operand shape used by the benchmark
  * harness (axpy takes a[0] as alpha and writes into c, which must hold a
  * copy of b).

@@ -7,6 +7,6 @@
  */
 #include "simd/isa_avx512.h"
 
-#define MQX_AVX512_TIER_ISA simd::Avx512Isa
-#define MQX_AVX512_TIER(name) name##Avx512
-#include "blas/blas_avx512_tier.inc"
+#define MQX_BLAS_TIER_ISA simd::Avx512Isa
+#define MQX_BLAS_TIER(name) name##Avx512
+#include "blas/blas_tier.inc"

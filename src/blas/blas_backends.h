@@ -1,6 +1,8 @@
 /**
  * @file
- * Internal per-backend BLAS entry points (one TU per ISA). Not public.
+ * Internal per-backend BLAS entry points (one TU per ISA; every SIMD
+ * tier is blas_tier.inc compiled once per ISA policy) and the table
+ * blas_dispatch.cc resolves them into. Not public.
  */
 #pragma once
 
@@ -53,7 +55,7 @@ void gemvAvx512(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
 
 // The same AVX-512 tier body with every Barrett multiply on IFMA 52-bit
 // limbs (blas_avx512_ifma.cc, MQX_BUILD_AVX512_IFMA): word-identical to
-// the Avx512 entry points; blas_dispatch.cc picks it when
+// the Avx512 entry points; tierKernels(Backend::Avx512) picks it when
 // mqx::avx512Ifma().
 void vaddAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan);
 void vsubAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan);
@@ -73,6 +75,25 @@ void vdotMqx(bool pisa, const Modulus&, const DConstSpan*, const DConstSpan*,
 void axpyMqx(bool pisa, const Modulus&, const U128&, DConstSpan, DSpan);
 void gemvMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan,
              size_t, size_t);
+
+/** One backend's six entry points: every public blas:: op goes through
+ *  them. */
+struct TierKernels
+{
+    decltype(&vaddScalar) vadd;
+    decltype(&vsubScalar) vsub;
+    decltype(&vmulScalar) vmul;
+    decltype(&vdotScalar) vdot;
+    decltype(&axpyScalar) axpy;
+    decltype(&gemvScalar) gemv;
+};
+
+/**
+ * The kernels @p backend runs (Backend::Avx512: the IFMA build where
+ * mqx::avx512Ifma(), else the emulated one), resolved once per backend.
+ * @throws BackendUnavailable if the host or the build lacks it.
+ */
+const TierKernels& tierKernels(Backend backend);
 
 } // namespace backends
 } // namespace blas

@@ -1,6 +1,7 @@
 /**
  * @file
- * Public BLAS dispatch over the backend tiers.
+ * Public BLAS dispatch over the backend tiers: one kernel table per
+ * backend (backends::tierKernels), as ntt.cc resolves its transforms.
  */
 #include "blas/blas.h"
 
@@ -9,75 +10,94 @@
 
 namespace mqx {
 namespace blas {
+namespace backends {
 
 namespace {
 
-void
-requireAvailable(Backend backend)
-{
-    if (!backendAvailable(backend)) {
-        throw BackendUnavailable("BLAS backend not available on this host: " +
-                                 backendName(backend));
-    }
-}
-
-[[noreturn]] void
-notCompiled(Backend backend)
-{
-    throw BackendUnavailable("BLAS backend not compiled in: " +
-                             backendName(backend));
-}
-
 #if MQX_BUILD_AVX512
-/** The Backend::Avx512 entry points: one tier body, two multiplies. */
-struct Avx512Tier
+/** The MQX entry points for one mode (full feature set), as captureless
+ *  forwarders. */
+template <bool kPisa>
+const TierKernels&
+mqxKernels()
 {
-    const char* kernel;
-    decltype(&backends::vaddAvx512) vadd;
-    decltype(&backends::vsubAvx512) vsub;
-    decltype(&backends::vmulAvx512) vmul;
-    decltype(&backends::vdotAvx512) vdot;
-    decltype(&backends::axpyAvx512) axpy;
-    decltype(&backends::gemvAvx512) gemv;
-};
-
-const Avx512Tier&
-avx512Tier()
-{
-    static const Avx512Tier tier = [] {
-#if MQX_BUILD_AVX512_IFMA
-        if (avx512Ifma())
-            return Avx512Tier{"ifma",
-                              &backends::vaddAvx512Ifma,
-                              &backends::vsubAvx512Ifma,
-                              &backends::vmulAvx512Ifma,
-                              &backends::vdotAvx512Ifma,
-                              &backends::axpyAvx512Ifma,
-                              &backends::gemvAvx512Ifma};
-#endif
-        return Avx512Tier{"emulated",
-                          &backends::vaddAvx512,
-                          &backends::vsubAvx512,
-                          &backends::vmulAvx512,
-                          &backends::vdotAvx512,
-                          &backends::axpyAvx512,
-                          &backends::gemvAvx512};
-    }();
+    static const TierKernels tier{
+        [](const Modulus& m, DConstSpan a, DConstSpan b, DSpan c) {
+            vaddMqx(kPisa, m, a, b, c);
+        },
+        [](const Modulus& m, DConstSpan a, DConstSpan b, DSpan c) {
+            vsubMqx(kPisa, m, a, b, c);
+        },
+        [](const Modulus& m, DConstSpan a, DConstSpan b, DSpan c) {
+            vmulMqx(kPisa, m, a, b, c);
+        },
+        [](const Modulus& m, const DConstSpan* a, const DConstSpan* b,
+           size_t k, DSpan acc) { vdotMqx(kPisa, m, a, b, k, acc); },
+        [](const Modulus& m, const U128& alpha, DConstSpan x, DSpan y) {
+            axpyMqx(kPisa, m, alpha, x, y);
+        },
+        [](const Modulus& m, DConstSpan matrix, DConstSpan x, DSpan y,
+           size_t rows, size_t cols) {
+            gemvMqx(kPisa, m, matrix, x, y, rows, cols);
+        }};
     return tier;
 }
 #endif
 
 } // namespace
 
-const char*
-avx512MulKernel()
+const TierKernels&
+tierKernels(Backend backend)
 {
-#if MQX_BUILD_AVX512
-    if (backendAvailable(Backend::Avx512))
-        return avx512Tier().kernel;
+    if (!backendAvailable(backend)) {
+        throw BackendUnavailable("BLAS backend not available on this host: " +
+                                 backendName(backend));
+    }
+    static const TierKernels scalar{&vaddScalar, &vsubScalar, &vmulScalar,
+                                    &vdotScalar, &axpyScalar, &gemvScalar};
+    static const TierKernels portable{&vaddPortable, &vsubPortable,
+                                      &vmulPortable, &vdotPortable,
+                                      &axpyPortable, &gemvPortable};
+    switch (backend) {
+      case Backend::Scalar:
+        return scalar;
+      case Backend::Portable:
+        return portable;
+#if MQX_BUILD_AVX2
+      case Backend::Avx2: {
+        static const TierKernels avx2{&vaddAvx2, &vsubAvx2, &vmulAvx2,
+                                      &vdotAvx2, &axpyAvx2, &gemvAvx2};
+        return avx2;
+      }
 #endif
-    return "unavailable";
+#if MQX_BUILD_AVX512
+      case Backend::Avx512: {
+        // One tier body, IFMA multiplies where CPUID has them.
+        static const TierKernels avx512 = [] {
+#if MQX_BUILD_AVX512_IFMA
+            if (avx512Ifma())
+                return TierKernels{&vaddAvx512Ifma, &vsubAvx512Ifma,
+                                   &vmulAvx512Ifma, &vdotAvx512Ifma,
+                                   &axpyAvx512Ifma, &gemvAvx512Ifma};
+#endif
+            return TierKernels{&vaddAvx512, &vsubAvx512, &vmulAvx512,
+                               &vdotAvx512, &axpyAvx512, &gemvAvx512};
+        }();
+        return avx512;
+      }
+      case Backend::MqxEmulate:
+        return mqxKernels<false>();
+      case Backend::MqxPisa:
+        return mqxKernels<true>();
+#endif
+      default:
+        break;
+    }
+    throw BackendUnavailable("BLAS backend not compiled in: " +
+                             backendName(backend));
 }
+
+} // namespace backends
 
 std::string
 opName(Op op)
@@ -98,227 +118,40 @@ opName(Op op)
 void
 vadd(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 {
-    requireAvailable(backend);
-    switch (backend) {
-      case Backend::Scalar:
-        return backends::vaddScalar(m, a, b, c);
-      case Backend::Portable:
-        return backends::vaddPortable(m, a, b, c);
-      case Backend::Avx2:
-#if MQX_BUILD_AVX2
-        return backends::vaddAvx2(m, a, b, c);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        return avx512Tier().vadd(m, a, b, c);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::MqxEmulate:
-#if MQX_BUILD_AVX512
-        return backends::vaddMqx(false, m, a, b, c);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        return backends::vaddMqx(true, m, a, b, c);
-#else
-        notCompiled(backend);
-#endif
-    }
-    notCompiled(backend);
+    backends::tierKernels(backend).vadd(m, a, b, c);
 }
 
 void
 vsub(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 {
-    requireAvailable(backend);
-    switch (backend) {
-      case Backend::Scalar:
-        return backends::vsubScalar(m, a, b, c);
-      case Backend::Portable:
-        return backends::vsubPortable(m, a, b, c);
-      case Backend::Avx2:
-#if MQX_BUILD_AVX2
-        return backends::vsubAvx2(m, a, b, c);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        return avx512Tier().vsub(m, a, b, c);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::MqxEmulate:
-#if MQX_BUILD_AVX512
-        return backends::vsubMqx(false, m, a, b, c);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        return backends::vsubMqx(true, m, a, b, c);
-#else
-        notCompiled(backend);
-#endif
-    }
-    notCompiled(backend);
+    backends::tierKernels(backend).vsub(m, a, b, c);
 }
 
 void
 vmul(Backend backend, const Modulus& m, DConstSpan a, DConstSpan b, DSpan c)
 {
-    requireAvailable(backend);
-    switch (backend) {
-      case Backend::Scalar:
-        return backends::vmulScalar(m, a, b, c);
-      case Backend::Portable:
-        return backends::vmulPortable(m, a, b, c);
-      case Backend::Avx2:
-#if MQX_BUILD_AVX2
-        return backends::vmulAvx2(m, a, b, c);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        return avx512Tier().vmul(m, a, b, c);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::MqxEmulate:
-#if MQX_BUILD_AVX512
-        return backends::vmulMqx(false, m, a, b, c);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        return backends::vmulMqx(true, m, a, b, c);
-#else
-        notCompiled(backend);
-#endif
-    }
-    notCompiled(backend);
+    backends::tierKernels(backend).vmul(m, a, b, c);
 }
 
 void
 vdot(Backend backend, const Modulus& m, const DConstSpan* a,
      const DConstSpan* b, size_t k, DSpan acc)
 {
-    requireAvailable(backend);
-    switch (backend) {
-      case Backend::Scalar:
-        return backends::vdotScalar(m, a, b, k, acc);
-      case Backend::Portable:
-        return backends::vdotPortable(m, a, b, k, acc);
-      case Backend::Avx2:
-#if MQX_BUILD_AVX2
-        return backends::vdotAvx2(m, a, b, k, acc);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        return avx512Tier().vdot(m, a, b, k, acc);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::MqxEmulate:
-#if MQX_BUILD_AVX512
-        return backends::vdotMqx(false, m, a, b, k, acc);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        return backends::vdotMqx(true, m, a, b, k, acc);
-#else
-        notCompiled(backend);
-#endif
-    }
-    notCompiled(backend);
+    backends::tierKernels(backend).vdot(m, a, b, k, acc);
 }
 
 void
 axpy(Backend backend, const Modulus& m, const U128& alpha, DConstSpan x,
      DSpan y)
 {
-    requireAvailable(backend);
-    switch (backend) {
-      case Backend::Scalar:
-        return backends::axpyScalar(m, alpha, x, y);
-      case Backend::Portable:
-        return backends::axpyPortable(m, alpha, x, y);
-      case Backend::Avx2:
-#if MQX_BUILD_AVX2
-        return backends::axpyAvx2(m, alpha, x, y);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        return avx512Tier().axpy(m, alpha, x, y);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::MqxEmulate:
-#if MQX_BUILD_AVX512
-        return backends::axpyMqx(false, m, alpha, x, y);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        return backends::axpyMqx(true, m, alpha, x, y);
-#else
-        notCompiled(backend);
-#endif
-    }
-    notCompiled(backend);
+    backends::tierKernels(backend).axpy(m, alpha, x, y);
 }
-
 
 void
 gemv(Backend backend, const Modulus& m, DConstSpan matrix, DConstSpan x,
      DSpan y, size_t rows, size_t cols)
 {
-    requireAvailable(backend);
-    switch (backend) {
-      case Backend::Scalar:
-        return backends::gemvScalar(m, matrix, x, y, rows, cols);
-      case Backend::Portable:
-        return backends::gemvPortable(m, matrix, x, y, rows, cols);
-      case Backend::Avx2:
-#if MQX_BUILD_AVX2
-        return backends::gemvAvx2(m, matrix, x, y, rows, cols);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        return avx512Tier().gemv(m, matrix, x, y, rows, cols);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::MqxEmulate:
-#if MQX_BUILD_AVX512
-        return backends::gemvMqx(false, m, matrix, x, y, rows, cols);
-#else
-        notCompiled(backend);
-#endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        return backends::gemvMqx(true, m, matrix, x, y, rows, cols);
-#else
-        notCompiled(backend);
-#endif
-    }
-    notCompiled(backend);
+    backends::tierKernels(backend).gemv(m, matrix, x, y, rows, cols);
 }
 
 void

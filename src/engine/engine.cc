@@ -602,7 +602,7 @@ Engine::polymulNegacyclicBatch(
                     [&] {
                         rns::detail::polymulChannelBatch(
                             backend_, basis, channel, tables, products, p0,
-                            task.lanes, results);
+                            task.lanes, results, cancel);
                     },
                     perChannel(p0, end));
             } else {

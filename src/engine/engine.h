@@ -104,7 +104,9 @@ class Engine
      * an optional robust::CancelToken. When supplied, it is checked on
      * entry, at every pool task boundary, while a channel waits for a
      * workspace lease, and between NTT stages of transform-bearing
-     * channels; a tripped token (explicit cancel or
+     * channels (an interleaved batch tile of il products is checked
+     * before each of its packed forwards, its point-wise product and
+     * its packed inverse); a tripped token (explicit cancel or
      * expired deadline) aborts the op with robust::StatusError, with
      * all workspace leases released and the pool consistent. The
      * destination's contents are unspecified after an abort.

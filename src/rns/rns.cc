@@ -420,7 +420,8 @@ polymulChannelBatch(Backend backend, const RnsBasis& basis, size_t channel,
                     const std::vector<std::pair<const RnsPolynomial*,
                                                 const RnsPolynomial*>>&
                         products,
-                    size_t p0, size_t il, std::vector<RnsPolynomial>& results)
+                    size_t p0, size_t il, std::vector<RnsPolynomial>& results,
+                    const robust::CancelToken* cancel)
 {
     MQX_SCOPED_SPAN(ch_span, "rns.channel.polymul_batch");
     const size_t n = results[p0].n();
@@ -428,17 +429,27 @@ polymulChannelBatch(Backend backend, const RnsBasis& basis, size_t channel,
     const BatchLayout layout(n, il, il);
     BatchScratchLease s(il, n);
 
+    // Each packed stage is il transforms of work, so each gets the
+    // checkpoint NegacyclicEngine::polymul gives one transform.
+    if (cancel)
+        cancel->checkpoint("rns.polymul_batch.forward");
     packForward(backend, *tables, layout, channel, products, p0,
                 /*second=*/false, s->lane_src, s->packed_a, s->packed_b,
                 s->packed_c);
+    if (cancel)
+        cancel->checkpoint("rns.polymul_batch.forward");
     packForward(backend, *tables, layout, channel, products, p0,
                 /*second=*/true, s->lane_src, s->packed_a, s->packed_c,
                 s->packed_d);
+    if (cancel)
+        cancel->checkpoint("rns.polymul_batch.pointwise");
     // Point-wise product over the whole packed tile: the layout is a
     // per-lane permutation, and vmul is element-wise, so one flat call
     // multiplies every lane at once.
     blas::vmul(backend, m, s->packed_b.span(), s->packed_c.span(),
                s->packed_b.span());
+    if (cancel)
+        cancel->checkpoint("rns.polymul_batch.inverse");
     ntt::negacyclicInverseBatch(*tables, backend, il, s->packed_b.span(),
                                 s->packed_a.span(), s->packed_c.span());
     MQX_FAULT_POINT("rns.batch.unpack");

@@ -254,13 +254,16 @@ void fmaChannel(Backend backend, const RnsBasis& basis, size_t channel,
  * Per-lane word-identical to il polymulChannel calls. @p tables must be
  * non-null and batch-eligible (ntt::batchSupported). Packing staging is
  * thread-local and recycled, so steady-state calls are allocation-free.
+ * A non-null @p cancel is checked before each packed forward, the
+ * point-wise product and the packed inverse.
  */
 void polymulChannelBatch(
     Backend backend, const RnsBasis& basis, size_t channel,
     std::shared_ptr<const ntt::NegacyclicTables> tables,
     const std::vector<std::pair<const RnsPolynomial*,
                                 const RnsPolynomial*>>& products,
-    size_t p0, size_t il, std::vector<RnsPolynomial>& results);
+    size_t p0, size_t il, std::vector<RnsPolynomial>& results,
+    const robust::CancelToken* cancel = nullptr);
 
 /**
  * Interleaved-batch flavour of fmaChannel for uniform all-Coeff

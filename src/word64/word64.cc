@@ -116,14 +116,6 @@ validate(const uint64_t* in, const uint64_t* out, const uint64_t* scratch)
              "ntt64: buffers must be distinct");
 }
 
-[[noreturn]] void
-unsupported(Backend backend)
-{
-    throw BackendUnavailable(
-        "word64 kernels support Scalar/Portable/Avx512; got " +
-        backendName(backend));
-}
-
 /**
  * Scalar fused radix-4 forward: the lazy radix-2 pass first when logn
  * is odd, then forwardButterfly64Lazy4Core per stage pair.
@@ -210,7 +202,12 @@ inverse64ScalarLazy4(const Ntt64Plan& plan, const uint64_t* in,
     scaleNInv64Tail(plan, out, 0);
 }
 
-} // namespace
+/** The forward/inverse pair one backend runs. */
+struct Kernels64
+{
+    decltype(&forward64ScalarLazy4) forward;
+    decltype(&inverse64ScalarLazy4) inverse;
+};
 
 // One kernel shape per backend: the faster of radix-2 and fused
 // radix-4 in paired timings (31 alternated fwd+inv pairs per cell,
@@ -227,25 +224,43 @@ inverse64ScalarLazy4(const Ntt64Plan& plan, const uint64_t* in,
 // per-n selection would keep a second Scalar kernel for it. Barrett
 // butterflies were 1.8-5.0x slower than radix-4 in every cell, so no
 // kernel uses them (Modulus64::mulMod serves plan construction).
+const Kernels64&
+kernels64(Backend backend)
+{
+    static const Kernels64 scalar{&forward64ScalarLazy4,
+                                  &inverse64ScalarLazy4};
+    static const Kernels64 portable{&forward64LazyImpl<simd::PortableIsa>,
+                                    &inverse64LazyImpl<simd::PortableIsa>};
+    switch (backend) {
+      case Backend::Scalar:
+        return scalar;
+      case Backend::Portable:
+        return portable;
+#if MQX_BUILD_AVX512
+      case Backend::Avx512: {
+        static const Kernels64 avx512{&detail::forward64Avx512,
+                                      &detail::inverse64Avx512};
+        if (backendAvailable(Backend::Avx512))
+            return avx512;
+        break;
+      }
+#endif
+      default:
+        break;
+    }
+    throw BackendUnavailable(
+        "word64 kernels support Scalar/Portable/Avx512; got " +
+        backendName(backend));
+}
+
+} // namespace
+
 void
 forward64(const Ntt64Plan& plan, Backend backend, const uint64_t* in,
           uint64_t* out, uint64_t* scratch)
 {
     validate(in, out, scratch);
-    switch (backend) {
-      case Backend::Scalar:
-        return forward64ScalarLazy4(plan, in, out, scratch);
-      case Backend::Portable:
-        return forward64LazyImpl<simd::PortableIsa>(plan, in, out, scratch);
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        if (backendAvailable(Backend::Avx512))
-            return detail::forward64Avx512(plan, in, out, scratch);
-#endif
-        unsupported(backend);
-      default:
-        unsupported(backend);
-    }
+    kernels64(backend).forward(plan, in, out, scratch);
 }
 
 void
@@ -253,20 +268,7 @@ inverse64(const Ntt64Plan& plan, Backend backend, const uint64_t* in,
           uint64_t* out, uint64_t* scratch)
 {
     validate(in, out, scratch);
-    switch (backend) {
-      case Backend::Scalar:
-        return inverse64ScalarLazy4(plan, in, out, scratch);
-      case Backend::Portable:
-        return inverse64LazyImpl<simd::PortableIsa>(plan, in, out, scratch);
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        if (backendAvailable(Backend::Avx512))
-            return detail::inverse64Avx512(plan, in, out, scratch);
-#endif
-        unsupported(backend);
-      default:
-        unsupported(backend);
-    }
+    kernels64(backend).inverse(plan, in, out, scratch);
 }
 
 } // namespace w64

@@ -12,8 +12,10 @@
 
 #include "blas/blas.h"
 #include "blas/blas_backends.h"
+#include "ntt/ntt.h"
 #include "ntt/prime.h"
 #include "test_util.h"
+#include "word64/word64.h"
 
 namespace mqx {
 namespace {
@@ -300,11 +302,70 @@ TEST(BlasErrors, PisaBackendProducesWrongResultsByDesign)
     EXPECT_GT(mismatches, 0);
 }
 
-TEST(BlasIfma, ReportsAvx512MulKernel)
+TEST(BlasErrors, UnavailableBackendsThrow)
+{
+    // Every dispatcher (BLAS, NTT, word64) rejects a backend this host or
+    // build cannot run.
+    std::vector<Backend> unavailable;
+    std::vector<Backend> all = correctBackends();
+    all.push_back(Backend::MqxPisa);
+    for (Backend be : all)
+        if (!backendAvailable(be))
+            unavailable.push_back(be);
+    if (unavailable.empty())
+        GTEST_SKIP() << "every backend is available on this host";
+    const auto& prime = ntt::smallTestPrime();
+    Modulus m(prime.q);
+    ResidueVector a(8), b(8), c(8), mat(64);
+    const DConstSpan as[] = {a.span()}, bs[] = {b.span()};
+    ntt::NttPlan plan(prime, 8);
+    w64::Ntt64Plan plan64(w64::findNttPrime64(58, 18), 8);
+    std::vector<uint64_t> in64(8), out64(8), scr64(8);
+    for (Backend be : unavailable) {
+        SCOPED_TRACE(backendName(be));
+        EXPECT_THROW(blas::vadd(be, m, a.span(), b.span(), c.span()),
+                     BackendUnavailable);
+        EXPECT_THROW(blas::vsub(be, m, a.span(), b.span(), c.span()),
+                     BackendUnavailable);
+        EXPECT_THROW(blas::vmul(be, m, a.span(), b.span(), c.span()),
+                     BackendUnavailable);
+        EXPECT_THROW(blas::vdot(be, m, as, bs, 1, c.span()),
+                     BackendUnavailable);
+        EXPECT_THROW(blas::axpy(be, m, U128{1}, a.span(), c.span()),
+                     BackendUnavailable);
+        EXPECT_THROW(
+            blas::gemv(be, m, mat.span(), a.span(), c.span(), 8, 8),
+            BackendUnavailable);
+        EXPECT_THROW(ntt::forward(plan, be, a.span(), c.span(), b.span()),
+                     BackendUnavailable);
+        EXPECT_THROW(ntt::inverse(plan, be, a.span(), c.span(), b.span()),
+                     BackendUnavailable);
+        EXPECT_THROW(w64::forward64(plan64, be, in64.data(), out64.data(),
+                                    scr64.data()),
+                     BackendUnavailable);
+    }
+}
+
+TEST(BlasIfma, DispatchFollowsCpuid)
 {
     // The line CI greps to log which AVX-512 BLAS multiply ran.
-    std::printf("AVX-512 BLAS multiply: %s\n", blas::avx512MulKernel());
-    EXPECT_EQ(std::string(blas::avx512MulKernel()), avx512Kernel());
+    std::printf("AVX-512 BLAS multiply: %s\n", avx512Kernel());
+    if (!backendAvailable(Backend::Avx512)) {
+        EXPECT_THROW(blas::backends::tierKernels(Backend::Avx512),
+                     BackendUnavailable);
+        return;
+    }
+#if MQX_BUILD_AVX512
+    const auto vmul = blas::backends::tierKernels(Backend::Avx512).vmul;
+#if MQX_BUILD_AVX512_IFMA
+    if (avx512Ifma()) {
+        EXPECT_TRUE(vmul == &blas::backends::vmulAvx512Ifma);
+        return;
+    }
+#endif
+    EXPECT_FALSE(avx512Ifma());
+    EXPECT_TRUE(vmul == &blas::backends::vmulAvx512);
+#endif
 }
 
 TEST(BlasIfma, WordIdenticalToEmulatedAvx512)

@@ -1013,5 +1013,55 @@ TEST(FaultInjection, StalledBatchedFmaTripsDeadlineBetweenPackedForwards)
     expectIdentical(eng.fmaBatch(products), expected);
 }
 
+TEST(FaultInjection, StalledBatchedPolymulTripsDeadlineBetweenPackedForwards)
+{
+    MQX_REQUIRE_INJECTION();
+    const rns::RnsBasis& basis = testBasis();
+    const size_t n = 64;
+    // The polymul batch runs the interleaved kernels on every backend.
+    const Backend be = bestBackend();
+    const size_t il = ntt::batchInterleave(be);
+    engine::Engine eng(be, 1);
+    std::vector<rns::RnsPolynomial> operands;
+    for (uint64_t i = 0; i < 2 * 2 * il; ++i)
+        operands.push_back(rns::randomPolynomial(basis, n, 800 + i));
+    std::vector<std::pair<const rns::RnsPolynomial*,
+                          const rns::RnsPolynomial*>>
+        products;
+    for (size_t i = 0; i < 2 * il; ++i)
+        products.emplace_back(&operands[2 * i], &operands[2 * i + 1]);
+    // Also warms the plan cache, so the timed op reaches its first
+    // packed forward well inside the deadline.
+    const auto expected = eng.polymulNegacyclicBatch(products);
+    // Two tiles of il products, each one pool task per channel. The
+    // first task's first packed forward stalls 20 ms against a 2 ms
+    // deadline; the checkpoint before its second packed forward must
+    // abort there, not after the tile's point-wise pass and inverse.
+    robust::FaultPlan plan(6);
+    robust::FaultSpec stall;
+    stall.action = robust::FaultAction::Stall;
+    stall.max_fires = 1;
+    stall.stall_ns = 20'000'000;
+    plan.arm("rns.batch.pack", stall);
+    robust::ScopedFaultInjection scope(std::move(plan));
+    robust::CancelToken token =
+        robust::CancelToken::withDeadlineNs(2'000'000);
+    try {
+        (void)eng.polymulNegacyclicBatch(products, &token);
+        FAIL() << "stalled batched polymul beat a 2ms deadline";
+    } catch (const robust::StatusError& e) {
+        EXPECT_EQ(e.status().code(), robust::StatusCode::DeadlineExceeded);
+    }
+    EXPECT_EQ(scope.stats("rns.batch.pack").hits, 1u);
+    EXPECT_EQ(scope.stats("rns.batch.pack").fires, 1u);
+    EXPECT_EQ(eng.workspacePool().leasedCount(), 0u);
+    EXPECT_EQ(eng.pool().stats().submitted, eng.pool().stats().executed());
+    // Still serviceable afterwards.
+    const auto again = eng.polymulNegacyclicBatch(products);
+    ASSERT_EQ(again.size(), expected.size());
+    for (size_t p = 0; p < again.size(); ++p)
+        expectIdentical(again[p], expected[p]);
+}
+
 } // namespace
 } // namespace mqx

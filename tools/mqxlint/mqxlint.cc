@@ -324,8 +324,8 @@ class Linter
 
     /**
      * ParPar-style tier bodies (src/ntt/pease_tier.inc, compiled as
-     * every SIMD ntt_<tier>.cc, and src/blas/blas_avx512_tier.inc,
-     * compiled as blas_avx512.cc and blas_avx512_ifma.cc): a TU that
+     * every SIMD ntt_<tier>.cc, and src/blas/blas_tier.inc, compiled
+     * as every SIMD blas_<tier>.cc): a TU that
      * does `#define M(name) name##Suffix` and then includes "x.inc"
      * defines every `M(fn)` of x.inc as fnSuffix. Each instantiation is
      * linted as its own file — the body's path and line numbers with

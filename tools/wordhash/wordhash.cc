@@ -1,12 +1,13 @@
 /**
  * @file
- * wordhash: pin every output word of the NTT stack to a committed file.
+ * wordhash: pin every output word of the NTT stack and the BLAS ops to a
+ * committed file.
  *
  *     wordhash                     print one hash line per configuration
  *     wordhash --check FILE        recompute and diff against FILE
  *
- * Each configuration (kernel, direction, prime, n, reduction, fusion,
- * thread count, ...) runs on a fixed pseudo-random canonical input,
+ * Each configuration (kernel or BLAS op, direction, prime, n, reduction,
+ * fusion, thread count, ...) runs on a fixed pseudo-random canonical input,
  * and its output words are folded into one FNV-1a hash. The hash is
  * backend-independent: every available correct
  * backend (Scalar, Portable, AVX2, AVX-512 on its dispatched multiply,
@@ -27,6 +28,8 @@
 #include <utility>
 #include <vector>
 
+#include "blas/blas.h"
+#include "blas/blas_backends.h"
 #include "core/backend.h"
 #include "engine/engine.h"
 #include "ntt/negacyclic.h"
@@ -475,6 +478,121 @@ addEngine(std::vector<Config>& out)
             }
 }
 
+/** The six BLAS ops on a slot: the public blas:: dispatch, or the
+ *  emulated AVX-512 tier's entry points directly. */
+struct BlasKernels
+{
+    using Binary = std::function<void(const Modulus&, DConstSpan, DConstSpan,
+                                      DSpan)>;
+    Binary vadd, vsub, vmul;
+    std::function<void(const Modulus&, const DConstSpan*, const DConstSpan*,
+                       size_t, DSpan)>
+        vdot;
+    std::function<void(const Modulus&, const U128&, DConstSpan, DSpan)> axpy;
+    std::function<void(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
+                       size_t)>
+        gemv;
+};
+
+BlasKernels
+blasKernels(const Slot& s)
+{
+#if MQX_BUILD_AVX512
+    if (s.emulated_avx512) {
+        namespace be = blas::backends;
+        return {be::vaddAvx512, be::vsubAvx512, be::vmulAvx512,
+                be::vdotAvx512, be::axpyAvx512, be::gemvAvx512};
+    }
+#endif
+    const Backend b = s.backend;
+    return {[b](auto&&... x) { blas::vadd(b, x...); },
+            [b](auto&&... x) { blas::vsub(b, x...); },
+            [b](auto&&... x) { blas::vmul(b, x...); },
+            [b](auto&&... x) { blas::vdot(b, x...); },
+            [b](auto&&... x) { blas::axpy(b, x...); },
+            [b](auto&&... x) { blas::gemv(b, x...); }};
+}
+
+void
+addBlas(std::vector<Config>& out)
+{
+    for (const Prime& pr : primes()) {
+        // Lengths off the 4- and 8-lane grid run the scalar tails.
+        for (const char* op : {"vadd", "vsub", "vmul", "axpy"})
+            for (size_t n : {size_t{1}, size_t{7}, size_t{64}, size_t{1024}})
+                out.push_back(
+                    {label({"blas", op, pr.label, "n=" + std::to_string(n)}),
+                     [=](const Slot& s, uint64_t& h) {
+                         const BlasKernels k = blasKernels(s);
+                         const Modulus m(pr.prime.q);
+                         ResidueVector a(n), b(n), c(n);
+                         fillRandom(a.span(), pr.prime.q, n * 47 + 1);
+                         fillRandom(b.span(), pr.prime.q, n * 47 + 2);
+                         const std::string o = op;
+                         if (o == "axpy") {
+                             // y = c (a copy of b), alpha = a[0].
+                             fillRandom(c.span(), pr.prime.q, n * 47 + 2);
+                             k.axpy(m, U128::fromParts(a.span().hi[0],
+                                                       a.span().lo[0]),
+                                    b.span(), c.span());
+                         } else {
+                             (o == "vadd"   ? k.vadd
+                              : o == "vsub" ? k.vsub
+                                            : k.vmul)(m, a.span(), b.span(),
+                                                      c.span());
+                         }
+                         Fnv f;
+                         f.span(c.span());
+                         h = f.h;
+                         return true;
+                     }});
+        // k across the 15-pair fold of the IFMA lazy dot product.
+        for (size_t k : {size_t{1}, size_t{15}, size_t{16}, size_t{31}})
+            out.push_back(
+                {label({"blas", "vdot", pr.label, "n=67",
+                        "k=" + std::to_string(k)}),
+                 [=](const Slot& s, uint64_t& h) {
+                     const size_t n = 67;
+                     const Modulus m(pr.prime.q);
+                     std::vector<ResidueVector> a, b;
+                     std::vector<DConstSpan> as, bs;
+                     for (size_t j = 0; j < k; ++j) {
+                         a.emplace_back(n);
+                         b.emplace_back(n);
+                         fillRandom(a.back().span(), pr.prime.q, 53 * j + 1);
+                         fillRandom(b.back().span(), pr.prime.q, 53 * j + 2);
+                     }
+                     for (size_t j = 0; j < k; ++j) {
+                         as.push_back(a[j].span());
+                         bs.push_back(b[j].span());
+                     }
+                     ResidueVector acc(n);
+                     fillRandom(acc.span(), pr.prime.q, 53 * k + 3);
+                     blasKernels(s).vdot(m, as.data(), bs.data(), k,
+                                         acc.span());
+                     Fnv f;
+                     f.span(acc.span());
+                     h = f.h;
+                     return true;
+                 }});
+        out.push_back(
+            {label({"blas", "gemv", pr.label, "rows=5", "cols=37"}),
+             [=](const Slot& s, uint64_t& h) {
+                 const size_t rows = 5, cols = 37;
+                 const Modulus m(pr.prime.q);
+                 ResidueVector mat(rows * cols), x(cols), y(rows);
+                 fillRandom(mat.span(), pr.prime.q, 59);
+                 fillRandom(x.span(), pr.prime.q, 61);
+                 blasKernels(s).gemv(m, mat.span(), x.span(), y.span(), rows,
+                                     cols);
+                 Fnv f;
+                 f.span(y.span());
+                 h = f.h;
+                 return true;
+             }});
+    }
+}
+
 std::vector<Config>
 allConfigs()
 {
@@ -483,6 +601,7 @@ allConfigs()
     addMqxVariants(c);
     addNegacyclic(c);
     addEngine(c);
+    addBlas(c);
     return c;
 }
 
