@@ -66,15 +66,25 @@ void axpyAvx512Ifma(const Modulus&, const U128&, DConstSpan, DSpan);
 void gemvAvx512Ifma(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
                     size_t);
 
-// MQX (full feature set); pisa selects the proxy timing mode.
-void vaddMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan);
-void vsubMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan);
-void vmulMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan);
-void vdotMqx(bool pisa, const Modulus&, const DConstSpan*, const DConstSpan*,
-             size_t, DSpan);
-void axpyMqx(bool pisa, const Modulus&, const U128&, DConstSpan, DSpan);
-void gemvMqx(bool pisa, const Modulus&, DConstSpan, DConstSpan, DSpan,
-             size_t, size_t);
+// MQX, full feature set: the tier body in Table-2 emulation (correct
+// words) and in PISA proxy mode (timing-faithful, wrong words by design).
+void vaddMqxEmulate(const Modulus&, DConstSpan, DConstSpan, DSpan);
+void vsubMqxEmulate(const Modulus&, DConstSpan, DConstSpan, DSpan);
+void vmulMqxEmulate(const Modulus&, DConstSpan, DConstSpan, DSpan);
+void vdotMqxEmulate(const Modulus&, const DConstSpan*, const DConstSpan*,
+                    size_t, DSpan);
+void axpyMqxEmulate(const Modulus&, const U128&, DConstSpan, DSpan);
+void gemvMqxEmulate(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
+                    size_t);
+
+void vaddMqxPisa(const Modulus&, DConstSpan, DConstSpan, DSpan);
+void vsubMqxPisa(const Modulus&, DConstSpan, DConstSpan, DSpan);
+void vmulMqxPisa(const Modulus&, DConstSpan, DConstSpan, DSpan);
+void vdotMqxPisa(const Modulus&, const DConstSpan*, const DConstSpan*, size_t,
+                 DSpan);
+void axpyMqxPisa(const Modulus&, const U128&, DConstSpan, DSpan);
+void gemvMqxPisa(const Modulus&, DConstSpan, DConstSpan, DSpan, size_t,
+                 size_t);
 
 /** One backend's six entry points: every public blas:: op goes through
  *  them. */

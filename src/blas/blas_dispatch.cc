@@ -12,40 +12,6 @@ namespace mqx {
 namespace blas {
 namespace backends {
 
-namespace {
-
-#if MQX_BUILD_AVX512
-/** The MQX entry points for one mode (full feature set), as captureless
- *  forwarders. */
-template <bool kPisa>
-const TierKernels&
-mqxKernels()
-{
-    static const TierKernels tier{
-        [](const Modulus& m, DConstSpan a, DConstSpan b, DSpan c) {
-            vaddMqx(kPisa, m, a, b, c);
-        },
-        [](const Modulus& m, DConstSpan a, DConstSpan b, DSpan c) {
-            vsubMqx(kPisa, m, a, b, c);
-        },
-        [](const Modulus& m, DConstSpan a, DConstSpan b, DSpan c) {
-            vmulMqx(kPisa, m, a, b, c);
-        },
-        [](const Modulus& m, const DConstSpan* a, const DConstSpan* b,
-           size_t k, DSpan acc) { vdotMqx(kPisa, m, a, b, k, acc); },
-        [](const Modulus& m, const U128& alpha, DConstSpan x, DSpan y) {
-            axpyMqx(kPisa, m, alpha, x, y);
-        },
-        [](const Modulus& m, DConstSpan matrix, DConstSpan x, DSpan y,
-           size_t rows, size_t cols) {
-            gemvMqx(kPisa, m, matrix, x, y, rows, cols);
-        }};
-    return tier;
-}
-#endif
-
-} // namespace
-
 const TierKernels&
 tierKernels(Backend backend)
 {
@@ -73,22 +39,31 @@ tierKernels(Backend backend)
 #if MQX_BUILD_AVX512
       case Backend::Avx512: {
         // One tier body, IFMA multiplies where CPUID has them.
-        static const TierKernels avx512 = [] {
+        static const TierKernels avx512{&vaddAvx512, &vsubAvx512,
+                                        &vmulAvx512, &vdotAvx512,
+                                        &axpyAvx512, &gemvAvx512};
 #if MQX_BUILD_AVX512_IFMA
-            if (avx512Ifma())
-                return TierKernels{&vaddAvx512Ifma, &vsubAvx512Ifma,
-                                   &vmulAvx512Ifma, &vdotAvx512Ifma,
-                                   &axpyAvx512Ifma, &gemvAvx512Ifma};
+        static const TierKernels avx512_ifma{
+            &vaddAvx512Ifma, &vsubAvx512Ifma, &vmulAvx512Ifma,
+            &vdotAvx512Ifma, &axpyAvx512Ifma, &gemvAvx512Ifma};
+        static const bool ifma = avx512Ifma();
+        if (ifma)
+            return avx512_ifma;
 #endif
-            return TierKernels{&vaddAvx512, &vsubAvx512, &vmulAvx512,
-                               &vdotAvx512, &axpyAvx512, &gemvAvx512};
-        }();
         return avx512;
       }
-      case Backend::MqxEmulate:
-        return mqxKernels<false>();
-      case Backend::MqxPisa:
-        return mqxKernels<true>();
+      case Backend::MqxEmulate: {
+        static const TierKernels mqx_emulate{
+            &vaddMqxEmulate, &vsubMqxEmulate, &vmulMqxEmulate,
+            &vdotMqxEmulate, &axpyMqxEmulate, &gemvMqxEmulate};
+        return mqx_emulate;
+      }
+      case Backend::MqxPisa: {
+        static const TierKernels mqx_pisa{&vaddMqxPisa, &vsubMqxPisa,
+                                          &vmulMqxPisa, &vdotMqxPisa,
+                                          &axpyMqxPisa, &gemvMqxPisa};
+        return mqx_pisa;
+      }
 #endif
       default:
         break;

@@ -27,7 +27,10 @@ namespace {
 Backend
 requireAvailable(Backend backend)
 {
-    checkArg(backendAvailable(backend), "Engine: backend unavailable");
+    if (!backendAvailable(backend))
+        throw BackendUnavailable(
+            "Engine backend not available on this host: " +
+            backendName(backend));
     return backend;
 }
 
@@ -95,22 +98,22 @@ repairWorkspaces()
  * The one check-and-repair step of every checked channel op: run
  * @p passes on the finished channel; on a mismatch rerun @p body — the
  * op's own channel body — on repair-pool scratch with every fault point
- * silenced, up to @p max_retries times, re-checking after each, then
- * surface DataCorruption for @p op. A repair is a full recomputation,
- * so re-checking at the same cached point is sound: a correct result
- * always passes.
+ * silenced, up to robust::kMaxRepairRetries times, re-checking after
+ * each, then surface DataCorruption for @p op. A repair is a full
+ * recomputation, so re-checking at the same cached point is sound: a
+ * correct result always passes.
  */
 template <typename Passes, typename Body>
 void
-checkAndRepair(size_t max_retries, const char* op, const Passes& passes,
-               const Body& body)
+checkAndRepair(const char* op, const Passes& passes, const Body& body)
 {
     verifyChecks().add(1);
     if (passes())
         return;
     verifyFailures().add(1);
     const robust::ScopedFaultFree fault_free;
-    for (size_t attempt = 0; attempt < max_retries; ++attempt) {
+    for (uint32_t attempt = 0; attempt < robust::kMaxRepairRetries;
+         ++attempt) {
         robustRetries().add(1);
         body(repairWorkspaces(), nullptr);
         if (passes()) {
@@ -128,19 +131,18 @@ checkAndRepair(size_t max_retries, const char* op, const Passes& passes,
 /** checkAndRepair for one polymul channel: the Freivalds identity. */
 template <typename Body>
 void
-checkPolymul(Backend backend, const robust::VerifyOptions& verify,
-             const rns::RnsBasis& basis, size_t channel,
+checkPolymul(Backend backend, const rns::RnsBasis& basis, size_t channel,
              const ntt::NegacyclicTables& tables, const rns::RnsPolynomial& a,
              const rns::RnsPolynomial& b, const rns::RnsPolynomial& c,
              const Body& body)
 {
     checkAndRepair(
-        verify.max_retries, "Engine::polymulNegacyclic",
+        "Engine::polymulNegacyclic",
         [&] {
             return robust::checkNegacyclicPolymul(
                 backend, basis.modulus(channel), tables.psi(),
                 a.channel(channel).span(), b.channel(channel).span(),
-                c.channel(channel).span(), verify.seed);
+                c.channel(channel).span(), robust::kEvalPointSeed);
         },
         body);
 }
@@ -219,7 +221,7 @@ Engine::addInto(const rns::RnsPolynomial& a, const rns::RnsPolynomial& b,
             body(workspaces_, cancel);
             if (check) {
                 checkAndRepair(
-                    verify_.max_retries, "Engine::add",
+                    "Engine::add",
                     [&] {
                         return robust::checkAddDigest(
                             basis.modulus(i), a.channel(i).span(),
@@ -300,8 +302,7 @@ Engine::polymulNegacyclicInto(const rns::RnsPolynomial& a,
             };
             body(workspaces_, cancel);
             if (check)
-                checkPolymul(backend_, verify_, basis, i, *tables, a, b, c,
-                             body);
+                checkPolymul(backend_, basis, i, *tables, a, b, c, body);
         },
         cancel);
 }
@@ -479,11 +480,11 @@ Engine::fmaBatchInto(
                 spans.emplace_back(pa->channel(i).span(),
                                    pb->channel(i).span());
             checkAndRepair(
-                verify_.max_retries, "Engine::fmaBatch",
+                "Engine::fmaBatch",
                 [&] {
                     return robust::checkNegacyclicFma(
                         backend_, basis.modulus(i), tables->psi(), spans,
-                        c.channel(i).span(), verify_.seed);
+                        c.channel(i).span(), robust::kEvalPointSeed);
                 },
                 body);
         },
@@ -611,7 +612,7 @@ Engine::polymulNegacyclicBatch(
             if (!check)
                 return;
             for (size_t p = p0; p < end; ++p) {
-                checkPolymul(backend_, verify_, basis, channel, *tables,
+                checkPolymul(backend_, basis, channel, *tables,
                              *products[p].first, *products[p].second,
                              results[p], perChannel(p, p + 1));
             }

@@ -45,11 +45,12 @@ struct EngineOptions
      * checked ops run a Freivalds evaluation identity per channel after
      * the kernels. A failing channel is rerun through the op's own
      * per-channel body, with fault points silenced and scratch leased
-     * from a repair pool apart from the engine's, up to max_retries
-     * times, then robust::StatusError with DataCorruption. All checks
-     * of one (q, n) shape share the cached evaluation point for seed —
-     * the point where any single flipped word is detected
-     * deterministically. Off by default: zero overhead.
+     * from a repair pool apart from the engine's, up to
+     * robust::kMaxRepairRetries times, then robust::StatusError with
+     * DataCorruption. All checks of one (q, n) shape share the cached
+     * evaluation point for robust::kEvalPointSeed — the point where any
+     * single flipped word is detected deterministically. Off by
+     * default: zero overhead.
      */
     robust::VerifyOptions verify;
     /**

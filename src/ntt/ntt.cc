@@ -40,59 +40,6 @@ struct TierKernels
     decltype(&backends::inverseBatchScalar) inverseBatch;
 };
 
-#if MQX_BUILD_AVX512
-/** Backend::Avx512: one tier body, IFMA multiplies where CPUID has them. */
-const TierKernels&
-avx512Kernels()
-{
-    static const TierKernels tier = [] {
-#if MQX_BUILD_AVX512_IFMA
-        if (avx512Ifma())
-            return TierKernels{&backends::forwardAvx512Ifma,
-                               &backends::inverseAvx512Ifma,
-                               &backends::forwardBatchAvx512Ifma,
-                               &backends::inverseBatchAvx512Ifma};
-#endif
-        return TierKernels{&backends::forwardAvx512, &backends::inverseAvx512,
-                           &backends::forwardBatchAvx512,
-                           &backends::inverseBatchAvx512};
-    }();
-    return tier;
-}
-
-/** The MQX entry points for one mode and the full feature set, as
- *  captureless forwarders. */
-template <bool kPisa>
-const TierKernels&
-mqxKernels()
-{
-    static const TierKernels k{
-        [](const NttPlan& plan, const detail::PeaseTwiddles& tw,
-           DConstSpan in, DSpan out, DSpan scratch,
-           detail::PeaseShape shape) {
-            backends::forwardMqxImpl(kPisa, MqxVariant::Full, plan, tw, in,
-                                     out, scratch, shape);
-        },
-        [](const NttPlan& plan, const detail::PeaseTwiddles& tw,
-           DConstSpan in, DSpan out, DSpan scratch,
-           detail::PeaseShape shape) {
-            backends::inverseMqxImpl(kPisa, MqxVariant::Full, plan, tw, in,
-                                     out, scratch, shape);
-        },
-        [](const NttPlan& plan, const detail::PeaseTwiddles& tw, size_t il,
-           DConstSpan in, DSpan out, DSpan scratch) {
-            backends::forwardBatchMqxImpl(kPisa, plan, tw, il, in, out,
-                                          scratch);
-        },
-        [](const NttPlan& plan, const detail::PeaseTwiddles& tw, size_t il,
-           DConstSpan in, DSpan out, DSpan scratch) {
-            backends::inverseBatchMqxImpl(kPisa, plan, tw, il, in, out,
-                                          scratch);
-        }};
-    return k;
-}
-#endif
-
 const TierKernels&
 tierKernels(Backend backend)
 {
@@ -108,34 +55,47 @@ tierKernels(Backend backend)
         return scalar;
       case Backend::Portable:
         return portable;
-      case Backend::Avx2: {
 #if MQX_BUILD_AVX2
+      case Backend::Avx2: {
         static const TierKernels avx2{
             &backends::forwardAvx2, &backends::inverseAvx2,
             &backends::forwardBatchAvx2, &backends::inverseBatchAvx2};
         return avx2;
-#else
-        break;
-#endif
       }
-      case Backend::Avx512:
-#if MQX_BUILD_AVX512
-        return avx512Kernels();
-#else
-        break;
 #endif
-      case Backend::MqxEmulate:
 #if MQX_BUILD_AVX512
-        return mqxKernels<false>();
-#else
-        break;
+      case Backend::Avx512: {
+        // One tier body, IFMA multiplies where CPUID has them.
+        static const TierKernels avx512{
+            &backends::forwardAvx512, &backends::inverseAvx512,
+            &backends::forwardBatchAvx512, &backends::inverseBatchAvx512};
+#if MQX_BUILD_AVX512_IFMA
+        static const TierKernels avx512_ifma{
+            &backends::forwardAvx512Ifma, &backends::inverseAvx512Ifma,
+            &backends::forwardBatchAvx512Ifma,
+            &backends::inverseBatchAvx512Ifma};
+        static const bool ifma = avx512Ifma();
+        if (ifma)
+            return avx512_ifma;
 #endif
-      case Backend::MqxPisa:
-#if MQX_BUILD_AVX512
-        return mqxKernels<true>();
-#else
-        break;
+        return avx512;
+      }
+      case Backend::MqxEmulate: {
+        static const TierKernels mqx_emulate{
+            &backends::forwardMqxEmulate, &backends::inverseMqxEmulate,
+            &backends::forwardBatchMqxEmulate,
+            &backends::inverseBatchMqxEmulate};
+        return mqx_emulate;
+      }
+      case Backend::MqxPisa: {
+        static const TierKernels mqx_pisa{
+            &backends::forwardMqxPisa, &backends::inverseMqxPisa,
+            &backends::forwardBatchMqxPisa, &backends::inverseBatchMqxPisa};
+        return mqx_pisa;
+      }
 #endif
+      default:
+        break;
     }
     throw BackendUnavailable("NTT backend not compiled in: " +
                              backendName(backend));
@@ -232,20 +192,30 @@ inverse(const NttPlan& plan, Backend backend, DConstSpan in, DSpan out,
                                  scratch, shape);
 }
 
+namespace {
+
+/** The Fig. 6 ablation: one MQX feature variant of the forward
+ *  (@p fwd) or inverse in @p mode, Backend::MqxEmulate or MqxPisa. */
 void
-forwardMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
-           DSpan out, DSpan scratch, Reduction red, StageFusion fusion)
+mqxAblation(bool fwd, Backend mode, const NttPlan& plan, MqxVariant variant,
+            DConstSpan in, DSpan out, DSpan scratch, Reduction red,
+            StageFusion fusion)
 {
-    requireAvailable(Backend::MqxEmulate);
+    requireAvailable(mode);
 #if MQX_BUILD_AVX512
-    backends::forwardMqxImpl(
-        pisa, variant, plan, detail::forwardTwiddles(plan), in, out, scratch,
-        shapeFor(pisa ? Backend::MqxPisa : Backend::MqxEmulate, plan.n(), red,
-                 fusion));
+    const detail::PeaseShape shape = shapeFor(mode, plan.n(), red, fusion);
+    if (fwd)
+        detail::forwardMqxImpl(mode == Backend::MqxPisa, variant, plan,
+                               detail::forwardTwiddles(plan), in, out,
+                               scratch, shape);
+    else
+        detail::inverseMqxImpl(mode == Backend::MqxPisa, variant, plan,
+                               detail::inverseTwiddles(plan), in, out,
+                               scratch, shape);
 #else
+    (void)fwd;
     (void)plan;
     (void)variant;
-    (void)pisa;
     (void)in;
     (void)out;
     (void)scratch;
@@ -255,27 +225,22 @@ forwardMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
 #endif
 }
 
+} // namespace
+
+void
+forwardMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
+           DSpan out, DSpan scratch, Reduction red, StageFusion fusion)
+{
+    mqxAblation(true, pisa ? Backend::MqxPisa : Backend::MqxEmulate, plan,
+                variant, in, out, scratch, red, fusion);
+}
+
 void
 inverseMqx(const NttPlan& plan, MqxVariant variant, bool pisa, DConstSpan in,
            DSpan out, DSpan scratch, Reduction red, StageFusion fusion)
 {
-    requireAvailable(Backend::MqxEmulate);
-#if MQX_BUILD_AVX512
-    backends::inverseMqxImpl(
-        pisa, variant, plan, detail::inverseTwiddles(plan), in, out, scratch,
-        shapeFor(pisa ? Backend::MqxPisa : Backend::MqxEmulate, plan.n(), red,
-                 fusion));
-#else
-    (void)plan;
-    (void)variant;
-    (void)pisa;
-    (void)in;
-    (void)out;
-    (void)scratch;
-    (void)red;
-    (void)fusion;
-    throw BackendUnavailable("MQX backend not compiled in");
-#endif
+    mqxAblation(false, pisa ? Backend::MqxPisa : Backend::MqxEmulate, plan,
+                variant, in, out, scratch, red, fusion);
 }
 
 size_t
@@ -316,15 +281,15 @@ noteBatchSweep(const NttPlan& plan, size_t il)
 
 /**
  * The per-lane loop behind forwardBatch/inverseBatch: gather each lane
- * of the il-lane tiled group, run @p transform on it and scatter the
+ * of the il-lane tiled group, run @p transform (ntt::forward or
+ * ntt::inverse, default reduction and fusion) on it and scatter the
  * result back. The three n-word lane buffers are carved out of
  * @p scratch (il * n words, clobbered) whenever il >= 3, which covers
  * every batchInterleave() width; narrower calls stage on the heap.
  */
-template <class Transform>
 void
-batchLaneLoop(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
-              DSpan scratch, Transform&& transform)
+batchLaneLoop(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
+              DSpan out, DSpan scratch, decltype(&forward) transform)
 {
     detail::validateBatchNttArgs(plan, il, in, out, scratch);
     constexpr size_t w = BatchLayout::kTileWords;
@@ -342,7 +307,8 @@ batchLaneLoop(const NttPlan& plan, size_t il, DConstSpan in, DSpan out,
             std::copy_n(in.hi + i, w, lane_in.hi + e);
             std::copy_n(in.lo + i, w, lane_in.lo + e);
         }
-        transform(lane_in, lane_out, lane_scratch);
+        transform(plan, backend, lane_in, lane_out, lane_scratch,
+                  Reduction::ShoupLazy, StageFusion::Auto);
         for (size_t e = 0; e < n; e += w) {
             const size_t i = detail::batchIndex(e, c, il);
             std::copy_n(lane_out.hi + e, w, out.hi + i);
@@ -361,10 +327,7 @@ forwardBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
     requireAvailable(backend);
     checkArg(batchSupported(plan),
              "forwardBatch: plan too small (n < 16)");
-    batchLaneLoop(plan, il, in, out, scratch,
-                  [&](DConstSpan x, DSpan y, DSpan scr) {
-                      forward(plan, backend, x, y, scr);
-                  });
+    batchLaneLoop(plan, backend, il, in, out, scratch, &forward);
 }
 
 void
@@ -375,10 +338,7 @@ inverseBatch(const NttPlan& plan, Backend backend, size_t il, DConstSpan in,
     requireAvailable(backend);
     checkArg(batchSupported(plan),
              "inverseBatch: plan too small (n < 16)");
-    batchLaneLoop(plan, il, in, out, scratch,
-                  [&](DConstSpan x, DSpan y, DSpan scr) {
-                      inverse(plan, backend, x, y, scr);
-                  });
+    batchLaneLoop(plan, backend, il, in, out, scratch, &inverse);
 }
 
 void

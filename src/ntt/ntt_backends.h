@@ -98,6 +98,18 @@ inverseTwiddles(const NegacyclicTables& tables)
             tables.lastDiffShoup()};
 }
 
+/**
+ * The Fig. 6 ablation (ntt_mqx_ablation.cc, MQX_BUILD_AVX512): one MQX
+ * feature variant per channel, in Table-2 emulation or (pisa = true)
+ * PISA proxy mode; MqxVariant::Full runs the MQX tier entry points.
+ */
+void forwardMqxImpl(bool pisa, MqxVariant, const NttPlan&,
+                    const PeaseTwiddles&, DConstSpan, DSpan, DSpan,
+                    PeaseShape);
+void inverseMqxImpl(bool pisa, MqxVariant, const NttPlan&,
+                    const PeaseTwiddles&, DConstSpan, DSpan, DSpan,
+                    PeaseShape);
+
 } // namespace detail
 
 namespace backends {
@@ -160,18 +172,25 @@ void vmulShoupLazyAvx512(const Modulus&, DConstSpan, DConstSpan, DConstSpan,
 void vmulShoupLazyAvx512Ifma(const Modulus&, DConstSpan, DConstSpan,
                              DConstSpan, DSpan);
 
-// MQX: every Fig. 6 feature variant, in Table-2 emulation and PISA
-// proxy mode (pisa = true: timing-faithful, wrong words by design).
-void forwardMqxImpl(bool pisa, MqxVariant, const NttPlan&,
-                    const PeaseTwiddles&, DConstSpan, DSpan, DSpan,
-                    PeaseShape);
-void inverseMqxImpl(bool pisa, MqxVariant, const NttPlan&,
-                    const PeaseTwiddles&, DConstSpan, DSpan, DSpan,
-                    PeaseShape);
-void forwardBatchMqxImpl(bool pisa, const NttPlan&, const PeaseTwiddles&,
-                         size_t il, DConstSpan, DSpan, DSpan);
-void inverseBatchMqxImpl(bool pisa, const NttPlan&, const PeaseTwiddles&,
-                         size_t il, DConstSpan, DSpan, DSpan);
+// MQX, full feature set: the tier body in Table-2 emulation (correct
+// words) and in PISA proxy mode (timing-faithful, wrong words by design).
+void forwardMqxEmulate(const NttPlan&, const PeaseTwiddles&, DConstSpan,
+                       DSpan, DSpan, PeaseShape);
+void inverseMqxEmulate(const NttPlan&, const PeaseTwiddles&, DConstSpan,
+                       DSpan, DSpan, PeaseShape);
+void forwardBatchMqxEmulate(const NttPlan&, const PeaseTwiddles&, size_t il,
+                            DConstSpan, DSpan, DSpan);
+void inverseBatchMqxEmulate(const NttPlan&, const PeaseTwiddles&, size_t il,
+                            DConstSpan, DSpan, DSpan);
+
+void forwardMqxPisa(const NttPlan&, const PeaseTwiddles&, DConstSpan, DSpan,
+                    DSpan, PeaseShape);
+void inverseMqxPisa(const NttPlan&, const PeaseTwiddles&, DConstSpan, DSpan,
+                    DSpan, PeaseShape);
+void forwardBatchMqxPisa(const NttPlan&, const PeaseTwiddles&, size_t il,
+                         DConstSpan, DSpan, DSpan);
+void inverseBatchMqxPisa(const NttPlan&, const PeaseTwiddles&, size_t il,
+                         DConstSpan, DSpan, DSpan);
 
 } // namespace backends
 } // namespace ntt

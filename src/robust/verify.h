@@ -15,7 +15,8 @@
  * δ·r^k with δ ≢ 0 (a power of two is never a multiple of an odd
  * prime q) and r invertible — so *any* single flipped residue word is
  * caught deterministically, at every evaluation point. The random
- * choice of j (drawn once per (q, n, seed) from VerifyOptions::seed)
+ * choice of j (drawn once per (q, n, seed); the Engine passes
+ * kEvalPointSeed)
  * only matters for adversarially structured multi-word errors, where
  * the miss probability is ≤ (terms)/n per channel.
  *
@@ -51,15 +52,18 @@ enum class VerifyPolicy : uint8_t {
 
 const char* verifyPolicyName(VerifyPolicy policy);
 
+/** Serial-path recompute attempts of a failing channel before
+ *  DataCorruption surfaces. */
+inline constexpr uint32_t kMaxRepairRetries = 2;
+
+/** Seeds the Engine's per-(q, n) evaluation-point draw. */
+inline constexpr uint64_t kEvalPointSeed = 0x5eedf00dcafe1234ull;
+
 /** Engine-level verification configuration (EngineOptions::verify). */
 struct VerifyOptions {
     VerifyPolicy policy = VerifyPolicy::Off;
     /** Sample: check ops whose sequence number is ≡ 0 (mod this). */
     uint32_t sample_period = 8;
-    /** Serial-path recompute attempts before DataCorruption surfaces. */
-    uint32_t max_retries = 2;
-    /** Seeds the per-(q, n) evaluation-point draw. */
-    uint64_t seed = 0x5eedf00dcafe1234ull;
     /** Also digest-check linear ops (Engine::add). */
     bool guard_digest = false;
 };

@@ -12,6 +12,7 @@
 
 #include "blas/blas.h"
 #include "blas/blas_backends.h"
+#include "engine/engine.h"
 #include "ntt/ntt.h"
 #include "ntt/prime.h"
 #include "test_util.h"
@@ -304,8 +305,8 @@ TEST(BlasErrors, PisaBackendProducesWrongResultsByDesign)
 
 TEST(BlasErrors, UnavailableBackendsThrow)
 {
-    // Every dispatcher (BLAS, NTT, word64) rejects a backend this host or
-    // build cannot run.
+    // Every dispatcher (BLAS, NTT, word64) and the Engine reject a
+    // backend this host or build cannot run.
     std::vector<Backend> unavailable;
     std::vector<Backend> all = correctBackends();
     all.push_back(Backend::MqxPisa);
@@ -343,6 +344,7 @@ TEST(BlasErrors, UnavailableBackendsThrow)
         EXPECT_THROW(w64::forward64(plan64, be, in64.data(), out64.data(),
                                     scr64.data()),
                      BackendUnavailable);
+        EXPECT_THROW(engine::Engine(be, 1), BackendUnavailable);
     }
 }
 

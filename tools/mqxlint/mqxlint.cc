@@ -327,9 +327,12 @@ class Linter
      * every SIMD ntt_<tier>.cc, and src/blas/blas_tier.inc, compiled
      * as every SIMD blas_<tier>.cc): a TU that
      * does `#define M(name) name##Suffix` and then includes "x.inc"
-     * defines every `M(fn)` of x.inc as fnSuffix. Each instantiation is
-     * linted as its own file — the body's path and line numbers with
-     * the names expanded — and backend-coverage credits it to the TU.
+     * defines every `M(fn)` of x.inc as fnSuffix. Each such define
+     * names the .inc includes that follow it, up to the next one, so a
+     * TU may instantiate a body several times (ntt_mqx.cc, blas_mqx.cc).
+     * Each instantiation is linted as its own file — the body's path
+     * and line numbers with the names expanded — and backend-coverage
+     * credits it to the TU.
      */
     void
     expandTierBodies()
@@ -337,25 +340,30 @@ class Linter
         static const std::regex kDefine(
             R"(#define\s+(\w+)\((\w+)\)\s+\2\s*##\s*(\w+))");
         static const std::regex kInclude(R"re(#include\s+"([^"]+\.inc)")re");
+        const std::sregex_iterator end;
         std::vector<SourceFile> bodies;
         for (const auto& f : files_) {
-            std::smatch def;
-            if (!std::regex_search(f.raw, def, kDefine))
-                continue;
-            const std::regex use("\\b" + def[1].str() + "\\((\\w+)\\)");
-            const std::string suffix = "$1" + def[3].str();
-            const std::sregex_iterator end;
-            for (std::sregex_iterator it(f.raw.begin(), f.raw.end(), kInclude);
-                 it != end; ++it) {
-                const std::string inc = (*it)[1].str();
-                SourceFile body;
-                if (!readFile(root_ / "src" / inc, body.raw))
-                    continue;
-                body.raw = std::regex_replace(body.raw, use, suffix);
-                body.rel = "src/" + inc;
-                body.code = stripCode(body.raw);
-                body.tu = f.rel;
-                bodies.push_back(std::move(body));
+            const std::vector<std::smatch> defs(
+                std::sregex_iterator(f.raw.begin(), f.raw.end(), kDefine),
+                end);
+            for (size_t d = 0; d < defs.size(); ++d) {
+                const std::regex use("\\b" + defs[d][1].str() +
+                                     "\\((\\w+)\\)");
+                const std::string suffix = "$1" + defs[d][3].str();
+                const auto to =
+                    d + 1 < defs.size() ? defs[d + 1][0].first : f.raw.end();
+                for (std::sregex_iterator it(defs[d][0].second, to, kInclude);
+                     it != end; ++it) {
+                    const std::string inc = (*it)[1].str();
+                    SourceFile body;
+                    if (!readFile(root_ / "src" / inc, body.raw))
+                        continue;
+                    body.raw = std::regex_replace(body.raw, use, suffix);
+                    body.rel = "src/" + inc;
+                    body.code = stripCode(body.raw);
+                    body.tu = f.rel;
+                    bodies.push_back(std::move(body));
+                }
             }
         }
         for (auto& b : bodies)
@@ -392,47 +400,43 @@ class Linter
 
     /**
      * Entry-point names declared in a backends header, restricted to
-     * the `namespace backends { ... }` region, with the line each
-     * declaration starts on. Declarations put the name on the `void`
-     * line (project style).
+     * each `namespace backends { ... }` region (up to the namespace's
+     * own closing brace, so a struct's `};` inside it ends nothing),
+     * with the line each declaration starts on. Declarations put the
+     * name on the `void` line (project style).
      */
     std::map<std::string, int>
     declaredEntryPoints(const SourceFile& header) const
     {
         std::map<std::string, int> out;
-        std::istringstream in(header.code);
-        std::string line;
-        int lineno = 0;
-        bool inside = false;
-        while (std::getline(in, line)) {
-            ++lineno;
-            if (line.find("namespace backends") != std::string::npos) {
-                inside = true;
-                continue;
+        const std::string& code = header.code;
+        for (size_t ns = code.find("namespace backends");
+             ns != std::string::npos;
+             ns = code.find("namespace backends", ns + 1)) {
+            const size_t open = code.find('{', ns);
+            if (open == std::string::npos)
+                break;
+            const size_t close = matchBrace(code, open);
+            std::istringstream in(code.substr(
+                open, (close == std::string::npos ? code.size() : close) -
+                          open));
+            std::string line;
+            for (int lineno = lineOf(code, open); std::getline(in, line);
+                 ++lineno) {
+                size_t v = line.find("void ");
+                if (v == std::string::npos)
+                    continue;
+                size_t name_begin = v + 5;
+                while (name_begin < line.size() && line[name_begin] == ' ')
+                    ++name_begin;
+                size_t name_end = name_begin;
+                while (name_end < line.size() && isIdentChar(line[name_end]))
+                    ++name_end;
+                if (name_end == name_begin || name_end >= line.size() ||
+                    line[name_end] != '(')
+                    continue;
+                out[line.substr(name_begin, name_end - name_begin)] = lineno;
             }
-            if (inside && line.find('}') != std::string::npos &&
-                line.find("namespace") == std::string::npos &&
-                line.find('{') == std::string::npos) {
-                // The closing brace of the backends namespace is a bare
-                // `}` (the comment marker was stripped with the rest).
-                inside = false;
-                continue;
-            }
-            if (!inside)
-                continue;
-            size_t v = line.find("void ");
-            if (v == std::string::npos)
-                continue;
-            size_t name_begin = v + 5;
-            while (name_begin < line.size() && line[name_begin] == ' ')
-                ++name_begin;
-            size_t name_end = name_begin;
-            while (name_end < line.size() && isIdentChar(line[name_end]))
-                ++name_end;
-            if (name_end == name_begin || name_end >= line.size() ||
-                line[name_end] != '(')
-                continue;
-            out[line.substr(name_begin, name_end - name_begin)] = lineno;
         }
         return out;
     }

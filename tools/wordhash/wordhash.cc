@@ -13,7 +13,9 @@
  * backend (Scalar, Portable, AVX2, AVX-512 on its dispatched multiply,
  * AVX-512 on the emulated multiply, MQX in Table-2 emulation) must
  * reproduce it, or the run fails. A backend the host lacks is reported
- * as skipped; the PISA proxy mode is wrong by design and never runs.
+ * as skipped. The PISA proxy mode computes wrong words by design, but
+ * fixed ones: its own "pisa ..." rows run on the MQX-PISA slot only, so
+ * a dispatch that swapped the two MQX modes changes a hash.
  *
  * The check mode is a tier-1 ctest against WORDHASH.txt at the repo
  * root, so a kernel refactor that changes any word fails the suite.
@@ -126,6 +128,7 @@ slots()
         {"AVX-512", Backend::Avx512, false},
         {"AVX-512-emulated", Backend::Avx512, true},
         {"MQX-emulate", Backend::MqxEmulate, false},
+        {"MQX-PISA", Backend::MqxPisa, false},
     };
     return s;
 }
@@ -143,11 +146,13 @@ slotAvailable(const Slot& s)
 }
 
 /** One configuration: a name and a body that hashes its output on a slot
- *  (or returns false when the slot does not apply). */
+ *  (or returns false when the slot does not apply). A PISA row runs on
+ *  the MQX-PISA slot only, and every other row everywhere else. */
 struct Config
 {
     std::string name;
     std::function<bool(const Slot&, uint64_t&)> run;
+    bool pisa = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -593,6 +598,31 @@ addBlas(std::vector<Config>& out)
     }
 }
 
+/**
+ * The PISA proxy's words, wrong by design but fixed: the per-channel
+ * transforms at n = 4096, the il = 8 batch kernels and every BLAS row
+ * that fills a vector (n = 1 and 7 run only the scalar tail, whose
+ * words match Table-2 emulation), rerun on the MQX-PISA slot under a
+ * "pisa" prefix.
+ */
+void
+addPisa(std::vector<Config>& out)
+{
+    const size_t end = out.size();
+    for (size_t i = 0; i < end; ++i) {
+        const std::string name = out[i].name;
+        const bool per_channel = (name.starts_with("cyclic ") ||
+                                  name.starts_with("negacyclic ")) &&
+                                 name.find(" n=4096") != std::string::npos;
+        const bool batch = name.starts_with("negacyclic-batch ") &&
+                           name.ends_with(" il=8");
+        const bool blas = name.starts_with("blas ") &&
+                          !name.ends_with(" n=1") && !name.ends_with(" n=7");
+        if (per_channel || batch || blas)
+            out.push_back({"pisa " + name, out[i].run, true});
+    }
+}
+
 std::vector<Config>
 allConfigs()
 {
@@ -602,6 +632,7 @@ allConfigs()
     addNegacyclic(c);
     addEngine(c);
     addBlas(c);
+    addPisa(c);
     return c;
 }
 
@@ -642,6 +673,8 @@ run(const char* golden_path)
                 ++skipped[s.name];
                 continue;
             }
+            if ((s.backend == Backend::MqxPisa) != c.pisa)
+                continue;
             uint64_t h = 0;
             if (!c.run(s, h))
                 continue;
