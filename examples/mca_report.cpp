@@ -10,7 +10,9 @@
  * replaced — the Shoup and Barrett multiplies on the emulated widening
  * multiply vs IFMA 52-bit limbs, and the lazy forward butterfly on the
  * adc/sbb carry chain vs the headroom add/sub: modeled port-0 pressure
- * next to measured ns per 8-lane vector on this host.
+ * next to measured ns per 8-lane vector on this host. Its last rows are
+ * the NTT's steady-state radix-2 forward butterfly (twiddles split per
+ * vector), timed as a whole n = 4096 radix-2 forward per butterfly.
  */
 #include <algorithm>
 #include <chrono>
@@ -30,25 +32,7 @@ namespace {
 
 using namespace mqx;
 
-constexpr size_t kLanes = 4096; ///< operands per timed pass
-
-/** Best-of-5 ns per 8-lane vector of @p pass over kLanes operands. */
-template <class Pass>
-double
-perVectorNs(Pass pass)
-{
-    constexpr int kReps = 200;
-    double best = 1e300;
-    for (int trial = 0; trial < 5; ++trial) {
-        auto t0 = std::chrono::steady_clock::now();
-        for (int r = 0; r < kReps; ++r)
-            pass();
-        std::chrono::duration<double, std::nano> dt =
-            std::chrono::steady_clock::now() - t0;
-        best = std::min(best, dt.count() / (kReps * (kLanes / 8)));
-    }
-    return best;
-}
+constexpr size_t kLanes = 4096; ///< operands per timed pass (and NTT n)
 
 /** Operands and outputs of the timed passes (lazy range [0, 2q)). */
 struct Operands
@@ -65,6 +49,44 @@ struct Operands
     }
     ResidueVector a, b, w, wq, c, d;
 };
+
+/**
+ * Best-of-5 ns per 8-lane vector of @p pass, which runs @p vectors
+ * 8-lane steps (by default one per 8 of kLanes operands).
+ */
+template <class Pass>
+double
+perVectorNs(Pass pass, size_t vectors = kLanes / 8)
+{
+    constexpr int kReps = 200;
+    double best = 1e300;
+    for (int trial = 0; trial < 5; ++trial) {
+        auto t0 = std::chrono::steady_clock::now();
+        for (int r = 0; r < kReps; ++r)
+            pass();
+        std::chrono::duration<double, std::nano> dt =
+            std::chrono::steady_clock::now() - t0;
+        best = std::min(best, dt.count() / (kReps * vectors));
+    }
+    return best;
+}
+
+#if MQX_BUILD_AVX512
+/** ns per 8-lane butterfly of a radix-2 Backend::Avx512 forward. */
+double
+forwardButterflyNs(const Modulus& m, Operands& o)
+{
+    const ntt::NttPlan plan(m, kLanes);
+    const size_t butterflies = kLanes / 2 * static_cast<size_t>(plan.logn());
+    return perVectorNs(
+        [&] {
+            ntt::forward(plan, Backend::Avx512, o.b.span(), o.c.span(),
+                         o.d.span(), Reduction::ShoupLazy,
+                         StageFusion::Radix2);
+        },
+        butterflies / 8);
+}
+#endif
 
 /**
  * ns per 8 lanes of @p kernel under @p flavor on this host (the
@@ -98,6 +120,10 @@ measuredNs(mca::Kernel kernel, mca::TraceFlavor flavor, const Modulus& m,
                                     o.a.span(), o.b.span(), o.c.span(),
                                     o.d.span());
             });
+          case mca::Kernel::ForwardButterfly:
+            if (!avx512Ifma())
+                return forwardButterflyNs(m, o);
+            break;
           default:
             break;
         }
@@ -122,6 +148,8 @@ measuredNs(mca::Kernel kernel, mca::TraceFlavor flavor, const Modulus& m,
                                         o.a.span(), o.b.span(), o.c.span(),
                                         o.d.span());
             });
+          case mca::Kernel::ForwardButterfly:
+            return forwardButterflyNs(m, o);
           default:
             break;
         }
@@ -161,11 +189,15 @@ main()
     // replaced: the Shoup and Barrett multiplies on the emulated 64x64
     // multiply vs IFMA 52-bit limbs, and the lazy forward butterfly
     // (add + sub + Shoup multiply) on the adc/sbb carry chain vs the
-    // headroom add/sub. Modeled port-0 uops and cycles next to ns
-    // measured on this host.
+    // headroom add/sub. Modeled port-0 uops (those only port 0 can
+    // issue, and the model's port-0 total) and cycles next to ns
+    // measured on this host. The fwd-butterfly rows are the NTT's
+    // steady-state radix-2 step (the forward runs the backend's own
+    // multiply, so only the flavor this host runs gets a time).
     std::printf("-- AVX-512 kernels: modeled vs measured (per 8 lanes) --\n");
-    std::printf("%-20s %-14s %6s %11s %13s %9s\n", "kernel", "flavor",
-                "instrs", "port0 uops", "model cycles", "ns here");
+    std::printf("%-20s %-14s %6s %8s %11s %13s %9s\n", "kernel", "flavor",
+                "instrs", "p0-only", "port0 uops", "model cycles",
+                "ns here");
     Operands ops(m);
     const struct
     {
@@ -180,6 +212,8 @@ main()
         {mca::Kernel::LazyButterfly, mca::TraceFlavor::Avx512},
         {mca::Kernel::LazyButterflyCarry, mca::TraceFlavor::Avx512Ifma},
         {mca::Kernel::LazyButterfly, mca::TraceFlavor::Avx512Ifma},
+        {mca::Kernel::ForwardButterfly, mca::TraceFlavor::Avx512},
+        {mca::Kernel::ForwardButterfly, mca::TraceFlavor::Avx512Ifma},
     };
     for (const auto& row : rows) {
         auto analysis =
@@ -188,11 +222,11 @@ main()
         char ns[32] = "n/a";
         if (t >= 0.0)
             std::snprintf(ns, sizeof ns, "%.2f", t);
-        std::printf("%-20s %-14s %6zu %11.1f %13.1f %9s\n",
+        std::printf("%-20s %-14s %6zu %8d %11.1f %13.1f %9s\n",
                     mca::kernelName(row.kernel).c_str(),
                     mca::flavorName(row.flavor).c_str(),
-                    analysis.rows.size(), analysis.totals[0],
-                    analysis.rthroughput, ns);
+                    analysis.rows.size(), analysis.port0_only,
+                    analysis.totals[0], analysis.rthroughput, ns);
     }
     std::printf("(Backend::Avx512 multiplies on this host, NTT and BLAS: "
                 "%s)\n\n",

@@ -120,9 +120,9 @@ Backend bestBackend();
  * True when Backend::Avx512 runs its multiplies on IFMA 52-bit limbs:
  * the IFMA builds of the AVX-512 NTT and BLAS tiers are compiled in
  * (MQX_BUILD_AVX512_IFMA) and CPUID/XCR0 report AVX-512 with
- * AVX512_IFMA. Otherwise Backend::Avx512 runs the emulated 64x64
- * multiply. Outputs are word-identical either way, and no knob
- * overrides the choice.
+ * AVX512_IFMA and AVX512_VBMI2 (the limb splits' funnel shifts).
+ * Otherwise Backend::Avx512 runs the emulated 64x64 multiply. Outputs
+ * are word-identical either way, and no knob overrides the choice.
  */
 bool avx512Ifma();
 

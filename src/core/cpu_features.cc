@@ -34,6 +34,7 @@ decodeCpuFeatures(const CpuidWords& words, uint64_t xcr0)
         f.avx512ifma = (ebx >> 21) & 1;
         f.avx512bw = (ebx >> 30) & 1;
         f.avx512vl = (ebx >> 31) & 1;
+        f.avx512vbmi2 = (words.leaf7_ecx >> 6) & 1;
     }
     return f;
 }
@@ -58,8 +59,11 @@ detect()
     }
     if (words.max_leaf >= 1 && __get_cpuid(1, &eax, &ebx, &ecx, &edx))
         words.leaf1_ecx = ecx;
-    if (words.max_leaf >= 7 && __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx))
+    if (words.max_leaf >= 7 &&
+        __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
         words.leaf7_ebx = ebx;
+        words.leaf7_ecx = ecx;
+    }
     uint64_t xcr0 = 0;
     if ((words.leaf1_ecx >> 27) & 1) {
         // xgetbv faults unless the OS set CR4.OSXSAVE (CPUID.1:ECX[27]).

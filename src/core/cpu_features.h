@@ -20,6 +20,7 @@ struct CpuFeatures
     bool avx512bw = false;
     bool avx512vl = false;
     bool avx512ifma = false;
+    bool avx512vbmi2 = false;
     std::string vendor;
     std::string brand;
 
@@ -30,8 +31,16 @@ struct CpuFeatures
         return avx512f && avx512dq && avx512bw && avx512vl;
     }
 
-    /** hasAvx512() plus the 52-bit multiply-add (vpmadd52lo/hi). */
-    bool hasAvx512Ifma() const { return hasAvx512() && avx512ifma; }
+    /**
+     * hasAvx512() plus the 52-bit multiply-add (vpmadd52lo/hi) and the
+     * VBMI2 funnel shifts of the limb splits (vpshrdq): every IFMA host
+     * but Cannon Lake has both.
+     */
+    bool
+    hasAvx512Ifma() const
+    {
+        return hasAvx512() && avx512ifma && avx512vbmi2;
+    }
 };
 
 /** The CPUID words the SIMD feature decode reads. */
@@ -40,6 +49,7 @@ struct CpuidWords
     unsigned max_leaf = 0;  ///< leaf 0 EAX
     unsigned leaf1_ecx = 0; ///< leaf 1 ECX (bit 27: OSXSAVE)
     unsigned leaf7_ebx = 0; ///< leaf 7 subleaf 0 EBX
+    unsigned leaf7_ecx = 0; ///< leaf 7 subleaf 0 ECX (bit 6: AVX512_VBMI2)
 };
 
 /**

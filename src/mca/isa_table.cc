@@ -46,6 +46,13 @@ instrTable()
         // port 0 only, the same FMA unit as vpmuludq).
         {"vpmadd52luq",    kPort0,            1,   4,  false},
         {"vpmadd52huq",    kPort0,            1,   4,  false},
+        // The IFMA kernels' limb splits and joins: VBMI2 funnel shifts
+        // and rotates share port 0 with the shifts; vpshufb (byte
+        // shuffle within 128-bit lanes) runs on port 5.
+        {"vprolq",         kPort0,            1,   1,  false},
+        {"vpshrdq",        kPort0,            1,   1,  false},
+        {"vpshrdvq",       kPort0,            1,   1,  false},
+        {"vpshufb",        kPort5,            1,   1,  false},
         // MQX (proposed): same ports as the Table-3 proxies.
         {"vpmulq",         kPort0,            3,   15, true}, // ~ vpmullq
         {"vpmulhq",        kPort0,            3,   15, true}, // ~ vpmullq

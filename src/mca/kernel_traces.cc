@@ -4,6 +4,7 @@
  */
 #include "mca/kernel_traces.h"
 
+#include "ntt/pease_impl.h"
 #include "simd/dw_kernels.h"
 
 namespace mqx {
@@ -34,6 +35,8 @@ kernelName(Kernel k)
         return "lazy-butterfly";
       case Kernel::LazyButterflyCarry:
         return "lazy-butterfly-carry";
+      case Kernel::ForwardButterfly:
+        return "fwd-butterfly";
     }
     return "unknown";
 }
@@ -110,6 +113,12 @@ traceWith(Kernel kernel, const Modulus& m)
       case Kernel::LazyButterflyCarry:
         lazyButterfly<Isa, true>(ctx, a, b, ws);
         break;
+      case Kernel::ForwardButterfly: {
+        simd::DV<Isa> u, v;
+        ntt::detail::forwardButterflyV<Isa>(
+            ctx, a, b, simd::makeShoupW<Isa>(w, w), false, u, v);
+        break;
+      }
     }
     return TraceSink::instance().take();
 }

@@ -29,6 +29,10 @@ enum class Kernel
                         ///< flavor's own form (headroom unless MQX)
     LazyButterflyCarry, ///< the same butterfly on the adc/sbb carry chain
                         ///< (the form MQX keeps), for comparison
+    ForwardButterfly,   ///< the radix-2 forward butterfly of a stage whose
+                        ///< twiddles are loaded per vector
+                        ///< (ntt::detail::forwardButterflyV), with its
+                        ///< (w, wq) split: the NTT's steady-state step
 };
 
 /** Which instruction-set flavor to trace. */

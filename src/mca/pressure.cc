@@ -37,6 +37,8 @@ analyzeTrace(const std::vector<TracedInstr>& trace)
             result.totals[static_cast<size_t>(best)] += 1.0;
             ++result.total_uops;
         }
+        if (desc.ports == kPort0)
+            result.port0_only += desc.uops;
         result.latency_sum += desc.latency;
         result.rows.push_back(std::move(row));
     }

@@ -33,6 +33,7 @@ struct AnalysisResult
     std::vector<AnalyzedInstr> rows;
     std::array<double, kNumPorts> totals{}; ///< per-port uop totals
     int total_uops = 0;
+    int port0_only = 0;       ///< uops that can issue on port 0 alone
     double rthroughput = 0.0; ///< bottleneck port pressure (cycles/iter)
     double latency_sum = 0.0; ///< sum of instruction latencies (chain bound)
 };

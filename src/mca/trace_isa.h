@@ -11,7 +11,8 @@
  * vpmuludq partial products with shift/add/and fixups; Avx512Isa::adc
  * expands to the Table-1 six-instruction sequence. The MQX trace
  * variants emit the single proposed instructions instead, and the IFMA
- * variant runs the 52-bit-limb Shoup multiply (vpmadd52luq/huq).
+ * variant runs the 52-bit-limb multiplies (vpmadd52luq/huq, with VBMI2
+ * funnel shifts and vpshufb for the limb splits and joins).
  */
 #pragma once
 
@@ -214,8 +215,12 @@ struct TraceIsa
     template <unsigned k>
     static V srli(V) { emit("vpsrlq"); return {}; }
     template <unsigned k>
-    static V slli(V) { emit("vpsllq"); return {}; }
-    static V select(V, V, V) { emit("vpternlogq"); return {}; }
+    static V rotli(V) { emit("vprolq"); return {}; }
+    template <unsigned k>
+    static V shrd(V, V) { emit("vpshrdq"); return {}; }
+    static V shrdv(V, V, V) { emit("vpshrdvq"); return {}; }
+    template <unsigned kBytes>
+    static V srliBytes(V) { emit("vpshufb"); return {}; }
 
     static V
     pAdc(V, V, M, M)

@@ -61,22 +61,36 @@ struct Limbs52
     typename Isa::V l0, l1, l2;
 };
 
-/** Five 52-bit limbs of a full product: l[0] + l[1]*2^52 + ... */
+/**
+ * Five 52-bit limbs of a full product, l[0] + l[1]*2^52 + ..., as
+ * carryLimbs52 leaves them: l[0..3] masked to 52 bits, and t[j] holding
+ * limb j in bits 12..63 (its column rotated left by 12), where one
+ * vpshrdvq joins it to limb j + 1 (windowLimbs52).
+ */
 template <class Isa>
 struct Limbs52x5
 {
     typename Isa::V l[5];
+    typename Isa::V t[5];
 };
 
 /**
- * A Barrett shift s = 52*limb + bit: the IFMA kernel reads the window
- * of a limb product starting at bit s.
+ * A shift s = 52*limb + bit at which the IFMA kernels read the window
+ * of a five-limb value (the Barrett shifts, the dot fold's split).
  */
-struct LimbShift
+template <class Isa>
+struct LimbWindow
 {
-    unsigned limb = 0; ///< s / 52: the first limb of the window
-    unsigned bit = 0;  ///< s % 52: the offset inside it
+    unsigned limb = 0;       ///< s / 52: the first limb of the window
+    typename Isa::V shift{}; ///< s % 52 + 12 per lane: the vpshrdvq count
 };
+
+template <class Isa>
+inline LimbWindow<Isa>
+makeLimbWindow(unsigned s)
+{
+    return {s / 52, Isa::set1(s % 52 + 12)};
+}
 
 /** Limb constants of the IFMA kernels; empty for other ISAs. */
 template <class Isa, bool = Isa::kHasIfma>
@@ -87,11 +101,11 @@ struct IfmaCtx
 template <class Isa>
 struct IfmaCtx<Isa, true>
 {
-    Limbs52<Isa> nq;                    ///< limbs of 2^128 - q (additive -q)
-    Limbs52<Isa> mu;                    ///< limbs of the Barrett mu
-    typename Isa::V m24, m28, m40, m52; ///< low-bit masks
-    typename Isa::V zero;               ///< the madd52 chains' start value
-    LimbShift s1, s2;                   ///< the Barrett shifts b - 1, b + 1
+    Limbs52<Isa> nq;               ///< limbs of 2^128 - q (additive -q)
+    Limbs52<Isa> mu;               ///< limbs of the Barrett mu
+    typename Isa::V m12, m24, m52; ///< low-bit masks
+    typename Isa::V zero;          ///< the madd52 chains' start value
+    LimbWindow<Isa> s1, s2;        ///< the Barrett shifts b - 1, b + 1
 };
 
 /** Per-call broadcast constants derived from the modulus. */
@@ -120,17 +134,36 @@ broadcastLimbs52(uint64_t hi, uint64_t lo)
 }
 
 /**
- * In-register limb split of a DV. Limbs 0 and 1 keep junk above bit
- * 51: vpmadd52 reads only the low 52 bits of each source.
+ * In-register limb split of a DV: one funnel shift for the middle limb
+ * and one byte shuffle (40 = 5 bytes) for the top one, so only one op
+ * takes the shift port. Limbs 0 and 1 keep junk above bit 51: vpmadd52
+ * reads only the low 52 bits of each source.
  */
 template <class Isa>
-inline Limbs52<Isa>
+MQX_FORCE_INLINE Limbs52<Isa>
 toLimbs52(const DV<Isa>& x)
 {
-    return {x.lo,
-            Isa::or_(Isa::template srli<52>(x.lo),
-                     Isa::template slli<12>(x.hi)),
-            Isa::template srli<40>(x.hi)};
+    return {x.lo, Isa::template shrd<52>(x.lo, x.hi),
+            Isa::template srliBytes<5>(x.hi)};
+}
+
+/**
+ * r0 + r1*2^52 + r2*2^104 mod 2^128 as a DV, from three column sums
+ * (each < 2^64). Rotating a column left by 12 puts its carry (bits
+ * 52..63) in bits 0..11, to be masked off and added to the next
+ * column, and its limb in bits 12..63, where one vpshrdq joins it to
+ * the next column: one shift-port op per carry and one per join.
+ */
+template <class Isa>
+MQX_FORCE_INLINE DV<Isa>
+joinColumns52(const IfmaCtx<Isa>& k, typename Isa::V r0, typename Isa::V r1,
+              typename Isa::V r2)
+{
+    const auto t0 = Isa::template rotli<12>(r0);
+    r1 = Isa::add(r1, Isa::and_(t0, k.m12));
+    const auto t1 = Isa::template rotli<12>(r1);
+    r2 = Isa::add(r2, Isa::and_(t1, k.m12));
+    return {Isa::template shrd<24>(t1, r2), Isa::template shrd<12>(t0, r1)};
 }
 
 /** Build the broadcast context from a prepared modulus. */
@@ -143,15 +176,12 @@ makeModCtx(const Modulus& m)
         const U128 nq = U128::fromParts(0, 0) - m.value();
         ctx.ifma.nq = broadcastLimbs52<Isa>(nq.hi, nq.lo);
         ctx.ifma.mu = broadcastLimbs52<Isa>(m.mu().hi, m.mu().lo);
+        ctx.ifma.m12 = Isa::set1((uint64_t{1} << 12) - 1);
         ctx.ifma.m24 = Isa::set1((uint64_t{1} << 24) - 1);
-        ctx.ifma.m28 = Isa::set1((uint64_t{1} << 28) - 1);
-        ctx.ifma.m40 = Isa::set1((uint64_t{1} << 40) - 1);
         ctx.ifma.m52 = Isa::set1((uint64_t{1} << 52) - 1);
         ctx.ifma.zero = Isa::set1(0);
-        const auto s1 = static_cast<unsigned>(m.bits() - 1);
-        const auto s2 = static_cast<unsigned>(m.bits() + 1);
-        ctx.ifma.s1 = {s1 / 52, s1 % 52};
-        ctx.ifma.s2 = {s2 / 52, s2 % 52};
+        ctx.ifma.s1 = makeLimbWindow<Isa>(static_cast<unsigned>(m.bits() - 1));
+        ctx.ifma.s2 = makeLimbWindow<Isa>(static_cast<unsigned>(m.bits() + 1));
     }
     ctx.qh = Isa::set1(m.value().hi);
     ctx.ql = Isa::set1(m.value().lo);
@@ -610,16 +640,18 @@ mulModShoupIfmaV(const ModCtx<Isa>& ctx, const Limbs52<Isa>& x,
     V c4 = Isa::madd52hi(k.zero, x.l1, b.l2);
     c4 = Isa::madd52hi(c4, x.l2, b.l1);
     c4 = Isa::madd52lo(c4, x.l2, b.l2);
+    // The carry pass rotates columns 2 and 3 as joinColumns52 does.
     c2 = Isa::add(c2, Isa::template srli<52>(c1));
-    c3 = Isa::add(c3, Isa::template srli<52>(c2));
-    c4 = Isa::add(c4, Isa::template srli<52>(c3)); // < 2^48: a*wq < 2^256
-    // h = product bits 128.., and 128 = 2*52 + 24.
-    const Limbs52<Isa> h{
-        Isa::select(k.m28, Isa::template srli<24>(c2),
-                    Isa::template slli<28>(c3)),
-        Isa::select(k.m28, Isa::template srli<24>(c3),
-                    Isa::template slli<28>(c4)),
-        Isa::template srli<24>(c4)};
+    const V t2 = Isa::template rotli<12>(c2);
+    c3 = Isa::add(c3, Isa::and_(t2, k.m12));
+    const V t3 = Isa::template rotli<12>(c3);
+    c4 = Isa::add(c4, Isa::and_(t3, k.m12)); // < 2^48: a*wq < 2^256
+    // h = product bits 128.., and 128 = 2*52 + 24: limb j is bits
+    // 24..75 of columns 2 + j and 3 + j; the top one is c4 >> 24, three
+    // bytes.
+    const Limbs52<Isa> h{Isa::template shrd<36>(t2, c3),
+                         Isa::template shrd<36>(t3, c4),
+                         Isa::template srliBytes<3>(c4)};
 
     V r0 = Isa::madd52lo(k.zero, x.l0, w.l0);
     r0 = Isa::madd52lo(r0, h.l0, k.nq.l0);
@@ -639,23 +671,37 @@ mulModShoupIfmaV(const ModCtx<Isa>& ctx, const Limbs52<Isa>& x,
     r2 = Isa::madd52lo(r2, h.l0, k.nq.l2);
     r2 = Isa::madd52lo(r2, h.l1, k.nq.l1);
     r2 = Isa::madd52lo(r2, h.l2, k.nq.l0);
-    r1 = Isa::add(r1, Isa::template srli<52>(r0));
-    r2 = Isa::add(r2, Isa::template srli<52>(r1));
-    DV<Isa> r;
-    r.lo = Isa::select(k.m52, r0, Isa::template slli<52>(r1));
-    r.hi = Isa::select(k.m40, Isa::template srli<12>(r1),
-                       Isa::template slli<40>(r2));
+    return joinColumns52<Isa>(k, r0, r1, r2);
+}
+
+/**
+ * The carry pass of five column sums (each < 2^64) of a value below
+ * 2^256: limbs as Limbs52x5 describes them, l[4] < 2^48.
+ */
+template <class Isa>
+MQX_FORCE_INLINE Limbs52x5<Isa>
+carryLimbs52(const IfmaCtx<Isa>& k, typename Isa::V c0, typename Isa::V c1,
+             typename Isa::V c2, typename Isa::V c3, typename Isa::V c4)
+{
+    Limbs52x5<Isa> r;
+    typename Isa::V c[5] = {c0, c1, c2, c3, c4};
+    for (int j = 0; j < 4; ++j) {
+        r.t[j] = Isa::template rotli<12>(c[j]);
+        c[j + 1] = Isa::add(c[j + 1], Isa::and_(r.t[j], k.m12));
+        r.l[j] = Isa::and_(c[j], k.m52);
+    }
+    r.l[4] = c[4];
+    r.t[4] = Isa::template rotli<12>(c[4]);
     return r;
 }
 
 /**
  * Full product of two limb triples (top limbs < 2^24) as five 52-bit
- * limbs: 17 vpmadd52 column sums, then one carry pass. Limbs 0..3 are
- * masked to 52 bits; limb 4 is < 2^48 because the product is < 2^256
- * (and hi(x2*y2) is zero, so it is skipped).
+ * limbs: 17 vpmadd52 column sums, then carryLimbs52 (hi(x2*y2) is
+ * zero, so it is skipped).
  */
 template <class Isa>
-inline Limbs52x5<Isa>
+MQX_FORCE_INLINE Limbs52x5<Isa>
 mulLimbs52(const IfmaCtx<Isa>& k, const Limbs52<Isa>& x,
            const Limbs52<Isa>& y)
 {
@@ -677,49 +723,45 @@ mulLimbs52(const IfmaCtx<Isa>& k, const Limbs52<Isa>& x,
     V c4 = Isa::madd52hi(k.zero, x.l1, y.l2);
     c4 = Isa::madd52hi(c4, x.l2, y.l1);
     c4 = Isa::madd52lo(c4, x.l2, y.l2);
-    Limbs52x5<Isa> r;
-    c1 = Isa::add(c1, Isa::template srli<52>(c0));
-    r.l[0] = Isa::and_(c0, k.m52);
-    c2 = Isa::add(c2, Isa::template srli<52>(c1));
-    r.l[1] = Isa::and_(c1, k.m52);
-    c3 = Isa::add(c3, Isa::template srli<52>(c2));
-    r.l[2] = Isa::and_(c2, k.m52);
-    r.l[3] = Isa::and_(c3, k.m52);
-    r.l[4] = Isa::add(c4, Isa::template srli<52>(c3));
-    return r;
+    return carryLimbs52<Isa>(k, c0, c1, c2, c3, c4);
 }
 
 /**
- * Bits [s, s + 128) of a five-limb value, as limbs. The limb index is
- * uniform, so the window start is a predictable branch. Limbs 0 and 1
- * keep junk above bit 51 (vpmadd52 ignores it); limb 2 keeps bits
+ * Bits [s, s + 128) of a five-limb value, as limbs: limb j is
+ * (l[i] >> bit) | (l[i + 1] << (52 - bit)) for i = s.limb + j, one
+ * vpshrdvq of t[i] (limb i in bits 12..63) by bit + 12. The limb index
+ * is uniform, so the window start is a predictable branch. Limbs 0 and
+ * 1 keep junk above bit 51 (vpmadd52 ignores it); limb 2 keeps bits
  * 104..155 of the window, so callers mask it when they need the window
  * mod 2^128.
  */
 template <class Isa>
-inline Limbs52<Isa>
-windowLimbs52(const IfmaCtx<Isa>& k, const Limbs52x5<Isa>& x, LimbShift s)
+MQX_FORCE_INLINE Limbs52<Isa>
+windowLimbs52(const IfmaCtx<Isa>& k, const Limbs52x5<Isa>& x,
+              const LimbWindow<Isa>& s)
 {
     using V = typename Isa::V;
     // Branches, not x.l[s.limb + j]: a runtime index would spill the
     // limbs to memory.
-    V w0 = x.l[2], w1 = x.l[3], w2 = x.l[4], w3 = k.zero;
+    V t0 = x.t[2], t1 = x.t[3], t2 = x.t[4];
+    V w1 = x.l[3], w2 = x.l[4], w3 = k.zero;
     if (s.limb == 0) {
-        w0 = x.l[0];
+        t0 = x.t[0];
+        t1 = x.t[1];
+        t2 = x.t[2];
         w1 = x.l[1];
         w2 = x.l[2];
         w3 = x.l[3];
     } else if (s.limb == 1) {
-        w0 = x.l[1];
+        t0 = x.t[1];
+        t1 = x.t[2];
+        t2 = x.t[3];
         w1 = x.l[2];
         w2 = x.l[3];
         w3 = x.l[4];
     }
-    auto join = [&](V lo, V hi) {
-        return Isa::or_(Isa::srlCount(lo, s.bit),
-                        Isa::sllCount(hi, 52 - s.bit));
-    };
-    return {join(w0, w1), join(w1, w2), join(w2, w3)};
+    return {Isa::shrdv(t0, w1, s.shift), Isa::shrdv(t1, w2, s.shift),
+            Isa::shrdv(t2, w3, s.shift)};
 }
 
 /**
@@ -754,13 +796,7 @@ mulModBarrettIfmaV(const ModCtx<Isa>& ctx, const DV<Isa>& a, const DV<Isa>& b)
     r2 = Isa::madd52lo(r2, e.l0, k.nq.l2);
     r2 = Isa::madd52lo(r2, e.l1, k.nq.l1);
     r2 = Isa::madd52lo(r2, e.l2, k.nq.l0);
-    r1 = Isa::add(r1, Isa::template srli<52>(r0));
-    r2 = Isa::add(r2, Isa::template srli<52>(r1));
-    DV<Isa> c;
-    c.lo = Isa::select(k.m52, r0, Isa::template slli<52>(r1));
-    c.hi = Isa::select(k.m40, Isa::template srli<12>(r1),
-                       Isa::template slli<40>(r2));
-    return barrettCorrectV<Isa>(ctx, c);
+    return barrettCorrectV<Isa>(ctx, joinColumns52<Isa>(k, r0, r1, r2));
 }
 
 /**
@@ -917,7 +953,7 @@ template <class Isa>
 struct DotFold
 {
     ShoupW<Isa> c;                ///< 2^b - q and its Shoup companion
-    LimbShift b;                  ///< the split point, bits(q)
+    LimbWindow<Isa> b;            ///< the split point, bits(q)
     typename Isa::V lo_mask, hi_mask; ///< xl = x mod 2^b, per word
 };
 
@@ -932,7 +968,7 @@ makeDotFold(const Modulus& m)
     const uint64_t all = ~uint64_t{0};
     DotFold<Isa> f;
     f.c = broadcastShoupW<Isa>(c.hi, c.lo, cq.hi, cq.lo);
-    f.b = {b / 52, b % 52};
+    f.b = makeLimbWindow<Isa>(b);
     f.lo_mask = Isa::set1(b >= 64 ? all : (uint64_t{1} << b) - 1);
     f.hi_mask = Isa::set1(b > 64 ? (uint64_t{1} << (b - 64)) - 1 : 0);
     return f;
@@ -1004,30 +1040,16 @@ inline DV<Isa>
 dotFoldIfmaV(const ModCtx<Isa>& ctx, const DotFold<Isa>& f,
              const DotColumns<Isa>& d)
 {
-    using V = typename Isa::V;
     const auto& k = ctx.ifma;
-    const V c0 = d.lo[0];
-    const V c1 = Isa::add(Isa::add(d.lo[1], d.hi[1]),
-                          Isa::template srli<52>(c0));
-    const V c2 = Isa::add(Isa::add(d.lo[2], d.hi[2]),
-                          Isa::template srli<52>(c1));
-    const V c3 = Isa::add(Isa::add(d.lo[3], d.hi[3]),
-                          Isa::template srli<52>(c2));
-    Limbs52x5<Isa> x;
-    x.l[0] = Isa::and_(c0, k.m52);
-    x.l[1] = Isa::and_(c1, k.m52);
-    x.l[2] = Isa::and_(c2, k.m52);
-    x.l[3] = Isa::and_(c3, k.m52);
-    x.l[4] = Isa::add(Isa::add(d.lo[4], d.hi[4]),
-                      Isa::template srli<52>(c3));
+    const Limbs52x5<Isa> x = carryLimbs52<Isa>(
+        k, d.lo[0], Isa::add(d.lo[1], d.hi[1]), Isa::add(d.lo[2], d.hi[2]),
+        Isa::add(d.lo[3], d.hi[3]), Isa::add(d.lo[4], d.hi[4]));
     const DV<Isa> r = mulModShoupIfmaV<Isa>(
         ctx, windowLimbs52<Isa>(k, x, f.b), f.c.w, f.c.wq);
+    // x mod 2^128 from limbs 0..2, joined as in joinColumns52.
     DV<Isa> xl;
-    xl.lo = Isa::and_(
-        Isa::or_(x.l[0], Isa::template slli<52>(x.l[1])), f.lo_mask);
-    xl.hi = Isa::and_(Isa::or_(Isa::template srli<12>(x.l[1]),
-                               Isa::template slli<40>(x.l[2])),
-                      f.hi_mask);
+    xl.lo = Isa::and_(Isa::template shrd<12>(x.t[0], x.l[1]), f.lo_mask);
+    xl.hi = Isa::and_(Isa::template shrd<24>(x.t[1], x.l[2]), f.hi_mask);
     const DV<Isa> t = condSubDwV<Isa>(ctx, addDwV<Isa>(ctx, r, xl), ctx.q2h,
                                       ctx.q2l);
     return condSubDwV<Isa>(ctx, t, ctx.qh, ctx.ql);

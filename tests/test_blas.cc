@@ -12,6 +12,7 @@
 
 #include "blas/blas.h"
 #include "blas/blas_backends.h"
+#include "core/cpu_features.h"
 #include "engine/engine.h"
 #include "ntt/ntt.h"
 #include "ntt/prime.h"
@@ -350,8 +351,12 @@ TEST(BlasErrors, UnavailableBackendsThrow)
 
 TEST(BlasIfma, DispatchFollowsCpuid)
 {
-    // The line CI greps to log which AVX-512 BLAS multiply ran.
-    std::printf("AVX-512 BLAS multiply: %s\n", avx512Kernel());
+    // The line CI greps to log which AVX-512 BLAS multiply ran, with the
+    // CPUID bits the IFMA kernels need (IFMA, and VBMI2 for their limb
+    // splits).
+    std::printf("AVX-512 BLAS multiply: %s (ifma %d, vbmi2 %d)\n",
+                avx512Kernel(), int{hostCpuFeatures().avx512ifma},
+                int{hostCpuFeatures().avx512vbmi2});
     if (!backendAvailable(Backend::Avx512)) {
         EXPECT_THROW(blas::backends::tierKernels(Backend::Avx512),
                      BackendUnavailable);

@@ -16,12 +16,15 @@ constexpr unsigned kAvx2 = 1u << 5;
 constexpr unsigned kAvx512Subset =
     (1u << 16) | (1u << 17) | (1u << 30) | (1u << 31); // F DQ BW VL
 constexpr unsigned kIfma = 1u << 21;
+constexpr unsigned kVbmi2 = 1u << 6; // leaf 7 ECX
 constexpr uint64_t kXcr0Full = 0xE7; // x87 SSE AVX opmask ZMM_Hi256 Hi16_ZMM
 
 CpuidWords
-words(unsigned leaf7_ebx, bool osxsave = true, unsigned max_leaf = 0xD)
+words(unsigned leaf7_ebx, bool osxsave = true, unsigned max_leaf = 0xD,
+      unsigned leaf7_ecx = kVbmi2)
 {
-    return CpuidWords{max_leaf, osxsave ? kOsxsave : 0u, leaf7_ebx};
+    return CpuidWords{max_leaf, osxsave ? kOsxsave : 0u, leaf7_ebx,
+                      leaf7_ecx};
 }
 
 TEST(CpuFeatures, AllBitsWithFullOsSupport)
@@ -30,7 +33,30 @@ TEST(CpuFeatures, AllBitsWithFullOsSupport)
         decodeCpuFeatures(words(kAvx2 | kAvx512Subset | kIfma), kXcr0Full);
     EXPECT_TRUE(f.avx2);
     EXPECT_TRUE(f.hasAvx512());
+    EXPECT_TRUE(f.avx512vbmi2);
     EXPECT_TRUE(f.hasAvx512Ifma());
+}
+
+TEST(CpuFeatures, IfmaKernelsNeedVbmi2)
+{
+    // Cannon Lake: IFMA without VBMI2. The limb kernels' funnel shifts
+    // would fault there, so the host runs the emulated AVX-512 tier.
+    CpuFeatures f = decodeCpuFeatures(
+        words(kAvx2 | kAvx512Subset | kIfma, true, 0xD, /*leaf7_ecx=*/0),
+        kXcr0Full);
+    EXPECT_TRUE(f.hasAvx512());
+    EXPECT_TRUE(f.avx512ifma);
+    EXPECT_FALSE(f.avx512vbmi2);
+    EXPECT_FALSE(f.hasAvx512Ifma());
+    // VBMI2 is a ZMM-state bit like the others.
+    CpuFeatures ymm = decodeCpuFeatures(words(kAvx2 | kAvx512Subset | kIfma),
+                                        0x7);
+    EXPECT_FALSE(ymm.avx512vbmi2);
+    // VBMI2 alone does not make an IFMA host.
+    CpuFeatures no_ifma =
+        decodeCpuFeatures(words(kAvx2 | kAvx512Subset), kXcr0Full);
+    EXPECT_TRUE(no_ifma.avx512vbmi2);
+    EXPECT_FALSE(no_ifma.hasAvx512Ifma());
 }
 
 TEST(CpuFeatures, NoOsxsaveDisablesEverything)
@@ -89,6 +115,9 @@ TEST(CpuFeatures, HostDetectionIsConsistent)
 {
     const CpuFeatures& f = hostCpuFeatures();
     EXPECT_TRUE(!f.hasAvx512Ifma() || f.hasAvx512());
+    EXPECT_EQ(avx512Ifma(), MQX_BUILD_AVX512_IFMA &&
+                                backendAvailable(Backend::Avx512) &&
+                                f.avx512ifma && f.avx512vbmi2);
     EXPECT_EQ(backendAvailable(Backend::Avx512),
               MQX_BUILD_AVX512 && f.hasAvx512());
 }

@@ -219,6 +219,38 @@ TEST(McaPressure, IfmaBarrettMulReplacesEmulatedMultiplies)
     }
 }
 
+TEST(McaPressure, IfmaLimbJoinsLeavePort0ToTheMultiplies)
+{
+    // The IFMA limb splits and joins are VBMI2 funnel shifts (port 0,
+    // one where a srli/slli pair took two) and vpshufb byte shuffles
+    // (port 5): a Shoup multiply keeps its 34 vpmadd52 and 10 shifts on
+    // port 0, where the srli/slli form took 16. Every IFMA port-0 total
+    // is below the srli/slli kernels' model values (Shoup multiply 50,
+    // Barrett 78, lazy butterfly 60), and the NTT's steady-state
+    // forward butterfly, (w, wq) split included, is at most 50 port-0-
+    // only uops (it was 56).
+    Modulus m(ntt::defaultBenchPrime().q);
+    auto trace = [&](mca::Kernel k) {
+        return mca::traceKernel(k, mca::TraceFlavor::Avx512Ifma, m);
+    };
+    EXPECT_EQ(mca::instrDesc("vpshrdq").ports, unsigned{mca::kPort0});
+    EXPECT_EQ(mca::instrDesc("vpshufb").ports, unsigned{mca::kPort5});
+    auto h = histogram(trace(mca::Kernel::ShoupMul));
+    EXPECT_EQ(h["vpmadd52luq"] + h["vpmadd52huq"], 34);
+    EXPECT_EQ(h["vpsllq"], 0);
+    EXPECT_EQ(h["vpshufb"], 2); // the top limbs of a and of h
+    auto shoup = mca::analyzeTrace(trace(mca::Kernel::ShoupMul));
+    EXPECT_EQ(shoup.port0_only, 44);
+    EXPECT_LT(shoup.totals[0], 50.0);
+    EXPECT_LT(mca::analyzeTrace(trace(mca::Kernel::MulMod)).totals[0], 78.0);
+    auto lazy = mca::analyzeTrace(trace(mca::Kernel::LazyButterfly));
+    EXPECT_EQ(lazy.port0_only, 44);
+    EXPECT_LT(lazy.totals[0], 60.0);
+    auto fwd = mca::analyzeTrace(trace(mca::Kernel::ForwardButterfly));
+    EXPECT_EQ(fwd.port0_only, 46);
+    EXPECT_LE(fwd.port0_only, 50);
+}
+
 TEST(McaPressure, HeadroomLazyButterflyDropsTheCarryChain)
 {
     // Non-MQX flavors run the headroom lazy add/sub: fewer uops and

@@ -434,6 +434,101 @@ TEST(Shoup64Simd, LimbBoundariesMatchScalarShoup)
     }
 }
 
+#if MQX_BUILD_AVX512_IFMA
+/**
+ * vmulShoupLazyAvx512Ifma over the (a, w, wq) triples, word for word
+ * against mod::mulModShoup (r = a*w - floor(a*wq / 2^128)*q mod 2^128,
+ * which both compute for any operands below 2^128).
+ */
+void
+expectIfmaMatchesScalarShoup(std::vector<U128> a, std::vector<U128> w,
+                             std::vector<U128> wq)
+{
+    while (a.size() % 8 != 0) {
+        a.emplace_back();
+        w.emplace_back();
+        wq.emplace_back();
+    }
+    for (const ntt::NttPrime* prime :
+         {&ntt::defaultBenchPrime(), &ntt::smallTestPrime()}) {
+        SCOPED_TRACE("q bits " + std::to_string(prime->bits));
+        const Modulus m(prime->q);
+        const DW<uint64_t> q = mod::toDw(prime->q);
+        ResidueVector va = ResidueVector::fromU128(a);
+        ResidueVector vw = ResidueVector::fromU128(w);
+        ResidueVector vwq = ResidueVector::fromU128(wq);
+        ResidueVector vc(a.size());
+        ntt::backends::vmulShoupLazyAvx512Ifma(m, va.span(), vw.span(),
+                                               vwq.span(), vc.span());
+        for (size_t i = 0; i < a.size(); ++i) {
+            const DW<uint64_t> want = mod::mulModShoup(
+                mod::toDw(a[i]), mod::toDw(w[i]), mod::toDw(wq[i]), q);
+            ASSERT_EQ(vc.at(i), mod::fromDw(want))
+                << "a=" << test::str(a[i]) << " w=" << test::str(w[i])
+                << " wq=" << test::str(wq[i]);
+        }
+    }
+}
+
+/** 2^k - 1 for k in [0, 128]. */
+U128
+onesBelow(int k)
+{
+    return k == 128 ? U128::fromParts(~uint64_t{0}, ~uint64_t{0})
+                    : (U128{1} << k) - U128{1};
+}
+#endif
+
+TEST(IfmaLimbs, SplitAndJoinRoundTripEveryBit)
+{
+    // With w = 1 and wq = 0 the IFMA Shoup multiply is the bare limb
+    // round trip: h = 0, so r = a. a passes the split (toLimbs52: the
+    // vpshrdq middle limb, the vpshufb top limb), three one-term column
+    // sums and the rotate/funnel join back to words. a is 2^k and
+    // 2^k - 1 for every bit k, so every bit crosses each split and join.
+#if MQX_BUILD_AVX512_IFMA
+    if (!avx512Ifma())
+        GTEST_SKIP() << "host lacks AVX-512 IFMA + VBMI2 (or XCR0 ZMM state)";
+    std::vector<U128> a;
+    for (int k = 0; k < 128; ++k) {
+        a.push_back(U128{1} << k);
+        a.push_back(onesBelow(k));
+    }
+    a.push_back(onesBelow(128));
+    expectIfmaMatchesScalarShoup(a, std::vector<U128>(a.size(), U128{1}),
+                                 std::vector<U128>(a.size(), U128{}));
+#else
+    GTEST_SKIP() << "IFMA tier not built";
+#endif
+}
+
+TEST(IfmaLimbs, HWindowUnderMaximalColumnCarries)
+{
+    // All-ones limbs for a and wq put the most terms below 2^52 into
+    // every column of a*wq, so each carry of h = a*wq >> 128 and each
+    // join of its 24-bit-offset window is at its widest; a = 2^k - 1
+    // for every k walks the top set bit across the limb edges and the
+    // 24-bit offset, against wq = 2^j - 1 at the same edges, and w
+    // ranges over all ones, 1 and q - 1 for the a*w + h*(2^128 - q)
+    // columns.
+#if MQX_BUILD_AVX512_IFMA
+    if (!avx512Ifma())
+        GTEST_SKIP() << "host lacks AVX-512 IFMA + VBMI2 (or XCR0 ZMM state)";
+    const U128 q = ntt::defaultBenchPrime().q;
+    std::vector<U128> a, w, wq;
+    for (int k = 1; k <= 128; ++k)
+        for (int j : {24, 52, 104, 127, 128})
+            for (const U128& wv : {onesBelow(128), U128{1}, q - U128{1}}) {
+                a.push_back(onesBelow(k));
+                wq.push_back(onesBelow(j));
+                w.push_back(wv);
+            }
+    expectIfmaMatchesScalarShoup(a, w, wq);
+#else
+    GTEST_SKIP() << "IFMA tier not built";
+#endif
+}
+
 // ---------------------------------------------------------------------
 // Lazy add/sub helpers: headroom form against the carry chain
 // ---------------------------------------------------------------------
